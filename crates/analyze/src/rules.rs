@@ -101,7 +101,7 @@ fn match_path(toks: &[Tok], i: usize, segments: &[&str]) -> Option<usize> {
 
 /// `Arc<dyn Storage>` is the only sanctioned path to bytes: direct
 /// `std::fs` / `File::open` use is confined (by allowlist) to the
-/// storage backends, the bench binaries, and the CLI.
+/// storage backends, the results dump point, and the CLI.
 pub struct StorageBoundary;
 
 impl Rule for StorageBoundary {

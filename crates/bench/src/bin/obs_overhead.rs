@@ -1,25 +1,25 @@
 //! Telemetry overhead gate: proves that turning the `eblcio_obs`
 //! layer on (spans + flight recorder; the metric histograms record
 //! unconditionally either way) keeps the warm `read_region_into` hot
-//! path within a small fraction of the telemetry-off baseline.
+//! path within `GATE_PCT` percent of the telemetry-off baseline, and
+//! exits 1 when it does not.
+//!
+//! This is not a `benchmark/` metric because it toggles
+//! `eblcio_obs::set_enabled` inside one process; the benchmark's
+//! `trace.overhead_fraction` prices the benchmark's own spans instead.
 //!
 //! The workload is the allocation-free serving loop `serve_alloc.rs`
 //! pins down: one warm reader, a multi-chunk slab region (half the
-//! leading dimension — the shape the `read_throughput` workload
-//! serves) fully resident in the decoded-chunk cache, repeated
-//! `read_region_into` calls into a preallocated buffer. Both arms run
-//! the identical loop; the only difference is
-//! `eblcio_obs::set_enabled(true/false)`. The two arms are
-//! interleaved rep-by-rep in short windows (`EBLCIO_OBS_ITERS` calls
-//! per window, default 200; `EBLCIO_OBS_REPS` windows per arm,
-//! default 50) and each arm keeps its best window, so machine-load
-//! drift hits both arms alike instead of masquerading as telemetry
-//! cost.
+//! leading dimension) fully resident in the decoded-chunk cache,
+//! repeated `read_region_into` calls into a preallocated buffer. Both
+//! arms run the identical loop; the only difference is
+//! `eblcio_obs::set_enabled(true/false)`. The two arms are interleaved
+//! rep-by-rep in short windows (`ITERS` calls per window, `REPS`
+//! windows per arm) and each arm keeps its best window, so
+//! machine-load drift hits both arms alike instead of masquerading as
+//! telemetry cost.
 //!
-//! Knobs: `EBLCIO_SCALE` = tiny|small|paper, `EBLCIO_OBS_ITERS`,
-//! `EBLCIO_OBS_REPS`, `EBLCIO_OBS_GATE` = 1 — fail (exit 1) when the
-//! enabled arm exceeds the baseline by more than `EBLCIO_OBS_GATE_PCT`
-//! percent (default 2).
+//! Knob: `EBLCIO_SCALE` = tiny|small|paper.
 
 use eblcio_bench::scale_from_env;
 use eblcio_codec::{CompressorId, ErrorBound};
@@ -29,43 +29,24 @@ use eblcio_store::{ChunkedStore, Region};
 use std::time::Instant;
 
 const EPS: f64 = 1e-3;
+/// Warm `read_region_into` calls per measured window.
+const ITERS: usize = 200;
+/// Windows per arm.
+const REPS: usize = 50;
+/// Largest tolerated telemetry-on cost over the baseline, in percent.
+const GATE_PCT: f64 = 2.0;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Wall time of one window of `iters` warm `read_region_into` calls.
-fn window(
-    reader: &ArrayReader<f32>,
-    region: &Region,
-    out: &mut NdArray<f32>,
-    iters: usize,
-) -> f64 {
+/// Wall time of one window of `ITERS` warm `read_region_into` calls.
+fn window(reader: &ArrayReader<f32>, region: &Region, out: &mut NdArray<f32>) -> f64 {
     let t0 = Instant::now();
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         reader.read_region_into(region, out).expect("warm read");
     }
     t0.elapsed().as_secs_f64()
 }
 
 fn main() {
-    let scale = scale_from_env();
-    let iters = env_usize("EBLCIO_OBS_ITERS", 200);
-    let reps = env_usize("EBLCIO_OBS_REPS", 50);
-    let gate = std::env::var("EBLCIO_OBS_GATE").is_ok_and(|v| v == "1");
-    let gate_pct = env_f64("EBLCIO_OBS_GATE_PCT", 2.0);
-
-    let data = DatasetSpec::new(DatasetKind::Nyx, scale).generate();
+    let data = DatasetSpec::new(DatasetKind::Nyx, scale_from_env()).generate();
     let arr = match &data {
         Dataset::F32(a) => a,
         Dataset::F64(_) => unreachable!("NYX is single precision"),
@@ -91,10 +72,9 @@ fn main() {
     )
     .expect("reader");
 
-    // A slab of half the leading dimension — a multi-chunk region like
-    // the read_throughput workload serves — decoded once up front so
-    // every measured call is a pure cache-hit assembly (the zero-alloc
-    // path).
+    // A slab of half the leading dimension — a multi-chunk region —
+    // decoded once up front so every measured call is a pure cache-hit
+    // assembly (the zero-alloc path).
     let origin: Vec<usize> = vec![0; shape.rank()];
     let extent: Vec<usize> = shape
         .dims()
@@ -117,35 +97,32 @@ fn main() {
     // compare the two true floors.
     let mut base = f64::INFINITY;
     let mut enabled = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+    for _ in 0..REPS {
         eblcio_obs::set_enabled(false);
-        base = base.min(window(&reader, &region, &mut out, iters));
+        base = base.min(window(&reader, &region, &mut out));
         eblcio_obs::set_enabled(true);
-        enabled = enabled.min(window(&reader, &region, &mut out, iters));
+        enabled = enabled.min(window(&reader, &region, &mut out));
     }
     eblcio_obs::set_enabled(false);
 
-    let per_call_ns = |s: f64| s * 1e9 / iters as f64;
+    let per_call_ns = |s: f64| s * 1e9 / ITERS as f64;
     let overhead_pct = (enabled / base - 1.0) * 100.0;
     println!(
-        "obs_overhead: warm read_region_into, {} samples/region, {iters} iters x {reps} reps",
+        "obs_overhead: warm read_region_into, {} samples/region, {ITERS} iters x {REPS} reps",
         region.len()
     );
     println!("  telemetry off: {:>9.1} ns/call", per_call_ns(base));
     println!("  telemetry on:  {:>9.1} ns/call", per_call_ns(enabled));
-    println!("  overhead:      {overhead_pct:>8.2}% (gate: {gate_pct}%)");
+    println!("  overhead:      {overhead_pct:>8.2}% (gate: {GATE_PCT}%)");
 
-    if gate {
-        if overhead_pct <= gate_pct {
-            println!("\nobs overhead gate: PASS");
-        } else {
-            eprintln!(
-                "obs overhead gate FAIL: {overhead_pct:.2}% > {gate_pct}% \
-                 (off {:.1} ns/call, on {:.1} ns/call)",
-                per_call_ns(base),
-                per_call_ns(enabled)
-            );
-            std::process::exit(1);
-        }
+    if overhead_pct > GATE_PCT {
+        eprintln!(
+            "obs overhead gate FAIL: {overhead_pct:.2}% > {GATE_PCT}% \
+             (off {:.1} ns/call, on {:.1} ns/call)",
+            per_call_ns(base),
+            per_call_ns(enabled)
+        );
+        std::process::exit(1);
     }
+    println!("\nobs overhead gate: PASS");
 }

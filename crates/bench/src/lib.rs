@@ -10,37 +10,53 @@
 //! Environment knobs:
 //!
 //! * `EBLCIO_SCALE` = `tiny` | `small` (default) | `paper` — data size,
-//! * `EBLCIO_RUNS`  = `quick` (default) | `paper` — repetition protocol.
+//! * `EBLCIO_RUNS`  = `quick` (default) | `paper` — repetition protocol,
+//! * `EBLCIO_RESULTS` — CSV output directory (default `bench_results`).
 
 #![forbid(unsafe_code)]
 
 use eblcio_core::CampaignRunner;
 use eblcio_data::generators::Scale;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
-/// Data scale selected by `EBLCIO_SCALE` (default `small`).
+fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        Some("tiny") => Ok(Scale::Tiny),
+        None | Some("small") => Ok(Scale::Small),
+        Some("paper") => Ok(Scale::Paper),
+        Some(other) => Err(format!("EBLCIO_SCALE='{other}': expected tiny|small|paper")),
+    }
+}
+
+fn parse_runs(value: Option<&str>) -> Result<CampaignRunner, String> {
+    match value {
+        None | Some("quick") => Ok(CampaignRunner::quick()),
+        Some("paper") => Ok(CampaignRunner::paper()),
+        Some(other) => Err(format!("EBLCIO_RUNS='{other}': expected quick|paper")),
+    }
+}
+
+/// Reads `name` and parses it; a value `parse` rejects ends the
+/// process, so a mistyped knob cannot produce a plausible wrong CSV.
+fn choice_from_env<T>(name: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse(value.as_deref()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// Data scale selected by `EBLCIO_SCALE` (default `small`); exits on
+/// any other value than `tiny`, `small` or `paper`.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("EBLCIO_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Small,
-    }
+    choice_from_env("EBLCIO_SCALE", parse_scale)
 }
 
-/// Repetition protocol selected by `EBLCIO_RUNS` (default `quick`).
+/// Repetition protocol selected by `EBLCIO_RUNS` (default `quick`);
+/// exits on any other value than `quick` or `paper`.
 pub fn runner_from_env() -> CampaignRunner {
-    match std::env::var("EBLCIO_RUNS").as_deref() {
-        Ok("paper") => CampaignRunner::paper(),
-        _ => CampaignRunner::quick(),
-    }
-}
-
-/// Where CSV outputs land (`bench_results/` at the workspace root).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("EBLCIO_RESULTS").unwrap_or_else(|_| "bench_results".into());
-    let p = PathBuf::from(dir);
-    let _ = std::fs::create_dir_all(&p);
-    p
+    choice_from_env("EBLCIO_RUNS", parse_runs)
 }
 
 /// Fixed-width text table writer for the stdout reports.
@@ -94,16 +110,18 @@ impl TextTable {
         print!("{}", self.render());
     }
 
-    /// Writes the table as CSV to `bench_results/<name>.csv`.
+    /// Writes the table as CSV to `<EBLCIO_RESULTS>/<name>.csv`
+    /// (`bench_results/` by default).
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let path = results_dir().join(format!("{name}.csv"));
+        let dir = std::env::var_os("EBLCIO_RESULTS").unwrap_or_else(|| "bench_results".into());
+        let (path, mut file) = eblcio_core::dump::create(Path::new(&dir), &format!("{name}.csv"))?;
         let mut s = self.headers.join(",");
         s.push('\n');
         for row in &self.rows {
             s.push_str(&row.join(","));
             s.push('\n');
         }
-        std::fs::write(&path, s)?;
+        file.write_all(s.as_bytes())?;
         Ok(path)
     }
 }
@@ -157,10 +175,26 @@ mod tests {
 
     #[test]
     fn env_defaults() {
-        // In the absence of env overrides the defaults apply (we cannot
-        // mutate env safely in parallel tests, so just exercise them).
-        let _ = scale_from_env();
-        let r = runner_from_env();
-        assert!(r.max_runs >= r.min_runs);
+        // The parsers take the value, not the process environment, so
+        // parallel tests never race on it.
+        assert_eq!(parse_scale(None), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("tiny")), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(Some("small")), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("paper")), Ok(Scale::Paper));
+        for bad in ["Paper", "papr", ""] {
+            let message = parse_scale(Some(bad)).unwrap_err();
+            assert!(message.contains("tiny|small|paper"), "{message}");
+        }
+
+        let quick = CampaignRunner::quick().max_runs;
+        let paper = CampaignRunner::paper().max_runs;
+        assert_ne!(quick, paper);
+        assert_eq!(parse_runs(None).unwrap().max_runs, quick);
+        assert_eq!(parse_runs(Some("quick")).unwrap().max_runs, quick);
+        assert_eq!(parse_runs(Some("paper")).unwrap().max_runs, paper);
+        for bad in ["full", "Paper", ""] {
+            let message = parse_runs(Some(bad)).unwrap_err();
+            assert!(message.contains("quick|paper"), "{message}");
+        }
     }
 }

@@ -192,8 +192,8 @@ std::thread_local! {
 /// resolved once at construction, so every hot-path event is a single
 /// relaxed atomic op. Latencies and sizes go into log-linear
 /// histograms — [`ReaderStats`] is a thin view over these (counts and
-/// sums), and `query --metrics` / `read_throughput` read the p50/p99
-/// straight from the same handles. Span names are pre-interned so the
+/// sums), and `query --metrics` reads the p50/p99 straight from the
+/// same handles. Span names are pre-interned so the
 /// warm path never touches the intern table.
 struct ReaderMetrics {
     registry: Arc<MetricsRegistry>,

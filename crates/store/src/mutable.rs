@@ -459,6 +459,26 @@ impl MutableStore {
         )
     }
 
+    /// One hop down the generation chain: opens the parent manifest
+    /// `meta` names and checks it carries the promised generation id
+    /// and the child's shape, chunk shape and dtype.
+    fn parent_of(&self, store: &ChunkedStore, meta: &GenerationMeta) -> Result<ChunkedStore> {
+        let parent = ChunkedStore::open_generation(
+            self.bytes.clone(),
+            SUPERBLOCK_LEN,
+            meta.parent_offset as usize,
+            meta.parent_len as usize,
+        )?;
+        if parent.generation() != meta.parent
+            || parent.shape() != store.shape()
+            || parent.chunk_shape() != store.chunk_shape()
+            || parent.dtype() != store.dtype()
+        {
+            return Err(CodecError::Corrupt { context: "store generation chain" });
+        }
+        Ok(parent)
+    }
+
     /// Time-travel read: opens generation `generation` by walking the
     /// parent chain down from the current root. Generations older than
     /// the last [`MutableStore::compact`] are unreachable (compaction
@@ -482,19 +502,7 @@ impl MutableStore {
             if meta.parent == 0 {
                 return Err(CodecError::Corrupt { context: "unknown store generation" });
             }
-            let parent = ChunkedStore::open_generation(
-                self.bytes.clone(),
-                SUPERBLOCK_LEN,
-                meta.parent_offset as usize,
-                meta.parent_len as usize,
-            )?;
-            if parent.generation() != meta.parent
-                || parent.shape() != store.shape()
-                || parent.chunk_shape() != store.chunk_shape()
-                || parent.dtype() != store.dtype()
-            {
-                return Err(CodecError::Corrupt { context: "store generation chain" });
-            }
+            let parent = self.parent_of(&store, &meta)?;
             store = parent;
         }
     }
@@ -529,19 +537,7 @@ impl MutableStore {
             if meta.parent == 0 {
                 return Ok(out);
             }
-            let parent = ChunkedStore::open_generation(
-                self.bytes.clone(),
-                SUPERBLOCK_LEN,
-                meta.parent_offset as usize,
-                meta.parent_len as usize,
-            )?;
-            if parent.generation() != meta.parent
-                || parent.shape() != store.shape()
-                || parent.chunk_shape() != store.chunk_shape()
-                || parent.dtype() != store.dtype()
-            {
-                return Err(CodecError::Corrupt { context: "store generation chain" });
-            }
+            let parent = self.parent_of(&store, &meta)?;
             offset = meta.parent_offset;
             len = meta.parent_len;
             store = parent;

@@ -180,6 +180,36 @@ fn assemble_sharded<T: Element>(
     out
 }
 
+/// Compresses every chunk of `grid` in parallel on the shared rayon
+/// pool for `threads` workers, chunk `i` with `codec_for(i)`: slab
+/// chunks from borrowed views, interior chunks gathered first.
+fn compress_chunks<'c, T: Element>(
+    grid: &ChunkGrid,
+    data: &NdArray<T>,
+    bound: ErrorBound,
+    threads: usize,
+    codec_for: impl Fn(usize) -> &'c (dyn Compressor) + Sync,
+) -> Result<Vec<Vec<u8>>> {
+    let ids: Vec<usize> = (0..grid.n_chunks()).collect();
+    let pool = pool_for(threads)?;
+    let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
+        ids.par_iter()
+            .map(|&i| {
+                let codec = codec_for(i);
+                let region = grid.chunk_region(i);
+                if grid.chunk_is_slab(i) {
+                    let view = data.slab(region.origin()[0], region.extent()[0]);
+                    compress_view(codec, view, bound)
+                } else {
+                    let owned = gather(data, &region);
+                    compress_view(codec, owned.view(), bound)
+                }
+            })
+            .collect()
+    });
+    streams.into_iter().collect()
+}
+
 impl ChunkedStore {
     /// Compresses `data` into a chunked stream with one codec chain.
     ///
@@ -203,23 +233,7 @@ impl ChunkedStore {
         let abs = bound.to_absolute(data.value_range())?;
         let bound = ErrorBound::Absolute(abs);
 
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let region = grid.chunk_region(i);
-                    if grid.chunk_is_slab(i) {
-                        let view = data.slab(region.origin()[0], region.extent()[0]);
-                        compress_view(codec, view, bound)
-                    } else {
-                        let owned = gather(data, &region);
-                        compress_view(codec, owned.view(), bound)
-                    }
-                })
-                .collect()
-        });
-        let streams: Vec<Vec<u8>> = streams.into_iter().collect::<Result<_>>()?;
+        let streams = compress_chunks(&grid, data, bound, threads, |_| codec)?;
         let picks = vec![0usize; streams.len()];
         Ok(assemble::<T>(
             vec![codec.spec()],
@@ -259,23 +273,7 @@ impl ChunkedStore {
         let abs = bound.to_absolute(data.value_range())?;
         let bound = ErrorBound::Absolute(abs);
 
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let region = grid.chunk_region(i);
-                    if grid.chunk_is_slab(i) {
-                        let view = data.slab(region.origin()[0], region.extent()[0]);
-                        compress_view(codec, view, bound)
-                    } else {
-                        let owned = gather(data, &region);
-                        compress_view(codec, owned.view(), bound)
-                    }
-                })
-                .collect()
-        });
-        let streams: Vec<Vec<u8>> = streams.into_iter().collect::<Result<_>>()?;
+        let streams = compress_chunks(&grid, data, bound, threads, |_| codec)?;
         Ok(assemble_sharded::<T>(
             codec.spec(),
             streams,
@@ -320,24 +318,8 @@ impl ChunkedStore {
         let abs = bound.to_absolute(data.value_range())?;
         let bound = ErrorBound::Absolute(abs);
 
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let codec = instances[picks[i]].as_ref();
-                    let region = grid.chunk_region(i);
-                    if grid.chunk_is_slab(i) {
-                        let view = data.slab(region.origin()[0], region.extent()[0]);
-                        compress_view(codec, view, bound)
-                    } else {
-                        let owned = gather(data, &region);
-                        compress_view(codec, owned.view(), bound)
-                    }
-                })
-                .collect()
-        });
-        let streams: Vec<Vec<u8>> = streams.into_iter().collect::<Result<_>>()?;
+        let streams =
+            compress_chunks(&grid, data, bound, threads, |i| instances[picks[i]].as_ref())?;
         Ok(assemble::<T>(
             chains.to_vec(),
             picks,

@@ -447,3 +447,92 @@ fn mutable_store_update_query_compact_lifecycle() {
     assert!(!st.status.success());
     assert!(String::from_utf8_lossy(&st.stderr).contains("--mutable requires --chunk"));
 }
+
+/// Kills the spawned `eblcio serve` child when the test ends, pass or
+/// fail.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_process_answers_region_stats_and_metrics_over_tcp() {
+    use eblcio::daemon::{DaemonClient, RegionSpec};
+    use eblcio::serve::{ArrayReader, ReaderConfig};
+    use eblcio::store::Region;
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let input = tmp("serve_in.raw");
+    let store_path = tmp("serve.ebcs");
+    write_ramp_f32(&input, 4096);
+    let st = Command::new(bin())
+        .args([
+            "compress", "--codec", "szx", "--eps", "1e-3", "--dtype", "f32", "--dims", "64x64",
+            "--chunk", "16x16", "--shard", "4",
+        ])
+        .arg(&input)
+        .arg(&store_path)
+        .output()
+        .unwrap();
+    assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
+
+    let mut child = KillOnDrop(
+        Command::new(bin())
+            .arg("serve")
+            .arg(&store_path)
+            .args(["--addr", "127.0.0.1:0", "--workers", "2"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    // The first stdout line is `serving <store> on <addr>`; an early
+    // exit closes the pipe and yields an empty line instead of a hang.
+    // The pipe stays open to the end of the test so the child's later
+    // prints cannot fail.
+    let mut stdout = BufReader::new(child.0.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim_end()
+        .strip_prefix("serving ")
+        .and_then(|rest| rest.rsplit_once(" on "))
+        .map(|(_, addr)| addr)
+        .unwrap_or_else(|| panic!("no `serving … on <addr>` line, got {line:?}"));
+
+    let mut client = DaemonClient::connect(addr).unwrap();
+    client.set_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+
+    // Over the wire and in process decode the same file to the same bits.
+    let served = client.read_region(&RegionSpec::new(&[8, 8], &[32, 32])).unwrap();
+    let stream = std::fs::read(&store_path).unwrap();
+    let local = ArrayReader::<f32>::open(&stream, ReaderConfig::default())
+        .unwrap()
+        .read_region(&Region::new(&[8, 8], &[32, 32]))
+        .unwrap();
+    assert_eq!(served.dims, [32, 32]);
+    assert_eq!(served.dtype, 0);
+    let local_bytes: Vec<u8> = local.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert_eq!(served.bytes, local_bytes);
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.requests, 1);
+    assert!(stats.decodes > 0);
+
+    let metrics = client.metrics().unwrap();
+    assert!(
+        metrics.lines().any(|l| l == "# TYPE eblcio_daemon_requests_total counter"),
+        "{metrics}"
+    );
+    for counter in ["eblcio_daemon_requests_total", "eblcio_daemon_connections_total"] {
+        let value = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(counter)?.trim().parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no `{counter} <n>` sample line in\n{metrics}"));
+        assert!(value >= 1, "{counter} = {value}");
+    }
+}
