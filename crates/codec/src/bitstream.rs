@@ -4,13 +4,19 @@
 use crate::error::{CodecError, Result};
 
 /// Accumulates bits MSB-first into a byte vector.
+///
+/// Word-based: bits gather in a 64-bit accumulator and leave it eight
+/// bytes at a time, so a call costs a shift and an or instead of one
+/// branch (and possible `Vec::push`) per bit — the mirror of
+/// [`BitReader::get_bits`].
 #[derive(Default, Debug)]
 pub struct BitWriter {
+    /// Flushed bytes; always a whole number of 64-bit words.
     bytes: Vec<u8>,
-    /// Bits pending in `acc` (0–7), stored in the high bits.
-    acc: u8,
+    /// Pending bits in the low `used` positions (higher positions zero).
+    acc: u64,
+    /// Number of pending bits, `0..64`.
     used: u32,
-    nbits: u64,
 }
 
 impl BitWriter {
@@ -21,51 +27,68 @@ impl BitWriter {
 
     /// Writer with a pre-reserved byte capacity.
     pub fn with_capacity(bytes: usize) -> Self {
-        Self {
-            bytes: Vec::with_capacity(bytes),
-            ..Self::default()
-        }
+        Self::reusing(Vec::with_capacity(bytes))
+    }
+
+    /// Empty writer over a recycled buffer (cleared, capacity kept) —
+    /// hand the buffer [`Self::finish`] returns back in here and a
+    /// steady-state encode loop stops allocating its bit buffer.
+    pub(crate) fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { bytes: buf, acc: 0, used: 0 }
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> u64 {
-        self.nbits
+        self.bytes.len() as u64 * 8 + u64::from(self.used)
     }
 
     /// Writes a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {
-        self.acc |= u8::from(bit) << (7 - self.used);
-        self.used += 1;
-        self.nbits += 1;
-        if self.used == 8 {
-            self.bytes.push(self.acc);
-            self.acc = 0;
-            self.used = 0;
-        }
+        self.put_bits(u64::from(bit), 1);
     }
 
     /// Writes the low `n` bits of `v`, most significant first (`n ≤ 64`).
     #[inline]
     pub fn put_bits(&mut self, v: u64, n: u32) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.put_bit((v >> i) & 1 == 1);
+        if n == 0 {
+            return;
         }
+        let v = if n == 64 { v } else { v & ((1u64 << n) - 1) };
+        let free = 64 - self.used; // 1..=64
+        if n < free {
+            self.acc = (self.acc << n) | v;
+            self.used += n;
+            return;
+        }
+        // The accumulator fills: its pending bits, then the top `free`
+        // bits of `v`, leave as one big-endian word; the low `rest`
+        // bits of `v` stay pending.
+        let rest = n - free; // 0..=63
+        let high = if free == 64 { 0 } else { self.acc << free };
+        self.bytes.extend_from_slice(&(high | (v >> rest)).to_be_bytes());
+        self.acc = v & ((1u64 << rest) - 1);
+        self.used = rest;
     }
 
     /// Writes `v` in unary: `v` one-bits then a zero-bit.
     pub fn put_unary(&mut self, v: u32) {
-        for _ in 0..v {
-            self.put_bit(true);
+        let mut ones = v;
+        while ones >= 64 {
+            self.put_bits(u64::MAX, 64);
+            ones -= 64;
         }
-        self.put_bit(false);
+        // `ones` one-bits and the terminating zero in one call.
+        self.put_bits(((1u64 << ones) - 1) << 1, ones + 1);
     }
 
     /// Pads to a byte boundary with zero bits and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         if self.used > 0 {
-            self.bytes.push(self.acc);
+            let word = (self.acc << (64 - self.used)).to_be_bytes();
+            self.bytes.extend_from_slice(&word[..self.used.div_ceil(8) as usize]);
         }
         self.bytes
     }

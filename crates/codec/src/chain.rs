@@ -281,7 +281,14 @@ impl CodecChain {
         bound: ErrorBound,
     ) -> Result<Vec<u8>> {
         crate::codecs::common::validate_input(data)?;
-        let abs = bound.to_absolute(data.value_range())?;
+        // Only a relative bound needs the data's range (a full min/max
+        // pass); the store resolves ε once per array and hands every
+        // chunk an absolute one.
+        let range = match bound {
+            ErrorBound::Relative(_) => data.value_range(),
+            ErrorBound::Absolute(_) => 0.0,
+        };
+        let abs = bound.to_absolute(range)?;
         let sw = Stopwatch::start();
         let (mut payload, abs_recorded) = encode_array(self.array.as_ref(), data, abs)?;
         self.metrics.array.encode_ns.record(sw.elapsed_ns());

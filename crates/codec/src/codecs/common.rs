@@ -2,6 +2,9 @@
 //! iteration, outlier transport, and the Huffman + LZ backend framing.
 
 use crate::error::{CodecError, Result};
+use crate::huffman::HuffEncoder;
+use crate::quantizer::{LinearQuantizer, Quantized};
+use crate::scratch::with_scratch;
 use crate::util::{put_varint, ByteReader};
 use crate::{huffman, lz};
 use eblcio_data::{ArrayView, Element, Shape};
@@ -33,13 +36,7 @@ impl SzPayload {
     /// Serializes the payload (no backend pass) — what an SZ-family
     /// array stage emits.
     pub fn encode_inner(&self) -> Vec<u8> {
-        let mut inner = Vec::with_capacity(self.codes.len() / 2 + self.outliers.len() + 64);
-        put_varint(&mut inner, self.extra.len() as u64);
-        inner.extend_from_slice(&self.extra);
-        put_varint(&mut inner, self.outliers.len() as u64);
-        inner.extend_from_slice(&self.outliers);
-        inner.extend_from_slice(&huffman::encode_block(&self.codes));
-        inner
+        with_scratch(|s| encode_inner(&self.extra, &self.outliers, &self.codes, &mut s.huff_enc))
     }
 
     /// Inverse of [`Self::encode_inner`].
@@ -108,6 +105,55 @@ impl SzPayload {
     }
 }
 
+/// The inner SZ-family serialization from borrowed parts — what the
+/// array stages call with their arena buffers ([`SzPayload::encode_inner`]
+/// is the owned-struct convenience over it).
+pub(crate) fn encode_inner(
+    extra: &[u8],
+    outliers: &[u8],
+    codes: &[u32],
+    huff: &mut HuffEncoder,
+) -> Vec<u8> {
+    let mut inner = Vec::with_capacity(codes.len() / 2 + extra.len() + outliers.len() + 64);
+    put_varint(&mut inner, extra.len() as u64);
+    inner.extend_from_slice(extra);
+    put_varint(&mut inner, outliers.len() as u64);
+    inner.extend_from_slice(outliers);
+    huff.encode_into(codes, &mut inner);
+    inner
+}
+
+/// Quantizes sample `v` against `pred` and records the outcome the way
+/// every SZ-family encoder does: the code (or the outlier marker 0 plus
+/// the verbatim sample) is appended, and `recon[off]` becomes the value
+/// the decoder will reconstruct.
+#[inline(always)]
+pub(crate) fn quantize_sample<T: Element>(
+    quant: &LinearQuantizer,
+    v: f64,
+    pred: f64,
+    off: usize,
+    recon: &mut [f64],
+    codes: &mut Vec<u32>,
+    outliers: &mut Vec<u8>,
+) {
+    if let (Quantized::Code(c), r) = quant.quantize(v, pred) {
+        // The decoder will round the f64 reconstruction to T, so the
+        // bound must hold *after* that rounding; otherwise fall through
+        // to the outlier path.
+        let rt = T::from_f64(r).to_f64();
+        if (rt - v).abs() <= quant.abs_bound() {
+            codes.push(c);
+            recon[off] = rt;
+            return;
+        }
+    }
+    codes.push(0);
+    let t = T::from_f64(v);
+    t.write_le(outliers);
+    recon[off] = t.to_f64();
+}
+
 /// Sequential reader over the outlier byte stream.
 pub struct OutlierReader<'a> {
     bytes: &'a [u8],
@@ -163,6 +209,55 @@ pub fn for_each_block(
                 break;
             }
             bidx[d] = 0;
+        }
+    }
+}
+
+/// One block of a row-major array, left-padded to four axes (extent 1)
+/// so a single loop nest serves every rank. The encoders walk blocks
+/// through this row by row — the last axis is contiguous, so a row is a
+/// flat run — instead of rebuilding a coordinate dot product per sample.
+pub(crate) struct BlockRows {
+    /// Global coordinate of the block's first sample, per padded axis.
+    pub base: [usize; 4],
+    /// Block extent per padded axis.
+    pub dims: [usize; 4],
+    strides: [usize; 4],
+    origin: usize,
+}
+
+impl BlockRows {
+    /// Geometry of the block `base .. base + dims` (rank-length slices,
+    /// as [`for_each_block`] yields them) inside `shape`.
+    pub(crate) fn new(shape: Shape, base: &[usize], dims: &[usize]) -> Self {
+        let rank = shape.rank();
+        let pad = 4 - rank;
+        let shape_strides = shape.strides();
+        let mut b = Self {
+            base: [0; 4],
+            dims: [1; 4],
+            strides: [0; 4],
+            origin: base.iter().zip(&shape_strides).map(|(&c, &s)| c * s).sum(),
+        };
+        b.base[pad..].copy_from_slice(&base[..rank]);
+        b.dims[pad..].copy_from_slice(&dims[..rank]);
+        b.strides[pad..].copy_from_slice(&shape_strides[..rank]);
+        b
+    }
+
+    /// Visits the rows in raster order: block-local coordinates of the
+    /// three outer (padded) axes and the flat offset of the row's first
+    /// sample. The row holds `dims[3]` contiguous samples.
+    #[inline(always)]
+    pub(crate) fn for_each_row(&self, mut f: impl FnMut([usize; 3], usize)) {
+        for i0 in 0..self.dims[0] {
+            let o0 = self.origin + i0 * self.strides[0];
+            for i1 in 0..self.dims[1] {
+                let o1 = o0 + i1 * self.strides[1];
+                for i2 in 0..self.dims[2] {
+                    f([i0, i1, i2], o1 + i2 * self.strides[2]);
+                }
+            }
         }
     }
 }

@@ -8,11 +8,11 @@
 //! PSNR that sits above the other compressors at the same nominal ε,
 //! bought with somewhat lower compression ratios and extra work.
 
-use super::common::SzPayload;
+use super::common::{encode_inner, SzPayload};
 use super::impl_stage_codec;
-use super::sz3::{interp_decode, interp_decode_reference, interp_decode_with, interp_encode};
+use super::sz3::{interp_decode, interp_decode_reference, interp_decode_with, interp_encode_with};
 use crate::error::{CodecError, Result};
-use crate::scratch::{with_scratch, DecodeScratch};
+use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
 use eblcio_data::{metrics, ArrayView, Element, NdArray, Shape};
 
@@ -69,12 +69,13 @@ impl Qoz {
         (abs / tighten).max(abs / beta)
     }
 
-    fn encode_once<T: Element>(&self, data: ArrayView<'_, T>, abs: f64) -> (Vec<u32>, Vec<u8>) {
+    /// One interpolation encode at finest-level bound `abs` into the
+    /// arena's code and outlier buffers.
+    fn encode_once<T: Element>(&self, data: ArrayView<'_, T>, abs: f64, s: &mut CodecScratch) {
         let (alpha, beta) = (self.alpha, self.beta);
-        let anchor_abs = abs / beta;
-        interp_encode(data, anchor_abs, |level| {
-            Self::level_bound(alpha, beta, abs, level)
-        }, true)
+        let level_abs = |level| Self::level_bound(alpha, beta, abs, level);
+        let CodecScratch { codes, recon, outliers, .. } = s;
+        interp_encode_with(data, abs / beta, level_abs, true, recon, codes, outliers);
     }
 
     /// Array-stage encode: level-adaptive bounds (and optional PSNR
@@ -91,48 +92,43 @@ impl Qoz {
                 reason: "QoZ alpha and beta must be >= 1",
             });
         }
-        let range = data.value_range();
-        let mut abs = abs;
-
-        if let Some(target) = self.target_psnr {
-            // Quality-target mode: geometric search for the loosest abs
-            // that still meets the PSNR goal (bounded trials, like QoZ's
-            // sampled auto-tuning). The PSNR check needs an owned
-            // original; one copy here covers all trials.
-            let original = data.to_owned();
-            let mut best: Option<f64> = None;
-            let mut trial = abs;
-            for _ in 0..6 {
-                let (codes, outliers) = self.encode_once(data, trial);
-                let recon: NdArray<T> = interp_decode(
-                    data.shape(),
-                    &codes,
-                    &outliers,
-                    trial / self.beta,
-                    |l| Self::level_bound(self.alpha, self.beta, trial, l),
-                    true,
-                )?;
-                if metrics::psnr(&original, &recon) >= target {
-                    best = Some(trial);
-                    trial *= 2.0; // try looser
-                } else {
-                    trial *= 0.25; // tighten
+        with_scratch(|s| {
+            let mut abs = abs;
+            if let Some(target) = self.target_psnr {
+                // Quality-target mode: geometric search for the loosest
+                // abs that still meets the PSNR goal (bounded trials,
+                // like QoZ's sampled auto-tuning). The PSNR check needs
+                // an owned original; one copy here covers all trials.
+                let original = data.to_owned();
+                let mut best: Option<f64> = None;
+                let mut trial = abs;
+                for _ in 0..6 {
+                    self.encode_once(data, trial, s);
+                    let recon: NdArray<T> = interp_decode(
+                        data.shape(),
+                        &s.codes,
+                        &s.outliers,
+                        trial / self.beta,
+                        |l| Self::level_bound(self.alpha, self.beta, trial, l),
+                        true,
+                    )?;
+                    if metrics::psnr(&original, &recon) >= target {
+                        best = Some(trial);
+                        trial *= 2.0; // try looser
+                    } else {
+                        trial *= 0.25; // tighten
+                    }
                 }
+                abs = best.unwrap_or(trial).min(1.0_f64.max(data.value_range()));
             }
-            abs = best.unwrap_or(trial).min(1.0_f64.max(range));
-        }
 
-        let (codes, outliers) = self.encode_once(data, abs);
-        let mut extra = Vec::with_capacity(16);
-        extra.extend_from_slice(&self.alpha.to_bits().to_le_bytes());
-        extra.extend_from_slice(&self.beta.to_bits().to_le_bytes());
-        let payload = SzPayload {
-            extra,
-            outliers,
-            codes,
-        }
-        .encode_inner();
-        Ok((payload, abs))
+            self.encode_once(data, abs, s);
+            let mut extra = [0u8; 16];
+            extra[..8].copy_from_slice(&self.alpha.to_bits().to_le_bytes());
+            extra[8..].copy_from_slice(&self.beta.to_bits().to_le_bytes());
+            let payload = encode_inner(&extra, &s.outliers, &s.codes, &mut s.huff_enc);
+            Ok((payload, abs))
+        })
     }
 
     /// Validates and unpacks the 16-byte `(alpha, beta)` side info.
@@ -151,7 +147,7 @@ impl Qoz {
     }
 
     /// Array-stage decode: mirror of [`Self::encode_impl`]. The default
-    /// path borrows the thread's [`DecodeScratch`];
+    /// path borrows the thread's [`CodecScratch`];
     /// [`Qoz::reference_decoder`] takes the frozen slow path.
     pub fn decode_impl<T: Element>(
         &self,
@@ -167,7 +163,7 @@ impl Qoz {
             }, true);
         }
         with_scratch(|s| {
-            let DecodeScratch { codes, recon, huff, .. } = s;
+            let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
             let (alpha, beta) = Self::parse_extra(extra)?;
             interp_decode_with(shape, codes, outliers, abs / beta, |l| {

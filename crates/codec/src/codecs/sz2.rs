@@ -9,13 +9,14 @@
 //! and passed through the LZ backend — the SZ2 pipeline of §II-B.
 
 use super::common::{
-    for_each_block, for_each_in_block, sz_block_dims, OutlierReader, SzPayload,
+    encode_inner, for_each_block, for_each_in_block, quantize_sample, sz_block_dims, BlockRows,
+    OutlierReader, SzPayload,
 };
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
 use crate::predict::{fit_affine, lorenzo, AffineCoef, LorenzoStencil};
-use crate::quantizer::{LinearQuantizer, Quantized};
-use crate::scratch::{with_scratch, DecodeScratch};
+use crate::quantizer::LinearQuantizer;
+use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
 use eblcio_data::{ArrayView, Element, NdArray, Shape};
 
@@ -41,109 +42,149 @@ impl Sz2 {
     /// Array-stage encode: hybrid block prediction at an already
     /// resolved absolute bound, emitting the inner SZ payload (the
     /// chain's LZ byte stage supplies the backend pass).
+    ///
+    /// Each block is walked three times row by row through
+    /// `BlockRows` — gather + regression fit, mode selection on the
+    /// raw data, then quantization against the evolving reconstruction —
+    /// with the planes, code buffer and Huffman tables borrowed from
+    /// the thread's [`CodecScratch`]. Interior samples predict through
+    /// the precomputed [`LorenzoStencil`], the rest through [`lorenzo`];
+    /// the two agree bit for bit.
     pub fn encode_impl<T: Element>(
         &self,
         data: ArrayView<'_, T>,
         abs: f64,
     ) -> Result<(Vec<u8>, f64)> {
+        with_scratch(|s| Ok((self.encode_with(data, abs, s), abs)))
+    }
+
+    fn encode_with<T: Element>(
+        &self,
+        data: ArrayView<'_, T>,
+        abs: f64,
+        scratch: &mut CodecScratch,
+    ) -> Vec<u8> {
         let shape = data.shape();
         let rank = shape.rank();
+        let pad = 4 - rank;
         let quant = LinearQuantizer::new(abs, RADIUS);
         let block_dims = self.block_dims.unwrap_or_else(|| sz_block_dims(rank));
-
         let n = shape.len();
-        let mut recon = vec![0.0f64; n];
-        let raw: Vec<f64> = data.as_slice().iter().map(|v| v.to_f64()).collect();
 
-        let mut codes: Vec<u32> = Vec::with_capacity(n);
-        let mut outliers: Vec<u8> = Vec::new();
-        let mut mode_bits: Vec<bool> = Vec::new();
-        let mut coef_bytes: Vec<u8> = Vec::new();
+        let CodecScratch { codes, recon, raw, block, outliers, huff_enc, .. } = scratch;
+        let samples = data.as_slice();
+        let raw: &[f64] = match T::slice_as_f64(samples) {
+            Some(same) => same,
+            None => {
+                raw.clear();
+                raw.extend(samples.iter().map(|v| v.to_f64()));
+                raw
+            }
+        };
+        recon.clear();
+        recon.resize(n, 0.0);
+        let recon = recon.as_mut_slice();
+        codes.clear();
+        codes.reserve(n);
+        outliers.clear();
+
+        // Side channel: block count, one mode bit per block (MSB-first),
+        // then the regression coefficients of the blocks that use them.
+        let n_blocks: usize = (0..rank).map(|d| shape.dim(d).div_ceil(block_dims[d])).product();
+        let mut extra = Vec::with_capacity(n_blocks / 8 + 16);
+        crate::util::put_varint(&mut extra, n_blocks as u64);
+        let modes_at = extra.len();
+        extra.resize(modes_at + n_blocks.div_ceil(8), 0);
+        let mut block_i = 0usize;
+
+        let stencil = LorenzoStencil::new(shape);
+        // Lorenzo prediction of the sample at `off` (global padded
+        // coordinates `idx`) from `plane`.
+        let lorenzo_at = |plane: &[f64], off: usize, interior: bool, idx: [usize; 4]| {
+            if interior {
+                stencil.eval_interior(plane, off)
+            } else {
+                lorenzo(plane, shape, &idx[pad..])
+            }
+        };
 
         for_each_block(shape, &block_dims[..rank], |base, dims| {
+            let rows = BlockRows::new(shape, base, dims);
+            let row_len = rows.dims[3];
+            // Global coordinates of a row's first sample, whether that
+            // sample is interior, and whether the rest of the row is
+            // (past the first sample the last coordinate is > 0, so the
+            // outer coordinates decide).
+            let row_start = |i: [usize; 3]| {
+                let b = rows.base;
+                let idx = [b[0] + i[0], b[1] + i[1], b[2] + i[2], b[3]];
+                let next = [idx[0], idx[1], idx[2], b[3] + 1];
+                (idx, stencil.is_interior(&idx[pad..]), stencil.is_interior(&next[pad..]))
+            };
+
             // Gather the raw block and fit the regression predictor.
-            let block_len: usize = dims.iter().product();
-            let mut block = Vec::with_capacity(block_len);
-            for_each_in_block(shape, base, dims, |_, off| block.push(raw[off]));
-            let coef = fit_affine(&block, dims).quantized(rank);
+            block.clear();
+            rows.for_each_row(|_, off| block.extend_from_slice(&raw[off..off + row_len]));
+            let coef = fit_affine(block, dims).quantized(rank);
+            // The regression plane along a row: the outer axes' terms
+            // are summed once (in axis order, as `AffineCoef::eval`
+            // does), the last axis' term per sample.
+            let row_plane = |i: [usize; 3]| {
+                let mut p = coef.c0;
+                for (c, &x) in coef.c.iter().zip(&i[pad..]) {
+                    p += c * x as f64;
+                }
+                p
+            };
+            let c_last = coef.c[rank - 1];
 
             // Mode selection on raw data: total absolute residual of the
             // regression plane vs the raw-data Lorenzo prediction.
             let mut reg_err = 0.0f64;
             let mut lor_err = 0.0f64;
-            let mut li = 0usize;
-            for_each_in_block(shape, base, dims, |idx, off| {
-                let local: Vec<usize> = idx.iter().zip(base).map(|(&i, &b)| i - b).collect();
-                reg_err += (raw[off] - coef.eval(&local)).abs();
-                lor_err += (raw[off] - lorenzo(&raw, shape, idx)).abs();
-                li += 1;
+            let mut k = 0usize;
+            rows.for_each_row(|i, off| {
+                let p = row_plane(i);
+                let (mut idx, first_interior, rest_interior) = row_start(i);
+                for (j, &v) in block[k..k + row_len].iter().enumerate() {
+                    reg_err += (v - (p + c_last * j as f64)).abs();
+                    let interior = if j == 0 { first_interior } else { rest_interior };
+                    lor_err += (v - lorenzo_at(raw, off + j, interior, idx)).abs();
+                    idx[3] += 1;
+                }
+                k += row_len;
             });
-            let _ = li;
             let use_regression = reg_err < lor_err;
-            mode_bits.push(use_regression);
             if use_regression {
-                coef.to_f32_bytes(rank, &mut coef_bytes);
+                extra[modes_at + block_i / 8] |= 0x80 >> (block_i % 8);
+                coef.to_f32_bytes(rank, &mut extra);
             }
+            block_i += 1;
 
             // Encode the block against the evolving reconstruction.
-            for_each_in_block(shape, base, dims, |idx, off| {
-                let v = raw[off];
-                let pred = if use_regression {
-                    let mut local = [0usize; 4];
-                    for d in 0..rank {
-                        local[d] = idx[d] - base[d];
-                    }
-                    coef.eval(&local[..rank])
-                } else {
-                    lorenzo(&recon, shape, idx)
-                };
-                // The decoder will round the f64 reconstruction to T, so
-                // the bound must hold *after* that rounding; otherwise
-                // fall back to the outlier path.
-                match quant.quantize(v, pred) {
-                    (Quantized::Code(c), r) => {
-                        let rt = T::from_f64(r).to_f64();
-                        if (rt - v).abs() <= quant.abs_bound() {
-                            codes.push(c);
-                            recon[off] = rt;
-                        } else {
-                            codes.push(0);
-                            let t = T::from_f64(v);
-                            t.write_le(&mut outliers);
-                            recon[off] = t.to_f64();
-                        }
-                    }
-                    (Quantized::Outlier, _) => {
-                        codes.push(0);
-                        let t = T::from_f64(v);
-                        t.write_le(&mut outliers);
-                        recon[off] = t.to_f64();
-                    }
+            let mut k = 0usize;
+            rows.for_each_row(|i, off| {
+                let p = row_plane(i);
+                let (mut idx, first_interior, rest_interior) = row_start(i);
+                for (j, &v) in block[k..k + row_len].iter().enumerate() {
+                    let pred = if use_regression {
+                        p + c_last * j as f64
+                    } else {
+                        let interior = if j == 0 { first_interior } else { rest_interior };
+                        lorenzo_at(recon, off + j, interior, idx)
+                    };
+                    quantize_sample::<T>(&quant, v, pred, off + j, recon, codes, outliers);
+                    idx[3] += 1;
                 }
+                k += row_len;
             });
         });
 
-        // Pack block modes into the side channel.
-        let mut extra = Vec::with_capacity(mode_bits.len() / 8 + coef_bytes.len() + 8);
-        crate::util::put_varint(&mut extra, mode_bits.len() as u64);
-        let mut bw = crate::bitstream::BitWriter::new();
-        for &b in &mode_bits {
-            bw.put_bit(b);
-        }
-        extra.extend_from_slice(&bw.finish());
-        extra.extend_from_slice(&coef_bytes);
-
-        let payload = SzPayload {
-            extra,
-            outliers,
-            codes,
-        }
-        .encode_inner();
-        Ok((payload, abs))
+        encode_inner(&extra, outliers, codes, huff_enc)
     }
 
     /// Array-stage decode: mirror of [`Self::encode_impl`]. The default
-    /// path borrows the thread's [`DecodeScratch`] and predicts interior
+    /// path borrows the thread's [`CodecScratch`] and predicts interior
     /// samples through the precomputed [`LorenzoStencil`];
     /// [`Sz2::reference_decoder`] decodes with the per-symbol Huffman
     /// walk and the generic predictor. Both produce identical bits.
@@ -159,7 +200,7 @@ impl Sz2 {
             return self.decode_blocks(&p.codes, &p.outliers, &p.extra, shape, abs, false, &mut recon);
         }
         with_scratch(|s| {
-            let DecodeScratch { codes, recon, huff, .. } = s;
+            let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
             self.decode_blocks(codes, outliers, extra, shape, abs, true, recon)
         })
@@ -237,9 +278,10 @@ impl Sz2 {
                 AffineCoef { c0: 0.0, c: [0.0; 4] }
             };
 
-            // Blocks not touching any zero-coordinate face are entirely
-            // interior: every Lorenzo prediction can use the stencil.
-            let all_interior = fast && base.iter().all(|&b| b > 0);
+            // Blocks not touching any zero-coordinate face (of an axis
+            // with extent > 1) are entirely interior: every Lorenzo
+            // prediction can use the stencil.
+            let all_interior = fast && stencil.is_interior(base);
             for_each_in_block(shape, base, dims, |idx, off| {
                 if failure.is_some() {
                     return;
@@ -250,7 +292,7 @@ impl Sz2 {
                         local[d] = idx[d] - base[d];
                     }
                     coef.eval(&local[..rank])
-                } else if all_interior || (fast && idx.iter().all(|&c| c > 0)) {
+                } else if all_interior || (fast && stencil.is_interior(idx)) {
                     stencil.eval_interior(recon, off)
                 } else {
                     lorenzo(recon, shape, idx)

@@ -9,12 +9,12 @@
 //! regression coefficients, which is where its compression-ratio
 //! advantage at loose bounds comes from.
 
-use super::common::{OutlierReader, SzPayload};
+use super::common::{encode_inner, quantize_sample, OutlierReader, SzPayload};
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
-use crate::interp::{anchor_offsets, max_level, walk, walk_reference, Interp};
-use crate::quantizer::{LinearQuantizer, Quantized};
-use crate::scratch::{with_scratch, DecodeScratch};
+use crate::interp::{anchor_offsets, max_level, walk_reference, Interp};
+use crate::quantizer::LinearQuantizer;
+use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
 use eblcio_data::{ArrayView, Element, NdArray, Shape};
 
@@ -62,87 +62,100 @@ pub(crate) fn effective_stencil(pred: Interp, cubic: bool) -> Interp {
     }
 }
 
-/// Encodes samples with the interpolation walk; `level_abs` maps an
-/// interpolation level to its absolute bound (constant for SZ3, tightened
-/// per level by QoZ). Anchors use `anchor_abs`.
-pub(crate) fn interp_encode<T: Element>(
+/// What the fused interpolation pass does with one sample once its
+/// prediction is known: the encoder quantizes the raw value, the
+/// decoder reconstructs from the next code. Either way `recon[off]`
+/// ends up holding the value the decoder sees.
+trait SampleCoder {
+    fn code(
+        &mut self,
+        quant: &LinearQuantizer,
+        pred: f64,
+        off: usize,
+        recon: &mut [f64],
+    ) -> Result<()>;
+}
+
+/// Encode side of [`interp_pass`]: raw samples in, codes and outlier
+/// bytes out.
+struct EncodeSamples<'a, T> {
+    samples: &'a [T],
+    codes: &'a mut Vec<u32>,
+    outliers: &'a mut Vec<u8>,
+}
+
+impl<T: Element> SampleCoder for EncodeSamples<'_, T> {
+    #[inline(always)]
+    fn code(
+        &mut self,
+        quant: &LinearQuantizer,
+        pred: f64,
+        off: usize,
+        recon: &mut [f64],
+    ) -> Result<()> {
+        let v = self.samples[off].to_f64();
+        quantize_sample::<T>(quant, v, pred, off, recon, self.codes, self.outliers);
+        Ok(())
+    }
+}
+
+/// Decode side of [`interp_pass`]: codes and outlier bytes in, samples
+/// out.
+struct DecodeSamples<'a, T> {
+    codes: &'a [u32],
+    code_i: usize,
+    outliers: OutlierReader<'a>,
+    out: &'a mut [T],
+}
+
+impl<T: Element> SampleCoder for DecodeSamples<'_, T> {
+    #[inline(always)]
+    fn code(
+        &mut self,
+        quant: &LinearQuantizer,
+        pred: f64,
+        off: usize,
+        recon: &mut [f64],
+    ) -> Result<()> {
+        let code = self.codes[self.code_i];
+        self.code_i += 1;
+        let t = if code == 0 {
+            self.outliers.take::<T>()?
+        } else {
+            T::from_f64(quant.reconstruct(code, pred))
+        };
+        recon[off] = t.to_f64();
+        self.out[off] = t;
+        Ok(())
+    }
+}
+
+/// Encodes samples with the fused interpolation pass, appending codes
+/// and outlier bytes to the caller's (arena) buffers. `level_abs` maps
+/// an interpolation level to its absolute bound (constant for SZ3,
+/// tightened per level by QoZ); anchors use `anchor_abs`.
+pub(crate) fn interp_encode_with<T: Element>(
     data: ArrayView<'_, T>,
     anchor_abs: f64,
     level_abs: impl Fn(u32) -> f64,
     cubic: bool,
-) -> (Vec<u32>, Vec<u8>) {
+    recon: &mut Vec<f64>,
+    codes: &mut Vec<u32>,
+    outliers: &mut Vec<u8>,
+) {
     let shape = data.shape();
     let n = shape.len();
-    let raw: Vec<f64> = data.as_slice().iter().map(|v| v.to_f64()).collect();
-    let mut recon = vec![0.0f64; n];
-    let mut codes = Vec::with_capacity(n);
-    let mut outliers = Vec::new();
-
-    let push = |v: f64,
-                    pred: f64,
-                    q: &LinearQuantizer,
-                    off: usize,
-                    recon: &mut [f64],
-                    codes: &mut Vec<u32>,
-                    outliers: &mut Vec<u8>| {
-        match q.quantize(v, pred) {
-            (Quantized::Code(c), r) => {
-                let rt = T::from_f64(r).to_f64();
-                if (rt - v).abs() <= q.abs_bound() {
-                    codes.push(c);
-                    recon[off] = rt;
-                    return;
-                }
-                // Otherwise T-rounding pushed the reconstruction out of
-                // bounds: fall through to the outlier path.
-            }
-            (Quantized::Outlier, _) => {}
-        }
-        codes.push(0);
-        let t = T::from_f64(v);
-        t.write_le(outliers);
-        recon[off] = t.to_f64();
-    };
-
-    // Anchor lattice: Lorenzo chain in raster order.
-    let anchor_quant = LinearQuantizer::new(anchor_abs, RADIUS);
-    let mut prev = 0.0f64;
-    for off in anchor_offsets(shape) {
-        push(
-            raw[off],
-            prev,
-            &anchor_quant,
-            off,
-            &mut recon,
-            &mut codes,
-            &mut outliers,
-        );
-        prev = recon[off];
-    }
-
-    // Interpolation pyramid.
-    let mut cur_level = u32::MAX;
-    let mut quant = anchor_quant;
-    walk(shape, |task| {
-        if task.level != cur_level {
-            cur_level = task.level;
-            quant = LinearQuantizer::new(level_abs(cur_level).max(f64::MIN_POSITIVE), RADIUS);
-        }
-        let pred = effective_stencil(task.pred, cubic).eval(&recon);
-        push(
-            raw[task.target],
-            pred,
-            &quant,
-            task.target,
-            &mut recon,
-            &mut codes,
-            &mut outliers,
-        );
-    });
-    (codes, outliers)
+    recon.clear();
+    recon.resize(n, 0.0);
+    codes.clear();
+    codes.reserve(n);
+    outliers.clear();
+    let mut coder = EncodeSamples { samples: data.as_slice(), codes, outliers };
+    // The encode side of the pass cannot fail.
+    let _ = interp_pass(shape, anchor_abs, level_abs, cubic, recon, &mut coder);
 }
 
-/// Mirror of [`interp_encode`].
+/// Mirror of [`interp_encode_with`] on the thread's arena plane.
 pub(crate) fn interp_decode<T: Element>(
     shape: Shape,
     codes: &[u32],
@@ -156,45 +169,9 @@ pub(crate) fn interp_decode<T: Element>(
     })
 }
 
-/// Reconstructs one sample from its code and prediction, writing it to
-/// both the reconstruction plane and the output. The shared body of
-/// every fused decode loop below.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn emit<T: Element>(
-    codes: &[u32],
-    code_i: &mut usize,
-    outliers: &mut OutlierReader<'_>,
-    quant: &LinearQuantizer,
-    pred: f64,
-    off: usize,
-    recon: &mut [f64],
-    out: &mut [T],
-) -> Result<()> {
-    let code = codes[*code_i];
-    *code_i += 1;
-    let t = if code == 0 {
-        outliers.take::<T>()?
-    } else {
-        T::from_f64(quant.reconstruct(code, pred))
-    };
-    recon[off] = t.to_f64();
-    out[off] = t;
-    Ok(())
-}
-
 /// [`interp_decode`] with a caller-owned reconstruction buffer, so the
 /// arena-backed decode path reuses the f64 plane across chunks.
-///
-/// The walk is *fused* into the decoder: the task sequence is exactly
-/// [`walk`]'s (pinned against [`walk_reference`] by the oracle test),
-/// but the stencil kind is resolved once per run instead of once per
-/// sample, so each inner loop is a fixed-stencil pass over one flat
-/// stride — no `Task` construction, no enum dispatch, no callback.
-/// Bit-identical to [`interp_decode_reference`]: each sample performs
-/// `Interp::eval`'s arithmetic in the same order (`* 0.0625` is an
-/// exact power-of-two scale, the same correctly-rounded result as
-/// `/ 16.0`), and codes/outliers are consumed in the same sequence.
+/// Bit-identical to [`interp_decode_reference`] (see [`interp_pass`]).
 pub(crate) fn interp_decode_with<T: Element>(
     shape: Shape,
     codes: &[u32],
@@ -208,19 +185,48 @@ pub(crate) fn interp_decode_with<T: Element>(
     if codes.len() != n {
         return Err(CodecError::Corrupt { context: "sz3 code count" });
     }
-    let rank = shape.rank();
-    let strides = shape.strides();
-    let mut outliers = OutlierReader::new(outlier_bytes);
     recon_buf.clear();
     recon_buf.resize(n, 0.0);
-    let recon = recon_buf.as_mut_slice();
     let mut out = vec![T::default(); n];
-    let mut code_i = 0usize;
+    let mut coder = DecodeSamples {
+        codes,
+        code_i: 0,
+        outliers: OutlierReader::new(outlier_bytes),
+        out: &mut out,
+    };
+    let anchor_abs = anchor_abs.max(f64::MIN_POSITIVE);
+    interp_pass(shape, anchor_abs, level_abs, cubic, recon_buf, &mut coder)?;
+    Ok(NdArray::from_vec(shape, out))
+}
 
-    let anchor_quant = LinearQuantizer::new(anchor_abs.max(f64::MIN_POSITIVE), RADIUS);
+/// The interpolation pyramid both directions run: the anchor lattice as
+/// a Lorenzo chain in raster order, then every level/axis lattice, each
+/// sample handed to `coder` with its prediction.
+///
+/// The walk is *fused* into the loop: the task sequence is exactly
+/// [`walk`](crate::interp::walk)'s (pinned against [`walk_reference`] by
+/// the oracle tests), but the stencil kind is resolved once per run
+/// instead of once per sample, so each inner loop is a fixed-stencil
+/// pass over one flat stride — no `Task` construction, no enum
+/// dispatch, no callback. Each sample performs `Interp::eval`'s
+/// arithmetic in the same order (`* 0.0625` is an exact power-of-two
+/// scale, the same correctly-rounded result as `/ 16.0`), and samples
+/// are visited in the same sequence.
+fn interp_pass<C: SampleCoder>(
+    shape: Shape,
+    anchor_abs: f64,
+    level_abs: impl Fn(u32) -> f64,
+    cubic: bool,
+    recon: &mut [f64],
+    coder: &mut C,
+) -> Result<()> {
+    let rank = shape.rank();
+    let strides = shape.strides();
+
+    let anchor_quant = LinearQuantizer::new(anchor_abs, RADIUS);
     let mut prev = 0.0f64;
     for off in anchor_offsets(shape) {
-        emit(codes, &mut code_i, &mut outliers, &anchor_quant, prev, off, recon, &mut out)?;
+        coder.code(&anchor_quant, prev, off, recon)?;
         prev = recon[off];
     }
 
@@ -270,7 +276,7 @@ pub(crate) fn interp_decode_with<T: Element>(
                     } else {
                         recon[o - d1]
                     };
-                    emit(codes, &mut code_i, &mut outliers, &quant, pred, o, recon, &mut out)?;
+                    coder.code(&quant, pred, o, recon)?;
                     o += inner_step;
                     let mut k = 1usize;
                     // Cubic needs t ≥ 3h (k ≥ 1) and t + 3h < dim_a
@@ -286,7 +292,7 @@ pub(crate) fn interp_decode_with<T: Element>(
                         let pred = (-recon[o - d3] + 9.0 * recon[o - d1] + 9.0 * recon[o + d1]
                             - recon[o + d3])
                             * 0.0625;
-                        emit(codes, &mut code_i, &mut outliers, &quant, pred, o, recon, &mut out)?;
+                        coder.code(&quant, pred, o, recon)?;
                         o += inner_step;
                         k += 1;
                     }
@@ -298,13 +304,13 @@ pub(crate) fn interp_decode_with<T: Element>(
                     };
                     while k <= kl_hi {
                         let pred = 0.5 * (recon[o - d1] + recon[o + d1]);
-                        emit(codes, &mut code_i, &mut outliers, &quant, pred, o, recon, &mut out)?;
+                        coder.code(&quant, pred, o, recon)?;
                         o += inner_step;
                         k += 1;
                     }
                     while k < inner_n {
                         let pred = recon[o - d1];
-                        emit(codes, &mut code_i, &mut outliers, &quant, pred, o, recon, &mut out)?;
+                        coder.code(&quant, pred, o, recon)?;
                         o += inner_step;
                         k += 1;
                     }
@@ -319,28 +325,19 @@ pub(crate) fn interp_decode_with<T: Element>(
                                 + 9.0 * recon[o + d1]
                                 - recon[o + d3])
                                 * 0.0625;
-                            emit(
-                                codes, &mut code_i, &mut outliers, &quant, pred, o, recon,
-                                &mut out,
-                            )?;
+                            coder.code(&quant, pred, o, recon)?;
                             o += inner_step;
                         }
                     } else if t + h < dim_a {
                         for _ in 0..inner_n {
                             let pred = 0.5 * (recon[o - d1] + recon[o + d1]);
-                            emit(
-                                codes, &mut code_i, &mut outliers, &quant, pred, o, recon,
-                                &mut out,
-                            )?;
+                            coder.code(&quant, pred, o, recon)?;
                             o += inner_step;
                         }
                     } else {
                         for _ in 0..inner_n {
                             let pred = recon[o - d1];
-                            emit(
-                                codes, &mut code_i, &mut outliers, &quant, pred, o, recon,
-                                &mut out,
-                            )?;
+                            coder.code(&quant, pred, o, recon)?;
                             o += inner_step;
                         }
                     }
@@ -359,10 +356,10 @@ pub(crate) fn interp_decode_with<T: Element>(
             }
         }
     }
-    Ok(NdArray::from_vec(shape, out))
+    Ok(())
 }
 
-/// Frozen pre-optimization mirror of [`interp_encode`] — fresh
+/// Frozen pre-optimization mirror of [`interp_encode_with`] — fresh
 /// allocations, no arena, and the pre-optimization
 /// [`walk_reference`] schedule that recomputes each target offset as a
 /// coordinate dot product. The baseline arm of the decode-bandwidth
@@ -453,23 +450,23 @@ pub(crate) fn interp_decode_reference<T: Element>(
 impl Sz3 {
     /// Array-stage encode: multi-level interpolation prediction at an
     /// already resolved absolute bound, emitting the inner SZ payload.
+    /// Planes, code buffer and Huffman tables come from the thread's
+    /// [`CodecScratch`].
     pub fn encode_impl<T: Element>(
         &self,
         data: ArrayView<'_, T>,
         abs: f64,
     ) -> Result<(Vec<u8>, f64)> {
-        let (codes, outliers) = interp_encode(data, abs, |_| abs, self.cubic);
-        let payload = SzPayload {
-            extra: vec![u8::from(self.cubic)],
-            outliers,
-            codes,
-        }
-        .encode_inner();
-        Ok((payload, abs))
+        with_scratch(|s| {
+            let CodecScratch { codes, recon, outliers, huff_enc, .. } = s;
+            interp_encode_with(data, abs, |_| abs, self.cubic, recon, codes, outliers);
+            let payload = encode_inner(&[u8::from(self.cubic)], outliers, codes, huff_enc);
+            Ok((payload, abs))
+        })
     }
 
     /// Array-stage decode: mirror of [`Self::encode_impl`]. The default
-    /// path borrows the thread's [`DecodeScratch`] (codes, Huffman
+    /// path borrows the thread's [`CodecScratch`] (codes, Huffman
     /// tables, reconstruction plane) and allocates only the output
     /// array; [`Sz3::reference_decoder`] takes the frozen slow path.
     pub fn decode_impl<T: Element>(
@@ -487,7 +484,7 @@ impl Sz3 {
             return interp_decode_reference(shape, &p.codes, &p.outliers, abs, |_| abs, cubic);
         }
         with_scratch(|s| {
-            let DecodeScratch { codes, recon, huff, .. } = s;
+            let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
             if extra.len() != 1 || extra[0] > 1 {
                 return Err(CodecError::Corrupt { context: "sz3 parameters" });

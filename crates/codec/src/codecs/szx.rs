@@ -41,6 +41,9 @@ impl Szx {
         let samples = data.as_slice();
         let mut out = Vec::with_capacity(samples.len() / 2 + 64);
         put_varint(&mut out, samples.len().div_ceil(BLOCK) as u64);
+        // Per-block buffers, reused across blocks.
+        let mut codes = [0u64; BLOCK];
+        let mut packed = Vec::new();
 
         for block in samples.chunks(BLOCK) {
             let mut mn = block[0].to_f64();
@@ -73,9 +76,8 @@ impl Szx {
             if bits <= 32 {
                 let base = T::from_f64(mn);
                 let base_f = base.to_f64();
-                let mut codes = Vec::with_capacity(block.len());
                 let mut ok = true;
-                for v in block {
+                for (code, v) in codes.iter_mut().zip(block) {
                     let q = ((v.to_f64() - base_f) / step).round();
                     let r = T::from_f64(base_f + q * step);
                     if q < 0.0 || q >= (1u64 << bits) as f64
@@ -84,17 +86,18 @@ impl Szx {
                         ok = false;
                         break;
                     }
-                    codes.push(q as u64);
+                    *code = q as u64;
                 }
                 if ok {
                     out.push(MODE_PACKED);
                     base.write_le(&mut out);
                     out.push(bits as u8);
-                    let mut bw = BitWriter::with_capacity(block.len() * bits as usize / 8 + 1);
-                    for &q in &codes {
+                    let mut bw = BitWriter::reusing(std::mem::take(&mut packed));
+                    for &q in &codes[..block.len()] {
                         bw.put_bits(q, bits);
                     }
-                    out.extend_from_slice(&bw.finish());
+                    packed = bw.finish();
+                    out.extend_from_slice(&packed);
                     continue;
                 }
             }

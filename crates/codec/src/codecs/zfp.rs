@@ -17,7 +17,7 @@ use crate::error::{CodecError, Result};
 use crate::traits::CompressorId;
 use crate::transform::{
     decode_planes, encode_planes, fwd_transform, int_to_nega, inv_transform, nega_to_int,
-    sequency_order, BLOCK_EDGE, FIXED_PREC,
+    sequency_order, BLOCK_EDGE, FIXED_PREC, MAX_BLOCK,
 };
 use eblcio_data::{ArrayView, Element, NdArray};
 
@@ -61,6 +61,9 @@ impl Zfp {
     /// Array-stage encode in the configured mode, at an already
     /// resolved absolute bound. Fixed-precision streams return the
     /// *achieved* maximum error for the header instead of the bound.
+    ///
+    /// All per-block state lives in fixed-size stack buffers reused
+    /// across blocks and verification retries.
     pub fn encode_impl<T: Element>(
         &self,
         data: ArrayView<'_, T>,
@@ -68,9 +71,11 @@ impl Zfp {
     ) -> Result<(Vec<u8>, f64)> {
         let shape = data.shape();
         let rank = shape.rank();
+        let pad = 4 - rank;
         let perm = sequency_order(rank);
         let n_block = BLOCK_EDGE.pow(rank as u32);
         let samples = data.as_slice();
+        let strides = shape.strides();
 
         let mut bw = BitWriter::with_capacity(data.nbytes() / 4);
         let block_dims = [BLOCK_EDGE; 4];
@@ -82,30 +87,55 @@ impl Zfp {
         // fixed-precision streams (no a-priori bound there).
         let mut achieved_err = 0.0f64;
 
+        let mut padded = [0.0f64; MAX_BLOCK];
+        let mut ints = [0i64; MAX_BLOCK];
+        let mut nega = [0u64; MAX_BLOCK];
+        let mut recon = [0.0f64; MAX_BLOCK];
+        let mut raw_bytes = Vec::new();
+        // Block geometry left-padded to four axes: a real axis spans
+        // `BLOCK_EDGE` padded positions, a padding axis one.
+        let mut edge = [1usize; 4];
+        for e in &mut edge[pad..] {
+            *e = BLOCK_EDGE;
+        }
+
         for_each_block(shape, &block_dims[..rank], |base, dims| {
-            // Gather the block, edge-padded by replication.
-            let mut padded = vec![0.0f64; n_block];
-            let mut originals: Vec<T> = Vec::with_capacity(dims.iter().product());
-            {
-                let strides = shape.strides();
-                let mut pidx = [0usize; 4];
-                for slot in padded.iter_mut() {
-                    let mut off = 0usize;
-                    for d in 0..rank {
-                        let c = (base[d] + pidx[d]).min(shape.dim(d) - 1);
-                        off += c * strides[d];
+            // Flat sample offset contributed by each padded position of
+            // each axis, clamped to the array (edge replication).
+            let mut axis_off = [[0usize; BLOCK_EDGE]; 4];
+            let mut dims4 = [1usize; 4];
+            for d in 0..rank {
+                dims4[pad + d] = dims[d];
+                for (p, slot) in axis_off[pad + d].iter_mut().enumerate() {
+                    *slot = (base[d] + p).min(shape.dim(d) - 1) * strides[d];
+                }
+            }
+            // Verbatim storage of the block's samples.
+            let mut put_raw = |bw: &mut BitWriter| {
+                bw.put_bits(MODE_RAW, 2);
+                block_samples(&dims4, &edge, &axis_off, |_, off| {
+                    raw_bytes.clear();
+                    samples[off].write_le(&mut raw_bytes);
+                    for &b in &raw_bytes {
+                        bw.put_bits(u64::from(b), 8);
                     }
-                    *slot = samples[off].to_f64();
-                    for d in (0..rank).rev() {
-                        pidx[d] += 1;
-                        if pidx[d] < BLOCK_EDGE {
-                            break;
+                });
+            };
+
+            // Gather the block row by row, edge-padded by replication.
+            let padded = &mut padded[..n_block];
+            let mut k = 0usize;
+            for p0 in 0..edge[0] {
+                for p1 in 0..edge[1] {
+                    for p2 in 0..edge[2] {
+                        let off = axis_off[0][p0] + axis_off[1][p1] + axis_off[2][p2];
+                        for &last in &axis_off[3][..edge[3]] {
+                            padded[k] = samples[off + last].to_f64();
+                            k += 1;
                         }
-                        pidx[d] = 0;
                     }
                 }
             }
-            for_each_in_block(shape, base, dims, |_, off| originals.push(samples[off]));
 
             let max_abs = padded.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             let zero_ok = if fixed_planes.is_some() {
@@ -126,23 +156,35 @@ impl Zfp {
             if emax < -1000 {
                 // Subnormal territory: the fixed-point path would
                 // overflow its scale factor; store verbatim.
-                bw.put_bits(MODE_RAW, 2);
-                let mut tmp = Vec::with_capacity(T::BYTES);
-                for v in &originals {
-                    tmp.clear();
-                    v.write_le(&mut tmp);
-                    for &b in &tmp {
-                        bw.put_bits(u64::from(b), 8);
-                    }
-                }
+                put_raw(&mut bw);
                 return;
             }
             let s_exp = FIXED_PREC - 3 - emax;
             let scale = (s_exp as f64).exp2();
             let inv_scale = (-s_exp as f64).exp2();
-            let mut ints: Vec<i64> = padded.iter().map(|&v| (v * scale).round() as i64).collect();
-            fwd_transform(&mut ints, rank);
-            let nega: Vec<u64> = perm.iter().map(|&i| int_to_nega(ints[i])).collect();
+            let ints = &mut ints[..n_block];
+            for (q, &v) in ints.iter_mut().zip(padded.iter()) {
+                *q = (v * scale).round() as i64;
+            }
+            fwd_transform(ints, rank);
+            let nega = &mut nega[..n_block];
+            for (u, &i) in nega.iter_mut().zip(&perm) {
+                *u = int_to_nega(ints[i]);
+            }
+
+            // Largest error, in T precision, of the block decoded from
+            // `planes` bitplanes — on the decoder's exact path, at the
+            // unpadded sample positions.
+            let recon = &mut recon[..n_block];
+            let mut decoded_err = |planes: u32| {
+                Self::reconstruct_block(nega, &perm, rank, planes, inv_scale, recon);
+                let mut err = 0.0f64;
+                block_samples(&dims4, &edge, &axis_off, |poff, _| {
+                    let rt = T::from_f64(recon[poff]).to_f64();
+                    err = err.max((rt - padded[poff]).abs());
+                });
+                err
+            };
 
             // Initial plane budget from the tolerance, then verify and
             // escalate on the decoder's exact path. Starting one plane
@@ -152,17 +194,7 @@ impl Zfp {
             let ok_planes = if let Some(p) = fixed_planes {
                 // Fixed precision: constant plane count, record the
                 // achieved error instead of enforcing a bound.
-                let recon = Self::reconstruct_block(&nega, &perm, rank, p, inv_scale);
-                let mut i = 0usize;
-                for_each_in_block(shape, base, dims, |idx, _| {
-                    let mut poff = 0usize;
-                    for d in 0..rank {
-                        poff = poff * BLOCK_EDGE + (idx[d] - base[d]);
-                    }
-                    let rt = T::from_f64(recon[poff]).to_f64();
-                    achieved_err = achieved_err.max((rt - originals[i].to_f64()).abs());
-                    i += 1;
-                });
+                achieved_err = achieved_err.max(decoded_err(p));
                 Some(p)
             } else {
                 let tol_int = abs * scale;
@@ -171,9 +203,7 @@ impl Zfp {
                 let mut planes =
                     (TOTAL_BITS as i32 - drop_bits).clamp(1, TOTAL_BITS as i32) as u32;
                 loop {
-                    if Self::verify_block::<T>(
-                        &nega, &perm, rank, planes, inv_scale, &originals, base, dims, shape, abs,
-                    ) {
+                    if decoded_err(planes) <= abs {
                         break Some(planes);
                     }
                     if planes >= TOTAL_BITS {
@@ -188,21 +218,11 @@ impl Zfp {
                     bw.put_bits(MODE_CODED, 2);
                     bw.put_bits((emax + 2048) as u64, 12);
                     bw.put_bits(u64::from(p), 7);
-                    encode_planes(&mut bw, &nega, TOTAL_BITS, p);
+                    encode_planes(&mut bw, nega, TOTAL_BITS, p);
                 }
-                None => {
-                    // Bound tighter than the fixed-point path can honour:
-                    // store the samples verbatim.
-                    bw.put_bits(MODE_RAW, 2);
-                    let mut tmp = Vec::with_capacity(T::BYTES);
-                    for v in &originals {
-                        tmp.clear();
-                        v.write_le(&mut tmp);
-                        for &b in &tmp {
-                            bw.put_bits(u64::from(b), 8);
-                        }
-                    }
-                }
+                // Bound tighter than the fixed-point path can honour:
+                // store the samples verbatim.
+                None => put_raw(&mut bw),
             }
         });
 
@@ -211,63 +231,32 @@ impl Zfp {
         Ok((bw.finish(), recorded))
     }
 
-    /// Simulates the decoder for one block and checks the bound.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_block<T: Element>(
-        nega: &[u64],
-        perm: &[usize],
-        rank: usize,
-        planes: u32,
-        inv_scale: f64,
-        originals: &[T],
-        base: &[usize],
-        dims: &[usize],
-        shape: eblcio_data::Shape,
-        abs: f64,
-    ) -> bool {
-        let recon = Self::reconstruct_block(nega, perm, rank, planes, inv_scale);
-        // Compare at the unpadded sample positions, in T precision.
-        let mut i = 0usize;
-        let mut ok = true;
-        for_each_in_block(shape, base, dims, |idx, _| {
-            if !ok {
-                return;
-            }
-            let mut poff = 0usize;
-            for d in 0..rank {
-                poff = poff * BLOCK_EDGE + (idx[d] - base[d]);
-            }
-            let rt = T::from_f64(recon[poff]).to_f64();
-            if (rt - originals[i].to_f64()).abs() > abs {
-                ok = false;
-            }
-            i += 1;
-        });
-        ok
-    }
-
     /// Shared encoder-verification / decoder reconstruction: truncated
-    /// negabinary coefficients → block sample values.
+    /// negabinary coefficients → block sample values, written to `out`
+    /// (`4^rank` entries).
     fn reconstruct_block(
         nega: &[u64],
         perm: &[usize],
         rank: usize,
         planes: u32,
         inv_scale: f64,
-    ) -> Vec<f64> {
+        out: &mut [f64],
+    ) {
         let keep = planes.min(TOTAL_BITS);
         let mask: u64 = if keep >= 64 {
             u64::MAX
         } else {
             !((1u64 << (TOTAL_BITS - keep)) - 1)
         };
-        let n_block = BLOCK_EDGE.pow(rank as u32);
-        let mut ints = vec![0i64; n_block];
-        for (i, &p) in perm.iter().enumerate() {
-            ints[p] = nega_to_int(nega[i] & mask);
+        let mut ints = [0i64; MAX_BLOCK];
+        let ints = &mut ints[..out.len()];
+        for (&u, &p) in nega.iter().zip(perm) {
+            ints[p] = nega_to_int(u & mask);
         }
-        inv_transform(&mut ints, rank);
-        ints.iter().map(|&q| q as f64 * inv_scale).collect()
+        inv_transform(ints, rank);
+        for (o, &q) in out.iter_mut().zip(ints.iter()) {
+            *o = q as f64 * inv_scale;
+        }
     }
 
     /// Array-stage decode: mirror of [`Self::encode_impl`]. The block
@@ -286,6 +275,8 @@ impl Zfp {
         let mut out: Vec<T> = vec![T::default(); shape.len()];
         let block_dims = [BLOCK_EDGE; 4];
         let mut failure: Option<CodecError> = None;
+        let mut recon = [0.0f64; MAX_BLOCK];
+        let recon = &mut recon[..n_block];
 
         for_each_block(shape, &block_dims[..rank], |base, dims| {
             if failure.is_some() {
@@ -339,8 +330,7 @@ impl Zfp {
                         let nega = decode_planes(&mut br, n_block, TOTAL_BITS, planes)?;
                         let s_exp = FIXED_PREC - 3 - emax;
                         let inv_scale = (-s_exp as f64).exp2();
-                        let recon =
-                            Self::reconstruct_block(&nega, &perm, rank, TOTAL_BITS, inv_scale);
+                        Self::reconstruct_block(&nega, &perm, rank, TOTAL_BITS, inv_scale, recon);
                         for_each_in_block(shape, base, dims, |idx, off| {
                             let mut poff = 0usize;
                             for d in 0..rank {
@@ -387,6 +377,8 @@ impl Zfp {
         let out_strides = out_shape.strides();
         let block_dims = [BLOCK_EDGE; 4];
         let mut failure: Option<CodecError> = None;
+        let mut recon = [0.0f64; MAX_BLOCK];
+        let recon = &mut recon[..n_block];
         // Number of blocks intersecting the region, per dim — once all
         // are decoded the remaining stream need not be parsed at all.
         let mut remaining: usize = (0..rank)
@@ -471,8 +463,9 @@ impl Zfp {
                         if hit {
                             let s_exp = FIXED_PREC - 3 - emax;
                             let inv_scale = (-s_exp as f64).exp2();
-                            let recon =
-                                Self::reconstruct_block(&nega, &perm, rank, TOTAL_BITS, inv_scale);
+                            Self::reconstruct_block(
+                                &nega, &perm, rank, TOTAL_BITS, inv_scale, recon,
+                            );
                             for_each_in_block(shape, &ibase[..rank], &idims[..rank], |idx, _| {
                                 let mut poff = 0usize;
                                 let mut ooff = 0usize;
@@ -498,6 +491,30 @@ impl Zfp {
             return Err(e);
         }
         Ok(Some(NdArray::from_vec(out_shape, out)))
+    }
+}
+
+/// Visits a block's own (unpadded) samples in raster order: position in
+/// the padded block, flat offset in the array. `dims4` is the block's
+/// extent and `edge` the padded block's, both left-padded to four axes;
+/// `axis_off` holds each axis position's flat-offset contribution.
+#[inline(always)]
+fn block_samples(
+    dims4: &[usize; 4],
+    edge: &[usize; 4],
+    axis_off: &[[usize; BLOCK_EDGE]; 4],
+    mut f: impl FnMut(usize, usize),
+) {
+    for i0 in 0..dims4[0] {
+        for i1 in 0..dims4[1] {
+            for i2 in 0..dims4[2] {
+                let poff = ((i0 * edge[1] + i1) * edge[2] + i2) * edge[3];
+                let off = axis_off[0][i0] + axis_off[1][i1] + axis_off[2][i2];
+                for (i3, &last) in axis_off[3][..dims4[3]].iter().enumerate() {
+                    f(poff + i3, off + last);
+                }
+            }
+        }
     }
 }
 

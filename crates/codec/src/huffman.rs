@@ -16,68 +16,238 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{CodecError, Result};
+use crate::scratch::{with_scratch, ArenaBuf};
 use crate::util::{put_varint, ByteReader};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 /// Maximum admissible code length in bits.
 pub const MAX_CODE_LEN: u8 = 32;
 
+/// Alphabets whose largest symbol is below this are censused and
+/// encoded through flat tables indexed by symbol (quantization codes
+/// are dense small integers); anything larger goes through a sorted
+/// table.
+const DENSE_LIMIT: u32 = 1 << 20;
+
 /// Encodes a symbol sequence as a self-contained Huffman block.
 pub fn encode_block(symbols: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
-    if symbols.is_empty() {
-        put_varint(&mut out, 0); // n_symbols
-        put_varint(&mut out, 0); // n_values
-        put_varint(&mut out, 0); // payload bits
-        return out;
-    }
+    with_scratch(|s| s.huff_enc.encode_into(symbols, &mut out));
+    out
+}
 
-    // Frequency census. Quantization codes are dense small integers, so
-    // use a flat table when the alphabet is small and fall back to a map
-    // for sparse/huge symbols.
-    let max_sym = symbols.iter().copied().max().unwrap_or(0);
-    let mut freq: HashMap<u32, u64> = HashMap::new();
-    if max_sym < 1 << 20 {
-        let mut counts = vec![0u64; max_sym as usize + 1];
-        for &s in symbols {
-            counts[s as usize] += 1;
+/// Reusable state of the block encoder: census, tree and code tables.
+/// Held in [`CodecScratch`](crate::scratch::CodecScratch) so a
+/// steady-state encode loop builds its tables in place.
+#[derive(Default)]
+pub(crate) struct HuffEncoder {
+    /// Dense census, indexed by symbol. All zero between calls.
+    counts: Vec<u64>,
+    /// `(symbol, count)` of every symbol present, ascending by symbol —
+    /// the order the block's table is written in.
+    table: Vec<(u32, u64)>,
+    /// Code length per `table` entry.
+    lens: Vec<u8>,
+    /// Packed `code << 8 | len`: indexed by symbol on the dense path,
+    /// by `table` position on the sparse one.
+    codes: Vec<u64>,
+    /// Tree construction: pending nodes as `(weight, id, node)`.
+    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// Parent of each tree node (leaves first, in `table` order).
+    parent: Vec<u32>,
+    /// Depth of each tree node.
+    depth: Vec<u8>,
+    /// Payload bit buffer, recycled through [`BitWriter::reusing`].
+    bits: Vec<u8>,
+    /// Sorted copy of the input (sparse census only).
+    sorted: Vec<u32>,
+}
+
+impl HuffEncoder {
+    /// Appends the Huffman block for `symbols` to `out`.
+    pub(crate) fn encode_into(&mut self, symbols: &[u32], out: &mut Vec<u8>) {
+        let Some(max_sym) = symbols.iter().copied().max() else {
+            put_varint(out, 0); // n_symbols
+            put_varint(out, 0); // n_values
+            put_varint(out, 0); // payload bits
+            return;
+        };
+        let dense = max_sym < DENSE_LIMIT;
+        self.census(symbols, max_sym, dense);
+        self.code_lengths();
+
+        // Table: symbols ascending, delta-coded.
+        put_varint(out, self.table.len() as u64);
+        let mut prev = 0u32;
+        for (&(sym, _), &len) in self.table.iter().zip(&self.lens) {
+            put_varint(out, u64::from(sym - prev));
+            out.push(len);
+            prev = sym;
         }
-        for (s, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                freq.insert(s as u32, c);
+
+        self.assign_codes(dense);
+
+        // Payload.
+        let mut bits = BitWriter::reusing(std::mem::take(&mut self.bits));
+        if dense {
+            let codes = self.codes.as_slice();
+            for &s in symbols {
+                let packed = codes[s as usize];
+                bits.put_bits(packed >> 8, (packed & 0xff) as u32);
+            }
+        } else {
+            for &s in symbols {
+                // Every symbol was counted into `table`, so the search
+                // always lands on its entry.
+                let (Ok(i) | Err(i)) = self.table.binary_search_by_key(&s, |&(sym, _)| sym);
+                let packed = self.codes[i];
+                bits.put_bits(packed >> 8, (packed & 0xff) as u32);
             }
         }
-    } else {
-        for &s in symbols {
-            *freq.entry(s).or_insert(0) += 1;
+        put_varint(out, symbols.len() as u64);
+        put_varint(out, bits.bit_len());
+        self.bits = bits.finish();
+        out.extend_from_slice(&self.bits);
+    }
+
+    /// Assigns canonical codes (shorter codes first, ties by symbol
+    /// value) into `codes`: the first code of each length follows from
+    /// the counts of the shorter lengths, and `table` is already in
+    /// symbol order.
+    fn assign_codes(&mut self, dense: bool) {
+        let mut per_len = [0u64; MAX_CODE_LEN as usize + 1];
+        for &len in &self.lens {
+            per_len[len as usize] += 1;
+        }
+        let mut next = [0u64; MAX_CODE_LEN as usize + 1];
+        let mut code = 0u64;
+        for len in 1..=MAX_CODE_LEN as usize {
+            code = (code + per_len[len - 1]) << 1;
+            next[len] = code;
+        }
+        if dense {
+            let top = self.table.last().map_or(0, |&(sym, _)| sym as usize + 1);
+            if self.codes.len() < top {
+                self.codes.resize(top, 0);
+            }
+        } else {
+            self.codes.clear();
+            self.codes.resize(self.table.len(), 0);
+        }
+        for (i, (&(sym, _), &len)) in self.table.iter().zip(&self.lens).enumerate() {
+            let slot = if dense { sym as usize } else { i };
+            self.codes[slot] = next[len as usize] << 8 | u64::from(len);
+            next[len as usize] += 1;
         }
     }
-    let lengths = code_lengths(&freq);
-    let canon = canonical_codes(&lengths);
 
-    // Table: symbols sorted ascending, delta-coded.
-    let mut table: Vec<(u32, u8)> = lengths.clone();
-    table.sort_unstable_by_key(|&(s, _)| s);
-    put_varint(&mut out, table.len() as u64);
-    let mut prev = 0u32;
-    for &(sym, len) in &table {
-        put_varint(&mut out, u64::from(sym - prev));
-        out.push(len);
-        prev = sym;
+    /// Fills `table` with the frequency census of `symbols`.
+    fn census(&mut self, symbols: &[u32], max_sym: u32, dense: bool) {
+        self.table.clear();
+        if dense {
+            let top = max_sym as usize + 1;
+            if self.counts.len() < top {
+                self.counts.resize(top, 0);
+            }
+            let counts = &mut self.counts[..top];
+            let mut min_sym = max_sym;
+            for &s in symbols {
+                counts[s as usize] += 1;
+                min_sym = min_sym.min(s);
+            }
+            for s in min_sym..=max_sym {
+                let c = std::mem::take(&mut counts[s as usize]);
+                if c > 0 {
+                    self.table.push((s, c));
+                }
+            }
+        } else {
+            self.sorted.clear();
+            self.sorted.extend_from_slice(symbols);
+            self.sorted.sort_unstable();
+            for &s in &self.sorted {
+                match self.table.last_mut() {
+                    Some((last, c)) if *last == s => *c += 1,
+                    _ => self.table.push((s, 1)),
+                }
+            }
+        }
     }
 
-    // Payload.
-    let mut bits = BitWriter::with_capacity(symbols.len() / 2);
-    for &s in symbols {
-        // eblcio-allow(panic-freedom): canon is built from the census of these exact symbols two lines up; encode_block stays infallible for the hot encode path
-        let &(code, len) = canon.get(&s).expect("symbol in census");
-        bits.put_bits(code, u32::from(len));
+    /// Fills `lens` with optimal (length-limited) code lengths for the
+    /// census in `table`.
+    fn code_lengths(&mut self) {
+        self.lens.clear();
+        // Single-symbol alphabets get a 1-bit code.
+        if self.table.len() == 1 {
+            self.lens.push(1);
+            return;
+        }
+        let mut scale = 0u32;
+        loop {
+            self.try_code_lengths(scale);
+            if self.lens.iter().all(|&l| l <= MAX_CODE_LEN) {
+                return;
+            }
+            scale += 1; // halve frequencies and retry
+        }
     }
-    put_varint(&mut out, symbols.len() as u64);
-    put_varint(&mut out, bits.bit_len());
-    out.extend_from_slice(&bits.finish());
-    out
+
+    /// One Huffman construction over the census with every frequency
+    /// shifted right by `scale` (floored at 1). Nodes live in flat
+    /// arrays: leaves `0..m` in `table` order, internal nodes after
+    /// them in creation order, so a parent always has a larger index
+    /// than its children.
+    fn try_code_lengths(&mut self, scale: u32) {
+        let m = self.table.len();
+        self.heap.clear();
+        self.heap.extend(
+            self.table
+                .iter()
+                .enumerate()
+                // Tie-break on id (the symbol for leaves) for determinism.
+                .map(|(i, &(s, f))| Reverse(((f >> scale).max(1), s, i as u32))),
+        );
+        self.parent.clear();
+        self.parent.resize(m, 0);
+        // Internal ids count down from the top of the range, so at equal
+        // weight every leaf pops before every internal node and a newer
+        // internal node before an older one.
+        let mut next_id = u32::MAX;
+        while self.heap.len() > 1 {
+            let (Some(Reverse(a)), Some(Reverse(b))) = (self.heap.pop(), self.heap.pop()) else {
+                break;
+            };
+            next_id -= 1;
+            let node = self.parent.len() as u32;
+            self.parent[a.2 as usize] = node;
+            self.parent[b.2 as usize] = node;
+            self.parent.push(node); // the root stays its own parent
+            self.heap.push(Reverse((a.0 + b.0, next_id, node)));
+        }
+        let total = self.parent.len();
+        self.depth.clear();
+        self.depth.resize(total, 0);
+        for i in (0..total.saturating_sub(1)).rev() {
+            self.depth[i] = self.depth[self.parent[i] as usize].saturating_add(1);
+        }
+        self.lens.clear();
+        self.lens.extend(self.depth[..m].iter().map(|&d| d.max(1)));
+    }
+
+    /// Visits every growable buffer (the arena's retention policy).
+    pub(crate) fn for_each_buf(&mut self, f: &mut dyn FnMut(&mut dyn ArenaBuf)) {
+        f(&mut self.counts);
+        f(&mut self.table);
+        f(&mut self.lens);
+        f(&mut self.codes);
+        f(&mut self.heap);
+        f(&mut self.parent);
+        f(&mut self.depth);
+        f(&mut self.bits);
+        f(&mut self.sorted);
+    }
 }
 
 /// Decodes a block produced by [`encode_block`].
@@ -178,106 +348,6 @@ pub fn decode_block_reference(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
     Ok((out, consumed))
 }
 
-/// Builds optimal (length-limited) code lengths from a frequency census.
-fn code_lengths(freq: &HashMap<u32, u64>) -> Vec<(u32, u8)> {
-    // Single-symbol alphabets get a 1-bit code.
-    if freq.len() == 1 {
-        if let Some((&s, _)) = freq.iter().next() {
-            return vec![(s, 1)];
-        }
-    }
-    let mut scale = 0u32;
-    loop {
-        let lens = try_code_lengths(freq, scale);
-        if lens.iter().all(|&(_, l)| l <= MAX_CODE_LEN) {
-            return lens;
-        }
-        scale += 1; // halve frequencies and retry
-    }
-}
-
-fn try_code_lengths(freq: &HashMap<u32, u64>, scale: u32) -> Vec<(u32, u8)> {
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        // Tie-break on id for determinism.
-        id: u32,
-        kind: NodeKind,
-    }
-    #[derive(PartialEq, Eq)]
-    enum NodeKind {
-        Leaf(u32),
-        Internal(Box<Node>, Box<Node>),
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse for min-heap.
-            other
-                .weight
-                .cmp(&self.weight)
-                .then_with(|| other.id.cmp(&self.id))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut heap: BinaryHeap<Node> = freq
-        .iter()
-        .map(|(&s, &f)| Node {
-            weight: (f >> scale).max(1),
-            id: s,
-            kind: NodeKind::Leaf(s),
-        })
-        .collect();
-    let mut next_id = u32::MAX;
-    while let Some(a) = heap.pop() {
-        let Some(b) = heap.pop() else {
-            heap.push(a); // single node left: it is the root
-            break;
-        };
-        next_id -= 1;
-        heap.push(Node {
-            weight: a.weight + b.weight,
-            id: next_id,
-            kind: NodeKind::Internal(Box::new(a), Box::new(b)),
-        });
-    }
-    // Empty census (empty input) builds no tree and gets no codes.
-    let Some(root) = heap.pop() else { return Vec::new() };
-    let mut out = Vec::with_capacity(freq.len());
-    // Iterative DFS to avoid recursion depth limits on skewed trees.
-    let mut stack = vec![(root, 0u8)];
-    while let Some((node, depth)) = stack.pop() {
-        match node.kind {
-            NodeKind::Leaf(s) => out.push((s, depth.max(1))),
-            NodeKind::Internal(a, b) => {
-                stack.push((*a, depth.saturating_add(1)));
-                stack.push((*b, depth.saturating_add(1)));
-            }
-        }
-    }
-    out
-}
-
-/// Assigns canonical codes (shorter codes first, ties by symbol value).
-fn canonical_codes(lengths: &[(u32, u8)]) -> HashMap<u32, (u64, u8)> {
-    let mut sorted: Vec<(u32, u8)> = lengths.to_vec();
-    sorted.sort_unstable_by_key(|&(s, l)| (l, s));
-    let mut map = HashMap::with_capacity(sorted.len());
-    let mut code = 0u64;
-    let mut prev_len = 0u8;
-    for &(sym, len) in &sorted {
-        code <<= len - prev_len;
-        map.insert(sym, (code, len));
-        code += 1;
-        prev_len = len;
-    }
-    map
-}
-
 /// Canonical decoder: per-length first-code/first-index tables.
 struct Decoder {
     /// Symbols sorted by (length, symbol).
@@ -332,7 +402,7 @@ const PRIMARY_BITS: u32 = 12;
 /// Reusable state of the table-driven canonical decoder: the per-length
 /// range tables of the tree decoder plus a `PRIMARY_BITS`-wide
 /// direct-lookup window. Held in
-/// [`DecodeScratch`](crate::scratch::DecodeScratch) so repeated block
+/// [`CodecScratch`](crate::scratch::CodecScratch) so repeated block
 /// decodes on one thread reuse the allocations.
 #[derive(Default)]
 pub struct HuffLookup {
@@ -352,6 +422,15 @@ pub struct HuffLookup {
 }
 
 impl HuffLookup {
+    /// Visits every growable buffer (the arena's retention policy).
+    pub(crate) fn for_each_buf(&mut self, f: &mut dyn FnMut(&mut dyn ArenaBuf)) {
+        f(&mut self.symbols);
+        f(&mut self.per_len);
+        f(&mut self.sym);
+        f(&mut self.len);
+        f(&mut self.sorted);
+    }
+
     /// Rebuilds the tables for one block's code table. Performs the same
     /// canonical assignment and Kraft validation as [`Decoder::new`].
     fn prepare(&mut self, table: &[(u32, u8)]) -> Result<()> {
@@ -554,13 +633,14 @@ mod tests {
 
     #[test]
     fn canonical_codes_are_prefix_free() {
-        let mut freq = HashMap::new();
+        let mut enc = HuffEncoder::default();
         for (i, f) in [50u64, 30, 10, 5, 3, 1, 1].iter().enumerate() {
-            freq.insert(i as u32, *f);
+            enc.table.push((i as u32, *f));
         }
-        let lens = code_lengths(&freq);
-        let codes = canonical_codes(&lens);
-        let entries: Vec<(u64, u8)> = codes.values().copied().collect();
+        enc.code_lengths();
+        enc.assign_codes(false);
+        let entries: Vec<(u64, u8)> = enc.codes.iter().map(|&p| (p >> 8, (p & 0xff) as u8)).collect();
+        assert_eq!(entries.len(), 7);
         for (i, &(c1, l1)) in entries.iter().enumerate() {
             for &(c2, l2) in entries.iter().skip(i + 1) {
                 let (short, slen, long, llen) = if l1 <= l2 {

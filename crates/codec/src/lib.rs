@@ -56,7 +56,7 @@ pub use error::{CodecError, Result};
 pub use parallel::{
     compress_parallel, decompress_parallel, parallel_stream_info, ParallelStreamInfo,
 };
-pub use scratch::{with_scratch, DecodeScratch};
+pub use scratch::{with_scratch, CodecScratch};
 pub use stage::{ArrayStage, ByteStage, ByteStageSpec};
 pub use traits::{
     compress, compress_dataset, compress_view, decompress, decompress_any, decompress_region,

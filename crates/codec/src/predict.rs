@@ -42,16 +42,21 @@ pub fn lorenzo(recon: &[f64], shape: Shape, idx: &[usize]) -> f64 {
     pred
 }
 
-/// Precomputed interior Lorenzo stencil: per non-empty axis subset, the
-/// signed weight and flat back-offset, in the same mask order as
-/// [`lorenzo`]. At interior points (every coordinate > 0) no neighbour
-/// test is needed, so evaluation is a short flat dot product the
-/// compiler can keep in registers — the SZ2 decode hot loop.
+/// Precomputed interior Lorenzo stencil: per non-empty subset of the
+/// axes of extent > 1, the signed weight and flat back-offset, in the
+/// same mask order as [`lorenzo`]. A unit axis only ever has coordinate
+/// 0, so [`lorenzo`] skips every subset containing one; leaving those
+/// subsets out here is the same sum. At interior points (coordinate > 0
+/// on every non-unit axis) no neighbour test is needed, so evaluation is
+/// a short flat dot product the compiler can keep in registers — the
+/// SZ2 hot loop in both directions.
 #[derive(Clone, Copy, Debug)]
 pub struct LorenzoStencil {
     /// `(sign, flat offset subtracted from the target)` per subset.
     terms: [(f64, usize); 15],
     n_terms: usize,
+    /// Bit `d` set when axis `d` has extent > 1.
+    axes: u32,
 }
 
 impl LorenzoStencil {
@@ -59,9 +64,12 @@ impl LorenzoStencil {
     pub fn new(shape: Shape) -> Self {
         let rank = shape.rank();
         let strides = shape.strides();
+        let axes = (0..rank)
+            .filter(|&d| shape.dim(d) > 1)
+            .fold(0u32, |m, d| m | 1 << d);
         let mut terms = [(0.0, 0usize); 15];
         let mut n_terms = 0;
-        for mask in 1u32..(1 << rank) {
+        for mask in (1u32..(1 << rank)).filter(|mask| mask & !axes == 0) {
             let delta: usize = strides[..rank]
                 .iter()
                 .enumerate()
@@ -72,11 +80,18 @@ impl LorenzoStencil {
             terms[n_terms] = (sign, delta);
             n_terms += 1;
         }
-        Self { terms, n_terms }
+        Self { terms, n_terms, axes }
+    }
+
+    /// True when `idx` is an interior point of the stencil's shape:
+    /// coordinate > 0 on every axis of extent > 1.
+    #[inline]
+    pub fn is_interior(&self, idx: &[usize]) -> bool {
+        idx.iter().enumerate().all(|(d, &c)| c > 0 || self.axes >> d & 1 == 0)
     }
 
     /// Evaluates at flat offset `base`, which must be an interior point
-    /// (all coordinates ≥ 1). Bit-identical to [`lorenzo`] there: the
+    /// ([`Self::is_interior`]). Bit-identical to [`lorenzo`] there: the
     /// terms are accumulated in the same subset order with the same
     /// signs.
     #[inline]
@@ -101,24 +116,39 @@ pub fn fit_affine(values: &[f64], dims: &[usize]) -> AffineCoef {
     let n = values.len() as f64;
     let mean = values.iter().sum::<f64>() / n;
 
+    // Per-axis Σ (x − x̄)(v − mean), every axis in one raster pass: the
+    // coordinates tick like an odometer, and each axis keeps its own
+    // accumulator, summed in raster order.
+    let mut xbar = [0.0f64; 4];
+    for d in 0..rank {
+        xbar[d] = (dims[d] - 1) as f64 / 2.0;
+    }
+    let mut sxy = [0.0f64; 4];
+    let mut x = [0usize; 4];
+    for &v in values {
+        let dv = v - mean;
+        for d in 0..rank {
+            sxy[d] += (x[d] as f64 - xbar[d]) * dv;
+        }
+        for d in (0..rank).rev() {
+            x[d] += 1;
+            if x[d] < dims[d] {
+                break;
+            }
+            x[d] = 0;
+        }
+    }
+
     let mut coef = [0.0f64; 4];
-    let block_shape = Shape::new(dims);
     for d in 0..rank {
         let m = dims[d];
         if m < 2 {
             continue;
         }
-        let xbar = (m - 1) as f64 / 2.0;
         // Σ (x − x̄)² over the whole block = (other dims product) · Σ_x (x−x̄)².
-        let sxx_axis: f64 = (0..m).map(|x| (x as f64 - xbar).powi(2)).sum();
+        let sxx_axis: f64 = (0..m).map(|x| (x as f64 - xbar[d]).powi(2)).sum();
         let others = (values.len() / m) as f64;
-        let sxx = sxx_axis * others;
-        let mut sxy = 0.0;
-        for (off, &v) in values.iter().enumerate() {
-            let x = block_shape.unoffset(off)[d] as f64;
-            sxy += (x - xbar) * (v - mean);
-        }
-        coef[d] = sxy / sxx;
+        coef[d] = sxy[d] / (sxx_axis * others);
     }
     let mut c0 = mean;
     for d in 0..rank {
@@ -287,6 +317,11 @@ mod tests {
             Shape::d2(5, 7),
             Shape::d3(4, 5, 3),
             Shape::d4(3, 3, 4, 3),
+            // Unit axes (a time-sliced chunk, a flat slab, a pencil):
+            // interior means > 0 on the axes that have room to be.
+            Shape::d4(1, 8, 8, 8),
+            Shape::d3(4, 1, 6),
+            Shape::d3(1, 1, 16),
         ] {
             let rank = shape.rank();
             let mut recon = vec![0.0; shape.len()];
@@ -294,14 +329,22 @@ mod tests {
                 *r = (off as f64 * 0.7311).sin() * 13.0;
             }
             let stencil = LorenzoStencil::new(shape);
+            let mut interior = 0usize;
             for off in 0..shape.len() {
                 let idx = shape.unoffset(off);
-                if idx[..rank].iter().all(|&c| c > 0) {
-                    let want = lorenzo(&recon, shape, &idx[..rank]);
+                let idx = &idx[..rank];
+                let expect_interior = (0..rank).all(|d| idx[d] > 0 || shape.dim(d) == 1);
+                assert_eq!(stencil.is_interior(idx), expect_interior, "shape {shape} off {off}");
+                if expect_interior {
+                    interior += 1;
+                    let want = lorenzo(&recon, shape, idx);
                     let got = stencil.eval_interior(&recon, off);
                     assert_eq!(got.to_bits(), want.to_bits(), "shape {shape} off {off}");
                 }
             }
+            let want_interior: usize =
+                shape.dims().iter().map(|&m| m.max(2) - 1).product();
+            assert_eq!(interior, want_interior, "shape {shape}");
         }
     }
 

@@ -1,51 +1,123 @@
-//! Thread-local decode scratch: the buffer arena behind the zero-alloc
-//! serving claim.
+//! Thread-local codec scratch: the buffer arena behind the zero-alloc
+//! serving claim and the encode hot path.
 //!
-//! Uncached region reads decode the same chunk geometry over and over,
-//! and before this arena existed every decode paid fresh `Vec`
-//! allocations for the Huffman code buffer, the interpolation
-//! reconstruction plane, and the byte-stage output. [`DecodeScratch`]
-//! keeps those buffers alive per thread so a steady-state decode loop
-//! (the store's rayon workers, the serve layer's miss assembly) reuses
-//! capacity instead of round-tripping the allocator.
+//! Chunked stores code the same chunk geometry over and over, in both
+//! directions: uncached region reads decode it, dumps and updates
+//! encode it. Without an arena every call pays fresh `Vec` allocations
+//! for the quantization-code buffer, the f64 reconstruction plane, the
+//! Huffman tables and bit buffer, the outlier bytes, and the byte-stage
+//! output. [`CodecScratch`] keeps those buffers alive per thread so a
+//! steady-state loop (the store's rayon workers, the serve layer's miss
+//! assembly) reuses capacity instead of round-tripping the allocator.
 //!
 //! Access goes through [`with_scratch`], which hands out the calling
 //! thread's arena. Re-entrant use (an outer borrow still live when an
-//! inner decode wants the arena, e.g. QoZ's PSNR search decoding trial
+//! inner call wants the arena, e.g. QoZ's PSNR search decoding trial
 //! streams inside an encode) falls back to a fresh arena rather than
 //! panicking, so correctness never depends on borrow discipline —
 //! only steady-state speed does.
+//!
+//! The arena gives memory back: when the outermost [`with_scratch`]
+//! returns, every buffer holding more than `RETAIN_CAP_BYTES` (4 MiB) is
+//! dropped, so one whole-array `compress` of a large field does not pin
+//! its planes to the thread for life while chunk-sized work stays
+//! resident.
 
-use crate::huffman::HuffLookup;
+use crate::huffman::{HuffEncoder, HuffLookup};
 use std::cell::RefCell;
+use std::collections::BinaryHeap;
 
-/// Reusable decode-side buffers. All fields are ordinary growable
-/// containers: a decode `clear()`s and refills them, so capacity
+/// Largest capacity, in bytes, a single arena buffer keeps between
+/// calls. An f64 plane of a 64³ chunk is 2 MiB, so chunk-sized coding
+/// never reallocates; the planes of a multi-million-sample array do not
+/// stay behind.
+pub(crate) const RETAIN_CAP_BYTES: usize = 4 << 20;
+
+/// Reusable buffers for both coding directions. All fields are ordinary
+/// growable containers: a call `clear()`s and refills them, so capacity
 /// persists across calls while contents never leak between streams.
 #[derive(Default)]
-pub struct DecodeScratch {
-    /// Huffman-decoded quantization codes (SZ-family payloads).
+pub struct CodecScratch {
+    /// Quantization codes of an SZ-family payload: Huffman-decoded on
+    /// decode, awaiting Huffman on encode.
     pub codes: Vec<u32>,
-    /// f64 reconstruction plane for the SZ3/QoZ interpolation decoders.
+    /// f64 reconstruction plane — what the decoder will see, which is
+    /// what both directions predict from.
     pub recon: Vec<f64>,
     /// Byte-stage inverse output (the chain's LZ decompression target).
     pub bytes: Vec<u8>,
     /// Canonical Huffman lookup tables, rebuilt per block but reusing
     /// their backing storage.
     pub huff: HuffLookup,
+    /// Encode: an f32 input widened to f64 (f64 inputs are borrowed).
+    pub(crate) raw: Vec<f64>,
+    /// Encode: one SZ2 block gathered into raster order.
+    pub(crate) block: Vec<f64>,
+    /// Encode: verbatim little-endian outlier samples.
+    pub(crate) outliers: Vec<u8>,
+    /// Encode: Huffman census, tree, code table and bit buffer.
+    pub(crate) huff_enc: HuffEncoder,
+}
+
+/// A growable arena buffer, as the retention policy sees it.
+pub(crate) trait ArenaBuf {
+    /// Bytes of capacity held.
+    fn held_bytes(&self) -> usize;
+    /// Gives the allocation back.
+    fn release(&mut self);
+}
+
+impl<T> ArenaBuf for Vec<T> {
+    fn held_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>()
+    }
+    fn release(&mut self) {
+        *self = Vec::new();
+    }
+}
+
+impl<T: Ord> ArenaBuf for BinaryHeap<T> {
+    fn held_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>()
+    }
+    fn release(&mut self) {
+        *self = BinaryHeap::new();
+    }
+}
+
+impl CodecScratch {
+    fn for_each_buf(&mut self, f: &mut dyn FnMut(&mut dyn ArenaBuf)) {
+        f(&mut self.codes);
+        f(&mut self.recon);
+        f(&mut self.bytes);
+        f(&mut self.raw);
+        f(&mut self.block);
+        f(&mut self.outliers);
+        self.huff.for_each_buf(f);
+        self.huff_enc.for_each_buf(f);
+    }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
+    static SCRATCH: RefCell<CodecScratch> = RefCell::new(CodecScratch::default());
 }
 
-/// Runs `f` with the calling thread's [`DecodeScratch`]. Nested calls
-/// get a fresh (empty, allocation-backed) arena instead of a borrow
-/// panic, so the fast path may be entered from any context.
-pub fn with_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
+/// Runs `f` with the calling thread's [`CodecScratch`], then drops any
+/// buffer that grew past `RETAIN_CAP_BYTES`. Nested calls get a fresh
+/// (empty, allocation-backed) arena instead of a borrow panic, so the
+/// fast path may be entered from any context.
+pub fn with_scratch<R>(f: impl FnOnce(&mut CodecScratch) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut DecodeScratch::default()),
+        Ok(mut s) => {
+            let out = f(&mut s);
+            s.for_each_buf(&mut |b| {
+                if b.held_bytes() > RETAIN_CAP_BYTES {
+                    b.release();
+                }
+            });
+            out
+        }
+        Err(_) => f(&mut CodecScratch::default()),
     })
 }
 
@@ -63,7 +135,7 @@ pub fn take_bytes() -> Vec<u8> {
 
 /// Returns a buffer taken with [`take_bytes`] so its capacity survives
 /// for the next decode on this thread. Keeps the larger of the resident
-/// and returned buffers.
+/// and returned buffers (up to the arena's retention cap).
 pub fn put_bytes(buf: Vec<u8>) {
     with_scratch(|s| {
         if buf.capacity() > s.bytes.capacity() {
@@ -75,6 +147,17 @@ pub fn put_bytes(buf: Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{CompressorId, ErrorBound};
+    use eblcio_data::{NdArray, Shape};
+
+    /// Capacity of every arena buffer, in visiting order.
+    fn held() -> Vec<usize> {
+        with_scratch(|s| {
+            let mut v = Vec::new();
+            s.for_each_buf(&mut |b| v.push(b.held_bytes()));
+            v
+        })
+    }
 
     #[test]
     fn scratch_capacity_persists_across_calls() {
@@ -105,5 +188,48 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.capacity() >= 4096);
         put_bytes(b);
+    }
+
+    #[test]
+    fn oversized_buffers_are_given_back_and_chunk_sized_ones_stay() {
+        // A whole-array call on a large field: planes of 32 MB each.
+        let big = NdArray::<f32>::from_fn(Shape::d1(4 << 20), |i| {
+            let x = i[0] as f32 / 1024.0;
+            x * x - 3.0 * x
+        });
+        for id in [CompressorId::Sz2, CompressorId::Sz3] {
+            let codec = id.instance();
+            let stream = codec.compress_f32(&big, ErrorBound::Relative(1e-3)).unwrap();
+            let back = codec.decompress_f32(&stream).unwrap();
+            assert_eq!(back.len(), big.len());
+            let after = held();
+            assert!(
+                after.iter().all(|&b| b <= RETAIN_CAP_BYTES),
+                "{}: a buffer above the cap survived: {after:?}",
+                id.name()
+            );
+        }
+
+        // A chunk-sized loop: after warm-up the arena neither grows nor
+        // shrinks — every pass reuses the same allocations.
+        let chunk = NdArray::<f64>::from_fn(Shape::d4(1, 32, 32, 32), |i| {
+            (i[1] * i[2]) as f64 * 0.01 + i[3] as f64
+        });
+        let pass = || {
+            for id in CompressorId::ALL {
+                let codec = id.instance();
+                let stream = codec.compress_f64(&chunk, ErrorBound::Absolute(1e-3)).unwrap();
+                codec.decompress_f64(&stream).unwrap();
+            }
+        };
+        pass();
+        let warm = held();
+        for _ in 0..3 {
+            pass();
+        }
+        assert_eq!(held(), warm, "steady-state coding must not touch the arena's capacity");
+        // The planes a chunk needs are among what stayed.
+        let (recon, codes) = with_scratch(|s| (s.recon.capacity(), s.codes.capacity()));
+        assert!(recon >= chunk.len() && codes >= chunk.len());
     }
 }

@@ -26,7 +26,15 @@ pub const FIXED_PREC: i32 = 48;
 /// (ZFP's `fwd_lift`).
 #[inline]
 pub fn fwd_lift(p: &mut [i64], base: usize, s: usize) {
-    let (mut x, mut y, mut z, mut w) = (p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
+    let (x, y, z, w) = fwd_lift4(p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
+    p[base] = x;
+    p[base + s] = y;
+    p[base + 2 * s] = z;
+    p[base + 3 * s] = w;
+}
+
+#[inline(always)]
+fn fwd_lift4(mut x: i64, mut y: i64, mut z: i64, mut w: i64) -> (i64, i64, i64, i64) {
     // Non-orthogonal transform ~ 1/16 · [4 4 4 4; 5 1 -1 -5; -4 4 4 -4; -2 6 -6 2].
     x += w;
     x >>= 1;
@@ -42,10 +50,7 @@ pub fn fwd_lift(p: &mut [i64], base: usize, s: usize) {
     y -= w;
     w += y >> 1;
     y -= w >> 1;
-    p[base] = x;
-    p[base + s] = y;
-    p[base + 2 * s] = z;
-    p[base + 3 * s] = w;
+    (x, y, z, w)
 }
 
 /// Inverse of [`fwd_lift`] (ZFP's `inv_lift`). Exact integer inverse of
@@ -53,7 +58,15 @@ pub fn fwd_lift(p: &mut [i64], base: usize, s: usize) {
 /// coder absorbs.
 #[inline]
 pub fn inv_lift(p: &mut [i64], base: usize, s: usize) {
-    let (mut x, mut y, mut z, mut w) = (p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
+    let (x, y, z, w) = inv_lift4(p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
+    p[base] = x;
+    p[base + s] = y;
+    p[base + 2 * s] = z;
+    p[base + 3 * s] = w;
+}
+
+#[inline(always)]
+fn inv_lift4(mut x: i64, mut y: i64, mut z: i64, mut w: i64) -> (i64, i64, i64, i64) {
     y += w >> 1;
     w -= y >> 1;
     y += w;
@@ -68,43 +81,42 @@ pub fn inv_lift(p: &mut [i64], base: usize, s: usize) {
     w += x;
     x <<= 1;
     x -= w;
-    p[base] = x;
-    p[base + s] = y;
-    p[base + 2 * s] = z;
-    p[base + 3 * s] = w;
+    (x, y, z, w)
 }
 
 /// Applies the forward transform to a full 4^rank block (separably along
 /// each dimension).
 pub fn fwd_transform(block: &mut [i64], rank: usize) {
-    let n = BLOCK_EDGE.pow(rank as u32);
-    debug_assert_eq!(block.len(), n);
+    debug_assert_eq!(block.len(), BLOCK_EDGE.pow(rank as u32));
     for d in 0..rank {
-        let stride = BLOCK_EDGE.pow((rank - 1 - d) as u32);
-        // Iterate all 4-sample lines along dimension d.
-        let lines = n / BLOCK_EDGE;
-        for l in 0..lines {
-            // Decompose the line index into the base offset.
-            let outer = l / stride; // index over slower dims
-            let inner = l % stride; // index over faster dims
-            let base = outer * stride * BLOCK_EDGE + inner;
-            fwd_lift(block, base, stride);
-        }
+        lift_lines(block, BLOCK_EDGE.pow((rank - 1 - d) as u32), fwd_lift4);
     }
 }
 
 /// Applies the inverse transform to a 4^rank block.
 pub fn inv_transform(block: &mut [i64], rank: usize) {
-    let n = BLOCK_EDGE.pow(rank as u32);
-    debug_assert_eq!(block.len(), n);
+    debug_assert_eq!(block.len(), BLOCK_EDGE.pow(rank as u32));
     for d in (0..rank).rev() {
-        let stride = BLOCK_EDGE.pow((rank - 1 - d) as u32);
-        let lines = n / BLOCK_EDGE;
-        for l in 0..lines {
-            let outer = l / stride;
-            let inner = l % stride;
-            let base = outer * stride * BLOCK_EDGE + inner;
-            inv_lift(block, base, stride);
+        lift_lines(block, BLOCK_EDGE.pow((rank - 1 - d) as u32), inv_lift4);
+    }
+}
+
+/// Lifts every 4-sample line of stride `stride`. The block is a run of
+/// slabs of `4·stride` entries; within a slab the four taps of
+/// consecutive lines sit in four contiguous quarter-rows, so the pass is
+/// four parallel slices with no index arithmetic per line.
+#[inline(always)]
+fn lift_lines(
+    block: &mut [i64],
+    stride: usize,
+    lift: impl Fn(i64, i64, i64, i64) -> (i64, i64, i64, i64),
+) {
+    for slab in block.chunks_exact_mut(stride * BLOCK_EDGE) {
+        let (xs, rest) = slab.split_at_mut(stride);
+        let (ys, rest) = rest.split_at_mut(stride);
+        let (zs, ws) = rest.split_at_mut(stride);
+        for (((x, y), z), w) in xs.iter_mut().zip(ys).zip(zs).zip(ws) {
+            (*x, *y, *z, *w) = lift(*x, *y, *z, *w);
         }
     }
 }
@@ -144,48 +156,114 @@ pub fn nega_to_int(u: u64) -> i64 {
     (u ^ MASK).wrapping_sub(MASK) as i64
 }
 
+/// Largest coefficient block the plane coder takes: a rank-4 ZFP block.
+pub const MAX_BLOCK: usize = BLOCK_EDGE * BLOCK_EDGE * BLOCK_EDGE * BLOCK_EDGE;
+/// 64-bit words holding one bit per coefficient of a [`MAX_BLOCK`] block.
+const PLANE_WORDS: usize = MAX_BLOCK / 64;
+
 /// Encodes `planes` bitplanes of `coeffs` (already in sequency order,
-/// negabinary) MSB-first with ZFP's embedded group-testing scheme.
+/// negabinary, at most [`MAX_BLOCK`] of them) MSB-first with ZFP's
+/// embedded group-testing scheme.
 ///
 /// `total_bits` is the bit width of the negabinary values (≤ 64).
+///
+/// Per plane the stream holds, in coefficient order, one raw bit for
+/// every coefficient already significant; then, over the not yet
+/// significant ones: a group-test bit ("is any of the rest set?") and,
+/// if so, their bits up to and including the first set one — repeated
+/// until a test fails or none are left. The coded planes are pulled out
+/// of the coefficients once, up front, into bit-per-coefficient words
+/// (coefficient `i` at bit `63 − i % 64` of word `i / 64`, so stream
+/// order is MSB to LSB); runs of raw bits and "zeros then a one" scans
+/// then leave through [`BitWriter::put_bits`] a word at a time.
 pub fn encode_planes(w: &mut BitWriter, coeffs: &[u64], total_bits: u32, planes: u32) {
     let n = coeffs.len();
-    let mut significant = vec![false; n];
-    let mut pending: Vec<usize> = (0..n).collect();
-    for plane in 0..planes.min(total_bits) {
-        let bitpos = total_bits - 1 - plane;
-        // Raw bits for coefficients already significant.
-        for (i, sig) in significant.iter().enumerate().take(n) {
-            if *sig {
-                w.put_bit((coeffs[i] >> bitpos) & 1 == 1);
-            }
+    assert!(n <= MAX_BLOCK, "plane coder takes at most {MAX_BLOCK} coefficients");
+    assert!(total_bits <= 64);
+    let words = n.div_ceil(64);
+    let planes = planes.min(total_bits);
+    if planes == 0 {
+        return;
+    }
+    // Bit-per-coefficient words of every coded plane, filled from the
+    // set bits of each coefficient: most coefficients of a smooth block
+    // have nothing in the planes that are kept.
+    let lowest = total_bits - planes;
+    let width_mask = u64::MAX >> (64 - total_bits);
+    let mut plane_bits = [[0u64; PLANE_WORDS]; 64];
+    for (i, &c) in coeffs.iter().enumerate() {
+        let mut kept = (c & width_mask) >> lowest;
+        while kept != 0 {
+            let bitpos = lowest + kept.trailing_zeros();
+            plane_bits[(total_bits - 1 - bitpos) as usize][i / 64] |= 1u64 << (63 - i % 64);
+            kept &= kept - 1;
         }
+    }
+    // Coefficients that exist (the last word may be partial).
+    let mut valid = [0u64; PLANE_WORDS];
+    for (wi, v) in valid.iter_mut().enumerate().take(words) {
+        let in_word = (n - wi * 64).min(64);
+        *v = u64::MAX << (64 - in_word);
+    }
+    let mut significant = [0u64; PLANE_WORDS];
+    for bits in &plane_bits[..planes as usize] {
+        // Raw bits for coefficients already significant.
+        for wi in 0..words {
+            let mut left = significant[wi];
+            let (mut run, mut len) = (0u64, 0u32);
+            while left != 0 {
+                let lead = left.leading_zeros();
+                run = (run << 1) | ((bits[wi] << lead) >> 63);
+                len += 1;
+                left &= !(1u64 << (63 - lead));
+            }
+            w.put_bits(run, len);
+        }
+
         // Group-test the rest in sequency order.
-        let mut i = 0usize;
-        let mut newly = false;
-        while i < pending.len() {
-            let any = pending[i..]
-                .iter()
-                .any(|&j| (coeffs[j] >> bitpos) & 1 == 1);
+        let mut pending = [0u64; PLANE_WORDS];
+        let mut set = [0u64; PLANE_WORDS];
+        for wi in 0..words {
+            pending[wi] = valid[wi] & !significant[wi];
+            set[wi] = bits[wi] & pending[wi];
+        }
+        let mut wi = 0usize;
+        loop {
+            // Skip words with nothing pending any more.
+            while wi < words && pending[wi] == 0 {
+                wi += 1;
+            }
+            if wi == words {
+                break;
+            }
+            let any = set[wi..words].iter().any(|&s| s != 0);
             w.put_bit(any);
             if !any {
                 break;
             }
-            // Emit bits until the first set bit (inclusive).
-            while i < pending.len() {
-                let j = pending[i];
-                let bit = (coeffs[j] >> bitpos) & 1 == 1;
-                w.put_bit(bit);
-                i += 1;
-                if bit {
-                    significant[j] = true;
-                    newly = true;
-                    break;
-                }
+            // Zeros for the pending coefficients before the first set
+            // one, then its one-bit.
+            let mut zeros = 0u32;
+            while set[wi] == 0 {
+                zeros += pending[wi].count_ones();
+                pending[wi] = 0;
+                wi += 1;
             }
-        }
-        if newly {
-            pending.retain(|&j| !significant[j]);
+            let lead = set[wi].leading_zeros();
+            let hit = 1u64 << (63 - lead);
+            // Pending coefficients strictly before the hit in this word.
+            let before = pending[wi] & !(u64::MAX >> lead);
+            zeros += before.count_ones();
+            while zeros >= 64 {
+                w.put_bits(0, 64);
+                zeros -= 64;
+            }
+            w.put_bits(1, zeros + 1);
+            significant[wi] |= hit;
+            // Everything up to and including the hit is dealt with.
+            let after = hit - 1;
+            pending[wi] &= after;
+            set[wi] &= after;
         }
     }
 }
