@@ -6,7 +6,7 @@ use eblcio_bench::{eng, runner_from_env, scale_from_env, TextTable};
 use eblcio_codec::{CompressorId, ErrorBound};
 use eblcio_core::workflow::{Campaign, DumpCost};
 use eblcio_core::CampaignRunner;
-use eblcio_data::{Dataset, DatasetKind, DatasetSpec};
+use eblcio_data::{DatasetKind, DatasetSpec};
 use eblcio_energy::{CpuGeneration, Seconds};
 use eblcio_pfs::{IoToolKind, PfsSim};
 
@@ -22,10 +22,7 @@ fn main() {
         compute_seconds: Seconds(30.0),
     };
 
-    let raw = match &data {
-        Dataset::F32(a) => a.to_le_bytes(),
-        Dataset::F64(a) => a.to_le_bytes(),
-    };
+    let raw = data.to_le_bytes();
     let base_write = runner.measure_write(raw, "orig", IoToolKind::Hdf5Lite, &pfs, generation, 1);
     let original = DumpCost::original(base_write);
     let orig_totals = campaign.run(&original, &generation.profile());

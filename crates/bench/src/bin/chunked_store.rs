@@ -17,8 +17,8 @@
 //! region reads are where chunking wins by an order of magnitude.
 
 use eblcio_bench::{scale_from_env, TextTable};
-use eblcio_codec::{CompressorId, ErrorBound};
-use eblcio_data::{Dataset, DatasetKind, DatasetSpec, Shape};
+use eblcio_codec::{compress, decompress, CompressorId, ErrorBound};
+use eblcio_data::{DatasetKind, DatasetSpec, Shape};
 use eblcio_energy::{measure_compute, Activity, CpuGeneration};
 use eblcio_pfs::{IoRequest, PfsSim};
 use eblcio_store::{read_region_io, write_store, ChunkedStore, Region};
@@ -35,10 +35,7 @@ fn main() {
     let pfs = PfsSim::testbed();
 
     let data = DatasetSpec::new(DatasetKind::Nyx, scale).generate();
-    let arr = match &data {
-        Dataset::F32(a) => a,
-        Dataset::F64(_) => unreachable!("NYX is single precision"),
-    };
+    let arr = data.as_f32();
     let shape = arr.shape();
     // Chunk grid: split every axis in four (64 chunks), clamped by the
     // grid for tiny scales.
@@ -69,9 +66,7 @@ fn main() {
 
         // ---- Monolithic: one stream, byte-striped across the OSTs.
         let (mono_stream, comp) = measure_compute(&profile, Activity::serial_compute(), || {
-            codec
-                .compress_f32(arr, ErrorBound::Relative(EPS))
-                .expect("compress")
+            compress(codec.as_ref(), arr, ErrorBound::Relative(EPS)).expect("compress")
         });
         let write = pfs.write(
             &IoRequest {
@@ -95,7 +90,7 @@ fn main() {
             &profile,
         );
         let (_, read_cpu) = measure_compute(&profile, Activity::serial_compute(), || {
-            codec.decompress_f32(&mono_stream).expect("decompress")
+            decompress::<f32>(codec.as_ref(), &mono_stream).expect("decompress")
         });
         table.row(vec![
             id.name().into(),

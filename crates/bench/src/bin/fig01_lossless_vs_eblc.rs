@@ -17,10 +17,7 @@ fn main() {
 
     for kind in DatasetKind::FIG1 {
         let data = DatasetSpec::new(kind, scale).generate();
-        let raw = match &data {
-            eblcio_data::Dataset::F32(a) => a.to_le_bytes(),
-            eblcio_data::Dataset::F64(a) => a.to_le_bytes(),
-        };
+        let raw = data.to_le_bytes();
         let esize = if kind.is_f64() { 8 } else { 4 };
 
         for codec in all_baselines(esize) {

@@ -5,7 +5,7 @@
 use eblcio_bench::{runner_from_env, scale_from_env, TextTable};
 use eblcio_codec::{CompressorId, ErrorBound};
 use eblcio_core::experiment::ExperimentConfig;
-use eblcio_data::{Dataset, DatasetKind, DatasetSpec};
+use eblcio_data::{DatasetKind, DatasetSpec};
 use eblcio_energy::CpuGeneration;
 use eblcio_pfs::{IoToolKind, PfsSim};
 
@@ -23,10 +23,7 @@ fn main() {
             let data = DatasetSpec::new(kind, scale).generate();
 
             // Baseline: the original data.
-            let raw = match &data {
-                Dataset::F32(a) => a.to_le_bytes(),
-                Dataset::F64(a) => a.to_le_bytes(),
-            };
+            let raw = data.to_le_bytes();
             let base = runner.measure_write(raw, "original", tool, &pfs, generation, 1);
             table.row(vec![
                 tool.name().into(),

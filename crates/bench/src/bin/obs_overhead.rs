@@ -23,7 +23,7 @@
 
 use eblcio_bench::scale_from_env;
 use eblcio_codec::{CompressorId, ErrorBound};
-use eblcio_data::{Dataset, DatasetKind, DatasetSpec, NdArray, Shape};
+use eblcio_data::{DatasetKind, DatasetSpec, NdArray, Shape};
 use eblcio_serve::{ArrayReader, CacheConfig, ReaderConfig};
 use eblcio_store::{ChunkedStore, Region};
 use std::time::Instant;
@@ -47,10 +47,7 @@ fn window(reader: &ArrayReader<f32>, region: &Region, out: &mut NdArray<f32>) ->
 
 fn main() {
     let data = DatasetSpec::new(DatasetKind::Nyx, scale_from_env()).generate();
-    let arr = match &data {
-        Dataset::F32(a) => a,
-        Dataset::F64(_) => unreachable!("NYX is single precision"),
-    };
+    let arr = data.as_f32();
     let shape = arr.shape();
     let chunk_shape = Shape::new(
         &shape

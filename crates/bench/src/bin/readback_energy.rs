@@ -6,7 +6,7 @@
 
 use eblcio_bench::{runner_from_env, scale_from_env, TextTable};
 use eblcio_codec::{CompressorId, ErrorBound};
-use eblcio_data::{Dataset, DatasetKind, DatasetSpec};
+use eblcio_data::{DatasetKind, DatasetSpec};
 use eblcio_energy::CpuGeneration;
 use eblcio_pfs::format::DataObject;
 use eblcio_pfs::{IoToolKind, PfsSim};
@@ -25,10 +25,7 @@ fn main() {
 
     for kind in [DatasetKind::Nyx, DatasetKind::Cesm] {
         let data = DatasetSpec::new(kind, scale).generate();
-        let raw = match &data {
-            Dataset::F32(a) => a.to_le_bytes(),
-            Dataset::F64(a) => a.to_le_bytes(),
-        };
+        let raw = data.to_le_bytes();
         let orig_obj = DataObject::opaque("original", raw);
         let orig_req = IoToolKind::Hdf5Lite.io_request(std::slice::from_ref(&orig_obj));
         let orig_read = pfs.read_concurrent(&orig_req, 1, &profile);

@@ -134,14 +134,11 @@ pub fn run_write_original(
     pfs: &PfsSim,
 ) -> MultiNodeReport {
     let total_ranks = spec.total_ranks();
-    let payload = match data {
-        Dataset::F32(a) => a.to_le_bytes(),
-        Dataset::F64(a) => a.to_le_bytes(),
-    };
+    let payload = data.to_le_bytes();
     let shape: Vec<u64> = data.shape().dims().iter().map(|&d| d as u64).collect();
     let obj = DataObject {
         name: "rank_data".into(),
-        dtype: u8::from(matches!(data, Dataset::F64(_))),
+        dtype: data.dtype(),
         shape,
         attrs: vec![("compressor".into(), "Original".into())],
         payload,

@@ -32,13 +32,10 @@
 //! `array[+byte…]` via [`ChainSpec::parse`].
 
 use crate::error::{CodecError, Result};
-use crate::header::{read_stream, write_stream, Header};
-use crate::stage::{
-    build_byte_stage, decode_array, decode_array_region, encode_array, ArrayStage, ByteStage,
-    ByteStageSpec,
-};
+use crate::header::{check_dtype, read_stream, write_stream, Header, BAD_DTYPE};
+use crate::stage::{build_byte_stage, validate_region, ArrayStage, ByteStage, ByteStageSpec};
 use crate::traits::{Compressor, CompressorId, ErrorBound};
-use eblcio_data::{ArrayView, Element, NdArray};
+use eblcio_data::{dispatch_dtype, Dataset, DatasetView};
 use eblcio_obs::{Histogram, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -275,47 +272,15 @@ impl CodecChain {
         &self.spec
     }
 
-    fn compress_generic<T: Element>(
-        &self,
-        data: ArrayView<'_, T>,
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>> {
-        crate::codecs::common::validate_input(data)?;
-        // Only a relative bound needs the data's range (a full min/max
-        // pass); the store resolves ε once per array and hands every
-        // chunk an absolute one.
-        let range = match bound {
-            ErrorBound::Relative(_) => data.value_range(),
-            ErrorBound::Absolute(_) => 0.0,
-        };
-        let abs = bound.to_absolute(range)?;
-        let sw = Stopwatch::start();
-        let (mut payload, abs_recorded) = encode_array(self.array.as_ref(), data, abs)?;
-        self.metrics.array.encode_ns.record(sw.elapsed_ns());
-        self.metrics.array.encode_bytes.record(payload.len() as u64);
-        for (s, m) in self.bytes.iter().zip(&self.metrics.bytes) {
-            let sw = Stopwatch::start();
-            payload = s.forward(&payload);
-            m.encode_ns.record(sw.elapsed_ns());
-            m.encode_bytes.record(payload.len() as u64);
-        }
-        let header = Header {
-            chain: self.spec.clone(),
-            dtype: Header::dtype_of::<T>(),
-            shape: data.shape(),
-            abs_bound: abs_recorded,
-        };
-        Ok(write_stream(&header, &payload))
-    }
-
     /// Parses the stream envelope (chain + dtype checks) and hands the
     /// unwound array-stage payload to `f`. Byte stages are inverted
     /// through the thread's reusable scratch buffer, which is taken
     /// *out* of the arena (not held borrowed) because the array stage
     /// inside `f` wants the arena too.
-    fn with_decoded_payload<T: Element, R>(
+    fn with_decoded_payload<R>(
         &self,
         stream: &[u8],
+        dtype: u8,
         f: impl FnOnce(&[u8], &Header) -> Result<R>,
     ) -> Result<R> {
         let (h, payload) = read_stream(stream)?;
@@ -325,7 +290,7 @@ impl CodecChain {
                 got: h.chain.label(),
             });
         }
-        h.expect_dtype::<T>()?;
+        dispatch_dtype!(E = dtype => check_dtype::<E>(h.dtype)).unwrap_or(Err(BAD_DTYPE))?;
         if self.bytes.is_empty() {
             return f(payload, &h);
         }
@@ -355,39 +320,6 @@ impl CodecChain {
         crate::scratch::put_bytes(cur);
         out
     }
-
-    fn decompress_generic<T: Element>(&self, stream: &[u8]) -> Result<NdArray<T>> {
-        self.with_decoded_payload::<T, _>(stream, |bytes, h| {
-            let sw = Stopwatch::start();
-            let out = decode_array(self.array.as_ref(), bytes, h.shape, h.abs_bound);
-            self.metrics.array.decode_ns.record(sw.elapsed_ns());
-            if let Ok(arr) = &out {
-                self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
-            }
-            out
-        })
-    }
-
-    fn decompress_region_generic<T: Element>(
-        &self,
-        stream: &[u8],
-        origin: &[usize],
-        extent: &[usize],
-    ) -> Result<Option<NdArray<T>>> {
-        if !self.array.supports_partial_decode() {
-            return Ok(None);
-        }
-        self.with_decoded_payload::<T, _>(stream, |bytes, h| {
-            let sw = Stopwatch::start();
-            let out =
-                decode_array_region(self.array.as_ref(), bytes, h.shape, h.abs_bound, origin, extent);
-            self.metrics.array.decode_ns.record(sw.elapsed_ns());
-            if let Ok(Some(arr)) = &out {
-                self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
-            }
-            out
-        })
-    }
 }
 
 impl std::fmt::Debug for CodecChain {
@@ -400,33 +332,69 @@ impl Compressor for CodecChain {
     fn spec(&self) -> ChainSpec {
         self.spec.clone()
     }
-    fn compress_f32_view(&self, data: ArrayView<'_, f32>, bound: ErrorBound) -> Result<Vec<u8>> {
-        self.compress_generic(data, bound)
+
+    fn compress_view(&self, data: DatasetView<'_>, bound: ErrorBound) -> Result<Vec<u8>> {
+        dispatch_dtype!(DatasetView(v) = data => crate::codecs::common::validate_input(v))?;
+        // Only a relative bound needs the data's range (a full min/max
+        // pass); the store resolves ε once per array and hands every
+        // chunk an absolute one.
+        let range = match bound {
+            ErrorBound::Relative(_) => data.value_range(),
+            ErrorBound::Absolute(_) => 0.0,
+        };
+        let abs = bound.to_absolute(range)?;
+        let sw = Stopwatch::start();
+        let (mut payload, abs_recorded) = self.array.encode(data, abs)?;
+        self.metrics.array.encode_ns.record(sw.elapsed_ns());
+        self.metrics.array.encode_bytes.record(payload.len() as u64);
+        for (s, m) in self.bytes.iter().zip(&self.metrics.bytes) {
+            let sw = Stopwatch::start();
+            payload = s.forward(&payload);
+            m.encode_ns.record(sw.elapsed_ns());
+            m.encode_bytes.record(payload.len() as u64);
+        }
+        let header = Header {
+            chain: self.spec.clone(),
+            dtype: data.dtype(),
+            shape: data.shape(),
+            abs_bound: abs_recorded,
+        };
+        Ok(write_stream(&header, &payload))
     }
-    fn compress_f64_view(&self, data: ArrayView<'_, f64>, bound: ErrorBound) -> Result<Vec<u8>> {
-        self.compress_generic(data, bound)
+
+    fn decompress(&self, stream: &[u8], dtype: u8) -> Result<Dataset> {
+        self.with_decoded_payload(stream, dtype, |bytes, h| {
+            let sw = Stopwatch::start();
+            let out = self.array.decode(bytes, h.dtype, h.shape, h.abs_bound);
+            self.metrics.array.decode_ns.record(sw.elapsed_ns());
+            if let Ok(arr) = &out {
+                self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
+            }
+            out
+        })
     }
-    fn decompress_f32(&self, stream: &[u8]) -> Result<NdArray<f32>> {
-        self.decompress_generic(stream)
-    }
-    fn decompress_f64(&self, stream: &[u8]) -> Result<NdArray<f64>> {
-        self.decompress_generic(stream)
-    }
-    fn decompress_f32_region(
+
+    fn decompress_region(
         &self,
         stream: &[u8],
+        dtype: u8,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<f32>>> {
-        self.decompress_region_generic(stream, origin, extent)
-    }
-    fn decompress_f64_region(
-        &self,
-        stream: &[u8],
-        origin: &[usize],
-        extent: &[usize],
-    ) -> Result<Option<NdArray<f64>>> {
-        self.decompress_region_generic(stream, origin, extent)
+    ) -> Result<Option<Dataset>> {
+        if !self.array.supports_partial_decode() {
+            return Ok(None);
+        }
+        self.with_decoded_payload(stream, dtype, |bytes, h| {
+            validate_region(h.shape, origin, extent)?;
+            let sw = Stopwatch::start();
+            let out =
+                self.array.decode_region(bytes, h.dtype, h.shape, h.abs_bound, origin, extent);
+            self.metrics.array.decode_ns.record(sw.elapsed_ns());
+            if let Ok(Some(arr)) = &out {
+                self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
+            }
+            out
+        })
     }
 }
 
@@ -500,6 +468,7 @@ impl CodecRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{compress, decompress, decompress_region};
     use eblcio_data::{max_rel_error, NdArray, Shape};
 
     fn field() -> NdArray<f32> {
@@ -587,10 +556,8 @@ mod tests {
             "qoz+shuffle4+lz",
         ] {
             let chain = ChainSpec::parse(s).unwrap().build().unwrap();
-            let stream = chain
-                .compress_f32(&data, ErrorBound::Relative(1e-3))
-                .unwrap();
-            let back = chain.decompress_f32(&stream).unwrap();
+            let stream = compress(&chain, &data, ErrorBound::Relative(1e-3)).unwrap();
+            let back = decompress::<f32>(&chain, &stream).unwrap();
             assert!(
                 max_rel_error(&data, &back) <= 1e-3 * 1.0000001,
                 "{s}: bound broken"
@@ -603,8 +570,8 @@ mod tests {
         let data = field();
         let sz3 = ChainSpec::preset(CompressorId::Sz3).build().unwrap();
         let custom = ChainSpec::parse("sz3+shuffle4+lz").unwrap().build().unwrap();
-        let stream = sz3.compress_f32(&data, ErrorBound::Relative(1e-2)).unwrap();
-        match custom.decompress_f32(&stream) {
+        let stream = compress(&sz3, &data, ErrorBound::Relative(1e-2)).unwrap();
+        match decompress::<f32>(&custom, &stream) {
             Err(CodecError::ChainMismatch { expected, got }) => {
                 assert_eq!(expected, "sz3+shuffle4+lz");
                 assert_eq!(got, "SZ3");
@@ -625,10 +592,8 @@ mod tests {
         // Streams from the override decode through the default build:
         // the stage parameterization is self-describing.
         let data = field();
-        let stream = linear
-            .compress_f32(&data, ErrorBound::Relative(1e-3))
-            .unwrap();
-        let back = spec.build().unwrap().decompress_f32(&stream).unwrap();
+        let stream = compress(&linear, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let back = decompress::<f32>(&spec.build().unwrap(), &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-3 * 1.0000001);
     }
 
@@ -638,11 +603,9 @@ mod tests {
         // SZx behind an LZ stage: the byte stage is fully inverted, then
         // the array stage decodes only the requested region.
         let chain = ChainSpec::parse("szx+lz").unwrap().build().unwrap();
-        let stream = chain.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        let full = chain.decompress_f32(&stream).unwrap();
-        let part = chain
-            .decompress_f32_region(&stream, &[10, 5], &[7, 11])
-            .unwrap()
+        let stream = compress(&chain, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let full = decompress::<f32>(&chain, &stream).unwrap();
+        let part = decompress_region::<f32>(&chain, &stream, &[10, 5], &[7, 11]).unwrap()
             .expect("szx+lz supports partial decode");
         for i in 0..7 {
             for j in 0..11 {
@@ -655,10 +618,8 @@ mod tests {
         // Interpolation codecs have no partial path: callers get None
         // and fall back to the whole-chunk decode.
         let sz3 = ChainSpec::preset(CompressorId::Sz3).build().unwrap();
-        let stream = sz3.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(sz3
-            .decompress_f32_region(&stream, &[10, 5], &[7, 11])
-            .unwrap()
+        let stream = compress(&sz3, &data, ErrorBound::Relative(1e-3)).unwrap();
+        assert!(decompress_region::<f32>(&sz3, &stream, &[10, 5], &[7, 11]).unwrap()
             .is_none());
     }
 
@@ -674,8 +635,8 @@ mod tests {
             .iter()
             .map(|s| g.histogram(&format!("eblcio_codec_{s}_decode_ns")).count())
             .collect();
-        let stream = chain.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        chain.decompress_f32(&stream).unwrap();
+        let stream = compress(&chain, &data, ErrorBound::Relative(1e-3)).unwrap();
+        decompress::<f32>(&chain, &stream).unwrap();
         for (i, s) in ["sz3", "shuffle4", "lz"].iter().enumerate() {
             assert!(
                 g.histogram(&format!("eblcio_codec_{s}_encode_ns")).count() >= 1,
@@ -697,16 +658,9 @@ mod tests {
         v[0] = 1e30;
         let data = NdArray::from_vec(Shape::d2(64, 64), v);
         let bound = ErrorBound::Absolute(1e-25);
-        let plain = ChainSpec::preset(CompressorId::Szx)
-            .build()
-            .unwrap()
-            .compress_f32(&data, bound)
+        let plain = compress(&ChainSpec::preset(CompressorId::Szx).build().unwrap(), &data, bound)
             .unwrap();
-        let chained = ChainSpec::parse("szx+lz")
-            .unwrap()
-            .build()
-            .unwrap()
-            .compress_f32(&data, bound)
+        let chained = compress(&ChainSpec::parse("szx+lz").unwrap().build().unwrap(), &data, bound)
             .unwrap();
         assert!(
             chained.len() * 4 < plain.len(),

@@ -10,154 +10,62 @@ pub mod szx;
 pub mod zfp;
 
 /// Implements [`crate::stage::ArrayStage`] by delegating to a codec's
-/// generic `encode_impl`/`decode_impl` inherent methods, and
-/// [`crate::traits::Compressor`] by wrapping the stage in its preset
-/// chain ([`crate::chain::CodecChain::around`]) — so `Sz3::default()`
-/// still compresses/decompresses exactly like the pre-chain monolith,
-/// with the stage parameterization (block dims, cubic flag, …) of the
-/// receiver.
+/// generic `encode_impl`/`decode_impl` inherent methods — with the
+/// `region` token, also `decode_region_impl` — recovering the element
+/// type from the erased view or the dtype tag.
 macro_rules! impl_stage_codec {
-    ($ty:ty, $id:expr) => {
-        impl_stage_codec!(@imp $ty, $id, {});
-    };
-    // With the `region` token the stage additionally wires its inherent
-    // `decode_region_impl` into the partial-decode trait methods.
-    ($ty:ty, $id:expr, region) => {
-        impl_stage_codec!(@imp $ty, $id, {
-            fn supports_partial_decode(&self) -> bool {
-                true
-            }
-            fn decode_f32_region(
-                &self,
-                bytes: &[u8],
-                shape: eblcio_data::Shape,
-                abs: f64,
-                origin: &[usize],
-                extent: &[usize],
-            ) -> $crate::error::Result<Option<eblcio_data::NdArray<f32>>> {
-                self.decode_region_impl(bytes, shape, abs, origin, extent)
-            }
-            fn decode_f64_region(
-                &self,
-                bytes: &[u8],
-                shape: eblcio_data::Shape,
-                abs: f64,
-                origin: &[usize],
-                extent: &[usize],
-            ) -> $crate::error::Result<Option<eblcio_data::NdArray<f64>>> {
-                self.decode_region_impl(bytes, shape, abs, origin, extent)
-            }
-        });
-    };
-    (@imp $ty:ty, $id:expr, {$($region_fns:item)*}) => {
+    ($ty:ty, $id:expr $(, $region:ident)?) => {
         impl $crate::stage::ArrayStage for $ty {
-            $($region_fns)*
-            fn id(&self) -> $crate::traits::CompressorId {
-                $id
-            }
-            fn encode_f32(
+            fn id(&self) -> $crate::traits::CompressorId { $id }
+            fn encode(
                 &self,
-                data: eblcio_data::ArrayView<'_, f32>,
+                data: eblcio_data::DatasetView<'_>,
                 abs: f64,
             ) -> $crate::error::Result<(Vec<u8>, f64)> {
-                self.encode_impl(data, abs)
+                eblcio_data::dispatch_dtype!(eblcio_data::DatasetView(v) = data =>
+                    self.encode_impl(v, abs))
             }
-            fn encode_f64(
-                &self,
-                data: eblcio_data::ArrayView<'_, f64>,
-                abs: f64,
-            ) -> $crate::error::Result<(Vec<u8>, f64)> {
-                self.encode_impl(data, abs)
-            }
-            fn decode_f32(
+            fn decode(
                 &self,
                 bytes: &[u8],
+                dtype: u8,
                 shape: eblcio_data::Shape,
                 abs: f64,
-            ) -> $crate::error::Result<eblcio_data::NdArray<f32>> {
-                self.decode_impl(bytes, shape, abs)
+            ) -> $crate::error::Result<eblcio_data::Dataset> {
+                eblcio_data::dispatch_dtype!(E = dtype =>
+                    self.decode_impl::<E>(bytes, shape, abs).map(Into::into))
+                .unwrap_or(Err($crate::header::BAD_DTYPE))
             }
-            fn decode_f64(
-                &self,
-                bytes: &[u8],
-                shape: eblcio_data::Shape,
-                abs: f64,
-            ) -> $crate::error::Result<eblcio_data::NdArray<f64>> {
-                self.decode_impl(bytes, shape, abs)
-            }
+            $(impl_stage_codec!(@$region);)?
         }
-
-        impl $crate::traits::Compressor for $ty {
-            fn spec(&self) -> $crate::chain::ChainSpec {
-                $crate::chain::ChainSpec::preset($id)
-            }
-            fn compress_f32_view(
-                &self,
-                data: eblcio_data::ArrayView<'_, f32>,
-                bound: $crate::traits::ErrorBound,
-            ) -> $crate::error::Result<Vec<u8>> {
-                $crate::traits::Compressor::compress_f32_view(
-                    &$crate::chain::CodecChain::around(Box::new(self.clone())),
-                    data,
-                    bound,
-                )
-            }
-            fn compress_f64_view(
-                &self,
-                data: eblcio_data::ArrayView<'_, f64>,
-                bound: $crate::traits::ErrorBound,
-            ) -> $crate::error::Result<Vec<u8>> {
-                $crate::traits::Compressor::compress_f64_view(
-                    &$crate::chain::CodecChain::around(Box::new(self.clone())),
-                    data,
-                    bound,
-                )
-            }
-            fn decompress_f32(
-                &self,
-                stream: &[u8],
-            ) -> $crate::error::Result<eblcio_data::NdArray<f32>> {
-                $crate::traits::Compressor::decompress_f32(
-                    &$crate::chain::CodecChain::around(Box::new(self.clone())),
-                    stream,
-                )
-            }
-            fn decompress_f64(
-                &self,
-                stream: &[u8],
-            ) -> $crate::error::Result<eblcio_data::NdArray<f64>> {
-                $crate::traits::Compressor::decompress_f64(
-                    &$crate::chain::CodecChain::around(Box::new(self.clone())),
-                    stream,
-                )
-            }
-            fn decompress_f32_region(
-                &self,
-                stream: &[u8],
-                origin: &[usize],
-                extent: &[usize],
-            ) -> $crate::error::Result<Option<eblcio_data::NdArray<f32>>> {
-                $crate::traits::Compressor::decompress_f32_region(
-                    &$crate::chain::CodecChain::around(Box::new(self.clone())),
-                    stream,
-                    origin,
-                    extent,
-                )
-            }
-            fn decompress_f64_region(
-                &self,
-                stream: &[u8],
-                origin: &[usize],
-                extent: &[usize],
-            ) -> $crate::error::Result<Option<eblcio_data::NdArray<f64>>> {
-                $crate::traits::Compressor::decompress_f64_region(
-                    &$crate::chain::CodecChain::around(Box::new(self.clone())),
-                    stream,
-                    origin,
-                    extent,
-                )
-            }
+    };
+    (@region) => {
+        fn supports_partial_decode(&self) -> bool { true }
+        fn decode_region(
+            &self,
+            bytes: &[u8],
+            dtype: u8,
+            shape: eblcio_data::Shape,
+            abs: f64,
+            origin: &[usize],
+            extent: &[usize],
+        ) -> $crate::error::Result<Option<eblcio_data::Dataset>> {
+            eblcio_data::dispatch_dtype!(E = dtype =>
+                self.decode_region_impl::<E>(bytes, shape, abs, origin, extent)
+                    .map(|part| part.map(Into::into)))
+            .unwrap_or(Err($crate::header::BAD_DTYPE))
         }
     };
 }
 pub(crate) use impl_stage_codec;
+
+/// A stage instance inside its preset chain, for unit tests that drive
+/// a (possibly parameterized) stage through the [`Compressor`] surface.
+///
+/// [`Compressor`]: crate::traits::Compressor
+#[cfg(test)]
+pub(crate) fn chain_around(
+    stage: impl crate::stage::ArrayStage + 'static,
+) -> crate::chain::CodecChain {
+    crate::chain::CodecChain::around(Box::new(stage))
+}

@@ -179,7 +179,8 @@ impl_stage_codec!(Qoz, CompressorId::Qoz);
 mod tests {
     use super::*;
     use crate::codecs::sz3::Sz3;
-    use crate::traits::{Compressor, ErrorBound};
+    use crate::codecs::chain_around;
+    use crate::traits::{compress, decompress, ErrorBound};
     use eblcio_data::{max_rel_error, psnr};
 
     fn field(n: usize) -> NdArray<f32> {
@@ -194,10 +195,10 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = field(20);
-        let c = Qoz::default();
+        let c = chain_around(Qoz::default());
         for eps in [1e-1, 1e-3, 1e-5] {
-            let stream = c.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-            let back = c.decompress_f32(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
+            let back = decompress::<f32>(&c, &stream).unwrap();
             assert!(max_rel_error(&data, &back) <= eps * 1.0000001);
         }
     }
@@ -206,13 +207,13 @@ mod tests {
     fn higher_psnr_than_sz3_at_same_bound() {
         // QoZ's defining quality behaviour (paper Fig. 9 outlier).
         let data = field(24);
-        let qoz = Qoz::default();
-        let sz3 = Sz3::default();
+        let qoz = chain_around(Qoz::default());
+        let sz3 = chain_around(Sz3::default());
         let eps = 1e-2;
-        let qs = qoz.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-        let ss = sz3.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-        let qp = psnr(&data, &qoz.decompress_f32(&qs).unwrap());
-        let sp = psnr(&data, &sz3.decompress_f32(&ss).unwrap());
+        let qs = compress(&qoz, &data, ErrorBound::Relative(eps)).unwrap();
+        let ss = compress(&sz3, &data, ErrorBound::Relative(eps)).unwrap();
+        let qp = psnr(&data, &decompress::<f32>(&qoz, &qs).unwrap());
+        let sp = psnr(&data, &decompress::<f32>(&sz3, &ss).unwrap());
         assert!(qp > sp, "QoZ {qp} dB vs SZ3 {sp} dB");
         // ...bought with a comparable-or-larger stream (tightening only
         // touches the sparse coarse levels, so the cost is small).
@@ -222,9 +223,9 @@ mod tests {
     #[test]
     fn psnr_target_mode_meets_target() {
         let data = field(16);
-        let c = Qoz::with_target_psnr(70.0);
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-1)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Qoz::with_target_psnr(70.0));
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         assert!(psnr(&data, &back) >= 70.0);
     }
 
@@ -242,12 +243,12 @@ mod tests {
     #[test]
     fn invalid_params_rejected() {
         let data = field(8);
-        let c = Qoz {
+        let c = chain_around(Qoz {
             alpha: 0.5,
             beta: 4.0,
             ..Qoz::default()
-        };
-        assert!(c.compress_f32(&data, ErrorBound::Relative(1e-3)).is_err());
+        });
+        assert!(compress(&c, &data, ErrorBound::Relative(1e-3)).is_err());
     }
 
     #[test]
@@ -255,9 +256,9 @@ mod tests {
         let data = NdArray::<f64>::from_fn(Shape::d2(30, 30), |i| {
             (i[0] as f64 * 0.2).sin() + (i[1] as f64 * 0.1).cos()
         });
-        let c = Qoz::default();
-        let stream = c.compress_f64(&data, ErrorBound::Relative(1e-4)).unwrap();
-        let back = c.decompress_f64(&stream).unwrap();
+        let c = chain_around(Qoz::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
+        let back = decompress::<f64>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
     }
 }

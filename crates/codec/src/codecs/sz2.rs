@@ -18,7 +18,7 @@ use crate::predict::{fit_affine, lorenzo, AffineCoef, LorenzoStencil};
 use crate::quantizer::LinearQuantizer;
 use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
-use eblcio_data::{ArrayView, Element, NdArray, Shape};
+use eblcio_data::{ArrayView, DatasetView, Element, NdArray, Shape};
 
 /// Quantization code radius (SZ default: 2^15 bins each side).
 const RADIUS: u32 = 32768;
@@ -73,9 +73,11 @@ impl Sz2 {
 
         let CodecScratch { codes, recon, raw, block, outliers, huff_enc, .. } = scratch;
         let samples = data.as_slice();
-        let raw: &[f64] = match T::slice_as_f64(samples) {
-            Some(same) => same,
-            None => {
+        // Double-precision input already is the f64 plane; only
+        // single precision is widened into the arena.
+        let raw: &[f64] = match T::erase(data) {
+            DatasetView::F64(same) => same.as_slice(),
+            DatasetView::F32(_) => {
                 raw.clear();
                 raw.extend(samples.iter().map(|v| v.to_f64()));
                 raw
@@ -330,7 +332,8 @@ impl_stage_codec!(Sz2, CompressorId::Sz2);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Compressor, ErrorBound};
+    use crate::codecs::chain_around;
+    use crate::traits::{compress, decompress, ErrorBound};
     use eblcio_data::{max_rel_error, psnr};
 
     fn smooth_2d(n: usize, m: usize) -> NdArray<f32> {
@@ -344,10 +347,10 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound_2d() {
         let data = smooth_2d(50, 60);
-        let c = Sz2::default();
+        let c = chain_around(Sz2::default());
         for eps in [1e-1, 1e-2, 1e-3, 1e-4] {
-            let stream = c.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-            let back = c.decompress_f32(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
+            let back = decompress::<f32>(&c, &stream).unwrap();
             assert_eq!(back.shape(), data.shape());
             assert!(
                 max_rel_error(&data, &back) <= eps * 1.0000001,
@@ -359,7 +362,7 @@ mod tests {
 
     #[test]
     fn roundtrip_1d_3d_4d() {
-        let c = Sz2::default();
+        let c = chain_around(Sz2::default());
         let d1 = NdArray::<f64>::from_fn(Shape::d1(500), |i| (i[0] as f64 * 0.01).sin());
         let d3 = NdArray::<f32>::from_fn(Shape::d3(17, 19, 23), |i| {
             (i[0] + i[1] * 2 + i[2]) as f32
@@ -367,19 +370,19 @@ mod tests {
         let d4 = NdArray::<f64>::from_fn(Shape::d4(5, 6, 7, 8), |i| {
             i.iter().sum::<usize>() as f64 * 0.5
         });
-        let s1 = c.compress_f64(&d1, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(max_rel_error(&d1, &c.decompress_f64(&s1).unwrap()) <= 1e-3 * 1.0000001);
-        let s3 = c.compress_f32(&d3, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(max_rel_error(&d3, &c.decompress_f32(&s3).unwrap()) <= 1e-3 * 1.0000001);
-        let s4 = c.compress_f64(&d4, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(max_rel_error(&d4, &c.decompress_f64(&s4).unwrap()) <= 1e-3 * 1.0000001);
+        let s1 = compress(&c, &d1, ErrorBound::Relative(1e-3)).unwrap();
+        assert!(max_rel_error(&d1, &decompress::<f64>(&c, &s1).unwrap()) <= 1e-3 * 1.0000001);
+        let s3 = compress(&c, &d3, ErrorBound::Relative(1e-3)).unwrap();
+        assert!(max_rel_error(&d3, &decompress::<f32>(&c, &s3).unwrap()) <= 1e-3 * 1.0000001);
+        let s4 = compress(&c, &d4, ErrorBound::Relative(1e-3)).unwrap();
+        assert!(max_rel_error(&d4, &decompress::<f64>(&c, &s4).unwrap()) <= 1e-3 * 1.0000001);
     }
 
     #[test]
     fn smooth_data_compresses_well() {
         let data = smooth_2d(100, 100);
-        let c = Sz2::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-2)).unwrap();
+        let c = chain_around(Sz2::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-2)).unwrap();
         let cr = data.nbytes() as f64 / stream.len() as f64;
         assert!(cr > 4.0, "CR {cr}");
     }
@@ -387,21 +390,21 @@ mod tests {
     #[test]
     fn tighter_bound_larger_stream_higher_psnr() {
         let data = smooth_2d(64, 64);
-        let c = Sz2::default();
-        let loose = c.compress_f32(&data, ErrorBound::Relative(1e-1)).unwrap();
-        let tight = c.compress_f32(&data, ErrorBound::Relative(1e-4)).unwrap();
+        let c = chain_around(Sz2::default());
+        let loose = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
+        let tight = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
         assert!(tight.len() > loose.len());
-        let p_loose = psnr(&data, &c.decompress_f32(&loose).unwrap());
-        let p_tight = psnr(&data, &c.decompress_f32(&tight).unwrap());
+        let p_loose = psnr(&data, &decompress::<f32>(&c, &loose).unwrap());
+        let p_tight = psnr(&data, &decompress::<f32>(&c, &tight).unwrap());
         assert!(p_tight > p_loose + 20.0, "{p_tight} vs {p_loose}");
     }
 
     #[test]
     fn constant_data_is_tiny_and_exact() {
         let data = NdArray::<f32>::from_vec(Shape::d2(32, 32), vec![3.25; 1024]);
-        let c = Sz2::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Sz2::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
         assert!(stream.len() < 200, "stream {}", stream.len());
     }
@@ -410,9 +413,9 @@ mod tests {
     fn nan_input_rejected() {
         let mut data = NdArray::<f32>::zeros(Shape::d1(10));
         data.as_mut_slice()[5] = f32::NAN;
-        let c = Sz2::default();
+        let c = chain_around(Sz2::default());
         assert_eq!(
-            c.compress_f32(&data, ErrorBound::Relative(1e-3)),
+            compress(&c, &data, ErrorBound::Relative(1e-3)),
             Err(CodecError::NonFiniteInput)
         );
     }
@@ -420,18 +423,18 @@ mod tests {
     #[test]
     fn wrong_codec_stream_rejected() {
         let data = smooth_2d(8, 8);
-        let sz3 = crate::codecs::sz3::Sz3::default();
-        let stream = sz3.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(Sz2::default().decompress_f32(&stream).is_err());
+        let sz3 = chain_around(crate::codecs::sz3::Sz3::default());
+        let stream = compress(&sz3, &data, ErrorBound::Relative(1e-3)).unwrap();
+        assert!(decompress::<f32>(&chain_around(Sz2::default()), &stream).is_err());
     }
 
     #[test]
     fn dtype_mismatch_rejected() {
         let data = smooth_2d(8, 8);
-        let c = Sz2::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let c = chain_around(Sz2::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         assert!(matches!(
-            c.decompress_f64(&stream),
+            decompress::<f64>(&c, &stream),
             Err(CodecError::DtypeMismatch { .. })
         ));
     }
@@ -439,19 +442,19 @@ mod tests {
     #[test]
     fn truncated_stream_rejected() {
         let data = smooth_2d(16, 16);
-        let c = Sz2::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let c = chain_around(Sz2::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         for cut in [0, 5, stream.len() / 2, stream.len() - 1] {
-            assert!(c.decompress_f32(&stream[..cut]).is_err(), "cut {cut}");
+            assert!(decompress::<f32>(&c, &stream[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn absolute_bound_honoured() {
         let data = smooth_2d(40, 40);
-        let c = Sz2::default();
-        let stream = c.compress_f32(&data, ErrorBound::Absolute(0.5)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Sz2::default());
+        let stream = compress(&c, &data, ErrorBound::Absolute(0.5)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         let max_err = data
             .as_slice()
             .iter()

@@ -500,7 +500,8 @@ impl_stage_codec!(Sz3, CompressorId::Sz3);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Compressor, ErrorBound};
+    use crate::codecs::chain_around;
+    use crate::traits::{compress, decompress, ErrorBound};
     use eblcio_data::{max_rel_error, psnr};
 
     fn smooth_3d(n: usize) -> NdArray<f32> {
@@ -515,10 +516,10 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = smooth_3d(24);
-        let c = Sz3::default();
+        let c = chain_around(Sz3::default());
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
-            let stream = c.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-            let back = c.decompress_f32(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
+            let back = decompress::<f32>(&c, &stream).unwrap();
             let err = max_rel_error(&data, &back);
             assert!(err <= eps * 1.0000001, "eps {eps}: err {err}");
         }
@@ -526,7 +527,7 @@ mod tests {
 
     #[test]
     fn roundtrip_awkward_shapes() {
-        let c = Sz3::default();
+        let c = chain_around(Sz3::default());
         for shape in [
             Shape::d1(1),
             Shape::d1(3),
@@ -539,8 +540,8 @@ mod tests {
             let data = NdArray::<f64>::from_fn(shape, |i| {
                 (i.iter().sum::<usize>() as f64 * 0.37).sin() * 10.0
             });
-            let stream = c.compress_f64(&data, ErrorBound::Relative(1e-3)).unwrap();
-            let back = c.decompress_f64(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
+            let back = decompress::<f64>(&c, &stream).unwrap();
             assert!(
                 max_rel_error(&data, &back) <= 1e-3 * 1.0000001,
                 "shape {shape}"
@@ -552,12 +553,9 @@ mod tests {
     fn beats_sz2_on_smooth_data_at_loose_bounds() {
         // The paper's Table III behaviour: interpolation wins at loose ε.
         let data = smooth_3d(32);
-        let sz3 = Sz3::default()
-            .compress_f32(&data, ErrorBound::Relative(1e-2))
-            .unwrap();
-        let sz2 = crate::codecs::sz2::Sz2::default()
-            .compress_f32(&data, ErrorBound::Relative(1e-2))
-            .unwrap();
+        let rel = ErrorBound::Relative(1e-2);
+        let sz3 = compress(&chain_around(Sz3::default()), &data, rel).unwrap();
+        let sz2 = compress(&chain_around(crate::codecs::sz2::Sz2::default()), &data, rel).unwrap();
         assert!(
             sz3.len() < sz2.len(),
             "SZ3 {} bytes vs SZ2 {} bytes",
@@ -569,11 +567,11 @@ mod tests {
     #[test]
     fn psnr_scales_with_bound() {
         let data = smooth_3d(20);
-        let c = Sz3::default();
+        let c = chain_around(Sz3::default());
         let mut last_psnr = 0.0;
         for eps in [1e-1, 1e-2, 1e-3] {
-            let stream = c.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-            let p = psnr(&data, &c.decompress_f32(&stream).unwrap());
+            let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
+            let p = psnr(&data, &decompress::<f32>(&c, &stream).unwrap());
             assert!(p > last_psnr, "eps {eps}: {p} vs {last_psnr}");
             last_psnr = p;
         }
@@ -590,18 +588,18 @@ mod tests {
             x ^= x << 17;
             (x % 1000) as f32
         });
-        let c = Sz3::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-4)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Sz3::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
     }
 
     #[test]
     fn single_sample() {
         let data = NdArray::<f32>::from_vec(Shape::d1(1), vec![42.0]);
-        let c = Sz3::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Sz3::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), &[42.0]);
     }
 
@@ -610,33 +608,30 @@ mod tests {
         // The ablation DESIGN.md calls out: cubic stencils buy CR on
         // smooth fields, and the linear variant still honours the bound.
         let data = smooth_3d(24);
-        let cubic = Sz3::default()
-            .compress_f32(&data, ErrorBound::Relative(1e-3))
+        let cubic = compress(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-3))
             .unwrap();
-        let linear_codec = Sz3::linear_only();
-        let linear = linear_codec
-            .compress_f32(&data, ErrorBound::Relative(1e-3))
-            .unwrap();
+        let linear_codec = chain_around(Sz3::linear_only());
+        let linear = compress(&linear_codec, &data, ErrorBound::Relative(1e-3)).unwrap();
         assert!(
             cubic.len() < linear.len(),
             "cubic {} vs linear {}",
             cubic.len(),
             linear.len()
         );
-        let back = linear_codec.decompress_f32(&linear).unwrap();
+        let back = decompress::<f32>(&linear_codec, &linear).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-3 * 1.0000001);
         // Streams are self-describing: the default decoder handles both.
-        let back2 = Sz3::default().decompress_f32(&linear).unwrap();
+        let back2 = decompress::<f32>(&chain_around(Sz3::default()), &linear).unwrap();
         assert_eq!(back.as_slice(), back2.as_slice());
     }
 
     #[test]
     fn corrupted_payload_detected() {
         let data = smooth_3d(8);
-        let c = Sz3::default();
-        let mut stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let c = chain_around(Sz3::default());
+        let mut stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let n = stream.len();
         stream[n - 1] ^= 0xff;
-        assert!(c.decompress_f32(&stream).is_err());
+        assert!(decompress::<f32>(&c, &stream).is_err());
     }
 }

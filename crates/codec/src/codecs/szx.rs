@@ -285,7 +285,8 @@ impl_stage_codec!(Szx, CompressorId::Szx, region);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Compressor, ErrorBound};
+    use crate::codecs::chain_around;
+    use crate::traits::{compress, decompress, decompress_region, ErrorBound};
     use eblcio_data::max_rel_error;
 
     fn wavy(n: usize) -> NdArray<f32> {
@@ -295,10 +296,10 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = wavy(10_000);
-        let c = Szx;
+        let c = chain_around(Szx);
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
-            let stream = c.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-            let back = c.decompress_f32(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
+            let back = decompress::<f32>(&c, &stream).unwrap();
             assert!(max_rel_error(&data, &back) <= eps * 1.0000001, "eps {eps}");
         }
     }
@@ -306,19 +307,19 @@ mod tests {
     #[test]
     fn constant_blocks_collapse() {
         let data = NdArray::<f32>::from_vec(Shape::d1(4096), vec![7.5; 4096]);
-        let c = Szx;
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         // 32 blocks × (1 + 4) bytes + framing.
         assert!(stream.len() < 300, "{} bytes", stream.len());
-        assert_eq!(c.decompress_f32(&stream).unwrap().as_slice(), data.as_slice());
+        assert_eq!(decompress::<f32>(&c, &stream).unwrap().as_slice(), data.as_slice());
     }
 
     #[test]
     fn cr_is_moderate_but_nonzero_on_smooth_data() {
         // SZx's signature: modest CR even where SZ3 gets huge ratios.
         let data = wavy(100_000);
-        let c = Szx;
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let cr = data.nbytes() as f64 / stream.len() as f64;
         assert!(cr > 2.0 && cr < 64.0, "CR {cr}");
     }
@@ -326,18 +327,18 @@ mod tests {
     #[test]
     fn faster_looser_bounds_give_smaller_streams() {
         let data = wavy(50_000);
-        let c = Szx;
-        let loose = c.compress_f32(&data, ErrorBound::Relative(1e-1)).unwrap();
-        let tight = c.compress_f32(&data, ErrorBound::Relative(1e-5)).unwrap();
+        let c = chain_around(Szx);
+        let loose = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
+        let tight = compress(&c, &data, ErrorBound::Relative(1e-5)).unwrap();
         assert!(loose.len() < tight.len());
     }
 
     #[test]
     fn partial_final_block() {
         let data = wavy(BLOCK + 17);
-        let c = Szx;
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.len(), data.len());
         assert!(max_rel_error(&data, &back) <= 1e-3 * 1.0000001);
     }
@@ -347,9 +348,9 @@ mod tests {
         let data = NdArray::<f64>::from_fn(Shape::d2(100, 100), |i| {
             (i[0] as f64).mul_add(1e-3, (i[1] as f64) * 2e-3).exp()
         });
-        let c = Szx;
-        let stream = c.compress_f64(&data, ErrorBound::Relative(1e-4)).unwrap();
-        let back = c.decompress_f64(&stream).unwrap();
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
+        let back = decompress::<f64>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
     }
 
@@ -360,21 +361,19 @@ mod tests {
         v[0] = 1e300;
         v[255] = -1e300;
         let data = NdArray::from_vec(Shape::d1(256), v);
-        let c = Szx;
-        let stream = c
-            .compress_f64(&data, ErrorBound::Absolute(1e-280))
-            .unwrap();
-        let back = c.decompress_f64(&stream).unwrap();
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Absolute(1e-280)).unwrap();
+        let back = decompress::<f64>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
     }
 
     #[test]
     fn truncation_detected() {
         let data = wavy(1000);
-        let c = Szx;
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         for cut in [10, stream.len() / 2, stream.len() - 1] {
-            assert!(c.decompress_f32(&stream[..cut]).is_err());
+            assert!(decompress::<f32>(&c, &stream[..cut]).is_err());
         }
     }
 
@@ -392,9 +391,9 @@ mod tests {
                 ((flat as f64) * 0.01).sin() * 50.0
             }
         });
-        let c = Szx;
-        let stream = c.compress_f64(&data, ErrorBound::Absolute(1e-3)).unwrap();
-        let full = c.decompress_f64(&stream).unwrap();
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Absolute(1e-3)).unwrap();
+        let full = decompress::<f64>(&c, &stream).unwrap();
         for (origin, extent) in [
             ([0, 0], [48, 40]),
             ([5, 7], [9, 13]),
@@ -402,9 +401,7 @@ mod tests {
             ([47, 39], [1, 1]),
             ([10, 0], [2, 40]),
         ] {
-            let part = c
-                .decompress_f64_region(&stream, &origin, &extent)
-                .unwrap()
+            let part = decompress_region::<f64>(&c, &stream, &origin, &extent).unwrap()
                 .expect("szx supports partial decode");
             assert_eq!(part.shape(), Shape::d2(extent[0], extent[1]));
             for i in 0..extent[0] {
@@ -420,11 +417,11 @@ mod tests {
     #[test]
     fn region_decode_rejects_bad_regions() {
         let data = wavy(500);
-        let c = Szx;
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(c.decompress_f32_region(&stream, &[0, 0], &[1, 1]).is_err());
-        assert!(c.decompress_f32_region(&stream, &[0], &[501]).is_err());
-        assert!(c.decompress_f32_region(&stream, &[500], &[1]).is_err());
-        assert!(c.decompress_f32_region(&stream, &[0], &[0]).is_err());
+        let c = chain_around(Szx);
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
+        assert!(decompress_region::<f32>(&c, &stream, &[0, 0], &[1, 1]).is_err());
+        assert!(decompress_region::<f32>(&c, &stream, &[0], &[501]).is_err());
+        assert!(decompress_region::<f32>(&c, &stream, &[500], &[1]).is_err());
+        assert!(decompress_region::<f32>(&c, &stream, &[0], &[0]).is_err());
     }
 }

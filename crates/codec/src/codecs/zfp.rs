@@ -523,7 +523,8 @@ impl_stage_codec!(Zfp, CompressorId::Zfp, region);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Compressor, ErrorBound};
+    use crate::codecs::chain_around;
+    use crate::traits::{compress, decompress, decompress_region, ErrorBound};
     use eblcio_data::{max_rel_error, Shape};
 
     fn smooth(n: usize) -> NdArray<f32> {
@@ -538,10 +539,10 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = smooth(16);
-        let c = Zfp::default();
+        let c = chain_around(Zfp::default());
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
-            let stream = c.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-            let back = c.decompress_f32(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
+            let back = decompress::<f32>(&c, &stream).unwrap();
             let err = max_rel_error(&data, &back);
             assert!(err <= eps * 1.0000001, "eps {eps}: err {err}");
         }
@@ -549,7 +550,7 @@ mod tests {
 
     #[test]
     fn roundtrip_odd_shapes_all_ranks() {
-        let c = Zfp::default();
+        let c = chain_around(Zfp::default());
         for shape in [
             Shape::d1(1),
             Shape::d1(5),
@@ -562,8 +563,8 @@ mod tests {
             let data = NdArray::<f64>::from_fn(shape, |i| {
                 (i.iter().sum::<usize>() as f64 * 0.31).cos() * 12.0
             });
-            let stream = c.compress_f64(&data, ErrorBound::Relative(1e-3)).unwrap();
-            let back = c.decompress_f64(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
+            let back = decompress::<f64>(&c, &stream).unwrap();
             assert!(
                 max_rel_error(&data, &back) <= 1e-3 * 1.0000001,
                 "shape {shape}"
@@ -574,9 +575,9 @@ mod tests {
     #[test]
     fn zero_field_is_tiny() {
         let data = NdArray::<f32>::zeros(Shape::d3(16, 16, 16));
-        let c = Zfp::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Zfp::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
         // 64 blocks × 2 mode bits ⇒ well under 200 bytes with framing.
         assert!(stream.len() < 200, "{} bytes", stream.len());
@@ -585,8 +586,8 @@ mod tests {
     #[test]
     fn compresses_smooth_data() {
         let data = smooth(16);
-        let c = Zfp::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-2)).unwrap();
+        let c = chain_around(Zfp::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-2)).unwrap();
         let cr = data.nbytes() as f64 / stream.len() as f64;
         assert!(cr > 3.0, "CR {cr}");
     }
@@ -594,12 +595,10 @@ mod tests {
     #[test]
     fn cr_grows_with_looser_bounds() {
         let data = smooth(16);
-        let c = Zfp::default();
+        let c = chain_around(Zfp::default());
         let mut last = usize::MAX;
         for eps in [1e-5, 1e-3, 1e-1] {
-            let len = c
-                .compress_f32(&data, ErrorBound::Relative(eps))
-                .unwrap()
+            let len = compress(&c, &data, ErrorBound::Relative(eps)).unwrap()
                 .len();
             assert!(len <= last, "eps {eps}");
             last = len;
@@ -617,9 +616,9 @@ mod tests {
                 1e6 * (i[1] as f64 + 1.0)
             }
         });
-        let c = Zfp::default();
-        let stream = c.compress_f64(&data, ErrorBound::Relative(1e-4)).unwrap();
-        let back = c.decompress_f64(&stream).unwrap();
+        let c = chain_around(Zfp::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
+        let back = decompress::<f64>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
     }
 
@@ -628,19 +627,19 @@ mod tests {
         let data = NdArray::<f32>::from_fn(Shape::d2(12, 12), |i| {
             -50.0 + (i[0] as f32) * 7.0 - (i[1] as f32) * 3.0
         });
-        let c = Zfp::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-4)).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Zfp::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
     }
 
     #[test]
     fn truncation_detected() {
         let data = smooth(8);
-        let c = Zfp::default();
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let c = chain_around(Zfp::default());
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         for cut in [6, 12, stream.len() - 1] {
-            assert!(c.decompress_f32(&stream[..cut.min(stream.len())]).is_err());
+            assert!(decompress::<f32>(&c, &stream[..cut.min(stream.len())]).is_err());
         }
     }
 
@@ -651,10 +650,10 @@ mod tests {
         let mut last_psnr = 0.0;
         let mut last_len = 0usize;
         for planes in [8u32, 16, 28, 40] {
-            let c = Zfp::with_fixed_precision(planes);
+            let c = chain_around(Zfp::with_fixed_precision(planes));
             // The bound argument is ignored for quality in this mode.
-            let stream = c.compress_f32(&data, ErrorBound::Relative(1e-1)).unwrap();
-            let back = c.decompress_f32(&stream).unwrap();
+            let stream = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
+            let back = decompress::<f32>(&c, &stream).unwrap();
             let p = psnr(&data, &back);
             assert!(p > last_psnr, "planes {planes}: {p} vs {last_psnr}");
             assert!(stream.len() > last_len, "planes {planes}");
@@ -666,10 +665,10 @@ mod tests {
     #[test]
     fn fixed_precision_header_records_achieved_error() {
         let data = smooth(8);
-        let c = Zfp::with_fixed_precision(20);
-        let stream = c.compress_f32(&data, ErrorBound::Relative(1e-1)).unwrap();
+        let c = chain_around(Zfp::with_fixed_precision(20));
+        let stream = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
         let (h, _) = crate::header::read_stream(&stream).unwrap();
-        let back = c.decompress_f32(&stream).unwrap();
+        let back = decompress::<f32>(&c, &stream).unwrap();
         let actual = data
             .as_slice()
             .iter()
@@ -692,9 +691,9 @@ mod tests {
                 ((i[0] as f32) * 0.3).sin() + ((i[1] as f32) * 0.2).cos() * (i[2] as f32)
             }
         });
-        let c = Zfp::default();
-        let stream = c.compress_f32(&data, ErrorBound::Absolute(1e-2)).unwrap();
-        let full = c.decompress_f32(&stream).unwrap();
+        let c = chain_around(Zfp::default());
+        let stream = compress(&c, &data, ErrorBound::Absolute(1e-2)).unwrap();
+        let full = decompress::<f32>(&c, &stream).unwrap();
         for (origin, extent) in [
             ([0, 0, 0], [13, 10, 9]),
             ([3, 2, 1], [6, 5, 7]),
@@ -702,9 +701,7 @@ mod tests {
             ([0, 0, 0], [4, 4, 4]),
             ([7, 6, 5], [6, 4, 4]),
         ] {
-            let part = c
-                .decompress_f32_region(&stream, &origin, &extent)
-                .unwrap()
+            let part = decompress_region::<f32>(&c, &stream, &origin, &extent).unwrap()
                 .expect("zfp supports partial decode");
             assert_eq!(part.shape(), Shape::new(&extent));
             for a in 0..extent[0] {
@@ -728,10 +725,10 @@ mod tests {
     fn fixed_precision_decoder_is_mode_agnostic() {
         // Streams decode correctly regardless of the decoder's mode.
         let data = smooth(8);
-        let enc = Zfp::with_fixed_precision(24);
-        let stream = enc.compress_f32(&data, ErrorBound::Relative(1e-1)).unwrap();
-        let a = enc.decompress_f32(&stream).unwrap();
-        let b = Zfp::default().decompress_f32(&stream).unwrap();
+        let enc = chain_around(Zfp::with_fixed_precision(24));
+        let stream = compress(&enc, &data, ErrorBound::Relative(1e-1)).unwrap();
+        let a = decompress::<f32>(&enc, &stream).unwrap();
+        let b = decompress::<f32>(&chain_around(Zfp::default()), &stream).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
     }
 }

@@ -20,7 +20,7 @@ use crate::error::{CodecError, Result};
 use crate::framing;
 use crate::traits::CompressorId;
 use crate::util::{crc32, put_varint, ByteReader};
-use eblcio_data::{Element, Shape};
+use eblcio_data::{dispatch_dtype, Dataset, Element, NdArray, Shape};
 
 /// Container magic bytes.
 pub const MAGIC: &[u8; 4] = b"EBLC";
@@ -45,29 +45,40 @@ pub struct Header {
 }
 
 impl Header {
-    /// Dtype tag for an element type.
-    pub fn dtype_of<T: Element>() -> u8 {
-        // Element is sealed to f32 (4 bytes) and f64 (8 bytes).
-        if T::BYTES == 8 { 1 } else { 0 }
-    }
-
-    /// Checks that the stream's dtype matches `T`.
-    pub fn expect_dtype<T: Element>(&self) -> Result<()> {
-        if self.dtype == Self::dtype_of::<T>() {
-            Ok(())
-        } else {
-            Err(CodecError::DtypeMismatch {
-                expected: if self.dtype == 0 { "f32" } else { "f64" },
-                got: T::NAME,
-            })
-        }
-    }
-
     /// The paper codec this stream came from, when its chain is one of
     /// the five presets.
     pub fn codec_id(&self) -> Option<CompressorId> {
         self.chain.preset_id()
     }
+}
+
+/// What a container dtype tag that names no element type decodes to.
+pub(crate) const BAD_DTYPE: CodecError = CodecError::Corrupt { context: "dtype tag" };
+
+/// The one check of a container's dtype tag against the element type a
+/// caller asked for — `EBLC`/`EBLP` streams, stores, store writers and
+/// readers all come here. A tag naming a known type other than `T` is a
+/// [`CodecError::DtypeMismatch`]; a tag naming no type at all is
+/// container corruption, reported as such rather than as a mismatch
+/// against a dtype nobody stored.
+pub fn check_dtype<T: Element>(tag: u8) -> Result<()> {
+    match dispatch_dtype!(E = tag => E::NAME) {
+        None => Err(BAD_DTYPE),
+        Some(_) if tag == T::DTYPE => Ok(()),
+        Some(expected) => Err(CodecError::DtypeMismatch { expected, got: T::NAME }),
+    }
+}
+
+/// Un-erases what an object-safe decode returned into the `NdArray<T>`
+/// the generic caller asked for (a move, never a copy).
+pub(crate) fn typed<T: Element>(data: Dataset) -> Result<NdArray<T>> {
+    fn name<E: Element>(_: &NdArray<E>) -> &'static str {
+        E::NAME
+    }
+    T::unerase(data).map_err(|other| CodecError::DtypeMismatch {
+        expected: dispatch_dtype!(Dataset(a) = &other => name(a)),
+        got: T::NAME,
+    })
 }
 
 /// Serializes a header + payload into a finished (v2) stream.
@@ -226,11 +237,13 @@ mod tests {
     #[test]
     fn dtype_check() {
         let h = sample_header();
-        assert!(h.expect_dtype::<f32>().is_ok());
-        assert!(matches!(
-            h.expect_dtype::<f64>(),
-            Err(CodecError::DtypeMismatch { .. })
-        ));
+        assert!(check_dtype::<f32>(h.dtype).is_ok());
+        assert_eq!(
+            check_dtype::<f64>(h.dtype),
+            Err(CodecError::DtypeMismatch { expected: "f32", got: "f64" })
+        );
+        assert_eq!(check_dtype::<f32>(7), Err(BAD_DTYPE));
+        assert_eq!(check_dtype::<f64>(7), Err(BAD_DTYPE));
     }
 
     #[test]

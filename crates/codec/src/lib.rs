@@ -53,8 +53,10 @@ pub mod util;
 pub use chain::{ChainSpec, CodecChain, CodecRegistry};
 pub use codecs::{qoz::Qoz, sz2::Sz2, sz3::Sz3, szx::Szx, zfp::Zfp};
 pub use error::{CodecError, Result};
+pub use header::check_dtype;
 pub use parallel::{
-    compress_parallel, decompress_parallel, parallel_stream_info, ParallelStreamInfo,
+    compress_parallel, decompress_parallel, decompress_parallel_any, parallel_stream_info,
+    ParallelStreamInfo,
 };
 pub use scratch::{with_scratch, CodecScratch};
 pub use stage::{ArrayStage, ByteStage, ByteStageSpec};

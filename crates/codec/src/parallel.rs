@@ -14,9 +14,10 @@
 use crate::chain::ChainSpec;
 use crate::error::{CodecError, Result};
 use crate::framing;
+use crate::header::{check_dtype, BAD_DTYPE};
 use crate::traits::{compress_view, decompress, Compressor, ErrorBound};
 use crate::util::{put_varint, ByteReader};
-use eblcio_data::{Element, NdArray, Shape};
+use eblcio_data::{dispatch_dtype, Dataset, Element, NdArray, Shape};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -104,7 +105,7 @@ pub fn compress_parallel<T: Element>(
     out.extend_from_slice(PAR_MAGIC);
     out.push(PAR_VERSION);
     codec.spec().encode_into(&mut out);
-    out.push(crate::header::Header::dtype_of::<T>());
+    out.push(T::DTYPE);
     framing::put_shape(&mut out, shape);
     framing::put_abs_bound(&mut out, abs);
     put_varint(&mut out, chunks.len() as u64);
@@ -186,20 +187,37 @@ pub fn decompress_parallel<T: Element>(
     stream: &[u8],
     threads: usize,
 ) -> Result<NdArray<T>> {
-    assert!(threads >= 1, "thread count must be >= 1");
     let (info, chunk_slices) = parse_parallel_header(stream)?;
+    decode_slabs(codec, &info, &chunk_slices, threads)
+}
+
+/// [`decompress_parallel`] into whichever precision the stream's header
+/// records — each slab is decoded once.
+pub fn decompress_parallel_any(
+    codec: &dyn Compressor,
+    stream: &[u8],
+    threads: usize,
+) -> Result<Dataset> {
+    let (info, chunk_slices) = parse_parallel_header(stream)?;
+    dispatch_dtype!(E = info.dtype =>
+        decode_slabs::<E>(codec, &info, &chunk_slices, threads).map(Dataset::from))
+    .unwrap_or(Err(BAD_DTYPE))
+}
+
+fn decode_slabs<T: Element>(
+    codec: &dyn Compressor,
+    info: &ParallelStreamInfo,
+    chunk_slices: &[&[u8]],
+    threads: usize,
+) -> Result<NdArray<T>> {
+    assert!(threads >= 1, "thread count must be >= 1");
     if info.chain != codec.spec() {
         return Err(CodecError::ChainMismatch {
             expected: codec.spec().label(),
             got: info.chain.label(),
         });
     }
-    if info.dtype != crate::header::Header::dtype_of::<T>() {
-        return Err(CodecError::DtypeMismatch {
-            expected: if info.dtype == 0 { "f32" } else { "f64" },
-            got: T::NAME,
-        });
-    }
+    check_dtype::<T>(info.dtype)?;
     let shape = info.shape;
     let rank = shape.rank();
 
@@ -230,6 +248,7 @@ pub fn decompress_parallel<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codecs::chain_around;
     use crate::codecs::sz3::Sz3;
     use crate::codecs::szx::Szx;
     use eblcio_data::max_rel_error;
@@ -257,7 +276,7 @@ mod tests {
     #[test]
     fn parallel_roundtrip_matches_bound() {
         let data = field();
-        let codec = Sz3::default();
+        let codec = chain_around(Sz3::default());
         for threads in [1, 2, 4, 8] {
             let stream =
                 compress_parallel(&codec, &data, ErrorBound::Relative(1e-3), threads).unwrap();
@@ -275,7 +294,7 @@ mod tests {
         // ε is resolved on the global range: a slab with a narrow local
         // range must not get a tighter/looser effective bound.
         let data = field();
-        let codec = Szx;
+        let codec = chain_around(Szx);
         let serial = compress_parallel(&codec, &data, ErrorBound::Relative(1e-3), 1).unwrap();
         let parallel = compress_parallel(&codec, &data, ErrorBound::Relative(1e-3), 4).unwrap();
         let a = decompress_parallel::<f32>(&codec, &serial, 1).unwrap();
@@ -287,7 +306,7 @@ mod tests {
     #[test]
     fn more_threads_than_rows() {
         let data = NdArray::<f32>::from_fn(Shape::d2(3, 100), |i| (i[0] * 100 + i[1]) as f32);
-        let codec = Szx;
+        let codec = chain_around(Szx);
         let stream = compress_parallel(&codec, &data, ErrorBound::Relative(1e-2), 16).unwrap();
         let back = decompress_parallel::<f32>(&codec, &stream, 16).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-2 * 1.0000001);
@@ -297,7 +316,7 @@ mod tests {
     fn stream_info_surfaces_stored_bound() {
         let data = field();
         let stream =
-            compress_parallel(&Sz3::default(), &data, ErrorBound::Relative(1e-3), 4).unwrap();
+            compress_parallel(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-3), 4).unwrap();
         let info = parallel_stream_info(&stream).unwrap();
         assert_eq!(info.chain, ChainSpec::preset(crate::traits::CompressorId::Sz3));
         assert_eq!(info.dtype, 0);
@@ -313,7 +332,7 @@ mod tests {
     fn corrupt_abs_bound_rejected() {
         let data = field();
         let stream =
-            compress_parallel(&Sz3::default(), &data, ErrorBound::Relative(1e-3), 2).unwrap();
+            compress_parallel(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-3), 2).unwrap();
         // Header layout: magic(4) + version(1) + chain spec (array u8 +
         // count u8 + one (id, param) pair for the SZ3 preset's LZ stage
         // = 4) + dtype(1) + rank(1) + one varint byte per dimension
@@ -323,14 +342,14 @@ mod tests {
             let mut s = stream.clone();
             s[abs_at..abs_at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
             assert_eq!(
-                decompress_parallel::<f32>(&Sz3::default(), &s, 2),
+                decompress_parallel::<f32>(&chain_around(Sz3::default()), &s, 2),
                 Err(CodecError::Corrupt { context: "abs bound" }),
                 "bad bound {bad}"
             );
             assert!(parallel_stream_info(&s).is_err());
         }
         // Unmodified stream still parses.
-        assert!(decompress_parallel::<f32>(&Sz3::default(), &stream, 2).is_ok());
+        assert!(decompress_parallel::<f32>(&chain_around(Sz3::default()), &stream, 2).is_ok());
     }
 
     #[test]
@@ -340,7 +359,7 @@ mod tests {
         // with the version + spec bytes replaced by the codec id. A
         // current stream rewritten that way must parse as the preset.
         let data = field();
-        let codec = Szx;
+        let codec = chain_around(Szx);
         let stream = compress_parallel(&codec, &data, ErrorBound::Relative(1e-2), 3).unwrap();
         let mut legacy = Vec::new();
         legacy.extend_from_slice(&stream[..4]);
@@ -363,16 +382,16 @@ mod tests {
     #[test]
     fn wrong_codec_rejected() {
         let data = field();
-        let stream = compress_parallel(&Sz3::default(), &data, ErrorBound::Relative(1e-2), 2).unwrap();
-        assert!(decompress_parallel::<f32>(&Szx, &stream, 2).is_err());
+        let stream = compress_parallel(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-2), 2).unwrap();
+        assert!(decompress_parallel::<f32>(&chain_around(Szx), &stream, 2).is_err());
     }
 
     #[test]
     fn truncation_rejected() {
         let data = field();
-        let stream = compress_parallel(&Sz3::default(), &data, ErrorBound::Relative(1e-2), 2).unwrap();
+        let stream = compress_parallel(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-2), 2).unwrap();
         for cut in [3, 20, stream.len() / 2, stream.len() - 1] {
-            assert!(decompress_parallel::<f32>(&Sz3::default(), &stream[..cut], 2).is_err());
+            assert!(decompress_parallel::<f32>(&chain_around(Sz3::default()), &stream[..cut], 2).is_err());
         }
     }
 }

@@ -147,7 +147,7 @@ pub fn put_bytes(buf: Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{CompressorId, ErrorBound};
+    use crate::traits::{compress, decompress, CompressorId, ErrorBound};
     use eblcio_data::{NdArray, Shape};
 
     /// Capacity of every arena buffer, in visiting order.
@@ -199,8 +199,8 @@ mod tests {
         });
         for id in [CompressorId::Sz2, CompressorId::Sz3] {
             let codec = id.instance();
-            let stream = codec.compress_f32(&big, ErrorBound::Relative(1e-3)).unwrap();
-            let back = codec.decompress_f32(&stream).unwrap();
+            let stream = compress(codec.as_ref(), &big, ErrorBound::Relative(1e-3)).unwrap();
+            let back = decompress::<f32>(codec.as_ref(), &stream).unwrap();
             assert_eq!(back.len(), big.len());
             let after = held();
             assert!(
@@ -218,8 +218,8 @@ mod tests {
         let pass = || {
             for id in CompressorId::ALL {
                 let codec = id.instance();
-                let stream = codec.compress_f64(&chunk, ErrorBound::Absolute(1e-3)).unwrap();
-                codec.decompress_f64(&stream).unwrap();
+                let stream = compress(codec.as_ref(), &chunk, ErrorBound::Absolute(1e-3)).unwrap();
+                decompress::<f64>(codec.as_ref(), &stream).unwrap();
             }
         };
         pass();

@@ -9,75 +9,67 @@
 //! float coders) applied in order on encode and unwound in reverse on
 //! decode.
 //!
-//! The five paper codecs implement [`ArrayStage`] directly (their
-//! identity doubles as [`CompressorId`]); byte stages are described by
+//! The five paper codecs implement [`ArrayStage`] (their identity
+//! doubles as [`CompressorId`]) and become compressors by being wrapped
+//! in a chain ([`CodecChain::around`](crate::chain::CodecChain::around));
+//! byte stages are described by
 //! the serializable [`ByteStageSpec`] so a chain can be recorded in a
 //! stream header or a store manifest and rebuilt on the far side.
 
 use crate::error::{CodecError, Result};
+use crate::header::typed;
 use crate::lossless::{Fpc, FpzipLike, LosslessCodec};
 use crate::lz;
 use crate::traits::CompressorId;
-use eblcio_data::{ArrayView, Element, NdArray, Shape};
+use eblcio_data::{ArrayView, Dataset, DatasetView, Element, NdArray, Shape};
 use serde::{Deserialize, Serialize};
 
 /// The lossy array→bytes front end of a chain.
 ///
-/// `encode_*` receives the absolute error bound already resolved against
+/// `encode` receives the absolute error bound already resolved against
 /// the global value range and returns the payload bytes together with
 /// the bound to *record* in the stream header — usually the input bound,
 /// but quality-targeting modes (QoZ PSNR search, ZFP fixed precision)
-/// record the bound they actually achieved. `decode_*` receives the
-/// recorded bound and the original shape back from the header.
+/// record the bound they actually achieved. `decode` receives the
+/// recorded bound, the original shape and the dtype tag back from the
+/// header.
+///
+/// Object-safe: samples cross it dtype-erased. Generic callers use
+/// [`encode_array`] / [`decode_array`] / [`decode_array_region`].
 pub trait ArrayStage: Send + Sync {
     /// Wire identity of this stage (doubles as the paper codec id).
     fn id(&self) -> CompressorId;
 
-    /// Encodes a single-precision view; returns `(payload, recorded_abs)`.
-    fn encode_f32(&self, data: ArrayView<'_, f32>, abs: f64) -> Result<(Vec<u8>, f64)>;
-    /// Encodes a double-precision view; returns `(payload, recorded_abs)`.
-    fn encode_f64(&self, data: ArrayView<'_, f64>, abs: f64) -> Result<(Vec<u8>, f64)>;
-    /// Decodes a single-precision payload.
-    fn decode_f32(&self, bytes: &[u8], shape: Shape, abs: f64) -> Result<NdArray<f32>>;
-    /// Decodes a double-precision payload.
-    fn decode_f64(&self, bytes: &[u8], shape: Shape, abs: f64) -> Result<NdArray<f64>>;
+    /// Encodes a view; returns `(payload, recorded_abs)`.
+    fn encode(&self, data: DatasetView<'_>, abs: f64) -> Result<(Vec<u8>, f64)>;
+    /// Decodes a payload of the element type `dtype` names.
+    fn decode(&self, bytes: &[u8], dtype: u8, shape: Shape, abs: f64) -> Result<Dataset>;
 
-    /// Whether this stage implements the `decode_*_region` partial
-    /// paths. Callers use this as a cheap gate to skip work (byte-stage
+    /// Whether this stage implements the [`Self::decode_region`] partial
+    /// path. Callers use this as a cheap gate to skip work (byte-stage
     /// unwinding) that would only feed an `Ok(None)` fallback.
     fn supports_partial_decode(&self) -> bool {
         false
     }
 
     /// Partially decodes the axis-aligned sub-region `origin..origin+extent`
-    /// of a single-precision payload, returning an `extent`-shaped array.
+    /// of a payload, returning an `extent`-shaped array.
     ///
     /// `Ok(None)` means this stage has no partial-decode path (the
-    /// default) and the caller must fall back to [`Self::decode_f32`].
+    /// default) and the caller must fall back to [`Self::decode`].
     /// Implementations must be bit-identical to slicing the whole-array
     /// decode; the region is pre-validated against `shape` by
-    /// [`decode_array_region`].
-    fn decode_f32_region(
+    /// [`validate_region`].
+    fn decode_region(
         &self,
         bytes: &[u8],
+        dtype: u8,
         shape: Shape,
         abs: f64,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<f32>>> {
-        let _ = (bytes, shape, abs, origin, extent);
-        Ok(None)
-    }
-    /// Double-precision counterpart of [`Self::decode_f32_region`].
-    fn decode_f64_region(
-        &self,
-        bytes: &[u8],
-        shape: Shape,
-        abs: f64,
-        origin: &[usize],
-        extent: &[usize],
-    ) -> Result<Option<NdArray<f64>>> {
-        let _ = (bytes, shape, abs, origin, extent);
+    ) -> Result<Option<Dataset>> {
+        let _ = (bytes, dtype, shape, abs, origin, extent);
         Ok(None)
     }
 }
@@ -93,59 +85,35 @@ pub fn validate_region(shape: Shape, origin: &[usize], extent: &[usize]) -> Resu
         if extent[d] == 0 {
             return Err(CodecError::BadRegion { context: "empty extent" });
         }
-        if origin[d] + extent[d] > shape.dim(d) {
+        if origin[d].checked_add(extent[d]).is_none_or(|end| end > shape.dim(d)) {
             return Err(CodecError::BadRegion { context: "outside the array" });
         }
     }
     Ok(())
 }
 
-/// Generic [`ArrayStage`] encode, dispatching on the element type via
-/// the sealed [`Element`] identity casts.
+/// Generic [`ArrayStage`] encode: erases `T` at the trait boundary.
 pub fn encode_array<T: Element>(
     stage: &dyn ArrayStage,
     data: ArrayView<'_, T>,
     abs: f64,
 ) -> Result<(Vec<u8>, f64)> {
-    if let Some(s) = T::slice_as_f32(data.as_slice()) {
-        stage.encode_f32(ArrayView::new(data.shape(), s), abs)
-    } else if let Some(s) = T::slice_as_f64(data.as_slice()) {
-        stage.encode_f64(ArrayView::new(data.shape(), s), abs)
-    } else {
-        // Element is sealed to f32/f64; a third impl is a workspace bug.
-        Err(CodecError::Internal { context: "sealed Element dispatch in encode_array" })
-    }
+    stage.encode(T::erase(data), abs)
 }
 
-/// Generic [`ArrayStage`] decode, dispatching on the element type.
+/// Generic [`ArrayStage`] decode: asks for `T`'s dtype and un-erases.
 pub fn decode_array<T: Element>(
     stage: &dyn ArrayStage,
     bytes: &[u8],
     shape: Shape,
     abs: f64,
 ) -> Result<NdArray<T>> {
-    // Element is sealed to f32 (4 bytes) and f64 (8 bytes); any other
-    // combination is a workspace bug surfaced as a typed error.
-    if T::BYTES == 4 {
-        let arr = stage.decode_f32(bytes, shape, abs)?;
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f32(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f32 decode)" });
-        };
-        Ok(NdArray::from_vec(shape, data))
-    } else {
-        let arr = stage.decode_f64(bytes, shape, abs)?;
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f64(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f64 decode)" });
-        };
-        Ok(NdArray::from_vec(shape, data))
-    }
+    typed(stage.decode(bytes, T::DTYPE, shape, abs)?)
 }
 
-/// Generic [`ArrayStage`] partial decode, dispatching on the element
-/// type. Validates the region, then asks the stage; `Ok(None)` means
-/// "no partial path, fall back to [`decode_array`]".
+/// Generic [`ArrayStage`] partial decode. Validates the region, then
+/// asks the stage; `Ok(None)` means "no partial path, fall back to
+/// [`decode_array`]".
 pub fn decode_array_region<T: Element>(
     stage: &dyn ArrayStage,
     bytes: &[u8],
@@ -155,25 +123,7 @@ pub fn decode_array_region<T: Element>(
     extent: &[usize],
 ) -> Result<Option<NdArray<T>>> {
     validate_region(shape, origin, extent)?;
-    if T::BYTES == 4 {
-        let Some(arr) = stage.decode_f32_region(bytes, shape, abs, origin, extent)? else {
-            return Ok(None);
-        };
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f32(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f32 region)" });
-        };
-        Ok(Some(NdArray::from_vec(shape, data)))
-    } else {
-        let Some(arr) = stage.decode_f64_region(bytes, shape, abs, origin, extent)? else {
-            return Ok(None);
-        };
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f64(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f64 region)" });
-        };
-        Ok(Some(NdArray::from_vec(shape, data)))
-    }
+    stage.decode_region(bytes, T::DTYPE, shape, abs, origin, extent)?.map(typed).transpose()
 }
 
 /// A lossless byte→byte chain stage.

@@ -3,11 +3,19 @@
 //! LibPressio's uniform API. Since the chain refactor a compressor's
 //! identity is its serializable [`ChainSpec`] — the five paper codecs
 //! are the preset chains, and [`CompressorId`] names their array stages.
+//!
+//! The trait is object-safe and precision-free: arrays cross it as
+//! [`DatasetView`] (in) and [`Dataset`] (out), tagged with the same
+//! `u8` dtype the containers record, so `f32` and `f64` share every
+//! method. The generic free functions below are the typed surface —
+//! each erases `T`, makes the one dynamic call, and moves the result
+//! back into an `NdArray<T>`; asking for the wrong `T` is a
+//! `DtypeMismatch`, never a reinterpretation.
 
 use crate::chain::ChainSpec;
 use crate::error::{CodecError, Result};
-use crate::header;
-use eblcio_data::{ArrayView, Dataset, Element, NdArray};
+use crate::header::{self, typed};
+use eblcio_data::{ArrayView, Dataset, DatasetView, Element, NdArray};
 use serde::{Deserialize, Serialize};
 
 /// Identifies one of the five EBLCs characterized by the paper — and,
@@ -112,12 +120,16 @@ impl ErrorBound {
 
 /// A lossy compressor with an error-bound guarantee.
 ///
-/// Object-safe: the two element types get explicit methods (generic
-/// callers use [`compress`]/[`decompress`], which dispatch on `T`).
-///
-/// The required entry points take borrowed [`ArrayView`]s so sub-array
-/// compression (parallel slabs, store chunks) never copies its input;
-/// the `&NdArray` methods are thin delegating conveniences.
+/// Object-safe, so samples cross it dtype-erased: a borrowed
+/// [`DatasetView`] goes in (sub-array compression — parallel slabs,
+/// store chunks — never copies its input), an owned [`Dataset`] of the
+/// requested dtype tag comes out. This is the one place the precision
+/// is decided; generic callers use [`compress`] / [`compress_view`] /
+/// [`decompress`] / [`decompress_region`], which erase `T` on the way
+/// in and move the array back out on the way back. The only
+/// implementor is [`CodecChain`](crate::chain::CodecChain): build one
+/// with [`CompressorId::instance`], [`ChainSpec::build`] or
+/// [`CodecChain::around`](crate::chain::CodecChain::around).
 pub trait Compressor: Send + Sync {
     /// The serializable chain identity of this compressor — what stream
     /// headers and store manifests record so the far side can rebuild
@@ -130,50 +142,30 @@ pub trait Compressor: Send + Sync {
         self.spec().label()
     }
 
-    /// Compresses a borrowed single-precision view (zero-copy entry).
-    fn compress_f32_view(&self, data: ArrayView<'_, f32>, bound: ErrorBound) -> Result<Vec<u8>>;
-    /// Compresses a borrowed double-precision view (zero-copy entry).
-    fn compress_f64_view(&self, data: ArrayView<'_, f64>, bound: ErrorBound) -> Result<Vec<u8>>;
-    /// Compresses a single-precision array.
-    fn compress_f32(&self, data: &NdArray<f32>, bound: ErrorBound) -> Result<Vec<u8>> {
-        self.compress_f32_view(data.view(), bound)
-    }
-    /// Compresses a double-precision array.
-    fn compress_f64(&self, data: &NdArray<f64>, bound: ErrorBound) -> Result<Vec<u8>> {
-        self.compress_f64_view(data.view(), bound)
-    }
-    /// Decompresses a single-precision stream.
-    fn decompress_f32(&self, stream: &[u8]) -> Result<NdArray<f32>>;
-    /// Decompresses a double-precision stream.
-    fn decompress_f64(&self, stream: &[u8]) -> Result<NdArray<f64>>;
-    /// Partially decompresses the sub-region `origin..origin+extent` of a
-    /// single-precision stream, when the chain's array stage supports
-    /// partial decode (SZx flat blocks, ZFP fixed blocks). `Ok(None)`
-    /// means "no partial path" — callers fall back to
-    /// [`Self::decompress_f32`]. Results are bit-identical to slicing
-    /// the full decode.
-    fn decompress_f32_region(
+    /// Compresses a borrowed view of either precision.
+    fn compress_view(&self, data: DatasetView<'_>, bound: ErrorBound) -> Result<Vec<u8>>;
+
+    /// Decompresses a stream whose samples are of the element type
+    /// `dtype` names ([`Element::DTYPE`]); a stream of the other type is
+    /// a [`CodecError::DtypeMismatch`], raised before any byte stage is
+    /// unwound.
+    fn decompress(&self, stream: &[u8], dtype: u8) -> Result<Dataset>;
+
+    /// Partially decompresses the sub-region `origin..origin+extent`
+    /// when the chain's array stage supports partial decode (SZx flat
+    /// blocks, ZFP fixed blocks). `Ok(None)` means "no partial path" —
+    /// callers fall back to [`Self::decompress`]. Results are
+    /// bit-identical to slicing the full decode.
+    fn decompress_region(
         &self,
         stream: &[u8],
+        dtype: u8,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<f32>>> {
-        let _ = (stream, origin, extent);
-        Ok(None)
-    }
-    /// Double-precision counterpart of [`Self::decompress_f32_region`].
-    fn decompress_f64_region(
-        &self,
-        stream: &[u8],
-        origin: &[usize],
-        extent: &[usize],
-    ) -> Result<Option<NdArray<f64>>> {
-        let _ = (stream, origin, extent);
-        Ok(None)
-    }
+    ) -> Result<Option<Dataset>>;
 }
 
-/// Generic compression entry point: dispatches on the element type.
+/// Generic compression entry point.
 pub fn compress<T: Element>(
     c: &dyn Compressor,
     data: &NdArray<T>,
@@ -182,78 +174,33 @@ pub fn compress<T: Element>(
     compress_view(c, data.view(), bound)
 }
 
-/// Generic zero-copy compression of a borrowed view, dispatching on the
-/// element type via the sealed [`Element`] identity casts (`Any` cannot
-/// downcast non-`'static` borrows).
+/// Generic zero-copy compression of a borrowed view.
 pub fn compress_view<T: Element>(
     c: &dyn Compressor,
     data: ArrayView<'_, T>,
     bound: ErrorBound,
 ) -> Result<Vec<u8>> {
-    if let Some(s) = T::slice_as_f32(data.as_slice()) {
-        c.compress_f32_view(ArrayView::new(data.shape(), s), bound)
-    } else if let Some(s) = T::slice_as_f64(data.as_slice()) {
-        c.compress_f64_view(ArrayView::new(data.shape(), s), bound)
-    } else {
-        // Element is sealed to f32/f64; a third impl is a workspace bug.
-        Err(CodecError::Internal { context: "sealed Element dispatch in compress_view" })
-    }
+    c.compress_view(T::erase(data), bound)
 }
 
-/// Generic decompression entry point: dispatches on the element type.
-///
-/// Adopts the decoder's buffer through the [`Element`] identity casts
-/// instead of cloning it, so generic decompression (the per-chunk hot
-/// path of the parallel decoder and the chunked store) costs no extra
+/// Generic decompression entry point. The decoder's buffer is moved
+/// into the result, so generic decompression (the per-chunk hot path of
+/// the parallel decoder and the chunked store) costs no extra
 /// full-array copy.
 pub fn decompress<T: Element>(c: &dyn Compressor, stream: &[u8]) -> Result<NdArray<T>> {
-    // Element is sealed to f32 (4 bytes) and f64 (8 bytes); any other
-    // combination is a workspace bug surfaced as a typed error.
-    if T::BYTES == 4 {
-        let arr = c.decompress_f32(stream)?;
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f32(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f32 decompress)" });
-        };
-        Ok(NdArray::from_vec(shape, data))
-    } else {
-        let arr = c.decompress_f64(stream)?;
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f64(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f64 decompress)" });
-        };
-        Ok(NdArray::from_vec(shape, data))
-    }
+    typed(c.decompress(stream, T::DTYPE)?)
 }
 
-/// Generic partial decompression entry point: dispatches on the element
-/// type. `Ok(None)` means the chain has no partial-decode path and the
-/// caller should [`decompress`] the whole stream instead.
+/// Generic partial decompression entry point. `Ok(None)` means the
+/// chain has no partial-decode path and the caller should
+/// [`decompress`] the whole stream instead.
 pub fn decompress_region<T: Element>(
     c: &dyn Compressor,
     stream: &[u8],
     origin: &[usize],
     extent: &[usize],
 ) -> Result<Option<NdArray<T>>> {
-    if T::BYTES == 4 {
-        let Some(arr) = c.decompress_f32_region(stream, origin, extent)? else {
-            return Ok(None);
-        };
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f32(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f32 region)" });
-        };
-        Ok(Some(NdArray::from_vec(shape, data)))
-    } else {
-        let Some(arr) = c.decompress_f64_region(stream, origin, extent)? else {
-            return Ok(None);
-        };
-        let shape = arr.shape();
-        let Ok(data) = T::vec_from_f64(arr.into_vec()) else {
-            return Err(CodecError::Internal { context: "sealed Element dispatch (f64 region)" });
-        };
-        Ok(Some(NdArray::from_vec(shape, data)))
-    }
+    c.decompress_region(stream, T::DTYPE, origin, extent)?.map(typed).transpose()
 }
 
 /// Compresses either precision of a [`Dataset`].
@@ -262,22 +209,14 @@ pub fn compress_dataset(
     data: &Dataset,
     bound: ErrorBound,
 ) -> Result<Vec<u8>> {
-    match data {
-        Dataset::F32(a) => c.compress_f32(a, bound),
-        Dataset::F64(a) => c.compress_f64(a, bound),
-    }
+    c.compress_view(data.view(), bound)
 }
 
 /// Decompresses any `EBLC` stream (v1 or v2) into a [`Dataset`],
 /// rebuilding the decoder chain from the header's spec.
 pub fn decompress_any(stream: &[u8]) -> Result<Dataset> {
     let (h, _) = header::read_stream(stream)?;
-    let codec = h.chain.build()?;
-    if h.dtype == 0 {
-        Ok(Dataset::F32(codec.decompress_f32(stream)?))
-    } else {
-        Ok(Dataset::F64(codec.decompress_f64(stream)?))
-    }
+    h.chain.build()?.decompress(stream, h.dtype)
 }
 
 #[cfg(test)]

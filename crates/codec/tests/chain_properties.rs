@@ -2,7 +2,9 @@
 //! the same ε contract as the monolithic pipelines they replaced, and
 //! byte stages must be transparent to it.
 
-use eblcio_codec::{ByteStageSpec, ChainSpec, Compressor, CompressorId, ErrorBound};
+use eblcio_codec::{
+    compress, decompress, ByteStageSpec, ChainSpec, CompressorId, ErrorBound,
+};
 use eblcio_data::{max_rel_error, NdArray, Shape};
 use proptest::prelude::*;
 
@@ -40,8 +42,8 @@ proptest! {
         let eps = 10f64.powi(-(eps_exp as i32));
         let data = xorshift_field(Shape::d2(d0, d1), seed, smooth);
         let chain = ChainSpec::preset(CompressorId::ALL[codec_pick]).build().unwrap();
-        let stream = chain.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
-        let back = chain.decompress_f32(&stream).unwrap();
+        let stream = compress(&chain, &data, ErrorBound::Relative(eps)).unwrap();
+        let back = decompress::<f32>(&chain, &stream).unwrap();
         prop_assert_eq!(back.shape(), data.shape());
         prop_assert!(
             max_rel_error(&data, &back) <= eps * SLACK,
@@ -70,8 +72,8 @@ proptest! {
         };
         let chain = spec.build().unwrap();
         let data = xorshift_field(Shape::d2(d0, d1), seed, seed.is_multiple_of(2));
-        let stream = chain.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
-        let back = chain.decompress_f32(&stream).unwrap();
+        let stream = compress(&chain, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let back = decompress::<f32>(&chain, &stream).unwrap();
         prop_assert!(
             max_rel_error(&data, &back) <= 1e-3 * SLACK,
             "{}: ε broken", spec.label()
@@ -114,13 +116,13 @@ fn preset_payloads_match_generic_roundtrip() {
     let data = xorshift_field(Shape::d3(10, 11, 12), 7, true);
     for id in CompressorId::ALL {
         let chain = ChainSpec::preset(id).build().unwrap();
-        let stream = chain.compress_f32(&data, ErrorBound::Relative(1e-3)).unwrap();
+        let stream = compress(&chain, &data, ErrorBound::Relative(1e-3)).unwrap();
         // Generic dispatch decodes the same stream through the registry.
         let via_any = match eblcio_codec::decompress_any(&stream).unwrap() {
             eblcio_data::Dataset::F32(a) => a,
             _ => panic!("wrong dtype route"),
         };
-        let direct = chain.decompress_f32(&stream).unwrap();
+        let direct = decompress::<f32>(&chain, &stream).unwrap();
         assert_eq!(via_any.as_slice(), direct.as_slice(), "{}", id.name());
     }
 }

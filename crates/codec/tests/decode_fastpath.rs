@@ -11,10 +11,10 @@
 //! values near `f32::MAX` exercise the same raw-escape paths.)
 
 use eblcio_codec::{
-    compress, decompress, decompress_region, CodecChain, CodecError, CompressorId, ErrorBound,
-    Qoz, Sz2, Sz3,
+    compress, decompress, decompress_region, ChainSpec, CodecChain, CodecError, CompressorId,
+    ErrorBound, Qoz, Sz2, Sz3,
 };
-use eblcio_data::{NdArray, Shape};
+use eblcio_data::{Element, NdArray, Shape};
 use proptest::prelude::*;
 
 /// A field with spikes, flats, and noise — every encoding mode at once.
@@ -80,44 +80,81 @@ proptest! {
         let again: NdArray<f32> = decompress(codec.as_ref(), &stream).unwrap();
         prop_assert_eq!(fast.as_slice(), again.as_slice());
     }
+}
+
+proptest! {
+    // 4 chains × 2 precisions × 2 ranks: enough cases to reach each.
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Partial-region decode equals the same slice of a whole decode,
     /// bit for bit, for any in-bounds region — including 1-sample
-    /// regions and regions pinned to block-edge remainders.
+    /// regions and regions pinned to block-edge remainders — in both
+    /// precisions, in 2-D and 3-D, with and without byte stages to
+    /// unwind in front of the array stage.
     #[test]
     fn region_decode_matches_whole_decode_slice(
-        d0 in 1usize..48,
-        d1 in 1usize..48,
-        o0_frac in 0.0f64..1.0,
-        o1_frac in 0.0f64..1.0,
-        e0_frac in 0.0f64..1.0,
-        e1_frac in 0.0f64..1.0,
-        partial_pick in 0usize..2,
+        dims in (1usize..48, 1usize..48, 1usize..10),
+        rank3 in any::<bool>(),
+        o_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        e_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        chain_pick in 0usize..PARTIAL_CHAINS.len(),
+        double in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let id = [CompressorId::Szx, CompressorId::Zfp][partial_pick];
-        let data = adversarial_field(Shape::d2(d0, d1), seed);
-        let codec = id.instance();
-        let stream = compress(codec.as_ref(), &data, ErrorBound::Relative(1e-3)).unwrap();
-        let full: NdArray<f32> = decompress(codec.as_ref(), &stream).unwrap();
-
-        let o0 = ((d0 as f64 * o0_frac) as usize).min(d0 - 1);
-        let o1 = ((d1 as f64 * o1_frac) as usize).min(d1 - 1);
-        let e0 = (((d0 - o0) as f64 * e0_frac) as usize).clamp(1, d0 - o0);
-        let e1 = (((d1 - o1) as f64 * e1_frac) as usize).clamp(1, d1 - o1);
-        let part = decompress_region::<f32>(codec.as_ref(), &stream, &[o0, o1], &[e0, e1])
-            .unwrap()
-            .expect("SZx/ZFP support partial decode");
-        prop_assert_eq!(part.shape(), Shape::d2(e0, e1));
-        for r in 0..e0 {
-            for c in 0..e1 {
-                prop_assert_eq!(
-                    part.get(&[r, c]).to_bits(),
-                    full.get(&[o0 + r, o1 + c]).to_bits(),
-                    "{} region mismatch at [{}, {}]", id.name(), r, c
-                );
-            }
+        let rank = if rank3 { 3 } else { 2 };
+        let dims = [dims.0, dims.1, dims.2];
+        let o_frac = [o_frac.0, o_frac.1, o_frac.2];
+        let e_frac = [e_frac.0, e_frac.1, e_frac.2];
+        let mut origin = [0usize; 3];
+        let mut extent = [0usize; 3];
+        for d in 0..rank {
+            origin[d] = ((dims[d] as f64 * o_frac[d]) as usize).min(dims[d] - 1);
+            let room = dims[d] - origin[d];
+            extent[d] = ((room as f64 * e_frac[d]) as usize).clamp(1, room);
         }
+        let chain = PARTIAL_CHAINS[chain_pick];
+        let (origin, extent) = (&origin[..rank], &extent[..rank]);
+        let single = adversarial_field(Shape::new(&dims[..rank]), seed);
+        if double {
+            let wide = single.as_slice().iter().map(|&v| f64::from(v)).collect();
+            let wide = NdArray::<f64>::from_vec(single.shape(), wide);
+            check_region_slice(chain, &wide, origin, extent);
+        } else {
+            check_region_slice(chain, &single, origin, extent);
+        }
+    }
+}
+
+/// Chains whose array stage decodes regions: the two presets, SZx
+/// behind one byte stage, ZFP behind two.
+const PARTIAL_CHAINS: [&str; 4] = ["szx", "zfp", "szx+lz", "zfp+shuffle4+lz"];
+
+fn check_region_slice<T: Element>(
+    chain: &str,
+    data: &NdArray<T>,
+    origin: &[usize],
+    extent: &[usize],
+) {
+    let codec = ChainSpec::parse(chain).unwrap().build().unwrap();
+    let stream = compress(&codec, data, ErrorBound::Relative(1e-3)).unwrap();
+    let full: NdArray<T> = decompress(&codec, &stream).unwrap();
+    let part = decompress_region::<T>(&codec, &stream, origin, extent)
+        .unwrap()
+        .expect("SZx/ZFP support partial decode");
+    assert_eq!(part.shape(), Shape::new(extent));
+    let mut at = vec![0usize; extent.len()];
+    for (i, got) in part.as_slice().iter().enumerate() {
+        let mut rest = i;
+        for d in (0..extent.len()).rev() {
+            at[d] = origin[d] + rest % extent[d];
+            rest /= extent[d];
+        }
+        assert_eq!(
+            got.to_bits(),
+            full.get(&at).to_bits(),
+            "{chain} {} region mismatch at {at:?}",
+            T::NAME
+        );
     }
 }
 
@@ -157,6 +194,7 @@ fn region_decode_rejects_out_of_bounds_and_rank_mismatch() {
         (&[20, 0][..], &[1, 1][..]),           // origin at the edge
         (&[0][..], &[5][..]),                  // rank mismatch
         (&[0, 0][..], &[0, 4][..]),            // empty extent
+        (&[usize::MAX, 0][..], &[2, 1][..]),   // origin + extent wraps to 1
     ] {
         let r = decompress_region::<f32>(codec.as_ref(), &stream, origin, extent);
         assert!(

@@ -13,7 +13,10 @@
 //! test prints the full table the current encoders produce.
 
 use eblcio_codec::util::crc32;
-use eblcio_codec::{compress, huffman, Compressor, CompressorId, ErrorBound, Qoz, Sz2, Sz3, Zfp};
+use eblcio_codec::{
+    compress, huffman, ArrayStage, CodecChain, Compressor, CompressorId, ErrorBound, Qoz, Sz2, Sz3,
+    Zfp,
+};
 use eblcio_data::{Element, NdArray, Shape};
 
 /// Deterministic hash of a flat index to `[0, 1)`.
@@ -144,16 +147,17 @@ fn current() -> Vec<(String, usize, u32)> {
     let rel = ErrorBound::Relative(1e-3);
     let mut sz2_blocks = Sz2::default();
     sz2_blocks.block_dims = Some([5, 3, 4, 1]);
-    let variants: [(&str, Box<dyn Compressor>); 4] = [
+    let variants: [(&str, Box<dyn ArrayStage>); 4] = [
         ("sz3-linear", Box::new(Sz3::linear_only())),
         ("zfp-prec20", Box::new(Zfp::with_fixed_precision(20))),
         ("qoz-psnr70", Box::new(Qoz::with_target_psnr(70.0))),
         ("sz2-blocks5x3x4", Box::new(sz2_blocks)),
     ];
-    for (name, codec) in &variants {
+    for (name, stage) in variants {
+        let codec = CodecChain::around(stage);
         let label = format!("{name}/smooth/{shape}/rel1e-3");
-        push(&mut rows, label.clone(), codec.as_ref(), &smooth::<f32>(shape), rel);
-        push(&mut rows, label, codec.as_ref(), &smooth::<f64>(shape), rel);
+        push(&mut rows, label.clone(), &codec, &smooth::<f32>(shape), rel);
+        push(&mut rows, label, &codec, &smooth::<f64>(shape), rel);
     }
 
     // Huffman blocks the codec streams above never produce: the
@@ -209,13 +213,13 @@ fn golden_fields_have_the_intended_character() {
     let r = rough::<f64>(shape);
     assert!(r.value_range() > 1.9e6);
     let sz3 = CompressorId::Sz3.instance();
-    let tight = sz3.compress_f64(&r, ErrorBound::Relative(1e-7)).unwrap();
+    let tight = compress(sz3.as_ref(), &r, ErrorBound::Relative(1e-7)).unwrap();
     // Outlier-dominated: no smaller than ~the raw samples.
     assert!(tight.len() > r.nbytes() / 2, "{} bytes", tight.len());
     let k = constant::<f32>(shape);
     assert_eq!(k.value_range(), 0.0);
     let s = smooth::<f32>(shape);
-    let loose = sz3.compress_f32(&s, ErrorBound::Relative(1e-2)).unwrap();
+    let loose = compress(sz3.as_ref(), &s, ErrorBound::Relative(1e-2)).unwrap();
     assert!(loose.len() * 8 < s.nbytes(), "{} bytes", loose.len());
 }
 

@@ -13,7 +13,7 @@
 //! rewritten by the current (v2) encoder — the version-byte assertion
 //! guards against that.
 
-use eblcio_codec::{CompressorId, ErrorBound};
+use eblcio_codec::{compress, decompress, CompressorId, ErrorBound};
 use eblcio_data::{NdArray, Shape};
 use std::path::PathBuf;
 
@@ -59,19 +59,15 @@ fn generate_fixtures() {
     let f64_data = field_f64();
     for id in CompressorId::ALL {
         let codec = id.instance();
-        let s32 = codec
-            .compress_f32(&f32_data, ErrorBound::Relative(1e-3))
-            .unwrap();
+        let s32 = compress(codec.as_ref(), &f32_data, ErrorBound::Relative(1e-3)).unwrap();
         assert_eq!(s32[4], 1, "generator must run against a v1 writer");
-        let o32 = codec.decompress_f32(&s32).unwrap().to_le_bytes();
+        let o32 = decompress::<f32>(codec.as_ref(), &s32).unwrap().to_le_bytes();
         std::fs::write(dir.join(format!("{}_f32.eblc", codec_tag(id))), &s32).unwrap();
         std::fs::write(dir.join(format!("{}_f32.out", codec_tag(id))), &o32).unwrap();
 
-        let s64 = codec
-            .compress_f64(&f64_data, ErrorBound::Relative(1e-3))
-            .unwrap();
+        let s64 = compress(codec.as_ref(), &f64_data, ErrorBound::Relative(1e-3)).unwrap();
         assert_eq!(s64[4], 1, "generator must run against a v1 writer");
-        let o64 = codec.decompress_f64(&s64).unwrap().to_le_bytes();
+        let o64 = decompress::<f64>(codec.as_ref(), &s64).unwrap().to_le_bytes();
         std::fs::write(dir.join(format!("{}_f64.eblc", codec_tag(id))), &s64).unwrap();
         std::fs::write(dir.join(format!("{}_f64.out", codec_tag(id))), &o64).unwrap();
     }
@@ -90,16 +86,14 @@ fn golden_v1_streams_decode_bit_identically() {
 
         let stream = load(&format!("{tag}_f32.eblc"));
         assert_eq!(stream[4], 1, "{tag}: fixture must be a v1 stream");
-        let back = codec
-            .decompress_f32(&stream)
+        let back = decompress::<f32>(codec.as_ref(), &stream)
             .unwrap_or_else(|e| panic!("{tag} f32: {e}"));
         assert_eq!(back.shape(), field_f32().shape(), "{tag} f32 shape");
         assert_eq!(back.to_le_bytes(), load(&format!("{tag}_f32.out")), "{tag} f32 bytes");
 
         let stream = load(&format!("{tag}_f64.eblc"));
         assert_eq!(stream[4], 1, "{tag}: fixture must be a v1 stream");
-        let back = codec
-            .decompress_f64(&stream)
+        let back = decompress::<f64>(codec.as_ref(), &stream)
             .unwrap_or_else(|e| panic!("{tag} f64: {e}"));
         assert_eq!(back.shape(), field_f64().shape(), "{tag} f64 shape");
         assert_eq!(back.to_le_bytes(), load(&format!("{tag}_f64.out")), "{tag} f64 bytes");
@@ -127,8 +121,7 @@ fn golden_v1_streams_still_respect_the_bound() {
     let f32_data = field_f32();
     for id in CompressorId::ALL {
         let codec = id.instance();
-        let back = codec
-            .decompress_f32(&load(&format!("{}_f32.eblc", codec_tag(id))))
+        let back = decompress::<f32>(codec.as_ref(), &load(&format!("{}_f32.eblc", codec_tag(id))))
             .unwrap();
         assert!(
             eblcio_data::max_rel_error(&f32_data, &back) <= 1e-3 * 1.0000001,

@@ -10,7 +10,7 @@
 
 use eblcio_codec::bitstream::{BitReader, BitWriter};
 use eblcio_codec::transform::{decode_planes, encode_planes, FIXED_PREC};
-use eblcio_codec::{huffman, lz, CompressorId, ErrorBound};
+use eblcio_codec::{compress, decompress, huffman, lz, CompressorId, ErrorBound};
 use eblcio_data::{max_abs_error, NdArray, Shape};
 use proptest::prelude::*;
 
@@ -472,10 +472,10 @@ fn fused_encoders_hold_the_absolute_bound_on_awkward_shapes() {
             let d32 = NdArray::<f32>::from_fn(shape, |i| f(i) as f32);
             for abs in [0.5, 1e-3] {
                 let bound = ErrorBound::Absolute(abs);
-                let back = codec.decompress_f64(&codec.compress_f64(&d64, bound).unwrap()).unwrap();
+                let back = decompress::<f64>(codec.as_ref(), &compress(codec.as_ref(), &d64, bound).unwrap()).unwrap();
                 let err = max_abs_error(&d64, &back);
                 assert!(err <= abs, "{} f64 {shape} abs {abs}: {err}", id.name());
-                let back = codec.decompress_f32(&codec.compress_f32(&d32, bound).unwrap()).unwrap();
+                let back = decompress::<f32>(codec.as_ref(), &compress(codec.as_ref(), &d32, bound).unwrap()).unwrap();
                 let err = max_abs_error(&d32, &back);
                 assert!(err <= abs, "{} f32 {shape} abs {abs}: {err}", id.name());
             }

@@ -77,10 +77,7 @@ impl Advisor {
         generation: CpuGeneration,
     ) -> Result<Vec<Recommendation>, CodecError> {
         // Baseline: writing the original data.
-        let original_bytes = match data {
-            Dataset::F32(a) => a.to_le_bytes(),
-            Dataset::F64(a) => a.to_le_bytes(),
-        };
+        let original_bytes = data.to_le_bytes();
         let baseline = self.runner.measure_write(
             original_bytes,
             "original",

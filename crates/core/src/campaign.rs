@@ -7,7 +7,7 @@
 //! print.
 
 use eblcio_codec::{compress_dataset, decompress_any, CodecError, Compressor, ErrorBound};
-use eblcio_data::{metrics::QualityReport, stats::repeat_until_ci, Dataset};
+use eblcio_data::{dispatch_dtype, metrics::QualityReport, stats::repeat_until_ci, Dataset};
 use eblcio_energy::{
     measure::energy_for_wall, Activity, CpuGeneration, Joules, Seconds,
 };
@@ -176,14 +176,8 @@ fn run_compress(
     if threads <= 1 {
         compress_dataset(codec, data, bound)
     } else {
-        match data {
-            Dataset::F32(a) => {
-                eblcio_codec::compress_parallel(codec, a, bound, threads as usize)
-            }
-            Dataset::F64(a) => {
-                eblcio_codec::compress_parallel(codec, a, bound, threads as usize)
-            }
-        }
+        dispatch_dtype!(Dataset(a) = data =>
+            eblcio_codec::compress_parallel(codec, a, bound, threads as usize))
     }
 }
 
@@ -195,14 +189,7 @@ fn run_decompress(
     if threads <= 1 {
         decompress_any(stream)
     } else {
-        // The parallel container is typed; probe f32 first.
-        match eblcio_codec::decompress_parallel::<f32>(codec, stream, threads as usize) {
-            Ok(a) => Ok(Dataset::F32(a)),
-            Err(CodecError::DtypeMismatch { .. }) => Ok(Dataset::F64(
-                eblcio_codec::decompress_parallel::<f64>(codec, stream, threads as usize)?,
-            )),
-            Err(e) => Err(e),
-        }
+        eblcio_codec::decompress_parallel_any(codec, stream, threads as usize)
     }
 }
 
@@ -347,6 +334,25 @@ mod tests {
             )
             .unwrap();
         assert!(cell.quality.within_bound(1e-3));
+    }
+
+    /// The parallel path reads the precision off the `EBLP` header:
+    /// an f64 stream comes back as `Dataset::F64` after one decode per
+    /// slab, not after a failed f32 pass. `fpzip2` appears in no other
+    /// test of this binary, so its decode clock counts only this one.
+    #[test]
+    fn f64_parallel_stream_decodes_each_slab_once() {
+        let data = DatasetSpec::new(DatasetKind::S3d, Scale::Tiny).generate();
+        let codec = eblcio_codec::ChainSpec::parse("szx+fpzip2").unwrap().build().unwrap();
+        let stream = run_compress(&data, &codec, ErrorBound::Relative(1e-3), 3).unwrap();
+        let info = eblcio_codec::parallel_stream_info(&stream).unwrap();
+        assert_eq!((info.dtype, info.n_chunks), (data.dtype(), 3));
+        let clock = eblcio_obs::global().histogram("eblcio_codec_fpzip2_decode_ns");
+        let before = clock.count();
+        let back = run_decompress(&codec, &stream, 3).unwrap();
+        assert_eq!(clock.count() - before, 3);
+        assert!(matches!(back, Dataset::F64(_)));
+        assert!(quality_of(&data, &back, stream.len()).unwrap().within_bound(1e-3));
     }
 
     #[test]

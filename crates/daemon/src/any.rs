@@ -10,11 +10,10 @@
 
 use crate::protocol::ArrayData;
 use eblcio_codec::{CodecError, Result};
-use eblcio_data::{NdArray, Shape};
+use eblcio_data::{dispatch_dtype, Element, NdArray, Shape};
 use eblcio_obs::MetricsRegistry;
 use eblcio_serve::{ArrayReader, ReaderConfig, ReaderStats};
-use eblcio_store::mutable::MUTABLE_MAGIC;
-use eblcio_store::{ChunkedStore, MutableStore, Region, Storage};
+use eblcio_store::{ChunkedStore, Region, Storage};
 use std::sync::Arc;
 
 /// A dtype-erased [`ArrayReader`] serving either element type.
@@ -23,6 +22,18 @@ pub enum AnyReader {
     F32(ArrayReader<f32>),
     /// A reader over an f64 store (dtype tag 1).
     F64(ArrayReader<f64>),
+}
+
+impl From<ArrayReader<f32>> for AnyReader {
+    fn from(r: ArrayReader<f32>) -> Self {
+        AnyReader::F32(r)
+    }
+}
+
+impl From<ArrayReader<f64>> for AnyReader {
+    fn from(r: ArrayReader<f64>) -> Self {
+        AnyReader::F64(r)
+    }
 }
 
 impl AnyReader {
@@ -36,12 +47,7 @@ impl AnyReader {
     /// current generation, anything else must be an immutable `EBCS`
     /// stream.
     pub fn open_arc(bytes: Arc<[u8]>, config: ReaderConfig) -> Result<Self> {
-        let store = if bytes.starts_with(MUTABLE_MAGIC) {
-            MutableStore::open_arc(bytes)?.current()?
-        } else {
-            ChunkedStore::open_arc(bytes)?
-        };
-        Self::over(store, config)
+        Self::over(ChunkedStore::open_current(bytes)?, config)
     }
 
     /// Opens the object under `key` on a [`Storage`] backend (mirrors
@@ -52,102 +58,60 @@ impl AnyReader {
 
     /// Wraps an already opened store.
     pub fn over(store: ChunkedStore, config: ReaderConfig) -> Result<Self> {
-        match store.dtype() {
-            0 => Ok(AnyReader::F32(ArrayReader::over(store, config)?)),
-            1 => Ok(AnyReader::F64(ArrayReader::over(store, config)?)),
-            _ => Err(CodecError::Corrupt { context: "dtype tag" }),
-        }
+        dispatch_dtype!(E = store.dtype() =>
+            ArrayReader::<E>::over(store, config).map(AnyReader::from))
+        .unwrap_or(Err(CodecError::Corrupt { context: "dtype tag" }))
     }
 
     /// The container dtype tag this reader serves (0 = f32, 1 = f64).
     pub fn dtype(&self) -> u8 {
-        match self {
-            AnyReader::F32(_) => 0,
-            AnyReader::F64(_) => 1,
-        }
+        dispatch_dtype!(AnyReader(r) = self => r.store().dtype())
     }
 
     /// Shape of the served array.
     pub fn shape(&self) -> Shape {
-        match self {
-            AnyReader::F32(r) => r.store().shape(),
-            AnyReader::F64(r) => r.store().shape(),
-        }
+        dispatch_dtype!(AnyReader(r) = self => r.store().shape())
     }
 
     /// Number of chunks in the served store.
     pub fn n_chunks(&self) -> usize {
-        match self {
-            AnyReader::F32(r) => r.store().n_chunks(),
-            AnyReader::F64(r) => r.store().n_chunks(),
-        }
+        dispatch_dtype!(AnyReader(r) = self => r.store().n_chunks())
     }
 
     /// Cumulative reader counters.
     pub fn stats(&self) -> ReaderStats {
-        match self {
-            AnyReader::F32(r) => r.stats(),
-            AnyReader::F64(r) => r.stats(),
-        }
+        dispatch_dtype!(AnyReader(r) = self => r.stats())
     }
 
     /// The reader's metrics registry (for exposition and for the
     /// daemon to hang its own counters on).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        match self {
-            AnyReader::F32(r) => r.metrics(),
-            AnyReader::F64(r) => r.metrics(),
-        }
+        dispatch_dtype!(AnyReader(r) = self => r.metrics())
     }
 
     /// Serves a region as wire-ready [`ArrayData`]. The caller must
     /// have validated `region` against [`AnyReader::shape`].
     pub fn read_region_data(&self, region: &Region) -> Result<ArrayData> {
-        match self {
-            AnyReader::F32(r) => Ok(wire_f32(&r.read_region(region)?)),
-            AnyReader::F64(r) => Ok(wire_f64(&r.read_region(region)?)),
-        }
+        dispatch_dtype!(AnyReader(r) = self => Ok(wire(&r.read_region(region)?)))
     }
 
     /// Serves one whole chunk as wire-ready [`ArrayData`]. The caller
     /// must have validated `i` against [`AnyReader::n_chunks`].
     pub fn read_chunk_data(&self, i: usize) -> Result<ArrayData> {
-        match self {
-            AnyReader::F32(r) => Ok(wire_f32(r.read_chunk(i)?.as_ref())),
-            AnyReader::F64(r) => Ok(wire_f64(r.read_chunk(i)?.as_ref())),
-        }
+        dispatch_dtype!(AnyReader(r) = self => Ok(wire(r.read_chunk(i)?.as_ref())))
     }
 
     /// Warms the cache for `region` (validated by the caller); decode
     /// errors are deferred to the read that needs the chunk.
     pub fn prefetch_region(&self, region: &Region) {
-        match self {
-            AnyReader::F32(r) => r.prefetch_region(region),
-            AnyReader::F64(r) => r.prefetch_region(region),
-        }
+        dispatch_dtype!(AnyReader(r) = self => r.prefetch_region(region))
     }
 }
 
-fn wire_f32(arr: &NdArray<f32>) -> ArrayData {
-    let mut bytes = Vec::with_capacity(arr.len() * 4);
-    for v in arr.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
+fn wire<T: Element>(arr: &NdArray<T>) -> ArrayData {
     ArrayData {
-        dtype: 0,
+        dtype: T::DTYPE,
         dims: arr.shape().dims().iter().map(|&d| d as u64).collect(),
-        bytes,
-    }
-}
-
-fn wire_f64(arr: &NdArray<f64>) -> ArrayData {
-    let mut bytes = Vec::with_capacity(arr.len() * 8);
-    for v in arr.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    ArrayData {
-        dtype: 1,
-        dims: arr.shape().dims().iter().map(|&d| d as u64).collect(),
-        bytes,
+        bytes: arr.to_le_bytes(),
     }
 }

@@ -26,6 +26,8 @@
 //! [`ErrorCode::Malformed`] reply, never a panic.
 
 use crate::error::{DaemonError, Result};
+use eblcio_codec::check_dtype;
+use eblcio_data::{dispatch_dtype, Element};
 use eblcio_serve::ReaderStats;
 use std::io::{Read, Write};
 
@@ -267,33 +269,24 @@ pub struct ArrayData {
 impl ArrayData {
     /// Bytes per sample for the dtype tag, if the tag is known.
     pub fn sample_size(&self) -> Option<usize> {
-        match self.dtype {
-            0 => Some(4),
-            1 => Some(8),
-            _ => None,
-        }
+        dispatch_dtype!(E = self.dtype => E::BYTES)
+    }
+
+    /// Decodes the payload as `T` samples; `None` when the dtype tag
+    /// names another type.
+    fn samples<T: Element>(&self) -> Option<Vec<T>> {
+        check_dtype::<T>(self.dtype).ok()?;
+        Some(self.bytes.chunks_exact(T::BYTES).filter_map(T::read_le).collect())
     }
 
     /// Decodes the payload as `f32` samples (dtype tag 0).
     pub fn as_f32(&self) -> Option<Vec<f32>> {
-        (self.dtype == 0).then(|| {
-            self.bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
-        })
+        self.samples()
     }
 
     /// Decodes the payload as `f64` samples (dtype tag 1).
     pub fn as_f64(&self) -> Option<Vec<f64>> {
-        (self.dtype == 1).then(|| {
-            self.bytes
-                .chunks_exact(8)
-                .map(|c| {
-                    f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-                })
-                .collect()
-        })
+        self.samples()
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {

@@ -4,6 +4,21 @@
 //! double precision (S3D). Every codec and metric in the workspace is
 //! generic over this trait so both precisions flow through the same
 //! pipelines, exactly as LibPressio dispatches over `pressio_dtype`.
+//!
+//! The trait is also the workspace's one dtype seam. Generic code meets
+//! an object-safe boundary (a `dyn Compressor`, a `dyn ArrayStage`) by
+//! erasing its `ArrayView<T>` into a [`DatasetView`] with
+//! [`Element::erase`]; what comes back is a [`Dataset`], which
+//! [`Element::unerase`] moves — never copies — into the `NdArray<T>`
+//! the caller asked for. On the far side of the boundary the precision
+//! is recovered by [`dispatch_dtype!`](crate::dispatch_dtype) — the one
+//! spelling of "the same body for `F32` and for `F64`" — either from
+//! the enum variant or from the [`Element::DTYPE`] tag containers
+//! record.
+
+use crate::array::NdArray;
+use crate::generators::{Dataset, DatasetView};
+use crate::view::ArrayView;
 
 /// A scientific floating-point sample type (`f32` or `f64`).
 ///
@@ -30,6 +45,9 @@ pub trait Element:
     const MANTISSA_BITS: u32;
     /// Human-readable precision label used in reports ("f32"/"f64").
     const NAME: &'static str;
+    /// The tag containers and the wire record for this type (0 = f32,
+    /// 1 = f64).
+    const DTYPE: u8;
 
     /// Lossless conversion to raw bits.
     fn to_bits(self) -> Self::Bits;
@@ -49,19 +67,11 @@ pub trait Element:
     /// IEEE-754 "finite" check.
     fn is_finite(self) -> bool;
 
-    /// Identity cast of a sample slice when `Self` is `f32` (`None` for
-    /// `f64`). Together with [`Self::slice_as_f64`] this lets generic
-    /// code dispatch to precision-specific entry points without copying
-    /// and without `Any` (which cannot downcast borrowed slices).
-    fn slice_as_f32(s: &[Self]) -> Option<&[f32]>;
-    /// Identity cast of a sample slice when `Self` is `f64`.
-    fn slice_as_f64(s: &[Self]) -> Option<&[f64]>;
-    /// Identity cast of an owned sample buffer when `Self` is `f32`
-    /// (`Err` returns the buffer untouched). Lets generic decoders adopt
-    /// a precision-specific buffer without cloning it.
-    fn vec_from_f32(v: Vec<f32>) -> Result<Vec<Self>, Vec<f32>>;
-    /// Identity cast of an owned sample buffer when `Self` is `f64`.
-    fn vec_from_f64(v: Vec<f64>) -> Result<Vec<Self>, Vec<f64>>;
+    /// Erases a typed view into the dtype-tagged [`DatasetView`].
+    fn erase(view: ArrayView<'_, Self>) -> DatasetView<'_>;
+    /// Moves the array out of a [`Dataset`] of this precision; a data
+    /// set of the other precision comes back untouched.
+    fn unerase(data: Dataset) -> Result<NdArray<Self>, Dataset>;
 }
 
 impl Element for f32 {
@@ -69,6 +79,7 @@ impl Element for f32 {
     const BYTES: usize = 4;
     const MANTISSA_BITS: u32 = 23;
     const NAME: &'static str = "f32";
+    const DTYPE: u8 = 0;
 
     #[inline]
     fn to_bits(self) -> u32 {
@@ -99,20 +110,15 @@ impl Element for f32 {
         f32::is_finite(self)
     }
     #[inline]
-    fn slice_as_f32(s: &[Self]) -> Option<&[f32]> {
-        Some(s)
+    fn erase(view: ArrayView<'_, Self>) -> DatasetView<'_> {
+        DatasetView::F32(view)
     }
     #[inline]
-    fn slice_as_f64(_s: &[Self]) -> Option<&[f64]> {
-        None
-    }
-    #[inline]
-    fn vec_from_f32(v: Vec<f32>) -> Result<Vec<Self>, Vec<f32>> {
-        Ok(v)
-    }
-    #[inline]
-    fn vec_from_f64(v: Vec<f64>) -> Result<Vec<Self>, Vec<f64>> {
-        Err(v)
+    fn unerase(data: Dataset) -> Result<NdArray<Self>, Dataset> {
+        match data {
+            Dataset::F32(a) => Ok(a),
+            other => Err(other),
+        }
     }
 }
 
@@ -121,6 +127,7 @@ impl Element for f64 {
     const BYTES: usize = 8;
     const MANTISSA_BITS: u32 = 52;
     const NAME: &'static str = "f64";
+    const DTYPE: u8 = 1;
 
     #[inline]
     fn to_bits(self) -> u64 {
@@ -151,21 +158,50 @@ impl Element for f64 {
         f64::is_finite(self)
     }
     #[inline]
-    fn slice_as_f32(_s: &[Self]) -> Option<&[f32]> {
-        None
+    fn erase(view: ArrayView<'_, Self>) -> DatasetView<'_> {
+        DatasetView::F64(view)
     }
     #[inline]
-    fn slice_as_f64(s: &[Self]) -> Option<&[f64]> {
-        Some(s)
+    fn unerase(data: Dataset) -> Result<NdArray<Self>, Dataset> {
+        match data {
+            Dataset::F64(a) => Ok(a),
+            other => Err(other),
+        }
     }
-    #[inline]
-    fn vec_from_f32(v: Vec<f32>) -> Result<Vec<Self>, Vec<f32>> {
-        Err(v)
-    }
-    #[inline]
-    fn vec_from_f64(v: Vec<f64>) -> Result<Vec<Self>, Vec<f64>> {
-        Ok(v)
-    }
+}
+
+/// Runs one body for whichever of the two precisions a value holds.
+///
+/// *By variant* — `dispatch_dtype!(Dataset(a) = value => body)` runs
+/// `body` with `a` bound to the payload of whichever of the enum's
+/// `F32`/`F64` variants `value` holds ([`Dataset`], [`DatasetView`], or
+/// any enum with those two variant names).
+///
+/// *By tag* — `dispatch_dtype!(E = tag => body)` runs `body` with the
+/// type alias `E` naming the element type whose [`Element::DTYPE`] is
+/// `tag`, and yields `Some(body)`; a tag naming no element type yields
+/// `None`.
+#[macro_export]
+macro_rules! dispatch_dtype {
+    ($($Enum:ident)::+($a:pat) = $value:expr => $body:expr) => {
+        match $value {
+            $($Enum)::+::F32($a) => $body,
+            $($Enum)::+::F64($a) => $body,
+        }
+    };
+    ($E:ident = $tag:expr => $body:expr) => {
+        match $tag {
+            <f32 as $crate::Element>::DTYPE => {
+                type $E = f32;
+                Some($body)
+            }
+            <f64 as $crate::Element>::DTYPE => {
+                type $E = f64;
+                Some($body)
+            }
+            _ => None,
+        }
+    };
 }
 
 #[cfg(test)]
@@ -213,5 +249,26 @@ mod tests {
     fn f64_narrowing() {
         let x = f32::from_f64(1.0 / 3.0);
         assert!((x as f64 - 1.0 / 3.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn erase_and_unerase_are_inverse_moves() {
+        use crate::Shape;
+        let a = NdArray::<f64>::from_fn(Shape::d2(3, 4), |i| (i[0] * 4 + i[1]) as f64);
+        let ptr = a.as_slice().as_ptr();
+        assert!(matches!(f64::erase(a.view()), DatasetView::F64(_)));
+        let d = Dataset::from(a);
+        assert_eq!(d.dtype(), f64::DTYPE);
+        // The wrong precision hands the data set back untouched…
+        let d = f32::unerase(d).unwrap_err();
+        // …and the right one moves the buffer, no copy.
+        assert_eq!(f64::unerase(d).unwrap().as_slice().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn dispatch_by_tag_names_the_element_type() {
+        assert_eq!(dispatch_dtype!(E = 0u8 => (E::NAME, E::BYTES)), Some(("f32", 4)));
+        assert_eq!(dispatch_dtype!(E = 1u8 => (E::NAME, E::BYTES)), Some(("f64", 8)));
+        assert_eq!(dispatch_dtype!(E = 2u8 => E::NAME), None);
     }
 }

@@ -19,7 +19,10 @@
 //! All generators are pure functions of `(kind, scale, seed)`.
 
 use crate::array::NdArray;
+use crate::dispatch_dtype;
+use crate::element::Element;
 use crate::shape::Shape;
+use crate::view::ArrayView;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -227,34 +230,32 @@ impl DatasetSpec {
 /// a rescaled copy plus `turb_amp` multi-scale turbulence and
 /// `noise_amp` white noise (both relative to the base value range).
 fn apply_variable(
-    base: Dataset,
+    mut base: Dataset,
     shape: Shape,
     rng: &mut StdRng,
     turb_amp: f64,
     noise_amp: f64,
 ) -> Dataset {
-    let turb = multiscale_field(shape, 2, shape.dim(shape.rank() - 1).max(8) / 8, rng);
-    match base {
-        Dataset::F32(mut a) => {
-            let range = a.value_range().max(1e-9);
-            for (v, t) in a.as_mut_slice().iter_mut().zip(&turb) {
-                let n = normal(rng);
-                *v = (*v as f64 * 0.5 + range * (turb_amp * t + noise_amp * n)) as f32;
-            }
-            Dataset::F32(a)
-        }
-        Dataset::F64(mut a) => {
-            let range = a.value_range().max(1e-9);
-            for (v, t) in a.as_mut_slice().iter_mut().zip(&turb) {
-                let n = normal(rng);
-                *v = *v * 0.5 + range * (turb_amp * t + noise_amp * n);
-            }
-            Dataset::F64(a)
+    fn perturb<T: Element>(
+        a: &mut NdArray<T>,
+        turb: &[f64],
+        rng: &mut StdRng,
+        turb_amp: f64,
+        noise_amp: f64,
+    ) {
+        let range = a.value_range().max(1e-9);
+        for (v, t) in a.as_mut_slice().iter_mut().zip(turb) {
+            let n = normal(rng);
+            *v = T::from_f64(v.to_f64() * 0.5 + range * (turb_amp * t + noise_amp * n));
         }
     }
+    let turb = multiscale_field(shape, 2, shape.dim(shape.rank() - 1).max(8) / 8, rng);
+    dispatch_dtype!(Dataset(a) = &mut base => perturb(a, &turb, rng, turb_amp, noise_amp));
+    base
 }
 
-/// A generated data set: single- or double-precision.
+/// An owned array of either precision: what generators produce and what
+/// comes back, dtype-erased, from an object-safe codec boundary.
 #[derive(Clone, Debug)]
 pub enum Dataset {
     /// Single-precision field.
@@ -263,34 +264,59 @@ pub enum Dataset {
     F64(NdArray<f64>),
 }
 
+impl From<NdArray<f32>> for Dataset {
+    fn from(a: NdArray<f32>) -> Self {
+        Dataset::F32(a)
+    }
+}
+
+impl From<NdArray<f64>> for Dataset {
+    fn from(a: NdArray<f64>) -> Self {
+        Dataset::F64(a)
+    }
+}
+
 impl Dataset {
+    /// Parses a flat little-endian sample buffer as the element type
+    /// `dtype` names. `None` for an unknown tag or a size mismatch.
+    pub fn from_le_bytes(dtype: u8, shape: Shape, bytes: &[u8]) -> Option<Self> {
+        dispatch_dtype!(E = dtype => NdArray::<E>::from_le_bytes(shape, bytes).map(Dataset::from))
+            .flatten()
+    }
+
+    /// Borrows the array as a dtype-erased view.
+    pub fn view(&self) -> DatasetView<'_> {
+        dispatch_dtype!(Dataset(a) = self => Element::erase(a.view()))
+    }
+
+    /// The [`Element::DTYPE`] tag of the held precision.
+    pub fn dtype(&self) -> u8 {
+        self.view().dtype()
+    }
+
     /// The array's shape.
     pub fn shape(&self) -> Shape {
-        match self {
-            Dataset::F32(a) => a.shape(),
-            Dataset::F64(a) => a.shape(),
-        }
+        self.view().shape()
     }
 
     /// Uncompressed size in bytes.
     pub fn nbytes(&self) -> usize {
-        match self {
-            Dataset::F32(a) => a.nbytes(),
-            Dataset::F64(a) => a.nbytes(),
-        }
+        dispatch_dtype!(Dataset(a) = self => a.nbytes())
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        match self {
-            Dataset::F32(a) => a.len(),
-            Dataset::F64(a) => a.len(),
-        }
+        self.shape().len()
     }
 
     /// True when the data set holds no samples.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The samples as flat little-endian bytes (the raw-file layout).
+    pub fn to_le_bytes(&self) -> Vec<u8> {
+        dispatch_dtype!(Dataset(a) = self => a.to_le_bytes())
     }
 
     /// Borrows the single-precision array, panicking for f64 sets.
@@ -309,6 +335,37 @@ impl Dataset {
             // eblcio-allow(panic-freedom): documented panicking test/bench convenience accessor; every call site is a test, bench, or example asserting the precision it just generated
             Dataset::F32(_) => panic!("dataset is f32, not f64"),
         }
+    }
+}
+
+/// A borrowed array of either precision: what generic code erases its
+/// [`ArrayView`] into ([`Element::erase`]) to cross an object-safe
+/// codec boundary without copying.
+#[derive(Clone, Copy, Debug)]
+pub enum DatasetView<'a> {
+    /// Single-precision view.
+    F32(ArrayView<'a, f32>),
+    /// Double-precision view.
+    F64(ArrayView<'a, f64>),
+}
+
+impl DatasetView<'_> {
+    /// The [`Element::DTYPE`] tag of the viewed precision.
+    pub fn dtype(&self) -> u8 {
+        fn tag<T: Element>(_: &ArrayView<'_, T>) -> u8 {
+            T::DTYPE
+        }
+        dispatch_dtype!(DatasetView(v) = self => tag(v))
+    }
+
+    /// The view's shape.
+    pub fn shape(&self) -> Shape {
+        dispatch_dtype!(DatasetView(v) = self => v.shape())
+    }
+
+    /// The value range `max − min` over finite samples (paper Eq. 1).
+    pub fn value_range(&self) -> f64 {
+        dispatch_dtype!(DatasetView(v) = self => v.value_range())
     }
 }
 

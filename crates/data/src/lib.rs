@@ -29,7 +29,7 @@ pub mod view;
 
 pub use array::NdArray;
 pub use element::Element;
-pub use generators::{Dataset, DatasetKind, DatasetSpec};
+pub use generators::{Dataset, DatasetKind, DatasetSpec, DatasetView};
 pub use metrics::{compression_ratio, max_abs_error, max_rel_error, mse, psnr, QualityReport};
 pub use shape::Shape;
 pub use stats::{ConfidenceInterval, RunningStats};

@@ -206,33 +206,12 @@ impl PfsSim {
         profile: &CpuProfile,
         read: bool,
     ) -> IoMeasurement {
-        self.chunk_phase_with_unlinks(chunks, &[], meta_bytes, efficiency, clients, profile, read)
-    }
-
-    /// [`Self::chunk_phase`] plus object unlinks: each entry of
-    /// `unlinked` is the placement index of an object being deleted or
-    /// replaced, charged one metadata RPC on its OST (no payload
-    /// bytes — unlink is a metadata operation).
-    #[allow(clippy::too_many_arguments)]
-    fn chunk_phase_with_unlinks(
-        &self,
-        chunks: &[(usize, u64)],
-        unlinked: &[usize],
-        meta_bytes: u64,
-        efficiency: f64,
-        clients: u32,
-        profile: &CpuProfile,
-        read: bool,
-    ) -> IoMeasurement {
         assert!(efficiency > 0.0 && efficiency <= 1.0, "bad efficiency");
         let n = self.osts.len().max(1);
         let mut bytes = vec![0u64; n];
         let mut ops = vec![0u32; n];
         for &(i, b) in chunks {
             bytes[i % n] += b;
-            ops[i % n] += 1;
-        }
-        for &i in unlinked {
             ops[i % n] += 1;
         }
         // The manifest lives at the stream head, on the first target.
@@ -298,31 +277,6 @@ impl PfsSim {
         profile: &CpuProfile,
     ) -> IoMeasurement {
         self.chunk_phase(chunks, meta_bytes, efficiency, readers, profile, true)
-    }
-
-    /// Publishes a copy-on-write update: writes the replacement objects
-    /// (each entry pairs the object's placement index with its new
-    /// size), rewrites `meta_bytes` of manifest, and charges one unlink
-    /// RPC per entry of `replaced` (the placement indices of the dead
-    /// objects the update strands — deletion is a metadata operation,
-    /// so it costs latency, not bandwidth).
-    ///
-    /// This is the I/O shape of `eblcio_store`'s mutable stores: an
-    /// update pays for the chunks it rewrites plus manifest metadata,
-    /// never for the untouched bulk of the array — the whole point of
-    /// chunk-granular mutability.
-    pub fn rewrite_chunks(
-        &self,
-        written: &[(usize, u64)],
-        replaced: &[usize],
-        meta_bytes: u64,
-        efficiency: f64,
-        writers: u32,
-        profile: &CpuProfile,
-    ) -> IoMeasurement {
-        self.chunk_phase_with_unlinks(
-            written, replaced, meta_bytes, efficiency, writers, profile, false,
-        )
     }
 
     /// Mean CPU power charged during I/O phases (exposed for reports).
@@ -518,24 +472,6 @@ mod tests {
         let hot = pfs.read_chunks(&colocated, 0, 1.0, 1, &profile());
         let cool = pfs.read_chunks(&spread, 0, 1.0, 1, &profile());
         assert!(hot.seconds.value() > 3.0 * cool.seconds.value());
-    }
-
-    #[test]
-    fn chunk_rewrite_charges_unlinks_and_beats_full_rewrite() {
-        let pfs = PfsSim::testbed();
-        let all: Vec<u64> = vec![1 << 22; 64];
-        let full = pfs.write_chunks(&all, 4096, 1.0, 1, &profile());
-        // Updating two chunks writes two objects, unlinks two, and
-        // rewrites the manifest — far cheaper than the full write.
-        let written = [(3usize, 1u64 << 22), (10, 1 << 22)];
-        let update = pfs.rewrite_chunks(&written, &[3, 10], 4096, 1.0, 1, &profile());
-        assert!(update.seconds.value() < full.seconds.value() / 3.0);
-        assert!(update.storage_energy.value() < full.storage_energy.value() / 4.0);
-        // Unlinks are not free: they cost metadata latency.
-        let no_unlink = pfs.rewrite_chunks(&written, &[], 4096, 1.0, 1, &profile());
-        assert!(update.seconds.value() > no_unlink.seconds.value());
-        // …but no payload bytes: storage energy is unchanged.
-        assert!((update.storage_energy.value() - no_unlink.storage_energy.value()).abs() < 1e-12);
     }
 
     #[test]

@@ -27,12 +27,11 @@
 //! chunk's content fingerprint, not just its index.
 
 use crate::cache::{CacheConfig, CacheStats, ChunkKey, DecodedChunkCache};
-use eblcio_codec::header::Header;
+use eblcio_codec::header::check_dtype;
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::{CodecError, Compressor, Result};
 use eblcio_data::{Element, NdArray};
 use eblcio_obs::{self as obs, Counter, Histogram, MetricsRegistry, NameId, Stopwatch};
-use eblcio_store::mutable::MUTABLE_MAGIC;
 use eblcio_store::{scatter_chunk, ChunkedStore, MutableStore, Region, Storage};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rayon::prelude::*;
@@ -360,36 +359,12 @@ impl<T: Element> ArrayReader<T> {
     /// reader then decodes from its private snapshot, so a slow or
     /// expensive backend is touched exactly once per open/refresh.
     pub fn open_from(storage: &dyn Storage, key: &str, config: ReaderConfig) -> Result<Self> {
-        let bytes = storage.get(key)?;
-        let store = if bytes.starts_with(MUTABLE_MAGIC) {
-            MutableStore::open_arc(bytes)?.current()?
-        } else {
-            ChunkedStore::open_arc(bytes)?
-        };
-        Self::over(store, config)
-    }
-
-    /// Validates a store's dtype tag against `T`. A tag naming a known
-    /// dtype other than `T` is a [`CodecError::DtypeMismatch`]; a tag
-    /// naming no dtype at all is container corruption, reported as such
-    /// rather than as a mismatch against a dtype nobody stored. Shared
-    /// by [`ArrayReader::over`] and [`ArrayReader::refresh`] so the two
-    /// entry points cannot drift.
-    fn check_dtype(dtype: u8) -> Result<()> {
-        let expected = match dtype {
-            0 => "f32",
-            1 => "f64",
-            _ => return Err(CodecError::Corrupt { context: "dtype tag" }),
-        };
-        if dtype != Header::dtype_of::<T>() {
-            return Err(CodecError::DtypeMismatch { expected, got: T::NAME });
-        }
-        Ok(())
+        Self::over(ChunkedStore::open_current(storage.get(key)?)?, config)
     }
 
     /// Builds a reader over an already opened store.
     pub fn over(store: ChunkedStore, config: ReaderConfig) -> Result<Self> {
-        Self::check_dtype(store.dtype())?;
+        check_dtype::<T>(store.dtype())?;
         let threads = if config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -447,7 +422,7 @@ impl<T: Element> ArrayReader<T> {
     /// superseded entry after the sweep, where it stays unreachable
     /// until LRU pressure displaces it.
     pub fn refresh(&self, store: ChunkedStore) -> Result<RefreshStats> {
-        Self::check_dtype(store.dtype())?;
+        check_dtype::<T>(store.dtype())?;
         if store.generation() == 0 {
             return Err(CodecError::Corrupt { context: "refresh target is not generational" });
         }

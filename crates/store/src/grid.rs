@@ -82,7 +82,9 @@ impl Region {
     /// True when the region lies entirely inside `shape`.
     pub fn fits_in(&self, shape: Shape) -> bool {
         self.rank == shape.rank()
-            && (0..self.rank).all(|d| self.origin[d] + self.extent[d] <= shape.dim(d))
+            && (0..self.rank).all(|d| {
+                self.origin[d].checked_add(self.extent[d]).is_some_and(|end| end <= shape.dim(d))
+            })
     }
 
     /// The overlap of two same-rank regions, if any.
@@ -366,6 +368,16 @@ mod tests {
         let r = g.chunk_region(5);
         assert_eq!(r.origin(), &[8, 4]);
         assert_eq!(r.extent(), &[2, 3]);
+    }
+
+    #[test]
+    fn fits_in_rejects_regions_whose_end_overflows() {
+        let shape = Shape::d2(4, 4);
+        assert!(Region::new(&[2, 0], &[2, 4]).fits_in(shape));
+        assert!(!Region::new(&[3, 0], &[2, 4]).fits_in(shape));
+        assert!(!Region::new(&[0], &[4]).fits_in(shape));
+        // `usize::MAX + 2` wraps to 1, which a plain `+` would accept.
+        assert!(!Region::new(&[usize::MAX, 0], &[2, 1]).fits_in(shape));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use manifest::{ChunkEntry, ChunkSlot, GenerationMeta, Manifest, ShardTable};
 pub use mutable::{
     CompactStats, GenerationSummary, MutableStore, PublishOps, StoreWriter, UpdateStats,
 };
-pub use pfs_io::{read_region_io, update_io, write_store};
+pub use pfs_io::{read_region_io, write_store};
 pub use shard::{build_shard, ShardIndex, SlotEntry};
 pub use storage::{
     named_backend, ByteRange, FaultPlan, FaultyStorage, FilesystemStorage, MemoryStorage,

@@ -59,7 +59,7 @@ use crate::manifest::{GenerationMeta, Manifest};
 use crate::metrics::store_metrics;
 use crate::storage::Storage;
 use crate::store::ChunkedStore;
-use eblcio_codec::header::Header;
+use eblcio_codec::header::check_dtype;
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::util::crc32;
 use eblcio_codec::{
@@ -710,17 +710,6 @@ impl StoreWriter<'_> {
         self.staged.len()
     }
 
-    fn check_dtype<T: Element>(&self) -> Result<()> {
-        if self.store.dtype() == Header::dtype_of::<T>() {
-            Ok(())
-        } else {
-            Err(CodecError::DtypeMismatch {
-                expected: if self.store.dtype() == 0 { "f32" } else { "f64" },
-                got: T::NAME,
-            })
-        }
-    }
-
     /// Stages a region write: every chunk intersecting `region` is
     /// decoded (from its staged version if this transaction already
     /// rewrote it, so staged writes to one chunk accumulate), overlaid
@@ -735,7 +724,7 @@ impl StoreWriter<'_> {
         threads: usize,
     ) -> Result<usize> {
         assert!(threads >= 1, "thread count must be >= 1");
-        self.check_dtype::<T>()?;
+        check_dtype::<T>(self.store.dtype())?;
         if !region.fits_in(self.store.shape()) {
             return Err(CodecError::Corrupt { context: "update region bounds" });
         }
@@ -803,7 +792,7 @@ impl StoreWriter<'_> {
     /// store's bound, with no decode of the previous content — the
     /// drift-free way to rewrite full chunks.
     pub fn stage_chunk<T: Element>(&mut self, i: usize, data: &NdArray<T>) -> Result<()> {
-        self.check_dtype::<T>()?;
+        check_dtype::<T>(self.store.dtype())?;
         if i >= self.store.n_chunks() {
             return Err(CodecError::Corrupt { context: "store chunk reference" });
         }
@@ -908,6 +897,29 @@ mod tests {
             assert_eq!(RootSlot::decode(&bad), None, "byte {i}");
         }
         assert_eq!(RootSlot::decode(&[0u8; SLOT_LEN]), None, "unwritten slot");
+    }
+
+    #[test]
+    fn open_current_sniffs_the_container() {
+        let mutable = small_store();
+        let via_ebms = ChunkedStore::open_current(mutable.as_bytes().into()).unwrap();
+        assert_eq!(via_ebms.generation(), 1);
+        let data = field(Shape::d2(20, 12));
+        let ebcs = ChunkedStore::write(
+            CompressorId::Szx.instance().as_ref(),
+            &data,
+            ErrorBound::Relative(1e-3),
+            Shape::d2(8, 8),
+            2,
+        )
+        .unwrap();
+        let via_ebcs = ChunkedStore::open_current(ebcs.into()).unwrap();
+        assert_eq!(via_ebcs.generation(), 0);
+        assert_eq!(via_ebcs.shape(), via_ebms.shape());
+        assert_eq!(
+            ChunkedStore::open_current(b"not a store at all".as_slice().into()).unwrap_err(),
+            CodecError::BadMagic
+        );
     }
 
     #[test]

@@ -35,50 +35,6 @@ pub fn write_store(
     )
 }
 
-/// Simulates publishing the *latest generation* of a mutable store:
-/// the chunks that generation rewrote are new objects (placed at their
-/// chunk index, like the original write), each replaced object costs an
-/// unlink RPC on the OST that held it, and the new manifest is
-/// metadata. Untouched chunks cost nothing — the copy-on-write point.
-///
-/// `store` must be a generation of a
-/// [`MutableStore`](crate::mutable::MutableStore) (a static store has
-/// no "latest update" to cost; it returns the manifest-only rewrite).
-pub fn update_io(
-    pfs: &PfsSim,
-    store: &ChunkedStore,
-    efficiency: f64,
-    writers: u32,
-    profile: &CpuProfile,
-) -> IoMeasurement {
-    let generation = store.generation();
-    let lens = store.chunk_lens();
-    let written: Vec<(usize, u64)> = (0..store.n_chunks())
-        .filter(|&i| generation > 0 && store.chunk_born_gen(i) == generation)
-        .map(|i| (i, lens[i]))
-        .collect();
-    // A parentless generation (initial import, or a compaction) wrote
-    // fresh objects without replacing anything — no unlinks to charge.
-    let parentless = store
-        .manifest()
-        .generation
-        .as_ref()
-        .is_none_or(|g| g.parent == 0);
-    let replaced: Vec<usize> = if parentless {
-        Vec::new()
-    } else {
-        written.iter().map(|&(i, _)| i).collect()
-    };
-    pfs.rewrite_chunks(
-        &written,
-        &replaced,
-        store.manifest_len() as u64,
-        efficiency,
-        writers,
-        profile,
-    )
-}
-
 /// Simulates reading back exactly the bytes a region read touches
 /// (manifest re-read included — a reader must parse the index first).
 /// Each touched object keeps its write-time placement index, so the
@@ -169,35 +125,6 @@ mod tests {
         let two_slabs = Region::new(&[0, 0, 0], &[16, 16, 16]);
         let r2 = read_region_io(&pfs, &store, &two_slabs, 0.9, 1, &profile);
         assert!(r.storage_energy.value() < r2.storage_energy.value());
-    }
-
-    #[test]
-    fn small_update_io_is_cheaper_than_full_rewrite() {
-        use crate::mutable::MutableStore;
-        let data = NdArray::<f32>::from_fn(Shape::d3(32, 16, 16), |i| {
-            ((i[0] + i[1]) as f32 * 0.1).sin() * 10.0 + i[2] as f32
-        });
-        let codec = CompressorId::Szx.instance();
-        let mut store = MutableStore::create(
-            codec.as_ref(),
-            &data,
-            ErrorBound::Relative(1e-3),
-            Shape::d3(8, 16, 16),
-            2,
-        )
-        .unwrap();
-        let pfs = PfsSim::testbed();
-        let profile = CpuGeneration::Skylake8160.profile();
-        let full = write_store(&pfs, &store.current().unwrap(), 0.9, 1, &profile);
-        // Rewrite one of the four slabs, then cost the publish.
-        let patch = NdArray::<f32>::from_fn(Shape::d3(8, 16, 16), |_| 1.0);
-        store
-            .update_region(&crate::grid::Region::new(&[8, 0, 0], &[8, 16, 16]), &patch, 2)
-            .unwrap();
-        let cur = store.current().unwrap();
-        let upd = update_io(&pfs, &cur, 0.9, 1, &profile);
-        assert!(upd.storage_energy.value() < full.storage_energy.value() / 2.0);
-        assert!(upd.seconds.value() < full.seconds.value());
     }
 
     #[test]

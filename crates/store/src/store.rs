@@ -6,11 +6,12 @@
 use crate::grid::{copy_region, gather, scatter_chunk, ChunkGrid, Region};
 use crate::manifest::{ChunkEntry, ChunkSlot, Manifest, ShardTable, MAX_CHAINS};
 use crate::metrics::store_metrics;
+use crate::mutable;
 use crate::shard::{build_shard, MAX_SLOTS};
 use crate::storage::Storage;
 use std::sync::Arc;
 use eblcio_codec::estimate::estimate_cr;
-use eblcio_codec::header::Header;
+use eblcio_codec::header::check_dtype;
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::util::crc32;
 use eblcio_codec::{
@@ -118,7 +119,7 @@ fn assemble<T: Element>(
         offset += s.len() as u64;
     }
     let manifest = Manifest {
-        dtype: Header::dtype_of::<T>(),
+        dtype: T::DTYPE,
         shape,
         chunk_shape,
         abs_bound: abs,
@@ -158,7 +159,7 @@ fn assemble_sharded<T: Element>(
         })
         .collect();
     let manifest = Manifest {
-        dtype: Header::dtype_of::<T>(),
+        dtype: T::DTYPE,
         shape,
         chunk_shape,
         abs_bound: abs,
@@ -439,6 +440,18 @@ impl ChunkedStore {
         })
     }
 
+    /// Opens whichever store container `bytes` holds, the one sniff
+    /// every serving entry point shares: an `EBMS` mutable store opens
+    /// at its current generation, anything else must be an immutable
+    /// `EBCS` stream.
+    pub fn open_current(bytes: Arc<[u8]>) -> Result<Self> {
+        if bytes.starts_with(mutable::MUTABLE_MAGIC) {
+            mutable::MutableStore::open_arc(bytes)?.current()
+        } else {
+            Self::open_arc(bytes)
+        }
+    }
+
     /// Opens one generation of a mutable store: parses the v4 manifest
     /// at `manifest_offset..manifest_offset + manifest_len` of `file`
     /// and validates that every chunk object it references lies inside
@@ -633,17 +646,6 @@ impl ChunkedStore {
         Ok(bytes)
     }
 
-    fn check_dtype<T: Element>(&self) -> Result<()> {
-        if self.manifest.dtype == Header::dtype_of::<T>() {
-            Ok(())
-        } else {
-            Err(CodecError::DtypeMismatch {
-                expected: if self.manifest.dtype == 0 { "f32" } else { "f64" },
-                got: T::NAME,
-            })
-        }
-    }
-
     /// Builds one decoder per chain-table entry (shared across chunks);
     /// index with [`ChunkedStore::chunk_chain_index`].
     pub fn decoders(&self) -> Result<Vec<Box<dyn Compressor>>> {
@@ -663,7 +665,7 @@ impl ChunkedStore {
     /// error, not a panic — serving layers pass client-supplied chunk
     /// ids straight through.
     pub fn read_chunk<T: Element>(&self, i: usize) -> Result<NdArray<T>> {
-        self.check_dtype::<T>()?;
+        check_dtype::<T>(self.manifest.dtype)?;
         if i >= self.n_chunks() {
             return Err(CodecError::Corrupt { context: "store chunk reference" });
         }
@@ -750,7 +752,7 @@ impl ChunkedStore {
     /// shared rayon pool for `threads` workers.
     pub fn read_full<T: Element>(&self, threads: usize) -> Result<NdArray<T>> {
         assert!(threads >= 1, "thread count must be >= 1");
-        self.check_dtype::<T>()?;
+        check_dtype::<T>(self.manifest.dtype)?;
         let decoders = self.decoders()?;
         let ids: Vec<usize> = (0..self.n_chunks()).collect();
         let pool = pool_for(threads)?;
@@ -804,7 +806,7 @@ impl ChunkedStore {
         let m = store_metrics();
         let sw = Stopwatch::start();
         let _span = obs::span_id_from(m.span_read_region, sw);
-        self.check_dtype::<T>()?;
+        check_dtype::<T>(self.manifest.dtype)?;
         let decoders = self.decoders()?;
         let hits = self.grid.chunks_intersecting(region);
         let parts: Vec<Result<(NdArray<T>, Region, bool)>> = hits
@@ -841,7 +843,7 @@ impl ChunkedStore {
     /// [`QualityReport`] per chunk in raster order, each computed over
     /// that chunk's samples and compressed size.
     pub fn chunk_quality<T: Element>(&self, original: &NdArray<T>) -> Result<Vec<QualityReport>> {
-        self.check_dtype::<T>()?;
+        check_dtype::<T>(self.manifest.dtype)?;
         if original.shape() != self.manifest.shape {
             return Err(CodecError::Corrupt { context: "store quality shape" });
         }

@@ -2,7 +2,7 @@
 //! codec and precision, edge chunks, partial reads, corruption
 //! rejection, and the ε contract.
 
-use eblcio_codec::{header, ChainSpec, CompressorId, ErrorBound};
+use eblcio_codec::{compress, header, ChainSpec, CompressorId, ErrorBound};
 use eblcio_data::{max_rel_error, Element, NdArray, Shape};
 use eblcio_store::{ChunkedStore, Region};
 use proptest::prelude::*;
@@ -640,7 +640,7 @@ proptest! {
         let chunked = ChunkedStore::write(
             codec.as_ref(), &data, ErrorBound::Relative(eps), Shape::d2(c0, c1), 2,
         ).unwrap();
-        let serial = codec.compress_f32(&data, ErrorBound::Relative(eps)).unwrap();
+        let serial = compress(codec.as_ref(), &data, ErrorBound::Relative(eps)).unwrap();
 
         let store = ChunkedStore::open(&chunked).unwrap();
         let (serial_header, _) = header::read_stream(&serial).unwrap();

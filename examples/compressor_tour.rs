@@ -25,18 +25,11 @@ fn main() {
                 .expect("compress");
             let dt = t0.elapsed().as_secs_f64();
 
-            let (psnr_db, max_err, ok) = match &data {
-                Dataset::F32(a) => {
-                    let b = codec.decompress_f32(&stream).expect("decompress");
-                    let r = QualityReport::evaluate(a, &b, stream.len());
-                    (r.psnr_db, r.max_rel_error, r.within_bound(eps))
-                }
-                Dataset::F64(a) => {
-                    let b = codec.decompress_f64(&stream).expect("decompress");
-                    let r = QualityReport::evaluate(a, &b, stream.len());
-                    (r.psnr_db, r.max_rel_error, r.within_bound(eps))
-                }
-            };
+            let (psnr_db, max_err, ok) = dispatch_dtype!(Dataset(a) = &data => {
+                let b = decompress(codec.as_ref(), &stream).expect("decompress");
+                let r = QualityReport::evaluate(a, &b, stream.len());
+                (r.psnr_db, r.max_rel_error, r.within_bound(eps))
+            });
             println!(
                 "{:<8} {:<6} {:>10.2} {:>9.2} {:>10.2e} {:>12.1} {:>8}",
                 kind.name(),

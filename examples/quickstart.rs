@@ -30,7 +30,7 @@ fn main() {
     );
 
     // 3. Decompress and verify the error-bound contract (paper Eq. 1).
-    let back = codec.decompress_f32(&stream).expect("decompression");
+    let back = decompress::<f32>(codec.as_ref(), &stream).expect("decompression");
     let report = QualityReport::evaluate(data.as_f32(), &back, stream.len());
     println!(
         "quality: PSNR {:.1} dB, max rel err {:.2e} (bound 1e-3): within = {}",
@@ -44,7 +44,7 @@ fn main() {
     //    compare the write energy (the paper's Fig. 11 comparison).
     let pfs = PfsSim::testbed();
     let profile = CpuGeneration::SapphireRapids9480.profile();
-    let original = DataObject::opaque("nyx_original", data.as_f32().to_le_bytes());
+    let original = DataObject::opaque("nyx_original", data.to_le_bytes());
     let compressed =
         DataObject::opaque("nyx_sz3", stream).with_attr("compressor", "SZ3");
     let w_orig = write_objects(IoToolKind::Hdf5Lite, &[original], &pfs, &profile, 1);

@@ -295,9 +295,19 @@ fn parse_coords(s: &str, what: &str) -> Result<Vec<usize>, String> {
     Ok(dims)
 }
 
+/// `(name, bytes per sample)` of the element type a container dtype
+/// tag names.
+fn dtype_info(tag: u8) -> Result<(&'static str, usize), String> {
+    dispatch_dtype!(E = tag => (E::NAME, E::BYTES)).ok_or_else(|| unknown_dtype(tag))
+}
+
+fn unknown_dtype(tag: u8) -> String {
+    format!("unknown dtype tag {tag}")
+}
+
 /// Compresses one typed array to a monolithic stream, a chunked store,
 /// or a sharded store depending on the flags.
-fn build_stream<T: eblcio::data::Element>(
+fn build_stream<T: Element>(
     spec: &ChainSpec,
     arr: &NdArray<T>,
     eps: f64,
@@ -351,19 +361,15 @@ fn cmd_compress(args: &[String]) -> CliResult {
 
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let t0 = std::time::Instant::now();
-    let stream = match dtype {
-        "f32" => {
-            let arr = NdArray::<f32>::from_le_bytes(shape, &bytes)
-                .ok_or_else(|| format!("{input}: size does not match {shape} f32"))?;
-            build_stream(&spec, &arr, eps, chunk, shard)?
-        }
-        "f64" => {
-            let arr = NdArray::<f64>::from_le_bytes(shape, &bytes)
-                .ok_or_else(|| format!("{input}: size does not match {shape} f64"))?;
-            build_stream(&spec, &arr, eps, chunk, shard)?
-        }
+    let tag = match dtype {
+        "f32" => f32::DTYPE,
+        "f64" => f64::DTYPE,
         other => return Err(format!("--dtype must be f32 or f64, got '{other}'")),
     };
+    let data = Dataset::from_le_bytes(tag, shape, &bytes)
+        .ok_or_else(|| format!("{input}: size does not match {shape} {dtype}"))?;
+    let stream =
+        dispatch_dtype!(Dataset(arr) = &data => build_stream(&spec, arr, eps, chunk, shard))?;
     let stream = if mutable {
         MutableStore::import(&stream)
             .map_err(|e| e.to_string())?
@@ -404,10 +410,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     };
     let stream = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let data = decompress_any(&stream).map_err(|e| e.to_string())?;
-    let raw = match &data {
-        Dataset::F32(a) => a.to_le_bytes(),
-        Dataset::F64(a) => a.to_le_bytes(),
-    };
+    let raw = data.to_le_bytes();
     std::fs::write(output, &raw).map_err(|e| format!("{output}: {e}"))?;
     println!(
         "{input} -> {output}: shape {}, {} samples, {} B",
@@ -458,11 +461,12 @@ fn inspect_stream(input: &str, stream: &[u8]) -> CliResult {
     println!("file:      {input}");
     println!("container: EBLC v{}", stream[4]);
     println!("chain:     {}", h.chain.label());
-    println!("dtype:     {}", if h.dtype == 0 { "f32" } else { "f64" });
+    let (dtype, sample_bytes) = dtype_info(h.dtype)?;
+    println!("dtype:     {dtype}");
     println!("shape:     {}", h.shape);
     println!("abs bound: {:e}", h.abs_bound);
     println!("payload:   {} B (stream {} B)", payload.len(), stream.len());
-    let raw = h.shape.len() * if h.dtype == 0 { 4 } else { 8 };
+    let raw = h.shape.len() * sample_bytes;
     println!("ratio:     {:.2}x vs raw", raw as f64 / stream.len() as f64);
     Ok(())
 }
@@ -498,7 +502,8 @@ fn inspect_store(input: &str, stream: &[u8]) -> CliResult {
 }
 
 fn print_store(store: &ChunkedStore, stream_len: usize) -> CliResult {
-    println!("dtype:      {}", if store.dtype() == 0 { "f32" } else { "f64" });
+    let (dtype, sample_bytes) = dtype_info(store.dtype())?;
+    println!("dtype:      {dtype}");
     println!("shape:      {}", store.shape());
     println!(
         "grid:       {} chunks of {} (counts {:?})",
@@ -520,7 +525,7 @@ fn print_store(store: &ChunkedStore, stream_len: usize) -> CliResult {
     if store.generation() > 0 {
         println!("generation: {}", store.generation());
     }
-    let raw = store.shape().len() * if store.dtype() == 0 { 4 } else { 8 };
+    let raw = store.shape().len() * sample_bytes;
     println!("ratio:      {:.2}x vs raw", raw as f64 / stream_len as f64);
     println!(
         "\n{:>6} {:<18} {:>10} {:>11}  chain",
@@ -593,13 +598,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     };
     // `query` serves static EBCS streams and the current generation of
     // EBMS mutable files identically.
-    let store = if stream.get(..4) == Some(&eblcio::store::mutable::MUTABLE_MAGIC[..]) {
-        MutableStore::open_arc(stream)
-            .and_then(|m| m.current())
-            .map_err(|e| e.to_string())?
-    } else {
-        ChunkedStore::open_arc(stream).map_err(|e| e.to_string())?
-    };
+    let store = ChunkedStore::open_current(stream).map_err(|e| e.to_string())?;
     let region = Region::new(&origin, &extent);
     if !region.fits_in(store.shape()) {
         return Err(format!(
@@ -630,10 +629,10 @@ fn cmd_query(args: &[String]) -> CliResult {
             String::new()
         },
     );
-    let result = match store.dtype() {
-        0 => run_query::<f32>(store, &region, repeat, clients, config, metrics),
-        _ => run_query::<f64>(store, &region, repeat, clients, config, metrics),
-    };
+    let store_dtype = store.dtype();
+    let result = dispatch_dtype!(E = store_dtype =>
+        run_query::<E>(store, &region, repeat, clients, config, metrics))
+    .unwrap_or_else(|| Err(unknown_dtype(store_dtype)));
     if let Some(b) = &backend {
         b.finish();
     }
@@ -694,7 +693,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 
     let shape = reader.shape();
     let n_chunks = reader.n_chunks();
-    let dtype = if reader.dtype() == 0 { "f32" } else { "f64" };
+    let (dtype, _) = dtype_info(reader.dtype())?;
     let daemon_config = eblcio::daemon::DaemonConfig {
         workers,
         queue_depth,
@@ -729,7 +728,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// per-request latency histogram (snapshot deltas isolate the pass),
 /// and the run ends with the full percentile report and a Prometheus
 /// exposition of both the reader's registry and the process registry.
-fn run_query<T: eblcio::data::Element>(
+fn run_query<T: Element>(
     store: ChunkedStore,
     region: &Region,
     repeat: usize,
@@ -924,19 +923,11 @@ fn cmd_update(args: &[String]) -> CliResult {
     }
     let raw = std::fs::read(data_path).map_err(|e| format!("{data_path}: {e}"))?;
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let stats = match current.dtype() {
-        0 => {
-            let arr = NdArray::<f32>::from_le_bytes(region.shape(), &raw)
-                .ok_or_else(|| format!("{data_path}: size does not match {} f32", region.shape()))?;
-            store.update_region(&region, &arr, threads)
-        }
-        _ => {
-            let arr = NdArray::<f64>::from_le_bytes(region.shape(), &raw)
-                .ok_or_else(|| format!("{data_path}: size does not match {} f64", region.shape()))?;
-            store.update_region(&region, &arr, threads)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let (dtype, _) = dtype_info(current.dtype())?;
+    let patch = Dataset::from_le_bytes(current.dtype(), region.shape(), &raw)
+        .ok_or_else(|| format!("{data_path}: size does not match {} {dtype}", region.shape()))?;
+    let stats = dispatch_dtype!(Dataset(arr) = &patch => store.update_region(&region, arr, threads))
+        .map_err(|e| e.to_string())?;
     match &backend {
         Some(b) => {
             if out != *input {
@@ -1009,16 +1000,10 @@ fn cmd_demo(args: &[String]) -> CliResult {
         let codec = id.instance();
         let stream = compress_dataset(codec.as_ref(), &data, ErrorBound::Relative(1e-3))
             .map_err(|e| e.to_string())?;
-        let (psnr_db, err) = match &data {
-            Dataset::F32(a) => {
-                let b = codec.decompress_f32(&stream).map_err(|e| e.to_string())?;
-                (psnr(a, &b), max_rel_error(a, &b))
-            }
-            Dataset::F64(a) => {
-                let b = codec.decompress_f64(&stream).map_err(|e| e.to_string())?;
-                (psnr(a, &b), max_rel_error(a, &b))
-            }
-        };
+        let (psnr_db, err) = dispatch_dtype!(Dataset(a) = &data => {
+            let b = decompress(codec.as_ref(), &stream).map_err(|e| e.to_string())?;
+            (psnr(a, &b), max_rel_error(a, &b))
+        });
         println!(
             "{:<6} {:>10.2} {:>9.2} {:>10.2e}",
             id.name(),

@@ -11,6 +11,7 @@
 
 use eblcio_codec::header;
 use eblcio_codec::parallel_stream_info;
+use eblcio_data::{dispatch_dtype, Element};
 use eblcio_obs::{MetricValue, MetricsRegistry};
 use eblcio_store::ChunkedStore;
 use serde::Value;
@@ -27,8 +28,14 @@ fn usize_seq(v: &[usize]) -> Value {
     Value::Seq(v.iter().map(|&d| Value::U64(d as u64)).collect())
 }
 
+/// `(name, bytes per sample)` of the element type a dtype tag names.
+/// The container parsers reject every other tag before it gets here.
+fn dtype_info(tag: u8) -> (&'static str, usize) {
+    dispatch_dtype!(E = tag => (E::NAME, E::BYTES)).unwrap_or(("unknown", 0))
+}
+
 fn dtype_name(tag: u8) -> Value {
-    Value::Str(if tag == 0 { "f32" } else { "f64" }.to_string())
+    Value::Str(dtype_info(tag).0.to_string())
 }
 
 /// Inspects any workspace container, returning a JSON-ready document.
@@ -87,7 +94,7 @@ pub fn metrics_json(registry: &MetricsRegistry) -> Value {
 
 fn stream_json(stream: &[u8]) -> Result<Value, String> {
     let (h, payload) = header::read_stream(stream).map_err(|e| e.to_string())?;
-    let raw = h.shape.len() * if h.dtype == 0 { 4 } else { 8 };
+    let raw = h.shape.len() * dtype_info(h.dtype).1;
     Ok(map(vec![
         ("container", Value::Str("EBLC".into())),
         ("version", Value::U64(u64::from(stream[4]))),
@@ -157,7 +164,7 @@ fn mutable_json(stream: &[u8]) -> Result<Value, String> {
 }
 
 fn store_doc(store: &ChunkedStore, version: u8, stream_bytes: u64) -> Value {
-    let raw = store.shape().len() * if store.dtype() == 0 { 4 } else { 8 };
+    let raw = store.shape().len() * dtype_info(store.dtype()).1;
     let chains = Value::Seq(
         store
             .chains()

@@ -52,8 +52,9 @@
 //! let codec = CompressorId::Sz3.instance();
 //! let stream = compress_dataset(codec.as_ref(), &data, ErrorBound::Relative(1e-3)).unwrap();
 //!
-//! // The bound is honoured and the ratio is large on smooth data.
-//! let back = codec.decompress_f32(&stream).unwrap();
+//! // The bound is honoured and the ratio is large on smooth data
+//! // (asking for `f64` here would be a typed `DtypeMismatch`).
+//! let back: NdArray<f32> = decompress(codec.as_ref(), &stream).unwrap();
 //! assert!(max_rel_error(data.as_f32(), &back) <= 1e-3);
 //! assert!(data.nbytes() / stream.len() > 10);
 //!
@@ -85,12 +86,12 @@ pub mod inspect;
 pub mod prelude {
     pub use eblcio_codec::{
         compress, compress_dataset, compress_parallel, compress_view, decompress, decompress_any,
-        decompress_parallel, parallel_stream_info, ByteStageSpec, ChainSpec, CodecChain,
-        CodecRegistry, Compressor, CompressorId, ErrorBound,
+        decompress_parallel, decompress_region, parallel_stream_info, ByteStageSpec, ChainSpec,
+        CodecChain, CodecRegistry, Compressor, CompressorId, ErrorBound,
     };
     pub use eblcio_data::{
-        compression_ratio, max_rel_error, psnr, ArrayView, Dataset, DatasetKind, DatasetSpec,
-        NdArray, QualityReport, Shape,
+        compression_ratio, dispatch_dtype, max_rel_error, psnr, ArrayView, Dataset, DatasetKind,
+        DatasetSpec, DatasetView, Element, NdArray, QualityReport, Shape,
     };
     pub use eblcio_data::generators::Scale;
     pub use eblcio_daemon::{

@@ -291,6 +291,17 @@ fn compress_to_sharded_store_query_and_json_inspect() {
         .unwrap();
     assert!(!st.status.success());
     assert!(String::from_utf8_lossy(&st.stderr).contains("does not fit"));
+
+    // So is one whose `origin + extent` overflows (it used to wrap
+    // past the bounds check and panic inside the reader).
+    let st = Command::new(bin())
+        .arg("query")
+        .arg(&store_path)
+        .args(["--origin", "18446744073709551615x0", "--extent", "2x1"])
+        .output()
+        .unwrap();
+    assert_eq!(st.status.code(), Some(1), "{}", String::from_utf8_lossy(&st.stderr));
+    assert!(String::from_utf8_lossy(&st.stderr).contains("does not fit"));
 }
 
 #[test]

@@ -20,15 +20,13 @@ fn truncated_streams_rejected_for_every_codec() {
         for frac in [0usize, 1, 4, 9] {
             let cut = stream.len() * frac / 10;
             assert!(
-                codec.decompress_f32(&stream[..cut]).is_err(),
+                decompress::<f32>(codec.as_ref(), &stream[..cut]).is_err(),
                 "{} accepted a {frac}0% prefix",
                 id.name()
             );
         }
         // One byte short must also fail.
-        assert!(codec
-            .decompress_f32(&stream[..stream.len() - 1])
-            .is_err());
+        assert!(decompress::<f32>(codec.as_ref(), &stream[..stream.len() - 1]).is_err());
     }
 }
 
@@ -42,7 +40,7 @@ fn payload_corruption_detected_by_checksum() {
         let pos = stream.len() - stream.len() / 4 - 1;
         bad[pos] ^= 0xff;
         assert!(
-            codec.decompress_f32(&bad).is_err(),
+            decompress::<f32>(codec.as_ref(), &bad).is_err(),
             "{} accepted corrupted payload",
             id.name()
         );
@@ -60,7 +58,7 @@ fn cross_codec_streams_rejected() {
                 continue;
             }
             assert!(
-                codec.decompress_f32(s).is_err(),
+                decompress::<f32>(codec.as_ref(), s).is_err(),
                 "{} accepted a {} stream",
                 id.name(),
                 ids[j].name()
@@ -72,12 +70,12 @@ fn cross_codec_streams_rejected() {
 #[test]
 fn garbage_input_rejected() {
     let codec = CompressorId::Sz2.instance();
-    assert!(codec.decompress_f32(b"").is_err());
-    assert!(codec.decompress_f32(b"not a stream at all").is_err());
+    assert!(decompress::<f32>(codec.as_ref(), b"").is_err());
+    assert!(decompress::<f32>(codec.as_ref(), b"not a stream at all").is_err());
     let mut zeros = vec![0u8; 1024];
-    assert!(codec.decompress_f32(&zeros).is_err());
+    assert!(decompress::<f32>(codec.as_ref(), &zeros).is_err());
     zeros[..4].copy_from_slice(b"EBLC");
-    assert!(codec.decompress_f32(&zeros).is_err());
+    assert!(decompress::<f32>(codec.as_ref(), &zeros).is_err());
 }
 
 #[test]

@@ -10,20 +10,12 @@ use eblcio_pfs::format::DataObject;
 use eblcio_pfs::{tool::write_objects, IoToolKind, PfsSim};
 
 fn check_quality(data: &Dataset, codec: &dyn Compressor, stream: &[u8], eps: f64) -> QualityReport {
-    match data {
-        Dataset::F32(a) => {
-            let b = codec.decompress_f32(stream).expect("decompress");
-            let r = QualityReport::evaluate(a, &b, stream.len());
-            assert!(r.within_bound(eps), "{}: {:e}", codec.name(), r.max_rel_error);
-            r
-        }
-        Dataset::F64(a) => {
-            let b = codec.decompress_f64(stream).expect("decompress");
-            let r = QualityReport::evaluate(a, &b, stream.len());
-            assert!(r.within_bound(eps), "{}: {:e}", codec.name(), r.max_rel_error);
-            r
-        }
-    }
+    dispatch_dtype!(Dataset(a) = data => {
+        let b = decompress(codec, stream).expect("decompress");
+        let r = QualityReport::evaluate(a, &b, stream.len());
+        assert!(r.within_bound(eps), "{}: {:e}", codec.name(), r.max_rel_error);
+        r
+    })
 }
 
 #[test]
@@ -62,7 +54,7 @@ fn container_roundtrip_through_both_tools() {
         let objs = tool.deserialize(&written.file_image).expect("parse container");
         assert_eq!(objs.len(), 1);
         assert_eq!(objs[0].attrs[0], ("compressor".into(), "SZ3".into()));
-        let recon = codec.decompress_f32(&objs[0].payload).expect("decompress");
+        let recon = decompress::<f32>(codec.as_ref(), &objs[0].payload).expect("decompress");
         assert!(max_rel_error(data.as_f32(), &recon) <= 1e-3 * 1.0000001);
     }
 }

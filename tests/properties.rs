@@ -55,7 +55,7 @@ proptest! {
                 ErrorBound::Relative(eps),
             )
             .unwrap();
-            let back = codec.decompress_f32(&stream).unwrap();
+            let back = decompress::<f32>(codec.as_ref(), &stream).unwrap();
             prop_assert_eq!(back.shape(), data.shape());
             let err = max_rel_error(&data, &back);
             prop_assert!(
@@ -85,7 +85,7 @@ proptest! {
             ErrorBound::Relative(eps),
         )
         .unwrap();
-        let back = codec.decompress_f64(&stream).unwrap();
+        let back = decompress::<f64>(codec.as_ref(), &stream).unwrap();
         let err = max_rel_error(&data64, &back);
         prop_assert!(err <= eps * 1.0000001 + f64::EPSILON, "{}: {err:e}", id.name());
     }
@@ -169,7 +169,7 @@ proptest! {
         if bad == stream {
             return Ok(());
         }
-        match codec.decompress_f32(&bad) {
+        match decompress::<f32>(codec.as_ref(), &bad) {
             Err(_) => {}
             Ok(recon) => {
                 // Flip landed in mutable-but-checked header fields
