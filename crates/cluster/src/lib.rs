@@ -44,13 +44,9 @@ pub fn run_compress_and_write(
 ) -> Result<MultiNodeReport, eblcio_codec::CodecError> {
     let total_ranks = spec.total_ranks();
 
-    // Phase 1: all ranks compress in parallel (really).
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(spec.local_parallelism())
-        .build()
-        .map_err(|_| eblcio_codec::CodecError::Internal {
-            context: "cluster thread pool construction",
-        })?;
+    // Phase 1: all ranks compress in parallel (really), on the pool the
+    // store and the reader share for this width.
+    let pool = eblcio_codec::parallel::pool_for(spec.local_parallelism())?;
     let start = Instant::now();
     let streams: Vec<Result<Vec<u8>, eblcio_codec::CodecError>> = pool.install(|| {
         (0..total_ranks)

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Magic for the parallel multi-chunk container.
-const PAR_MAGIC: &[u8; 4] = b"EBLP";
+pub const PAR_MAGIC: &[u8; 4] = b"EBLP";
 /// Container version byte (carries a chain spec). The legacy layout
 /// had no version field — its first post-magic byte was the codec id,
 /// so any value in `1..=5` is parsed as that legacy layout and every

@@ -87,8 +87,8 @@ impl DaemonClient {
         }
     }
 
-    /// Test-only: occupies a server worker for `millis` (requires the
-    /// daemon's `test_ops` flag).
+    /// Test-only: occupies one of the server's execution slots for
+    /// `millis` (requires the daemon's `test_ops` flag).
     pub fn test_delay(&mut self, millis: u32) -> Result<()> {
         match self.call(&Request::TestDelay { millis })? {
             Reply::Ack => Ok(()),

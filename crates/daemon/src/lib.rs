@@ -7,12 +7,13 @@
 //! decoded-chunk cache. The design goals, in order:
 //!
 //! 1. **Never hang, never panic.** Every malformed frame is a typed
-//!    error reply or a clean close; every admission decision is
-//!    immediate ([`BoundedQueue::try_push`]), so a saturated daemon
-//!    answers `Overloaded` instead of wedging clients.
+//!    error reply or a clean close; a request either runs, parks
+//!    behind a bounded number of others, or is refused on the spot
+//!    (the admission gate in [`server`]), so a saturated daemon answers
+//!    `Overloaded` instead of wedging clients.
 //! 2. **Bounded everything.** Frame lengths, batch counts, wire ranks,
-//!    queue depth, and the connection table all have caps that are
-//!    checked before allocation.
+//!    requests executing and parked, and the connection table all have
+//!    caps that are checked before allocation.
 //! 3. **One metrics surface.** The daemon registers its own counters
 //!    in the reader's [`eblcio_obs`] registry, so the protocol's
 //!    `Metrics` frame returns a single Prometheus exposition covering
@@ -43,7 +44,6 @@ pub mod any;
 pub mod client;
 pub mod error;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 
 pub use any::AnyReader;
@@ -53,5 +53,4 @@ pub use protocol::{
     ArrayData, ErrorCode, RegionSpec, Reply, Request, MAX_BATCH, MAX_REPLY_FRAME,
     MAX_REQUEST_FRAME,
 };
-pub use queue::{BoundedQueue, PushError};
 pub use server::{Daemon, DaemonConfig};

@@ -1,52 +1,52 @@
-//! The daemon proper: TCP acceptor, per-connection framing loops, and
-//! a fixed worker pool behind bounded admission.
+//! The daemon proper: a TCP acceptor, and per-connection threads that
+//! frame, admit, execute and reply.
 //!
-//! Threading model — three layers, each with one job:
+//! Threading model — two roles, no per-request hand-off between them:
 //!
 //! * **acceptor** — one thread on `TcpListener::accept`, enforcing the
 //!   connection cap (over-limit connects get a typed `Overloaded`
 //!   reply and a close, never a silent drop),
-//! * **connection threads** — one per live client, owning the socket:
-//!   they read frames, decode requests, and submit jobs; decode work
-//!   never happens here, so a slow request on one connection cannot
-//!   stall another's framing,
-//! * **workers** — a fixed pool popping the [`BoundedQueue`]: all
-//!   reader work (decode, assembly, exposition rendering) runs here,
-//!   so total serving concurrency is capped no matter how many
-//!   connections are open.
+//! * **connection threads** — one per live client, owning the socket.
+//!   A connection is strictly request → reply, so the thread that
+//!   framed a request would be blocked until its reply anyway: it
+//!   passes the admission gate, runs the reader work itself,
+//!   releases its permit and only then writes the reply.
 //!
-//! Admission is the load-shedding contract: a connection thread's
-//! `try_push` either admits the job or fails **immediately**, and the
-//! failure becomes the protocol's typed `Overloaded` reply on the
-//! spot. A saturated daemon therefore answers every frame promptly —
-//! with data when it can, with "try later" when it can't — and never
-//! accumulates an unbounded backlog.
+//! Admission is the load-shedding contract: at most `workers` requests
+//! execute at once however many connections are open, at most
+//! `queue_depth` park behind them, and one more is refused
+//! **immediately** with the typed `Overloaded` reply — a saturated
+//! daemon answers every frame promptly and never accumulates an
+//! unbounded backlog. A peer that stops reading its reply holds no
+//! permit, so it costs its own thread for the write timeout and never
+//! a slot; a request whose peer hung up while it was parked is not run.
 
 use crate::any::AnyReader;
 use crate::error::Result;
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, FrameRead, RegionSpec, Reply, Request, MAX_REQUEST_FRAME,
 };
-use crate::queue::{BoundedQueue, PushError};
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::Shape;
-use eblcio_obs::{self as obs, Counter};
+use eblcio_obs::{self as obs, Counter, Histogram, Timed};
 use eblcio_store::Region;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Construction-time knobs for a [`Daemon`].
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// Worker threads executing reader work (0 = machine parallelism).
+    /// Requests executing reader work at once, however many
+    /// connections are open (0 = machine parallelism).
     pub workers: usize,
-    /// Jobs admitted but not yet picked up by a worker; one more
-    /// request than this is the typed `Overloaded` reply.
+    /// Requests parked behind the executing ones (at least 1); one
+    /// more than this is the typed `Overloaded` reply.
     pub queue_depth: usize,
     /// Live connections accepted at once; the next connect is answered
     /// `Overloaded` and closed.
@@ -55,7 +55,7 @@ pub struct DaemonConfig {
     /// connection is closed as torn. Idle time *between* frames is
     /// unlimited.
     pub read_timeout: Duration,
-    /// Enables the test-only `TestDelay` opcode (deterministic worker
+    /// Enables the test-only `TestDelay` opcode (deterministic slot
     /// occupation for overload tests). Off for real serving.
     pub test_ops: bool,
 }
@@ -72,28 +72,108 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One admitted unit of work: the decoded request plus the channel its
-/// encoded reply travels back on.
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<Vec<u8>>,
+/// The admission gate: `running` requests hold a [`Permit`], `waiting`
+/// ones are parked on `freed` until a permit drops or the gate closes.
+struct Admission {
+    state: Mutex<Gate>,
+    freed: Condvar,
+    workers: usize,
+    queue_depth: usize,
+}
+
+#[derive(Default)]
+struct Gate {
+    running: usize,
+    waiting: usize,
+    closed: bool,
+}
+
+/// Why [`Admission::enter`] turned a request away.
+enum Refused {
+    Full,
+    Closed,
+}
+
+/// One of the `workers` execution slots, released on drop.
+struct Permit<'a> {
+    gate: &'a Admission,
+    /// Whether the request was parked before it got the slot.
+    waited: bool,
+}
+
+impl Admission {
+    fn new(workers: usize, queue_depth: usize) -> Self {
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map_or(2, |n| n.get()),
+            n => n,
+        };
+        Self {
+            state: Mutex::default(),
+            freed: Condvar::new(),
+            workers,
+            queue_depth: queue_depth.max(1),
+        }
+    }
+
+    /// Takes a slot now, parks for one if the backlog has room, or
+    /// refuses on the spot.
+    fn enter(&self) -> std::result::Result<Permit<'_>, Refused> {
+        let mut g = self.state.lock();
+        let mut waited = false;
+        while !g.closed && g.running >= self.workers {
+            if !waited {
+                if g.waiting >= self.queue_depth {
+                    return Err(Refused::Full);
+                }
+                g.waiting += 1;
+                waited = true;
+            }
+            self.freed.wait(&mut g);
+        }
+        g.waiting -= usize::from(waited);
+        if g.closed {
+            return Err(Refused::Closed);
+        }
+        g.running += 1;
+        Ok(Permit { gate: self, waited })
+    }
+
+    /// Refuses every later request and wakes the parked ones to be
+    /// refused; running requests finish normally.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.freed.notify_all();
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.gate.state.lock().running -= 1;
+        self.gate.freed.notify_one();
+    }
 }
 
 /// State shared by every thread the daemon owns.
 struct Shared {
-    reader: Arc<AnyReader>,
-    test_ops: bool,
-    /// `eblcio_daemon_*` counters, registered into the reader's
+    reader: AnyReader,
+    config: DaemonConfig,
+    shutdown: AtomicBool,
+    gate: Admission,
+    conns: Conns,
+    /// `eblcio_daemon_*` metrics, registered into the reader's
     /// registry so one `Metrics` frame exposes both layers.
     connections_total: Arc<Counter>,
     requests_total: Arc<Counter>,
     overloaded_total: Arc<Counter>,
     malformed_total: Arc<Counter>,
+    admission_wait_ns: Arc<Histogram>,
+    service_ns: Arc<Histogram>,
 }
 
 /// Registry of live connections, for prompt shutdown: the daemon
 /// shuts each registered socket down, which unblocks its thread's
 /// read immediately instead of waiting out a poll interval.
+#[derive(Default)]
 struct Conns {
     streams: Mutex<HashMap<u64, TcpStream>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -105,11 +185,8 @@ struct Conns {
 /// an explicit [`Daemon::shutdown`]).
 pub struct Daemon {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    queue: Arc<BoundedQueue<Job>>,
+    shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    conns: Arc<Conns>,
 }
 
 impl Daemon {
@@ -118,67 +195,27 @@ impl Daemon {
     pub fn start(reader: AnyReader, config: DaemonConfig, addr: impl ToSocketAddrs) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let reader = Arc::new(reader);
         let registry = reader.metrics().clone();
         let shared = Arc::new(Shared {
             reader,
-            test_ops: config.test_ops,
+            shutdown: AtomicBool::new(false),
+            gate: Admission::new(config.workers, config.queue_depth),
+            conns: Conns::default(),
+            config,
             connections_total: registry.counter("eblcio_daemon_connections_total"),
             requests_total: registry.counter("eblcio_daemon_requests_total"),
             overloaded_total: registry.counter("eblcio_daemon_overloaded_total"),
             malformed_total: registry.counter("eblcio_daemon_malformed_total"),
+            admission_wait_ns: registry.histogram("eblcio_daemon_admission_wait_ns"),
+            service_ns: registry.histogram("eblcio_daemon_service_ns"),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(BoundedQueue::<Job>::new(config.queue_depth));
-        let conns = Arc::new(Conns {
-            streams: Mutex::new(HashMap::new()),
-            handles: Mutex::new(Vec::new()),
-            active: AtomicUsize::new(0),
-            next_id: AtomicU64::new(0),
-        });
-
-        let worker_count = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(2, |n| n.get())
-        } else {
-            config.workers
-        };
-        let mut workers = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            let queue = queue.clone();
-            let shared = shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("eblcio-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            let payload = execute(&shared, job.request).encode();
-                            // A connection that died mid-request just
-                            // drops its receiver; nothing to do.
-                            let _ = job.reply.send(payload);
-                        }
-                    })?,
-            );
-        }
-
         let acceptor = {
-            let shutdown = shutdown.clone();
-            let queue = queue.clone();
-            let conns = conns.clone();
             let shared = shared.clone();
-            let config = config.clone();
             std::thread::Builder::new()
                 .name("eblcio-acceptor".into())
-                .spawn(move || accept_loop(&listener, &shutdown, &queue, &conns, &shared, &config))?
+                .spawn(move || accept_loop(&listener, &shared))?
         };
-
-        Ok(Self {
-            addr,
-            shutdown,
-            queue,
-            acceptor: Some(acceptor),
-            workers,
-            conns,
-        })
+        Ok(Self { addr, shared, acceptor: Some(acceptor) })
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -188,36 +225,32 @@ impl Daemon {
 
     /// Live client connections right now.
     pub fn active_connections(&self) -> usize {
-        self.conns.active.load(Ordering::Relaxed)
+        self.shared.conns.active.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, drains admitted work, closes every connection,
-    /// and joins every thread.
+    /// Stops accepting, lets executing requests finish, refuses parked
+    /// ones, closes every connection, and joins every thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Order matters: close the queue (workers drain and exit; every
-        // admitted job still gets its reply), wake the acceptor with a
-        // throwaway connect, then unblock connection reads by shutting
-        // their sockets.
-        self.queue.close();
+        // Order matters: close the gate (parked requests wake to the
+        // shutdown reply), wake the acceptor with a throwaway connect,
+        // then unblock connection reads by shutting their sockets.
+        self.shared.gate.close();
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        for (_, s) in self.conns.streams.lock().drain() {
+        for (_, s) in self.shared.conns.streams.lock().drain() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        let handles: Vec<_> = self.conns.handles.lock().drain(..).collect();
+        let handles: Vec<_> = self.shared.conns.handles.lock().drain(..).collect();
         for h in handles {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -229,14 +262,8 @@ impl Drop for Daemon {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shutdown: &Arc<AtomicBool>,
-    queue: &Arc<BoundedQueue<Job>>,
-    conns: &Arc<Conns>,
-    shared: &Arc<Shared>,
-    config: &DaemonConfig,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let (config, conns, shutdown) = (&shared.config, &shared.conns, &shared.shutdown);
     loop {
         let (mut stream, _) = match listener.accept() {
             Ok(pair) => pair,
@@ -271,10 +298,7 @@ fn accept_loop(
         let _ = stream.set_nodelay(true);
         if conns.active.load(Ordering::SeqCst) >= config.max_connections {
             shared.overloaded_total.inc();
-            let reply = Reply::Error {
-                code: ErrorCode::Overloaded,
-                message: "connection limit reached".into(),
-            };
+            let reply = error(ErrorCode::Overloaded, "connection limit reached");
             let _ = write_frame(&mut stream, &reply.encode());
             continue;
         }
@@ -285,16 +309,13 @@ fn accept_loop(
         }
         conns.active.fetch_add(1, Ordering::SeqCst);
         let spawned = {
-            let shutdown = shutdown.clone();
-            let queue = queue.clone();
-            let conns = conns.clone();
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name(format!("eblcio-conn-{id}"))
                 .spawn(move || {
-                    connection_loop(&mut stream, &shutdown, &queue, &shared);
-                    conns.streams.lock().remove(&id);
-                    conns.active.fetch_sub(1, Ordering::SeqCst);
+                    connection_loop(&mut stream, &shared);
+                    shared.conns.streams.lock().remove(&id);
+                    shared.conns.active.fetch_sub(1, Ordering::SeqCst);
                 })
         };
         match spawned {
@@ -311,25 +332,17 @@ fn accept_loop(
 }
 
 /// Serves one connection until close, torn frame, or shutdown.
-fn connection_loop(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-    queue: &BoundedQueue<Job>,
-    shared: &Shared,
-) {
+fn connection_loop(stream: &mut TcpStream, shared: &Shared) {
     loop {
         let frame = read_frame(stream, MAX_REQUEST_FRAME, || {
-            !shutdown.load(Ordering::SeqCst)
+            !shared.shutdown.load(Ordering::SeqCst)
         });
         let payload = match frame {
             Ok(FrameRead::Frame(p)) => p,
             Ok(FrameRead::Closed) => return,
             Ok(FrameRead::TooLarge(declared)) => {
-                let reply = Reply::Error {
-                    code: ErrorCode::FrameTooLarge,
-                    message: format!("request frame declares {declared} bytes"),
-                };
-                let _ = write_frame(stream, &reply.encode());
+                let why = format!("request frame declares {declared} bytes");
+                let _ = write_frame(stream, &error(ErrorCode::FrameTooLarge, why).encode());
                 return;
             }
             // Torn frame or dead socket: nothing sensible to reply to.
@@ -339,10 +352,7 @@ fn connection_loop(
             Ok(r) => r,
             Err(e) => {
                 shared.malformed_total.inc();
-                let reply = Reply::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                };
+                let reply = error(ErrorCode::Malformed, e.to_string());
                 let _ = write_frame(stream, &reply.encode());
                 // A peer that frames garbage gets a clean close, not a
                 // resync guess.
@@ -350,37 +360,45 @@ fn connection_loop(
             }
         };
         shared.requests_total.inc();
-        let (tx, rx) = mpsc::channel();
-        let reply_payload = match queue.try_push(Job { request, reply: tx }) {
-            Err(PushError::Full(_)) => {
-                shared.overloaded_total.inc();
-                Reply::Error {
-                    code: ErrorCode::Overloaded,
-                    message: "request queue full, try later".into(),
-                }
-                .encode()
-            }
-            Err(PushError::Closed(_)) => {
-                Reply::Error {
-                    code: ErrorCode::Overloaded,
-                    message: "daemon shutting down".into(),
-                }
-                .encode()
-            }
-            Ok(()) => match rx.recv() {
-                Ok(p) => p,
-                // Workers are gone (shutdown mid-request).
-                Err(_) => Reply::Error {
-                    code: ErrorCode::Server,
-                    message: "worker pool unavailable".into(),
-                }
-                .encode(),
-            },
+        let admitted = {
+            let _t = Timed::new(&shared.admission_wait_ns);
+            shared.gate.enter()
         };
-        if write_frame(stream, &reply_payload).is_err() {
+        let reply = match admitted {
+            // The permit lives for this arm only (reader work, reply
+            // encoding): whoever stalls the write below holds no slot.
+            Ok(permit) => {
+                if permit.waited && peer_hung_up(stream) {
+                    return;
+                }
+                let _t = Timed::new(&shared.service_ns);
+                execute(shared, request).encode()
+            }
+            Err(Refused::Full) => {
+                shared.overloaded_total.inc();
+                error(ErrorCode::Overloaded, "request queue full, try later").encode()
+            }
+            Err(Refused::Closed) => error(ErrorCode::Overloaded, "daemon shutting down").encode(),
+        };
+        if write_frame(stream, &reply).is_err() {
             return;
         }
     }
+}
+
+/// Whether the peer closed its end while its request was parked — a
+/// non-blocking `peek`: `Ok(0)` is end of stream, an error other than
+/// "nothing to read yet" a dead socket. A socket that cannot be put
+/// back in blocking mode is given up the same way.
+fn peer_hung_up(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let gone = match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() != ErrorKind::WouldBlock,
+    };
+    gone | stream.set_nonblocking(false).is_err()
 }
 
 /// Validates a wire region against the served shape. Everything that
@@ -412,8 +430,8 @@ fn region_for(spec: &RegionSpec, shape: Shape) -> std::result::Result<Region, &'
     Ok(Region::new(&origin[..rank], &extent[..rank]))
 }
 
-/// Runs one request against the reader — on a worker thread, never on
-/// a connection thread. Every failure is a typed error reply.
+/// Runs one request against the reader, on the connection thread that
+/// holds a [`Permit`] for it. Every failure is a typed error reply.
 fn execute(shared: &Shared, request: Request) -> Reply {
     let reader = &shared.reader;
     match request {
@@ -457,7 +475,7 @@ fn execute(shared: &Shared, request: Request) -> Reply {
         Request::Stats => Reply::Stats(reader.stats()),
         Request::Metrics => Reply::Text(obs::prometheus(reader.metrics())),
         Request::TestDelay { millis } => {
-            if shared.test_ops {
+            if shared.config.test_ops {
                 std::thread::sleep(Duration::from_millis(u64::from(millis)));
                 Reply::Ack
             } else {
@@ -467,16 +485,121 @@ fn execute(shared: &Shared, request: Request) -> Reply {
     }
 }
 
+fn error(code: ErrorCode, message: impl Into<String>) -> Reply {
+    Reply::Error { code, message: message.into() }
+}
+
 fn bad_request(why: &str) -> Reply {
-    Reply::Error {
-        code: ErrorCode::BadRequest,
-        message: why.into(),
-    }
+    error(ErrorCode::BadRequest, why)
 }
 
 fn server_error(e: eblcio_codec::CodecError) -> Reply {
-    Reply::Error {
-        code: ErrorCode::Server,
-        message: e.to_string(),
+    error(ErrorCode::Server, e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Blocks until exactly `n` requests are parked in the gate.
+    fn wait_parked(gate: &Admission, n: usize) {
+        while gate.state.lock().waiting != n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Enters, reports whether the request was parked first (`None` =
+    /// refused) and releases the slot at once.
+    fn enter_and_leave(gate: &Admission) -> Option<bool> {
+        gate.enter().ok().map(|permit| permit.waited)
+    }
+
+    #[test]
+    fn admission_is_bounded_and_immediate() {
+        let gate = Admission::new(1, 2);
+        let running = gate.enter().ok().expect("a fresh gate has a free slot");
+        assert!(!running.waited);
+        std::thread::scope(|s| {
+            let parked: Vec<_> = (0..2).map(|_| s.spawn(|| enter_and_leave(&gate))).collect();
+            wait_parked(&gate, 2);
+            // Slot and backlog both full: refused without blocking.
+            assert!(matches!(gate.enter(), Err(Refused::Full)));
+            drop(running);
+            for h in parked {
+                assert_eq!(h.join().unwrap(), Some(true));
+            }
+        });
+        // Draining readmits, and an idle gate admits without parking.
+        assert_eq!(enter_and_leave(&gate), Some(false));
+        let g = gate.state.lock();
+        assert_eq!((g.running, g.waiting), (0, 0));
+    }
+
+    #[test]
+    fn close_wakes_waiters_with_the_shutdown_refusal() {
+        let gate = Admission::new(1, 4);
+        let running = gate.enter().ok().expect("a fresh gate has a free slot");
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| gate.enter().err());
+            wait_parked(&gate, 1);
+            gate.close();
+            assert!(matches!(parked.join().unwrap(), Some(Refused::Closed)));
+        });
+        assert_eq!(gate.state.lock().waiting, 0);
+        // The running request finishes normally; nothing enters after it,
+        // free slot or not.
+        drop(running);
+        assert_eq!(gate.state.lock().running, 0);
+        assert!(matches!(gate.enter(), Err(Refused::Closed)));
+    }
+
+    #[test]
+    fn queue_depth_zero_still_admits_one() {
+        let gate = Admission::new(1, 0);
+        let running = gate.enter().ok().expect("a fresh gate has a free slot");
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| enter_and_leave(&gate));
+            wait_parked(&gate, 1);
+            assert!(matches!(gate.enter(), Err(Refused::Full)));
+            drop(running);
+            assert_eq!(parked.join().unwrap(), Some(true));
+        });
+    }
+
+    #[test]
+    fn concurrent_enters_never_exceed_workers() {
+        const THREADS: usize = 8;
+        const PER: usize = 200;
+        const WORKERS: usize = 3;
+        // 8 threads on 3 slots and a backlog of 2: running, parking and
+        // refusal are all reachable.
+        let gate = Admission::new(WORKERS, 2);
+        let (inside, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (admitted, refused) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..PER {
+                        match gate.enter() {
+                            Ok(_permit) => {
+                                let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                                peak.fetch_max(now, Ordering::SeqCst);
+                                std::thread::yield_now();
+                                inside.fetch_sub(1, Ordering::SeqCst);
+                                admitted.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(_) => {
+                                refused.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert!(peak.load(Ordering::SeqCst) <= WORKERS, "more requests ran than slots");
+        // Every enter got exactly one answer, and every permit came back.
+        assert_eq!(admitted.into_inner() + refused.into_inner(), THREADS * PER);
+        let g = gate.state.lock();
+        assert_eq!((g.running, g.waiting, g.closed), (0, 0, false));
     }
 }

@@ -1,15 +1,19 @@
 //! End-to-end daemon tests: a real `TcpListener` on loopback, real
 //! client connections, and the serve-path invariants the protocol
-//! promises — bit-equal data, typed errors for every bad request, and
-//! an `Overloaded` reply (never a hang) when admission refuses work.
+//! promises — bit-equal data, typed errors for every bad request, an
+//! `Overloaded` reply (never a hang) when admission refuses work, and
+//! no slot spent on a peer that hung up or stopped reading.
 
 use eblcio_codec::{CompressorId, ErrorBound};
+use eblcio_daemon::protocol::write_frame;
 use eblcio_daemon::{
-    AnyReader, Daemon, DaemonClient, DaemonConfig, DaemonError, ErrorCode, RegionSpec,
+    AnyReader, Daemon, DaemonClient, DaemonConfig, DaemonError, ErrorCode, RegionSpec, Request,
 };
 use eblcio_data::{NdArray, Shape};
 use eblcio_serve::{ArrayReader, ReaderConfig};
 use eblcio_store::{ChunkedStore, Region};
+use eblcio_obs::MetricsRegistry;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A 32×32 f32 field stored as four 16×16 chunks.
@@ -24,9 +28,27 @@ fn four_chunk_stream() -> Vec<u8> {
 
 fn start_daemon(config: DaemonConfig) -> (Daemon, Vec<u8>) {
     let stream = four_chunk_stream();
-    let reader = AnyReader::open(&stream, ReaderConfig::default()).unwrap();
-    let daemon = Daemon::start(reader, config, "127.0.0.1:0").unwrap();
+    let (daemon, _) = start_daemon_over(&stream, config);
     (daemon, stream)
+}
+
+/// Serves `stream` and also hands back the reader's registry: the
+/// daemon's own histograms in it are how the tests below observe that
+/// a request has passed the gate, without sleeping and hoping.
+fn start_daemon_over(stream: &[u8], config: DaemonConfig) -> (Daemon, Arc<MetricsRegistry>) {
+    let reader = AnyReader::open(stream, ReaderConfig::default()).unwrap();
+    let registry = reader.metrics().clone();
+    let daemon = Daemon::start(reader, config, "127.0.0.1:0").unwrap();
+    (daemon, registry)
+}
+
+/// Polls `done` until it holds, failing the test after `limit`.
+fn wait_until(what: &str, limit: Duration, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + limit;
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 #[test]
@@ -288,4 +310,109 @@ fn shutdown_is_prompt_even_with_idle_connections() {
     let mut c = idle.pop().unwrap();
     c.set_timeout(Some(Duration::from_secs(5))).unwrap();
     assert!(c.stats().is_err());
+}
+
+/// A request that had to park is not run once its peer is gone: the
+/// thread that would run it is the connection's own, and it looks at
+/// its socket before spending the slot.
+#[test]
+fn a_parked_request_whose_peer_hung_up_is_not_served() {
+    let (daemon, registry) = start_daemon_over(
+        &four_chunk_stream(),
+        DaemonConfig {
+            workers: 1,
+            queue_depth: 2,
+            test_ops: true,
+            ..DaemonConfig::default()
+        },
+    );
+    let addr = daemon.local_addr();
+    let admitted = registry.histogram("eblcio_daemon_admission_wait_ns");
+    let mut probe = DaemonClient::connect(addr).unwrap();
+    let before = probe.stats().unwrap();
+
+    // Occupy the only slot, and wait until the delay really holds it.
+    let passed_gate = admitted.count();
+    let busy = std::thread::spawn(move || {
+        let mut c = DaemonClient::connect(addr).unwrap();
+        c.test_delay(400)
+    });
+    wait_until("the delay holds the slot", Duration::from_secs(10), || {
+        admitted.count() > passed_gate
+    });
+
+    // A whole ReadRegion frame, then a hang-up: the request parks
+    // behind the delay with nobody left to read its reply.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let frame = Request::ReadRegion(RegionSpec::new(&[0, 0], &[32, 32])).encode();
+    write_frame(&mut raw, &frame).unwrap();
+    drop(raw);
+
+    busy.join().unwrap().unwrap();
+    wait_until("only the probe is connected", Duration::from_secs(10), || {
+        daemon.active_connections() == 1
+    });
+    let after = probe.stats().unwrap();
+    assert_eq!(after.requests, before.requests, "the orphaned read reached the reader");
+    assert_eq!(after.cache_misses, before.cache_misses);
+    daemon.shutdown();
+}
+
+/// A peer that stops reading a large reply costs its own connection
+/// thread for the write timeout and never an execution slot: with one
+/// slot, another client is served at full speed meanwhile.
+#[test]
+fn a_slow_reader_costs_a_connection_never_a_slot() {
+    const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+    // 2048 × 2048 f32 = 16 MiB decoded, asked for four times in one
+    // batch: a 64 MiB reply is more than loopback socket buffers hold
+    // (Linux grows an unread receive queue to `tcp_rmem[2]`, 32 MiB
+    // where this was written), so the unread reply stalls its writer.
+    let data = NdArray::<f32>::from_fn(Shape::d2(2048, 2048), |i| {
+        (i[0] as f32 * 0.011).sin() * 30.0 + (i[1] as f32 * 0.007).cos() * 12.0
+    });
+    let codec = CompressorId::Szx.instance();
+    let stream =
+        ChunkedStore::write(codec.as_ref(), &data, ErrorBound::Relative(1e-3), Shape::d2(256, 2048), 2)
+            .unwrap();
+    let (daemon, registry) = start_daemon_over(
+        &stream,
+        DaemonConfig {
+            workers: 1,
+            read_timeout: WRITE_TIMEOUT,
+            ..DaemonConfig::default()
+        },
+    );
+    let addr = daemon.local_addr();
+    let served = registry.histogram("eblcio_daemon_service_ns");
+
+    // Client A asks for the whole array and never reads a byte.
+    let mut a = std::net::TcpStream::connect(addr).unwrap();
+    let whole = RegionSpec::new(&[0, 0], &[2048, 2048]);
+    let frame = Request::Batch(vec![whole; 4]).encode();
+    write_frame(&mut a, &frame).unwrap();
+    wait_until("A's request has been executed", Duration::from_secs(60), || {
+        served.count() == 1
+    });
+
+    // A is now stuck writing 64 MiB nobody reads. B's reads go through
+    // the single slot without waiting out A's write timeout.
+    let mut b = DaemonClient::connect(addr).unwrap();
+    let start = Instant::now();
+    for row in 0..8u64 {
+        let got = b.read_region(&RegionSpec::new(&[row * 256, 0], &[16, 16])).unwrap();
+        assert_eq!(got.bytes.len(), 16 * 16 * 4);
+    }
+    let took = start.elapsed();
+    assert!(took < WRITE_TIMEOUT, "B was held up behind A's unread reply: {took:?}");
+    assert_eq!(daemon.active_connections(), 2, "A should still be stalled in its write");
+
+    // The write timeout, not A, ends A's connection — after a few
+    // periods, since each send that moves a little more restarts it.
+    wait_until("A's connection is dropped", WRITE_TIMEOUT * 15, || {
+        daemon.active_connections() == 1
+    });
+    b.stats().unwrap();
+    drop(a);
+    daemon.shutdown();
 }

@@ -24,11 +24,12 @@
 //! region reads through an `ArrayReader` and reports throughput plus
 //! cache behaviour; it serves the current generation of `EBMS` files.
 //! `serve` exposes the same reader over TCP (the `eblcio_daemon`
-//! length-prefixed protocol): a fixed worker pool behind bounded
-//! admission answers `read_region`/`read_chunk`/`prefetch`/`stats`
-//! frames plus a `metrics` frame carrying the Prometheus exposition;
-//! when saturated it replies with a typed `Overloaded` error instead
-//! of queueing unboundedly.
+//! length-prefixed protocol): each connection's thread answers its own
+//! `read_region`/`read_chunk`/`prefetch`/`stats` frames plus a
+//! `metrics` frame carrying the Prometheus exposition; at most
+//! `--workers` requests execute at once and `--queue-depth` wait behind
+//! them, and when both are full it replies with a typed `Overloaded`
+//! error instead of queueing unboundedly.
 //! `update` writes a region through re-compression (copy-on-write: a
 //! new generation is published, old generations stay readable) and
 //! `compact` reclaims the dead bytes updates strand.
@@ -73,7 +74,7 @@ fn main() -> ExitCode {
                  --eps <rel> --dtype <f32|f64> --dims <AxBxC> \
                  [--chunk <AxBxC> [--shard <chunks> | --mutable]] <in.raw> <out.eblc|out.ebcs|out.ebms>\n  \
                  eblcio decompress <in.eblc> <out.raw>\n  \
-                 eblcio inspect [--json] <in.eblc|in.ebcs|in.ebms>\n  \
+                 eblcio inspect [--json] <in.eblc|in.eblp|in.ebcs|in.ebms>\n  \
                  eblcio query <in.ebcs|in.ebms> --origin <AxBxC> --extent <AxBxC> \
                  [--repeat <n>] [--clients <n>] [--threads <n>] [--cache-mb <n>] \
                  [--prefetch <chunks>] [--metrics]\n  \
@@ -89,6 +90,9 @@ fn main() -> ExitCode {
                  storage backend (object backends print a simulated bill)\n\
                  query --metrics (or EBLCIO_METRICS=1) prints percentile \
                  tables and a Prometheus exposition from the telemetry layer\n\
+                 serve runs at most --workers requests at once (0 = one per \
+                 core) with --queue-depth more waiting; beyond that a request \
+                 is answered with a typed Overloaded error\n\
                  chain spec grammar: array[+byte...], e.g. sz3, sz3+raw, \
                  szx+fpc4, sz2+shuffle4+lz"
             );
@@ -428,7 +432,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     let args: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
     let pos = positional(&args);
     let [input] = pos.as_slice() else {
-        return Err("expected <in.eblc|in.ebcs>".into());
+        return Err("expected <in.eblc|in.eblp|in.ebcs|in.ebms>".into());
     };
     let backend = cli_backend(&args, input)?;
     let stream: Vec<u8> = match &backend {
@@ -441,12 +445,12 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         println!("{text}");
         Ok(())
     } else {
-        match stream.get(..4) {
-            Some(m) if m == eblcio::store::manifest::MAGIC => inspect_store(input, &stream),
-            Some(m) if m == eblcio::store::mutable::MUTABLE_MAGIC => {
-                inspect_mutable(input, &stream)
-            }
-            _ => inspect_stream(input, &stream),
+        use eblcio::inspect::Container;
+        match eblcio::inspect::sniff(&stream) {
+            Container::Ebcs => inspect_store(input, &stream),
+            Container::Ebms => inspect_mutable(input, &stream),
+            Container::Eblp => inspect_parallel(input, &stream),
+            Container::Eblc => inspect_stream(input, &stream),
         }
     };
     if let Some(b) = &backend {
@@ -467,6 +471,23 @@ fn inspect_stream(input: &str, stream: &[u8]) -> CliResult {
     println!("abs bound: {:e}", h.abs_bound);
     println!("payload:   {} B (stream {} B)", payload.len(), stream.len());
     let raw = h.shape.len() * sample_bytes;
+    println!("ratio:     {:.2}x vs raw", raw as f64 / stream.len() as f64);
+    Ok(())
+}
+
+/// Prints an `EBLP` parallel container from its header alone.
+fn inspect_parallel(input: &str, stream: &[u8]) -> CliResult {
+    let info = eblcio::codec::parallel_stream_info(stream).map_err(|e| e.to_string())?;
+    println!("file:      {input}");
+    println!("container: EBLP (parallel slabs)");
+    println!("chain:     {}", info.chain.label());
+    let (dtype, sample_bytes) = dtype_info(info.dtype)?;
+    println!("dtype:     {dtype}");
+    println!("shape:     {}", info.shape);
+    println!("abs bound: {:e}", info.abs_bound);
+    println!("chunks:    {}", info.n_chunks);
+    println!("stream:    {} B", stream.len());
+    let raw = info.shape.len() * sample_bytes;
     println!("ratio:     {:.2}x vs raw", raw as f64 / stream.len() as f64);
     Ok(())
 }

@@ -10,15 +10,36 @@
 //! answers instead of scraping the human tables.
 
 use eblcio_codec::header;
-use eblcio_codec::parallel_stream_info;
+use eblcio_codec::parallel::{parallel_stream_info, PAR_MAGIC};
 use eblcio_data::{dispatch_dtype, Element};
 use eblcio_obs::{MetricValue, MetricsRegistry};
 use eblcio_store::ChunkedStore;
 use serde::Value;
 
-/// Magic of the `EBLP` parallel container (private to the codec crate's
-/// parser; matched here only to route inspection).
-const PAR_MAGIC: &[u8; 4] = b"EBLP";
+/// The container kinds `eblcio inspect` understands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Container {
+    /// A single compressed stream.
+    Eblc,
+    /// A `compress_parallel` slab container.
+    Eblp,
+    /// An immutable chunked store.
+    Ebcs,
+    /// A mutable (generational) store file.
+    Ebms,
+}
+
+/// Routes a stream by its four magic bytes — the one sniff behind both
+/// the text and the `--json` mode. Anything unrecognised is handed to
+/// the `EBLC` parser, whose bad-magic error names the problem.
+pub fn sniff(stream: &[u8]) -> Container {
+    match stream.get(..4) {
+        Some(m) if m == eblcio_store::manifest::MAGIC => Container::Ebcs,
+        Some(m) if m == eblcio_store::mutable::MUTABLE_MAGIC => Container::Ebms,
+        Some(m) if m == PAR_MAGIC => Container::Eblp,
+        _ => Container::Eblc,
+    }
+}
 
 fn map(entries: Vec<(&str, Value)>) -> Value {
     Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -47,11 +68,11 @@ fn dtype_name(tag: u8) -> Value {
 /// report the generation history, reclaimable bytes, and the current
 /// generation's full store document under `current`.
 pub fn inspect_json(stream: &[u8]) -> Result<Value, String> {
-    let mut doc = match stream.get(..4) {
-        Some(m) if m == eblcio_store::manifest::MAGIC => store_json(stream),
-        Some(m) if m == eblcio_store::mutable::MUTABLE_MAGIC => mutable_json(stream),
-        Some(m) if m == PAR_MAGIC => parallel_json(stream),
-        _ => stream_json(stream),
+    let mut doc = match sniff(stream) {
+        Container::Ebcs => store_json(stream),
+        Container::Ebms => mutable_json(stream),
+        Container::Eblp => parallel_json(stream),
+        Container::Eblc => stream_json(stream),
     }?;
     // With telemetry on (`--metrics` / `EBLCIO_METRICS=1`), the
     // document additionally carries a snapshot of the process-wide

@@ -35,8 +35,9 @@
 //! * [`daemon`] — the `eblcio serve` network daemon: a length-prefixed
 //!   binary protocol over TCP ([`Daemon`](daemon::Daemon) /
 //!   [`DaemonClient`](daemon::DaemonClient)) serving region and chunk
-//!   reads from a fixed worker pool behind bounded admission (typed
-//!   `Overloaded` replies under saturation, never a hang), with a
+//!   reads on each connection's own thread behind one bounded
+//!   admission gate (typed `Overloaded` replies under saturation, never
+//!   a hang), with a
 //!   `metrics` frame exposing the Prometheus exposition.
 //!
 //! ## Quickstart

@@ -339,6 +339,38 @@ fn json_inspect_covers_streams_too() {
     assert_eq!(dims, vec![64.0, 64.0]);
 }
 
+/// The CLI cannot write an `EBLP` parallel container, only read one:
+/// both inspect modes route a library-written stream by the same magic
+/// sniff and report the same header.
+#[test]
+fn inspect_reads_parallel_containers_in_both_modes() {
+    use eblcio::codec::{compress_parallel, CompressorId, ErrorBound};
+    use eblcio::data::{NdArray, Shape};
+
+    let data = NdArray::<f32>::from_fn(Shape::d2(64, 48), |i| {
+        (i[0] as f32 * 0.1).sin() * 5.0 + i[1] as f32 * 0.02
+    });
+    let codec = CompressorId::Szx.instance();
+    let stream = compress_parallel(codec.as_ref(), &data, ErrorBound::Relative(1e-3), 4).unwrap();
+    let path = tmp("slabs.eblp");
+    std::fs::write(&path, &stream).unwrap();
+
+    let st = Command::new(bin()).arg("inspect").arg(&path).output().unwrap();
+    assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
+    let text = String::from_utf8_lossy(&st.stdout);
+    for want in ["EBLP", "SZx", "f32", "64x48", "chunks:    4"] {
+        assert!(text.contains(want), "no {want:?} in\n{text}");
+    }
+
+    let st = Command::new(bin()).args(["inspect", "--json"]).arg(&path).output().unwrap();
+    assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
+    let text = String::from_utf8_lossy(&st.stdout);
+    let doc: serde::Value = serde_json::from_str(text.trim()).unwrap();
+    assert_eq!(doc.get("container").unwrap().as_str(), Some("EBLP"));
+    assert_eq!(doc.get("chain").unwrap().as_str(), Some("SZx"));
+    assert_eq!(doc.get("n_chunks").unwrap().as_f64(), Some(4.0));
+}
+
 /// The full mutable-store lifecycle through the CLI:
 /// compress --mutable → update → query (served from the new
 /// generation) → compact → inspect --json.
@@ -545,5 +577,17 @@ fn serve_process_answers_region_stats_and_metrics_over_tcp() {
             .find_map(|l| l.strip_prefix(counter)?.trim().parse::<u64>().ok())
             .unwrap_or_else(|| panic!("no `{counter} <n>` sample line in\n{metrics}"));
         assert!(value >= 1, "{counter} = {value}");
+    }
+    // Gate wait and slot time are measured where they happen, on the
+    // connection thread: the region read and the stats call above have
+    // each left one sample in both.
+    for hist in ["eblcio_daemon_admission_wait_ns", "eblcio_daemon_service_ns"] {
+        let ty = format!("# TYPE {hist} histogram");
+        assert!(metrics.lines().any(|l| l == ty), "no `{ty}` line in\n{metrics}");
+        let count = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(hist)?.strip_prefix("_count")?.trim().parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no `{hist}_count <n>` line in\n{metrics}"));
+        assert!(count >= 2, "{hist}_count = {count}");
     }
 }
