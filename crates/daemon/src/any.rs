@@ -7,10 +7,19 @@
 //! plus a dtype tag. This enum is the seam: open sniffs the tag, picks
 //! the concrete reader once, and every serve-path call dispatches with
 //! one match — no trait objects, no per-request branching beyond it.
+//!
+//! The serve path asks it for samples in wire order (crate-private
+//! `read_region_le_into` / `read_chunk_le_into`): the region engine
+//! scatters little-endian bytes straight into the caller's buffer —
+//! for the daemon, the tail of the reply frame it is about to send — so
+//! no typed array and no second copy exist in between.
+//! [`AnyReader::read_region_data`] / [`AnyReader::read_chunk_data`] are
+//! the public, allocating conveniences over the same calls: one `Vec`
+//! of the exact size, filled in place.
 
 use crate::protocol::ArrayData;
 use eblcio_codec::{CodecError, Result};
-use eblcio_data::{dispatch_dtype, Element, NdArray, Shape};
+use eblcio_data::{dispatch_dtype, Element, Shape};
 use eblcio_obs::MetricsRegistry;
 use eblcio_serve::{ArrayReader, ReaderConfig, ReaderStats};
 use eblcio_store::{ChunkedStore, Region, Storage};
@@ -65,7 +74,18 @@ impl AnyReader {
 
     /// The container dtype tag this reader serves (0 = f32, 1 = f64).
     pub fn dtype(&self) -> u8 {
-        dispatch_dtype!(AnyReader(r) = self => r.store().dtype())
+        match self {
+            AnyReader::F32(_) => f32::DTYPE,
+            AnyReader::F64(_) => f64::DTYPE,
+        }
+    }
+
+    /// Bytes per served sample.
+    pub(crate) fn sample_bytes(&self) -> usize {
+        match self {
+            AnyReader::F32(_) => f32::BYTES,
+            AnyReader::F64(_) => f64::BYTES,
+        }
     }
 
     /// Shape of the served array.
@@ -89,16 +109,50 @@ impl AnyReader {
         dispatch_dtype!(AnyReader(r) = self => r.metrics())
     }
 
+    /// Shape of chunk `i` (edge chunks are clipped). The caller must
+    /// have validated `i` against [`AnyReader::n_chunks`].
+    pub(crate) fn chunk_shape(&self, i: usize) -> Shape {
+        dispatch_dtype!(AnyReader(r) = self => r.store().grid().chunk_region(i).shape())
+    }
+
+    /// Assembles a region in wire order: `out` receives its samples as
+    /// `region.len() × sample_bytes()` little-endian bytes (any other
+    /// length is a typed error). The caller must have validated
+    /// `region` against [`AnyReader::shape`].
+    pub(crate) fn read_region_le_into(&self, region: &Region, out: &mut [u8]) -> Result<()> {
+        dispatch_dtype!(AnyReader(r) = self => r.read_region_le_into(region, out).map(drop))
+    }
+
+    /// Writes one whole chunk in wire order: `out` must be exactly
+    /// `chunk_shape(i).len() × sample_bytes()` long. The caller must
+    /// have validated `i` against [`AnyReader::n_chunks`].
+    pub(crate) fn read_chunk_le_into(&self, i: usize, out: &mut [u8]) -> Result<()> {
+        dispatch_dtype!(AnyReader(r) = self => chunk_le_into(r, i, out))
+    }
+
     /// Serves a region as wire-ready [`ArrayData`]. The caller must
     /// have validated `region` against [`AnyReader::shape`].
     pub fn read_region_data(&self, region: &Region) -> Result<ArrayData> {
-        dispatch_dtype!(AnyReader(r) = self => Ok(wire(&r.read_region(region)?)))
+        let mut bytes = vec![0u8; region.len() * self.sample_bytes()];
+        self.read_region_le_into(region, &mut bytes)?;
+        Ok(self.array_data(region.shape(), bytes))
     }
 
     /// Serves one whole chunk as wire-ready [`ArrayData`]. The caller
     /// must have validated `i` against [`AnyReader::n_chunks`].
     pub fn read_chunk_data(&self, i: usize) -> Result<ArrayData> {
-        dispatch_dtype!(AnyReader(r) = self => Ok(wire(r.read_chunk(i)?.as_ref())))
+        let shape = self.chunk_shape(i);
+        let mut bytes = vec![0u8; shape.len() * self.sample_bytes()];
+        self.read_chunk_le_into(i, &mut bytes)?;
+        Ok(self.array_data(shape, bytes))
+    }
+
+    fn array_data(&self, shape: Shape, bytes: Vec<u8>) -> ArrayData {
+        ArrayData {
+            dtype: self.dtype(),
+            dims: shape.dims().iter().map(|&d| d as u64).collect(),
+            bytes,
+        }
     }
 
     /// Warms the cache for `region` (validated by the caller); decode
@@ -108,10 +162,11 @@ impl AnyReader {
     }
 }
 
-fn wire<T: Element>(arr: &NdArray<T>) -> ArrayData {
-    ArrayData {
-        dtype: T::DTYPE,
-        dims: arr.shape().dims().iter().map(|&d| d as u64).collect(),
-        bytes: arr.to_le_bytes(),
+fn chunk_le_into<T: Element>(reader: &ArrayReader<T>, i: usize, out: &mut [u8]) -> Result<()> {
+    let chunk = reader.read_chunk(i)?;
+    if out.len() != chunk.nbytes() {
+        return Err(CodecError::Corrupt { context: "read_chunk_le_into buffer length" });
     }
+    T::write_le_slice(chunk.as_slice(), out);
+    Ok(())
 }

@@ -18,9 +18,18 @@
 //!    in the reader's [`eblcio_obs`] registry, so the protocol's
 //!    `Metrics` frame returns a single Prometheus exposition covering
 //!    both layers — the `/metrics` equivalent without HTTP.
+//! 4. **No copy that is not the wire's.** A reply is assembled once, in
+//!    wire order, in the connection thread's frame buffer — the region
+//!    engine writes little-endian samples straight behind the header —
+//!    and leaves in one `write_all`; the client validates the header off
+//!    the socket and reads the samples directly into the value (or the
+//!    caller's array) it returns. [`server`] and [`protocol`] tell the
+//!    life of a reply in full; [`DaemonClient`] documents what a failed
+//!    exchange does to the connection.
 //!
 //! ```no_run
 //! use eblcio_daemon::{AnyReader, Daemon, DaemonClient, DaemonConfig, RegionSpec};
+//! use eblcio_data::{NdArray, Shape};
 //! use eblcio_serve::ReaderConfig;
 //!
 //! # fn main() -> eblcio_daemon::Result<()> {
@@ -29,8 +38,12 @@
 //! let daemon = Daemon::start(reader, DaemonConfig::default(), "127.0.0.1:0")?;
 //!
 //! let mut client = DaemonClient::connect(daemon.local_addr())?;
-//! let data = client.read_region(&RegionSpec::new(&[0, 0], &[16, 16]))?;
+//! let region = RegionSpec::new(&[0, 0], &[16, 16]);
+//! let data = client.read_region(&region)?;
 //! let samples = data.as_f32();
+//! // Or straight into an array the caller owns (no allocation):
+//! let mut tile = NdArray::<f32>::zeros(Shape::d2(16, 16));
+//! client.read_region_into(&region, &mut tile)?;
 //! let exposition = client.metrics()?;
 //! # let _ = (samples, exposition);
 //! daemon.shutdown();
@@ -50,7 +63,7 @@ pub use any::AnyReader;
 pub use client::DaemonClient;
 pub use error::{DaemonError, Result};
 pub use protocol::{
-    ArrayData, ErrorCode, RegionSpec, Reply, Request, MAX_BATCH, MAX_REPLY_FRAME,
+    read_reply, ArrayData, ErrorCode, RegionSpec, Reply, Request, MAX_BATCH, MAX_REPLY_FRAME,
     MAX_REQUEST_FRAME,
 };
 pub use server::{Daemon, DaemonConfig};

@@ -24,6 +24,33 @@
 //! Malformed bytes come back as a typed [`DaemonError::Decode`] with
 //! the field that broke — the server turns that into an
 //! [`ErrorCode::Malformed`] reply, never a panic.
+//!
+//! # The life of a reply
+//!
+//! A frame is built once, in wire order, in the buffer it is sent
+//! from, and parsed once, off the socket, into the value the caller
+//! keeps:
+//!
+//! * **Encoding** appends to a `FrameBuf` — a byte buffer that
+//!   remembers how much of itself has ever been written, so starting
+//!   the next frame costs nothing and reserving room for a megabyte of
+//!   samples does not zero it again. The server's connection thread
+//!   owns one for its whole life, the client one for its requests;
+//!   [`Reply::encode`] and [`Request::encode`] are the same encoders
+//!   over a fresh buffer reserved to the exact length.
+//! * **Decoding** is one set of functions over a private `Source` of
+//!   bounded little-endian fields, implemented by a payload slice
+//!   ([`Reply::decode`]) and by a frame still on the socket
+//!   ([`read_reply`], which is what [`crate::DaemonClient`] runs). A
+//!   `Data` body's header is checked in full — dtype known, rank in
+//!   range, `product(dims) × sample size == nbytes`, and `nbytes` no
+//!   more than what is left of the (already capped) frame — before the
+//!   one allocation that receives the samples, so a forged header can
+//!   neither over-allocate nor make a client misread them.
+//!
+//! The `Data` header has exactly one writer (`put_data_header`) and
+//! one parser (`DataHeader::parse`), shared by [`ArrayData`], the
+//! server's in-place assembly and the client's streaming reads.
 
 use crate::error::{DaemonError, Result};
 use eblcio_codec::check_dtype;
@@ -46,19 +73,19 @@ pub const MAX_BATCH: usize = 4096;
 /// `MAX_RANK` is 4; a little slack keeps the protocol ahead of it).
 pub const MAX_WIRE_RANK: usize = 8;
 
-const OP_READ_REGION: u8 = 0x01;
+pub(crate) const OP_READ_REGION: u8 = 0x01;
 const OP_READ_CHUNK: u8 = 0x02;
-const OP_PREFETCH: u8 = 0x03;
+pub(crate) const OP_PREFETCH: u8 = 0x03;
 const OP_BATCH: u8 = 0x04;
 const OP_STATS: u8 = 0x05;
 const OP_METRICS: u8 = 0x06;
 const OP_TEST_DELAY: u8 = 0x7F;
 
-const OP_DATA: u8 = 0x81;
+pub(crate) const OP_DATA: u8 = 0x81;
 const OP_ACK: u8 = 0x82;
 const OP_STATS_REPLY: u8 = 0x83;
 const OP_TEXT: u8 = 0x84;
-const OP_BATCH_REPLY: u8 = 0x85;
+pub(crate) const OP_BATCH_REPLY: u8 = 0x85;
 const OP_ERROR: u8 = 0xE0;
 
 /// Machine-readable class of a typed error reply.
@@ -123,7 +150,7 @@ impl RegionSpec {
         }
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut FrameBuf) {
         out.push(self.origin.len().min(u8::MAX as usize) as u8);
         for &o in &self.origin {
             out.extend_from_slice(&o.to_le_bytes());
@@ -133,7 +160,7 @@ impl RegionSpec {
         }
     }
 
-    fn decode(cur: &mut Cur<'_>) -> Result<Self> {
+    fn decode(cur: &mut impl Source) -> Result<Self> {
         let rank = cur.u8("region rank")? as usize;
         if rank == 0 || rank > MAX_WIRE_RANK {
             return Err(DaemonError::Decode("region rank"));
@@ -192,27 +219,23 @@ pub enum Request {
 impl Request {
     /// Serializes to a frame payload (opcode + body, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = FrameBuf::with_capacity(64);
+        self.encode_into(&mut out);
+        out.into_vec()
+    }
+
+    /// Appends the payload to `out`. The region-bearing requests go
+    /// through [`put_region_request`] / [`put_batch_request`], which the
+    /// client calls directly on borrowed specs.
+    pub(crate) fn encode_into(&self, out: &mut FrameBuf) {
         match self {
-            Request::ReadRegion(r) => {
-                out.push(OP_READ_REGION);
-                r.encode_into(&mut out);
-            }
+            Request::ReadRegion(r) => put_region_request(out, OP_READ_REGION, r),
             Request::ReadChunk { index } => {
                 out.push(OP_READ_CHUNK);
                 out.extend_from_slice(&index.to_le_bytes());
             }
-            Request::Prefetch(r) => {
-                out.push(OP_PREFETCH);
-                r.encode_into(&mut out);
-            }
-            Request::Batch(regions) => {
-                out.push(OP_BATCH);
-                out.extend_from_slice(&(regions.len().min(u32::MAX as usize) as u32).to_le_bytes());
-                for r in regions {
-                    r.encode_into(&mut out);
-                }
-            }
+            Request::Prefetch(r) => put_region_request(out, OP_PREFETCH, r),
+            Request::Batch(regions) => put_batch_request(out, regions),
             Request::Stats => out.push(OP_STATS),
             Request::Metrics => out.push(OP_METRICS),
             Request::TestDelay { millis } => {
@@ -220,14 +243,13 @@ impl Request {
                 out.extend_from_slice(&millis.to_le_bytes());
             }
         }
-        out
     }
 
     /// Parses a frame payload. Every failure names the broken field;
     /// trailing bytes after a complete body are themselves an error
     /// (strictness the adversarial tests lean on).
     pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut cur = Cur::new(payload);
+        let mut cur = payload;
         let op = cur.u8("opcode")?;
         let req = match op {
             OP_READ_REGION => Request::ReadRegion(RegionSpec::decode(&mut cur)?),
@@ -254,6 +276,21 @@ impl Request {
     }
 }
 
+/// Appends a `ReadRegion`/`Prefetch` payload (`op` says which).
+pub(crate) fn put_region_request(out: &mut FrameBuf, op: u8, region: &RegionSpec) {
+    out.push(op);
+    region.encode_into(out);
+}
+
+/// Appends a `Batch` request payload.
+pub(crate) fn put_batch_request(out: &mut FrameBuf, regions: &[RegionSpec]) {
+    out.push(OP_BATCH);
+    out.put_count(regions.len());
+    for r in regions {
+        r.encode_into(out);
+    }
+}
+
 /// One returned array: the region's (or chunk's) samples as raw
 /// little-endian bytes plus enough geometry to interpret them.
 #[derive(Clone, Debug, PartialEq)]
@@ -276,7 +313,9 @@ impl ArrayData {
     /// names another type.
     fn samples<T: Element>(&self) -> Option<Vec<T>> {
         check_dtype::<T>(self.dtype).ok()?;
-        Some(self.bytes.chunks_exact(T::BYTES).filter_map(T::read_le).collect())
+        let mut samples = vec![T::default(); self.bytes.len() / T::BYTES];
+        T::read_le_slice(self.bytes.get(..samples.len() * T::BYTES)?, &mut samples);
+        Some(samples)
     }
 
     /// Decodes the payload as `f32` samples (dtype tag 0).
@@ -289,46 +328,91 @@ impl ArrayData {
         self.samples()
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.dtype);
-        out.push(self.dims.len().min(u8::MAX as usize) as u8);
-        for &d in &self.dims {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.bytes.len() as u64).to_le_bytes());
+    fn encode_into(&self, out: &mut FrameBuf) {
+        put_data_header(out, self.dtype, self.dims.iter().copied(), self.bytes.len());
         out.extend_from_slice(&self.bytes);
     }
 
-    fn decode(cur: &mut Cur<'_>) -> Result<Self> {
-        let dtype = cur.u8("data dtype")?;
-        let rank = cur.u8("data rank")? as usize;
+    fn encoded_len(&self) -> usize {
+        data_header_len(self.dims.len()) + self.bytes.len()
+    }
+
+    fn decode(src: &mut impl Source) -> Result<Self> {
+        let header = DataHeader::parse(src)?;
+        Ok(Self {
+            dtype: header.dtype,
+            dims: header.dims().to_vec(),
+            bytes: src.bytes(header.nbytes, "data bytes")?,
+        })
+    }
+}
+
+/// Bytes a `Data` body spends before its samples: `dtype u8 | rank u8 |
+/// dims u64×rank | nbytes u64`.
+pub(crate) const fn data_header_len(rank: usize) -> usize {
+    2 + 8 * rank + 8
+}
+
+/// The one writer of a `Data` body's header.
+pub(crate) fn put_data_header(
+    out: &mut FrameBuf,
+    dtype: u8,
+    dims: impl ExactSizeIterator<Item = u64>,
+    nbytes: usize,
+) {
+    out.push(dtype);
+    out.push(dims.len().min(u8::MAX as usize) as u8);
+    for d in dims {
+        out.extend_from_slice(&d.to_le_bytes());
+    }
+    out.extend_from_slice(&(nbytes as u64).to_le_bytes());
+}
+
+/// A `Data` body's header, parsed and checked: what a receiver needs to
+/// know before it accepts a single sample byte.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DataHeader {
+    /// Container dtype tag, known to name an element type.
+    pub(crate) dtype: u8,
+    rank: usize,
+    dims: [u64; MAX_WIRE_RANK],
+    /// Sample bytes that follow: `product(dims) × sample size`, and no
+    /// more than the frame still holds.
+    pub(crate) nbytes: usize,
+}
+
+impl DataHeader {
+    /// Per-dimension lengths of the array that follows.
+    pub(crate) fn dims(&self) -> &[u64] {
+        &self.dims[..self.rank]
+    }
+
+    /// The one parser of a `Data` body's header. Everything a forged
+    /// header could lie about is checked here, before the caller
+    /// allocates for (or writes) the samples.
+    pub(crate) fn parse(src: &mut impl Source) -> Result<Self> {
+        let dtype = src.u8("data dtype")?;
+        let rank = src.u8("data rank")? as usize;
         if rank == 0 || rank > MAX_WIRE_RANK {
             return Err(DaemonError::Decode("data rank"));
         }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(cur.u64("data dims")?);
+        let mut dims = [0u64; MAX_WIRE_RANK];
+        for d in &mut dims[..rank] {
+            *d = src.u64("data dims")?;
         }
-        let nbytes = cur.u64("data length")? as usize;
-        if nbytes > cur.remaining() {
-            return Err(DaemonError::Decode("data length"));
-        }
+        let nbytes = src.u64("data length")?;
         // The byte count must agree with the declared geometry, so a
         // forged header can't make a client misinterpret the samples.
-        let samples = dims
+        let sample = dispatch_dtype!(E = dtype => E::BYTES as u64)
+            .ok_or(DaemonError::Decode("data dtype"))?;
+        let expect = dims[..rank]
             .iter()
-            .try_fold(1u64, |a, &d| a.checked_mul(d))
+            .try_fold(sample, |a, &d| a.checked_mul(d))
             .ok_or(DaemonError::Decode("data dims"))?;
-        let expect = match dtype {
-            0 => samples.checked_mul(4),
-            1 => samples.checked_mul(8),
-            _ => return Err(DaemonError::Decode("data dtype")),
-        };
-        if expect != Some(nbytes as u64) {
+        if expect != nbytes || nbytes > src.remaining() as u64 {
             return Err(DaemonError::Decode("data length"));
         }
-        let bytes = cur.bytes(nbytes, "data bytes")?.to_vec();
-        Ok(Self { dtype, dims, bytes })
+        Ok(Self { dtype, rank, dims, nbytes: nbytes as usize })
     }
 }
 
@@ -356,18 +440,36 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Serializes to a frame payload (opcode + body, no length prefix).
+    /// Serializes to a frame payload (opcode + body, no length prefix),
+    /// reserved to its exact length up front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = FrameBuf::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out.into_vec()
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Reply::Data(d) => d.encoded_len(),
+            Reply::Ack => 0,
+            Reply::Stats(_) => STATS_FIELDS * 8,
+            Reply::Text(t) => t.len(),
+            Reply::Batch(items) => 4 + items.iter().map(ArrayData::encoded_len).sum::<usize>(),
+            Reply::Error { message, .. } => 1 + message.len(),
+        }
+    }
+
+    /// Appends the payload to `out`.
+    pub(crate) fn encode_into(&self, out: &mut FrameBuf) {
         match self {
             Reply::Data(d) => {
                 out.push(OP_DATA);
-                d.encode_into(&mut out);
+                d.encode_into(out);
             }
             Reply::Ack => out.push(OP_ACK),
             Reply::Stats(s) => {
                 out.push(OP_STATS_REPLY);
-                encode_stats(s, &mut out);
+                encode_stats(s, out);
             }
             Reply::Text(t) => {
                 out.push(OP_TEXT);
@@ -375,9 +477,9 @@ impl Reply {
             }
             Reply::Batch(items) => {
                 out.push(OP_BATCH_REPLY);
-                out.extend_from_slice(&(items.len().min(u32::MAX as usize) as u32).to_le_bytes());
+                out.put_count(items.len());
                 for d in items {
-                    d.encode_into(&mut out);
+                    d.encode_into(out);
                 }
             }
             Reply::Error { code, message } => {
@@ -386,49 +488,71 @@ impl Reply {
                 out.extend_from_slice(message.as_bytes());
             }
         }
-        out
     }
 
     /// Parses a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut cur = Cur::new(payload);
-        let op = cur.u8("opcode")?;
+    pub fn decode(mut payload: &[u8]) -> Result<Self> {
+        let op = payload.u8("opcode")?;
+        Self::decode_body(op, &mut payload)
+    }
+
+    /// Parses what follows opcode `op`, through to the end of the
+    /// frame — from a payload slice or straight off a socket.
+    pub(crate) fn decode_body(op: u8, src: &mut impl Source) -> Result<Self> {
         let reply = match op {
-            OP_DATA => Reply::Data(ArrayData::decode(&mut cur)?),
+            OP_DATA => Reply::Data(ArrayData::decode(src)?),
             OP_ACK => Reply::Ack,
-            OP_STATS_REPLY => Reply::Stats(decode_stats(&mut cur)?),
+            OP_STATS_REPLY => Reply::Stats(decode_stats(src)?),
             OP_TEXT => {
-                let text = String::from_utf8(cur.take_rest().to_vec())
+                let text = String::from_utf8(src.rest()?)
                     .map_err(|_| DaemonError::Decode("text utf-8"))?;
                 Reply::Text(text)
             }
             OP_BATCH_REPLY => {
-                let count = cur.u32("batch count")? as usize;
+                let count = src.u32("batch count")? as usize;
                 if count > MAX_BATCH {
                     return Err(DaemonError::Decode("batch count"));
                 }
-                let mut items = Vec::with_capacity(count);
+                // Sized by what the frame can actually hold, not by
+                // what its count field claims.
+                let mut items =
+                    Vec::with_capacity(count.min(src.remaining() / data_header_len(1)));
                 for _ in 0..count {
-                    items.push(ArrayData::decode(&mut cur)?);
+                    items.push(ArrayData::decode(src)?);
                 }
                 Reply::Batch(items)
             }
             OP_ERROR => {
-                let code = ErrorCode::from_u8(cur.u8("error code")?)
+                let code = ErrorCode::from_u8(src.u8("error code")?)
                     .ok_or(DaemonError::Decode("error code"))?;
-                let message = String::from_utf8_lossy(cur.take_rest()).into_owned();
+                let message = String::from_utf8_lossy(&src.rest()?).into_owned();
                 Reply::Error { code, message }
             }
             _ => return Err(DaemonError::Decode("reply opcode")),
         };
-        cur.finish("reply trailing bytes")?;
+        src.finish("reply trailing bytes")?;
         Ok(reply)
     }
 }
 
+/// Reads one reply frame off `r` — [`Reply::decode`] behind a socket:
+/// the same decoders, fed from the stream instead of a payload slice,
+/// so a `Data` reply's samples land directly in the [`ArrayData`] that
+/// is returned and no intermediate frame buffer exists. A length prefix
+/// above `max` is [`DaemonError::FrameTooLarge`] before anything is
+/// allocated; a peer that closed at the frame boundary is
+/// [`DaemonError::ConnectionClosed`]. After any error the stream is no
+/// longer at a frame boundary.
+pub fn read_reply(r: &mut impl Read, max: usize) -> Result<Reply> {
+    FrameSource::open(r, max)?.reply()
+}
+
+/// `u64` fields in a `Stats` body.
+const STATS_FIELDS: usize = 14;
+
 /// Serializes [`ReaderStats`] as 14 × `u64` LE, in declaration order;
 /// the two `f64` second counters travel as IEEE-754 bit patterns.
-pub fn encode_stats(s: &ReaderStats, out: &mut Vec<u8>) {
+fn encode_stats(s: &ReaderStats, out: &mut FrameBuf) {
     for v in [
         s.requests,
         s.chunks_requested,
@@ -449,10 +573,10 @@ pub fn encode_stats(s: &ReaderStats, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_stats(cur: &mut Cur<'_>) -> Result<ReaderStats> {
-    let mut f = [0u64; 14];
+fn decode_stats(src: &mut impl Source) -> Result<ReaderStats> {
+    let mut f = [0u64; STATS_FIELDS];
     for v in f.iter_mut() {
-        *v = cur.u64("stats field")?;
+        *v = src.u64("stats field")?;
     }
     Ok(ReaderStats {
         requests: f[0],
@@ -561,50 +685,134 @@ pub fn read_frame(
     Ok(FrameRead::Frame(payload))
 }
 
-/// Bounds-checked little-endian reader over a frame payload.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A reusable buffer frames are built in, in wire order.
+///
+/// It is a `Vec<u8>` that keeps two lengths apart: how much of the
+/// current frame has been written (`len`) and how much of the
+/// allocation has ever been initialised (`buf.len()`, which only
+/// grows). [`FrameBuf::begin_frame`] therefore costs nothing and keeps
+/// both the capacity and the initialised bytes, and [`FrameBuf::grow`]
+/// can hand out a megabyte of room for samples without zeroing it
+/// again — what a per-request `clear` + `resize` on a plain `Vec` would
+/// do.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBuf {
+    buf: Vec<u8>,
+    len: usize,
 }
 
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+impl FrameBuf {
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self { buf: Vec::with_capacity(n), len: 0 }
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// Forgets the previous frame (the allocation and its initialised
+    /// bytes stay) and leaves room for the length prefix that
+    /// [`FrameBuf::finish_frame`] fills in.
+    pub(crate) fn begin_frame(&mut self) {
+        self.len = 0;
+        self.extend_from_slice(&[0u8; 4]);
     }
 
-    fn bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(DaemonError::Decode(context));
+    /// Stamps the length prefix of a frame started with
+    /// [`FrameBuf::begin_frame`] and returns the whole frame, ready for
+    /// one `write_all`.
+    pub(crate) fn finish_frame(&mut self) -> std::io::Result<&[u8]> {
+        let payload = self.len.checked_sub(4).and_then(|n| u32::try_from(n).ok());
+        let Some(payload) = payload else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "frame not begun, or payload over 4 GiB",
+            ));
+        };
+        self.buf[..4].copy_from_slice(&payload.to_le_bytes());
+        Ok(&self.buf[..self.len])
+    }
+
+    pub(crate) fn push(&mut self, byte: u8) {
+        self.extend_from_slice(&[byte]);
+    }
+
+    /// Appends a count field (`u32` LE, saturating).
+    pub(crate) fn put_count(&mut self, count: usize) {
+        self.extend_from_slice(&(count.min(u32::MAX as usize) as u32).to_le_bytes());
+    }
+
+    pub(crate) fn extend_from_slice(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        match self.buf.get_mut(self.len..end) {
+            Some(room) => room.copy_from_slice(bytes),
+            None => {
+                self.buf.truncate(self.len);
+                self.buf.extend_from_slice(bytes);
+            }
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        self.len = end;
     }
 
-    fn take_rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
+    /// Appends `n` bytes for the caller to overwrite (their content is
+    /// unspecified: zeros the first time, an older frame's bytes after).
+    pub(crate) fn grow(&mut self, n: usize) -> &mut [u8] {
+        let start = self.len;
+        self.len += n;
+        if self.buf.len() < self.len {
+            // Exactly, not amortised: the allocation then tracks the
+            // largest frame built, which is what its owner budgets by.
+            self.buf.reserve_exact(self.len - self.buf.len());
+            self.buf.resize(self.len, 0);
+        }
+        &mut self.buf[start..self.len]
+    }
+
+    /// Bytes of the allocation behind the buffer.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// The frame written so far, as an owned `Vec`.
+    pub(crate) fn into_vec(mut self) -> Vec<u8> {
+        self.buf.truncate(self.len);
+        self.buf
+    }
+}
+
+/// Bounded little-endian field reads — the decoders' only view of
+/// their input, so one set of them serves a payload slice (`&[u8]`) and
+/// a frame still on the socket ([`FrameSource`]). Running out of frame
+/// is a typed [`DaemonError::Decode`] naming the field that broke.
+pub(crate) trait Source {
+    /// Payload bytes not yet consumed.
+    fn remaining(&self) -> usize;
+
+    /// Fills `out` with the next `out.len()` payload bytes.
+    fn fill(&mut self, out: &mut [u8], context: &'static str) -> Result<()>;
+
+    /// The next `n` payload bytes as an owned buffer — allocated only
+    /// once `n` is known to fit what remains, and written exactly once
+    /// (not zeroed first, then overwritten).
+    fn bytes(&mut self, n: usize, context: &'static str) -> Result<Vec<u8>>;
+
+    /// Everything that is left (bounded by the frame cap).
+    fn rest(&mut self) -> Result<Vec<u8>> {
+        self.bytes(self.remaining(), "frame tail")
     }
 
     fn u8(&mut self, context: &'static str) -> Result<u8> {
-        Ok(self.bytes(1, context)?[0])
+        let mut b = [0u8; 1];
+        self.fill(&mut b, context)?;
+        Ok(b[0])
     }
 
     fn u32(&mut self, context: &'static str) -> Result<u32> {
-        let b = self.bytes(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        let mut b = [0u8; 4];
+        self.fill(&mut b, context)?;
+        Ok(u32::from_le_bytes(b))
     }
 
     fn u64(&mut self, context: &'static str) -> Result<u64> {
-        let b = self.bytes(8, context)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        let mut b = [0u8; 8];
+        self.fill(&mut b, context)?;
+        Ok(u64::from_le_bytes(b))
     }
 
     fn finish(&self, context: &'static str) -> Result<()> {
@@ -613,6 +821,99 @@ impl<'a> Cur<'a> {
         } else {
             Err(DaemonError::Decode(context))
         }
+    }
+}
+
+/// A frame payload held in memory, consumed from the front (as
+/// `std::io::Read` for `&[u8]` does).
+impl Source for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn fill(&mut self, out: &mut [u8], context: &'static str) -> Result<()> {
+        let Some((head, tail)) = self.split_at_checked(out.len()) else {
+            return Err(DaemonError::Decode(context));
+        };
+        out.copy_from_slice(head);
+        *self = tail;
+        Ok(())
+    }
+
+    fn bytes(&mut self, n: usize, context: &'static str) -> Result<Vec<u8>> {
+        let Some((head, tail)) = self.split_at_checked(n) else {
+            return Err(DaemonError::Decode(context));
+        };
+        *self = tail;
+        Ok(head.to_vec())
+    }
+}
+
+/// A frame whose length prefix has been read and checked and whose
+/// payload is still on the stream: reads are bounded by what the prefix
+/// declared, so a decoder can neither run into the next frame nor be
+/// talked into reading (or allocating) more than the cap.
+pub(crate) struct FrameSource<'r, R> {
+    r: &'r mut R,
+    left: usize,
+}
+
+impl<'r, R: Read> FrameSource<'r, R> {
+    /// Reads the length prefix. Any stall or error is fatal here — the
+    /// caller has a request in flight and is owed a reply.
+    pub(crate) fn open(r: &'r mut R, max: usize) -> Result<Self> {
+        let mut prefix = [0u8; 4];
+        let first = loop {
+            match r.read(&mut prefix) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                other => break other?,
+            }
+        };
+        if first == 0 {
+            return Err(DaemonError::ConnectionClosed);
+        }
+        r.read_exact(&mut prefix[first..])?;
+        let left = u32::from_le_bytes(prefix) as usize;
+        if left > max {
+            return Err(DaemonError::FrameTooLarge { declared: left as u64, max: max as u64 });
+        }
+        Ok(Self { r, left })
+    }
+
+    /// Reads the whole frame as a [`Reply`].
+    pub(crate) fn reply(mut self) -> Result<Reply> {
+        let op = self.u8("opcode")?;
+        Reply::decode_body(op, &mut self)
+    }
+}
+
+impl<R: Read> Source for FrameSource<'_, R> {
+    fn remaining(&self) -> usize {
+        self.left
+    }
+
+    fn fill(&mut self, out: &mut [u8], context: &'static str) -> Result<()> {
+        if out.len() > self.left {
+            return Err(DaemonError::Decode(context));
+        }
+        self.r.read_exact(out)?;
+        self.left -= out.len();
+        Ok(())
+    }
+
+    fn bytes(&mut self, n: usize, context: &'static str) -> Result<Vec<u8>> {
+        if n > self.left {
+            return Err(DaemonError::Decode(context));
+        }
+        // `read_to_end` fills spare capacity in place, so the samples'
+        // one pass over this memory is the socket copy itself.
+        let mut bytes = Vec::with_capacity(n);
+        self.r.by_ref().take(n as u64).read_to_end(&mut bytes)?;
+        if bytes.len() != n {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
+        self.left -= n;
+        Ok(bytes)
     }
 }
 
@@ -699,6 +1000,50 @@ mod tests {
         // Truncate the sample bytes but keep the declared length.
         forged.truncate(good.len() - 16);
         assert!(Reply::decode(&forged).is_err());
+    }
+
+    #[test]
+    fn frame_buf_restarts_without_forgetting_what_it_initialised() {
+        let mut f = FrameBuf::default();
+        f.begin_frame();
+        f.push(0xAA);
+        f.grow(6).copy_from_slice(b"sample");
+        assert_eq!(f.finish_frame().unwrap(), b"\x07\0\0\0\xAAsample");
+
+        // The next frame overwrites in place: room handed out by `grow`
+        // still holds the old bytes (it was not re-zeroed)…
+        f.begin_frame();
+        f.push(0xBB);
+        assert_eq!(f.grow(3), b"sam");
+        assert_eq!(f.finish_frame().unwrap(), b"\x04\0\0\0\xBBsam");
+        // …and an append that runs past the initialised part extends it.
+        f.extend_from_slice(b"-and-more");
+        assert_eq!(f.into_vec(), b"\x04\0\0\0\xBBsam-and-more");
+
+        // A frame that was never begun has no prefix to stamp.
+        assert!(FrameBuf::default().finish_frame().is_err());
+    }
+
+    #[test]
+    fn encoders_reserve_exactly_what_they_write() {
+        let data = ArrayData {
+            dtype: 1,
+            dims: vec![2, 1, 3],
+            bytes: vec![9; 48],
+        };
+        for reply in [
+            Reply::Data(data.clone()),
+            Reply::Ack,
+            Reply::Stats(ReaderStats::default()),
+            Reply::Text("exposition".into()),
+            Reply::Batch(vec![data.clone(), data]),
+            Reply::Error {
+                code: ErrorCode::Server,
+                message: "why".into(),
+            },
+        ] {
+            assert_eq!(reply.encode().len(), reply.encoded_len(), "{reply:?}");
+        }
     }
 
     #[test]

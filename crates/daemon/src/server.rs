@@ -12,6 +12,29 @@
 //!   passes the admission gate, runs the reader work itself,
 //!   releases its permit and only then writes the reply.
 //!
+//! # The life of a reply
+//!
+//! Each connection thread owns one `FrameBuf` for as long as the
+//! connection lives, and that buffer *is* every frame the thread
+//! sends. For a `Data`-bearing reply (`ReadRegion`, `ReadChunk`, every
+//! item of a `Batch`) the thread validates the geometry, computes the
+//! frame length from it — refusing, before the reader is touched, a
+//! reply that would exceed [`MAX_REPLY_FRAME`] — writes
+//! `len | opcode | dtype | rank | dims | nbytes` in front and has the
+//! region engine scatter the samples **as little-endian bytes directly
+//! into the tail**. Nothing is materialised on the way: no typed array,
+//! no `ArrayData`, no second buffer. Small replies (`Ack`, `Stats`,
+//! `Text`, `Error`) are encoded into the same buffer. The permit is
+//! released, then the whole frame leaves in one `write_all`.
+//!
+//! The buffer only grows, and in place — starting the next frame does
+//! not clear or re-zero it — so a steady stream of same-sized reads
+//! allocates nothing here. After the write, a buffer whose allocation
+//! exceeds `RETAIN_FRAME_BYTES` (2 MiB) is dropped, so an idle
+//! connection cannot pin the memory of one large reply: the daemon
+//! retains at most `max_connections × RETAIN_FRAME_BYTES` between
+//! requests.
+//!
 //! Admission is the load-shedding contract: at most `workers` requests
 //! execute at once however many connections are open, at most
 //! `queue_depth` park behind them, and one more is refused
@@ -24,7 +47,8 @@
 use crate::any::AnyReader;
 use crate::error::Result;
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, FrameRead, RegionSpec, Reply, Request, MAX_REQUEST_FRAME,
+    data_header_len, put_data_header, read_frame, ErrorCode, FrameBuf, FrameRead, RegionSpec,
+    Reply, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME, OP_BATCH_REPLY, OP_DATA,
 };
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::Shape;
@@ -32,7 +56,7 @@ use eblcio_obs::{self as obs, Counter, Histogram, Timed};
 use eblcio_store::Region;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -71,6 +95,13 @@ impl Default for DaemonConfig {
         }
     }
 }
+
+/// Largest frame-buffer allocation a connection keeps between requests.
+/// Two 1 MiB-class replies fit, so the common read loop never
+/// reallocates; anything bigger is handed back after it is sent, which
+/// bounds what idle connections hold to
+/// `max_connections × RETAIN_FRAME_BYTES`.
+const RETAIN_FRAME_BYTES: usize = 2 << 20;
 
 /// The admission gate: `running` requests hold a [`Permit`], `waiting`
 /// ones are parked on `freed` until a permit drops or the gate closes.
@@ -168,6 +199,9 @@ struct Shared {
     malformed_total: Arc<Counter>,
     admission_wait_ns: Arc<Histogram>,
     service_ns: Arc<Histogram>,
+    /// The one `write_all` per reply, timed after the permit is gone.
+    reply_write_ns: Arc<Histogram>,
+    reply_bytes_total: Arc<Counter>,
 }
 
 /// Registry of live connections, for prompt shutdown: the daemon
@@ -208,6 +242,8 @@ impl Daemon {
             malformed_total: registry.counter("eblcio_daemon_malformed_total"),
             admission_wait_ns: registry.histogram("eblcio_daemon_admission_wait_ns"),
             service_ns: registry.histogram("eblcio_daemon_service_ns"),
+            reply_write_ns: registry.histogram("eblcio_daemon_reply_write_ns"),
+            reply_bytes_total: registry.counter("eblcio_daemon_reply_bytes_total"),
         });
         let acceptor = {
             let shared = shared.clone();
@@ -298,8 +334,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let _ = stream.set_nodelay(true);
         if conns.active.load(Ordering::SeqCst) >= config.max_connections {
             shared.overloaded_total.inc();
-            let reply = error(ErrorCode::Overloaded, "connection limit reached");
-            let _ = write_frame(&mut stream, &reply.encode());
+            let mut frame = FrameBuf::default();
+            set_reply(&mut frame, &error(ErrorCode::Overloaded, "connection limit reached"));
+            let _ = send(&mut stream, &mut frame, shared);
             continue;
         }
         let _ = stream.set_read_timeout(Some(config.read_timeout));
@@ -333,16 +370,20 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// Serves one connection until close, torn frame, or shutdown.
 fn connection_loop(stream: &mut TcpStream, shared: &Shared) {
+    // Every reply this connection sends is built in, and written from,
+    // this one buffer (see the module docs).
+    let mut frame = FrameBuf::default();
     loop {
-        let frame = read_frame(stream, MAX_REQUEST_FRAME, || {
+        let read = read_frame(stream, MAX_REQUEST_FRAME, || {
             !shared.shutdown.load(Ordering::SeqCst)
         });
-        let payload = match frame {
+        let payload = match read {
             Ok(FrameRead::Frame(p)) => p,
             Ok(FrameRead::Closed) => return,
             Ok(FrameRead::TooLarge(declared)) => {
                 let why = format!("request frame declares {declared} bytes");
-                let _ = write_frame(stream, &error(ErrorCode::FrameTooLarge, why).encode());
+                set_reply(&mut frame, &error(ErrorCode::FrameTooLarge, why));
+                let _ = send(stream, &mut frame, shared);
                 return;
             }
             // Torn frame or dead socket: nothing sensible to reply to.
@@ -352,8 +393,8 @@ fn connection_loop(stream: &mut TcpStream, shared: &Shared) {
             Ok(r) => r,
             Err(e) => {
                 shared.malformed_total.inc();
-                let reply = error(ErrorCode::Malformed, e.to_string());
-                let _ = write_frame(stream, &reply.encode());
+                set_reply(&mut frame, &error(ErrorCode::Malformed, e.to_string()));
+                let _ = send(stream, &mut frame, shared);
                 // A peer that frames garbage gets a clean close, not a
                 // resync guess.
                 return;
@@ -364,25 +405,57 @@ fn connection_loop(stream: &mut TcpStream, shared: &Shared) {
             let _t = Timed::new(&shared.admission_wait_ns);
             shared.gate.enter()
         };
-        let reply = match admitted {
+        match admitted {
             // The permit lives for this arm only (reader work, reply
-            // encoding): whoever stalls the write below holds no slot.
+            // assembly): whoever stalls the write below holds no slot.
             Ok(permit) => {
                 if permit.waited && peer_hung_up(stream) {
                     return;
                 }
                 let _t = Timed::new(&shared.service_ns);
-                execute(shared, request).encode()
+                if let Err(refusal) = execute(shared, request, &mut frame) {
+                    set_reply(&mut frame, &refusal);
+                }
             }
             Err(Refused::Full) => {
                 shared.overloaded_total.inc();
-                error(ErrorCode::Overloaded, "request queue full, try later").encode()
+                set_reply(&mut frame, &error(ErrorCode::Overloaded, "request queue full, try later"));
             }
-            Err(Refused::Closed) => error(ErrorCode::Overloaded, "daemon shutting down").encode(),
-        };
-        if write_frame(stream, &reply).is_err() {
+            Err(Refused::Closed) => {
+                set_reply(&mut frame, &error(ErrorCode::Overloaded, "daemon shutting down"));
+            }
+        }
+        if send(stream, &mut frame, shared).is_err() {
             return;
         }
+    }
+}
+
+/// Makes `frame` hold exactly `reply` (whatever was being built in it
+/// is abandoned — nothing has reached the socket before [`send`]).
+fn set_reply(frame: &mut FrameBuf, reply: &Reply) {
+    frame.begin_frame();
+    reply.encode_into(frame);
+}
+
+/// Sends the frame built in `frame` — the one `write_all` of a reply —
+/// then gives the buffer back if it grew past [`RETAIN_FRAME_BYTES`].
+fn send(stream: &mut TcpStream, frame: &mut FrameBuf, shared: &Shared) -> std::io::Result<()> {
+    let bytes = frame.finish_frame()?;
+    {
+        let _t = Timed::new(&shared.reply_write_ns);
+        stream.write_all(bytes)?;
+    }
+    shared.reply_bytes_total.add(bytes.len() as u64);
+    recycle(frame);
+    Ok(())
+}
+
+/// Drops an allocation above [`RETAIN_FRAME_BYTES`]; keeps a smaller one
+/// for the next reply.
+fn recycle(frame: &mut FrameBuf) {
+    if frame.capacity() > RETAIN_FRAME_BYTES {
+        *frame = FrameBuf::default();
     }
 }
 
@@ -430,59 +503,97 @@ fn region_for(spec: &RegionSpec, shape: Shape) -> std::result::Result<Region, &'
     Ok(Region::new(&origin[..rank], &extent[..rank]))
 }
 
+/// Whether a reply frame got built; `Err` is the typed error reply to
+/// send in its place.
+type Served = std::result::Result<(), Reply>;
+
 /// Runs one request against the reader, on the connection thread that
-/// holds a [`Permit`] for it. Every failure is a typed error reply.
-fn execute(shared: &Shared, request: Request) -> Reply {
+/// holds a [`Permit`] for it, leaving the reply frame in `frame`. Every
+/// failure comes back as the typed error reply to send instead.
+fn execute(shared: &Shared, request: Request, frame: &mut FrameBuf) -> Served {
     let reader = &shared.reader;
+    let region_of = |spec: &RegionSpec| region_for(spec, reader.shape()).map_err(bad_request);
     match request {
-        Request::ReadRegion(spec) => match region_for(&spec, reader.shape()) {
-            Ok(region) => match reader.read_region_data(&region) {
-                Ok(data) => Reply::Data(data),
-                Err(e) => server_error(e),
-            },
-            Err(why) => bad_request(why),
-        },
+        Request::ReadRegion(spec) => {
+            let region = region_of(&spec)?;
+            begin_data_reply(frame, OP_DATA, data_body_len(reader, region.shape()))?;
+            put_region(reader, frame, &region)?;
+        }
         Request::ReadChunk { index } => {
             let i = usize::try_from(index).ok().filter(|&i| i < reader.n_chunks());
-            match i {
-                Some(i) => match reader.read_chunk_data(i) {
-                    Ok(data) => Reply::Data(data),
-                    Err(e) => server_error(e),
-                },
-                None => bad_request("chunk index out of range"),
-            }
+            let i = i.ok_or_else(|| bad_request("chunk index out of range"))?;
+            let shape = reader.chunk_shape(i);
+            begin_data_reply(frame, OP_DATA, data_body_len(reader, shape))?;
+            put_data(reader, frame, shape, |out| reader.read_chunk_le_into(i, out))?;
         }
-        Request::Prefetch(spec) => match region_for(&spec, reader.shape()) {
-            Ok(region) => {
-                reader.prefetch_region(&region);
-                Reply::Ack
-            }
-            Err(why) => bad_request(why),
-        },
+        Request::Prefetch(spec) => {
+            reader.prefetch_region(&region_of(&spec)?);
+            set_reply(frame, &Reply::Ack);
+        }
         Request::Batch(specs) => {
-            let mut items = Vec::with_capacity(specs.len());
+            let mut regions = Vec::with_capacity(specs.len());
             for spec in &specs {
-                match region_for(spec, reader.shape()) {
-                    Ok(region) => match reader.read_region_data(&region) {
-                        Ok(data) => items.push(data),
-                        Err(e) => return server_error(e),
-                    },
-                    Err(why) => return bad_request(why),
-                }
+                regions.push(region_of(spec)?);
             }
-            Reply::Batch(items)
+            let body = regions.iter().try_fold(4usize, |sum, region| {
+                sum.checked_add(data_body_len(reader, region.shape())?)
+            });
+            begin_data_reply(frame, OP_BATCH_REPLY, body)?;
+            frame.put_count(regions.len());
+            for region in &regions {
+                put_region(reader, frame, region)?;
+            }
         }
-        Request::Stats => Reply::Stats(reader.stats()),
-        Request::Metrics => Reply::Text(obs::prometheus(reader.metrics())),
+        Request::Stats => set_reply(frame, &Reply::Stats(reader.stats())),
+        Request::Metrics => set_reply(frame, &Reply::Text(obs::prometheus(reader.metrics()))),
         Request::TestDelay { millis } => {
-            if shared.config.test_ops {
-                std::thread::sleep(Duration::from_millis(u64::from(millis)));
-                Reply::Ack
-            } else {
-                bad_request("test opcodes are disabled")
+            if !shared.config.test_ops {
+                return Err(bad_request("test opcodes are disabled"));
             }
+            std::thread::sleep(Duration::from_millis(u64::from(millis)));
+            set_reply(frame, &Reply::Ack);
         }
     }
+    Ok(())
+}
+
+/// Starts a `Data`-bearing reply whose body after the opcode will be
+/// `body_len` bytes — known from validated geometry alone, so a reply
+/// the client would refuse (over [`MAX_REPLY_FRAME`], or too long to
+/// compute) is refused here, before any sample is assembled.
+fn begin_data_reply(frame: &mut FrameBuf, op: u8, body_len: Option<usize>) -> Served {
+    if body_len.is_none_or(|n| n >= MAX_REPLY_FRAME) {
+        let why = format!("reply would exceed the {MAX_REPLY_FRAME}-byte frame cap");
+        return Err(error(ErrorCode::BadRequest, why));
+    }
+    frame.begin_frame();
+    frame.push(op);
+    Ok(())
+}
+
+/// Wire bytes of the `Data` body (header + samples) carrying an array
+/// of `shape`.
+fn data_body_len(reader: &AnyReader, shape: Shape) -> Option<usize> {
+    let nbytes = shape.len().checked_mul(reader.sample_bytes())?;
+    data_header_len(shape.rank()).checked_add(nbytes)
+}
+
+/// Appends one `Data` body: the header for an array of `shape`, then
+/// its samples, which `fill` assembles in place in the frame's tail.
+fn put_data(
+    reader: &AnyReader,
+    frame: &mut FrameBuf,
+    shape: Shape,
+    fill: impl FnOnce(&mut [u8]) -> eblcio_codec::Result<()>,
+) -> Served {
+    let nbytes = shape.len() * reader.sample_bytes();
+    put_data_header(frame, reader.dtype(), shape.dims().iter().map(|&d| d as u64), nbytes);
+    fill(frame.grow(nbytes)).map_err(server_error)
+}
+
+/// [`put_data`] for a region, assembled by the region engine.
+fn put_region(reader: &AnyReader, frame: &mut FrameBuf, region: &Region) -> Served {
+    put_data(reader, frame, region.shape(), |out| reader.read_region_le_into(region, out))
 }
 
 fn error(code: ErrorCode, message: impl Into<String>) -> Reply {
@@ -512,6 +623,33 @@ mod tests {
     /// refused) and releases the slot at once.
     fn enter_and_leave(gate: &Admission) -> Option<bool> {
         gate.enter().ok().map(|permit| permit.waited)
+    }
+
+    /// Builds a `Data`-sized frame of `n` sample bytes; returns where
+    /// the finished frame lives.
+    fn build_frame(frame: &mut FrameBuf, n: usize) -> *const u8 {
+        frame.begin_frame();
+        frame.push(OP_DATA);
+        frame.grow(n).fill(7);
+        frame.finish_frame().expect("a frame under 4 GiB").as_ptr()
+    }
+
+    #[test]
+    fn the_frame_buffer_is_reused_up_to_the_retain_limit_and_dropped_above_it() {
+        let mut frame = FrameBuf::default();
+        // Under the limit: kept, and the next reply of that size is
+        // built in the same allocation.
+        let first = build_frame(&mut frame, RETAIN_FRAME_BYTES / 2);
+        recycle(&mut frame);
+        let kept = frame.capacity();
+        assert!((RETAIN_FRAME_BYTES / 2..=RETAIN_FRAME_BYTES).contains(&kept), "{kept}");
+        assert_eq!(build_frame(&mut frame, RETAIN_FRAME_BYTES / 2), first);
+        assert_eq!(frame.capacity(), kept);
+        // Over it: handed back once sent, so an idle connection holds
+        // nothing.
+        build_frame(&mut frame, RETAIN_FRAME_BYTES + 1);
+        recycle(&mut frame);
+        assert_eq!(frame.capacity(), 0);
     }
 
     #[test]

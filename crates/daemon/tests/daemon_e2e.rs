@@ -4,10 +4,11 @@
 //! `Overloaded` reply (never a hang) when admission refuses work, and
 //! no slot spent on a peer that hung up or stopped reading.
 
-use eblcio_codec::{CompressorId, ErrorBound};
-use eblcio_daemon::protocol::write_frame;
+use eblcio_codec::{CodecError, CompressorId, ErrorBound};
+use eblcio_daemon::protocol::{read_frame, write_frame, FrameRead};
 use eblcio_daemon::{
-    AnyReader, Daemon, DaemonClient, DaemonConfig, DaemonError, ErrorCode, RegionSpec, Request,
+    AnyReader, Daemon, DaemonClient, DaemonConfig, DaemonError, ErrorCode, RegionSpec, Reply,
+    Request, MAX_REPLY_FRAME,
 };
 use eblcio_data::{NdArray, Shape};
 use eblcio_serve::{ArrayReader, ReaderConfig};
@@ -122,6 +123,9 @@ fn stats_and_metrics_frames_reflect_served_work() {
         exposition.contains("# TYPE eblcio_daemon_requests_total counter"),
         "daemon counters must ride in the reader's registry:\n{exposition}"
     );
+    // The reply leaves in one write, timed and counted where it does.
+    assert!(exposition.contains("# TYPE eblcio_daemon_reply_write_ns histogram"));
+    assert!(exposition.contains("# TYPE eblcio_daemon_reply_bytes_total counter"));
     // Every daemon counter the protocol promises is present.
     for name in [
         "eblcio_daemon_connections_total",
@@ -414,5 +418,136 @@ fn a_slow_reader_costs_a_connection_never_a_slot() {
     });
     b.stats().unwrap();
     drop(a);
+    daemon.shutdown();
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Sends one request over a raw socket and returns the reply frame's
+/// payload exactly as the server wrote it.
+fn raw_exchange(raw: &mut std::net::TcpStream, request: &Request) -> Vec<u8> {
+    write_frame(raw, &request.encode()).unwrap();
+    match read_frame(raw, MAX_REPLY_FRAME, || true).unwrap() {
+        FrameRead::Frame(p) => p,
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
+
+/// The wire format did not move by a byte when the reply path stopped
+/// going through `Reply::encode`: the payloads below were recorded from
+/// `Reply::Data(reader.read_{region,chunk}_data(..)).encode()` at the
+/// commit before the server began assembling frames in place, over this
+/// exact store (an 8×8 f32 ramp in 4×4 SZx chunks — integers and halves
+/// only, so no libm in the data).
+#[test]
+fn served_frames_are_byte_identical_to_the_recorded_ones() {
+    const REGION_3_2_2X3: &str = "8100020200000000000000030000000000000018000000000000000000204100002841\
+                                  00003041000060410000684100007041";
+    const CHUNK_3: &str = "81000204000000000000000400000000000000400000000000000000007041000078410000804100008441\
+                           0000984100009c410000a0410000a4410000b8410000bc410000c0410000c4410000d8410000dc410000e0\
+                           410000e441";
+    let data = NdArray::<f32>::from_fn(Shape::d2(8, 8), |i| (i[0] * 8 + i[1]) as f32 * 0.5 - 3.0);
+    let codec = CompressorId::Szx.instance();
+    let stream =
+        ChunkedStore::write(codec.as_ref(), &data, ErrorBound::Absolute(1e-3), Shape::d2(4, 4), 1)
+            .unwrap();
+    let (daemon, _) = start_daemon_over(&stream, DaemonConfig::default());
+    let mut raw = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let spec = RegionSpec::new(&[3, 2], &[2, 3]);
+    let region = raw_exchange(&mut raw, &Request::ReadRegion(spec.clone()));
+    assert_eq!(hex(&region), REGION_3_2_2X3);
+    let chunk = raw_exchange(&mut raw, &Request::ReadChunk { index: 3 });
+    assert_eq!(hex(&chunk), CHUNK_3);
+    // A batch is its count followed by the same `Data` bodies.
+    let batch = raw_exchange(&mut raw, &Request::Batch(vec![spec.clone(), spec]));
+    let body = &region[1..];
+    assert_eq!(batch, [&[0x85, 2, 0, 0, 0][..], body, body].concat());
+    // And the allocating encoder still writes the same bytes.
+    for payload in [&region, &chunk, &batch] {
+        assert_eq!(&Reply::decode(payload).unwrap().encode(), payload);
+    }
+    daemon.shutdown();
+}
+
+/// The reply cap is enforced where the reply would be built: a batch
+/// whose frame the client would refuse is turned down from its geometry
+/// alone, before the reader assembles a single sample.
+#[test]
+fn a_reply_over_the_frame_cap_is_refused_before_any_sample_is_assembled() {
+    let data = NdArray::<f32>::from_fn(Shape::d2(512, 512), |i| (i[0] + i[1]) as f32 * 0.125);
+    let codec = CompressorId::Szx.instance();
+    let stream =
+        ChunkedStore::write(codec.as_ref(), &data, ErrorBound::Absolute(1e-3), Shape::d2(128, 512), 2)
+            .unwrap();
+    let (daemon, _) = start_daemon_over(&stream, DaemonConfig::default());
+    let mut client = DaemonClient::connect(daemon.local_addr()).unwrap();
+    let whole = RegionSpec::new(&[0, 0], &[512, 512]);
+    let before = client.stats().unwrap();
+
+    // 300 × 1 MiB > the 256 MiB cap.
+    let start = Instant::now();
+    match client.batch(&vec![whole.clone(); 300]) {
+        Err(DaemonError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("reply would exceed"), "{message}");
+        }
+        other => panic!("expected BadRequest, got {:?}", other.map(|v| v.len())),
+    }
+    assert!(start.elapsed() < Duration::from_secs(2), "refusal took {:?}", start.elapsed());
+    let after = client.stats().unwrap();
+    assert_eq!(after.requests, before.requests, "the refused batch reached the reader");
+    assert_eq!(after.chunks_requested, before.chunks_requested);
+
+    // The same connection serves what does fit.
+    assert_eq!(client.read_region(&whole).unwrap().bytes.len(), 512 * 512 * 4);
+    assert_eq!(client.batch(&[whole.clone(), whole]).unwrap().len(), 2);
+    daemon.shutdown();
+}
+
+/// `read_region_into` delivers the same samples as `read_region`, into
+/// the caller's array; a buffer of the wrong shape is refused before
+/// anything is sent, one of the wrong dtype before any sample is
+/// written (and, the samples being left unread, costs the connection).
+#[test]
+fn read_region_into_fills_the_callers_array_or_fails_typed() {
+    let (daemon, _) = start_daemon(DaemonConfig::default());
+    let mut client = DaemonClient::connect(daemon.local_addr()).unwrap();
+
+    let spec = RegionSpec::new(&[5, 7], &[20, 18]);
+    let want = client.read_region(&spec).unwrap().as_f32().unwrap();
+    let mut out = NdArray::<f32>::from_fn(Shape::d2(20, 18), |_| f32::NAN);
+    client.read_region_into(&spec, &mut out).unwrap();
+    assert_eq!(out.as_slice(), want);
+
+    // Typed server errors pass through and leave the connection usable.
+    let mut off = NdArray::<f32>::zeros(Shape::d2(2, 2));
+    match client.read_region_into(&RegionSpec::new(&[31, 31], &[2, 2]), &mut off) {
+        Err(DaemonError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+
+    // Wrong shape: caught locally, nothing sent, nothing written.
+    let mut small = NdArray::<f32>::from_fn(Shape::d2(20, 17), |_| -1.0);
+    match client.read_region_into(&spec, &mut small) {
+        Err(DaemonError::Codec(CodecError::Corrupt { .. })) => {}
+        other => panic!("expected a buffer-shape error, got {other:?}"),
+    }
+    assert!(small.as_slice().iter().all(|&v| v == -1.0));
+    client.read_region_into(&spec, &mut out).unwrap();
+
+    // Wrong dtype: known only from the reply header.
+    let mut wide = NdArray::<f64>::from_fn(Shape::d2(20, 18), |_| -1.0);
+    match client.read_region_into(&spec, &mut wide) {
+        Err(DaemonError::Codec(CodecError::DtypeMismatch { expected, got })) => {
+            assert_eq!((expected, got), ("f32", "f64"));
+        }
+        other => panic!("expected DtypeMismatch, got {other:?}"),
+    }
+    assert!(wide.as_slice().iter().all(|&v| v == -1.0));
+    assert!(matches!(client.stats(), Err(DaemonError::ConnectionClosed)));
     daemon.shutdown();
 }

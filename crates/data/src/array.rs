@@ -146,10 +146,8 @@ impl<T: Element> NdArray<T> {
     /// Serializes the samples to little-endian bytes (the uncompressed
     /// representation written by the "Original" I/O baseline).
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.nbytes());
-        for &v in &self.data {
-            v.write_le(&mut out);
-        }
+        let mut out = vec![0u8; self.nbytes()];
+        T::write_le_slice(&self.data, &mut out);
         out
     }
 
@@ -160,10 +158,8 @@ impl<T: Element> NdArray<T> {
         if bytes.len() != shape.len() * T::BYTES {
             return None;
         }
-        let mut data = Vec::with_capacity(shape.len());
-        for chunk in bytes.chunks_exact(T::BYTES) {
-            data.push(T::read_le(chunk)?);
-        }
+        let mut data = vec![T::default(); shape.len()];
+        T::read_le_slice(bytes, &mut data);
         Some(Self { shape, data })
     }
 

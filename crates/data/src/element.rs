@@ -64,6 +64,19 @@ pub trait Element:
     ///
     /// Returns `None` when fewer than [`Self::BYTES`] bytes remain.
     fn read_le(bytes: &[u8]) -> Option<Self>;
+    /// Writes `src` as little-endian bytes over `dst` — bit for bit
+    /// what [`Element::write_le`] appends per sample, as one loop the
+    /// compiler turns into a block copy on little-endian targets.
+    ///
+    /// # Panics
+    /// Panics unless `dst.len() == src.len() * Self::BYTES`.
+    fn write_le_slice(src: &[Self], dst: &mut [u8]);
+    /// Inverse of [`Element::write_le_slice`]: fills `dst` from
+    /// little-endian bytes.
+    ///
+    /// # Panics
+    /// Panics unless `src.len() == dst.len() * Self::BYTES`.
+    fn read_le_slice(src: &[u8], dst: &mut [Self]);
     /// IEEE-754 "finite" check.
     fn is_finite(self) -> bool;
 
@@ -104,6 +117,20 @@ impl Element for f32 {
     #[inline]
     fn read_le(bytes: &[u8]) -> Option<Self> {
         Some(f32::from_le_bytes(bytes.get(..4)?.try_into().ok()?))
+    }
+    #[inline]
+    fn write_le_slice(src: &[Self], dst: &mut [u8]) {
+        assert_eq!(dst.len(), src.len() * 4, "byte buffer does not match sample count");
+        for (d, s) in dst.chunks_exact_mut(4).zip(src) {
+            d.copy_from_slice(&s.to_le_bytes());
+        }
+    }
+    #[inline]
+    fn read_le_slice(src: &[u8], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len() * 4, "byte buffer does not match sample count");
+        for (d, s) in dst.iter_mut().zip(src.chunks_exact(4)) {
+            *d = f32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        }
     }
     #[inline]
     fn is_finite(self) -> bool {
@@ -152,6 +179,20 @@ impl Element for f64 {
     #[inline]
     fn read_le(bytes: &[u8]) -> Option<Self> {
         Some(f64::from_le_bytes(bytes.get(..8)?.try_into().ok()?))
+    }
+    #[inline]
+    fn write_le_slice(src: &[Self], dst: &mut [u8]) {
+        assert_eq!(dst.len(), src.len() * 8, "byte buffer does not match sample count");
+        for (d, s) in dst.chunks_exact_mut(8).zip(src) {
+            d.copy_from_slice(&s.to_le_bytes());
+        }
+    }
+    #[inline]
+    fn read_le_slice(src: &[u8], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len() * 8, "byte buffer does not match sample count");
+        for (d, s) in dst.iter_mut().zip(src.chunks_exact(8)) {
+            *d = f64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
+        }
     }
     #[inline]
     fn is_finite(self) -> bool {

@@ -2,7 +2,8 @@
 //! metric identities, and the statistics machinery.
 
 use eblcio_data::{
-    inflate::inflate, max_abs_error, max_rel_error, mse, psnr, NdArray, RunningStats, Shape,
+    inflate::inflate, max_abs_error, max_rel_error, mse, psnr, Element, NdArray, RunningStats,
+    Shape,
 };
 use proptest::prelude::*;
 
@@ -14,6 +15,37 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         ((1usize..6), (1usize..6), (1usize..6), (1usize..6))
             .prop_map(|(a, b, c, d)| Shape::d4(a, b, c, d)),
     ]
+}
+
+/// Raw bit patterns with the awkward ones over-represented: NaNs with
+/// payloads (quiet and signalling), ±0, ±∞ and subnormals, in both
+/// widths at once (the f32 pattern is the low half).
+fn arb_bits() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        any::<u64>().prop_map(|b| b | 0x7FF0_0000_7F80_0000),
+        any::<u64>().prop_map(|b| b & 0x800F_FFFF_807F_FFFF),
+        (0u64..4).prop_map(|k| [0, 0x8000_0000_8000_0000, 0x7FF0_0000_7F80_0000, 1][k as usize]),
+    ]
+}
+
+/// The slice kernels against the per-sample `write_le`/`read_le` they
+/// replace, compared as bits so NaN payloads and −0.0 count.
+fn slice_kernels_match_per_element<T: Element>(samples: &[T]) {
+    let mut per_element = Vec::new();
+    for &v in samples {
+        v.write_le(&mut per_element);
+    }
+    let mut bytes = vec![0xAAu8; samples.len() * T::BYTES];
+    T::write_le_slice(samples, &mut bytes);
+    assert_eq!(bytes, per_element);
+
+    let mut back = vec![T::default(); samples.len()];
+    T::read_le_slice(&bytes, &mut back);
+    for ((chunk, got), want) in bytes.chunks_exact(T::BYTES).zip(&back).zip(samples) {
+        assert_eq!(T::read_le(chunk).map(T::to_bits), Some(got.to_bits()));
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
 }
 
 fn arb_array() -> impl Strategy<Value = NdArray<f64>> {
@@ -61,6 +93,16 @@ proptest! {
         prop_assert_eq!(bytes.len(), a.nbytes());
         let b = NdArray::<f64>::from_le_bytes(a.shape(), &bytes).unwrap();
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn le_slice_kernels_are_bit_identical_to_per_element(
+        bits in proptest::collection::vec(arb_bits(), 0..68),
+    ) {
+        let wide: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        let narrow: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b as u32)).collect();
+        slice_kernels_match_per_element(&wide);
+        slice_kernels_match_per_element(&narrow);
     }
 
     #[test]

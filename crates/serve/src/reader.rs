@@ -32,7 +32,7 @@ use eblcio_codec::parallel::pool_for;
 use eblcio_codec::{CodecError, Compressor, Result};
 use eblcio_data::{Element, NdArray};
 use eblcio_obs::{self as obs, Counter, Histogram, MetricsRegistry, NameId, Stopwatch};
-use eblcio_store::{scatter_chunk, ChunkedStore, MutableStore, Region, Storage};
+use eblcio_store::{scatter_chunk, scatter_chunk_le, ChunkedStore, MutableStore, Region, Storage};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -658,7 +658,7 @@ impl<T: Element> ArrayReader<T> {
 
     /// Serves a region read and reports how much work it took.
     ///
-    /// A freshly allocated output buffer handed to the engine behind
+    /// A freshly allocated output buffer handed to
     /// [`ArrayReader::read_region_into`] — one engine, one accounting
     /// policy, whichever entry point a client uses.
     ///
@@ -671,7 +671,7 @@ impl<T: Element> ArrayReader<T> {
     }
 
     /// Serves a region read into a caller-provided buffer shaped like
-    /// the region — the region engine every read path funnels through.
+    /// the region.
     ///
     /// Each intersecting chunk is probed in the cache **exactly once**,
     /// through the counting lookup: hits scatter straight into `out`,
@@ -696,6 +696,34 @@ impl<T: Element> ArrayReader<T> {
         if out.shape() != region.shape() {
             return Err(CodecError::Corrupt { context: "read_region_into buffer shape" });
         }
+        self.assemble_region(region, |part, covered| scatter_chunk(part, covered, region, out))
+    }
+
+    /// [`ArrayReader::read_region_into`] in wire order: `out` receives
+    /// the region's samples as little-endian bytes
+    /// (`region.len() × T::BYTES` of them), so a network reply can be
+    /// assembled directly in the buffer it is sent from. Same engine —
+    /// same probes, counters, spans and zero-allocation warm path — with
+    /// only the per-run store differing.
+    ///
+    /// # Panics
+    /// Panics if the region does not fit inside the array shape.
+    pub fn read_region_le_into(&self, region: &Region, out: &mut [u8]) -> Result<RequestStats> {
+        if out.len() != region.len() * T::BYTES {
+            return Err(CodecError::Corrupt { context: "read_region_le_into buffer length" });
+        }
+        self.assemble_region(region, |part, covered| scatter_chunk_le(part, covered, region, out))
+    }
+
+    /// The region engine every read path funnels through. `scatter`
+    /// receives each fetched piece with the array region it covers and
+    /// stores its overlap with the request — typed or serialized, the
+    /// engine does not care.
+    fn assemble_region(
+        &self,
+        region: &Region,
+        mut scatter: impl FnMut(&NdArray<T>, &Region),
+    ) -> Result<RequestStats> {
         // Telemetry on this path stays allocation-free: the span name
         // is pre-interned, the guard lives on the stack (sharing the
         // stopwatch's clock read), and its drop stores into
@@ -721,9 +749,7 @@ impl<T: Element> ArrayReader<T> {
             let mut misses: Vec<usize> = Vec::new();
             for &i in wanted.iter() {
                 match self.cache.get(state.keys[i]) {
-                    Some(chunk) => {
-                        scatter_chunk(&chunk, &state.store.grid().chunk_region(i), region, out);
-                    }
+                    Some(chunk) => scatter(&chunk, &state.store.grid().chunk_region(i)),
                     None => misses.push(i),
                 }
             }
@@ -732,7 +758,7 @@ impl<T: Element> ArrayReader<T> {
         self.metrics.chunks_requested.add(touched as u64);
         let ahead = self.prefetch_ids(&state, frontier);
         self.metrics.prefetched.add(ahead.len() as u64);
-        let partial = self.finish_cold(&state, region, out, &misses, &ahead, rid)?;
+        let partial = self.finish_cold(&state, region, &mut scatter, &misses, &ahead, rid)?;
         self.metrics.request_ns.record(sw.elapsed_ns());
         Ok(RequestStats {
             chunks_touched: touched,
@@ -744,7 +770,7 @@ impl<T: Element> ArrayReader<T> {
 
     /// The cold half of the region engine: fetches the probed-and-
     /// missed chunks plus the uncached prefetch extension in parallel,
-    /// scattering the misses into `out`. Cache probes here are
+    /// handing the misses to `scatter`. Cache probes here are
     /// non-counting (`peek` and the single-flight re-check) — the
     /// caller already charged exactly one hit or miss per wanted chunk,
     /// and charging again is the double-count this engine exists to
@@ -756,7 +782,7 @@ impl<T: Element> ArrayReader<T> {
         &self,
         state: &ReadState,
         region: &Region,
-        out: &mut NdArray<T>,
+        scatter: &mut impl FnMut(&NdArray<T>, &Region),
         misses: &[usize],
         ahead: &[usize],
         rid: u64,
@@ -793,12 +819,10 @@ impl<T: Element> ArrayReader<T> {
                 continue;
             }
             match part? {
-                Fetched::Whole(p) => {
-                    scatter_chunk(&p, &state.store.grid().chunk_region(i), region, out);
-                }
+                Fetched::Whole(p) => scatter(&p, &state.store.grid().chunk_region(i)),
                 Fetched::Partial(p, covered) => {
                     partial += 1;
-                    scatter_chunk(&p, &covered, region, out);
+                    scatter(&p, &covered);
                 }
             }
         }

@@ -1,6 +1,7 @@
 //! Proves the steady-state serving path is allocation-free: once every
 //! chunk a region touches sits in the decoded-chunk cache,
-//! [`ArrayReader::read_region_into`] must perform **zero** heap
+//! [`ArrayReader::read_region_into`] and its wire-order twin
+//! [`ArrayReader::read_region_le_into`] must perform **zero** heap
 //! allocations — the property the decode hot-path work optimizes for.
 //!
 //! The whole test binary runs under a counting global allocator; the
@@ -62,6 +63,7 @@ fn warm_read_region_into_allocates_nothing() {
     let region = Region::new(&[10, 10], &[20, 20]);
     let reference = reader.read_region(&region).unwrap();
     let mut out = NdArray::<f32>::zeros(region.shape());
+    let mut wire = vec![0u8; out.nbytes()];
 
     // One warm call outside the window sizes the thread-local chunk-id
     // scratch; after it the path must be steady-state.
@@ -71,12 +73,14 @@ fn warm_read_region_into_allocates_nothing() {
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..32 {
         reader.read_region_into(&region, &mut out).unwrap();
+        reader.read_region_le_into(&region, &mut wire).unwrap();
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "warm read_region_into must not allocate"
+        "warm read_region_into / read_region_le_into must not allocate"
     );
     assert_eq!(out.as_slice(), reference.as_slice());
+    assert_eq!(wire, reference.to_le_bytes());
 }

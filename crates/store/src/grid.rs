@@ -280,6 +280,29 @@ pub fn copy_region<T: Element>(
     dst_origin: &[usize],
     extent: &[usize],
 ) {
+    copy_region_with(src, src_shape, src_origin, dst_shape, dst_origin, extent, copy_runs_into(dst));
+}
+
+/// The typed `put` of [`copy_region_with`]: each run is copied to its
+/// offset in `dst`.
+fn copy_runs_into<T: Element>(dst: &mut [T]) -> impl FnMut(usize, &[T]) + '_ {
+    |off, run| dst[off..off + run.len()].copy_from_slice(run)
+}
+
+/// [`copy_region`] with the destination behind a closure: the walk
+/// hands `put` each contiguous innermost run of `src` together with the
+/// sample offset it lands at in an array of `dst_shape`. What `put`
+/// does with the run — copy it, or serialize it — is the only thing
+/// that differs between the typed and the little-endian assemblers.
+fn copy_region_with<T: Element>(
+    src: &[T],
+    src_shape: Shape,
+    src_origin: &[usize],
+    dst_shape: Shape,
+    dst_origin: &[usize],
+    extent: &[usize],
+    mut put: impl FnMut(usize, &[T]),
+) {
     let rank = src_shape.rank();
     debug_assert_eq!(dst_shape.rank(), rank);
     let src_strides = src_shape.strides();
@@ -296,7 +319,7 @@ pub fn copy_region<T: Element>(
         }
         s_off += src_origin[rank - 1] * src_strides[rank - 1];
         d_off += dst_origin[rank - 1] * dst_strides[rank - 1];
-        dst[d_off..d_off + run].copy_from_slice(&src[s_off..s_off + run]);
+        put(d_off, &src[s_off..s_off + run]);
         for d in (0..rank.saturating_sub(1)).rev() {
             local[d] += 1;
             if local[d] < extent[d] {
@@ -307,16 +330,15 @@ pub fn copy_region<T: Element>(
     }
 }
 
-/// Scatters the slice of a decoded chunk that overlaps `region` into
-/// `out` (shaped as `region`): the one definition of the
-/// chunk-to-region offset arithmetic, shared by every region assembler
-/// (the store's read paths and `eblcio_serve`'s region engine). A
-/// chunk that does not intersect the region is a no-op.
-pub fn scatter_chunk<T: Element>(
+/// The one definition of the chunk-to-region offset arithmetic: walks
+/// the overlap of `chunk_region` (which `part` holds) and `region`,
+/// handing `put` each run with its sample offset in an array shaped as
+/// `region`. A chunk that does not intersect the region is a no-op.
+fn scatter_chunk_with<T: Element>(
     part: &NdArray<T>,
     chunk_region: &Region,
     region: &Region,
-    out: &mut NdArray<T>,
+    put: impl FnMut(usize, &[T]),
 ) {
     let Some(inter) = chunk_region.intersect(region) else {
         return;
@@ -328,15 +350,41 @@ pub fn scatter_chunk<T: Element>(
         src_origin[d] = inter.origin()[d] - chunk_region.origin()[d];
         dst_origin[d] = inter.origin()[d] - region.origin()[d];
     }
-    copy_region(
+    copy_region_with(
         part.as_slice(),
         part.shape(),
         &src_origin[..rank],
-        out.as_mut_slice(),
         region.shape(),
         &dst_origin[..rank],
         inter.extent(),
+        put,
     );
+}
+
+/// Scatters the slice of a decoded chunk that overlaps `region` into
+/// `out` (shaped as `region`) — shared by every region assembler (the
+/// store's read paths and `eblcio_serve`'s region engine).
+pub fn scatter_chunk<T: Element>(
+    part: &NdArray<T>,
+    chunk_region: &Region,
+    region: &Region,
+    out: &mut NdArray<T>,
+) {
+    scatter_chunk_with(part, chunk_region, region, copy_runs_into(out.as_mut_slice()));
+}
+
+/// [`scatter_chunk`] straight into wire order: `out` is the region's
+/// samples as little-endian bytes (`region.len() × T::BYTES` of them),
+/// so a reply can be assembled in the buffer it is sent from.
+pub fn scatter_chunk_le<T: Element>(
+    part: &NdArray<T>,
+    chunk_region: &Region,
+    region: &Region,
+    out: &mut [u8],
+) {
+    scatter_chunk_with(part, chunk_region, region, |off, run| {
+        T::write_le_slice(run, &mut out[off * T::BYTES..(off + run.len()) * T::BYTES]);
+    });
 }
 
 /// Extracts `region` of `src` into a new owned array.
@@ -489,6 +537,25 @@ mod tests {
             let expect = if inside { a.as_slice()[off] } else { 0.0 };
             assert_eq!(back.as_slice()[off], expect, "offset {off}");
         }
+    }
+
+    #[test]
+    fn le_scatter_is_the_typed_scatter_serialized() {
+        let g = ChunkGrid::new(Shape::d3(7, 6, 9), Shape::d3(3, 4, 5));
+        let a = NdArray::<f64>::from_fn(g.array_shape(), |i| {
+            (i[0] * 100 + i[1] * 10 + i[2]) as f64 - 0.5
+        });
+        let region = Region::new(&[1, 1, 2], &[5, 4, 6]);
+        let mut typed = NdArray::<f64>::zeros(region.shape());
+        let mut le = vec![0u8; region.len() * 8];
+        for i in g.chunks_intersecting(&region) {
+            let chunk_region = g.chunk_region(i);
+            let part = gather(&a, &chunk_region);
+            scatter_chunk(&part, &chunk_region, &region, &mut typed);
+            scatter_chunk_le(&part, &chunk_region, &region, &mut le);
+        }
+        assert_eq!(typed, gather(&a, &region));
+        assert_eq!(le, typed.to_le_bytes());
     }
 
     #[test]

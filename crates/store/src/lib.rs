@@ -59,7 +59,7 @@ pub mod shard;
 pub mod storage;
 pub mod store;
 
-pub use grid::{copy_region, gather, scatter_chunk, ChunkGrid, Region};
+pub use grid::{copy_region, gather, scatter_chunk, scatter_chunk_le, ChunkGrid, Region};
 pub use manifest::{ChunkEntry, ChunkSlot, GenerationMeta, Manifest, ShardTable};
 pub use mutable::{
     CompactStats, GenerationSummary, MutableStore, PublishOps, StoreWriter, UpdateStats,

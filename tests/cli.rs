@@ -571,17 +571,25 @@ fn serve_process_answers_region_stats_and_metrics_over_tcp() {
         metrics.lines().any(|l| l == "# TYPE eblcio_daemon_requests_total counter"),
         "{metrics}"
     );
-    for counter in ["eblcio_daemon_requests_total", "eblcio_daemon_connections_total"] {
+    for counter in [
+        "eblcio_daemon_requests_total",
+        "eblcio_daemon_connections_total",
+        "eblcio_daemon_reply_bytes_total",
+    ] {
         let value = metrics
             .lines()
             .find_map(|l| l.strip_prefix(counter)?.trim().parse::<u64>().ok())
             .unwrap_or_else(|| panic!("no `{counter} <n>` sample line in\n{metrics}"));
         assert!(value >= 1, "{counter} = {value}");
     }
-    // Gate wait and slot time are measured where they happen, on the
-    // connection thread: the region read and the stats call above have
-    // each left one sample in both.
-    for hist in ["eblcio_daemon_admission_wait_ns", "eblcio_daemon_service_ns"] {
+    // Gate wait, slot time and the reply's one write are measured where
+    // they happen, on the connection thread: the region read and the
+    // stats call above have each left one sample in all three.
+    for hist in [
+        "eblcio_daemon_admission_wait_ns",
+        "eblcio_daemon_service_ns",
+        "eblcio_daemon_reply_write_ns",
+    ] {
         let ty = format!("# TYPE {hist} histogram");
         assert!(metrics.lines().any(|l| l == ty), "no `{ty}` line in\n{metrics}");
         let count = metrics
