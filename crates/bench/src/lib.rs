@@ -1,11 +1,22 @@
-//! Shared harness for the figure/table regenerator binaries.
+//! The reproduction of the paper's tables and figures, as one asserted
+//! table.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper: it sweeps the same axes, prints the same rows/series to
-//! stdout, and drops a CSV under `bench_results/`. Absolute numbers
-//! come from this workspace's simulators and codecs, so the *shapes*
-//! (who wins, by what factor, where crossovers fall) are the
-//! reproduction target — see `EXPERIMENTS.md`.
+//! [`figures::FIGURES`] lists every table/figure of the paper this
+//! workspace regenerates (plus two beyond-paper store studies). Each
+//! entry is a function over one shared [`eblcio_core::Sweep`] — so a
+//! (data set, chain, ε, threads) cell is timed once per process and
+//! every figure that needs it projects the same measurement — returning
+//! the figure's [`TextTable`] and the paper's claims about it as
+//! [`figures::Claim`]s, evaluated where the typed cells are in hand.
+//! The `reproduce` binary prints the tables, writes one CSV per figure
+//! and exits 1 on a failed enforced claim; `tests/paper_fidelity.rs`
+//! enforces the same claims in tier-1. Absolute numbers come from this
+//! workspace's simulators and codecs, so the *shapes* (who wins, by
+//! what factor, where crossovers fall) are the reproduction target —
+//! see `EXPERIMENTS.md` for the claim ledger and the known deviations.
+//!
+//! The only other binary, `obs_overhead`, is a gate that toggles
+//! process-global telemetry, not a figure.
 //!
 //! Environment knobs:
 //!
@@ -15,10 +26,13 @@
 
 #![forbid(unsafe_code)]
 
+pub mod figures;
+
+use eblcio_codec::CodecError;
 use eblcio_core::CampaignRunner;
 use eblcio_data::generators::Scale;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use eblcio_store::{FilesystemStorage, Storage};
+use std::path::PathBuf;
 
 fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
     match value {
@@ -80,6 +94,11 @@ impl TextTable {
         self.rows.push(cells);
     }
 
+    /// Appends one row of displayable cells.
+    pub fn push(&mut self, cells: &[&dyn std::fmt::Display]) {
+        self.row(cells.iter().map(|c| c.to_string()).collect());
+    }
+
     /// Renders the table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -110,20 +129,37 @@ impl TextTable {
         print!("{}", self.render());
     }
 
-    /// Writes the table as CSV to `<EBLCIO_RESULTS>/<name>.csv`
-    /// (`bench_results/` by default).
-    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = std::env::var_os("EBLCIO_RESULTS").unwrap_or_else(|| "bench_results".into());
-        let (path, mut file) = eblcio_core::dump::create(Path::new(&dir), &format!("{name}.csv"))?;
+    /// Writes the table as `<name>.csv` through `results` — atomically
+    /// (temp file + rename), so an interrupted run never leaves a torn
+    /// CSV — and returns the file's path.
+    pub fn write_csv(
+        &self,
+        results: &FilesystemStorage,
+        name: &str,
+    ) -> Result<PathBuf, CodecError> {
         let mut s = self.headers.join(",");
         s.push('\n');
         for row in &self.rows {
             s.push_str(&row.join(","));
             s.push('\n');
         }
-        file.write_all(s.as_bytes())?;
-        Ok(path)
+        let key = format!("{name}.csv");
+        results.set(&key, s.as_bytes())?;
+        Ok(results.root().join(key))
     }
+}
+
+/// The CSV output directory: `EBLCIO_RESULTS`, `bench_results/` by
+/// default, created on demand.
+pub fn results_from_env() -> Result<FilesystemStorage, CodecError> {
+    FilesystemStorage::create(
+        std::env::var_os("EBLCIO_RESULTS").unwrap_or_else(|| "bench_results".into()),
+    )
+}
+
+/// `v` with `decimals` fixed decimals — a numeric table cell.
+pub fn fx(v: f64, decimals: usize) -> String {
+    format!("{v:.decimals$}")
 }
 
 /// Human-readable engineering format (`12.3k`, `4.56M`).
@@ -162,6 +198,22 @@ mod tests {
     fn row_width_checked() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn csv_lands_whole_under_its_name() {
+        let dir = std::env::temp_dir().join(format!("eblcio-csv-{}", std::process::id()));
+        let results = FilesystemStorage::create(&dir).unwrap();
+        let mut t = TextTable::new(&["codec", "CR"]);
+        t.row(vec!["SZ3".into(), "7.30".into()]);
+        for _ in 0..2 {
+            let path = t.write_csv(&results, "fig").unwrap();
+            assert_eq!(path, dir.join("fig.csv"));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), "codec,CR\nSZ3,7.30\n");
+        }
+        // No staging file survives the rename.
+        assert_eq!(results.list().unwrap(), ["fig.csv"]);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! sweep space is open: the paper's five presets by default, any
 //! [`ChainSpec`] (custom lossless backends, stacked filters) on demand.
 
-use crate::campaign::CampaignRunner;
+use crate::campaign::{CampaignRunner, MeasuredCell, WriteCost};
 use crate::conditions::{BenefitInputs, Decision};
 use eblcio_codec::{ChainSpec, CodecError, ErrorBound};
 use eblcio_data::Dataset;
@@ -60,7 +60,7 @@ impl Advisor {
     pub fn paper_sweep(psnr_min_db: f64) -> Self {
         Self {
             chains: ChainSpec::presets(),
-            epsilons: vec![1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
+            epsilons: crate::experiment::PAPER_EPSILONS.to_vec(),
             psnr_min_db,
             writers: 1,
             runner: CampaignRunner::quick(),
@@ -76,58 +76,69 @@ impl Advisor {
         pfs: &PfsSim,
         generation: CpuGeneration,
     ) -> Result<Vec<Recommendation>, CodecError> {
-        // Baseline: writing the original data.
-        let original_bytes = data.to_le_bytes();
-        let baseline = self.runner.measure_write(
-            original_bytes,
-            "original",
-            tool,
-            pfs,
-            generation,
-            self.writers,
-        );
+        self.evaluate_cells(data, tool, pfs, generation, |chain, eps| {
+            let codec = chain.build()?;
+            self.runner.measure_cell(data, &codec, ErrorBound::Relative(eps), generation, 1)
+        })
+    }
 
+    /// [`evaluate_all`](Self::evaluate_all) over cells the caller
+    /// supplies — `cell(chain, ε)` is the serial cell of `data` priced
+    /// on `generation` — so a sweep that already timed them is judged,
+    /// not re-timed.
+    pub fn evaluate_cells(
+        &self,
+        data: &Dataset,
+        tool: IoToolKind,
+        pfs: &PfsSim,
+        generation: CpuGeneration,
+        mut cell: impl FnMut(&ChainSpec, f64) -> Result<MeasuredCell, CodecError>,
+    ) -> Result<Vec<Recommendation>, CodecError> {
+        let write_cost = |payload: Vec<u8>, label: &str| {
+            self.runner.measure_write(payload, label, tool, pfs, generation, self.writers)
+        };
+        // Baseline: writing the original data.
+        let baseline = write_cost(data.to_le_bytes(), "original");
         let mut out = Vec::new();
         for chain in &self.chains {
-            let codec = chain.build_boxed()?;
             for &eps in &self.epsilons {
-                let cell = self.runner.measure_cell(
-                    data,
-                    codec.as_ref(),
-                    ErrorBound::Relative(eps),
-                    generation,
-                    1,
-                )?;
-                let write = self.runner.measure_write(
-                    cell.stream.clone(),
-                    "compressed",
-                    tool,
-                    pfs,
-                    generation,
-                    self.writers,
-                );
-                let inputs = BenefitInputs {
-                    compress_time: cell.compress_seconds,
-                    write_time_compressed: write.seconds,
-                    write_time_original: baseline.seconds,
-                    compress_energy: cell.compress_joules,
-                    write_energy_compressed: write.joules,
-                    write_energy_original: baseline.joules,
-                    psnr_db: cell.quality.psnr_db,
-                    psnr_min_db: self.psnr_min_db,
-                };
-                out.push(Recommendation {
-                    chain: chain.clone(),
-                    epsilon: eps,
-                    cr: cell.cr(),
-                    psnr_db: cell.quality.psnr_db,
-                    decision: inputs.evaluate().decision(),
-                    inputs,
-                });
+                let cell = cell(chain, eps)?;
+                let write = write_cost(cell.stream.clone(), "compressed");
+                out.push(self.judge(chain, eps, &cell, &write, &baseline));
             }
         }
         out.sort_by(|a, b| b.energy_saving().total_cmp(&a.energy_saving()));
         Ok(out)
+    }
+
+    /// Eqs. 3–5 for one measured cell, its write phase and the
+    /// uncompressed baseline write. Pure: nothing is timed here.
+    pub fn judge(
+        &self,
+        chain: &ChainSpec,
+        epsilon: f64,
+        cell: &MeasuredCell,
+        write: &WriteCost,
+        baseline: &WriteCost,
+    ) -> Recommendation {
+        let inputs = BenefitInputs {
+            compress_time: cell.compress_seconds,
+            write_time_compressed: write.seconds,
+            write_time_original: baseline.seconds,
+            compress_energy: cell.compress_joules,
+            write_energy_compressed: write.joules,
+            write_energy_original: baseline.joules,
+            psnr_db: cell.quality.psnr_db,
+            psnr_min_db: self.psnr_min_db,
+        };
+        Recommendation {
+            chain: chain.clone(),
+            epsilon,
+            cr: cell.cr(),
+            psnr_db: cell.quality.psnr_db,
+            decision: inputs.evaluate().decision(),
+            inputs,
+        }
     }
 
     /// The best beneficial configuration, if any exists.

@@ -2,15 +2,15 @@
 //!
 //! Every cell of every figure in the paper is "mean of up to 25 runs,
 //! or until a 95 % confidence interval about the mean is achieved".
-//! [`CampaignRunner`] implements that protocol around the codecs and the
-//! energy meter, producing [`MeasuredCell`] rows the bench binaries
-//! print.
+//! [`CampaignRunner`] implements that protocol around the codecs: it
+//! times a cell once ([`WallCell`]) and prices it on any platform
+//! ([`MeasuredCell`], the rows the figures print).
 
 use eblcio_codec::{compress_dataset, decompress_any, CodecError, Compressor, ErrorBound};
-use eblcio_data::{dispatch_dtype, metrics::QualityReport, stats::repeat_until_ci, Dataset};
-use eblcio_energy::{
-    measure::energy_for_wall, Activity, CpuGeneration, Joules, Seconds,
+use eblcio_data::{
+    dispatch_dtype, metrics::QualityReport, stats::repeat_until_ci, Dataset, RunningStats,
 };
+use eblcio_energy::{measure::energy_for_wall, Activity, CpuGeneration, Joules, Seconds};
 use eblcio_pfs::format::DataObject;
 use eblcio_pfs::{tool::write_objects, IoToolKind, PfsSim};
 use serde::{Deserialize, Serialize};
@@ -47,7 +47,8 @@ impl CampaignRunner {
     }
 
     /// Measures one (data set, codec, ε, CPU) cell: repeated compression
-    /// and decompression with energy accounting, plus quality metrics.
+    /// and decompression with energy accounting, plus quality metrics —
+    /// [`measure_wall`](Self::measure_wall) priced on `generation`.
     pub fn measure_cell(
         &self,
         data: &Dataset,
@@ -56,92 +57,66 @@ impl CampaignRunner {
         generation: CpuGeneration,
         threads: u32,
     ) -> Result<MeasuredCell, CodecError> {
-        let profile = generation.profile();
-        // Threads beyond this host's parallelism cannot execute
-        // concurrently, so both the run and the power model use the
-        // capped count — wall time and power then plateau together,
-        // which is exactly the high-thread-count plateau of Fig. 10.
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(4);
-        let threads_exec = threads.clamp(1, host);
-        let activity = if threads_exec <= 1 {
-            Activity::serial_compute()
-        } else {
-            Activity::parallel_compute(threads_exec)
-        };
+        Ok(self.measure_wall(data, codec, bound, threads)?.on(generation))
+    }
 
-        // One pilot run for the stream + quality numbers.
+    /// Times one (data set, codec, ε, threads) cell on this host: a
+    /// pilot run for the stream and its quality numbers, then the
+    /// §IV-C-stopped compression and decompression wall times. Nothing
+    /// here depends on a platform — [`WallCell::on`] prices the result
+    /// on any [`CpuGeneration`]. Stopping on wall time is stopping on
+    /// energy: the CI test is relative and energy is a constant
+    /// multiple of wall time.
+    pub fn measure_wall(
+        &self,
+        data: &Dataset,
+        codec: &dyn Compressor,
+        bound: ErrorBound,
+        threads: u32,
+    ) -> Result<WallCell, CodecError> {
+        let threads_exec = effective_threads(threads);
         let stream = run_compress(data, codec, bound, threads_exec)?;
         let recon = run_decompress(codec, &stream, threads_exec)?;
         let quality = quality_of(data, &recon, stream.len())?;
-
-        // Repeated timed runs (§IV-C stopping rule) for compression.
-        // The pilot run above already succeeded with these exact
-        // arguments, so a failing repeat is an invariant break; the
-        // closure cannot return `Result`, so the first error is parked
-        // and surfaced after the loop.
-        let mut repeat_err: Option<CodecError> = None;
-        let mut compress_wall = eblcio_data::RunningStats::new();
-        let c_stats = repeat_until_ci(self.min_runs, self.max_runs, self.ci_tol, || {
-            let t0 = Instant::now();
-            match run_compress(data, codec, bound, threads_exec) {
-                Ok(s) => std::hint::black_box(&s.len()),
-                Err(e) => {
-                    repeat_err.get_or_insert(e);
-                    &0
-                }
-            };
-            let dt = t0.elapsed().as_secs_f64();
-            compress_wall.push(dt);
-            let m = energy_for_wall(&profile, activity, Seconds(dt));
-            m.total().value()
-        });
-        if let Some(e) = repeat_err.take() {
-            return Err(e);
-        }
-
-        // ...and decompression.
-        let mut decompress_wall = eblcio_data::RunningStats::new();
-        let d_stats = repeat_until_ci(self.min_runs, self.max_runs, self.ci_tol, || {
-            let t0 = Instant::now();
-            match run_decompress(codec, &stream, threads_exec) {
-                Ok(r) => std::hint::black_box(&r.len()),
-                Err(e) => {
-                    repeat_err.get_or_insert(e);
-                    &0
-                }
-            };
-            let dt = t0.elapsed().as_secs_f64();
-            decompress_wall.push(dt);
-            let m = energy_for_wall(&profile, activity, Seconds(dt));
-            m.total().value()
-        });
-        if let Some(e) = repeat_err {
-            return Err(e);
-        }
-
-        Ok(MeasuredCell {
+        let compress_wall = self
+            .repeat_timed(|| run_compress(data, codec, bound, threads_exec).map(|s| s.len()))?;
+        let decompress_wall =
+            self.repeat_timed(|| run_decompress(codec, &stream, threads_exec).map(|r| r.len()))?;
+        Ok(WallCell {
             codec: codec.name().to_string(),
-            generation,
             threads,
             bound,
-            compressed_bytes: stream.len() as u64,
             original_bytes: data.nbytes() as u64,
             quality,
-            compress_joules: Joules(c_stats.mean()),
-            compress_ci_half: Joules(c_stats.ci95().half_width),
-            compress_seconds: Seconds(
-                compress_wall.mean() / profile.throughput_factor,
-            ),
-            decompress_joules: Joules(d_stats.mean()),
-            decompress_ci_half: Joules(d_stats.ci95().half_width),
-            decompress_seconds: Seconds(
-                decompress_wall.mean() / profile.throughput_factor,
-            ),
-            runs: c_stats.count(),
+            compress_wall,
+            decompress_wall,
             stream,
         })
+    }
+
+    /// Wall-time statistics of `run` under the §IV-C stopping rule. The
+    /// pilot run already succeeded with the same arguments, so a
+    /// failing repeat is an invariant break; the stopping-rule closure
+    /// cannot return `Result`, so the first error is parked and
+    /// surfaced after the loop.
+    fn repeat_timed(
+        &self,
+        mut run: impl FnMut() -> Result<usize, CodecError>,
+    ) -> Result<RunningStats, CodecError> {
+        let mut repeat_err = None;
+        let stats = repeat_until_ci(self.min_runs, self.max_runs, self.ci_tol, || {
+            let t0 = Instant::now();
+            match run() {
+                Ok(len) => {
+                    std::hint::black_box(len);
+                }
+                Err(e) => {
+                    repeat_err.get_or_insert(e);
+                }
+            }
+            t0.elapsed().as_secs_f64()
+        });
+        repeat_err.map_or(Ok(stats), Err)
     }
 
     /// Measures the write phase of a cell's stream (or any payload) via
@@ -165,6 +140,18 @@ impl CampaignRunner {
             bandwidth_bps: w.io.bandwidth_bps,
         }
     }
+}
+
+/// The thread count a request for `threads` executes with on this
+/// host. Threads beyond the host's parallelism cannot run concurrently,
+/// so both the run and the power model use the capped count — wall
+/// time and power then plateau together, which is exactly the
+/// high-thread-count plateau of Fig. 10.
+pub fn effective_threads(threads: u32) -> u32 {
+    let host = std::thread::available_parallelism()
+        .map(|n| n.get() as u32)
+        .unwrap_or(4);
+    threads.clamp(1, host)
 }
 
 fn run_compress(
@@ -204,6 +191,68 @@ fn quality_of(
         // decompress mirrors the input precision; a mismatch is a
         // workspace bug surfaced as a typed error.
         _ => Err(CodecError::Internal { context: "reconstruction precision mismatch" }),
+    }
+}
+
+/// One timed cell before it is priced on a platform: everything a
+/// [`MeasuredCell`] holds that does not depend on the CPU profile.
+#[derive(Clone, Debug)]
+pub struct WallCell {
+    /// Codec display name.
+    pub codec: String,
+    /// Requested thread count (1 = serial mode); the runs used
+    /// [`effective_threads`] of it.
+    pub threads: u32,
+    /// The requested bound.
+    pub bound: ErrorBound,
+    /// Original size.
+    pub original_bytes: u64,
+    /// CR / PSNR / bound verification.
+    pub quality: QualityReport,
+    /// Compression wall times on this host (§IV-C stopping rule).
+    pub compress_wall: RunningStats,
+    /// Decompression wall times on this host.
+    pub decompress_wall: RunningStats,
+    /// The compressed stream (for the downstream write phase).
+    pub stream: Vec<u8>,
+}
+
+impl WallCell {
+    /// Compression ratio.
+    pub fn cr(&self) -> f64 {
+        self.original_bytes as f64 / self.stream.len() as f64
+    }
+
+    /// Prices the measured wall times on `generation`. Energy and
+    /// platform runtime are linear in wall time, so the platforms of
+    /// one cell are exact projections of one measurement.
+    pub fn on(&self, generation: CpuGeneration) -> MeasuredCell {
+        let profile = generation.profile();
+        let threads_exec = effective_threads(self.threads);
+        let activity = if threads_exec <= 1 {
+            Activity::serial_compute()
+        } else {
+            Activity::parallel_compute(threads_exec)
+        };
+        let price = |wall: f64| energy_for_wall(&profile, activity, Seconds(wall));
+        let (compress, decompress) = (&self.compress_wall, &self.decompress_wall);
+        MeasuredCell {
+            codec: self.codec.clone(),
+            generation,
+            threads: self.threads,
+            bound: self.bound,
+            compressed_bytes: self.stream.len() as u64,
+            original_bytes: self.original_bytes,
+            quality: self.quality,
+            compress_joules: price(compress.mean()).total(),
+            compress_ci_half: price(compress.ci95().half_width).total(),
+            compress_seconds: price(compress.mean()).scaled,
+            decompress_joules: price(decompress.mean()).total(),
+            decompress_ci_half: price(decompress.ci95().half_width).total(),
+            decompress_seconds: price(decompress.mean()).scaled,
+            runs: compress.count(),
+            stream: self.stream.clone(),
+        }
     }
 }
 
@@ -353,6 +402,90 @@ mod tests {
         assert_eq!(clock.count() - before, 3);
         assert!(matches!(back, Dataset::F64(_)));
         assert!(quality_of(&data, &back, stream.len()).unwrap().within_bound(1e-3));
+    }
+
+    /// Measure once, project thrice: between any two platforms the
+    /// joules and CI half-widths of one [`WallCell`] differ by exactly
+    /// the profiles' power-over-throughput ratio, the seconds by the
+    /// inverse throughput ratio, and nothing else differs at all.
+    #[test]
+    fn platforms_are_exact_projections_of_one_wall_cell() {
+        let runner = CampaignRunner { min_runs: 3, max_runs: 3, ci_tol: 0.0 };
+        let data = tiny_nyx();
+        let codec = CompressorId::Szx.instance();
+        for threads in [1, 2] {
+            // The activity `on` prices with: serial unless more than one
+            // thread really ran (a 1-core host clamps the second case).
+            let activity = match effective_threads(threads) {
+                1 => Activity::serial_compute(),
+                n => Activity::parallel_compute(n),
+            };
+            let bound = ErrorBound::Relative(1e-3);
+            let wall = runner.measure_wall(&data, codec.as_ref(), bound, threads).unwrap();
+            let watts_per_speed = |g: CpuGeneration| {
+                let p = g.profile();
+                let package = p.package_power(activity.threads, activity.utilization);
+                (package + p.memory_power(activity.memory_intensity)).value() / p.throughput_factor
+            };
+            for a in CpuGeneration::ALL {
+                for b in CpuGeneration::ALL {
+                    let (on_a, on_b) = (wall.on(a), wall.on(b));
+                    let close = |x: f64, y: f64| (x / y - 1.0).abs() <= 1e-12;
+                    let energy = watts_per_speed(a) / watts_per_speed(b);
+                    let speed = b.profile().throughput_factor / a.profile().throughput_factor;
+                    for (x, y) in [
+                        (on_a.compress_joules, on_b.compress_joules),
+                        (on_a.compress_ci_half, on_b.compress_ci_half),
+                        (on_a.decompress_joules, on_b.decompress_joules),
+                        (on_a.decompress_ci_half, on_b.decompress_ci_half),
+                    ] {
+                        assert!(x.value() > 0.0, "{a:?}");
+                        assert!(close(x.value() / y.value(), energy), "{a:?}/{b:?}");
+                    }
+                    for (x, y) in [
+                        (on_a.compress_seconds, on_b.compress_seconds),
+                        (on_a.decompress_seconds, on_b.decompress_seconds),
+                    ] {
+                        assert!(close(x.value() / y.value(), speed), "{a:?}/{b:?}");
+                    }
+                    assert_eq!(on_a.runs, on_b.runs);
+                    assert_eq!(on_a.compressed_bytes, on_b.compressed_bytes);
+                    assert_eq!(on_a.quality.psnr_db, on_b.quality.psnr_db);
+                    assert_eq!(on_a.quality.max_rel_error, on_b.quality.max_rel_error);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn measure_cell_is_measure_wall_priced_on_a_platform() {
+        let runner = CampaignRunner::quick();
+        let data = tiny_nyx();
+        let codec = CompressorId::Sz3.instance();
+        let bound = ErrorBound::Relative(1e-2);
+        let generation = CpuGeneration::CascadeLake8260M;
+        let cell = runner.measure_cell(&data, codec.as_ref(), bound, generation, 2).unwrap();
+        let wall = runner.measure_wall(&data, codec.as_ref(), bound, 2).unwrap();
+        let priced = wall.on(generation);
+        assert_eq!(cell.stream, priced.stream);
+        assert_eq!(priced.stream, wall.stream);
+        assert_eq!(
+            (&cell.codec, cell.generation, cell.threads, cell.bound),
+            (&priced.codec, priced.generation, priced.threads, priced.bound)
+        );
+        assert_eq!(
+            (cell.compressed_bytes, cell.original_bytes),
+            (priced.compressed_bytes, priced.original_bytes)
+        );
+        assert_eq!(cell.cr(), wall.cr());
+        assert_eq!(cell.quality.psnr_db, priced.quality.psnr_db);
+        assert_eq!(cell.quality.max_rel_error, priced.quality.max_rel_error);
+        assert_eq!(cell.quality.compression_ratio, priced.quality.compression_ratio);
+        // The timed fields differ run to run; their protocol does not.
+        for c in [&cell, &priced] {
+            assert!((runner.min_runs..=runner.max_runs).contains(&c.runs));
+            assert!(c.compress_seconds.value() > 0.0 && c.decompress_joules.value() > 0.0);
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   data set and I/O tool and recommends a configuration,
 //! * [`campaign`] — repeated measurements with the paper's 25-run /
 //!   95 %-CI protocol, emitting the rows behind every figure,
-//! * [`experiment`] — declarative experiment configurations shared by
-//!   the bench binaries.
+//! * [`experiment`] — the memoized measurement [`Sweep`] every figure
+//!   of the reproduction reads its cells from.
 
 #![forbid(unsafe_code)]
 
@@ -20,13 +20,12 @@ pub mod advisor;
 pub mod campaign;
 pub mod carbon;
 pub mod conditions;
-pub mod dump;
 pub mod experiment;
 pub mod workflow;
 
 pub use advisor::{Advisor, Recommendation};
-pub use campaign::{CampaignRunner, MeasuredCell};
+pub use campaign::{CampaignRunner, MeasuredCell, WallCell};
 pub use carbon::{MediaClass, StorageFleet};
 pub use conditions::{BenefitInputs, BenefitVerdict, Decision};
-pub use experiment::{ExperimentConfig, SweepAxis};
+pub use experiment::{Sweep, PAPER_EPSILONS, PAPER_THREADS};
 pub use workflow::{Campaign, CampaignTotals, DumpCost};

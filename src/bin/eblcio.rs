@@ -34,8 +34,11 @@
 //! new generation is published, old generations stay readable) and
 //! `compact` reclaims the dead bytes updates strand.
 //!
-//! `compress`, `inspect`, `query`, and `update` additionally accept
-//! `--backend <fs|memory|object|object-fs>`: store objects are then
+//! Each subcommand accepts exactly the flags in its [`COMMANDS`] entry;
+//! any other `--flag` is a usage error (exit 2) that names it.
+//!
+//! `compress`, `inspect`, `query`, `serve`, and `update` additionally
+//! accept `--backend <fs|memory|object|object-fs>`: store objects are then
 //! read and written through the named `Storage` backend (file name as
 //! the object key, file directory as the backend root). The `object*`
 //! backends simulate an object store — requests, transferred bytes,
@@ -58,48 +61,20 @@ use eblcio::prelude::*;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("compress") => cmd_compress(&args[1..]),
-        Some("decompress") => cmd_decompress(&args[1..]),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("update") => cmd_update(&args[1..]),
-        Some("compact") => cmd_compact(&args[1..]),
-        Some("demo") => cmd_demo(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage:\n  eblcio compress --codec <sz2|sz3|zfp|qoz|szx> | --chain <spec> \
-                 --eps <rel> --dtype <f32|f64> --dims <AxBxC> \
-                 [--chunk <AxBxC> [--shard <chunks> | --mutable]] <in.raw> <out.eblc|out.ebcs|out.ebms>\n  \
-                 eblcio decompress <in.eblc> <out.raw>\n  \
-                 eblcio inspect [--json] <in.eblc|in.eblp|in.ebcs|in.ebms>\n  \
-                 eblcio query <in.ebcs|in.ebms> --origin <AxBxC> --extent <AxBxC> \
-                 [--repeat <n>] [--clients <n>] [--threads <n>] [--cache-mb <n>] \
-                 [--prefetch <chunks>] [--metrics]\n  \
-                 eblcio serve <in.ebcs|in.ebms> [--addr <host:port>] [--workers <n>] \
-                 [--queue-depth <n>] [--max-conns <n>] [--cache-mb <n>] [--threads <n>] \
-                 [--prefetch <chunks>] [--test-ops]\n  \
-                 eblcio update <store.ebms> --origin <AxBxC> --extent <AxBxC> \
-                 <region.raw> [--out <path>]\n  \
-                 eblcio compact <store.ebms> [--out <path>]\n  \
-                 eblcio demo [cesm|hacc|nyx|s3d]\n\n\
-                 compress/inspect/query/update accept --backend \
-                 <fs|memory|object|object-fs> to route store I/O through a \
-                 storage backend (object backends print a simulated bill)\n\
-                 query --metrics (or EBLCIO_METRICS=1) prints percentile \
-                 tables and a Prometheus exposition from the telemetry layer\n\
-                 serve runs at most --workers requests at once (0 = one per \
-                 core) with --queue-depth more waiting; beyond that a request \
-                 is answered with a typed Overloaded error\n\
-                 chain spec grammar: array[+byte...], e.g. sz3, sz3+raw, \
-                 szx+fpc4, sz2+shuffle4+lz"
-            );
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(command) = argv.first().and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    };
+    let args = match Args::parse(command, &argv[1..]) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    match result {
+    match (command.run)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -107,6 +82,32 @@ fn main() -> ExitCode {
         }
     }
 }
+
+const USAGE: &str = "usage:\n  eblcio compress --codec <sz2|sz3|zfp|qoz|szx> | --chain <spec> \
+     --eps <rel> --dtype <f32|f64> --dims <AxBxC> \
+     [--chunk <AxBxC> [--shard <chunks> | --mutable]] <in.raw> <out.eblc|out.ebcs|out.ebms>\n  \
+     eblcio decompress <in.eblc> <out.raw>\n  \
+     eblcio inspect [--json] <in.eblc|in.eblp|in.ebcs|in.ebms>\n  \
+     eblcio query <in.ebcs|in.ebms> --origin <AxBxC> --extent <AxBxC> \
+     [--repeat <n>] [--clients <n>] [--threads <n>] [--cache-mb <n>] \
+     [--prefetch <chunks>] [--metrics]\n  \
+     eblcio serve <in.ebcs|in.ebms> [--addr <host:port>] [--workers <n>] \
+     [--queue-depth <n>] [--max-conns <n>] [--cache-mb <n>] [--threads <n>] \
+     [--prefetch <chunks>] [--test-ops]\n  \
+     eblcio update <store.ebms> --origin <AxBxC> --extent <AxBxC> \
+     <region.raw> [--out <path>]\n  \
+     eblcio compact <store.ebms> [--out <path>]\n  \
+     eblcio demo [cesm|hacc|nyx|s3d]\n\n\
+     compress/inspect/query/serve/update accept --backend \
+     <fs|memory|object|object-fs> to route store I/O through a \
+     storage backend (object backends print a simulated bill)\n\
+     query --metrics (or EBLCIO_METRICS=1) prints percentile \
+     tables and a Prometheus exposition from the telemetry layer\n\
+     serve runs at most --workers requests at once (0 = one per \
+     core) with --queue-depth more waiting; beyond that a request \
+     is answered with a typed Overloaded error\n\
+     chain spec grammar: array[+byte...], e.g. sz3, sz3+raw, \
+     szx+fpc4, sz2+shuffle4+lz";
 
 type CliResult = Result<(), String>;
 
@@ -146,8 +147,8 @@ fn backend_root_key(path: &str) -> Result<(std::path::PathBuf, String), String> 
 /// Resolves `--backend <fs|memory|object|object-fs>` for the store at
 /// `path`; `None` when the flag is absent (commands then use plain
 /// `std::fs`, exactly as before the storage layer existed).
-fn cli_backend(args: &[String], path: &str) -> Result<Option<CliBackend>, String> {
-    let Some(name) = flag(args, "--backend") else {
+fn cli_backend(args: &Args, path: &str) -> Result<Option<CliBackend>, String> {
+    let Some(name) = args.flag("--backend") else {
         return Ok(None);
     };
     use std::sync::Arc;
@@ -243,37 +244,136 @@ impl CliBackend {
     }
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// One flag a subcommand accepts: its spelling, and whether it takes a
+/// value (the next argument) or is a bare switch.
+type FlagSpec = (&'static str, bool);
+
+const BACKEND: FlagSpec = ("--backend", true);
+
+/// A subcommand: its name, the only flags it accepts, and its body.
+struct Command {
+    name: &'static str,
+    flags: &'static [FlagSpec],
+    run: fn(&Args) -> CliResult,
 }
 
-fn positional(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "compress",
+        flags: &[
+            ("--codec", true),
+            ("--chain", true),
+            ("--eps", true),
+            ("--dtype", true),
+            ("--dims", true),
+            ("--chunk", true),
+            ("--shard", true),
+            ("--mutable", false),
+            BACKEND,
+        ],
+        run: cmd_compress,
+    },
+    Command { name: "decompress", flags: &[], run: cmd_decompress },
+    Command { name: "inspect", flags: &[("--json", false), BACKEND], run: cmd_inspect },
+    Command {
+        name: "query",
+        flags: &[
+            ("--origin", true),
+            ("--extent", true),
+            ("--repeat", true),
+            ("--clients", true),
+            ("--threads", true),
+            ("--cache-mb", true),
+            ("--prefetch", true),
+            ("--metrics", false),
+            BACKEND,
+        ],
+        run: cmd_query,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            ("--addr", true),
+            ("--workers", true),
+            ("--queue-depth", true),
+            ("--max-conns", true),
+            ("--cache-mb", true),
+            ("--threads", true),
+            ("--prefetch", true),
+            ("--test-ops", false),
+            BACKEND,
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "update",
+        flags: &[("--origin", true), ("--extent", true), ("--out", true), BACKEND],
+        run: cmd_update,
+    },
+    Command { name: "compact", flags: &[("--out", true)], run: cmd_compact },
+    Command { name: "demo", flags: &[], run: cmd_demo },
+];
+
+/// A subcommand's arguments, split by the flags it accepts.
+struct Args<'a> {
+    accepted: &'static [FlagSpec],
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `argv` into flags (with their values) and positionals;
+    /// `Err` names the first `--x` the command does not accept, or the
+    /// value flag that ends the line.
+    fn parse(command: &Command, argv: &'a [String]) -> Result<Self, String> {
+        let mut args = Args { accepted: command.flags, flags: Vec::new(), positional: Vec::new() };
+        let mut argv = argv.iter().map(String::as_str);
+        while let Some(arg) = argv.next() {
+            if !arg.starts_with("--") {
+                args.positional.push(arg);
+                continue;
+            }
+            let Some((_, takes_value)) = command.flags.iter().find(|(name, _)| *name == arg) else {
+                let accepted: Vec<&str> = command.flags.iter().map(|(name, _)| *name).collect();
+                let accepted =
+                    if accepted.is_empty() { "none".into() } else { accepted.join(", ") };
+                return Err(format!(
+                    "unknown flag {arg} for {} (accepted: {accepted})",
+                    command.name
+                ));
+            };
+            let value = match takes_value {
+                true => Some(argv.next().ok_or_else(|| format!("flag {arg} needs a value"))?),
+                false => None,
+            };
+            args.flags.push((arg, value));
         }
-        if a.starts_with("--") {
-            skip = args.get(i + 1).is_some();
-            continue;
-        }
-        out.push(a.as_str());
+        Ok(args)
     }
-    out
+
+    fn find(&self, name: &str, takes_value: bool) -> Option<Option<&'a str>> {
+        debug_assert!(self.accepted.contains(&(name, takes_value)), "{name}: not in the flag list");
+        self.flags.iter().find(|(flag, _)| *flag == name).map(|(_, value)| *value)
+    }
+
+    /// The value of value flag `name` (the first, if repeated).
+    fn flag(&self, name: &str) -> Option<&'a str> {
+        self.find(name, true).flatten()
+    }
+
+    /// Whether the bare switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.find(name, false).is_some()
+    }
 }
 
 /// Resolves `--chain` (stage grammar) or `--codec` (preset name) to a
 /// chain spec; `--chain` wins when both are given.
-fn parse_chain(args: &[String]) -> Result<ChainSpec, String> {
-    if let Some(spec) = flag(args, "--chain") {
+fn parse_chain(args: &Args) -> Result<ChainSpec, String> {
+    if let Some(spec) = args.flag("--chain") {
         return ChainSpec::parse(spec);
     }
-    let codec = flag(args, "--codec").ok_or("missing --codec or --chain")?;
+    let codec = args.flag("--codec").ok_or("missing --codec or --chain")?;
     match codec.to_ascii_lowercase().as_str() {
         s @ ("sz2" | "sz3" | "zfp" | "qoz" | "szx") => ChainSpec::parse(s),
         other => Err(format!("unknown codec '{other}'")),
@@ -332,21 +432,17 @@ fn build_stream<T: Element>(
     }
 }
 
-fn cmd_compress(args: &[String]) -> CliResult {
-    // `--mutable` is a bare flag; strip it before positional parsing
-    // (which assumes every `--flag` carries a value).
-    let mutable = args.iter().any(|a| a == "--mutable");
-    let args: Vec<String> = args.iter().filter(|a| *a != "--mutable").cloned().collect();
-    let args = args.as_slice();
+fn cmd_compress(args: &Args) -> CliResult {
+    let mutable = args.has("--mutable");
     let spec = parse_chain(args)?;
-    let eps: f64 = flag(args, "--eps")
+    let eps: f64 = args.flag("--eps")
         .ok_or("missing --eps")?
         .parse()
         .map_err(|e| format!("bad --eps: {e}"))?;
-    let dtype = flag(args, "--dtype").unwrap_or("f32");
-    let shape = parse_dims(flag(args, "--dims").ok_or("missing --dims")?)?;
-    let chunk = flag(args, "--chunk").map(parse_dims).transpose()?;
-    let shard: Option<usize> = flag(args, "--shard")
+    let dtype = args.flag("--dtype").unwrap_or("f32");
+    let shape = parse_dims(args.flag("--dims").ok_or("missing --dims")?)?;
+    let chunk = args.flag("--chunk").map(parse_dims).transpose()?;
+    let shard: Option<usize> = args.flag("--shard")
         .map(|s| s.parse().map_err(|e| format!("bad --shard: {e}")))
         .transpose()?;
     if shard.is_some() && chunk.is_none() {
@@ -358,8 +454,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
     if mutable && shard.is_some() {
         return Err("--mutable stores address chunks individually; drop --shard".into());
     }
-    let pos = positional(args);
-    let [input, output] = pos.as_slice() else {
+    let [input, output] = args.positional.as_slice() else {
         return Err("expected <in.raw> <out.eblc>".into());
     };
 
@@ -407,9 +502,8 @@ fn cmd_compress(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_decompress(args: &[String]) -> CliResult {
-    let pos = positional(args);
-    let [input, output] = pos.as_slice() else {
+fn cmd_decompress(args: &Args) -> CliResult {
+    let [input, output] = args.positional.as_slice() else {
         return Err("expected <in.eblc> <out.raw>".into());
     };
     let stream = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
@@ -425,16 +519,12 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_inspect(args: &[String]) -> CliResult {
-    // `--json` is a bare flag; strip it before positional parsing
-    // (which assumes every `--flag` carries a value).
-    let json = args.iter().any(|a| a == "--json");
-    let args: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
-    let pos = positional(&args);
-    let [input] = pos.as_slice() else {
+fn cmd_inspect(args: &Args) -> CliResult {
+    let json = args.has("--json");
+    let [input] = args.positional.as_slice() else {
         return Err("expected <in.eblc|in.eblp|in.ebcs|in.ebms>".into());
     };
-    let backend = cli_backend(&args, input)?;
+    let backend = cli_backend(args, input)?;
     let stream: Vec<u8> = match &backend {
         Some(b) => b.read()?.to_vec(),
         None => std::fs::read(input).map_err(|e| format!("{input}: {e}"))?,
@@ -576,22 +666,18 @@ fn print_store(store: &ChunkedStore, stream_len: usize) -> CliResult {
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> CliResult {
-    // `--metrics` is a bare flag; strip it before positional parsing
-    // (which assumes every `--flag` carries a value). The env knob
-    // `EBLCIO_METRICS=1` is the non-flag spelling of the same switch.
-    if args.iter().any(|a| a == "--metrics") {
+fn cmd_query(args: &Args) -> CliResult {
+    // The env knob `EBLCIO_METRICS=1` is the non-flag spelling of the
+    // same switch.
+    if args.has("--metrics") {
         eblcio::obs::set_enabled(true);
     }
-    let args: Vec<String> = args.iter().filter(|a| *a != "--metrics").cloned().collect();
-    let args = args.as_slice();
     let metrics = eblcio::obs::enabled();
-    let pos = positional(args);
-    let [input] = pos.as_slice() else {
+    let [input] = args.positional.as_slice() else {
         return Err("expected <in.ebcs>".into());
     };
-    let origin = parse_coords(flag(args, "--origin").ok_or("missing --origin")?, "--origin")?;
-    let extent = parse_coords(flag(args, "--extent").ok_or("missing --extent")?, "--extent")?;
+    let origin = parse_coords(args.flag("--origin").ok_or("missing --origin")?, "--origin")?;
+    let extent = parse_coords(args.flag("--extent").ok_or("missing --extent")?, "--extent")?;
     if extent.contains(&0) {
         return Err("--extent components must be positive".into());
     }
@@ -599,7 +685,7 @@ fn cmd_query(args: &[String]) -> CliResult {
         return Err("--origin and --extent must have the same rank".into());
     }
     let parse_opt = |name: &str, default: usize| -> Result<usize, String> {
-        flag(args, name)
+        args.flag(name)
             .map(|s| s.parse().map_err(|e| format!("bad {name}: {e}")))
             .transpose()
             .map(|v| v.unwrap_or(default))
@@ -664,19 +750,14 @@ fn cmd_query(args: &[String]) -> CliResult {
 /// current generation until killed. The bound address is printed on a
 /// `serving ... on <addr>` line so scripts (and the CI job) can target
 /// an ephemeral port.
-fn cmd_serve(args: &[String]) -> CliResult {
-    // `--test-ops` is a bare flag; strip it before positional parsing
-    // (which assumes every `--flag` carries a value).
-    let test_ops = args.iter().any(|a| a == "--test-ops");
-    let args: Vec<String> = args.iter().filter(|a| *a != "--test-ops").cloned().collect();
-    let args = args.as_slice();
-    let pos = positional(args);
-    let [input] = pos.as_slice() else {
+fn cmd_serve(args: &Args) -> CliResult {
+    let test_ops = args.has("--test-ops");
+    let [input] = args.positional.as_slice() else {
         return Err("expected <in.ebcs|in.ebms>".into());
     };
-    let addr = flag(args, "--addr").unwrap_or("127.0.0.1:7979");
+    let addr = args.flag("--addr").unwrap_or("127.0.0.1:7979");
     let parse_opt = |name: &str, default: usize| -> Result<usize, String> {
-        flag(args, name)
+        args.flag(name)
             .map(|s| s.parse().map_err(|e| format!("bad {name}: {e}")))
             .transpose()
             .map(|v| v.unwrap_or(default))
@@ -872,20 +953,19 @@ fn write_replace(path: &str, bytes: &[u8]) -> Result<(), String> {
 /// publishes it as a new generation (copy-on-write — old generations
 /// stay readable until `compact`). A plain `EBCS` input is imported
 /// into a mutable store first.
-fn cmd_update(args: &[String]) -> CliResult {
-    let pos = positional(args);
-    let [input, data_path] = pos.as_slice() else {
+fn cmd_update(args: &Args) -> CliResult {
+    let [input, data_path] = args.positional.as_slice() else {
         return Err("expected <store.ebms> <region.raw>".into());
     };
-    let origin = parse_coords(flag(args, "--origin").ok_or("missing --origin")?, "--origin")?;
-    let extent = parse_coords(flag(args, "--extent").ok_or("missing --extent")?, "--extent")?;
+    let origin = parse_coords(args.flag("--origin").ok_or("missing --origin")?, "--origin")?;
+    let extent = parse_coords(args.flag("--extent").ok_or("missing --extent")?, "--extent")?;
     if extent.contains(&0) {
         return Err("--extent components must be positive".into());
     }
     if origin.len() != extent.len() {
         return Err("--origin and --extent must have the same rank".into());
     }
-    let out = flag(args, "--out").unwrap_or(input);
+    let out = args.flag("--out").unwrap_or(input);
 
     let backend = cli_backend(args, input)?;
     if backend.is_some() && out != *input && backend_root_key(out)?.0 != backend_root_key(input)?.0
@@ -984,12 +1064,11 @@ fn cmd_update(args: &[String]) -> CliResult {
 /// `compact <store.ebms>`: rewrites the file down to the current
 /// generation's live set, reclaiming dead bytes (and severing
 /// time-travel history).
-fn cmd_compact(args: &[String]) -> CliResult {
-    let pos = positional(args);
-    let [input] = pos.as_slice() else {
+fn cmd_compact(args: &Args) -> CliResult {
+    let [input] = args.positional.as_slice() else {
         return Err("expected <store.ebms>".into());
     };
-    let out = flag(args, "--out").unwrap_or(input);
+    let out = args.flag("--out").unwrap_or(input);
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let mut store = MutableStore::open(bytes).map_err(|e| e.to_string())?;
     let stats = store.compact().map_err(|e| e.to_string())?;
@@ -1001,8 +1080,8 @@ fn cmd_compact(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_demo(args: &[String]) -> CliResult {
-    let kind = match positional(args).first().copied().unwrap_or("nyx") {
+fn cmd_demo(args: &Args) -> CliResult {
+    let kind = match args.positional.first().copied().unwrap_or("nyx") {
         "cesm" => DatasetKind::Cesm,
         "hacc" => DatasetKind::Hacc,
         "nyx" => DatasetKind::Nyx,

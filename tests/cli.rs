@@ -491,6 +491,65 @@ fn mutable_store_update_query_compact_lifecycle() {
     assert!(String::from_utf8_lossy(&st.stderr).contains("--mutable requires --chunk"));
 }
 
+/// A flag the subcommand never reads used to be skipped silently —
+/// `--chnk` wrote a monolithic stream where a store was asked for. Each
+/// subcommand now accepts only the flags in its list: anything else is
+/// exit 2, names the flag, and leaves no output behind.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let input = tmp("flags.raw");
+    write_ramp_f32(&input, 4096);
+    let store = tmp("flags.ebcs");
+    let mutable = tmp("flags.ebms");
+    let compress = |extra: &[&str], out: &PathBuf| {
+        Command::new(bin())
+            .args(["compress", "--codec", "szx", "--eps", "1e-3", "--dims", "64x64"])
+            .args(extra)
+            .arg(&input)
+            .arg(out)
+            .output()
+            .unwrap()
+    };
+    assert!(compress(&["--chunk", "16x16"], &store).status.success());
+    assert!(compress(&["--chunk", "16x16", "--mutable"], &mutable).status.success());
+
+    let rejected = |st: std::process::Output, flag: &str, command: &str| {
+        let stderr = String::from_utf8_lossy(&st.stderr);
+        assert_eq!(st.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag} for {command}")), "{stderr}");
+        assert!(stderr.contains("accepted:"), "{stderr}");
+    };
+    let typo = tmp("flags_typo.ebcs");
+    rejected(compress(&["--chnk", "16x16"], &typo), "--chnk", "compress");
+    assert!(!typo.exists(), "a rejected compress must not write anything");
+    let query = Command::new(bin())
+        .arg("query")
+        .arg(&store)
+        .args(["--origin", "0x0", "--extent", "8x8", "--repat", "9"])
+        .output()
+        .unwrap();
+    rejected(query, "--repat", "query");
+    let compact = Command::new(bin())
+        .arg("compact")
+        .arg(&mutable)
+        .args(["--backend", "object"])
+        .output()
+        .unwrap();
+    rejected(compact, "--backend", "compact");
+    let inspect = Command::new(bin()).args(["inspect", "--metrics"]).arg(&store).output().unwrap();
+    rejected(inspect, "--metrics", "inspect");
+
+    // A value flag that ends the line is an error too, not a default.
+    let st = Command::new(bin())
+        .arg("query")
+        .arg(&store)
+        .args(["--origin", "0x0", "--extent", "8x8", "--repeat"])
+        .output()
+        .unwrap();
+    assert_eq!(st.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&st.stderr).contains("--repeat needs a value"));
+}
+
 /// Kills the spawned `eblcio serve` child when the test ends, pass or
 /// fail.
 struct KillOnDrop(std::process::Child);
