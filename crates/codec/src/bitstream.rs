@@ -131,41 +131,50 @@ impl<'a> BitReader<'a> {
 
     /// Reads `n` bits MSB-first (`n ≤ 64`).
     ///
-    /// Word-based: the value is assembled from at most `⌈n/8⌉ + 1` byte
-    /// loads instead of `n` single-bit reads, which is what lets the
+    /// Word-based: the value is cut out of the [`Self::peek_word`]
+    /// window instead of `n` single-bit reads, which is what lets the
     /// SZx bit-unpack and ZFP plane loops run at memory speed. Bit-exact
     /// with the per-bit formulation (same MSB-first order, same upfront
     /// truncation check against the padded byte length).
     #[inline]
     pub fn get_bits(&mut self, n: u32, context: &'static str) -> Result<u64> {
         debug_assert!(n <= 64);
-        if self.remaining_bits() < u64::from(n) {
+        let (window, valid) = self.peek_word();
+        if valid < n {
             return Err(CodecError::TruncatedStream { context });
         }
-        if n == 0 {
-            return Ok(0);
-        }
-        let mut byte = (self.pos / 8) as usize;
-        let bit_in_byte = (self.pos % 8) as u32;
         self.pos += u64::from(n);
-        // Unread low bits of the first (possibly partial) byte.
-        let avail = 8 - bit_in_byte;
-        let head = u64::from(self.bytes[byte]) & ((1u64 << avail) - 1);
-        if n <= avail {
-            return Ok(head >> (avail - n));
+        Ok(if n == 0 { 0 } else { window >> (64 - n) })
+    }
+
+    /// The next up-to-64 unread bits without consuming them:
+    /// `(window, valid)` with the next bit at the window's MSB, `valid =
+    /// min(64, remaining_bits())` and every bit below the valid ones
+    /// zero. Consume what was used with [`Self::skip_bits`].
+    #[inline]
+    pub fn peek_word(&self) -> (u64, u32) {
+        let byte = (self.pos / 8) as usize;
+        let shift = (self.pos % 8) as u32;
+        if let Some(nine) = self.bytes.get(byte..byte + 9) {
+            let hi = u64::from_be_bytes([
+                nine[0], nine[1], nine[2], nine[3], nine[4], nine[5], nine[6], nine[7],
+            ]);
+            // `shift` bits of the window spill into the ninth byte.
+            return ((hi << shift) | (u64::from(nine[8]) >> (8 - shift)), 64);
         }
-        let mut v = head;
-        let mut need = n - avail;
-        byte += 1;
-        while need >= 8 {
-            v = (v << 8) | u64::from(self.bytes[byte]);
-            byte += 1;
-            need -= 8;
+        // Within nine bytes of the end: gather what is left.
+        let tail = self.bytes.get(byte..).unwrap_or(&[]);
+        let mut acc = 0u128;
+        for &b in tail {
+            acc = (acc << 8) | u128::from(b);
         }
-        if need > 0 {
-            v = (v << need) | (u64::from(self.bytes[byte]) >> (8 - need));
+        let have = tail.len() as u32 * 8;
+        if have == 0 {
+            return (0, 0);
         }
-        Ok(v)
+        // Left-align the tail in 128 bits, drop the consumed bits.
+        let aligned = (acc << (128 - have)) << shift;
+        ((aligned >> 64) as u64, (have - shift).min(64))
     }
 
     /// Advances the cursor by `n` bits without materializing them —
@@ -265,11 +274,12 @@ mod tests {
     fn word_get_bits_matches_per_bit_reads() {
         // Pseudo-random payload; every (offset, width) pair must agree
         // with the single-bit formulation, including the readable zero
-        // padding of the final byte.
+        // padding of the final byte — from every start, so both the
+        // nine-byte window and the gathered tail are covered.
         let bytes: Vec<u8> = (0..13u64)
             .map(|i| (i.wrapping_mul(0x9e37_79b9).rotate_left(11) & 0xff) as u8)
             .collect();
-        for start in 0..24u64 {
+        for start in 0..=bytes.len() as u64 * 8 {
             for n in 0..=64u32 {
                 let mut fast = BitReader::new(&bytes);
                 fast.pos = start;
@@ -288,6 +298,18 @@ mod tests {
                 assert_eq!(got, want, "start {start} n {n}");
                 if want.is_ok() {
                     assert_eq!(fast.bit_position(), start + u64::from(n));
+                }
+                // The peeked window is the same bits, left-aligned and
+                // zero below the valid ones.
+                slow.pos = start;
+                let (window, valid) = slow.peek_word();
+                assert_eq!(u64::from(valid), slow.remaining_bits().min(64));
+                if let Ok(v) = want {
+                    let top = if n == 0 { 0 } else { window >> (64 - n) };
+                    assert_eq!(top, v, "peek start {start} n {n}");
+                }
+                if valid < 64 {
+                    assert_eq!(window << valid, 0, "peek start {start}");
                 }
             }
         }

@@ -245,6 +245,13 @@ impl BlockRows {
         b
     }
 
+    /// Flat offset of the first sample of the row at block-local
+    /// coordinates `i` of the three outer (padded) axes.
+    #[inline(always)]
+    pub(crate) fn row_offset(&self, i: [usize; 3]) -> usize {
+        self.origin + i[0] * self.strides[0] + i[1] * self.strides[1] + i[2] * self.strides[2]
+    }
+
     /// Visits the rows in raster order: block-local coordinates of the
     /// three outer (padded) axes and the flat offset of the row's first
     /// sample. The row holds `dims[3]` contiguous samples.

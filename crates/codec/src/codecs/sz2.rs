@@ -47,9 +47,10 @@ impl Sz2 {
     /// `BlockRows` — gather + regression fit, mode selection on the
     /// raw data, then quantization against the evolving reconstruction —
     /// with the planes, code buffer and Huffman tables borrowed from
-    /// the thread's [`CodecScratch`]. Interior samples predict through
-    /// the precomputed [`LorenzoStencil`], the rest through [`lorenzo`];
-    /// the two agree bit for bit.
+    /// the thread's [`CodecScratch`]. Lorenzo predictions go through
+    /// the precomputed [`LorenzoStencil`] — unrolled at interior
+    /// samples, masked on the zero-coordinate faces — which agrees with
+    /// [`lorenzo`] bit for bit.
     pub fn encode_impl<T: Element>(
         &self,
         data: ArrayView<'_, T>,
@@ -100,44 +101,15 @@ impl Sz2 {
         let mut block_i = 0usize;
 
         let stencil = LorenzoStencil::new(shape);
-        // Lorenzo prediction of the sample at `off` (global padded
-        // coordinates `idx`) from `plane`.
-        let lorenzo_at = |plane: &[f64], off: usize, interior: bool, idx: [usize; 4]| {
-            if interior {
-                stencil.eval_interior(plane, off)
-            } else {
-                lorenzo(plane, shape, &idx[pad..])
-            }
-        };
 
         for_each_block(shape, &block_dims[..rank], |base, dims| {
             let rows = BlockRows::new(shape, base, dims);
             let row_len = rows.dims[3];
-            // Global coordinates of a row's first sample, whether that
-            // sample is interior, and whether the rest of the row is
-            // (past the first sample the last coordinate is > 0, so the
-            // outer coordinates decide).
-            let row_start = |i: [usize; 3]| {
-                let b = rows.base;
-                let idx = [b[0] + i[0], b[1] + i[1], b[2] + i[2], b[3]];
-                let next = [idx[0], idx[1], idx[2], b[3] + 1];
-                (idx, stencil.is_interior(&idx[pad..]), stencil.is_interior(&next[pad..]))
-            };
 
             // Gather the raw block and fit the regression predictor.
             block.clear();
             rows.for_each_row(|_, off| block.extend_from_slice(&raw[off..off + row_len]));
             let coef = fit_affine(block, dims).quantized(rank);
-            // The regression plane along a row: the outer axes' terms
-            // are summed once (in axis order, as `AffineCoef::eval`
-            // does), the last axis' term per sample.
-            let row_plane = |i: [usize; 3]| {
-                let mut p = coef.c0;
-                for (c, &x) in coef.c.iter().zip(&i[pad..]) {
-                    p += c * x as f64;
-                }
-                p
-            };
             let c_last = coef.c[rank - 1];
 
             // Mode selection on raw data: total absolute residual of the
@@ -146,13 +118,12 @@ impl Sz2 {
             let mut lor_err = 0.0f64;
             let mut k = 0usize;
             rows.for_each_row(|i, off| {
-                let p = row_plane(i);
-                let (mut idx, first_interior, rest_interior) = row_start(i);
+                let p = row_plane(&coef, i, pad);
+                let (first, rest) = row_faces(&stencil, &rows, i, pad);
                 for (j, &v) in block[k..k + row_len].iter().enumerate() {
                     reg_err += (v - (p + c_last * j as f64)).abs();
-                    let interior = if j == 0 { first_interior } else { rest_interior };
-                    lor_err += (v - lorenzo_at(raw, off + j, interior, idx)).abs();
-                    idx[3] += 1;
+                    let faces = if j == 0 { first } else { rest };
+                    lor_err += (v - stencil.eval(raw, off + j, faces)).abs();
                 }
                 k += row_len;
             });
@@ -166,17 +137,15 @@ impl Sz2 {
             // Encode the block against the evolving reconstruction.
             let mut k = 0usize;
             rows.for_each_row(|i, off| {
-                let p = row_plane(i);
-                let (mut idx, first_interior, rest_interior) = row_start(i);
+                let p = row_plane(&coef, i, pad);
+                let (first, rest) = row_faces(&stencil, &rows, i, pad);
                 for (j, &v) in block[k..k + row_len].iter().enumerate() {
                     let pred = if use_regression {
                         p + c_last * j as f64
                     } else {
-                        let interior = if j == 0 { first_interior } else { rest_interior };
-                        lorenzo_at(recon, off + j, interior, idx)
+                        stencil.eval(recon, off + j, if j == 0 { first } else { rest })
                     };
                     quantize_sample::<T>(&quant, v, pred, off + j, recon, codes, outliers);
-                    idx[3] += 1;
                 }
                 k += row_len;
             });
@@ -186,10 +155,11 @@ impl Sz2 {
     }
 
     /// Array-stage decode: mirror of [`Self::encode_impl`]. The default
-    /// path borrows the thread's [`CodecScratch`] and predicts interior
-    /// samples through the precomputed [`LorenzoStencil`];
+    /// path borrows the thread's [`CodecScratch`] and walks blocks row
+    /// by row, predicting through the precomputed [`LorenzoStencil`];
     /// [`Sz2::reference_decoder`] decodes with the per-symbol Huffman
-    /// walk and the generic predictor. Both produce identical bits.
+    /// walk, sample by sample through the generic predictor. Both
+    /// produce identical bits.
     pub fn decode_impl<T: Element>(
         &self,
         bytes: &[u8],
@@ -208,8 +178,12 @@ impl Sz2 {
         })
     }
 
-    /// Shared block-decode body. `fast` routes interior predictions
-    /// through the stencil (bit-identical either way — pinned by the
+    /// Shared block-decode body. The `fast` arm walks each block row by
+    /// row through [`BlockRows`] exactly as [`Self::encode_with`] does —
+    /// the regression plane's outer terms summed once per row, stencil
+    /// or generic Lorenzo decided per row; the reference arm visits
+    /// every sample through its coordinates. Bit-identical either way
+    /// (pinned by `decode_fastpath.rs` and the
     /// `stencil_matches_lorenzo_at_interior_points` test).
     #[allow(clippy::too_many_arguments)]
     fn decode_blocks<T: Element>(
@@ -223,22 +197,14 @@ impl Sz2 {
         recon_buf: &mut Vec<f64>,
     ) -> Result<NdArray<T>> {
         let rank = shape.rank();
-        let quant = LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS);
+        let pad = 4 - rank;
         let block_dims = self.block_dims.unwrap_or_else(|| sz_block_dims(rank));
 
-        let mut outliers = OutlierReader::new(outlier_bytes);
-
-        // Unpack modes.
+        // Side channel: block count, one mode bit per block (MSB-first),
+        // then the regression coefficients of the blocks that use them.
         let mut er = crate::util::ByteReader::new(extra);
         let n_blocks = er.varint("sz2 block count")? as usize;
         let mode_bytes = er.take(n_blocks.div_ceil(8), "sz2 block modes")?;
-        let mut modes = Vec::with_capacity(n_blocks);
-        {
-            let mut br = crate::bitstream::BitReader::new(mode_bytes);
-            for _ in 0..n_blocks {
-                modes.push(br.get_bit("sz2 mode bit")?);
-            }
-        }
         let coef_bytes = &extra[er.position()..];
 
         let n = shape.len();
@@ -248,9 +214,13 @@ impl Sz2 {
         let stencil = LorenzoStencil::new(shape);
         recon_buf.clear();
         recon_buf.resize(n, 0.0);
-        let recon = recon_buf;
-        let mut out: Vec<T> = vec![T::default(); n];
-        let mut code_i = 0usize;
+        let mut sink = SampleSink {
+            quant: LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS),
+            codes: codes.iter(),
+            outliers: OutlierReader::new(outlier_bytes),
+            recon: recon_buf,
+            out: vec![T::default(); n],
+        };
         let mut block_i = 0usize;
         let mut coef_pos = 0usize;
         let mut failure: Option<CodecError> = None;
@@ -259,11 +229,11 @@ impl Sz2 {
             if failure.is_some() {
                 return;
             }
-            if block_i >= modes.len() {
+            if block_i >= n_blocks {
                 failure = Some(CodecError::Corrupt { context: "sz2 block modes" });
                 return;
             }
-            let use_regression = modes[block_i];
+            let use_regression = mode_bytes[block_i / 8] & (0x80 >> (block_i % 8)) != 0;
             block_i += 1;
             let coef = if use_regression {
                 match AffineCoef::from_f32_bytes(rank, &coef_bytes[coef_pos.min(coef_bytes.len())..]) {
@@ -280,50 +250,103 @@ impl Sz2 {
                 AffineCoef { c0: 0.0, c: [0.0; 4] }
             };
 
-            // Blocks not touching any zero-coordinate face (of an axis
-            // with extent > 1) are entirely interior: every Lorenzo
-            // prediction can use the stencil.
-            let all_interior = fast && stencil.is_interior(base);
-            for_each_in_block(shape, base, dims, |idx, off| {
+            if !fast {
+                for_each_in_block(shape, base, dims, |idx, off| {
+                    if failure.is_some() {
+                        return;
+                    }
+                    let pred = if use_regression {
+                        let mut local = [0usize; 4];
+                        for d in 0..rank {
+                            local[d] = idx[d] - base[d];
+                        }
+                        coef.eval(&local[..rank])
+                    } else {
+                        lorenzo(sink.recon, shape, idx)
+                    };
+                    failure = sink.put(pred, off).err();
+                });
+                return;
+            }
+
+            let rows = BlockRows::new(shape, base, dims);
+            let row_len = rows.dims[3];
+            let c_last = coef.c[rank - 1];
+            rows.for_each_row(|i, off| {
                 if failure.is_some() {
                     return;
                 }
-                let pred = if use_regression {
-                    let mut local = [0usize; 4];
-                    for d in 0..rank {
-                        local[d] = idx[d] - base[d];
-                    }
-                    coef.eval(&local[..rank])
-                } else if all_interior || (fast && stencil.is_interior(idx)) {
-                    stencil.eval_interior(recon, off)
+                let row = if use_regression {
+                    let p = row_plane(&coef, i, pad);
+                    (0..row_len).try_for_each(|j| sink.put(p + c_last * j as f64, off + j))
                 } else {
-                    lorenzo(recon, shape, idx)
+                    let (first, rest) = row_faces(&stencil, &rows, i, pad);
+                    (0..row_len).try_for_each(|j| {
+                        let faces = if j == 0 { first } else { rest };
+                        sink.put(stencil.eval(sink.recon, off + j, faces), off + j)
+                    })
                 };
-                let code = codes[code_i];
-                code_i += 1;
-                let v = if code == 0 {
-                    match outliers.take::<T>() {
-                        Ok(t) => {
-                            recon[off] = t.to_f64();
-                            t
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            return;
-                        }
-                    }
-                } else {
-                    let t = T::from_f64(quant.reconstruct(code, pred));
-                    recon[off] = t.to_f64();
-                    t
-                };
-                out[off] = v;
+                failure = row.err();
             });
         });
         if let Some(e) = failure {
             return Err(e);
         }
-        Ok(NdArray::from_vec(shape, out))
+        Ok(NdArray::from_vec(shape, sink.out))
+    }
+}
+
+/// The regression plane at the start of a block row (block-local outer
+/// coordinates `i`, left-padded): the outer axes' terms summed once, in
+/// axis order as [`AffineCoef::eval`] does; the last axis' term is added
+/// per sample.
+#[inline(always)]
+fn row_plane(coef: &AffineCoef, i: [usize; 3], pad: usize) -> f64 {
+    let mut p = coef.c0;
+    for (c, &x) in coef.c.iter().zip(&i[pad..]) {
+        p += c * x as f64;
+    }
+    p
+}
+
+/// The zero-coordinate faces ([`LorenzoStencil::zero_axes`]) a block
+/// row's samples lie on: `(first sample, rest of the row)`. Past the
+/// first sample the last coordinate is > 0, so the rest of the row is
+/// only on the faces the outer coordinates put it on.
+#[inline(always)]
+fn row_faces(stencil: &LorenzoStencil, rows: &BlockRows, i: [usize; 3], pad: usize) -> (u32, u32) {
+    let b = rows.base;
+    let idx = [b[0] + i[0], b[1] + i[1], b[2] + i[2], b[3]];
+    // The block is left-padded to four axes; the stencil numbers the
+    // shape's own, so the last axis is bit `3 − pad`.
+    let first = stencil.zero_axes(&idx[pad..]);
+    (first, first & !(1 << (3 - pad)))
+}
+
+/// Where decoded samples go: takes the next code (or outlier) for a
+/// prediction and stores the sample in the output and, widened, in the
+/// reconstruction plane later predictions read.
+struct SampleSink<'a, T: Element> {
+    quant: LinearQuantizer,
+    /// One code per sample, in visit order.
+    codes: std::slice::Iter<'a, u32>,
+    outliers: OutlierReader<'a>,
+    recon: &'a mut [f64],
+    out: Vec<T>,
+}
+
+impl<T: Element> SampleSink<'_, T> {
+    #[inline(always)]
+    fn put(&mut self, pred: f64, off: usize) -> Result<()> {
+        let code = *self.codes.next().ok_or(CodecError::Corrupt { context: "sz2 code count" })?;
+        let t = if code == 0 {
+            self.outliers.take::<T>()?
+        } else {
+            T::from_f64(self.quant.reconstruct(code, pred))
+        };
+        self.recon[off] = t.to_f64();
+        self.out[off] = t;
+        Ok(())
     }
 }
 

@@ -10,7 +10,7 @@
 //! on the decoder's own integer path, escalating planes (or falling back
 //! to verbatim storage) so the EBLC guarantee is strict.
 
-use super::common::{for_each_block, for_each_in_block};
+use super::common::{for_each_block, BlockRows};
 use super::impl_stage_codec;
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{CodecError, Result};
@@ -37,9 +37,11 @@ pub enum ZfpMode {
     FixedAccuracy,
     /// ZFP's fixed-precision mode: a constant number of bitplanes per
     /// block. No error-bound guarantee — the achieved maximum error is
-    /// recorded in the stream header instead. Used by the
-    /// `ablation_zfp_planes` bench to expose the planes↔quality↔size
-    /// trade directly.
+    /// recorded in the stream header instead. No preset chain, figure
+    /// or benchmark workload selects it (the bench that did went with
+    /// PR 12); it is kept because its streams are a pinned format —
+    /// the `zfp-prec20` row of `encode_golden.rs` and this module's
+    /// tests are its only callers.
     FixedPrecision(u32),
 }
 
@@ -90,7 +92,7 @@ impl Zfp {
         let mut padded = [0.0f64; MAX_BLOCK];
         let mut ints = [0i64; MAX_BLOCK];
         let mut nega = [0u64; MAX_BLOCK];
-        let mut recon = [0.0f64; MAX_BLOCK];
+        let mut recon = [0i64; MAX_BLOCK];
         let mut raw_bytes = Vec::new();
         // Block geometry left-padded to four axes: a real axis spans
         // `BLOCK_EDGE` padded positions, a padding axis one.
@@ -168,7 +170,7 @@ impl Zfp {
             }
             fwd_transform(ints, rank);
             let nega = &mut nega[..n_block];
-            for (u, &i) in nega.iter_mut().zip(&perm) {
+            for (u, &i) in nega.iter_mut().zip(perm) {
                 *u = int_to_nega(ints[i]);
             }
 
@@ -177,10 +179,10 @@ impl Zfp {
             // unpadded sample positions.
             let recon = &mut recon[..n_block];
             let mut decoded_err = |planes: u32| {
-                Self::reconstruct_block(nega, &perm, rank, planes, inv_scale, recon);
+                Self::reconstruct_block(nega, perm, rank, planes, recon);
                 let mut err = 0.0f64;
                 block_samples(&dims4, &edge, &axis_off, |poff, _| {
-                    let rt = T::from_f64(recon[poff]).to_f64();
+                    let rt = T::from_f64(recon[poff] as f64 * inv_scale).to_f64();
                     err = err.max((rt - padded[poff]).abs());
                 });
                 err
@@ -232,31 +234,21 @@ impl Zfp {
     }
 
     /// Shared encoder-verification / decoder reconstruction: truncated
-    /// negabinary coefficients → block sample values, written to `out`
-    /// (`4^rank` entries).
-    fn reconstruct_block(
-        nega: &[u64],
-        perm: &[usize],
-        rank: usize,
-        planes: u32,
-        inv_scale: f64,
-        out: &mut [f64],
-    ) {
+    /// negabinary coefficients → the block's fixed-point sample values,
+    /// written to `out` (`4^rank` entries). A sample is
+    /// `out[i] as f64 · inv_scale`, converted where it is used — edge
+    /// blocks and unit axes use only part of the padded block.
+    fn reconstruct_block(nega: &[u64], perm: &[usize], rank: usize, planes: u32, out: &mut [i64]) {
         let keep = planes.min(TOTAL_BITS);
         let mask: u64 = if keep >= 64 {
             u64::MAX
         } else {
             !((1u64 << (TOTAL_BITS - keep)) - 1)
         };
-        let mut ints = [0i64; MAX_BLOCK];
-        let ints = &mut ints[..out.len()];
         for (&u, &p) in nega.iter().zip(perm) {
-            ints[p] = nega_to_int(u & mask);
+            out[p] = nega_to_int(u & mask);
         }
-        inv_transform(ints, rank);
-        for (o, &q) in out.iter_mut().zip(ints.iter()) {
-            *o = q as f64 * inv_scale;
-        }
+        inv_transform(out, rank);
     }
 
     /// Array-stage decode: mirror of [`Self::encode_impl`]. The block
@@ -269,88 +261,7 @@ impl Zfp {
         _abs: f64,
     ) -> Result<NdArray<T>> {
         let rank = shape.rank();
-        let perm = sequency_order(rank);
-        let n_block = BLOCK_EDGE.pow(rank as u32);
-        let mut br = BitReader::new(payload);
-        let mut out: Vec<T> = vec![T::default(); shape.len()];
-        let block_dims = [BLOCK_EDGE; 4];
-        let mut failure: Option<CodecError> = None;
-        let mut recon = [0.0f64; MAX_BLOCK];
-        let recon = &mut recon[..n_block];
-
-        for_each_block(shape, &block_dims[..rank], |base, dims| {
-            if failure.is_some() {
-                return;
-            }
-            let mode = match br.get_bits(2, "zfp block mode") {
-                Ok(m) => m,
-                Err(e) => {
-                    failure = Some(e);
-                    return;
-                }
-            };
-            let res = (|| -> Result<()> {
-                match mode {
-                    MODE_ZERO => {
-                        for_each_in_block(shape, base, dims, |_, off| {
-                            out[off] = T::from_f64(0.0);
-                        });
-                    }
-                    MODE_RAW => {
-                        let mut buf = vec![0u8; T::BYTES];
-                        let mut err = None;
-                        for_each_in_block(shape, base, dims, |_, off| {
-                            if err.is_some() {
-                                return;
-                            }
-                            for b in buf.iter_mut() {
-                                match br.get_bits(8, "zfp raw byte") {
-                                    Ok(v) => *b = v as u8,
-                                    Err(e) => {
-                                        err = Some(e);
-                                        return;
-                                    }
-                                }
-                            }
-                            match T::read_le(&buf) {
-                                Some(v) => out[off] = v,
-                                None => err = Some(CodecError::Corrupt { context: "zfp raw sample" }),
-                            }
-                        });
-                        if let Some(e) = err {
-                            return Err(e);
-                        }
-                    }
-                    MODE_CODED => {
-                        let emax = br.get_bits(12, "zfp emax")? as i32 - 2048;
-                        let planes = br.get_bits(7, "zfp planes")? as u32;
-                        if planes == 0 || planes > TOTAL_BITS {
-                            return Err(CodecError::Corrupt { context: "zfp plane count" });
-                        }
-                        let nega = decode_planes(&mut br, n_block, TOTAL_BITS, planes)?;
-                        let s_exp = FIXED_PREC - 3 - emax;
-                        let inv_scale = (-s_exp as f64).exp2();
-                        Self::reconstruct_block(&nega, &perm, rank, TOTAL_BITS, inv_scale, recon);
-                        for_each_in_block(shape, base, dims, |idx, off| {
-                            let mut poff = 0usize;
-                            for d in 0..rank {
-                                poff = poff * BLOCK_EDGE + (idx[d] - base[d]);
-                            }
-                            out[off] = T::from_f64(recon[poff]);
-                        });
-                    }
-                    _ => return Err(CodecError::Corrupt { context: "zfp block mode" }),
-                }
-                Ok(())
-            })();
-            if let Err(e) = res {
-                failure = Some(e);
-            }
-        });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        Ok(NdArray::from_vec(shape, out))
+        decode_box(payload, shape, &[0; 4][..rank], shape.dims())
     }
 
     /// Partial decode of an axis-aligned region. The block stream is
@@ -368,130 +279,176 @@ impl Zfp {
         origin: &[usize],
         extent: &[usize],
     ) -> Result<Option<NdArray<T>>> {
-        let rank = shape.rank();
-        let perm = sequency_order(rank);
-        let n_block = BLOCK_EDGE.pow(rank as u32);
-        let mut br = BitReader::new(payload);
-        let out_shape = eblcio_data::Shape::new(extent);
-        let mut out: Vec<T> = vec![T::default(); out_shape.len()];
-        let out_strides = out_shape.strides();
-        let block_dims = [BLOCK_EDGE; 4];
-        let mut failure: Option<CodecError> = None;
-        let mut recon = [0.0f64; MAX_BLOCK];
-        let recon = &mut recon[..n_block];
-        // Number of blocks intersecting the region, per dim — once all
-        // are decoded the remaining stream need not be parsed at all.
-        let mut remaining: usize = (0..rank)
-            .map(|d| (origin[d] + extent[d] - 1) / BLOCK_EDGE - origin[d] / BLOCK_EDGE + 1)
-            .product();
+        decode_box(payload, shape, origin, extent).map(Some)
+    }
+}
 
-        for_each_block(shape, &block_dims[..rank], |base, dims| {
-            if failure.is_some() || remaining == 0 {
-                return;
-            }
-            let hit = (0..rank).all(|d| {
-                base[d] < origin[d] + extent[d] && base[d] + dims[d] > origin[d]
-            });
-            // Intersection of this block with the region.
-            let mut ibase = [0usize; 4];
-            let mut idims = [0usize; 4];
-            for d in 0..rank {
-                ibase[d] = base[d].max(origin[d]);
-                idims[d] = (base[d] + dims[d]).min(origin[d] + extent[d]).saturating_sub(ibase[d]);
-            }
-            let res = (|| -> Result<()> {
-                match br.get_bits(2, "zfp block mode")? {
-                    MODE_ZERO => {
-                        if hit {
-                            for_each_in_block(shape, &ibase[..rank], &idims[..rank], |idx, _| {
-                                let mut ooff = 0usize;
-                                for d in 0..rank {
-                                    ooff += (idx[d] - origin[d]) * out_strides[d];
-                                }
-                                out[ooff] = T::from_f64(0.0);
-                            });
-                        }
+/// Where one block meets the requested box, every array left-padded to
+/// four axes like [`BlockRows`].
+struct BlockHit {
+    /// Block extent (clipped at the array's upper faces).
+    dims: [usize; 4],
+    /// First block-local coordinate inside the box.
+    skip: [usize; 4],
+    /// The intersection's rows in the output array.
+    rows: BlockRows,
+}
+
+impl BlockHit {
+    /// Visits the intersection's rows: offset of the row's first sample
+    /// in the padded `4^rank` block, and in the output.
+    #[inline(always)]
+    fn for_each_row(&self, edge: &[usize; 4], mut f: impl FnMut(usize, usize)) {
+        let s = &self.skip;
+        self.rows.for_each_row(|i, off| {
+            let poff =
+                (((s[0] + i[0]) * edge[1] + s[1] + i[1]) * edge[2] + s[2] + i[2]) * edge[3] + s[3];
+            f(poff, off);
+        });
+    }
+}
+
+/// Decodes the box `origin .. origin + extent` of a ZFP block stream
+/// over `shape` — the whole array when the box is the array. Blocks are
+/// written row by row: an interior block is `4^(rank−1)` four-sample
+/// row copies out of the reconstructed block.
+fn decode_box<T: Element>(
+    payload: &[u8],
+    shape: eblcio_data::Shape,
+    origin: &[usize],
+    extent: &[usize],
+) -> Result<NdArray<T>> {
+    let rank = shape.rank();
+    let pad = 4 - rank;
+    let perm = sequency_order(rank);
+    let n_block = BLOCK_EDGE.pow(rank as u32);
+    let mut br = BitReader::new(payload);
+    let out_shape = eblcio_data::Shape::new(extent);
+    let mut out: Vec<T> = vec![T::default(); out_shape.len()];
+    let block_dims = [BLOCK_EDGE; 4];
+    let mut edge = [1usize; 4];
+    for e in &mut edge[pad..] {
+        *e = BLOCK_EDGE;
+    }
+    let sample_bits = (T::BYTES * 8) as u32;
+    let mut failure: Option<CodecError> = None;
+    let mut nega = [0u64; MAX_BLOCK];
+    let mut recon = [0i64; MAX_BLOCK];
+    // Number of blocks intersecting the box, per dim — once all are
+    // decoded the remaining stream need not be parsed at all.
+    let mut remaining: usize = (0..rank)
+        .map(|d| (origin[d] + extent[d] - 1) / BLOCK_EDGE - origin[d] / BLOCK_EDGE + 1)
+        .product();
+
+    for_each_block(shape, &block_dims[..rank], |base, dims| {
+        if failure.is_some() || remaining == 0 {
+            return;
+        }
+        // Intersection of this block with the box, if any.
+        let mut ibase = [0usize; 4];
+        let mut idims = [0usize; 4];
+        for d in 0..rank {
+            ibase[d] = base[d].max(origin[d]);
+            idims[d] = (base[d] + dims[d]).min(origin[d] + extent[d]).saturating_sub(ibase[d]);
+        }
+        let hit = idims[..rank].iter().all(|&m| m > 0).then(|| {
+            let mut h = BlockHit {
+                dims: [1; 4],
+                skip: [0; 4],
+                rows: {
+                    let mut at = ibase;
+                    for d in 0..rank {
+                        at[d] -= origin[d];
                     }
-                    MODE_RAW => {
-                        if !hit {
-                            let count: usize = dims.iter().product();
-                            br.skip_bits((count * T::BYTES * 8) as u64, "zfp raw byte")?;
-                        } else {
-                            let mut buf = vec![0u8; T::BYTES];
-                            let mut err = None;
-                            for_each_in_block(shape, base, dims, |idx, _| {
-                                if err.is_some() {
-                                    return;
+                    BlockRows::new(out_shape, &at[..rank], &idims[..rank])
+                },
+            };
+            for d in 0..rank {
+                h.dims[pad + d] = dims[d];
+                h.skip[pad + d] = ibase[d] - base[d];
+            }
+            h
+        });
+        let res = (|| -> Result<()> {
+            match br.get_bits(2, "zfp block mode")? {
+                MODE_ZERO => {
+                    if let Some(h) = &hit {
+                        let row_len = h.rows.dims[3];
+                        h.for_each_row(&edge, |_, off| {
+                            out[off..off + row_len].fill(T::from_f64(0.0));
+                        });
+                    }
+                }
+                MODE_RAW => {
+                    // Every sample of the block is in the stream, in
+                    // raster order; the ones outside the box are
+                    // stepped over.
+                    let skip_samples = |br: &mut BitReader<'_>, count: usize| {
+                        br.skip_bits(count as u64 * u64::from(sample_bits), "zfp raw byte")
+                    };
+                    let Some(h) = &hit else {
+                        return skip_samples(&mut br, dims.iter().product());
+                    };
+                    let (d, s, inner) = (&h.dims, &h.skip, &h.rows.dims);
+                    for b0 in 0..d[0] {
+                        for b1 in 0..d[1] {
+                            for b2 in 0..d[2] {
+                                let b = [b0, b1, b2];
+                                if (0..3).any(|a| b[a] < s[a] || b[a] >= s[a] + inner[a]) {
+                                    skip_samples(&mut br, d[3])?;
+                                    continue;
                                 }
-                                for b in buf.iter_mut() {
-                                    match br.get_bits(8, "zfp raw byte") {
-                                        Ok(v) => *b = v as u8,
-                                        Err(e) => {
-                                            err = Some(e);
-                                            return;
-                                        }
-                                    }
+                                let off = h.rows.row_offset([b0 - s[0], b1 - s[1], b2 - s[2]]);
+                                skip_samples(&mut br, s[3])?;
+                                for o in &mut out[off..off + inner[3]] {
+                                    // The sample's little-endian bytes,
+                                    // first byte in the top bits read.
+                                    let bytes =
+                                        br.get_bits(sample_bits, "zfp raw byte")?.to_be_bytes();
+                                    *o = T::read_le(&bytes[8 - T::BYTES..])
+                                        .ok_or(CodecError::Corrupt { context: "zfp raw sample" })?;
                                 }
-                                let inside =
-                                    (0..rank).all(|d| idx[d] >= origin[d] && idx[d] < origin[d] + extent[d]);
-                                if !inside {
-                                    return;
-                                }
-                                match T::read_le(&buf) {
-                                    Some(v) => {
-                                        let mut ooff = 0usize;
-                                        for d in 0..rank {
-                                            ooff += (idx[d] - origin[d]) * out_strides[d];
-                                        }
-                                        out[ooff] = v;
-                                    }
-                                    None => err = Some(CodecError::Corrupt { context: "zfp raw sample" }),
-                                }
-                            });
-                            if let Some(e) = err {
-                                return Err(e);
+                                skip_samples(&mut br, d[3] - s[3] - inner[3])?;
                             }
                         }
                     }
-                    MODE_CODED => {
-                        let emax = br.get_bits(12, "zfp emax")? as i32 - 2048;
-                        let planes = br.get_bits(7, "zfp planes")? as u32;
-                        if planes == 0 || planes > TOTAL_BITS {
-                            return Err(CodecError::Corrupt { context: "zfp plane count" });
-                        }
-                        let nega = decode_planes(&mut br, n_block, TOTAL_BITS, planes)?;
-                        if hit {
-                            let s_exp = FIXED_PREC - 3 - emax;
-                            let inv_scale = (-s_exp as f64).exp2();
-                            Self::reconstruct_block(
-                                &nega, &perm, rank, TOTAL_BITS, inv_scale, recon,
-                            );
-                            for_each_in_block(shape, &ibase[..rank], &idims[..rank], |idx, _| {
-                                let mut poff = 0usize;
-                                let mut ooff = 0usize;
-                                for d in 0..rank {
-                                    poff = poff * BLOCK_EDGE + (idx[d] - base[d]);
-                                    ooff += (idx[d] - origin[d]) * out_strides[d];
-                                }
-                                out[ooff] = T::from_f64(recon[poff]);
-                            });
-                        }
-                    }
-                    _ => return Err(CodecError::Corrupt { context: "zfp block mode" }),
                 }
-                Ok(())
-            })();
-            if let Err(e) = res {
-                failure = Some(e);
-            } else if hit {
-                remaining -= 1;
+                MODE_CODED => {
+                    let emax = br.get_bits(12, "zfp emax")? as i32 - 2048;
+                    let planes = br.get_bits(7, "zfp planes")? as u32;
+                    if planes == 0 || planes > TOTAL_BITS {
+                        return Err(CodecError::Corrupt { context: "zfp plane count" });
+                    }
+                    let nega = &mut nega[..n_block];
+                    decode_planes(&mut br, nega, TOTAL_BITS, planes)?;
+                    if let Some(h) = &hit {
+                        let s_exp = FIXED_PREC - 3 - emax;
+                        let inv_scale = (-s_exp as f64).exp2();
+                        let recon = &mut recon[..n_block];
+                        Zfp::reconstruct_block(nega, perm, rank, TOTAL_BITS, recon);
+                        let row_len = h.rows.dims[3];
+                        h.for_each_row(&edge, |poff, off| {
+                            let row = &recon[poff..poff + row_len];
+                            for (o, &q) in out[off..off + row_len].iter_mut().zip(row) {
+                                *o = T::from_f64(q as f64 * inv_scale);
+                            }
+                        });
+                    }
+                }
+                _ => return Err(CodecError::Corrupt { context: "zfp block mode" }),
             }
-        });
-        if let Some(e) = failure {
-            return Err(e);
+            Ok(())
+        })();
+        if let Err(e) = res {
+            failure = Some(e);
+        } else if hit.is_some() {
+            remaining -= 1;
         }
-        Ok(Some(NdArray::from_vec(out_shape, out)))
+    });
+    if let Some(e) = failure {
+        return Err(e);
     }
+    Ok(NdArray::from_vec(out_shape, out))
 }
 
 /// Visits a block's own (unpadded) samples in raster order: position in

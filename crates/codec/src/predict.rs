@@ -43,17 +43,28 @@ pub fn lorenzo(recon: &[f64], shape: Shape, idx: &[usize]) -> f64 {
 }
 
 /// Precomputed interior Lorenzo stencil: per non-empty subset of the
-/// axes of extent > 1, the signed weight and flat back-offset, in the
-/// same mask order as [`lorenzo`]. A unit axis only ever has coordinate
-/// 0, so [`lorenzo`] skips every subset containing one; leaving those
-/// subsets out here is the same sum. At interior points (coordinate > 0
-/// on every non-unit axis) no neighbour test is needed, so evaluation is
-/// a short flat dot product the compiler can keep in registers — the
-/// SZ2 hot loop in both directions.
+/// axes of extent > 1, the flat back-offset, in the same mask order as
+/// [`lorenzo`]. A unit axis only ever has coordinate 0, so [`lorenzo`]
+/// skips every subset containing one; leaving those subsets out here is
+/// the same sum. At interior points (coordinate > 0 on every non-unit
+/// axis) no neighbour test is needed, so evaluation is a short flat sum
+/// the compiler can keep in registers — the SZ2 hot loop in both
+/// directions.
+///
+/// Dropping the unit axes keeps the surviving subsets in increasing
+/// mask order, so term `t` is subset `t + 1` of the `k` live axes and
+/// its sign is the parity of `t + 1`: the sign pattern depends on the
+/// term count alone, which lets [`Self::eval_interior`] run a fully
+/// unrolled add/subtract chain per count. On a zero-coordinate face
+/// ([`Self::eval`]) the subsets reaching across it drop out of the same
+/// ordered sum.
 #[derive(Clone, Copy, Debug)]
 pub struct LorenzoStencil {
-    /// `(sign, flat offset subtracted from the target)` per subset.
-    terms: [(f64, usize); 15],
+    /// Flat offset subtracted from the target, per subset.
+    deltas: [usize; 15],
+    /// The subset's axes, as bits of the shape's own axis numbers.
+    masks: [u32; 15],
+    /// `2^k − 1` for `k` live axes.
     n_terms: usize,
     /// Bit `d` set when axis `d` has extent > 1.
     axes: u32,
@@ -67,40 +78,82 @@ impl LorenzoStencil {
         let axes = (0..rank)
             .filter(|&d| shape.dim(d) > 1)
             .fold(0u32, |m, d| m | 1 << d);
-        let mut terms = [(0.0, 0usize); 15];
+        let mut deltas = [0usize; 15];
+        let mut masks = [0u32; 15];
         let mut n_terms = 0;
         for mask in (1u32..(1 << rank)).filter(|mask| mask & !axes == 0) {
-            let delta: usize = strides[..rank]
+            masks[n_terms] = mask;
+            deltas[n_terms] = strides[..rank]
                 .iter()
                 .enumerate()
                 .filter(|(d, _)| mask >> d & 1 == 1)
                 .map(|(_, &s)| s)
                 .sum();
-            let sign = if mask.count_ones() % 2 == 1 { 1.0 } else { -1.0 };
-            terms[n_terms] = (sign, delta);
             n_terms += 1;
         }
-        Self { terms, n_terms, axes }
+        Self { deltas, masks, n_terms, axes }
     }
 
-    /// True when `idx` is an interior point of the stencil's shape:
-    /// coordinate > 0 on every axis of extent > 1.
+    /// The axes of extent > 1 on which `idx` has coordinate 0, as a
+    /// bit per axis — the faces the point lies on; none for an interior
+    /// point.
     #[inline]
-    pub fn is_interior(&self, idx: &[usize]) -> bool {
-        idx.iter().enumerate().all(|(d, &c)| c > 0 || self.axes >> d & 1 == 0)
+    pub fn zero_axes(&self, idx: &[usize]) -> u32 {
+        idx.iter()
+            .enumerate()
+            .filter(|&(_, &c)| c == 0)
+            .fold(0, |m, (d, _)| m | 1 << d)
+            & self.axes
+    }
+
+    /// Evaluates at flat offset `base`, a point lying on the faces
+    /// `zero` ([`Self::zero_axes`]). Bit-identical to [`lorenzo`]: the
+    /// subsets that would reach across a face are skipped, the rest
+    /// accumulated in the same order.
+    #[inline]
+    pub fn eval(&self, recon: &[f64], base: usize, zero: u32) -> f64 {
+        if zero == 0 {
+            return self.eval_interior(recon, base);
+        }
+        let mut pred = 0.0;
+        for (&mask, &delta) in self.masks[..self.n_terms].iter().zip(&self.deltas) {
+            if mask & zero != 0 {
+                continue;
+            }
+            if mask.count_ones() % 2 == 1 {
+                pred += recon[base - delta];
+            } else {
+                pred -= recon[base - delta];
+            }
+        }
+        pred
     }
 
     /// Evaluates at flat offset `base`, which must be an interior point
-    /// ([`Self::is_interior`]). Bit-identical to [`lorenzo`] there: the
-    /// terms are accumulated in the same subset order with the same
-    /// signs.
+    /// (no [`Self::zero_axes`]). Bit-identical to [`lorenzo`] there: the
+    /// terms are accumulated in the same subset order, and adding
+    /// `−1.0 · v` is subtracting `v`.
     #[inline]
     pub fn eval_interior(&self, recon: &[f64], base: usize) -> f64 {
-        let mut pred = 0.0;
-        for &(sign, delta) in &self.terms[..self.n_terms] {
-            pred += sign * recon[base - delta];
+        #[inline(always)]
+        fn chain<const N: usize>(recon: &[f64], base: usize, deltas: &[usize]) -> f64 {
+            let mut pred = 0.0;
+            for (t, &delta) in deltas[..N].iter().enumerate() {
+                if (t + 1).count_ones() % 2 == 1 {
+                    pred += recon[base - delta];
+                } else {
+                    pred -= recon[base - delta];
+                }
+            }
+            pred
         }
-        pred
+        match self.n_terms {
+            0 => 0.0,
+            1 => chain::<1>(recon, base, &self.deltas),
+            3 => chain::<3>(recon, base, &self.deltas),
+            7 => chain::<7>(recon, base, &self.deltas),
+            _ => chain::<15>(recon, base, &self.deltas),
+        }
     }
 }
 
@@ -334,7 +387,15 @@ mod tests {
                 let idx = shape.unoffset(off);
                 let idx = &idx[..rank];
                 let expect_interior = (0..rank).all(|d| idx[d] > 0 || shape.dim(d) == 1);
-                assert_eq!(stencil.is_interior(idx), expect_interior, "shape {shape} off {off}");
+                let faces = stencil.zero_axes(idx);
+                assert_eq!(faces == 0, expect_interior, "shape {shape} off {off}");
+                // On or off a face, the masked sum is the generic one.
+                let on_faces = stencil.eval(&recon, off, faces);
+                assert_eq!(
+                    on_faces.to_bits(),
+                    lorenzo(&recon, shape, idx).to_bits(),
+                    "shape {shape} off {off}"
+                );
                 if expect_interior {
                     interior += 1;
                     let want = lorenzo(&recon, shape, idx);

@@ -12,7 +12,8 @@
 //! bounded) compressor.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::error::Result;
+use crate::error::{CodecError, Result};
+use std::sync::OnceLock;
 
 /// Block edge length (fixed at 4, as in ZFP).
 pub const BLOCK_EDGE: usize = 4;
@@ -123,21 +124,28 @@ fn lift_lines(
 
 /// Total-sequency permutation: coefficient visit order sorted by the sum
 /// of per-axis frequencies (low frequencies first), ties broken by index.
-/// ZFP hard-codes these tables; we generate them once per rank.
-pub fn sequency_order(rank: usize) -> Vec<usize> {
-    let n = BLOCK_EDGE.pow(rank as u32);
-    let mut idx: Vec<usize> = (0..n).collect();
-    let key = |i: usize| -> (u32, usize) {
-        let mut rem = i;
-        let mut sum = 0u32;
-        for _ in 0..rank {
-            sum += (rem % BLOCK_EDGE) as u32;
-            rem /= BLOCK_EDGE;
-        }
-        (sum, i)
-    };
-    idx.sort_by_key(|&i| key(i));
-    idx
+/// ZFP hard-codes these tables; we generate each rank's once per
+/// process.
+///
+/// # Panics
+/// Panics unless `1 ≤ rank ≤ 4`.
+pub fn sequency_order(rank: usize) -> &'static [usize] {
+    static ORDERS: [OnceLock<Vec<usize>>; 4] = [const { OnceLock::new() }; 4];
+    ORDERS[rank - 1].get_or_init(|| {
+        let n = BLOCK_EDGE.pow(rank as u32);
+        let mut idx: Vec<usize> = (0..n).collect();
+        let key = |i: usize| -> (u32, usize) {
+            let mut rem = i;
+            let mut sum = 0u32;
+            for _ in 0..rank {
+                sum += (rem % BLOCK_EDGE) as u32;
+                rem /= BLOCK_EDGE;
+            }
+            (sum, i)
+        };
+        idx.sort_by_key(|&i| key(i));
+        idx
+    })
 }
 
 /// Two's-complement → negabinary mapping (ZFP's `int2uint`): interleaves
@@ -268,9 +276,123 @@ pub fn encode_planes(w: &mut BitWriter, coeffs: &[u64], total_bits: u32, planes:
     }
 }
 
-/// Decodes bitplanes written by [`encode_planes`]. Missing planes come
-/// back as zero bits (that is the lossy truncation).
+/// Decodes bitplanes written by [`encode_planes`] into `coeffs` (one
+/// slot per coefficient, at most [`MAX_BLOCK`], overwritten). Missing
+/// planes come back as zero bits (that is the lossy truncation).
+///
+/// The mirror of the encoder, word for word: per plane one
+/// [`BitReader::get_bits`] per 64 coefficients fetches the raw bits of
+/// the already significant ones, dealt out over the set bits of
+/// `significant`; then, while coefficients are pending, a group-test
+/// bit and a "zeros then a one" scan that peeks up to 64 bits, counts
+/// leading zeros bounded by the pending count, and finds the hit as the
+/// pending coefficient of that rank. Every read is bounds-checked: a
+/// stream that ends early is a [`TruncatedStream`], never a read past
+/// the slice.
+///
+/// [`TruncatedStream`]: crate::error::CodecError::TruncatedStream
 pub fn decode_planes(
+    r: &mut BitReader<'_>,
+    coeffs: &mut [u64],
+    total_bits: u32,
+    planes: u32,
+) -> Result<()> {
+    let n = coeffs.len();
+    assert!(n <= MAX_BLOCK, "plane coder takes at most {MAX_BLOCK} coefficients");
+    assert!(total_bits <= 64);
+    coeffs.fill(0);
+    let words = n.div_ceil(64);
+    // Coefficients that exist (the last word may be partial).
+    let mut valid = [0u64; PLANE_WORDS];
+    for (wi, v) in valid.iter_mut().enumerate().take(words) {
+        let in_word = (n - wi * 64).min(64);
+        *v = u64::MAX << (64 - in_word);
+    }
+    let mut significant = [0u64; PLANE_WORDS];
+    for plane in 0..planes.min(total_bits) {
+        let bitpos = total_bits - 1 - plane;
+        // Raw bits for coefficients already significant.
+        for wi in 0..words {
+            let mut left = significant[wi];
+            if left == 0 {
+                continue;
+            }
+            let len = left.count_ones();
+            // Next raw bit at the MSB.
+            let mut run = r.get_bits(len, "zfp plane bits")? << (64 - len);
+            while run != 0 {
+                let lead = left.leading_zeros();
+                coeffs[wi * 64 + lead as usize] |= (run >> 63) << bitpos;
+                run <<= 1;
+                left &= !(1u64 << (63 - lead));
+            }
+        }
+
+        // Group-test the rest in sequency order.
+        let mut pending = [0u64; PLANE_WORDS];
+        let mut left = 0u32;
+        for wi in 0..words {
+            pending[wi] = valid[wi] & !significant[wi];
+            left += pending[wi].count_ones();
+        }
+        let mut wi = 0usize;
+        while left > 0 && r.get_bits(1, "zfp group bit")? == 1 {
+            // Zeros for the pending coefficients before the first set
+            // one, then its one-bit; a scan may run out of pending
+            // coefficients only in a stream no encoder wrote.
+            let mut zeros = 0u32;
+            let hit = loop {
+                let (window, avail) = r.peek_word();
+                let span = avail.min(left - zeros);
+                if span == 0 {
+                    return Err(CodecError::TruncatedStream { context: "zfp scan bit" });
+                }
+                let lead = window.leading_zeros();
+                if lead < span {
+                    r.skip_bits(u64::from(lead) + 1, "zfp scan bit")?;
+                    zeros += lead;
+                    break true;
+                }
+                r.skip_bits(u64::from(span), "zfp scan bit")?;
+                zeros += span;
+                if zeros == left {
+                    break false;
+                }
+            };
+            if !hit {
+                break;
+            }
+            left -= zeros + 1;
+            // The hit is pending coefficient number `zeros` from here.
+            let mut skip = zeros;
+            loop {
+                let here = pending[wi].count_ones();
+                if skip < here {
+                    break;
+                }
+                skip -= here;
+                pending[wi] = 0;
+                wi += 1;
+            }
+            let mut word = pending[wi];
+            for _ in 0..skip {
+                word &= !(1u64 << (63 - word.leading_zeros()));
+            }
+            let lead = word.leading_zeros();
+            let bit = 1u64 << (63 - lead);
+            coeffs[wi * 64 + lead as usize] |= 1u64 << bitpos;
+            significant[wi] |= bit;
+            // Everything up to and including the hit is dealt with.
+            pending[wi] &= bit - 1;
+        }
+    }
+    Ok(())
+}
+
+/// The per-bit plane decoder the word-parallel [`decode_planes`]
+/// replaced, kept as the oracle its tests compare against.
+#[cfg(test)]
+fn decode_planes_reference(
     r: &mut BitReader<'_>,
     n: usize,
     total_bits: u32,
@@ -315,6 +437,14 @@ pub fn decode_planes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `n` coefficients decoded from the head of `bytes`.
+    fn decoded(bytes: &[u8], n: usize, total_bits: u32, planes: u32) -> Vec<u64> {
+        let mut out = [u64::MAX; MAX_BLOCK];
+        decode_planes(&mut BitReader::new(bytes), &mut out[..n], total_bits, planes).unwrap();
+        out[..n].to_vec()
+    }
 
     #[test]
     fn lift_roundtrip_is_near_exact() {
@@ -372,7 +502,7 @@ mod tests {
             let n = BLOCK_EDGE.pow(rank as u32);
             assert_eq!(ord.len(), n);
             let mut seen = vec![false; n];
-            for &i in &ord {
+            for &i in ord {
                 assert!(!seen[i]);
                 seen[i] = true;
             }
@@ -412,9 +542,7 @@ mod tests {
         let mut w = BitWriter::new();
         encode_planes(&mut w, &coeffs, 48, 48);
         let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        let dec = decode_planes(&mut r, coeffs.len(), 48, 48).unwrap();
-        assert_eq!(dec, coeffs);
+        assert_eq!(decoded(&bytes, coeffs.len(), 48, 48), coeffs);
     }
 
     #[test]
@@ -423,9 +551,7 @@ mod tests {
         let mut w = BitWriter::new();
         encode_planes(&mut w, &coeffs, 8, 3);
         let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        let dec = decode_planes(&mut r, 16, 8, 3).unwrap();
-        for d in dec {
+        for d in decoded(&bytes, 16, 8, 3) {
             assert_eq!(d, 0b1110_0000);
         }
     }
@@ -441,8 +567,7 @@ mod tests {
         let nbits = w.bit_len();
         assert!(nbits < 64 * 8, "{nbits} bits");
         let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(decode_planes(&mut r, 64, 30, 30).unwrap(), coeffs);
+        assert_eq!(decoded(&bytes, 64, 30, 30), coeffs);
     }
 
     #[test]
@@ -451,5 +576,83 @@ mod tests {
         let mut w = BitWriter::new();
         encode_planes(&mut w, &coeffs, 20, 20);
         assert_eq!(w.bit_len(), 20);
+    }
+
+    /// Both decoders from bit `lead` of `bytes`: the coefficients and
+    /// the bit position each stopped at, or the error.
+    type Decoded = Result<(Vec<u64>, u64)>;
+    fn both_decoders(bytes: &[u8], lead: u32, n: usize, planes: u32) -> (Decoded, Decoded) {
+        let mut fast = BitReader::new(bytes);
+        fast.get_bits(lead, "lead").unwrap();
+        let mut out = [u64::MAX; MAX_BLOCK];
+        let got = decode_planes(&mut fast, &mut out[..n], 52, planes)
+            .map(|()| (out[..n].to_vec(), fast.bit_position()));
+        let mut slow = BitReader::new(bytes);
+        slow.get_bits(lead, "lead").unwrap();
+        let want = decode_planes_reference(&mut slow, n, 52, planes)
+            .map(|c| (c, slow.bit_position()));
+        (got, want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The word-parallel decoder against the per-bit oracle: equal
+        /// coefficients and equal stream position, on a block that
+        /// starts mid-byte and is followed by other bits; cut at every
+        /// byte or with one bit flipped, it errs or succeeds exactly as
+        /// the oracle does and never reads past the slice.
+        #[test]
+        fn word_parallel_planes_match_the_per_bit_oracle(
+            rank in 1usize..5,
+            planes in 1u32..53,
+            decaying in any::<bool>(),
+            lead in 0u32..24,
+            flip in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let n = BLOCK_EDGE.pow(rank as u32);
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // Flat: every coefficient uses the full width. Decaying:
+            // magnitudes fall off along the sequency order, so planes
+            // start sparse and group tests do the work.
+            let coeffs: Vec<u64> = (0..n)
+                .map(|i| {
+                    let drop = if decaying { (i as u32 * 51 / n as u32).min(51) } else { 0 };
+                    (next() & (u64::MAX >> 12)) >> drop
+                })
+                .collect();
+            let mut w = BitWriter::new();
+            w.put_bits(next(), lead);
+            encode_planes(&mut w, &coeffs, 52, planes);
+            let block_end = w.bit_len();
+            w.put_bits(next(), 37);
+            let bytes = w.finish();
+
+            let (got, want) = both_decoders(&bytes, lead, n, planes);
+            let (got, end) = got.unwrap();
+            prop_assert_eq!(&(got.clone(), end), &want.unwrap());
+            prop_assert_eq!(end, block_end);
+            let keep = !(u64::MAX >> 12 >> planes);
+            for (g, c) in got.iter().zip(&coeffs) {
+                prop_assert_eq!(*g, c & keep);
+            }
+
+            for cut in (lead as usize).div_ceil(8)..bytes.len() {
+                let (got, want) = both_decoders(&bytes[..cut], lead, n, planes);
+                prop_assert_eq!(got, want, "cut at byte {}", cut);
+            }
+            let mut flipped = bytes.clone();
+            let at = lead as u64 + flip % (block_end - u64::from(lead));
+            flipped[(at / 8) as usize] ^= 0x80 >> (at % 8);
+            let (got, want) = both_decoders(&flipped, lead, n, planes);
+            prop_assert_eq!(got, want, "bit {} flipped", at);
+        }
     }
 }

@@ -396,7 +396,8 @@ fn assert_planes_match_oracle(coeffs: &[u64]) {
         // And the decoder recovers exactly the kept planes.
         let mut r = BitReader::new(&bytes);
         r.get_bits(2, "hdr").unwrap();
-        let back = decode_planes(&mut r, coeffs.len(), TOTAL_BITS, planes).unwrap();
+        let mut back = vec![u64::MAX; coeffs.len()];
+        decode_planes(&mut r, &mut back, TOTAL_BITS, planes).unwrap();
         let keep = !((1u64 << (TOTAL_BITS - planes)) - 1) & ((1u64 << TOTAL_BITS) - 1);
         for (b, c) in back.iter().zip(coeffs) {
             assert_eq!(*b, c & keep, "planes {}", planes);

@@ -36,6 +36,7 @@ use eblcio_store::{scatter_chunk, scatter_chunk_le, ChunkedStore, MutableStore, 
 use parking_lot::{Condvar, Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What the reader does with chunks just past the ones a request needs.
@@ -175,10 +176,6 @@ enum Fetched<T: Element> {
     Whole(Arc<NdArray<T>>),
     Partial(NdArray<T>, Region),
 }
-
-/// A fetched piece tagged with its chunk id and whether the request
-/// actually wants it (`false` = speculative prefetch).
-type TaggedFetch<T> = (usize, bool, Result<Fetched<T>>);
 
 std::thread_local! {
     /// Reused intersecting-chunk id buffer for the warm read path
@@ -674,13 +671,16 @@ impl<T: Element> ArrayReader<T> {
     /// the region.
     ///
     /// Each intersecting chunk is probed in the cache **exactly once**,
-    /// through the counting lookup: hits scatter straight into `out`,
-    /// misses (plus any uncached prefetch extension) fan out in
-    /// parallel on the shared pool, where every fetch resolves through
-    /// the non-counting single-flight layer. Hit/miss statistics are
-    /// therefore exact across a warm/cold mix — one charge per chunk
-    /// per request, never re-probed. The whole request runs against one
-    /// generation snapshot pinned on entry.
+    /// through the counting lookup: hits scatter straight into `out`;
+    /// misses (plus any uncached prefetch extension) are claimed one at
+    /// a time by up to `threads` workers, each of which fetches its
+    /// chunk through the non-counting single-flight layer, scatters it
+    /// into `out` under a short lock and drops it before claiming the
+    /// next — so a cold request never holds more decoded chunks than it
+    /// has workers. Hit/miss statistics are therefore exact across a
+    /// warm/cold mix — one charge per chunk per request, never
+    /// re-probed. The whole request runs against one generation
+    /// snapshot pinned on entry.
     ///
     /// When every intersecting chunk is already cached (the steady
     /// state of a hot serving loop) the call performs **no heap
@@ -718,11 +718,13 @@ impl<T: Element> ArrayReader<T> {
     /// The region engine every read path funnels through. `scatter`
     /// receives each fetched piece with the array region it covers and
     /// stores its overlap with the request — typed or serialized, the
-    /// engine does not care.
+    /// engine does not care. Cached pieces arrive on the calling thread
+    /// in raster order, decoded ones from whichever worker fetched them
+    /// (one call at a time), in completion order.
     fn assemble_region(
         &self,
         region: &Region,
-        mut scatter: impl FnMut(&NdArray<T>, &Region),
+        mut scatter: impl FnMut(&NdArray<T>, &Region) + Send,
     ) -> Result<RequestStats> {
         // Telemetry on this path stays allocation-free: the span name
         // is pre-interned, the guard lives on the stack (sharing the
@@ -768,21 +770,27 @@ impl<T: Element> ArrayReader<T> {
         })
     }
 
-    /// The cold half of the region engine: fetches the probed-and-
-    /// missed chunks plus the uncached prefetch extension in parallel,
-    /// handing the misses to `scatter`. Cache probes here are
-    /// non-counting (`peek` and the single-flight re-check) — the
-    /// caller already charged exactly one hit or miss per wanted chunk,
-    /// and charging again is the double-count this engine exists to
-    /// prevent. Returns how many misses were served by sub-chunk
-    /// (partial) decodes. A no-op when everything was warm and the
-    /// prefetch extension is empty or cached — the zero-allocation
-    /// case.
+    /// The cold half of the region engine: the probed-and-missed chunks
+    /// plus the uncached prefetch extension go to the pool's workers,
+    /// which claim them one at a time. A worker fetches its piece,
+    /// takes the lock around `scatter` for the strided copy (≤ one
+    /// chunk of memcpy against a whole decode), and drops the piece
+    /// before claiming the next, so at most one decoded piece per
+    /// worker is alive beside what the cache retains. The first failing
+    /// miss fails the request and stops further claims; a failing
+    /// prefetch never does — a real read of that chunk will surface the
+    /// error. Cache probes here are non-counting (`peek` and the
+    /// single-flight re-check) — the caller already charged exactly one
+    /// hit or miss per wanted chunk, and charging again is the
+    /// double-count this engine exists to prevent. Returns how many
+    /// misses were served by sub-chunk (partial) decodes. A no-op when
+    /// everything was warm and the prefetch extension is empty or
+    /// cached — the zero-allocation case.
     fn finish_cold(
         &self,
         state: &ReadState,
         region: &Region,
-        scatter: &mut impl FnMut(&NdArray<T>, &Region),
+        scatter: &mut (impl FnMut(&NdArray<T>, &Region) + Send),
         misses: &[usize],
         ahead: &[usize],
         rid: u64,
@@ -800,33 +808,28 @@ impl<T: Element> ArrayReader<T> {
         if to_fetch.is_empty() {
             return Ok(0);
         }
-        let fetched: Vec<TaggedFetch<T>> = self.pool.install(|| {
-            to_fetch
-                .par_iter()
-                .map(|&(i, wanted)| {
-                    // Only wanted chunks may decode partially: a
-                    // prefetch's entire point is a cached whole chunk.
-                    (i, wanted, self.fetch_part(state, i, wanted.then_some(region), rid))
-                })
-                .collect()
-        });
-        let mut partial = 0usize;
-        for (i, wanted, part) in fetched {
-            // A speculative prefetch failure must not fail the request
-            // that merely happened to trigger it — a real read of that
-            // chunk will surface the error.
-            if !wanted {
-                continue;
-            }
-            match part? {
-                Fetched::Whole(p) => scatter(&p, &state.store.grid().chunk_region(i)),
-                Fetched::Partial(p, covered) => {
-                    partial += 1;
-                    scatter(&p, &covered);
+        let partial = AtomicUsize::new(0);
+        let scatter = Mutex::new(scatter);
+        self.pool.install(|| {
+            to_fetch.par_iter().try_for_each(|&(i, wanted)| {
+                // Only wanted chunks may decode partially: a
+                // prefetch's entire point is a cached whole chunk.
+                let part = self.fetch_part(state, i, wanted.then_some(region), rid);
+                if !wanted {
+                    return Ok(());
                 }
-            }
-        }
-        Ok(partial)
+                match part? {
+                    Fetched::Whole(p) => (scatter.lock())(&p, &state.store.grid().chunk_region(i)),
+                    Fetched::Partial(p, covered) => {
+                        // A statistic; publishes nothing else.
+                        partial.fetch_add(1, Ordering::Relaxed);
+                        (scatter.lock())(&p, &covered);
+                    }
+                }
+                Ok(())
+            })
+        })?;
+        Ok(partial.into_inner())
     }
 
     /// Warms the cache with every chunk `region` intersects without

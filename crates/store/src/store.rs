@@ -9,6 +9,7 @@ use crate::metrics::store_metrics;
 use crate::mutable;
 use crate::shard::{build_shard, MAX_SLOTS};
 use crate::storage::Storage;
+use parking_lot::Mutex;
 use std::sync::Arc;
 use eblcio_codec::estimate::estimate_cr;
 use eblcio_codec::header::check_dtype;
@@ -52,7 +53,13 @@ const ADAPTIVE_SAMPLE_ROWS: usize = 2;
 /// chunk∩region intersection is at most `1/PARTIAL_DECODE_DENOM` of
 /// the chunk's samples: partial decode still pays block-granular
 /// stream parsing, so near-whole-chunk requests decode the whole
-/// chunk (one pass, no gather overhead) instead.
+/// chunk (one pass, no gather overhead) instead. Measured for PR 23 on
+/// `cold_region_read` (23 of 88 touches qualify at 8): a denominator of
+/// 2 read 201–228 MB/s against 184–214 at 8 over four alternating
+/// 10-second pairs, medians 206 and 198 — inside the run-to-run spread,
+/// so unresolved, and the issue's own prototype read 129–153 against
+/// 134–171. A region decode still parses every block up to the box, so
+/// widening eligibility buys little until that is cheaper; 8 stays.
 const PARTIAL_DECODE_DENOM: usize = 8;
 
 /// A reader over a chunked compressed array stream, plus the
@@ -748,38 +755,36 @@ impl ChunkedStore {
         Ok((self.decode_chunk(codec, i)?, self.grid.chunk_region(i), false))
     }
 
-    /// Decompresses the whole array, decoding chunks in parallel on the
-    /// shared rayon pool for `threads` workers.
+    /// Decompresses the whole array on `threads` workers of the shared
+    /// rayon pool. Workers claim chunks one at a time, and each copies
+    /// its decoded chunk into the output (under a short lock) and drops
+    /// it before claiming the next, so no more than `threads` decoded
+    /// chunks are alive beside the output.
     pub fn read_full<T: Element>(&self, threads: usize) -> Result<NdArray<T>> {
         assert!(threads >= 1, "thread count must be >= 1");
         check_dtype::<T>(self.manifest.dtype)?;
         let decoders = self.decoders()?;
         let ids: Vec<usize> = (0..self.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let parts: Vec<Result<NdArray<T>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
-                    self.decode_chunk(codec, i)
-                })
-                .collect()
-        });
-        let mut out = NdArray::<T>::zeros(self.manifest.shape);
-        for (i, part) in parts.into_iter().enumerate() {
-            let part = part?;
-            let region = self.grid.chunk_region(i);
-            let rank = region.rank();
-            copy_region(
-                part.as_slice(),
-                part.shape(),
-                &[0usize; MAX_RANK][..rank],
-                out.as_mut_slice(),
-                self.manifest.shape,
-                region.origin(),
-                region.extent(),
-            );
-        }
-        Ok(out)
+        let out = Mutex::new(NdArray::<T>::zeros(self.manifest.shape));
+        pool_for(threads)?.install(|| {
+            ids.par_iter().try_for_each(|&i| {
+                let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
+                let part = self.decode_chunk::<T>(codec, i)?;
+                let region = self.grid.chunk_region(i);
+                let rank = region.rank();
+                copy_region(
+                    part.as_slice(),
+                    part.shape(),
+                    &[0usize; MAX_RANK][..rank],
+                    out.lock().as_mut_slice(),
+                    self.manifest.shape,
+                    region.origin(),
+                    region.extent(),
+                );
+                Ok(())
+            })
+        })?;
+        Ok(out.into_inner())
     }
 
     /// Decompresses exactly the chunks intersecting `region` and
@@ -794,8 +799,10 @@ impl ChunkedStore {
     /// [`ChunkedStore::read_full`]) across the width installed on the
     /// shared rayon pool — callers wanting a specific width wrap the
     /// call in `pool_for(threads)?.install(..)`; outside any pool the
-    /// machine's parallelism applies. The scatter into the output box
-    /// stays serial: it is memcpy-bound and a fraction of decode cost.
+    /// machine's parallelism applies. Each worker scatters the piece it
+    /// decoded into the output box itself, under a short lock (the copy
+    /// is memcpy-bound and a fraction of decode cost), and drops it
+    /// before claiming the next chunk.
     ///
     /// # Panics
     /// Panics if the region does not fit inside the array shape.
@@ -809,28 +816,25 @@ impl ChunkedStore {
         check_dtype::<T>(self.manifest.dtype)?;
         let decoders = self.decoders()?;
         let hits = self.grid.chunks_intersecting(region);
-        let parts: Vec<Result<(NdArray<T>, Region, bool)>> = hits
-            .par_iter()
-            .map(|&i| {
-                let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
-                self.decode_chunk_for_region::<T>(codec, i, region)
-            })
-            .collect();
-        let mut out = NdArray::<T>::zeros(region.shape());
-        let mut stats = RegionReadStats {
+        let stats = RegionReadStats {
             chunks_decoded: hits.len(),
             chunks_total: self.n_chunks(),
             ..RegionReadStats::default()
         };
-        for (&i, part) in hits.iter().zip(parts) {
-            let (part, part_region, partial) = part?;
+        let assembled = Mutex::new((NdArray::<T>::zeros(region.shape()), stats));
+        hits.par_iter().try_for_each(|&i| {
+            let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
+            let (part, part_region, partial) = self.decode_chunk_for_region::<T>(codec, i, region)?;
+            let mut guard = assembled.lock();
+            let (out, stats) = &mut *guard;
             stats.compressed_bytes_read += self.manifest.chunks[i].len;
             stats.partial_decodes += usize::from(partial);
             stats.samples_decoded += part.len() as u64;
-            scatter_chunk(&part, &part_region, region, &mut out);
-        }
+            scatter_chunk(&part, &part_region, region, out);
+            Ok(())
+        })?;
         m.read_region_ns.record(sw.elapsed_ns());
-        Ok((out, stats))
+        Ok(assembled.into_inner())
     }
 
     /// Decompresses an axis-aligned region, touching only the chunks
