@@ -8,7 +8,22 @@
 //! encoder keeps exactly as many bitplanes as the error bound requires —
 //! and, in this implementation, *verifies* each block against the bound
 //! on the decoder's own integer path, escalating planes (or falling back
-//! to verbatim storage) so the EBLC guarantee is strict.
+//! to verbatim storage) so the EBLC guarantee is strict. A verification
+//! pass only answers "within the bound?", so it stops at the first
+//! sample over it.
+//!
+//! Every block is coded on its real extent. An axis along which the
+//! block has one sample — a unit array axis, as in a per-timestep
+//! `[1, n, n, n]` chunk, or a trailing edge block when `dim % 4 == 1` —
+//! is *collapsed*: padding would fill it with four replicas, and since
+//! `fwd_lift4(c, c, c, c) = (c, 0, 0, 0)` and
+//! `inv_lift4(a, 0, 0, 0) = (a, a, a, a)`, the padded block's
+//! coefficients are the reduced block's with exact zeros elsewhere (see
+//! [`crate::transform`]). So gather, rounding, the forward transform,
+//! every verification pass and the decoder's reconstruction run on the
+//! `4^k` positions of the block's `k` live axes; only the plane coder
+//! sees the full `4^rank` coefficient array, and the stream is the one
+//! full-rank coding writes, bit for bit.
 
 use super::common::{for_each_block, BlockRows};
 use super::impl_stage_codec;
@@ -16,10 +31,11 @@ use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{CodecError, Result};
 use crate::traits::CompressorId;
 use crate::transform::{
-    decode_planes, encode_planes, fwd_transform, int_to_nega, inv_transform, nega_to_int,
-    sequency_order, BLOCK_EDGE, FIXED_PREC, MAX_BLOCK,
+    decode_planes, embed_coeffs, encode_planes, fwd_transform, inv_transform, live_coeffs,
+    live_order, BLOCK_EDGE, FIXED_PREC, MAX_BLOCK,
 };
 use eblcio_data::{ArrayView, Element, NdArray};
+use std::ops::ControlFlow;
 
 /// Negabinary bit width coded per coefficient.
 const TOTAL_BITS: u32 = (FIXED_PREC + 4) as u32;
@@ -73,12 +89,7 @@ impl Zfp {
     ) -> Result<(Vec<u8>, f64)> {
         let shape = data.shape();
         let rank = shape.rank();
-        let pad = 4 - rank;
-        let perm = sequency_order(rank);
         let n_block = BLOCK_EDGE.pow(rank as u32);
-        let samples = data.as_slice();
-        let strides = shape.strides();
-
         let mut bw = BitWriter::with_capacity(data.nbytes() / 4);
         let block_dims = [BLOCK_EDGE; 4];
         let fixed_planes = match self.mode {
@@ -88,58 +99,10 @@ impl Zfp {
         // Achieved maximum error, recorded in the header for
         // fixed-precision streams (no a-priori bound there).
         let mut achieved_err = 0.0f64;
-
-        let mut padded = [0.0f64; MAX_BLOCK];
-        let mut ints = [0i64; MAX_BLOCK];
-        let mut nega = [0u64; MAX_BLOCK];
-        let mut recon = [0i64; MAX_BLOCK];
-        let mut raw_bytes = Vec::new();
-        // Block geometry left-padded to four axes: a real axis spans
-        // `BLOCK_EDGE` padded positions, a padding axis one.
-        let mut edge = [1usize; 4];
-        for e in &mut edge[pad..] {
-            *e = BLOCK_EDGE;
-        }
+        let mut enc = BlockEncoder::new(data);
 
         for_each_block(shape, &block_dims[..rank], |base, dims| {
-            // Flat sample offset contributed by each padded position of
-            // each axis, clamped to the array (edge replication).
-            let mut axis_off = [[0usize; BLOCK_EDGE]; 4];
-            let mut dims4 = [1usize; 4];
-            for d in 0..rank {
-                dims4[pad + d] = dims[d];
-                for (p, slot) in axis_off[pad + d].iter_mut().enumerate() {
-                    *slot = (base[d] + p).min(shape.dim(d) - 1) * strides[d];
-                }
-            }
-            // Verbatim storage of the block's samples.
-            let mut put_raw = |bw: &mut BitWriter| {
-                bw.put_bits(MODE_RAW, 2);
-                block_samples(&dims4, &edge, &axis_off, |_, off| {
-                    raw_bytes.clear();
-                    samples[off].write_le(&mut raw_bytes);
-                    for &b in &raw_bytes {
-                        bw.put_bits(u64::from(b), 8);
-                    }
-                });
-            };
-
-            // Gather the block row by row, edge-padded by replication.
-            let padded = &mut padded[..n_block];
-            let mut k = 0usize;
-            for p0 in 0..edge[0] {
-                for p1 in 0..edge[1] {
-                    for p2 in 0..edge[2] {
-                        let off = axis_off[0][p0] + axis_off[1][p1] + axis_off[2][p2];
-                        for &last in &axis_off[3][..edge[3]] {
-                            padded[k] = samples[off + last].to_f64();
-                            k += 1;
-                        }
-                    }
-                }
-            }
-
-            let max_abs = padded.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let max_abs = enc.load(base, dims);
             let zero_ok = if fixed_planes.is_some() {
                 max_abs == 0.0
             } else {
@@ -152,103 +115,35 @@ impl Zfp {
                 bw.put_bits(MODE_ZERO, 2);
                 return;
             }
-
-            // Fixed-point alignment.
-            let emax = max_abs.log2().floor() as i32;
-            if emax < -1000 {
-                // Subnormal territory: the fixed-point path would
-                // overflow its scale factor; store verbatim.
-                put_raw(&mut bw);
+            let Some((emax, scale)) = enc.transform(max_abs) else {
+                enc.put_raw(&mut bw);
                 return;
-            }
-            let s_exp = FIXED_PREC - 3 - emax;
-            let scale = (s_exp as f64).exp2();
-            let inv_scale = (-s_exp as f64).exp2();
-            let ints = &mut ints[..n_block];
-            for (q, &v) in ints.iter_mut().zip(padded.iter()) {
-                *q = (v * scale).round() as i64;
-            }
-            fwd_transform(ints, rank);
-            let nega = &mut nega[..n_block];
-            for (u, &i) in nega.iter_mut().zip(perm) {
-                *u = int_to_nega(ints[i]);
-            }
-
-            // Largest error, in T precision, of the block decoded from
-            // `planes` bitplanes — on the decoder's exact path, at the
-            // unpadded sample positions.
-            let recon = &mut recon[..n_block];
-            let mut decoded_err = |planes: u32| {
-                Self::reconstruct_block(nega, perm, rank, planes, recon);
-                let mut err = 0.0f64;
-                block_samples(&dims4, &edge, &axis_off, |poff, _| {
-                    let rt = T::from_f64(recon[poff] as f64 * inv_scale).to_f64();
-                    err = err.max((rt - padded[poff]).abs());
-                });
-                err
             };
-
-            // Initial plane budget from the tolerance, then verify and
-            // escalate on the decoder's exact path. Starting one plane
-            // *optimistic* and escalating keeps the coded precision tight
-            // against the bound (better CR) at the cost of an occasional
-            // extra verification pass.
             let ok_planes = if let Some(p) = fixed_planes {
                 // Fixed precision: constant plane count, record the
-                // achieved error instead of enforcing a bound.
-                achieved_err = achieved_err.max(decoded_err(p));
+                // achieved error — the full maximum — instead of
+                // enforcing a bound.
+                achieved_err = achieved_err.max(enc.decoded_err(p, f64::INFINITY));
                 Some(p)
             } else {
-                let tol_int = abs * scale;
-                let drop_bits =
-                    tol_int.log2().floor().min(f64::from(TOTAL_BITS)) as i32 + 1;
-                let mut planes =
-                    (TOTAL_BITS as i32 - drop_bits).clamp(1, TOTAL_BITS as i32) as u32;
-                loop {
-                    if decoded_err(planes) <= abs {
-                        break Some(planes);
-                    }
-                    if planes >= TOTAL_BITS {
-                        break None;
-                    }
-                    planes = (planes + 2).min(TOTAL_BITS);
-                }
+                accuracy_planes(abs, scale, |p| enc.decoded_err(p, abs) <= abs)
             };
-
             match ok_planes {
                 Some(p) => {
                     bw.put_bits(MODE_CODED, 2);
                     bw.put_bits((emax + 2048) as u64, 12);
                     bw.put_bits(u64::from(p), 7);
-                    encode_planes(&mut bw, nega, TOTAL_BITS, p);
+                    encode_planes(&mut bw, &enc.nega[..n_block], TOTAL_BITS, p);
                 }
                 // Bound tighter than the fixed-point path can honour:
                 // store the samples verbatim.
-                None => put_raw(&mut bw),
+                None => enc.put_raw(&mut bw),
             }
         });
 
         // Fixed-precision streams record the error actually achieved.
         let recorded = if fixed_planes.is_some() { achieved_err } else { abs };
         Ok((bw.finish(), recorded))
-    }
-
-    /// Shared encoder-verification / decoder reconstruction: truncated
-    /// negabinary coefficients → the block's fixed-point sample values,
-    /// written to `out` (`4^rank` entries). A sample is
-    /// `out[i] as f64 · inv_scale`, converted where it is used — edge
-    /// blocks and unit axes use only part of the padded block.
-    fn reconstruct_block(nega: &[u64], perm: &[usize], rank: usize, planes: u32, out: &mut [i64]) {
-        let keep = planes.min(TOTAL_BITS);
-        let mask: u64 = if keep >= 64 {
-            u64::MAX
-        } else {
-            !((1u64 << (TOTAL_BITS - keep)) - 1)
-        };
-        for (&u, &p) in nega.iter().zip(perm) {
-            out[p] = nega_to_int(u & mask);
-        }
-        inv_transform(out, rank);
     }
 
     /// Array-stage decode: mirror of [`Self::encode_impl`]. The block
@@ -283,6 +178,218 @@ impl Zfp {
     }
 }
 
+/// Fixed-accuracy plane count: an initial budget from the tolerance,
+/// then verify and escalate on the decoder's exact path (`within`).
+/// Starting one plane *optimistic* and escalating keeps the coded
+/// precision tight against the bound (better CR) at the cost of an
+/// occasional extra verification pass. `None` when even every plane
+/// misses the bound.
+fn accuracy_planes(abs: f64, scale: f64, mut within: impl FnMut(u32) -> bool) -> Option<u32> {
+    let tol_int = abs * scale;
+    let drop_bits = tol_int.log2().floor().min(f64::from(TOTAL_BITS)) as i32 + 1;
+    let mut planes = (TOTAL_BITS as i32 - drop_bits).clamp(1, TOTAL_BITS as i32) as u32;
+    loop {
+        if within(planes) {
+            return Some(planes);
+        }
+        if planes >= TOTAL_BITS {
+            return None;
+        }
+        planes = (planes + 2).min(TOTAL_BITS);
+    }
+}
+
+/// The encoder's view of one block at a time: the loaded block's
+/// geometry and the fixed-size buffers reused across blocks and
+/// verification passes.
+struct BlockEncoder<'a, T: Element> {
+    samples: &'a [T],
+    shape: eblcio_data::Shape,
+    strides: [usize; 4],
+    live: LiveBlock,
+    /// The block's extent, left-padded to four axes.
+    dims4: [usize; 4],
+    /// Flat sample offset contributed by each padded position of each
+    /// live axis, clamped to the array (edge replication).
+    axis_off: [[usize; BLOCK_EDGE]; 4],
+    /// The reduced block's samples.
+    padded: [f64; MAX_BLOCK],
+    /// Its fixed-point values, then coefficients.
+    ints: [i64; MAX_BLOCK],
+    /// The full block's sequency-ordered negabinary coefficients.
+    nega: [u64; MAX_BLOCK],
+    recon: [i64; MAX_BLOCK],
+    inv_scale: f64,
+    raw_bytes: Vec<u8>,
+}
+
+impl<'a, T: Element> BlockEncoder<'a, T> {
+    fn new(data: ArrayView<'a, T>) -> Self {
+        Self {
+            samples: data.as_slice(),
+            shape: data.shape(),
+            strides: data.shape().strides(),
+            // Replaced by every `load`.
+            live: LiveBlock::new(&[1]),
+            dims4: [1; 4],
+            axis_off: [[0; BLOCK_EDGE]; 4],
+            padded: [0.0; MAX_BLOCK],
+            ints: [0; MAX_BLOCK],
+            nega: [0; MAX_BLOCK],
+            recon: [0; MAX_BLOCK],
+            inv_scale: 0.0,
+            raw_bytes: Vec::new(),
+        }
+    }
+
+    /// Gathers the block `base .. base + dims` on its live extent, row by
+    /// row, edge-padded by replication along the live axes; returns its
+    /// largest magnitude.
+    fn load(&mut self, base: &[usize], dims: &[usize]) -> f64 {
+        let rank = dims.len();
+        let pad = 4 - rank;
+        self.live = LiveBlock::new(dims);
+        let edge = self.live.edge;
+        self.dims4 = [1; 4];
+        for d in 0..rank {
+            self.dims4[pad + d] = dims[d];
+            let last = self.shape.dim(d) - 1;
+            let positions = &mut self.axis_off[pad + d][..edge[pad + d]];
+            for (p, slot) in positions.iter_mut().enumerate() {
+                *slot = (base[d] + p).min(last) * self.strides[d];
+            }
+        }
+        let (samples, axis_off) = (self.samples, &self.axis_off);
+        let padded = &mut self.padded[..self.live.len()];
+        let mut k = 0usize;
+        for p0 in 0..edge[0] {
+            for p1 in 0..edge[1] {
+                for p2 in 0..edge[2] {
+                    let off = axis_off[0][p0] + axis_off[1][p1] + axis_off[2][p2];
+                    for &last in &axis_off[3][..edge[3]] {
+                        padded[k] = samples[off + last].to_f64();
+                        k += 1;
+                    }
+                }
+            }
+        }
+        padded.iter().fold(0.0f64, |m, v| m.max(v.abs()))
+    }
+
+    /// Aligns the loaded block to its common exponent as fixed-point
+    /// integers, transforms them over the live axes and embeds the
+    /// coefficients into [`Self::nega`] for the plane coder. Returns the
+    /// exponent and the fixed-point scale — or `None` in subnormal
+    /// territory, where the scale factor would overflow and the block is
+    /// stored verbatim.
+    fn transform(&mut self, max_abs: f64) -> Option<(i32, f64)> {
+        let emax = max_abs.log2().floor() as i32;
+        if emax < -1000 {
+            return None;
+        }
+        let s_exp = FIXED_PREC - 3 - emax;
+        let scale = (s_exp as f64).exp2();
+        self.inv_scale = (-s_exp as f64).exp2();
+        let n = self.live.len();
+        let ints = &mut self.ints[..n];
+        for (q, &v) in ints.iter_mut().zip(&self.padded[..n]) {
+            *q = (v * scale).round() as i64;
+        }
+        fwd_transform(ints, self.live.k);
+        let n_block = BLOCK_EDGE.pow(self.shape.rank() as u32);
+        embed_coeffs(ints, self.live.order, &mut self.nega[..n_block]);
+        Some((emax, scale))
+    }
+
+    /// Largest error, in `T` precision, of the loaded block decoded from
+    /// `planes` bitplanes — on the decoder's exact path, at the block's
+    /// own sample positions — or the first one above `stop`, where the
+    /// walk ends. `e > stop` is false for NaN, which `max` ignores too,
+    /// so a pass decides exactly as `max ≤ stop` would.
+    fn decoded_err(&mut self, planes: u32, stop: f64) -> f64 {
+        let n = self.live.len();
+        let recon = &mut self.recon[..n];
+        self.live.reconstruct(&self.nega, planes, recon);
+        let (padded, inv_scale) = (&self.padded[..n], self.inv_scale);
+        let mut err = 0.0f64;
+        let _ = block_samples(&self.dims4, &self.live.edge, &self.axis_off, |poff, _| {
+            let rt = T::from_f64(recon[poff] as f64 * inv_scale).to_f64();
+            let e = (rt - padded[poff]).abs();
+            if e > stop {
+                err = e;
+                return ControlFlow::Break(());
+            }
+            err = err.max(e);
+            ControlFlow::Continue(())
+        });
+        err
+    }
+
+    /// Verbatim storage of the loaded block's samples.
+    fn put_raw(&mut self, bw: &mut BitWriter) {
+        bw.put_bits(MODE_RAW, 2);
+        let (samples, raw_bytes) = (self.samples, &mut self.raw_bytes);
+        let _ = block_samples(&self.dims4, &self.live.edge, &self.axis_off, |_, off| {
+            raw_bytes.clear();
+            samples[off].write_le(raw_bytes);
+            for &b in raw_bytes.iter() {
+                bw.put_bits(u64::from(b), 8);
+            }
+            ControlFlow::Continue(())
+        });
+    }
+}
+
+/// One block's real extent, left-padded to four axes like [`BlockRows`]:
+/// the reduced block its `k` live axes (extent > 1) span, and where its
+/// coefficients sit among the full block's (see the module docs). A
+/// block with no collapsed axis is the `k = rank` case.
+struct LiveBlock {
+    /// Padded positions per axis: [`BLOCK_EDGE`] on a live axis, 1 on a
+    /// collapsed or padding one. The reduced block is row-major over
+    /// these.
+    edge: [usize; 4],
+    /// Number of live axes.
+    k: usize,
+    /// Sequency position of each reduced coefficient ([`live_order`]).
+    order: &'static [usize],
+}
+
+impl LiveBlock {
+    /// The live extent of a block of `dims` (rank-length, as
+    /// [`for_each_block`] yields them).
+    fn new(dims: &[usize]) -> Self {
+        let rank = dims.len();
+        let pad = 4 - rank;
+        let mut edge = [1; 4];
+        let mut collapsed = 0usize;
+        for (d, &n) in dims.iter().enumerate() {
+            if n == 1 {
+                collapsed |= 1 << d;
+            } else {
+                edge[pad + d] = BLOCK_EDGE;
+            }
+        }
+        Self { edge, k: rank - collapsed.count_ones() as usize, order: live_order(rank, collapsed) }
+    }
+
+    /// Entries of the reduced block, `4^k`.
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The one reconstruction path, under encoder verification and the
+    /// decoder: the live coefficients of the sequency-ordered `nega`,
+    /// truncated to `planes` bitplanes and inverse-transformed over the
+    /// live axes into `out` (`4^k` entries). A sample is
+    /// `out[i] as f64 · inv_scale`, converted where it is used.
+    fn reconstruct(&self, nega: &[u64], planes: u32, out: &mut [i64]) {
+        let mask = !((1u64 << (TOTAL_BITS - planes.min(TOTAL_BITS))) - 1);
+        live_coeffs(nega, self.order, mask, out);
+        inv_transform(out, self.k);
+    }
+}
+
 /// Where one block meets the requested box, every array left-padded to
 /// four axes like [`BlockRows`].
 struct BlockHit {
@@ -296,7 +403,7 @@ struct BlockHit {
 
 impl BlockHit {
     /// Visits the intersection's rows: offset of the row's first sample
-    /// in the padded `4^rank` block, and in the output.
+    /// in the reduced block laid out over `edge`, and in the output.
     #[inline(always)]
     fn for_each_row(&self, edge: &[usize; 4], mut f: impl FnMut(usize, usize)) {
         let s = &self.skip;
@@ -310,8 +417,9 @@ impl BlockHit {
 
 /// Decodes the box `origin .. origin + extent` of a ZFP block stream
 /// over `shape` — the whole array when the box is the array. Blocks are
-/// written row by row: an interior block is `4^(rank−1)` four-sample
-/// row copies out of the reconstructed block.
+/// reconstructed on their live extent ([`LiveBlock`]) and written row by
+/// row: an interior block is `4^(rank−1)` four-sample row copies out of
+/// the reconstructed block.
 fn decode_box<T: Element>(
     payload: &[u8],
     shape: eblcio_data::Shape,
@@ -320,16 +428,11 @@ fn decode_box<T: Element>(
 ) -> Result<NdArray<T>> {
     let rank = shape.rank();
     let pad = 4 - rank;
-    let perm = sequency_order(rank);
     let n_block = BLOCK_EDGE.pow(rank as u32);
     let mut br = BitReader::new(payload);
     let out_shape = eblcio_data::Shape::new(extent);
     let mut out: Vec<T> = vec![T::default(); out_shape.len()];
     let block_dims = [BLOCK_EDGE; 4];
-    let mut edge = [1usize; 4];
-    for e in &mut edge[pad..] {
-        *e = BLOCK_EDGE;
-    }
     let sample_bits = (T::BYTES * 8) as u32;
     let mut failure: Option<CodecError> = None;
     let mut nega = [0u64; MAX_BLOCK];
@@ -374,7 +477,7 @@ fn decode_box<T: Element>(
                 MODE_ZERO => {
                     if let Some(h) = &hit {
                         let row_len = h.rows.dims[3];
-                        h.for_each_row(&edge, |_, off| {
+                        h.rows.for_each_row(|_, off| {
                             out[off..off + row_len].fill(T::from_f64(0.0));
                         });
                     }
@@ -424,10 +527,11 @@ fn decode_box<T: Element>(
                     if let Some(h) = &hit {
                         let s_exp = FIXED_PREC - 3 - emax;
                         let inv_scale = (-s_exp as f64).exp2();
-                        let recon = &mut recon[..n_block];
-                        Zfp::reconstruct_block(nega, perm, rank, TOTAL_BITS, recon);
+                        let live = LiveBlock::new(dims);
+                        let recon = &mut recon[..live.len()];
+                        live.reconstruct(nega, TOTAL_BITS, recon);
                         let row_len = h.rows.dims[3];
-                        h.for_each_row(&edge, |poff, off| {
+                        h.for_each_row(&live.edge, |poff, off| {
                             let row = &recon[poff..poff + row_len];
                             for (o, &q) in out[off..off + row_len].iter_mut().zip(row) {
                                 *o = T::from_f64(q as f64 * inv_scale);
@@ -451,28 +555,30 @@ fn decode_box<T: Element>(
     Ok(NdArray::from_vec(out_shape, out))
 }
 
-/// Visits a block's own (unpadded) samples in raster order: position in
-/// the padded block, flat offset in the array. `dims4` is the block's
-/// extent and `edge` the padded block's, both left-padded to four axes;
-/// `axis_off` holds each axis position's flat-offset contribution.
+/// Visits a block's own (unpadded) samples in raster order until `f`
+/// breaks: position in the reduced block, flat offset in the array.
+/// `dims4` is the block's extent and `edge` the reduced block's
+/// ([`LiveBlock::edge`]), both left-padded to four axes; `axis_off`
+/// holds each axis position's flat-offset contribution.
 #[inline(always)]
 fn block_samples(
     dims4: &[usize; 4],
     edge: &[usize; 4],
     axis_off: &[[usize; BLOCK_EDGE]; 4],
-    mut f: impl FnMut(usize, usize),
-) {
+    mut f: impl FnMut(usize, usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     for i0 in 0..dims4[0] {
         for i1 in 0..dims4[1] {
             for i2 in 0..dims4[2] {
                 let poff = ((i0 * edge[1] + i1) * edge[2] + i2) * edge[3];
                 let off = axis_off[0][i0] + axis_off[1][i1] + axis_off[2][i2];
                 for (i3, &last) in axis_off[3][..dims4[3]].iter().enumerate() {
-                    f(poff + i3, off + last);
+                    f(poff + i3, off + last)?;
                 }
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
 impl_stage_codec!(Zfp, CompressorId::Zfp, region);
@@ -687,5 +793,127 @@ mod tests {
         let a = decompress::<f32>(&enc, &stream).unwrap();
         let b = decompress::<f32>(&chain_around(Zfp::default()), &stream).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    /// Shapes whose blocks collapse at each axis position — a `k = 0`
+    /// edge block (`1025 = 4·256 + 1`), trailing `dim % 4 == 1` edges,
+    /// unit axes in front and inside, and the benchmark's per-timestep
+    /// chunk — each with a box aligned to no block.
+    const COLLAPSING: [(&[usize], &[usize], &[usize]); 5] = [
+        (&[1025], &[3], &[1022]),
+        (&[5, 9], &[1, 2], &[4, 7]),
+        (&[9, 1, 13], &[2, 0, 5], &[7, 1, 8]),
+        (&[1, 1, 5, 9], &[0, 0, 1, 3], &[1, 1, 4, 6]),
+        (&[1, 32, 32, 32], &[0, 5, 3, 9], &[1, 13, 14, 10]),
+    ];
+
+    /// Smooth content with a zero corner (zero blocks) and scattered
+    /// spikes that a tight absolute bound can only store verbatim.
+    fn collapsing_field<T: Element>(shape: Shape) -> NdArray<T> {
+        NdArray::from_fn(shape, |i| {
+            let h = i.iter().fold(17u64, |h, &c| h.wrapping_mul(31).wrapping_add(c as u64));
+            let v = if i.iter().all(|&c| c < 4) {
+                0.0
+            } else if h % 211 == 0 {
+                1e30
+            } else {
+                let phase: f64 =
+                    i.iter().enumerate().map(|(d, &c)| c as f64 * (0.11 + 0.07 * d as f64)).sum();
+                phase.sin() * 40.0 + (phase * 0.31).cos() * 9.0
+            };
+            T::from_f64(v)
+        })
+    }
+
+    fn check_collapsing<T: Element>() {
+        for (dims, origin, extent) in COLLAPSING {
+            let shape = Shape::new(dims);
+            let data = collapsing_field::<T>(shape);
+            let last: Vec<usize> = dims.iter().map(|&n| n - 1).collect();
+            for (c, bound) in [
+                (chain_around(Zfp::default()), ErrorBound::Absolute(1e-2)),
+                (chain_around(Zfp::default()), ErrorBound::Relative(1e-3)),
+                (chain_around(Zfp::with_fixed_precision(24)), ErrorBound::Relative(1e-1)),
+            ] {
+                let what = format!("{shape} {} {bound:?}", T::NAME);
+                let stream = compress(&c, &data, bound).unwrap();
+                // Within the bound — for fixed precision, the achieved
+                // error the header records.
+                let (h, _) = crate::header::read_stream(&stream).unwrap();
+                let whole = decompress::<T>(&c, &stream).unwrap();
+                for (a, b) in data.as_slice().iter().zip(whole.as_slice()) {
+                    let err = (a.to_f64() - b.to_f64()).abs();
+                    assert!(err <= h.abs_bound, "{what}: error {err} over {}", h.abs_bound);
+                }
+                let ones = vec![1; dims.len()];
+                for (o, e) in [(origin, extent), (&last[..], &ones[..])] {
+                    let part = decompress_region::<T>(&c, &stream, o, e).unwrap().unwrap();
+                    let mut at = vec![0usize; e.len()];
+                    for (i, got) in part.as_slice().iter().enumerate() {
+                        let mut rest = i;
+                        for d in (0..e.len()).rev() {
+                            at[d] = o[d] + rest % e[d];
+                            rest /= e[d];
+                        }
+                        assert_eq!(
+                            got.to_bits(),
+                            whole.get(&at).to_bits(),
+                            "{what}: {o:?}+{e:?} at {at:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn collapsed_blocks_roundtrip_and_region_equals_whole_f32() {
+        check_collapsing::<f32>();
+    }
+
+    #[test]
+    fn collapsed_blocks_roundtrip_and_region_equals_whole_f64() {
+        check_collapsing::<f64>();
+    }
+
+    /// The early-exit verifier against a full-max one on every coded
+    /// block of the benchmark field's first plane (`S3D`, `Scale::Small`,
+    /// ε = 10⁻³ of the whole field's range, as `dump_write` resolves
+    /// it): both pick the same plane count, and the first pass fails
+    /// often enough that exiting early is exercised.
+    #[test]
+    fn early_exit_verifier_picks_the_full_max_plane_count() {
+        use eblcio_data::generators::Scale;
+        use eblcio_data::{Dataset, DatasetKind, DatasetSpec};
+        let Dataset::F64(field) = DatasetSpec::new(DatasetKind::S3d, Scale::Small).generate()
+        else {
+            panic!("S3D is double precision");
+        };
+        let (lo, hi) =
+            field.as_slice().iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+        let abs = 1e-3 * (hi - lo);
+        let mut dims = field.shape().dims().to_vec();
+        dims[0] = 1;
+        let shape = Shape::new(&dims);
+        let plane = NdArray::from_vec(shape, field.as_slice()[..shape.len()].to_vec());
+        let mut enc = BlockEncoder::new(plane.view());
+        let (mut coded, mut failed_passes) = (0usize, 0usize);
+        for_each_block(shape, &[BLOCK_EDGE; 4], |base, dims| {
+            let max_abs = enc.load(base, dims);
+            if max_abs <= abs {
+                return;
+            }
+            let (_, scale) = enc.transform(max_abs).expect("no subnormal blocks");
+            let early = accuracy_planes(abs, scale, |p| {
+                let ok = enc.decoded_err(p, abs) <= abs;
+                failed_passes += usize::from(!ok);
+                ok
+            });
+            let full = accuracy_planes(abs, scale, |p| enc.decoded_err(p, f64::INFINITY) <= abs);
+            assert_eq!(early, full, "block at {base:?}");
+            coded += 1;
+        });
+        assert!(coded > 1000, "{coded} coded blocks");
+        assert!(failed_passes > coded / 2, "{failed_passes} failed passes over {coded} blocks");
     }
 }

@@ -10,6 +10,24 @@
 //! This module implements those primitives; the codec in
 //! [`crate::codecs::zfp`] assembles them into a fixed-accuracy (error
 //! bounded) compressor.
+//!
+//! **Collapsed axes.** A block whose extent along an axis is 1 (a unit
+//! array axis, or a trailing edge block when `dim % 4 == 1`) is padded
+//! along it with four replicas of one slice. Two lifting identities make
+//! that axis free in both directions, exactly:
+//!
+//! - `fwd_lift4(c, c, c, c) = (c, 0, 0, 0)`, and
+//! - `inv_lift4(a, 0, 0, 0) = (a, a, a, a)`.
+//!
+//! Lines along a replica axis are constant at whatever pass they are
+//! lifted, and lifting along any other axis maps zero lines to zero. So
+//! the full block's coefficients are the reduced `4^k` block's (`k` axes
+//! of extent > 1, lifted in the same relative order), embedded at index
+//! 0 of every collapsed axis with exact zeros elsewhere; and the inverse
+//! of such an embedding is the reduced inverse, replicated. The codec
+//! transforms the reduced block only; `live_order` says where its
+//! coefficients sit in the full block's sequency order, which the plane
+//! coder still codes unchanged.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{CodecError, Result};
@@ -85,8 +103,9 @@ fn inv_lift4(mut x: i64, mut y: i64, mut z: i64, mut w: i64) -> (i64, i64, i64, 
     (x, y, z, w)
 }
 
-/// Applies the forward transform to a full 4^rank block (separably along
-/// each dimension).
+/// Applies the forward transform to a 4^rank block (separably along
+/// each dimension, slowest axis first). `rank` 0 is one coefficient and
+/// no pass.
 pub fn fwd_transform(block: &mut [i64], rank: usize) {
     debug_assert_eq!(block.len(), BLOCK_EDGE.pow(rank as u32));
     for d in 0..rank {
@@ -146,6 +165,66 @@ pub fn sequency_order(rank: usize) -> &'static [usize] {
         idx.sort_by_key(|&i| key(i));
         idx
     })
+}
+
+/// Where the coefficients of a block with collapsed axes sit in the full
+/// `4^rank` block's sequency order (see the module docs).
+///
+/// `collapsed` has bit `d` set when axis `d` has extent 1. Entry `j` is
+/// the sequency position of reduced coefficient `j` (row-major over the
+/// live axes), embedded at index 0 of every collapsed axis; every other
+/// position of the full block holds an exact zero. With nothing
+/// collapsed this is the inverse of [`sequency_order`]. Built once per
+/// `(rank, collapsed)` per process.
+///
+/// # Panics
+/// Panics unless `1 ≤ rank ≤ 4` and `collapsed < 2^rank`.
+pub(crate) fn live_order(rank: usize, collapsed: usize) -> &'static [usize] {
+    assert!(collapsed >> rank == 0, "collapse mask {collapsed:#b} beyond rank {rank}");
+    // Ranks 1..=4 take 2 + 4 + 8 + 16 masks, stored back to back.
+    static ORDERS: [OnceLock<Vec<usize>>; 30] = [const { OnceLock::new() }; 30];
+    ORDERS[(1 << rank) - 2 + collapsed].get_or_init(|| {
+        let mut position = vec![0usize; BLOCK_EDGE.pow(rank as u32)];
+        for (u, &i) in sequency_order(rank).iter().enumerate() {
+            position[i] = u;
+        }
+        let live = rank - collapsed.count_ones() as usize;
+        (0..BLOCK_EDGE.pow(live as u32))
+            .map(|j| {
+                // Reduced coordinates, last live axis fastest, spread
+                // over the full block with 0 on the collapsed axes.
+                let (mut rem, mut full, mut step) = (j, 0, 1);
+                for d in (0..rank).rev() {
+                    if collapsed >> d & 1 == 0 {
+                        full += rem % BLOCK_EDGE * step;
+                        rem /= BLOCK_EDGE;
+                    }
+                    step *= BLOCK_EDGE;
+                }
+                position[full]
+            })
+            .collect()
+    })
+}
+
+/// Embeds a reduced block's coefficients into the full block's
+/// sequency-ordered negabinary array: `coeffs[j]` at `order[j]` (from
+/// [`live_order`]), every other slot of `nega` zero.
+pub(crate) fn embed_coeffs(coeffs: &[i64], order: &[usize], nega: &mut [u64]) {
+    nega.fill(0);
+    for (&c, &u) in coeffs.iter().zip(order) {
+        nega[u] = int_to_nega(c);
+    }
+}
+
+/// The reduced block's coefficients read back out of a sequency-ordered
+/// negabinary array through `order`, each masked to its kept planes
+/// (`mask`) and demapped — the inverse of [`embed_coeffs`] on the live
+/// slots.
+pub(crate) fn live_coeffs(nega: &[u64], order: &[usize], mask: u64, out: &mut [i64]) {
+    for (o, &u) in out.iter_mut().zip(order) {
+        *o = nega_to_int(nega[u] & mask);
+    }
 }
 
 /// Two's-complement → negabinary mapping (ZFP's `int2uint`): interleaves
@@ -592,6 +671,124 @@ mod tests {
         let want = decode_planes_reference(&mut slow, n, 52, planes)
             .map(|c| (c, slow.bit_position()));
         (got, want)
+    }
+
+    /// ZFP's own full-rank transform as the reference: [`fwd_lift`] /
+    /// [`inv_lift`] on every line of each axis at its stride, axis 0
+    /// first forward and last first inverse.
+    fn reference_transform(block: &mut [i64], rank: usize, inverse: bool) {
+        let mut axes: Vec<usize> = (0..rank).collect();
+        if inverse {
+            axes.reverse();
+        }
+        for d in axes {
+            let stride = BLOCK_EDGE.pow((rank - 1 - d) as u32);
+            for base in (0..block.len()).filter(|i| (i / stride).is_multiple_of(BLOCK_EDGE)) {
+                if inverse {
+                    inv_lift(block, base, stride);
+                } else {
+                    fwd_lift(block, base, stride);
+                }
+            }
+        }
+    }
+
+    /// The full `4^rank` block that carries `reduced` on its live axes
+    /// and replicates it along every axis set in `collapsed`.
+    fn replicate(reduced: &[i64], rank: usize, collapsed: usize) -> Vec<i64> {
+        (0..BLOCK_EDGE.pow(rank as u32))
+            .map(|i| {
+                let (mut rem, mut j, mut step) = (i, 0, 1);
+                for d in (0..rank).rev() {
+                    if collapsed >> d & 1 == 0 {
+                        j += rem % BLOCK_EDGE * step;
+                        step *= BLOCK_EDGE;
+                    }
+                    rem /= BLOCK_EDGE;
+                }
+                reduced[j]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn live_order_without_collapse_inverts_sequency_order() {
+        for rank in 1..=4usize {
+            let order = live_order(rank, 0);
+            for (i, &u) in order.iter().enumerate() {
+                assert_eq!(sequency_order(rank)[u], i);
+            }
+            // Everything collapsed: the DC coefficient alone.
+            assert_eq!(live_order(rank, (1 << rank) - 1), &[0]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The two lifting identities behind collapsed axes, for every
+        /// rank and every subset of collapsed axes (all of them is
+        /// `k = 0`), on values within ±2^50. Forward: the reference
+        /// transform of the replicated full block is the reduced
+        /// block's [`fwd_transform`], embedded by [`embed_coeffs`] at
+        /// [`live_order`] with exact zeros elsewhere. Inverse: the
+        /// reference inverse of arbitrary embedded coefficients is the
+        /// reduced [`inv_transform`] of the [`live_coeffs`], replicated.
+        /// The embedding target starts out stale, so an embed that
+        /// leaves off-slice slots alone fails; so does a reduced pass
+        /// order that differs from the full one.
+        #[test]
+        fn collapsed_axes_transform_as_the_reduced_block(
+            seed in any::<u64>(),
+            stale in any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let mut value = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % (1 << 51)) as i64 - (1 << 50)
+            };
+            for rank in 1..=4usize {
+                let perm = sequency_order(rank);
+                let n = perm.len();
+                for collapsed in 0..1usize << rank {
+                    let k = rank - collapsed.count_ones() as usize;
+                    let order = live_order(rank, collapsed);
+                    prop_assert_eq!(order.len(), BLOCK_EDGE.pow(k as u32));
+
+                    let reduced: Vec<i64> = order.iter().map(|_| value()).collect();
+                    let mut full = replicate(&reduced, rank, collapsed);
+                    reference_transform(&mut full, rank, false);
+                    let mut coeffs = reduced.clone();
+                    fwd_transform(&mut coeffs, k);
+                    let mut nega = vec![stale; n];
+                    embed_coeffs(&coeffs, order, &mut nega);
+                    for (u, &i) in perm.iter().enumerate() {
+                        prop_assert_eq!(
+                            nega_to_int(nega[u]), full[i],
+                            "forward, rank {} collapsed {:#b}, coefficient {}", rank, collapsed, i
+                        );
+                    }
+
+                    let coeffs: Vec<i64> = order.iter().map(|_| value()).collect();
+                    let mut nega = vec![stale; n];
+                    embed_coeffs(&coeffs, order, &mut nega);
+                    let mut full = vec![0i64; n];
+                    for (u, &i) in perm.iter().enumerate() {
+                        full[i] = nega_to_int(nega[u]);
+                    }
+                    reference_transform(&mut full, rank, true);
+                    let mut reduced = vec![0i64; order.len()];
+                    live_coeffs(&nega, order, u64::MAX, &mut reduced);
+                    inv_transform(&mut reduced, k);
+                    prop_assert_eq!(
+                        &full, &replicate(&reduced, rank, collapsed),
+                        "inverse, rank {} collapsed {:#b}", rank, collapsed
+                    );
+                }
+            }
+        }
     }
 
     proptest! {
