@@ -14,15 +14,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod imbalance;
 pub mod report;
 pub mod topology;
 
-pub use imbalance::{barrier_analysis, ImbalanceReport};
 pub use report::{MultiNodeReport, PhaseCost};
 pub use topology::ClusterSpec;
 
-use eblcio_codec::{compress_dataset, ChainSpec, Compressor, ErrorBound};
+use eblcio_codec::{compress_dataset, Compressor, ErrorBound};
 use eblcio_data::Dataset;
 use eblcio_energy::{measure::energy_for_wall, Activity, Seconds};
 use eblcio_pfs::format::DataObject;
@@ -105,22 +103,6 @@ pub fn run_compress_and_write(
     })
 }
 
-/// [`run_compress_and_write`] for a serialized chain spec: builds the
-/// chain through the registry so cluster campaigns can be described by
-/// configuration (a spec string / manifest entry) instead of a codec
-/// object — any chain the registry knows, preset or custom.
-pub fn run_compress_and_write_chain(
-    spec: &ClusterSpec,
-    data: &Dataset,
-    chain: &ChainSpec,
-    bound: ErrorBound,
-    tool: IoToolKind,
-    pfs: &PfsSim,
-) -> Result<MultiNodeReport, eblcio_codec::CodecError> {
-    let codec = chain.build()?;
-    run_compress_and_write(spec, data, &codec, bound, tool, pfs)
-}
-
 /// The uncompressed baseline ("Original" in Figs. 11/12): every rank
 /// writes the raw data set.
 pub fn run_write_original(
@@ -157,7 +139,7 @@ pub fn run_write_original(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eblcio_codec::CompressorId;
+    use eblcio_codec::{ChainSpec, CompressorId};
     use eblcio_data::generators::Scale;
     use eblcio_data::{DatasetKind, DatasetSpec};
     use eblcio_energy::CpuGeneration;
@@ -220,11 +202,11 @@ mod tests {
         let spec = ClusterSpec::new(1, 4, CpuGeneration::Skylake8160);
         let data = nyx();
         let pfs = PfsSim::testbed();
-        let chain = ChainSpec::parse("szx+lz").unwrap();
-        let r = run_compress_and_write_chain(
+        let codec = ChainSpec::parse("szx+lz").unwrap().build().unwrap();
+        let r = run_compress_and_write(
             &spec,
             &data,
-            &chain,
+            &codec,
             ErrorBound::Relative(1e-3),
             IoToolKind::Hdf5Lite,
             &pfs,

@@ -605,8 +605,9 @@ mod tests {
 
     #[test]
     fn cubic_beats_linear_on_smooth_data() {
-        // The ablation DESIGN.md calls out: cubic stencils buy CR on
-        // smooth fields, and the linear variant still honours the bound.
+        // The ablation EXPERIMENTS.md ("Substitutions") calls out: cubic
+        // stencils buy CR on smooth fields, and the linear variant still
+        // honours the bound.
         let data = smooth_3d(24);
         let cubic = compress(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-3))
             .unwrap();

@@ -21,7 +21,8 @@
 //!   preset chains, behind one [`Compressor`] trait),
 //! * [`framing`] — shared container framing (shape/dtype/bound fields,
 //!   CRC trailers) used by `EBLC`, `EBLP`, and the store's `EBCS`,
-//! * [`lossless`] — zstd/blosc/fpzip/FPC-style lossless baselines,
+//! * [`lossless`] — the shuffle, fpzip and FPC byte stages that, with
+//!   [`lz`], make up Figure 1's lossless baselines,
 //! * [`parallel`] — the "OpenMP mode": thread-chunked compression used
 //!   for the paper's strong-scaling study (Fig. 10).
 //!

@@ -1,28 +1,8 @@
-//! C-Blosc2 analog: byte shuffle + LZ.
+//! C-Blosc2's shuffle filter.
 //!
-//! Blosc's core trick is the *shuffle* filter: transposing the bytes of
-//! fixed-width elements so that the high (slowly varying) bytes of
-//! neighbouring floats become adjacent, where the LZ stage can match
-//! them. We implement exactly that pipeline.
-
-use super::LosslessCodec;
-use crate::error::Result;
-use crate::lz;
-
-/// Shuffle + LZ compressor.
-#[derive(Clone, Copy, Debug)]
-pub struct BloscLike {
-    element_size: usize,
-}
-
-impl BloscLike {
-    /// Creates the codec for elements of `element_size` bytes (≥ 1).
-    pub fn new(element_size: usize) -> Self {
-        Self {
-            element_size: element_size.max(1),
-        }
-    }
-}
+//! Blosc's core trick is transposing the bytes of fixed-width elements
+//! so that the high (slowly varying) bytes of neighbouring floats become
+//! adjacent, where a following LZ stage can match them.
 
 /// Byte-transposes `data` viewed as elements of `esize` bytes; a ragged
 /// tail (len not divisible by `esize`) is carried through unshuffled.
@@ -53,32 +33,10 @@ pub fn unshuffle(data: &[u8], esize: usize) -> Vec<u8> {
     out
 }
 
-impl LosslessCodec for BloscLike {
-    fn name(&self) -> &'static str {
-        "C-Blosc2"
-    }
-
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = vec![self.element_size as u8];
-        out.extend_from_slice(&lz::compress(&shuffle(data, self.element_size)));
-        out
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>> {
-        let esize = usize::from(
-            *stream
-                .first()
-                .ok_or(crate::error::CodecError::TruncatedStream { context: "blosc esize" })?,
-        )
-        .max(1);
-        let shuffled = lz::decompress(&stream[1..])?;
-        Ok(unshuffle(&shuffled, esize))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lz;
 
     #[test]
     fn shuffle_is_involutive() {
@@ -113,7 +71,7 @@ mod tests {
             .flat_map(|i| (1000.0f32 + i as f32 * 0.001).to_le_bytes())
             .collect();
         let plain = lz::compress(&data).len();
-        let blosc = BloscLike::new(4).compress(&data).len();
+        let blosc = lz::compress(&shuffle(&data, 4)).len();
         assert!(blosc < plain, "blosc {blosc} vs plain {plain}");
     }
 }

@@ -8,10 +8,10 @@
 //! surviving residual bytes. We keep the original's table sizes and
 //! hash construction; f32 inputs run through a widened 32-bit variant.
 
-use super::LosslessCodec;
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{CodecError, Result};
 use crate::lz;
+use crate::stage::{ByteStage, ByteStageSpec};
 use crate::util::{put_varint, ByteReader};
 
 const TABLE_BITS: u32 = 16;
@@ -20,13 +20,13 @@ const TABLE_SIZE: usize = 1 << TABLE_BITS;
 /// FCM/DFCM predictive lossless compressor.
 #[derive(Clone, Copy, Debug)]
 pub struct Fpc {
-    element_size: usize,
+    element_size: u8,
 }
 
 impl Fpc {
     /// Creates the codec for 4- or 8-byte floats (other sizes fall back
     /// to plain LZ).
-    pub fn new(element_size: usize) -> Self {
+    pub fn new(element_size: u8) -> Self {
         Self { element_size }
     }
 }
@@ -75,13 +75,15 @@ fn leading_zero_bytes(v: u64) -> u32 {
     v.leading_zeros() / 8
 }
 
-impl LosslessCodec for Fpc {
-    fn name(&self) -> &'static str {
-        "FPC"
+impl ByteStage for Fpc {
+    fn spec(&self) -> ByteStageSpec {
+        ByteStageSpec::Fpc {
+            element_size: self.element_size,
+        }
     }
 
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        let esize = self.element_size;
+    fn forward(&self, data: &[u8]) -> Vec<u8> {
+        let esize = usize::from(self.element_size);
         if esize != 4 && esize != 8 {
             let mut out = vec![0u8];
             out.extend_from_slice(&lz::compress(data));
@@ -117,7 +119,7 @@ impl LosslessCodec for Fpc {
             bw.put_bits(resid, keep * 8);
         }
 
-        let mut out = vec![esize as u8];
+        let mut out = vec![self.element_size];
         put_varint(&mut out, n as u64);
         put_varint(&mut out, tail.len() as u64);
         out.extend_from_slice(tail);
@@ -125,7 +127,7 @@ impl LosslessCodec for Fpc {
         out
     }
 
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>> {
+    fn inverse(&self, stream: &[u8]) -> Result<Vec<u8>> {
         let mut r = ByteReader::new(stream);
         let esize = usize::from(r.u8("fpc esize")?);
         if esize != 4 && esize != 8 {
@@ -169,8 +171,8 @@ mod tests {
             .flat_map(|i| ((i as f64 * 0.015).sin() * 3.5 + 10.0).to_le_bytes())
             .collect();
         let c = Fpc::new(8);
-        let enc = c.compress(&data);
-        assert_eq!(c.decompress(&enc).unwrap(), data);
+        let enc = c.forward(&data);
+        assert_eq!(c.inverse(&enc).unwrap(), data);
     }
 
     #[test]
@@ -179,8 +181,8 @@ mod tests {
             .flat_map(|i| ((i as f32 * 0.1).cos() * 2.0).to_le_bytes())
             .collect();
         let c = Fpc::new(4);
-        let enc = c.compress(&data);
-        assert_eq!(c.decompress(&enc).unwrap(), data);
+        let enc = c.forward(&data);
+        assert_eq!(c.inverse(&enc).unwrap(), data);
     }
 
     #[test]
@@ -189,9 +191,9 @@ mod tests {
             .flat_map(|i| ((i % 4) as f64).to_le_bytes())
             .collect();
         let c = Fpc::new(8);
-        let enc = c.compress(&data);
+        let enc = c.forward(&data);
         assert!(enc.len() < data.len() / 2, "{} bytes", enc.len());
-        assert_eq!(c.decompress(&enc).unwrap(), data);
+        assert_eq!(c.inverse(&enc).unwrap(), data);
     }
 
     #[test]
@@ -199,13 +201,13 @@ mod tests {
         let mut data: Vec<u8> = (0..64).flat_map(|i| (i as f64).to_le_bytes()).collect();
         data.extend_from_slice(&[0xaa, 0xbb]);
         let c = Fpc::new(8);
-        assert_eq!(c.decompress(&c.compress(&data)).unwrap(), data);
+        assert_eq!(c.inverse(&c.forward(&data)).unwrap(), data);
     }
 
     #[test]
     fn unsupported_esize_falls_back() {
         let data = b"arbitrary bytes with some repetition repetition".to_vec();
         let c = Fpc::new(2);
-        assert_eq!(c.decompress(&c.compress(&data)).unwrap(), data);
+        assert_eq!(c.inverse(&c.forward(&data)).unwrap(), data);
     }
 }

@@ -7,21 +7,21 @@
 //! zig-zag coded, split into byte planes, and LZ-compressed (standing in
 //! for fpzip's range coder).
 
-use super::LosslessCodec;
 use crate::error::{CodecError, Result};
 use crate::lz;
+use crate::stage::{ByteStage, ByteStageSpec};
 use crate::util::{unzigzag, zigzag};
 
 /// Predictive float compressor.
 #[derive(Clone, Copy, Debug)]
 pub struct FpzipLike {
-    element_size: usize,
+    element_size: u8,
 }
 
 impl FpzipLike {
     /// Creates the codec for 4- or 8-byte floats (other sizes fall back
     /// to plain LZ).
-    pub fn new(element_size: usize) -> Self {
+    pub fn new(element_size: u8) -> Self {
         Self { element_size }
     }
 }
@@ -70,13 +70,15 @@ fn float_unmap(v: u64, width: u32) -> u64 {
     }
 }
 
-impl LosslessCodec for FpzipLike {
-    fn name(&self) -> &'static str {
-        "fpzip"
+impl ByteStage for FpzipLike {
+    fn spec(&self) -> ByteStageSpec {
+        ByteStageSpec::Fpzip {
+            element_size: self.element_size,
+        }
     }
 
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        let esize = self.element_size;
+    fn forward(&self, data: &[u8]) -> Vec<u8> {
+        let esize = usize::from(self.element_size);
         if esize != 4 && esize != 8 {
             let mut out = vec![0u8];
             out.extend_from_slice(&lz::compress(data));
@@ -112,12 +114,12 @@ impl LosslessCodec for FpzipLike {
         }
         joined.extend_from_slice(tail);
 
-        let mut out = vec![esize as u8];
+        let mut out = vec![self.element_size];
         out.extend_from_slice(&lz::compress(&joined));
         out
     }
 
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>> {
+    fn inverse(&self, stream: &[u8]) -> Result<Vec<u8>> {
         let esize = usize::from(*stream.first().ok_or(CodecError::TruncatedStream {
             context: "fpzip esize",
         })?);
@@ -186,8 +188,8 @@ mod tests {
             .flat_map(|i| ((i as f32 * 0.02).cos() * 42.0).to_le_bytes())
             .collect();
         let c = FpzipLike::new(4);
-        let enc = c.compress(&data);
-        assert_eq!(c.decompress(&enc).unwrap(), data);
+        let enc = c.forward(&data);
+        assert_eq!(c.inverse(&enc).unwrap(), data);
     }
 
     #[test]
@@ -196,8 +198,8 @@ mod tests {
             .flat_map(|i| ((i as f64 * 0.013).sin() * 7.0).to_le_bytes())
             .collect();
         let c = FpzipLike::new(8);
-        let enc = c.compress(&data);
-        assert_eq!(c.decompress(&enc).unwrap(), data);
+        let enc = c.forward(&data);
+        assert_eq!(c.inverse(&enc).unwrap(), data);
     }
 
     #[test]
@@ -206,7 +208,7 @@ mod tests {
             .flat_map(|i| (100.0f32 + (i as f32 * 1e-4).sin()).to_le_bytes())
             .collect();
         let c = FpzipLike::new(4);
-        let enc = c.compress(&data);
+        let enc = c.forward(&data);
         assert!(
             enc.len() < data.len() * 3 / 4,
             "{} vs {}",
@@ -222,6 +224,6 @@ mod tests {
             .collect();
         data.extend_from_slice(&[1, 2, 3]);
         let c = FpzipLike::new(4);
-        assert_eq!(c.decompress(&c.compress(&data)).unwrap(), data);
+        assert_eq!(c.inverse(&c.forward(&data)).unwrap(), data);
     }
 }

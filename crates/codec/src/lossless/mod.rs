@@ -1,14 +1,14 @@
-//! Lossless baselines for the paper's Figure 1.
+//! Lossless float coders for the paper's Figure 1.
 //!
 //! Figure 1 contrasts EBLC ratios against four general/float lossless
-//! compressors: zstd, C-Blosc2, fpzip, and FPC. This module provides
-//! from-scratch analogs of each — they only need to reproduce the
-//! *qualitative* gap (lossless ≈ 1–3× on scientific floats vs EBLC's
-//! 10–100×), which is a property of floating-point entropy, not of any
-//! specific implementation:
+//! compressors: zstd, C-Blosc2, fpzip, and FPC. Each is a byte-stage
+//! pipeline here: zstd is the LZ stage, C-Blosc2 is [`shuffle`] followed
+//! by LZ, and fpzip and FPC are stages of their own. They only need to
+//! reproduce the *qualitative* gap (lossless ≈ 1–3× on scientific floats
+//! vs EBLC's 10–100×), which is a property of floating-point entropy,
+//! not of any specific implementation:
 //!
-//! * [`ZstdLike`] — the crate's LZ77 backend used directly,
-//! * [`BloscLike`] — byte shuffle (SIMD-style transpose) + LZ,
+//! * [`shuffle`] — Blosc's byte transpose of fixed-width elements,
 //! * [`FpzipLike`] — Lorenzo-predicted, sign-mapped integer residuals,
 //!   byte-planed + LZ,
 //! * [`Fpc`] — FCM/DFCM hash predictors with leading-zero-byte coding
@@ -18,97 +18,32 @@ mod blosc;
 mod fpc;
 mod fpzip_like;
 
-pub use blosc::{shuffle, unshuffle, BloscLike};
+pub use blosc::{shuffle, unshuffle};
 pub use fpc::Fpc;
 pub use fpzip_like::FpzipLike;
 
-use crate::error::Result;
-use crate::lz;
-
-/// A lossless byte-stream compressor.
-pub trait LosslessCodec: Send + Sync {
-    /// Display name (paper Fig. 1 legend).
-    fn name(&self) -> &'static str;
-    /// Compresses bytes; must be exactly invertible by
-    /// [`Self::decompress`].
-    fn compress(&self, data: &[u8]) -> Vec<u8>;
-    /// Inverse of [`Self::compress`].
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>>;
-}
-
-/// The LZ77 backend exposed as the "zstd" stand-in.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ZstdLike;
-
-impl LosslessCodec for ZstdLike {
-    fn name(&self) -> &'static str {
-        "zstd"
-    }
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        lz::compress(data)
-    }
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>> {
-        lz::decompress(stream)
-    }
-}
-
-/// All four Figure 1 lossless baselines with the given element width.
-pub fn all_baselines(element_size: usize) -> Vec<Box<dyn LosslessCodec>> {
-    vec![
-        Box::new(ZstdLike),
-        Box::new(BloscLike::new(element_size)),
-        Box::new(FpzipLike::new(element_size)),
-        Box::new(Fpc::new(element_size)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn float_bytes(n: usize) -> Vec<u8> {
-        (0..n)
-            .flat_map(|i| ((i as f32 * 0.01).sin() * 100.0).to_le_bytes())
-            .collect()
-    }
-
-    #[test]
-    fn all_baselines_roundtrip() {
-        let data = float_bytes(5000);
-        for codec in all_baselines(4) {
-            let c = codec.compress(&data);
-            let d = codec.decompress(&c).unwrap();
-            assert_eq!(d, data, "{} failed roundtrip", codec.name());
-        }
-    }
-
-    #[test]
-    fn all_baselines_roundtrip_empty_and_ragged() {
-        for codec in all_baselines(4) {
-            for len in [0usize, 1, 3, 4, 5, 7, 9] {
-                let data: Vec<u8> = (0..len as u8).collect();
-                let c = codec.compress(&data);
-                assert_eq!(codec.decompress(&c).unwrap(), data, "{}", codec.name());
-            }
-        }
-    }
-
-    #[test]
-    fn names_match_figure1() {
-        let names: Vec<&str> = all_baselines(4).iter().map(|c| c.name()).collect();
-        assert_eq!(names, ["zstd", "C-Blosc2", "fpzip", "FPC"]);
-    }
+    use crate::stage::{build_byte_stage, ByteStageSpec};
 
     #[test]
     fn lossless_ratios_are_modest_on_float_data() {
         // The Figure 1 premise: lossless CR stays small on scientific
-        // floats.
-        let data = float_bytes(50_000);
-        for codec in all_baselines(4) {
-            let c = codec.compress(&data);
-            let cr = data.len() as f64 / c.len() as f64;
-            assert!(cr < 10.0, "{}: CR {cr}", codec.name());
-            assert!(cr > 0.8, "{}: pathological expansion {cr}", codec.name());
+        // floats, for each of its four pipelines.
+        let data: Vec<u8> = (0..50_000)
+            .flat_map(|i| ((i as f32 * 0.01).sin() * 100.0).to_le_bytes())
+            .collect();
+        let pipelines: [&[ByteStageSpec]; 4] = [
+            &[ByteStageSpec::Lz],
+            &[ByteStageSpec::Shuffle { element_size: 4 }, ByteStageSpec::Lz],
+            &[ByteStageSpec::Fpzip { element_size: 4 }],
+            &[ByteStageSpec::Fpc { element_size: 4 }],
+        ];
+        for specs in pipelines {
+            let packed = specs.iter().fold(data.clone(), |b, &s| build_byte_stage(s).forward(&b));
+            let cr = data.len() as f64 / packed.len() as f64;
+            assert!(cr < 10.0, "{specs:?}: CR {cr}");
+            assert!(cr > 0.8, "{specs:?}: pathological expansion {cr}");
         }
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::error::{CodecError, Result};
 use crate::header::typed;
-use crate::lossless::{Fpc, FpzipLike, LosslessCodec};
+use crate::lossless::{Fpc, FpzipLike};
 use crate::lz;
 use crate::traits::CompressorId;
 use eblcio_data::{ArrayView, Dataset, DatasetView, Element, NdArray, Shape};
@@ -301,24 +301,6 @@ impl ByteStage for ShuffleStage {
     }
 }
 
-/// Adapts a [`LosslessCodec`] backend into a byte stage.
-struct LosslessStage<C: LosslessCodec> {
-    spec: ByteStageSpec,
-    codec: C,
-}
-
-impl<C: LosslessCodec> ByteStage for LosslessStage<C> {
-    fn spec(&self) -> ByteStageSpec {
-        self.spec
-    }
-    fn forward(&self, data: &[u8]) -> Vec<u8> {
-        self.codec.compress(data)
-    }
-    fn inverse(&self, data: &[u8]) -> Result<Vec<u8>> {
-        self.codec.decompress(data)
-    }
-}
-
 /// Builds the byte stage a spec describes.
 pub fn build_byte_stage(spec: ByteStageSpec) -> Box<dyn ByteStage> {
     match spec {
@@ -326,14 +308,8 @@ pub fn build_byte_stage(spec: ByteStageSpec) -> Box<dyn ByteStage> {
         ByteStageSpec::Shuffle { element_size } => {
             Box::new(ShuffleStage::new(usize::from(element_size)))
         }
-        ByteStageSpec::Fpc { element_size } => Box::new(LosslessStage {
-            spec,
-            codec: Fpc::new(usize::from(element_size)),
-        }),
-        ByteStageSpec::Fpzip { element_size } => Box::new(LosslessStage {
-            spec,
-            codec: FpzipLike::new(usize::from(element_size)),
-        }),
+        ByteStageSpec::Fpc { element_size } => Box::new(Fpc::new(element_size)),
+        ByteStageSpec::Fpzip { element_size } => Box::new(FpzipLike::new(element_size)),
     }
 }
 

@@ -22,7 +22,7 @@ use eblcio_codec::{CodecError, Result};
 use eblcio_data::{dispatch_dtype, Element, Shape};
 use eblcio_obs::MetricsRegistry;
 use eblcio_serve::{ArrayReader, ReaderConfig, ReaderStats};
-use eblcio_store::{ChunkedStore, Region, Storage};
+use eblcio_store::{ChunkedStore, Region};
 use std::sync::Arc;
 
 /// A dtype-erased [`ArrayReader`] serving either element type.
@@ -46,23 +46,11 @@ impl From<ArrayReader<f64>> for AnyReader {
 }
 
 impl AnyReader {
-    /// Opens a store stream, picking the reader dtype from the
-    /// container's tag.
+    /// Opens store bytes ([`ChunkedStore::open`]: an `EBMS` mutable
+    /// store serves its current generation), picking the reader dtype
+    /// from the container's tag.
     pub fn open(stream: &[u8], config: ReaderConfig) -> Result<Self> {
         Self::over(ChunkedStore::open(stream)?, config)
-    }
-
-    /// Opens shared container bytes: an `EBMS` mutable store serves its
-    /// current generation, anything else must be an immutable `EBCS`
-    /// stream.
-    pub fn open_arc(bytes: Arc<[u8]>, config: ReaderConfig) -> Result<Self> {
-        Self::over(ChunkedStore::open_current(bytes)?, config)
-    }
-
-    /// Opens the object under `key` on a [`Storage`] backend (mirrors
-    /// [`ArrayReader::open_from`]).
-    pub fn open_from(storage: &dyn Storage, key: &str, config: ReaderConfig) -> Result<Self> {
-        Self::open_arc(storage.get(key)?, config)
     }
 
     /// Wraps an already opened store.

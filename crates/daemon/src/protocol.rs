@@ -304,11 +304,6 @@ pub struct ArrayData {
 }
 
 impl ArrayData {
-    /// Bytes per sample for the dtype tag, if the tag is known.
-    pub fn sample_size(&self) -> Option<usize> {
-        dispatch_dtype!(E = self.dtype => E::BYTES)
-    }
-
     /// Decodes the payload as `T` samples; `None` when the dtype tag
     /// names another type.
     fn samples<T: Element>(&self) -> Option<Vec<T>> {

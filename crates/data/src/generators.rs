@@ -97,7 +97,7 @@ impl DatasetKind {
 
 /// How much to shrink the paper's dimensions so experiments fit a single
 /// machine. The per-byte energy/bandwidth framework normalizes sizes out;
-/// only *relative* codec behaviour matters (see DESIGN.md).
+/// only *relative* codec behaviour matters (see EXPERIMENTS.md, "Substitutions").
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum Scale {
     /// Very small — unit/property tests (≈64–260 k samples).

@@ -6,8 +6,8 @@
 //! The paper evaluates error-bounded lossy compressors on four SDRBench
 //! snapshots (CESM, HACC, NYX, S3D). Those files cannot be redistributed,
 //! so this crate provides deterministic synthetic generators with matched
-//! dimensionality, precision, and spectral character (see `DESIGN.md` for
-//! the substitution argument), together with:
+//! dimensionality, precision, and spectral character (see
+//! `EXPERIMENTS.md`, "Substitutions", for the argument), together with:
 //!
 //! * [`NdArray`] — a dense 1–4 dimensional array of `f32`/`f64` samples,
 //! * [`generators`] — SDRBench-analog field generators,

@@ -5,34 +5,27 @@
 //!
 //! The paper samples Intel RAPL package counters through PAPI and
 //! integrates `E = Σ P(tᵢ)·Δt` over each compression / I/O phase, on
-//! three Xeon generations (Table I). This container has no RAPL, so the
-//! crate provides both:
+//! three Xeon generations (Table I). A joule is priced one of two ways:
 //!
-//! * [`rapl::RaplMeter`] — a real `/sys/class/powercap` reader used
-//!   automatically when the interface exists (wraparound-safe), and
-//! * [`meter::ModeledMeter`] — the documented substitution: power is
-//!   modeled from a per-CPU [`profile::CpuProfile`] (TDP, idle power,
+//! * [`rapl::RaplMeter`] — a real `/sys/class/powercap` reader
+//!   (wraparound-safe), for hosts that expose the interface, and
+//! * [`measure::energy_for_wall`] — the documented substitution: power
+//!   is modeled from a per-CPU [`profile::CpuProfile`] (TDP, idle power,
 //!   core scaling, memory power — derived from Table I) and integrated
 //!   over the *measured wall time and thread activity* of the actual
-//!   Rust workload, exactly the `E = Σ P(tᵢ)Δt` discretization the paper
-//!   describes.
+//!   Rust workload. [`measure_compute`] is the timer around it.
 //!
 //! Cross-CPU comparisons (Figs. 5/7/10) come from each profile's
-//! throughput and power scaling; see `DESIGN.md` for the substitution
-//! argument.
+//! throughput and power scaling; see `EXPERIMENTS.md` ("How a joule is
+//! priced") for the substitution argument.
 
 #![forbid(unsafe_code)]
 
-pub mod dvfs;
 pub mod measure;
-pub mod meter;
 pub mod profile;
 pub mod rapl;
-pub mod sampler;
 pub mod units;
 
-pub use dvfs::DvfsModel;
-pub use measure::{measure_compute, modeled_compute_energy, Activity, Measurement};
-pub use meter::{EnergyMeter, MeterKind, ModeledMeter};
+pub use measure::{measure_compute, Activity, Measurement};
 pub use profile::{CpuGeneration, CpuProfile};
 pub use units::{Joules, Seconds, Watts};

@@ -1,14 +1,12 @@
 //! Measured-workload energy accounting.
 //!
-//! [`measure_compute`] runs a closure, measures its wall time, and
-//! integrates the modeled package + memory power over that time for a
-//! given CPU profile — the substitution for "PAPI around the compression
-//! call" (paper Fig. 4). [`modeled_compute_energy`] is the deterministic
-//! variant used where reproducible numbers matter (tests, the PFS
-//! simulator's internal accounting).
+//! [`energy_for_wall`] integrates the modeled package + memory power
+//! over a measured wall time for a given CPU profile — the substitution
+//! for "PAPI around the compression call" (paper Fig. 4).
+//! [`measure_compute`] runs a closure and prices its wall time.
 
 use crate::profile::CpuProfile;
-use crate::units::{Joules, Seconds, Watts};
+use crate::units::{Joules, Seconds};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -71,23 +69,6 @@ impl Measurement {
     pub fn total(&self) -> Joules {
         self.package + self.dram
     }
-
-    /// Mean power over the scaled runtime.
-    pub fn mean_power(&self) -> Watts {
-        if self.scaled.value() <= 0.0 {
-            Watts::ZERO
-        } else {
-            self.total() / self.scaled
-        }
-    }
-
-    /// Accumulates another measurement (sequential phases).
-    pub fn accumulate(&mut self, other: &Measurement) {
-        self.wall += other.wall;
-        self.scaled += other.scaled;
-        self.package += other.package;
-        self.dram += other.dram;
-    }
 }
 
 /// Converts a measured wall time + activity into the target platform's
@@ -115,25 +96,6 @@ pub fn measure_compute<R>(
     let out = f();
     let wall = Seconds(start.elapsed().as_secs_f64());
     (out, energy_for_wall(profile, activity, wall))
-}
-
-/// Deterministic energy for a purely modeled workload of `work_units`
-/// abstract units, where one unit takes one second at unit throughput on
-/// the 8260M baseline with one thread.
-///
-/// Parallel runs divide runtime by an Amdahl-style effective speedup
-/// with `parallel_fraction` of the work parallelizable.
-pub fn modeled_compute_energy(
-    profile: &CpuProfile,
-    activity: Activity,
-    work_units: f64,
-    parallel_fraction: f64,
-) -> Measurement {
-    assert!(work_units >= 0.0, "negative work");
-    let t = f64::from(activity.threads.max(1));
-    let speedup = 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / t);
-    let wall = Seconds(work_units / speedup);
-    energy_for_wall(profile, activity, wall)
 }
 
 #[cfg(test)]
@@ -168,29 +130,16 @@ mod tests {
     }
 
     #[test]
-    fn modeled_energy_deterministic_and_monotone_in_work() {
-        let p = profile();
-        let a = Activity::serial_compute();
-        let e1 = modeled_compute_energy(&p, a, 1.0, 0.95);
-        let e2 = modeled_compute_energy(&p, a, 2.0, 0.95);
-        assert_eq!(
-            modeled_compute_energy(&p, a, 1.0, 0.95).total().value(),
-            e1.total().value()
-        );
-        assert!((e2.total().value() - 2.0 * e1.total().value()).abs() < 1e-9);
-    }
-
-    #[test]
     fn parallel_energy_decreases_then_plateaus() {
         // Fig. 10's shape: more threads → less energy, with diminishing
         // returns (power grows sub-linearly, runtime shrinks per Amdahl).
+        // 100 s of serial work, 95 % of it parallel.
         let p = profile();
         let energies: Vec<f64> = [1u32, 2, 4, 8, 16, 32]
             .iter()
             .map(|&t| {
-                modeled_compute_energy(&p, Activity::parallel_compute(t), 100.0, 0.95)
-                    .total()
-                    .value()
+                let wall = Seconds(100.0 * (0.05 + 0.95 / f64::from(t)));
+                energy_for_wall(&p, Activity::parallel_compute(t), wall).total().value()
             })
             .collect();
         assert!(energies[1] < energies[0]);
@@ -199,25 +148,5 @@ mod tests {
         let early_gain = energies[0] - energies[1];
         let late_gain = (energies[4] - energies[5]).max(0.0);
         assert!(late_gain < early_gain);
-    }
-
-    #[test]
-    fn mean_power_between_idle_and_max() {
-        let p = profile();
-        let m = modeled_compute_energy(&p, Activity::parallel_compute(8), 10.0, 0.9);
-        let w = m.mean_power().value();
-        assert!(w >= p.idle_power().value());
-        assert!(w <= p.max_power().value() + p.mem_power.value());
-    }
-
-    #[test]
-    fn accumulate_sums_phases() {
-        let p = profile();
-        let a = Activity::serial_compute();
-        let mut total = modeled_compute_energy(&p, a, 1.0, 0.9);
-        let other = modeled_compute_energy(&p, a, 2.0, 0.9);
-        total.accumulate(&other);
-        assert!((total.wall.value() - 3.0).abs() < 1e-9);
-        assert!(total.total().value() > other.total().value());
     }
 }

@@ -45,7 +45,8 @@ impl RaplMeter {
     /// Discovers package zones under the standard powercap root.
     ///
     /// Returns `None` when the interface is absent (VMs, containers,
-    /// non-Intel hosts) — callers fall back to the modeled meter.
+    /// non-Intel hosts) — callers then price the measured wall time
+    /// with [`energy_for_wall`](crate::measure::energy_for_wall).
     pub fn discover() -> Option<Self> {
         Self::discover_at("/sys/class/powercap")
     }

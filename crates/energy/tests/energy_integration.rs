@@ -1,53 +1,8 @@
-//! Energy-crate integration: meters, profiles, sampler, and DVFS model
-//! working together.
+//! Energy-crate integration: the Table I profiles priced through
+//! `energy_for_wall`.
 
-use eblcio_energy::dvfs::DvfsModel;
-use eblcio_energy::meter::{EnergyMeter, MeterKind, ModeledMeter};
-use eblcio_energy::sampler::{PowerTrace, Sampler};
-use eblcio_energy::{
-    measure_compute, modeled_compute_energy, Activity, CpuGeneration, Seconds, Watts,
-};
-use std::time::Duration;
-
-#[test]
-fn meter_and_direct_measurement_agree() {
-    // ModeledMeter and measure_compute use the same model; bracketing
-    // the same busy-loop should land in the same ballpark.
-    let profile = CpuGeneration::Skylake8160.profile();
-    let meter = ModeledMeter::new(profile);
-    let work = || {
-        let mut acc = 0u64;
-        for i in 0..5_000_000u64 {
-            acc = acc.wrapping_add(std::hint::black_box(i).wrapping_mul(31));
-        }
-        std::hint::black_box(acc);
-    };
-    let m1 = meter.measure(Activity::serial_compute(), &mut { work });
-    let (_, m2) = measure_compute(&profile, Activity::serial_compute(), work);
-    let ratio = m1.total().value() / m2.total().value();
-    assert!(
-        (0.2..5.0).contains(&ratio),
-        "meter {:.4} J vs direct {:.4} J",
-        m1.total().value(),
-        m2.total().value()
-    );
-}
-
-#[test]
-fn sampler_trace_integral_matches_constant_model() {
-    // Sample a constant 100 W source for ~50 ms; the trace integral must
-    // equal 100 W × span.
-    let sampler = Sampler::start(Duration::from_millis(1), || Watts(100.0));
-    let t0 = std::time::Instant::now();
-    while t0.elapsed() < Duration::from_millis(50) {
-        std::hint::black_box(0u8);
-    }
-    let trace: PowerTrace = sampler.finish();
-    assert!(trace.len() >= 3);
-    let span = trace.integrate().value() / 100.0; // seconds implied
-    assert!(span > 0.0);
-    assert!((trace.mean_power().value() - 100.0).abs() < 1e-9);
-}
+use eblcio_energy::measure::energy_for_wall;
+use eblcio_energy::{Activity, CpuGeneration, Seconds};
 
 #[test]
 fn cross_platform_energy_ordering_is_stable_under_threads() {
@@ -58,15 +13,12 @@ fn cross_platform_energy_ordering_is_stable_under_threads() {
     // ordering only in the serial/low-thread regime the paper's Fig. 7
     // reports.
     for threads in [1u32, 8, 32] {
+        // 50 s of serial work, 95 % of it parallel (Amdahl).
+        let wall = Seconds(50.0 * (0.05 + 0.95 / f64::from(threads)));
         let mut energies: Vec<(f64, CpuGeneration)> = CpuGeneration::ALL
             .iter()
             .map(|&g| {
-                let m = modeled_compute_energy(
-                    &g.profile(),
-                    Activity::parallel_compute(threads),
-                    50.0,
-                    0.95,
-                );
+                let m = energy_for_wall(&g.profile(), Activity::parallel_compute(threads), wall);
                 (m.total().value(), g)
             })
             .collect();
@@ -84,35 +36,4 @@ fn cross_platform_energy_ordering_is_stable_under_threads() {
             );
         }
     }
-}
-
-#[test]
-fn dvfs_optimum_saves_versus_nominal_on_all_platforms() {
-    for gen in CpuGeneration::ALL {
-        let model = DvfsModel::from_profile(&gen.profile(), 16);
-        let saving = model.optimal_saving(Seconds(10.0));
-        // The optimum never loses; with realistic static shares it wins
-        // a measurable amount.
-        assert!(saving >= 0.0, "{gen:?}");
-        let e_min = model.energy_at(Seconds(10.0), model.optimal_frequency());
-        for f in [model.f_min_ghz, model.f_nominal_ghz, model.f_max_ghz] {
-            assert!(model.energy_at(Seconds(10.0), f).value() >= e_min.value() - 1e-9);
-        }
-    }
-}
-
-#[test]
-fn auto_meter_measures_something_sane() {
-    let kind = MeterKind::auto(CpuGeneration::SapphireRapids9480.profile());
-    let meter = kind.as_meter();
-    let m = meter.measure(Activity::serial_compute(), &mut || {
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_add(std::hint::black_box(i));
-        }
-        std::hint::black_box(acc);
-    });
-    assert!(m.wall.value() > 0.0);
-    assert!(m.total().value() >= 0.0);
-    assert!(m.mean_power().value() < 2000.0, "implausible power");
 }

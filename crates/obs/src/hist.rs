@@ -126,19 +126,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Release);
     }
 
-    /// Records `n` occurrences of one value in O(1) (merge helper).
-    #[inline]
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Release);
-    }
-
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Acquire)

@@ -204,24 +204,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers an existing histogram handle under `name` (see
-    /// [`MetricsRegistry::register_counter`]).
-    pub fn register_histogram(&self, name: &str, handle: Arc<Histogram>) -> Arc<Histogram> {
-        match self.get_or_insert(name, || Metric::Histogram(handle.clone())) {
-            Metric::Histogram(h) => h,
-            _ => handle,
-        }
-    }
-
-    /// Registers an existing gauge handle under `name` (see
-    /// [`MetricsRegistry::register_counter`]).
-    pub fn register_gauge(&self, name: &str, handle: Arc<Gauge>) -> Arc<Gauge> {
-        match self.get_or_insert(name, || Metric::Gauge(handle.clone())) {
-            Metric::Gauge(g) => g,
-            _ => handle,
-        }
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.entries.read().len()

@@ -202,12 +202,6 @@ impl Stopwatch {
         saturating_ns(self.0.elapsed())
     }
 
-    /// Seconds since start.
-    #[inline]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
-
     /// The underlying [`Duration`].
     #[inline]
     pub fn elapsed(&self) -> Duration {

@@ -8,7 +8,7 @@
 //! NetCDF to a Lustre PFS and measures the CPU-side energy of the write
 //! phase (§IV-D). Here:
 //!
-//! * [`ost`] — object storage targets and striping,
+//! * [`ost`] — object storage targets,
 //! * [`sim`] — the bandwidth/latency/contention model that turns an I/O
 //!   request into seconds and joules (the 256→512-writer contention knee
 //!   of Fig. 12 lives here),
@@ -25,6 +25,6 @@ pub mod ost;
 pub mod sim;
 pub mod tool;
 
-pub use ost::{Ost, StripeLayout};
+pub use ost::Ost;
 pub use sim::{IoMeasurement, IoRequest, PfsSim};
 pub use tool::{IoToolKind, WrittenObject};

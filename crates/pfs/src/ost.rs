@@ -1,4 +1,4 @@
-//! Object storage targets (OSTs) and file striping, Lustre-style.
+//! Object storage targets (OSTs), Lustre-style.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,87 +36,9 @@ impl Ost {
     }
 }
 
-/// Lustre-style striping of a file across OSTs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct StripeLayout {
-    /// Bytes per stripe unit (Lustre default 1 MiB).
-    pub stripe_size: u64,
-    /// Number of OSTs each file is striped over.
-    pub stripe_count: u32,
-}
-
-impl Default for StripeLayout {
-    fn default() -> Self {
-        Self {
-            stripe_size: 1 << 20,
-            stripe_count: 4,
-        }
-    }
-}
-
-impl StripeLayout {
-    /// Which OST (index among the file's `stripe_count` targets) holds
-    /// byte `offset`.
-    pub fn ost_for_offset(&self, offset: u64) -> u32 {
-        ((offset / self.stripe_size) % u64::from(self.stripe_count)) as u32
-    }
-
-    /// Bytes of an `len`-byte file landing on each of the file's OSTs.
-    pub fn bytes_per_ost(&self, len: u64) -> Vec<u64> {
-        let n = self.stripe_count as usize;
-        let mut out = vec![0u64; n];
-        let full_rounds = len / (self.stripe_size * n as u64);
-        for b in out.iter_mut() {
-            *b = full_rounds * self.stripe_size;
-        }
-        let mut rem = len - full_rounds * self.stripe_size * n as u64;
-        let mut i = 0usize;
-        while rem > 0 {
-            let take = rem.min(self.stripe_size);
-            out[i % n] += take;
-            rem -= take;
-            i += 1;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn offsets_round_robin() {
-        let l = StripeLayout {
-            stripe_size: 100,
-            stripe_count: 3,
-        };
-        assert_eq!(l.ost_for_offset(0), 0);
-        assert_eq!(l.ost_for_offset(99), 0);
-        assert_eq!(l.ost_for_offset(100), 1);
-        assert_eq!(l.ost_for_offset(250), 2);
-        assert_eq!(l.ost_for_offset(300), 0);
-    }
-
-    #[test]
-    fn bytes_per_ost_conserves_total() {
-        let l = StripeLayout {
-            stripe_size: 64,
-            stripe_count: 4,
-        };
-        for len in [0u64, 1, 63, 64, 65, 256, 1000, 4096] {
-            let per = l.bytes_per_ost(len);
-            assert_eq!(per.iter().sum::<u64>(), len, "len {len}");
-        }
-    }
-
-    #[test]
-    fn striping_is_balanced_for_large_files() {
-        let l = StripeLayout::default();
-        let per = l.bytes_per_ost(1 << 30);
-        let (mn, mx) = (per.iter().min().unwrap(), per.iter().max().unwrap());
-        assert!(mx - mn <= l.stripe_size);
-    }
 
     #[test]
     fn degraded_ost_loses_bandwidth() {

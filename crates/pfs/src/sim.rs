@@ -17,8 +17,8 @@
 //! `P_io(profile) · t_write` per writing node; the optional storage-side
 //! estimate uses a per-byte device cost.
 
-use crate::ost::{Ost, StripeLayout};
-use eblcio_energy::{CpuProfile, Joules, Seconds, Watts};
+use crate::ost::Ost;
+use eblcio_energy::{CpuProfile, Joules, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// One write request as seen by the PFS.
@@ -60,8 +60,6 @@ pub struct IoMeasurement {
 pub struct PfsSim {
     /// Storage targets.
     pub osts: Vec<Ost>,
-    /// Default striping.
-    pub layout: StripeLayout,
     /// Ramp constant `k` (writers needed to approach saturation).
     pub ramp_writers: f64,
     /// Writer count at which contention sets in (lock/RPC saturation).
@@ -81,7 +79,6 @@ impl PfsSim {
             osts: (0..n_osts)
                 .map(|i| Ost::new(i, ost_bw_gbps * 1e9))
                 .collect(),
-            layout: StripeLayout::default(),
             ramp_writers: 6.0,
             saturation_writers: 256.0,
             collision_factor: 2.5,
@@ -116,29 +113,49 @@ impl PfsSim {
         self.total_bandwidth() * ramp * collision
     }
 
+    /// Mean per-request OST latency, in seconds.
+    pub fn mean_latency(&self) -> f64 {
+        self.osts.iter().map(|o| o.latency_s).sum::<f64>() / self.osts.len().max(1) as f64
+    }
+
+    /// One I/O phase of `clients` clients concurrently moving identical
+    /// requests under the ramp/contention model; returns the per-client
+    /// measurement (all clients finish together under the fair-share
+    /// model).
+    fn phase(
+        &self,
+        req: &IoRequest,
+        clients: u32,
+        profile: &CpuProfile,
+        read: bool,
+    ) -> IoMeasurement {
+        assert!(req.efficiency > 0.0 && req.efficiency <= 1.0, "bad efficiency");
+        let clients = clients.max(1);
+        let speedup = if read { Self::read_speedup() } else { 1.0 };
+        let shared = self.effective_bandwidth(clients) * speedup / f64::from(clients);
+        let bw = (shared * req.efficiency).max(1.0);
+        let t = self.mean_latency() * f64::from(req.ops) + req.total_bytes() as f64 / bw;
+        let seconds = Seconds(t);
+        let write_j = req.total_bytes() as f64 * self.storage_j_per_byte;
+        IoMeasurement {
+            seconds,
+            cpu_energy: profile.io_power * seconds,
+            // Reads cost the devices less than writes (no program/erase
+            // cycles); charge a third of the write per-byte energy.
+            storage_energy: Joules(if read { write_j / 3.0 } else { write_j }),
+            bandwidth_bps: req.total_bytes() as f64 / t.max(1e-12),
+        }
+    }
+
     /// Simulates `writers` clients concurrently issuing identical
-    /// requests; returns the per-writer measurement (all writers finish
-    /// together under the fair-share model).
+    /// requests; returns the per-writer measurement.
     pub fn write_concurrent(
         &self,
         req: &IoRequest,
         writers: u32,
         profile: &CpuProfile,
     ) -> IoMeasurement {
-        assert!(req.efficiency > 0.0 && req.efficiency <= 1.0, "bad efficiency");
-        let writers = writers.max(1);
-        let shared = self.effective_bandwidth(writers) / f64::from(writers);
-        let bw = (shared * req.efficiency).max(1.0);
-        let mean_latency =
-            self.osts.iter().map(|o| o.latency_s).sum::<f64>() / self.osts.len().max(1) as f64;
-        let t = mean_latency * f64::from(req.ops) + req.total_bytes() as f64 / bw;
-        let seconds = Seconds(t);
-        IoMeasurement {
-            seconds,
-            cpu_energy: profile.io_power * seconds,
-            storage_energy: Joules(req.total_bytes() as f64 * self.storage_j_per_byte),
-            bandwidth_bps: req.total_bytes() as f64 / t.max(1e-12),
-        }
+        self.phase(req, writers, profile, false)
     }
 
     /// Single-writer convenience wrapper.
@@ -160,22 +177,7 @@ impl PfsSim {
         readers: u32,
         profile: &CpuProfile,
     ) -> IoMeasurement {
-        assert!(req.efficiency > 0.0 && req.efficiency <= 1.0, "bad efficiency");
-        let readers = readers.max(1);
-        let shared = self.effective_bandwidth(readers) * Self::read_speedup() / f64::from(readers);
-        let bw = (shared * req.efficiency).max(1.0);
-        let mean_latency =
-            self.osts.iter().map(|o| o.latency_s).sum::<f64>() / self.osts.len().max(1) as f64;
-        let t = mean_latency * f64::from(req.ops) + req.total_bytes() as f64 / bw;
-        let seconds = Seconds(t);
-        IoMeasurement {
-            seconds,
-            cpu_energy: profile.io_power * seconds,
-            // Reads cost the devices less than writes (no program/erase
-            // cycles); charge a third of the write per-byte energy.
-            storage_energy: Joules(req.total_bytes() as f64 * self.storage_j_per_byte / 3.0),
-            bandwidth_bps: req.total_bytes() as f64 / t.max(1e-12),
-        }
+        self.phase(req, readers, profile, true)
     }
 
     /// Sequential-read bandwidth advantage over writes.
@@ -278,11 +280,6 @@ impl PfsSim {
     ) -> IoMeasurement {
         self.chunk_phase(chunks, meta_bytes, efficiency, readers, profile, true)
     }
-
-    /// Mean CPU power charged during I/O phases (exposed for reports).
-    pub fn io_power(profile: &CpuProfile) -> Watts {
-        profile.io_power
-    }
 }
 
 #[cfg(test)]
@@ -293,6 +290,40 @@ mod tests {
     fn profile() -> CpuProfile {
         CpuGeneration::Skylake8160.profile()
     }
+
+    /// [`measurements_are_pinned_bit_for_bit`]'s grid, measured before
+    /// the write and read phases shared one function.
+    #[rustfmt::skip]
+    const PINNED: [[u64; 4]; 28] = [
+        [0x3f4f_6a98_3e13_a5c0, 0x3fa8_8b46_f07f_597e, 0x3fa0_1b2b_29a4_692b, 0x41d0_4c17_236a_ad66],
+        [0x3ff9_ae0e_6bfa_9942, 0x4054_0ffb_445b_c7bc, 0x4038_28e1_117d_55eb, 0x41bd_e842_35b3_77b0],
+        [0x3f4f_6a98_3e13_a5c0, 0x3fa8_8b46_f07f_597e, 0x3fa0_1b2b_29a4_692b, 0x41d0_4c17_236a_ad66],
+        [0x3f4d_74a4_cbed_d2d4, 0x3fa7_0320_bf51_ccb6, 0x3f85_798e_e230_8c39, 0x41d1_61cf_5cf9_fec3],
+        [0x3ff9_ae0e_6bfa_9942, 0x4054_0ffb_445b_c7bc, 0x4038_28e1_117d_55eb, 0x41bd_e842_35b3_77b0],
+        [0x3ff6_5670_cdbb_b9e5, 0x4051_7388_20ba_a93b, 0x4020_1b40_b653_8e9d, 0x41c1_30e8_be9b_9471],
+        [0x3f82_6336_7199_684a, 0x3fdc_bb05_117f_b2f4, 0x3fcf_f6ad_307a_4641, 0x41cb_a145_a798_e570],
+        [0x3f79_22f1_42d8_d0da, 0x3fd3_a34c_7c39_632a, 0x3fa2_757b_822c_6a96, 0x41c1_8219_9f36_ed24],
+        [0x3f9d_deff_0fa6_4c6c, 0x3ff7_5637_4439_ebb4, 0x3fa0_1b2b_29a4_692b, 0x4181_23ec_518a_3223],
+        [0x3f9a_0aa8_8b56_7648, 0x3ff4_5853_acdb_8c68, 0x3f85_798e_e230_8c39, 0x4183_a92b_ca88_6cf6],
+        [0x4059_05f8_dbdd_9c3c, 0x40b3_8caa_6bc5_220f, 0x4038_28e1_117d_55eb, 0x415e_b126_12e7_c1d2],
+        [0x4055_c270_9305_9fd0, 0x40b0_ffe7_f2dc_64da, 0x4020_1b40_b653_8e9d, 0x4161_a5d6_39e5_0a29],
+        [0x3fdf_f9dd_f1c1_94de, 0x4038_fb35_64df_3c4d, 0x3fcf_f6ad_307a_4641, 0x416f_c6d9_5a2c_d2f6],
+        [0x3fd6_941b_fc1f_fcd7, 0x4031_a3b5_dcf8_fd88, 0x3fa2_757b_822c_6a96, 0x4163_7de1_7678_c8a4],
+        [0x3f42_67b8_a2f6_3bb6, 0x3f9c_c210_7ea0_bd4c, 0x3fa0_1b2b_29a4_692b, 0x41db_d17b_113d_0598],
+        [0x3fcc_0285_8a0d_c674, 0x4025_e1f8_53da_c30b, 0x4038_28e1_117d_55eb, 0x41eb_6b63_6678_a043],
+        [0x3f42_67b8_a2f6_3bb6, 0x3f9c_c210_7ea0_bd4c, 0x3fa0_1b2b_29a4_692b, 0x41db_d17b_113d_0598],
+        [0x3f42_243b_6670_1272, 0x3f9c_589c_d00f_1cd2, 0x3f85_798e_e230_8c39, 0x41dc_38f8_09e9_1071],
+        [0x3fcc_0285_8a0d_c674, 0x4025_e1f8_53da_c30b, 0x4038_28e1_117d_55eb, 0x41eb_6b63_6678_a043],
+        [0x3fc8_6a32_0d04_3b4e, 0x4023_12f7_1a2b_4e55, 0x4020_1b40_b653_8e9d, 0x41ef_74f9_e6d6_ebec],
+        [0x3f97_7d4f_5042_cd17, 0x3ff2_59e5_f6b4_303a, 0x3fcf_f6ad_307a_4641, 0x41b5_a0f3_3563_7bcf],
+        [0x3f90_0d65_a7fd_c4d1, 0x3fe9_14ee_d67c_8387, 0x3fa2_757b_822c_6a96, 0x41ab_6a8f_bab1_f27b],
+        [0x3f71_d677_3e29_e754, 0x3fcb_df1a_5121_7973, 0x3fa0_1b2b_29a4_692b, 0x41ac_b402_518e_56f4],
+        [0x3f6f_8e73_4ed0_c198, 0x3fc8_a74a_1593_173f, 0x3f85_798e_e230_8c39, 0x41b0_3992_a389_7019],
+        [0x402a_ec02_29b5_debb, 0x4085_0861_b096_1602, 0x4038_28e1_117d_55eb, 0x418c_870c_8cb4_22b4],
+        [0x4027_6948_d934_cf37, 0x4082_4a40_e9b1_41e3, 0x4020_1b40_b653_8e9d, 0x4190_6716_e3f8_1bd4],
+        [0x3ff6_7237_38fe_28f6, 0x4051_893b_2486_9000, 0x3fcf_f6ad_307a_4641, 0x4156_a251_2dd3_7ac8],
+        [0x3fee_5dfc_14ef_5a6d, 0x4047_b96c_f05a_fea5, 0x3fa2_757b_822c_6a96, 0x414c_fc25_b953_204b],
+    ];
 
     fn req(bytes: u64) -> IoRequest {
         IoRequest {
@@ -480,5 +511,52 @@ mod tests {
         let m = pfs.write(&req(1 << 30), &profile());
         let expected = (1u64 << 30) as f64 * pfs.storage_j_per_byte;
         assert!((m.storage_energy.value() - expected).abs() < 1e-9);
+    }
+
+    /// Every `IoMeasurement` field, as bits, over a fixed grid of file
+    /// systems, requests and client counts: the cost model may be
+    /// restructured, but no result may move by one ulp.
+    #[test]
+    fn measurements_are_pinned_bit_for_bit() {
+        let mut degraded = PfsSim::new(64, 2.0);
+        degraded.degrade(5);
+        let reqs = [
+            req(1 << 20),
+            IoRequest {
+                payload_bytes: (3 << 28) + 12_345,
+                meta_bytes: 4096,
+                ops: 7,
+                efficiency: 0.22,
+            },
+        ];
+        let sizes: Vec<u64> = (0..19u64).map(|i| (i * 7919 % 13 + 1) << 16).collect();
+        let placed: Vec<(usize, u64)> = sizes.iter().copied().enumerate().step_by(3).collect();
+        let p = profile();
+        let mut got = Vec::new();
+        for pfs in [PfsSim::testbed(), degraded] {
+            for r in &reqs {
+                got.push(pfs.write(r, &p));
+            }
+            for clients in [1, 300] {
+                for r in &reqs {
+                    got.push(pfs.write_concurrent(r, clients, &p));
+                    got.push(pfs.read_concurrent(r, clients, &p));
+                }
+                got.push(pfs.write_chunks(&sizes, 777, 0.92, clients, &p));
+                got.push(pfs.read_chunks(&placed, 777, 0.92, clients, &p));
+            }
+        }
+        let bits: Vec<[u64; 4]> = got
+            .iter()
+            .map(|m| {
+                [
+                    m.seconds.value().to_bits(),
+                    m.cpu_energy.value().to_bits(),
+                    m.storage_energy.value().to_bits(),
+                    m.bandwidth_bps.to_bits(),
+                ]
+            })
+            .collect();
+        assert_eq!(bits, PINNED, "{bits:#x?}");
     }
 }

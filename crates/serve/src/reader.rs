@@ -119,17 +119,6 @@ impl ReaderStats {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Fraction of decode operations that were sub-chunk (partial)
-    /// decodes rather than whole-chunk decodes.
-    pub fn partial_decode_rate(&self) -> f64 {
-        let total = self.decodes + self.partial_decodes;
-        if total == 0 {
-            0.0
-        } else {
-            self.partial_decodes as f64 / total as f64
-        }
-    }
 }
 
 /// Work accounting for a single region request.
@@ -334,9 +323,11 @@ pub struct ArrayReader<T: Element> {
 }
 
 impl<T: Element> ArrayReader<T> {
-    /// Opens a store stream and builds a reader over it. Fails up front
-    /// on a corrupt manifest, a dtype mismatch, or an unbuildable
-    /// chain, so serving never discovers those mid-request.
+    /// Opens store bytes ([`ChunkedStore::open`]: an `EBMS` mutable
+    /// store serves its current generation) and builds a reader over
+    /// them. Fails up front on a corrupt manifest, a dtype mismatch, or
+    /// an unbuildable chain, so serving never discovers those
+    /// mid-request.
     pub fn open(stream: &[u8], config: ReaderConfig) -> Result<Self> {
         Self::over(ChunkedStore::open(stream)?, config)
     }
@@ -356,7 +347,7 @@ impl<T: Element> ArrayReader<T> {
     /// reader then decodes from its private snapshot, so a slow or
     /// expensive backend is touched exactly once per open/refresh.
     pub fn open_from(storage: &dyn Storage, key: &str, config: ReaderConfig) -> Result<Self> {
-        Self::over(ChunkedStore::open_current(storage.get(key)?)?, config)
+        Self::over(ChunkedStore::open_from(storage, key)?, config)
     }
 
     /// Builds a reader over an already opened store.

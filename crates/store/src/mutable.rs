@@ -428,11 +428,6 @@ impl MutableStore {
         Ok(self)
     }
 
-    /// The storage key publishes write through to, if any.
-    pub fn backing_key(&self) -> Option<&str> {
-        self.backing.as_ref().map(|b| b.key.as_str())
-    }
-
     /// The complete file image.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -700,11 +695,6 @@ pub struct StoreWriter<'s> {
 }
 
 impl StoreWriter<'_> {
-    /// The generation this transaction is based on.
-    pub fn base_generation(&self) -> u64 {
-        self.store.generation()
-    }
-
     /// Number of chunks staged so far.
     pub fn staged_chunks(&self) -> usize {
         self.staged.len()
@@ -897,29 +887,6 @@ mod tests {
             assert_eq!(RootSlot::decode(&bad), None, "byte {i}");
         }
         assert_eq!(RootSlot::decode(&[0u8; SLOT_LEN]), None, "unwritten slot");
-    }
-
-    #[test]
-    fn open_current_sniffs_the_container() {
-        let mutable = small_store();
-        let via_ebms = ChunkedStore::open_current(mutable.as_bytes().into()).unwrap();
-        assert_eq!(via_ebms.generation(), 1);
-        let data = field(Shape::d2(20, 12));
-        let ebcs = ChunkedStore::write(
-            CompressorId::Szx.instance().as_ref(),
-            &data,
-            ErrorBound::Relative(1e-3),
-            Shape::d2(8, 8),
-            2,
-        )
-        .unwrap();
-        let via_ebcs = ChunkedStore::open_current(ebcs.into()).unwrap();
-        assert_eq!(via_ebcs.generation(), 0);
-        assert_eq!(via_ebcs.shape(), via_ebms.shape());
-        assert_eq!(
-            ChunkedStore::open_current(b"not a store at all".as_slice().into()).unwrap_err(),
-            CodecError::BadMagic
-        );
     }
 
     #[test]

@@ -115,17 +115,6 @@ impl ByteRange {
         };
         Ok(start as usize..end as usize)
     }
-
-    /// Number of bytes the range selects from an object of `size`
-    /// bytes (without validating — see [`ByteRange::resolve`]).
-    pub fn len_within(self, size: u64) -> u64 {
-        match self {
-            ByteRange::Full => size,
-            ByteRange::From(offset) => size.saturating_sub(offset),
-            ByteRange::Bounded { len, .. } => len,
-            ByteRange::Suffix(len) => len.min(size),
-        }
-    }
 }
 
 /// A readable, writable, listable key→bytes object store.

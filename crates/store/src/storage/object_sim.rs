@@ -39,14 +39,14 @@ pub struct ObjectCostModel {
 impl ObjectCostModel {
     /// Derives a model from a [`PfsSim`]: single-writer effective
     /// bandwidth as the transfer rate, and mean OST latency scaled by
-    /// [`Self::HTTP_LATENCY_FACTOR`] as the per-request round trip.
+    /// [`Self::HTTP_LATENCY_FACTOR`] as the per-request round trip, with
+    /// S3-standard-like prices: $0.4/M requests, $0.09/GiB egress.
     pub fn from_pfs(pfs: &PfsSim) -> Self {
-        let n = pfs.osts.len().max(1) as f64;
-        let mean_latency = pfs.osts.iter().map(|o| o.latency_s).sum::<f64>() / n;
         Self {
-            request_latency_s: mean_latency * Self::HTTP_LATENCY_FACTOR,
+            request_latency_s: pfs.mean_latency() * Self::HTTP_LATENCY_FACTOR,
             bandwidth_bps: pfs.effective_bandwidth(1).max(1.0),
-            ..Self::default()
+            cost_per_request_usd: 0.4e-6,
+            cost_per_gib_usd: 0.09,
         }
     }
 
@@ -66,18 +66,9 @@ impl ObjectCostModel {
 }
 
 impl Default for ObjectCostModel {
-    /// The testbed network ([`PfsSim::testbed`]) with S3-standard-like
-    /// prices: $0.4/M requests, $0.09/GiB egress.
+    /// The testbed network ([`PfsSim::testbed`]).
     fn default() -> Self {
-        let pfs = PfsSim::testbed();
-        let n = pfs.osts.len().max(1) as f64;
-        let mean_latency = pfs.osts.iter().map(|o| o.latency_s).sum::<f64>() / n;
-        Self {
-            request_latency_s: mean_latency * Self::HTTP_LATENCY_FACTOR,
-            bandwidth_bps: pfs.effective_bandwidth(1).max(1.0),
-            cost_per_request_usd: 0.4e-6,
-            cost_per_gib_usd: 0.09,
-        }
+        Self::from_pfs(&PfsSim::testbed())
     }
 }
 

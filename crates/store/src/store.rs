@@ -409,7 +409,8 @@ impl ChunkedStore {
         ))
     }
 
-    /// Opens a stream, parsing and validating the manifest without
+    /// Opens a store container (an `EBMS` image at its current
+    /// generation), parsing and validating the manifest without
     /// touching any chunk payload. The stream bytes are copied once
     /// into a shared allocation; use [`ChunkedStore::open_arc`] to
     /// adopt an existing `Arc` without copying.
@@ -417,20 +418,26 @@ impl ChunkedStore {
         Self::open_arc(Arc::from(stream))
     }
 
-    /// Opens the `EBCS` stream stored under `key` on a [`Storage`]
-    /// backend. The whole object is fetched once (one GET on an object
-    /// store); the shared allocation is adopted without further copies.
+    /// Opens the store object under `key` on a [`Storage`] backend. The
+    /// whole object is fetched once (one GET on an object store); the
+    /// shared allocation is adopted without further copies.
     pub fn open_from(storage: &dyn Storage, key: &str) -> Result<Self> {
         Self::open_arc(storage.get(key)?)
     }
 
-    /// Opens a stream held in a shared allocation without copying.
+    /// Opens whichever store container a shared allocation holds,
+    /// without copying — the one sniff every open path goes through: an
+    /// `EBMS` mutable store opens at its current generation, anything
+    /// else must be an immutable `EBCS` stream.
     ///
-    /// Rejects v4 generational manifests: their chunk offsets point
-    /// into a surrounding mutable-store file, so they are only
-    /// openable through [`MutableStore`](crate::mutable::MutableStore)
-    /// (or [`ChunkedStore::open_generation`] with that file).
+    /// Rejects a bare v4 generational manifest: its chunk offsets point
+    /// into a surrounding mutable-store file, so it is only openable
+    /// through [`MutableStore`](crate::mutable::MutableStore) (or
+    /// [`ChunkedStore::open_generation`] with that file).
     pub fn open_arc(bytes: Arc<[u8]>) -> Result<Self> {
+        if bytes.starts_with(mutable::MUTABLE_MAGIC) {
+            return mutable::MutableStore::open_arc(bytes)?.current();
+        }
         let (manifest, payload_start) = Manifest::decode(&bytes)?;
         if manifest.generation.is_some() {
             return Err(CodecError::Corrupt {
@@ -445,18 +452,6 @@ impl ChunkedStore {
             bytes,
             manifest,
         })
-    }
-
-    /// Opens whichever store container `bytes` holds, the one sniff
-    /// every serving entry point shares: an `EBMS` mutable store opens
-    /// at its current generation, anything else must be an immutable
-    /// `EBCS` stream.
-    pub fn open_current(bytes: Arc<[u8]>) -> Result<Self> {
-        if bytes.starts_with(mutable::MUTABLE_MAGIC) {
-            mutable::MutableStore::open_arc(bytes)?.current()
-        } else {
-            Self::open_arc(bytes)
-        }
     }
 
     /// Opens one generation of a mutable store: parses the v4 manifest

@@ -705,7 +705,7 @@ fn cmd_query(args: &Args) -> CliResult {
     };
     // `query` serves static EBCS streams and the current generation of
     // EBMS mutable files identically.
-    let store = ChunkedStore::open_current(stream).map_err(|e| e.to_string())?;
+    let store = ChunkedStore::open_arc(stream).map_err(|e| e.to_string())?;
     let region = Region::new(&origin, &extent);
     if !region.fits_in(store.shape()) {
         return Err(format!(
@@ -779,19 +779,21 @@ fn cmd_serve(args: &Args) -> CliResult {
         },
     };
     let backend = cli_backend(args, input)?;
-    let reader = match &backend {
+    let store = match &backend {
         Some(b) => {
             b.seed()?;
-            eblcio::daemon::AnyReader::open_from(b.storage.as_ref(), &b.key, reader_config)
+            ChunkedStore::open_from(b.storage.as_ref(), &b.key)
         }
         None => {
             let bytes: std::sync::Arc<[u8]> = std::fs::read(input)
                 .map_err(|e| format!("{input}: {e}"))?
                 .into();
-            eblcio::daemon::AnyReader::open_arc(bytes, reader_config)
+            ChunkedStore::open_arc(bytes)
         }
     }
     .map_err(|e| e.to_string())?;
+    let reader =
+        eblcio::daemon::AnyReader::over(store, reader_config).map_err(|e| e.to_string())?;
 
     let shape = reader.shape();
     let n_chunks = reader.n_chunks();

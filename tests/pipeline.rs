@@ -228,3 +228,53 @@ fn tighter_bounds_cost_more_energy_and_bytes() {
     assert!(tight.compressed_bytes > loose.compressed_bytes);
     assert!(tight.quality.psnr_db > loose.quality.psnr_db + 30.0);
 }
+
+#[test]
+fn every_open_path_sniffs_the_container() {
+    // One `EBMS` image, a publish past its first generation, opened
+    // through every entry point that takes store bytes: each must serve
+    // exactly what `MutableStore::current()` serves.
+    let field = |bias: f32| {
+        NdArray::<f32>::from_fn(Shape::d2(20, 12), move |i| {
+            (i[0] as f32 * 0.2).sin() * 20.0 + i[1] as f32 * 0.3 + bias
+        })
+    };
+    let codec = CompressorId::Szx.instance();
+    let bound = ErrorBound::Relative(1e-3);
+    let mut mutable =
+        MutableStore::create(codec.as_ref(), &field(0.0), bound, Shape::d2(8, 8), 2).unwrap();
+    let patch = Region::new(&[4, 4], &[8, 8]);
+    let patch_data = NdArray::<f32>::from_fn(patch.shape(), |i| (i[0] * i[1]) as f32);
+    mutable.update_region(&patch, &patch_data, 2).unwrap();
+    assert_eq!(mutable.generation(), 2);
+
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = bits(mutable.current().unwrap().read_full::<f32>(1).unwrap().as_slice());
+    let image = mutable.as_bytes();
+    let storage = MemoryStorage::new();
+    storage.set("field.ebms", image).unwrap();
+    let whole = Region::full(Shape::d2(20, 12));
+    let config = ReaderConfig::default();
+
+    let stores = [
+        ("ChunkedStore::open", ChunkedStore::open(image)),
+        ("ChunkedStore::open_arc", ChunkedStore::open_arc(mutable.snapshot())),
+        ("ChunkedStore::open_from", ChunkedStore::open_from(&storage, "field.ebms")),
+    ];
+    for (entry, store) in stores {
+        let store = store.unwrap_or_else(|e| panic!("{entry}: {e}"));
+        assert_eq!(store.generation(), 2, "{entry}");
+        assert_eq!(bits(store.read_full::<f32>(1).unwrap().as_slice()), want, "{entry}");
+    }
+    let reader = ArrayReader::<f32>::open(image, config).unwrap();
+    assert_eq!(bits(reader.read_region(&whole).unwrap().as_slice()), want, "ArrayReader::open");
+    let any = AnyReader::open(image, config).unwrap();
+    let served = any.read_region_data(&whole).unwrap().as_f32().unwrap();
+    assert_eq!(bits(&served), want, "AnyReader::open");
+
+    // The sniff does not widen what an immutable stream accepts.
+    assert_eq!(
+        ChunkedStore::open(b"not a store at all").unwrap_err(),
+        CodecError::BadMagic
+    );
+}

@@ -6,7 +6,7 @@
 //! * shape/index bijectivity,
 //! * statistical machinery sanity.
 
-use eblcio::codec::lossless::all_baselines;
+use eblcio::codec::stage::build_byte_stage;
 use eblcio::codec::{huffman, lz};
 use eblcio::prelude::*;
 use proptest::prelude::*;
@@ -92,14 +92,19 @@ proptest! {
 
     #[test]
     fn lossless_baselines_are_lossless(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        for codec in all_baselines(4) {
-            let c = codec.compress(&bytes);
-            prop_assert_eq!(&codec.decompress(&c).unwrap(), &bytes, "{}", codec.name());
-        }
-        // The f64-width variants too.
-        for codec in all_baselines(8) {
-            let c = codec.compress(&bytes);
-            prop_assert_eq!(&codec.decompress(&c).unwrap(), &bytes, "{}", codec.name());
+        // Fig. 1's four pipelines, at the f32 and the f64 width.
+        for element_size in [4, 8] {
+            for specs in [
+                vec![ByteStageSpec::Lz],
+                vec![ByteStageSpec::Shuffle { element_size }, ByteStageSpec::Lz],
+                vec![ByteStageSpec::Fpzip { element_size }],
+                vec![ByteStageSpec::Fpc { element_size }],
+            ] {
+                let stages: Vec<_> = specs.iter().map(|&s| build_byte_stage(s)).collect();
+                let packed = stages.iter().fold(bytes.clone(), |b, st| st.forward(&b));
+                let back = stages.iter().rev().try_fold(packed, |b, st| st.inverse(&b)).unwrap();
+                prop_assert_eq!(&back, &bytes, "{:?}", specs);
+            }
         }
     }
 
