@@ -52,8 +52,8 @@ impl SzPayload {
     }
 
     /// Zero-copy decode: `extra` and `outliers` come back as slices of
-    /// `inner`, and the Huffman codes land in the caller's buffer
-    /// (cleared first) — the arena-backed hot path of the SZ-family
+    /// `inner`, and the Huffman codes replace the caller's buffer's
+    /// contents — the arena-backed hot path of the SZ-family
     /// decoders. Bit- and error-identical to [`Self::decode_inner`].
     pub fn decode_inner_into<'a>(
         inner: &'a [u8],
@@ -174,6 +174,20 @@ impl<'a> OutlierReader<'a> {
         Ok(v)
     }
 
+    /// Steps over the outliers of the codes in `codes` (one per zero
+    /// code) without reading them — how a region decoder passes samples
+    /// it does not reconstruct. Fails like [`Self::take`] would if the
+    /// stream holds fewer.
+    pub(crate) fn skip_codes<T: Element>(&mut self, codes: &[u32]) -> Result<()> {
+        let n = codes.iter().filter(|&&c| c == 0).count();
+        let end = self.pos.saturating_add(n.saturating_mul(T::BYTES));
+        if end > self.bytes.len() {
+            return Err(CodecError::TruncatedStream { context: "outlier sample" });
+        }
+        self.pos = end;
+        Ok(())
+    }
+
     /// True when every outlier has been consumed.
     pub fn exhausted(&self) -> bool {
         self.pos >= self.bytes.len()
@@ -266,6 +280,82 @@ impl BlockRows {
                 }
             }
         }
+    }
+}
+
+/// The box a decode delivers, `origin .. origin + extent` (the whole
+/// array for a whole decode), left-padded to four axes like
+/// [`BlockRows`], with the row-major layout of the box-shaped output.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OutBox {
+    origin: [usize; 4],
+    extent: [usize; 4],
+    strides: [usize; 4],
+}
+
+impl OutBox {
+    /// The box `origin .. origin + extent` (rank-length slices,
+    /// validated against the shape by the caller).
+    pub(crate) fn new(origin: &[usize], extent: &[usize]) -> Self {
+        let pad = 4 - origin.len();
+        let mut b = Self { origin: [0; 4], extent: [1; 4], strides: [0; 4] };
+        b.origin[pad..].copy_from_slice(origin);
+        b.extent[pad..].copy_from_slice(extent);
+        let mut acc = 1;
+        for d in (0..4).rev() {
+            b.strides[d] = acc;
+            acc *= b.extent[d];
+        }
+        b
+    }
+
+    /// The whole array.
+    pub(crate) fn whole(shape: Shape) -> Self {
+        Self::new(&[0; 4][..shape.rank()], shape.dims())
+    }
+
+    /// The box's origin at the array's rank.
+    pub(crate) fn origin(&self, rank: usize) -> &[usize] {
+        &self.origin[4 - rank..]
+    }
+
+    /// The box's extent at the array's rank.
+    pub(crate) fn extent(&self, rank: usize) -> &[usize] {
+        &self.extent[4 - rank..]
+    }
+
+    /// Samples in the box.
+    pub(crate) fn len(&self) -> usize {
+        self.extent.iter().product()
+    }
+
+    /// The box-shaped output's shape, at the array's rank.
+    pub(crate) fn shape(&self, rank: usize) -> Shape {
+        Shape::new(&self.extent[4 - rank..])
+    }
+
+    /// Which samples of a last-axis run fall in the box. The run's
+    /// sample `k` (k = 0, 1, …) sits at padded coordinates `at` moved
+    /// `k·step` along the last axis. Returns `(k_lo, k_hi, index)`: the
+    /// samples `k_lo .. k_hi` are inside (the caller clips `k_hi` to its
+    /// run); sample `k_lo` goes to output `index` and each next one
+    /// `step` further on. An empty span when the run misses the box.
+    #[inline]
+    pub(crate) fn span(&self, at: [usize; 4], step: usize) -> (usize, usize, usize) {
+        let mut row = 0;
+        for (d, &c) in at[..3].iter().enumerate() {
+            let rel = c.wrapping_sub(self.origin[d]);
+            if rel >= self.extent[d] {
+                return (0, 0, 0);
+            }
+            row += rel * self.strides[d];
+        }
+        let k_at = |c: usize| if c <= at[3] { 0 } else { (c - at[3]).div_ceil(step) };
+        let (lo, hi) = (k_at(self.origin[3]), k_at(self.origin[3] + self.extent[3]));
+        if lo >= hi {
+            return (0, 0, 0);
+        }
+        (lo, hi, row + at[3] + lo * step - self.origin[3])
     }
 }
 

@@ -8,7 +8,7 @@
 //! PSNR that sits above the other compressors at the same nominal ε,
 //! bought with somewhat lower compression ratios and extra work.
 
-use super::common::{encode_inner, SzPayload};
+use super::common::{encode_inner, OutBox, SzPayload};
 use super::impl_stage_codec;
 use super::sz3::{interp_decode, interp_decode_reference, interp_decode_with, interp_encode_with};
 use crate::error::{CodecError, Result};
@@ -162,18 +162,45 @@ impl Qoz {
                 Self::level_bound(alpha, beta, abs, l)
             }, true);
         }
+        self.decode_box(bytes, shape, abs, &OutBox::whole(shape))
+    }
+
+    /// Partial decode of `origin .. origin + extent`, as
+    /// [`Sz3::decode_region_impl`](super::sz3::Sz3::decode_region_impl)
+    /// does it. The reference decoder has no partial path.
+    pub fn decode_region_impl<T: Element>(
+        &self,
+        bytes: &[u8],
+        shape: Shape,
+        abs: f64,
+        origin: &[usize],
+        extent: &[usize],
+    ) -> Result<Option<NdArray<T>>> {
+        if self.reference {
+            return Ok(None);
+        }
+        self.decode_box(bytes, shape, abs, &OutBox::new(origin, extent)).map(Some)
+    }
+
+    fn decode_box<T: Element>(
+        &self,
+        bytes: &[u8],
+        shape: Shape,
+        abs: f64,
+        boxed: &OutBox,
+    ) -> Result<NdArray<T>> {
         with_scratch(|s| {
             let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
             let (alpha, beta) = Self::parse_extra(extra)?;
-            interp_decode_with(shape, codes, outliers, abs / beta, |l| {
+            interp_decode_with(shape, boxed, codes, outliers, abs / beta, |l| {
                 Self::level_bound(alpha, beta, abs, l)
             }, true, recon)
         })
     }
 }
 
-impl_stage_codec!(Qoz, CompressorId::Qoz);
+impl_stage_codec!(Qoz, CompressorId::Qoz, region);
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 
 use super::common::{
     encode_inner, for_each_block, for_each_in_block, quantize_sample, sz_block_dims, BlockRows,
-    OutlierReader, SzPayload,
+    OutBox, OutlierReader, SzPayload,
 };
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
@@ -18,6 +18,7 @@ use crate::predict::{fit_affine, lorenzo, AffineCoef, LorenzoStencil};
 use crate::quantizer::LinearQuantizer;
 use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
+use crate::util::ByteReader;
 use eblcio_data::{ArrayView, DatasetView, Element, NdArray, Shape};
 
 /// Quantization code radius (SZ default: 2^15 bins each side).
@@ -168,59 +169,190 @@ impl Sz2 {
     ) -> Result<NdArray<T>> {
         if self.reference {
             let p = SzPayload::decode_inner_reference(bytes)?;
-            let mut recon = Vec::new();
-            return self.decode_blocks(&p.codes, &p.outliers, &p.extra, shape, abs, false, &mut recon);
+            return self.decode_reference(&p.codes, &p.outliers, &p.extra, shape, abs);
         }
+        self.decode_box(bytes, shape, abs, &OutBox::whole(shape))
+    }
+
+    /// Partial decode of `origin .. origin + extent`. Every code is
+    /// still Huffman-decoded, but only the blocks the box touches are
+    /// reconstructed, plus the blocks their Lorenzo predictions read
+    /// (regression blocks read none; a Lorenzo block reads its lower
+    /// neighbours, and so on down). Every other block is stepped over:
+    /// its codes and their outliers skipped, its regression coefficients
+    /// consumed. The reference decoder has no partial path.
+    pub fn decode_region_impl<T: Element>(
+        &self,
+        bytes: &[u8],
+        shape: Shape,
+        abs: f64,
+        origin: &[usize],
+        extent: &[usize],
+    ) -> Result<Option<NdArray<T>>> {
+        if self.reference {
+            return Ok(None);
+        }
+        self.decode_box(bytes, shape, abs, &OutBox::new(origin, extent)).map(Some)
+    }
+
+    fn decode_box<T: Element>(
+        &self,
+        bytes: &[u8],
+        shape: Shape,
+        abs: f64,
+        boxed: &OutBox,
+    ) -> Result<NdArray<T>> {
         with_scratch(|s| {
             let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
-            self.decode_blocks(codes, outliers, extra, shape, abs, true, recon)
+            if boxed.len() == shape.len() {
+                self.decode_blocks::<T, true>(codes, outliers, extra, shape, abs, boxed, recon)
+            } else {
+                self.decode_blocks::<T, false>(codes, outliers, extra, shape, abs, boxed, recon)
+            }
         })
     }
 
-    /// Shared block-decode body. The `fast` arm walks each block row by
-    /// row through [`BlockRows`] exactly as [`Self::encode_with`] does —
-    /// the regression plane's outer terms summed once per row, stencil
-    /// or generic Lorenzo decided per row; the reference arm visits
-    /// every sample through its coordinates. Bit-identical either way
-    /// (pinned by `decode_fastpath.rs` and the
+    /// The block decode behind [`Self::decode_box`]: walks each needed
+    /// block row by row through [`BlockRows`] exactly as
+    /// [`Self::encode_with`] does — the regression plane's outer terms
+    /// summed once per row, the stencil's faces decided per row — and
+    /// stores the samples inside `boxed` — all of them, at their own
+    /// offsets, when `WHOLE` (the box is the array: no block selection
+    /// and no per-sample box test, which takes ≈ 11 % off a whole-chunk
+    /// decode; see EXPERIMENTS.md, "Cold reads, part 2"). Bit-identical
+    /// to the same slice of the reference arm's (pinned by
+    /// `decode_fastpath.rs` and the
     /// `stencil_matches_lorenzo_at_interior_points` test).
     #[allow(clippy::too_many_arguments)]
-    fn decode_blocks<T: Element>(
+    fn decode_blocks<T: Element, const WHOLE: bool>(
         &self,
         codes: &[u32],
         outlier_bytes: &[u8],
         extra: &[u8],
         shape: Shape,
         abs: f64,
-        fast: bool,
-        recon_buf: &mut Vec<f64>,
+        boxed: &OutBox,
+        recon: &mut Vec<f64>,
     ) -> Result<NdArray<T>> {
         let rank = shape.rank();
         let pad = 4 - rank;
         let block_dims = self.block_dims.unwrap_or_else(|| sz_block_dims(rank));
-
-        // Side channel: block count, one mode bit per block (MSB-first),
-        // then the regression coefficients of the blocks that use them.
-        let mut er = crate::util::ByteReader::new(extra);
-        let n_blocks = er.varint("sz2 block count")? as usize;
-        let mode_bytes = er.take(n_blocks.div_ceil(8), "sz2 block modes")?;
-        let coef_bytes = &extra[er.position()..];
-
+        let modes = Modes::parse(extra)?;
         let n = shape.len();
         if codes.len() != n {
             return Err(CodecError::Corrupt { context: "sz2 code count" });
         }
+        let grid = BlockGrid::new(shape, &block_dims[..rank]);
+        if modes.n_blocks < grid.len() {
+            return Err(CodecError::Corrupt { context: "sz2 block modes" });
+        }
+        // A box short of the whole array reconstructs only the blocks
+        // it needs, and walks no block past the last of them.
+        let needed = (!WHOLE).then(|| grid.needed(&modes, boxed.origin(rank), boxed.extent(rank)));
+        let walked = needed
+            .as_ref()
+            .map_or(grid.len(), |v| v.iter().rposition(|&b| b).map_or(0, |i| i + 1));
         let stencil = LorenzoStencil::new(shape);
-        recon_buf.clear();
-        recon_buf.resize(n, 0.0);
+        recon.clear();
+        recon.resize(n, 0.0);
         let mut sink = SampleSink {
             quant: LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS),
-            codes: codes.iter(),
+            codes,
+            code_i: 0,
             outliers: OutlierReader::new(outlier_bytes),
-            recon: recon_buf,
-            out: vec![T::default(); n],
+            recon,
         };
+        let mut out = vec![T::default(); boxed.len()];
+        let mut block_i = 0usize;
+        let mut coef_pos = 0usize;
+        let mut failure: Option<CodecError> = None;
+
+        for_each_block(shape, &block_dims[..rank], |base, dims| {
+            if failure.is_some() || block_i >= walked {
+                return;
+            }
+            let b = block_i;
+            block_i += 1;
+            let coef = match modes.coef(b, rank, &mut coef_pos) {
+                Ok(c) => c,
+                Err(e) => {
+                    failure = Some(e);
+                    return;
+                }
+            };
+            if needed.as_ref().is_some_and(|v| !v[b]) {
+                failure = sink.skip::<T>(dims.iter().product()).err();
+                return;
+            }
+            let rows = BlockRows::new(shape, base, dims);
+            let row_len = rows.dims[3];
+            rows.for_each_row(|i, off| {
+                if failure.is_some() {
+                    return;
+                }
+                let b = rows.base;
+                let (j_lo, j_hi, at) = boxed.span([b[0] + i[0], b[1] + i[1], b[2] + i[2], b[3]], 1);
+                let emit = j_hi.min(row_len).saturating_sub(j_lo);
+                let mut put = |sink: &mut SampleSink<'_>, j: usize, pred: f64| -> Result<()> {
+                    let t = sink.put::<T>(pred, off + j)?;
+                    if WHOLE {
+                        out[off + j] = t;
+                    } else if j.wrapping_sub(j_lo) < emit {
+                        out[at + j - j_lo] = t;
+                    }
+                    Ok(())
+                };
+                let row = match &coef {
+                    Some(coef) => {
+                        let p = row_plane(coef, i, pad);
+                        let c_last = coef.c[rank - 1];
+                        (0..row_len).try_for_each(|j| put(&mut sink, j, p + c_last * j as f64))
+                    }
+                    None => {
+                        let (first, rest) = row_faces(&stencil, &rows, i, pad);
+                        (0..row_len).try_for_each(|j| {
+                            let faces = if j == 0 { first } else { rest };
+                            let pred = stencil.eval(sink.recon, off + j, faces);
+                            put(&mut sink, j, pred)
+                        })
+                    }
+                };
+                failure = row.err();
+            });
+        });
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        Ok(NdArray::from_vec(boxed.shape(rank), out))
+    }
+
+    /// The reference arm: every sample through its coordinates and the
+    /// generic [`lorenzo`] predictor, fresh allocations throughout.
+    fn decode_reference<T: Element>(
+        &self,
+        codes: &[u32],
+        outlier_bytes: &[u8],
+        extra: &[u8],
+        shape: Shape,
+        abs: f64,
+    ) -> Result<NdArray<T>> {
+        let rank = shape.rank();
+        let block_dims = self.block_dims.unwrap_or_else(|| sz_block_dims(rank));
+        let modes = Modes::parse(extra)?;
+        let n = shape.len();
+        if codes.len() != n {
+            return Err(CodecError::Corrupt { context: "sz2 code count" });
+        }
+        let mut recon = vec![0.0; n];
+        let mut sink = SampleSink {
+            quant: LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS),
+            codes,
+            code_i: 0,
+            outliers: OutlierReader::new(outlier_bytes),
+            recon: &mut recon,
+        };
+        let mut out = vec![T::default(); n];
         let mut block_i = 0usize;
         let mut coef_pos = 0usize;
         let mut failure: Option<CodecError> = None;
@@ -229,70 +361,153 @@ impl Sz2 {
             if failure.is_some() {
                 return;
             }
-            if block_i >= n_blocks {
+            if block_i >= modes.n_blocks {
                 failure = Some(CodecError::Corrupt { context: "sz2 block modes" });
                 return;
             }
-            let use_regression = mode_bytes[block_i / 8] & (0x80 >> (block_i % 8)) != 0;
-            block_i += 1;
-            let coef = if use_regression {
-                match AffineCoef::from_f32_bytes(rank, &coef_bytes[coef_pos.min(coef_bytes.len())..]) {
-                    Some((c, used)) => {
-                        coef_pos += used;
-                        c
-                    }
-                    None => {
-                        failure = Some(CodecError::TruncatedStream { context: "sz2 coefficients" });
-                        return;
-                    }
+            let coef = match modes.coef(block_i, rank, &mut coef_pos) {
+                Ok(c) => c,
+                Err(e) => {
+                    failure = Some(e);
+                    return;
                 }
-            } else {
-                AffineCoef { c0: 0.0, c: [0.0; 4] }
             };
-
-            if !fast {
-                for_each_in_block(shape, base, dims, |idx, off| {
-                    if failure.is_some() {
-                        return;
-                    }
-                    let pred = if use_regression {
+            block_i += 1;
+            for_each_in_block(shape, base, dims, |idx, off| {
+                if failure.is_some() {
+                    return;
+                }
+                let pred = match &coef {
+                    Some(coef) => {
                         let mut local = [0usize; 4];
                         for d in 0..rank {
                             local[d] = idx[d] - base[d];
                         }
                         coef.eval(&local[..rank])
-                    } else {
-                        lorenzo(sink.recon, shape, idx)
-                    };
-                    failure = sink.put(pred, off).err();
-                });
-                return;
-            }
-
-            let rows = BlockRows::new(shape, base, dims);
-            let row_len = rows.dims[3];
-            let c_last = coef.c[rank - 1];
-            rows.for_each_row(|i, off| {
-                if failure.is_some() {
-                    return;
-                }
-                let row = if use_regression {
-                    let p = row_plane(&coef, i, pad);
-                    (0..row_len).try_for_each(|j| sink.put(p + c_last * j as f64, off + j))
-                } else {
-                    let (first, rest) = row_faces(&stencil, &rows, i, pad);
-                    (0..row_len).try_for_each(|j| {
-                        let faces = if j == 0 { first } else { rest };
-                        sink.put(stencil.eval(sink.recon, off + j, faces), off + j)
-                    })
+                    }
+                    None => lorenzo(sink.recon, shape, idx),
                 };
-                failure = row.err();
+                match sink.put::<T>(pred, off) {
+                    Ok(t) => out[off] = t,
+                    Err(e) => failure = Some(e),
+                }
             });
         });
         if let Some(e) = failure {
             return Err(e);
         }
-        Ok(NdArray::from_vec(shape, sink.out))
+        Ok(NdArray::from_vec(shape, out))
+    }
+}
+
+/// The side channel: block count, one mode bit per block (MSB-first),
+/// then the regression coefficients of the blocks that use them, in
+/// block order.
+struct Modes<'a> {
+    n_blocks: usize,
+    bits: &'a [u8],
+    coefs: &'a [u8],
+}
+
+impl<'a> Modes<'a> {
+    fn parse(extra: &'a [u8]) -> Result<Self> {
+        let mut er = ByteReader::new(extra);
+        let n_blocks = er.varint("sz2 block count")? as usize;
+        let bits = er.take(n_blocks.div_ceil(8), "sz2 block modes")?;
+        Ok(Self { n_blocks, bits, coefs: &extra[er.position()..] })
+    }
+
+    /// Whether block `b` (< `n_blocks`) predicts by regression.
+    fn regression(&self, b: usize) -> bool {
+        self.bits[b / 8] & (0x80 >> (b % 8)) != 0
+    }
+
+    /// Block `b`'s regression coefficients, read at `*pos` (which moves
+    /// past them); `None` for a Lorenzo block.
+    fn coef(&self, b: usize, rank: usize, pos: &mut usize) -> Result<Option<AffineCoef>> {
+        if !self.regression(b) {
+            return Ok(None);
+        }
+        let rest = &self.coefs[(*pos).min(self.coefs.len())..];
+        let (c, used) = AffineCoef::from_f32_bytes(rank, rest)
+            .ok_or(CodecError::TruncatedStream { context: "sz2 coefficients" })?;
+        *pos += used;
+        Ok(Some(c))
+    }
+}
+
+/// The block grid of a shape, in [`for_each_block`]'s raster order.
+struct BlockGrid {
+    rank: usize,
+    edge: [usize; 4],
+    counts: [usize; 4],
+}
+
+impl BlockGrid {
+    fn new(shape: Shape, edge: &[usize]) -> Self {
+        let rank = shape.rank();
+        let mut g = Self { rank, edge: [1; 4], counts: [1; 4] };
+        for (d, &e) in edge.iter().enumerate() {
+            g.edge[d] = e;
+            g.counts[d] = shape.dim(d).div_ceil(e);
+        }
+        g
+    }
+
+    fn len(&self) -> usize {
+        self.counts[..self.rank].iter().product()
+    }
+
+    /// Which blocks a decode of the box `origin .. origin + extent`
+    /// reconstructs: the blocks it touches and, transitively, the lower
+    /// neighbours (one block back along any set of axes) that every
+    /// Lorenzo block among them reads.
+    fn needed(&self, modes: &Modes<'_>, origin: &[usize], extent: &[usize]) -> Vec<bool> {
+        let rank = self.rank;
+        let mut strides = [0usize; 4];
+        let mut acc = 1;
+        for d in (0..rank).rev() {
+            strides[d] = acc;
+            acc *= self.counts[d];
+        }
+        let mut needed = vec![false; self.len()];
+        let (mut lo, mut hi) = ([0usize; 4], [1usize; 4]);
+        for (d, (&o, &e)) in origin.iter().zip(extent).enumerate() {
+            lo[d] = o / self.edge[d];
+            hi[d] = (o + e - 1) / self.edge[d] + 1;
+        }
+        let mut idx = lo;
+        'touched: loop {
+            needed[(0..rank).map(|d| idx[d] * strides[d]).sum::<usize>()] = true;
+            for d in (0..rank).rev() {
+                idx[d] += 1;
+                if idx[d] < hi[d] {
+                    continue 'touched;
+                }
+                idx[d] = lo[d];
+            }
+            break;
+        }
+        // A block's lower neighbours come before it, so one sweep from
+        // the last block closes the set.
+        for b in (0..needed.len()).rev() {
+            if !needed[b] || modes.regression(b) {
+                continue;
+            }
+            'masks: for mask in 1usize..1 << rank {
+                let mut back = 0;
+                for (d, &stride) in strides[..rank].iter().enumerate() {
+                    if mask >> d & 1 == 1 {
+                        if b / stride % self.counts[d] == 0 {
+                            continue 'masks; // no block below the grid's first layer
+                        }
+                        back += stride;
+                    }
+                }
+                needed[b - back] = true;
+            }
+        }
+        needed
     }
 }
 
@@ -323,34 +538,51 @@ fn row_faces(stencil: &LorenzoStencil, rows: &BlockRows, i: [usize; 3], pad: usi
     (first, first & !(1 << (3 - pad)))
 }
 
-/// Where decoded samples go: takes the next code (or outlier) for a
-/// prediction and stores the sample in the output and, widened, in the
+/// Where decoded samples come from: takes the next code (or outlier)
+/// for a prediction and stores the sample, widened, in the
 /// reconstruction plane later predictions read.
-struct SampleSink<'a, T: Element> {
+struct SampleSink<'a> {
     quant: LinearQuantizer,
     /// One code per sample, in visit order.
-    codes: std::slice::Iter<'a, u32>,
+    codes: &'a [u32],
+    code_i: usize,
     outliers: OutlierReader<'a>,
     recon: &'a mut [f64],
-    out: Vec<T>,
 }
 
-impl<T: Element> SampleSink<'_, T> {
+impl SampleSink<'_> {
+    /// Decodes the next sample at flat offset `off` against `pred`.
     #[inline(always)]
-    fn put(&mut self, pred: f64, off: usize) -> Result<()> {
-        let code = *self.codes.next().ok_or(CodecError::Corrupt { context: "sz2 code count" })?;
+    fn put<T: Element>(&mut self, pred: f64, off: usize) -> Result<T> {
+        let code = *self
+            .codes
+            .get(self.code_i)
+            .ok_or(CodecError::Corrupt { context: "sz2 code count" })?;
+        self.code_i += 1;
         let t = if code == 0 {
             self.outliers.take::<T>()?
         } else {
             T::from_f64(self.quant.reconstruct(code, pred))
         };
         self.recon[off] = t.to_f64();
-        self.out[off] = t;
+        Ok(t)
+    }
+
+    /// Steps over the next `n` samples — a block the decode does not
+    /// reconstruct — and their outliers.
+    fn skip<T: Element>(&mut self, n: usize) -> Result<()> {
+        let end = self.code_i + n;
+        let skipped = self
+            .codes
+            .get(self.code_i..end)
+            .ok_or(CodecError::Corrupt { context: "sz2 code count" })?;
+        self.outliers.skip_codes::<T>(skipped)?;
+        self.code_i = end;
         Ok(())
     }
 }
 
-impl_stage_codec!(Sz2, CompressorId::Sz2);
+impl_stage_codec!(Sz2, CompressorId::Sz2, region);
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@
 //! regression coefficients, which is where its compression-ratio
 //! advantage at loose bounds comes from.
 
-use super::common::{encode_inner, quantize_sample, OutlierReader, SzPayload};
+use super::common::{encode_inner, quantize_sample, OutBox, OutlierReader, SzPayload};
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
 use crate::interp::{anchor_offsets, max_level, walk_reference, Interp};
@@ -67,6 +67,23 @@ pub(crate) fn effective_stencil(pred: Interp, cubic: bool) -> Interp {
 /// decoder reconstructs from the next code. Either way `recon[off]`
 /// ends up holding the value the decoder sees.
 trait SampleCoder {
+    /// Announces a run of samples along the last axis (an anchor row or
+    /// one lattice run): its sample `k` has code index `code + k` and
+    /// last-axis coordinate `at[rank − 1] + k·step` (the outer
+    /// coordinates are `at`'s), and the pass codes it from `k_first` on.
+    /// Codes before that are ones the pass steps over.
+    #[inline(always)]
+    fn begin_run(
+        &mut self,
+        code: usize,
+        k_first: usize,
+        at: [usize; 4],
+        step: usize,
+    ) -> Result<()> {
+        let _ = (code, k_first, at, step);
+        Ok(())
+    }
+
     fn code(
         &mut self,
         quant: &LinearQuantizer,
@@ -99,16 +116,79 @@ impl<T: Element> SampleCoder for EncodeSamples<'_, T> {
     }
 }
 
-/// Decode side of [`interp_pass`]: codes and outlier bytes in, samples
-/// out.
-struct DecodeSamples<'a, T> {
+/// Decode side of [`interp_pass`]: codes and outlier bytes in, the
+/// samples of the box `origin .. origin + extent` out. Samples outside
+/// the box that the pass still reconstructs — stencil sources — stay in
+/// `recon`; the codes of samples it never reaches are stepped over, with
+/// their outliers, at the next run. `WHOLE` is a whole decode, where the
+/// box is the array and a sample's output index is its own offset: no
+/// per-run span and no per-sample box test, which takes ≈ 20 % off a
+/// whole-chunk decode (see EXPERIMENTS.md, "Cold reads, part 2").
+struct DecodeSamples<'a, T, const WHOLE: bool> {
     codes: &'a [u32],
     code_i: usize,
     outliers: OutlierReader<'a>,
+    rank: usize,
+    boxed: OutBox,
     out: &'a mut [T],
+    /// The current run's codes `emit_from .. emit_from + emit_len` land
+    /// at `out[emit_at + j·emit_step]`, `j` counted from `emit_from`.
+    emit_from: usize,
+    emit_len: usize,
+    emit_at: usize,
+    emit_step: usize,
 }
 
-impl<T: Element> SampleCoder for DecodeSamples<'_, T> {
+impl<'a, T: Element, const WHOLE: bool> DecodeSamples<'a, T, WHOLE> {
+    fn new(
+        codes: &'a [u32],
+        outliers: &'a [u8],
+        rank: usize,
+        boxed: OutBox,
+        out: &'a mut [T],
+    ) -> Self {
+        Self {
+            codes,
+            code_i: 0,
+            outliers: OutlierReader::new(outliers),
+            rank,
+            boxed,
+            out,
+            emit_from: 0,
+            emit_len: 0,
+            emit_at: 0,
+            emit_step: 0,
+        }
+    }
+}
+
+impl<T: Element, const WHOLE: bool> SampleCoder for DecodeSamples<'_, T, WHOLE> {
+    #[inline(always)]
+    fn begin_run(
+        &mut self,
+        code: usize,
+        k_first: usize,
+        at: [usize; 4],
+        step: usize,
+    ) -> Result<()> {
+        if WHOLE {
+            return Ok(());
+        }
+        let first = code + k_first;
+        if first > self.code_i {
+            self.outliers.skip_codes::<T>(&self.codes[self.code_i..first])?;
+            self.code_i = first;
+        }
+        let mut padded = [0usize; 4];
+        padded[4 - self.rank..].copy_from_slice(&at[..self.rank]);
+        let (lo, hi, at) = self.boxed.span(padded, step);
+        self.emit_from = code + lo;
+        self.emit_len = hi - lo;
+        self.emit_at = at;
+        self.emit_step = step;
+        Ok(())
+    }
+
     #[inline(always)]
     fn code(
         &mut self,
@@ -117,15 +197,23 @@ impl<T: Element> SampleCoder for DecodeSamples<'_, T> {
         off: usize,
         recon: &mut [f64],
     ) -> Result<()> {
-        let code = self.codes[self.code_i];
+        let i = self.code_i;
         self.code_i += 1;
+        let code = self.codes[i];
         let t = if code == 0 {
             self.outliers.take::<T>()?
         } else {
             T::from_f64(quant.reconstruct(code, pred))
         };
         recon[off] = t.to_f64();
-        self.out[off] = t;
+        if WHOLE {
+            self.out[off] = t;
+            return Ok(());
+        }
+        let j = i.wrapping_sub(self.emit_from);
+        if j < self.emit_len {
+            self.out[self.emit_at + j * self.emit_step] = t;
+        }
         Ok(())
     }
 }
@@ -151,11 +239,13 @@ pub(crate) fn interp_encode_with<T: Element>(
     codes.reserve(n);
     outliers.clear();
     let mut coder = EncodeSamples { samples: data.as_slice(), codes, outliers };
+    let whole = OutBox::whole(shape);
     // The encode side of the pass cannot fail.
-    let _ = interp_pass(shape, anchor_abs, level_abs, cubic, recon, &mut coder);
+    let _ = interp_pass(shape, &whole, anchor_abs, level_abs, cubic, recon, &mut coder);
 }
 
-/// Mirror of [`interp_encode_with`] on the thread's arena plane.
+/// Mirror of [`interp_encode_with`] on the thread's arena plane (a
+/// whole decode).
 pub(crate) fn interp_decode<T: Element>(
     shape: Shape,
     codes: &[u32],
@@ -164,16 +254,22 @@ pub(crate) fn interp_decode<T: Element>(
     level_abs: impl Fn(u32) -> f64,
     cubic: bool,
 ) -> Result<NdArray<T>> {
+    let whole = OutBox::whole(shape);
     with_scratch(|s| {
-        interp_decode_with(shape, codes, outlier_bytes, anchor_abs, level_abs, cubic, &mut s.recon)
+        let recon = &mut s.recon;
+        interp_decode_with(shape, &whole, codes, outlier_bytes, anchor_abs, level_abs, cubic, recon)
     })
 }
 
-/// [`interp_decode`] with a caller-owned reconstruction buffer, so the
-/// arena-backed decode path reuses the f64 plane across chunks.
-/// Bit-identical to [`interp_decode_reference`] (see [`interp_pass`]).
+/// Decodes `boxed` (the whole array, or a region of it) with a
+/// caller-owned reconstruction buffer, so the arena-backed decode path
+/// reuses the f64 plane across chunks. Returns a box-shaped array,
+/// bit-identical to the same slice of [`interp_decode_reference`]'s
+/// (see [`interp_pass`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn interp_decode_with<T: Element>(
     shape: Shape,
+    boxed: &OutBox,
     codes: &[u32],
     outlier_bytes: &[u8],
     anchor_abs: f64,
@@ -187,16 +283,39 @@ pub(crate) fn interp_decode_with<T: Element>(
     }
     recon_buf.clear();
     recon_buf.resize(n, 0.0);
-    let mut out = vec![T::default(); n];
-    let mut coder = DecodeSamples {
-        codes,
-        code_i: 0,
-        outliers: OutlierReader::new(outlier_bytes),
-        out: &mut out,
-    };
+    let rank = shape.rank();
+    let mut out = vec![T::default(); boxed.len()];
     let anchor_abs = anchor_abs.max(f64::MIN_POSITIVE);
-    interp_pass(shape, anchor_abs, level_abs, cubic, recon_buf, &mut coder)?;
-    Ok(NdArray::from_vec(shape, out))
+    if boxed.len() == n {
+        let mut coder = DecodeSamples::<T, true>::new(codes, outlier_bytes, rank, *boxed, &mut out);
+        interp_pass(shape, boxed, anchor_abs, level_abs, cubic, recon_buf, &mut coder)?;
+    } else {
+        let mut coder = DecodeSamples::<T, false>::new(codes, outlier_bytes, rank, *boxed, &mut out);
+        interp_pass(shape, boxed, anchor_abs, level_abs, cubic, recon_buf, &mut coder)?;
+    }
+    Ok(NdArray::from_vec(boxed.shape(rank), out))
+}
+
+/// The samples `[lo, hi)` along axis `d` of `shape` that the step at
+/// `level` along `axis` reconstructs for `boxed`: the box widened by the
+/// stencil reach of every step after it, which is everything those
+/// steps read. The finer levels reach `3·(1 + 2 + … + h/2) = 3·(h − 1)`
+/// along every axis; this level's later axes add `3·h` along theirs. A
+/// whole box stays whole.
+fn widened(boxed: &OutBox, shape: Shape, d: usize, level: u32, axis: usize) -> (usize, usize) {
+    let rank = shape.rank();
+    let lo = boxed.origin(rank)[d];
+    let hi = lo + boxed.extent(rank)[d];
+    let h = 1usize << (level - 1);
+    let w = 3 * (h - 1) + if d > axis { 3 * h } else { 0 };
+    (lo.saturating_sub(w), hi.saturating_add(w).min(shape.dim(d)))
+}
+
+/// The lattice indices `i < count` with `base + i·stride` in `[lo, hi)`.
+#[inline]
+fn lattice_span(base: usize, stride: usize, count: usize, lo: usize, hi: usize) -> (usize, usize) {
+    let first = |c: usize| if c <= base { 0 } else { (c - base).div_ceil(stride) };
+    (first(lo).min(count), first(hi).min(count))
 }
 
 /// The interpolation pyramid both directions run: the anchor lattice as
@@ -212,8 +331,15 @@ pub(crate) fn interp_decode_with<T: Element>(
 /// arithmetic in the same order (`* 0.0625` is an exact power-of-two
 /// scale, the same correctly-rounded result as `/ 16.0`), and samples
 /// are visited in the same sequence.
+///
+/// Every anchor is coded (they form one chain); a level/axis step codes
+/// only its targets inside [`widened`] `boxed`, visiting them in the
+/// same order and announcing each run to `coder` with the code index its
+/// samples have in the full sequence, so a decoder steps over the rest.
+/// With [`OutBox::whole`] nothing is cut.
 fn interp_pass<C: SampleCoder>(
     shape: Shape,
+    boxed: &OutBox,
     anchor_abs: f64,
     level_abs: impl Fn(u32) -> f64,
     cubic: bool,
@@ -221,16 +347,44 @@ fn interp_pass<C: SampleCoder>(
     coder: &mut C,
 ) -> Result<()> {
     let rank = shape.rank();
+    let last = rank - 1;
     let strides = shape.strides();
+    let levels = max_level(shape);
 
+    // Anchors: one run per last-axis row of the anchor lattice.
+    let stride = 1usize << levels;
     let anchor_quant = LinearQuantizer::new(anchor_abs, RADIUS);
+    let mut counts = [1usize; 4];
+    for (d, count) in counts.iter_mut().enumerate().take(rank) {
+        *count = shape.dim(d).div_ceil(stride);
+    }
     let mut prev = 0.0f64;
-    for off in anchor_offsets(shape) {
-        coder.code(&anchor_quant, prev, off, recon)?;
-        prev = recon[off];
+    let mut code = 0usize;
+    let mut idx = [0usize; 4];
+    for _ in 0..counts[..last].iter().product::<usize>() {
+        let mut at = [0usize; 4];
+        let mut off = 0usize;
+        for d in 0..last {
+            at[d] = idx[d] * stride;
+            off += at[d] * strides[d];
+        }
+        coder.begin_run(code, 0, at, stride)?;
+        for _ in 0..counts[last] {
+            coder.code(&anchor_quant, prev, off, recon)?;
+            prev = recon[off];
+            off += stride * strides[last];
+        }
+        code += counts[last];
+        for d in (0..last).rev() {
+            idx[d] += 1;
+            if idx[d] < counts[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
     }
 
-    for level in (1..=max_level(shape)).rev() {
+    for level in (1..=levels).rev() {
         let s = 1usize << level;
         let h = s / 2;
         let quant = LinearQuantizer::new(level_abs(level).max(f64::MIN_POSITIVE), RADIUS);
@@ -240,55 +394,88 @@ fn interp_pass<C: SampleCoder>(
                 continue;
             }
             // Lattice counts and per-dim flat steps, exactly as in
-            // `walk`.
+            // `walk`; along each dim the lattice sits at `base + i·step`.
             let mut counts = [1usize; 4];
-            for (d, count) in counts.iter_mut().enumerate().take(rank) {
-                *count = if d == axis {
-                    (dim_a - h).div_ceil(s)
+            let mut base = [0usize; 4];
+            let mut step = [0usize; 4];
+            for d in 0..rank {
+                (base[d], step[d], counts[d]) = if d == axis {
+                    (h, s, (dim_a - h).div_ceil(s))
                 } else if d < axis {
-                    shape.dim(d).div_ceil(h)
+                    (0, h, shape.dim(d).div_ceil(h))
                 } else {
-                    shape.dim(d).div_ceil(s)
+                    (0, s, shape.dim(d).div_ceil(s))
                 };
             }
-            let mut steps = [0usize; 4];
-            for (d, sp) in steps.iter_mut().enumerate().take(rank) {
-                *sp = if d < axis { h } else { s } * strides[d];
+            let total: usize = counts[..rank].iter().product();
+            // The index span of this step's targets along each dim.
+            let mut first = [0usize; 4];
+            let mut end = [1usize; 4];
+            for d in 0..rank {
+                let (lo, hi) = widened(boxed, shape, d, level, axis);
+                (first[d], end[d]) = lattice_span(base[d], step[d], counts[d], lo, hi);
+            }
+            if (0..rank).any(|d| first[d] >= end[d]) {
+                code += total;
+                continue;
+            }
+            let mut offs = [0usize; 4];
+            let mut code_steps = [0usize; 4];
+            let mut run_codes = counts[last];
+            for d in (0..rank).rev() {
+                offs[d] = step[d] * strides[d];
+                code_steps[d] = if d == last { 1 } else { run_codes };
+                if d < last {
+                    run_codes *= counts[d];
+                }
             }
             let axis_stride = strides[axis];
             let d1 = h * axis_stride;
             let d3 = 3 * h * axis_stride;
-            let inner_n = counts[rank - 1];
-            let inner_step = steps[rank - 1];
-            let outer_total: usize = counts[..rank - 1].iter().product();
-            let mut idx = [0usize; 4];
+            let inner_step = offs[last];
+            let (k_lo, k_hi) = (first[last], end[last]);
+            let mut idx = first;
             let mut off0 = h * axis_stride;
+            let mut code0 = code;
+            for d in 0..last {
+                off0 += first[d] * offs[d];
+                code0 += first[d] * code_steps[d];
+            }
+            let outer_total: usize = (0..last).map(|d| end[d] - first[d]).product();
             for _ in 0..outer_total {
-                if axis == rank - 1 {
+                let mut at = base;
+                for d in 0..last {
+                    at[d] += idx[d] * step[d];
+                }
+                coder.begin_run(code0, k_lo, at, s)?;
+                let mut k = k_lo;
+                let mut o = off0 + k * inner_step;
+                if axis == last {
                     // The run varies the target-axis coordinate
                     // t = h + k·s: a linear-or-copy head sample, a cubic
                     // interior, then a linear and a copy tail (every
                     // predicate is monotone in k, so the segments are
                     // contiguous).
-                    let mut o = off0;
-                    let pred = if s < dim_a {
-                        0.5 * (recon[o - d1] + recon[o + d1])
-                    } else {
-                        recon[o - d1]
-                    };
-                    coder.code(&quant, pred, o, recon)?;
-                    o += inner_step;
-                    let mut k = 1usize;
+                    if k == 0 && k < k_hi {
+                        let pred = if s < dim_a {
+                            0.5 * (recon[o - d1] + recon[o + d1])
+                        } else {
+                            recon[o - d1]
+                        };
+                        coder.code(&quant, pred, o, recon)?;
+                        o += inner_step;
+                        k += 1;
+                    }
                     // Cubic needs t ≥ 3h (k ≥ 1) and t + 3h < dim_a
                     // (k·s ≤ dim_a − 4h − 1); without cubic stencils the
                     // interior degrades to linear and merges with the
                     // linear tail below.
-                    let kc_hi = if cubic && dim_a > 4 * h {
-                        ((dim_a - 4 * h - 1) / s).min(inner_n - 1)
+                    let cubic_end = if cubic && dim_a > 4 * h {
+                        ((dim_a - 4 * h - 1) / s + 1).min(k_hi)
                     } else {
                         0
                     };
-                    while k <= kc_hi {
+                    while k < cubic_end {
                         let pred = (-recon[o - d3] + 9.0 * recon[o - d1] + 9.0 * recon[o + d1]
                             - recon[o + d3])
                             * 0.0625;
@@ -297,18 +484,18 @@ fn interp_pass<C: SampleCoder>(
                         k += 1;
                     }
                     // Linear while t + h < dim_a (k·s ≤ dim_a − 2h − 1).
-                    let kl_hi = if dim_a > 2 * h {
-                        ((dim_a - 2 * h - 1) / s).min(inner_n - 1)
+                    let linear_end = if dim_a > 2 * h {
+                        ((dim_a - 2 * h - 1) / s + 1).min(k_hi)
                     } else {
                         0
                     };
-                    while k <= kl_hi {
+                    while k < linear_end {
                         let pred = 0.5 * (recon[o - d1] + recon[o + d1]);
                         coder.code(&quant, pred, o, recon)?;
                         o += inner_step;
                         k += 1;
                     }
-                    while k < inner_n {
+                    while k < k_hi {
                         let pred = recon[o - d1];
                         coder.code(&quant, pred, o, recon)?;
                         o += inner_step;
@@ -317,10 +504,9 @@ fn interp_pass<C: SampleCoder>(
                 } else {
                     // The target-axis coordinate is fixed for the whole
                     // run, so the stencil kind is too.
-                    let t = h + idx[axis] * s;
-                    let mut o = off0;
+                    let t = at[axis];
                     if cubic && t >= 3 * h && t + 3 * h < dim_a {
-                        for _ in 0..inner_n {
+                        for _ in k_lo..k_hi {
                             let pred = (-recon[o - d3] + 9.0 * recon[o - d1]
                                 + 9.0 * recon[o + d1]
                                 - recon[o + d3])
@@ -329,31 +515,35 @@ fn interp_pass<C: SampleCoder>(
                             o += inner_step;
                         }
                     } else if t + h < dim_a {
-                        for _ in 0..inner_n {
+                        for _ in k_lo..k_hi {
                             let pred = 0.5 * (recon[o - d1] + recon[o + d1]);
                             coder.code(&quant, pred, o, recon)?;
                             o += inner_step;
                         }
                     } else {
-                        for _ in 0..inner_n {
+                        for _ in k_lo..k_hi {
                             let pred = recon[o - d1];
                             coder.code(&quant, pred, o, recon)?;
                             o += inner_step;
                         }
                     }
                 }
-                // Outer odometer over dims 0..rank−1 — the innermost
-                // digit already ran its full count inside the run.
-                for d in (0..rank - 1).rev() {
+                // Outer odometer over the spans of dims 0..rank−1 — the
+                // innermost digit already ran its span inside the run.
+                for d in (0..last).rev() {
                     idx[d] += 1;
-                    if idx[d] < counts[d] {
-                        off0 += steps[d];
+                    if idx[d] < end[d] {
+                        off0 += offs[d];
+                        code0 += code_steps[d];
                         break;
                     }
-                    idx[d] = 0;
-                    off0 -= steps[d] * (counts[d] - 1);
+                    let back = idx[d] - 1 - first[d];
+                    idx[d] = first[d];
+                    off0 -= offs[d] * back;
+                    code0 -= code_steps[d] * back;
                 }
             }
+            code += total;
         }
     }
     Ok(())
@@ -477,25 +667,57 @@ impl Sz3 {
     ) -> Result<NdArray<T>> {
         if self.reference {
             let p = SzPayload::decode_inner_reference(bytes)?;
-            if p.extra.len() != 1 || p.extra[0] > 1 {
-                return Err(CodecError::Corrupt { context: "sz3 parameters" });
-            }
-            let cubic = p.extra[0] == 1;
+            let cubic = Self::parse_extra(&p.extra)?;
             return interp_decode_reference(shape, &p.codes, &p.outliers, abs, |_| abs, cubic);
         }
+        self.decode_box(bytes, shape, abs, &OutBox::whole(shape))
+    }
+
+    /// Partial decode of `origin .. origin + extent`: every code is
+    /// Huffman-decoded, but each level reconstructs only the box widened
+    /// by the stencil reach of the finer levels (`3·h` per level), so
+    /// the finest levels — most of the samples — stay near the box and
+    /// the small coarse ones run whole. The reference decoder has no
+    /// partial path.
+    pub fn decode_region_impl<T: Element>(
+        &self,
+        bytes: &[u8],
+        shape: Shape,
+        abs: f64,
+        origin: &[usize],
+        extent: &[usize],
+    ) -> Result<Option<NdArray<T>>> {
+        if self.reference {
+            return Ok(None);
+        }
+        self.decode_box(bytes, shape, abs, &OutBox::new(origin, extent)).map(Some)
+    }
+
+    fn decode_box<T: Element>(
+        &self,
+        bytes: &[u8],
+        shape: Shape,
+        abs: f64,
+        boxed: &OutBox,
+    ) -> Result<NdArray<T>> {
         with_scratch(|s| {
             let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
-            if extra.len() != 1 || extra[0] > 1 {
-                return Err(CodecError::Corrupt { context: "sz3 parameters" });
-            }
-            let cubic = extra[0] == 1;
-            interp_decode_with(shape, codes, outliers, abs, |_| abs, cubic, recon)
+            let cubic = Self::parse_extra(extra)?;
+            interp_decode_with(shape, boxed, codes, outliers, abs, |_| abs, cubic, recon)
         })
+    }
+
+    /// Validates and unpacks the one-byte `cubic` side info.
+    fn parse_extra(extra: &[u8]) -> Result<bool> {
+        match extra {
+            [flag @ (0 | 1)] => Ok(*flag == 1),
+            _ => Err(CodecError::Corrupt { context: "sz3 parameters" }),
+        }
     }
 }
 
-impl_stage_codec!(Sz3, CompressorId::Sz3);
+impl_stage_codec!(Sz3, CompressorId::Sz3, region);
 
 #[cfg(test)]
 mod tests {

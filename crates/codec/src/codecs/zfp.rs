@@ -186,8 +186,11 @@ impl Zfp {
 /// misses the bound.
 fn accuracy_planes(abs: f64, scale: f64, mut within: impl FnMut(u32) -> bool) -> Option<u32> {
     let tol_int = abs * scale;
-    let drop_bits = tol_int.log2().floor().min(f64::from(TOTAL_BITS)) as i32 + 1;
-    let mut planes = (TOTAL_BITS as i32 - drop_bits).clamp(1, TOTAL_BITS as i32) as u32;
+    // A tolerance that underflows to zero has log2 −∞, which casts to
+    // `i32::MIN`. The arithmetic wraps there, as the encoder always has
+    // in release builds (the stream bits depend on it).
+    let drop_bits = (tol_int.log2().floor().min(f64::from(TOTAL_BITS)) as i32).wrapping_add(1);
+    let mut planes = (TOTAL_BITS as i32).wrapping_sub(drop_bits).clamp(1, TOTAL_BITS as i32) as u32;
     loop {
         if within(planes) {
             return Some(planes);

@@ -264,8 +264,11 @@ pub fn decode_block(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
 
 /// Parses the table header shared by both decode paths. Returns `None`
 /// (after validating the two trailing zero varints) for an empty block.
+/// Every entry takes at least two bytes (a symbol delta and a length),
+/// so a count the rest of the buffer cannot hold is rejected before
+/// anything is allocated for it.
 fn parse_table(r: &mut ByteReader<'_>) -> Result<Option<Vec<(u32, u8)>>> {
-    let n_table = r.varint("huffman table size")? as usize;
+    let n_table = r.varint("huffman table size")?;
     if n_table == 0 {
         let n_values = r.varint("huffman value count")?;
         let n_bits = r.varint("huffman bit length")?;
@@ -274,9 +277,10 @@ fn parse_table(r: &mut ByteReader<'_>) -> Result<Option<Vec<(u32, u8)>>> {
         }
         return Ok(None);
     }
-    if n_table > 1 << 28 {
+    if n_table > r.remaining() as u64 / 2 {
         return Err(CodecError::Corrupt { context: "huffman table size" });
     }
+    let n_table = n_table as usize;
 
     let mut table = Vec::with_capacity(n_table);
     let mut sym = 0u32;
@@ -300,28 +304,41 @@ fn parse_table(r: &mut ByteReader<'_>) -> Result<Option<Vec<(u32, u8)>>> {
     Ok(Some(table))
 }
 
-/// Decodes a block into a caller-owned buffer (cleared first), reusing
-/// the caller's [`HuffLookup`] tables so steady-state chunk serving
-/// builds no fresh decoder allocations per block. Returns the bytes
-/// consumed from `buf`.
+/// Parses the value count, the payload bit length and the payload that
+/// follow the table, for both decode paths. Every code is at least one
+/// bit long, so a block claiming more values than payload bits is
+/// corrupt — rejected here, which bounds every buffer sized by the
+/// value count by the payload actually present.
+fn parse_payload<'a>(r: &mut ByteReader<'a>) -> Result<(usize, &'a [u8])> {
+    let n_values = r.varint("huffman value count")?;
+    let n_bits = r.varint("huffman bit length")?;
+    if n_values > n_bits {
+        return Err(CodecError::Corrupt { context: "huffman value count" });
+    }
+    let payload = r.take(n_bits.div_ceil(8) as usize, "huffman payload")?;
+    Ok((n_values as usize, payload))
+}
+
+/// Decodes a block into a caller-owned buffer, replacing its contents
+/// (which an error leaves unspecified), reusing the caller's
+/// [`HuffLookup`] tables so steady-state chunk serving builds no fresh
+/// decoder allocations per block. Returns the bytes consumed from `buf`.
+///
+/// Symbols decode through the multi-symbol window
+/// (`HuffLookup::decode_multi`): one lookup and one buffer shift per
+/// window instead of per symbol.
 pub fn decode_block_into(buf: &[u8], out: &mut Vec<u32>, lut: &mut HuffLookup) -> Result<usize> {
-    out.clear();
     let mut r = ByteReader::new(buf);
     let Some(table) = parse_table(&mut r)? else {
+        out.clear();
         return Ok(r.position());
     };
     lut.prepare(&table)?;
-    let n_values = r.varint("huffman value count")? as usize;
-    let n_bits = r.varint("huffman bit length")?;
-    let n_bytes = n_bits.div_ceil(8) as usize;
-    let payload = r.take(n_bytes, "huffman payload")?;
+    let (n_values, payload) = parse_payload(&mut r)?;
     let consumed = r.position();
 
-    let mut bits = BatchBits::new(payload);
-    out.reserve(n_values);
-    for _ in 0..n_values {
-        out.push(lut.decode_one(&mut bits)?);
-    }
+    lut.prepare_multi();
+    lut.decode_multi(&mut BatchBits::new(payload), n_values, out)?;
     Ok(consumed)
 }
 
@@ -334,10 +351,7 @@ pub fn decode_block_reference(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
         return Ok((Vec::new(), r.position()));
     };
     let decoder = Decoder::new(&table)?;
-    let n_values = r.varint("huffman value count")? as usize;
-    let n_bits = r.varint("huffman bit length")?;
-    let n_bytes = n_bits.div_ceil(8) as usize;
-    let payload = r.take(n_bytes, "huffman payload")?;
+    let (n_values, payload) = parse_payload(&mut r)?;
     let consumed = r.position();
 
     let mut bits = BitReader::new(payload);
@@ -399,11 +413,17 @@ impl Decoder {
 /// nearly all symbols resolve through the primary table.
 const PRIMARY_BITS: u32 = 12;
 
+/// Width of the multi-symbol window: one lookup resolves every whole
+/// code among the next `MULTI_BITS` payload bits. Quantization codes
+/// average under two bits, so a window typically yields several.
+const MULTI_BITS: u32 = 10;
+/// Most symbols one multi-symbol window entry holds.
+const MULTI_MAX: usize = 4;
+
 /// Reusable state of the table-driven canonical decoder: the per-length
-/// range tables of the tree decoder plus a `PRIMARY_BITS`-wide
-/// direct-lookup window. Held in
-/// [`CodecScratch`](crate::scratch::CodecScratch) so repeated block
-/// decodes on one thread reuse the allocations.
+/// range tables of the tree decoder, a `PRIMARY_BITS`-wide direct-lookup
+/// window and the `MULTI_BITS`-wide multi-symbol window. Held in [`CodecScratch`](crate::scratch::CodecScratch) so
+/// repeated block decodes on one thread reuse the allocations.
 #[derive(Default)]
 pub struct HuffLookup {
     /// Symbols sorted by (length, symbol).
@@ -417,8 +437,12 @@ pub struct HuffLookup {
     len: Vec<u8>,
     /// Actual window width: `min(PRIMARY_BITS, longest code)`.
     bits: u32,
-    /// Sort scratch.
-    sorted: Vec<(u32, u8)>,
+    /// The whole codes at the front of each multi-symbol window, in
+    /// order (the first `multi_len >> 4` are valid).
+    multi_sym: Vec<[u32; MULTI_MAX]>,
+    /// Per multi-symbol window: `count << 4 | total bits`; 0 when the
+    /// window's first code is longer than the window.
+    multi_len: Vec<u8>,
 }
 
 impl HuffLookup {
@@ -428,41 +452,52 @@ impl HuffLookup {
         f(&mut self.per_len);
         f(&mut self.sym);
         f(&mut self.len);
-        f(&mut self.sorted);
+        f(&mut self.multi_sym);
+        f(&mut self.multi_len);
     }
 
     /// Rebuilds the tables for one block's code table. Performs the same
     /// canonical assignment and Kraft validation as [`Decoder::new`].
     fn prepare(&mut self, table: &[(u32, u8)]) -> Result<()> {
-        self.sorted.clear();
-        self.sorted.extend_from_slice(table);
-        self.sorted.sort_unstable_by_key(|&(s, l)| (l, s));
+        // `table` is in strictly increasing symbol order (`parse_table`
+        // checks), so bucketing it by length, in order, sorts it by
+        // (length, symbol).
+        let mut counts = [0usize; MAX_CODE_LEN as usize + 1];
+        for &(_, len) in table {
+            counts[len as usize] += 1;
+        }
+        let mut next = [0usize; MAX_CODE_LEN as usize + 1];
+        for len in 1..=MAX_CODE_LEN as usize {
+            next[len] = next[len - 1] + counts[len - 1];
+        }
         self.symbols.clear();
-        self.symbols.extend(self.sorted.iter().map(|&(s, _)| s));
+        self.symbols.resize(table.len(), 0);
         self.per_len.clear();
         self.per_len.resize(MAX_CODE_LEN as usize + 1, (0u64, 0usize, 0usize));
         let mut code = 0u64;
-        let mut prev_len = 0u8;
-        let mut max_len = 0u8;
-        for (i, &(_, len)) in self.sorted.iter().enumerate() {
-            if len != prev_len {
-                code <<= len - prev_len;
-                self.per_len[len as usize] = (code, i, 0);
-                prev_len = len;
+        let mut prev_len = 0usize;
+        for len in 1..=MAX_CODE_LEN as usize {
+            if counts[len] == 0 {
+                continue;
             }
-            self.per_len[len as usize].2 += 1;
-            code += 1;
-            max_len = len; // sorted ascending, so the last length is the max
+            code <<= len - prev_len;
+            self.per_len[len] = (code, next[len], counts[len]);
+            prev_len = len;
+            code += counts[len] as u64;
             // Kraft violation ⇒ corrupt table.
-            if len < 64 && code > (1u64 << len) {
+            if code > 1u64 << len {
                 return Err(CodecError::Corrupt { context: "huffman kraft inequality" });
             }
         }
+        for &(sym, len) in table {
+            self.symbols[next[len as usize]] = sym;
+            next[len as usize] += 1;
+        }
 
-        // Primary window: fill shorter codes first and never overwrite,
-        // matching the sequential smallest-length-first walk even for
-        // adversarial tables.
-        self.bits = u32::from(max_len).min(PRIMARY_BITS);
+        // Primary window: each code owns the contiguous run of windows it
+        // prefixes. The Kraft check keeps canonical codes prefix-free and
+        // inside the window, so the runs neither overlap nor overrun.
+        self.bits = (prev_len as u32).min(PRIMARY_BITS);
         let size = 1usize << self.bits;
         self.len.clear();
         self.len.resize(size, 0);
@@ -470,19 +505,82 @@ impl HuffLookup {
         self.sym.resize(size, 0);
         for len in 1..=self.bits {
             let (first, fidx, count) = self.per_len[len as usize];
-            for k in 0..count {
-                let code = first + k as u64;
-                let lo = (code << (self.bits - len)) as usize;
-                let hi = ((code + 1) << (self.bits - len)) as usize;
-                let symv = self.symbols[fidx + k];
-                for e in lo..hi.min(size) {
-                    if self.len[e] == 0 {
-                        self.len[e] = len as u8;
-                        self.sym[e] = symv;
-                    }
-                }
+            let run = 1usize << (self.bits - len);
+            let lo = (first as usize) << (self.bits - len);
+            for (k, &symv) in self.symbols[fidx..fidx + count].iter().enumerate() {
+                let at = lo + k * run;
+                self.len[at..at + run].fill(len as u8);
+                self.sym[at..at + run].fill(symv);
             }
         }
+        Ok(())
+    }
+
+    /// Fills the multi-symbol window from the primary one (after
+    /// [`Self::prepare`]): for every `MULTI_BITS`-bit window, the run of
+    /// whole codes it starts with, up to `MULTI_MAX`. A code counts only
+    /// if all its bits lie inside the window, so an entry never depends
+    /// on the bits that follow it.
+    fn prepare_multi(&mut self) {
+        let size = 1usize << MULTI_BITS;
+        self.multi_sym.clear();
+        self.multi_sym.resize(size, [0; MULTI_MAX]);
+        self.multi_len.clear();
+        self.multi_len.resize(size, 0);
+        let shift = 64 - self.bits;
+        for (w, (syms, packed)) in self.multi_sym.iter_mut().zip(&mut self.multi_len).enumerate() {
+            let window = (w as u64) << (64 - MULTI_BITS);
+            let (mut used, mut n) = (0u32, 0usize);
+            while n < MULTI_MAX {
+                let idx = ((window << used) >> shift) as usize;
+                let len = u32::from(self.len[idx]);
+                if len == 0 || used + len > MULTI_BITS {
+                    break;
+                }
+                syms[n] = self.sym[idx];
+                n += 1;
+                used += len;
+            }
+            *packed = (n as u8) << 4 | used as u8;
+        }
+    }
+
+    /// Decodes `n` symbols into `out` through the multi-symbol window
+    /// (after [`Self::prepare_multi`]). A window whose entry is empty,
+    /// or whose codes would run past the payload's real bits, falls back
+    /// to [`Self::decode_one`] — so every symbol and every error is the
+    /// one the symbol-at-a-time walk produces.
+    fn decode_multi(&self, bits: &mut BatchBits<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
+        // Every slot below `n` is written before the end, so the old
+        // contents need no clearing. Each entry's symbols are stored as
+        // one fixed-size group and the cursor advanced past the valid
+        // ones, so the buffer carries `MULTI_MAX` slots of slack until
+        // the end.
+        if out.len() < n + MULTI_MAX {
+            out.resize(n + MULTI_MAX, 0);
+        }
+        let mut k = 0usize;
+        while k + MULTI_MAX <= n {
+            if bits.bitcount < 32 {
+                bits.refill();
+            }
+            let w = (bits.bitbuf >> (64 - MULTI_BITS)) as usize;
+            let packed = self.multi_len[w];
+            let (count, used) = (usize::from(packed >> 4), u32::from(packed & 0xf));
+            if count == 0 || used > bits.bitcount {
+                out[k] = self.decode_one(bits)?;
+                k += 1;
+                continue;
+            }
+            out[k..k + MULTI_MAX].copy_from_slice(&self.multi_sym[w]);
+            bits.consume(used);
+            k += count;
+        }
+        while k < n {
+            out[k] = self.decode_one(bits)?;
+            k += 1;
+        }
+        out.truncate(n);
         Ok(())
     }
 
@@ -748,5 +846,248 @@ mod tests {
         let e = encode_block(&[]);
         decode_block_into(&e, &mut out, &mut lut).unwrap();
         assert!(out.is_empty());
+    }
+
+    /// A block taken apart into its fields, so a test can change one
+    /// and put the block back together.
+    #[derive(Clone, Debug)]
+    struct Parts {
+        /// `(symbol delta, code length)` per table entry.
+        table: Vec<(u64, u8)>,
+        n_values: u64,
+        n_bits: u64,
+        payload: Vec<u8>,
+    }
+
+    impl Parts {
+        fn of(block: &[u8]) -> Self {
+            let mut r = ByteReader::new(block);
+            let n_table = r.varint("t").unwrap();
+            let table = (0..n_table)
+                .map(|_| (r.varint("t").unwrap(), r.u8("t").unwrap()))
+                .collect();
+            let n_values = r.varint("t").unwrap();
+            let n_bits = r.varint("t").unwrap();
+            let payload = r.take(r.remaining(), "t").unwrap().to_vec();
+            Self { table, n_values, n_bits, payload }
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            put_varint(&mut out, self.table.len() as u64);
+            for &(delta, len) in &self.table {
+                put_varint(&mut out, delta);
+                out.push(len);
+            }
+            put_varint(&mut out, self.n_values);
+            put_varint(&mut out, self.n_bits);
+            out.extend_from_slice(&self.payload);
+            out
+        }
+    }
+
+    /// A valid block over the complete code with lengths
+    /// `1, 2, …, depth − 1, depth, depth` (code length `depth` reaches
+    /// 32 without the encoder's Fibonacci-sized census); `picks` are
+    /// indices into that table.
+    fn deep_block(depth: u8, picks: &[usize]) -> Vec<u8> {
+        let mut lens: Vec<u8> = (1..=depth).collect();
+        lens.push(depth);
+        let table = (0..lens.len() as u32).map(|i| (7 + 3 * i, 1)).collect();
+        let mut enc = HuffEncoder { table, lens, ..HuffEncoder::default() };
+        enc.assign_codes(false);
+        let mut bits = BitWriter::new();
+        for &p in picks {
+            let packed = enc.codes[p];
+            bits.put_bits(packed >> 8, (packed & 0xff) as u32);
+        }
+        let mut out = Vec::new();
+        put_varint(&mut out, enc.table.len() as u64);
+        let mut prev = 0;
+        for (&(sym, _), &len) in enc.table.iter().zip(&enc.lens) {
+            put_varint(&mut out, u64::from(sym - prev));
+            out.push(len);
+            prev = sym;
+        }
+        put_varint(&mut out, picks.len() as u64);
+        put_varint(&mut out, bits.bit_len());
+        out.extend_from_slice(&bits.finish());
+        out
+    }
+
+    fn fast_equals_reference(block: &[u8], what: &str) {
+        assert_eq!(decode_block(block), decode_block_reference(block), "{what}");
+    }
+
+    /// Regression: the value count and the table size are stream
+    /// varints, and both decoders used to allocate from them before
+    /// reading a payload bit. A block claiming 2^40 values over one
+    /// payload byte aborted the process on the allocation; a table
+    /// claiming 2^27 entries reserved 1 GiB. Both are typed corruption
+    /// now, before anything is allocated.
+    #[test]
+    fn forged_counts_are_rejected_before_allocating() {
+        let valid = Parts::of(&encode_block(&[3, 1, 4, 1, 5]));
+        let mut values = valid.clone();
+        values.n_values = 1 << 40;
+        values.n_bits = 8;
+        values.payload = vec![0];
+        let mut table = Vec::new();
+        put_varint(&mut table, 1 << 27);
+        table.extend_from_slice(&valid.bytes()[1..]);
+        for (block, context) in [
+            (values.bytes(), "huffman value count"),
+            (table, "huffman table size"),
+        ] {
+            let want = Err(CodecError::Corrupt { context });
+            assert_eq!(decode_block(&block), want);
+            assert_eq!(decode_block_reference(&block), want);
+        }
+    }
+
+    /// Block sizes around the window's `MULTI_MAX`-symbol groups decode
+    /// the same symbols as the reference, including codes longer than
+    /// the window.
+    #[test]
+    fn multi_symbol_window_matches_reference_at_every_tail_length() {
+        for n in [1, MULTI_MAX - 1, MULTI_MAX, MULTI_MAX + 1, 1023, 1024, 1027] {
+            let s: Vec<u32> = (0..n as u64)
+                .map(|i| 32768 + (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58).trailing_zeros())
+                .collect();
+            roundtrip(&s);
+            let picks: Vec<usize> = (0..n).map(|i| (i * 7) % 32).collect();
+            fast_equals_reference(&deep_block(32, &picks), "deep");
+        }
+    }
+
+    /// A replacement count: the block's own nudged by a few, or a huge
+    /// one (≥ 2^24).
+    #[derive(Clone, Copy, Debug)]
+    enum Count {
+        Near(i64),
+        Far(u32),
+    }
+
+    impl Count {
+        fn apply(self, own: u64) -> u64 {
+            match self {
+                Count::Near(d) => own.saturating_add_signed(d),
+                Count::Far(shift) => u64::MAX >> shift,
+            }
+        }
+    }
+
+    /// One structural change to a valid block.
+    #[derive(Clone, Copy, Debug)]
+    enum Mutation {
+        CodeLength { entry: usize, len: u8 },
+        SymbolDelta { entry: usize, delta: u64 },
+        NValues(Count),
+        NBits(Count),
+        FlipBit(usize),
+    }
+
+    fn mutate(parts: &Parts, m: Mutation) -> Parts {
+        let mut p = parts.clone();
+        let n = p.table.len().max(1);
+        match m {
+            Mutation::CodeLength { entry, len } => {
+                if let Some(e) = p.table.get_mut(entry % n) {
+                    e.1 = len;
+                }
+            }
+            Mutation::SymbolDelta { entry, delta } => {
+                if let Some(e) = p.table.get_mut(entry % n) {
+                    e.0 = delta;
+                }
+            }
+            Mutation::NValues(c) => p.n_values = c.apply(p.n_values),
+            Mutation::NBits(c) => p.n_bits = c.apply(p.n_bits),
+            Mutation::FlipBit(bit) => {
+                let nbits = p.payload.len() * 8;
+                if nbits > 0 {
+                    p.payload[(bit % nbits) / 8] ^= 0x80 >> (bit % 8);
+                }
+            }
+        }
+        p
+    }
+
+    use proptest::prelude::*;
+
+    fn count() -> impl Strategy<Value = Count> {
+        prop_oneof![(-9i64..10).prop_map(Count::Near), (0u32..40).prop_map(Count::Far)]
+    }
+
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        prop_oneof![
+            (any::<usize>(), 0u8..41).prop_map(|(entry, len)| Mutation::CodeLength { entry, len }),
+            (any::<usize>(), prop_oneof![0u64..8, any::<u64>()])
+                .prop_map(|(entry, delta)| Mutation::SymbolDelta { entry, delta }),
+            count().prop_map(Mutation::NValues),
+            count().prop_map(Mutation::NBits),
+            any::<usize>().prop_map(Mutation::FlipBit),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Fuzz past the checksum: a valid block — skewed alphabets at
+        /// 1–4 bits per symbol, deep tails up to 32-bit codes, or a
+        /// single symbol, in small blocks and blocks of about a thousand
+        /// values — with one field changed, then cut at every byte. The fast
+        /// path's result (symbols, or the error variant) must equal the
+        /// reference walk's on every input.
+        #[test]
+        fn mutated_blocks_decode_like_the_reference(
+            kind in 0usize..3,
+            skew in 1u32..5,
+            depth in 2u8..33,
+            n in prop_oneof![1usize..300, 984usize..1064],
+            seed in any::<u64>(),
+            m in mutation(),
+        ) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let block = match kind {
+                // Geometric around a zero bin (≈ 1.2 bits per symbol at
+                // skew 1, 2 at skew 2), widened by a uniform part (one
+                // more bit per skew step above 2).
+                0 => encode_block(
+                    &(0..n)
+                        .map(|_| {
+                            let tz = next().trailing_zeros();
+                            let bin = if skew == 1 {
+                                tz / 2
+                            } else {
+                                tz + 64 * (next() % (1 << (skew - 2))) as u32
+                            };
+                            32768 + bin
+                        })
+                        .collect::<Vec<_>>(),
+                ),
+                // Entry i drawn with probability 2^-(i+1): mostly short
+                // codes, with the odd one deep in the tail.
+                1 => deep_block(
+                    depth,
+                    &(0..n)
+                        .map(|_| (next().trailing_zeros() as usize).min(depth as usize))
+                        .collect::<Vec<_>>(),
+                ),
+                _ => encode_block(&vec![skew; n]),
+            };
+            fast_equals_reference(&block, "valid");
+            let mutated = mutate(&Parts::of(&block), m).bytes();
+            fast_equals_reference(&mutated, &format!("{m:?}"));
+            for cut in 0..block.len() {
+                fast_equals_reference(&block[..cut], &format!("cut {cut}"));
+            }
+        }
     }
 }

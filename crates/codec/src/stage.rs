@@ -46,8 +46,11 @@ pub trait ArrayStage: Send + Sync {
     fn decode(&self, bytes: &[u8], dtype: u8, shape: Shape, abs: f64) -> Result<Dataset>;
 
     /// Whether this stage implements the [`Self::decode_region`] partial
-    /// path. Callers use this as a cheap gate to skip work (byte-stage
-    /// unwinding) that would only feed an `Ok(None)` fallback.
+    /// path — every builtin stage does, for any box. Callers use this as
+    /// a cheap gate to skip work (byte-stage unwinding) that would only
+    /// feed an `Ok(None)` fallback; which boxes are worth a partial
+    /// decode is the caller's call (see `eblcio_store`'s
+    /// `decode_chunk_region`).
     fn supports_partial_decode(&self) -> bool {
         false
     }

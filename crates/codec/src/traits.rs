@@ -152,10 +152,12 @@ pub trait Compressor: Send + Sync {
     fn decompress(&self, stream: &[u8], dtype: u8) -> Result<Dataset>;
 
     /// Partially decompresses the sub-region `origin..origin+extent`
-    /// when the chain's array stage supports partial decode (SZx flat
-    /// blocks, ZFP fixed blocks). `Ok(None)` means "no partial path" —
-    /// callers fall back to [`Self::decompress`]. Results are
-    /// bit-identical to slicing the full decode.
+    /// when the chain's array stage supports partial decode (all five
+    /// builtin stages do: SZx and ZFP parse blocks only up to the box,
+    /// SZ2 and SZ3/QoZ reconstruct only what the box depends on).
+    /// `Ok(None)` means "no partial path" — callers fall back to
+    /// [`Self::decompress`]. Results are bit-identical to slicing the
+    /// full decode.
     fn decompress_region(
         &self,
         stream: &[u8],

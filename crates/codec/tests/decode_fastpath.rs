@@ -1,7 +1,7 @@
 //! Bit-equality pins for the decode hot path: every fast decoder must
 //! reproduce the frozen reference decoder's output *exactly* (to the
 //! bit, not within ε), and every partial-region decode must equal the
-//! corresponding slice of a whole-array decode. Fields mix smooth and
+//! corresponding slice of a whole-array decode — on every preset. Fields mix smooth and
 //! adversarial content — huge spikes that force raw-outlier encodings,
 //! denormal-scale values, and shapes chosen to leave block/chunk-edge
 //! remainders on every fast kernel's fixed-width inner loop.
@@ -10,9 +10,10 @@
 //! codec runs, so NaN/Inf coverage lives at the payload level: spike
 //! values near `f32::MAX` exercise the same raw-escape paths.)
 
+use eblcio_codec::stage::{decode_array_region, encode_array};
 use eblcio_codec::{
-    compress, decompress, decompress_region, ChainSpec, CodecChain, CodecError, CompressorId,
-    ErrorBound, Qoz, Sz2, Sz3,
+    compress, decompress, decompress_region, ArrayStage, ChainSpec, CodecChain, CodecError,
+    CompressorId, ErrorBound, Qoz, Sz2, Sz3, Szx, Zfp,
 };
 use eblcio_data::{Element, NdArray, Shape};
 use proptest::prelude::*;
@@ -123,70 +124,114 @@ fn check_fast_against_reference<T: Element>(id: CompressorId, data: &NdArray<T>,
 
 /// The benchmark's own chunk geometry — a time-sliced `[1, 32, 32, 32]`
 /// chunk, so every block is left-padded through a unit axis — with a
-/// sub-box aligned to no block edge: fast against reference on all five
-/// presets and region against slice on the partial chains, in both
-/// precisions, on adversarial and on mostly smooth content.
+/// sub-box aligned to no block edge, a one-sample box and whole-minus-one
+/// boxes: fast against reference on all five presets and region against
+/// slice on every chain, in both precisions, on adversarial and on
+/// mostly smooth content.
 #[test]
 fn benchmark_chunk_geometry_is_bit_identical_too() {
     let shape = Shape::new(&[1, 32, 32, 32]);
-    let (origin, extent) = ([0usize, 5, 3, 9], [1usize, 13, 17, 11]);
+    let boxes: [([usize; 4], [usize; 4]); 4] = [
+        ([0, 5, 3, 9], [1, 13, 17, 11]),
+        ([0, 31, 0, 17], [1, 1, 1, 1]),
+        ([0, 0, 0, 0], [1, 31, 31, 31]),
+        ([0, 1, 1, 1], [1, 31, 31, 31]),
+    ];
     for single in [adversarial_field(shape, 23), smooth_field(shape, 23)] {
         let wide = widen(&single);
         for id in CompressorId::ALL {
             check_fast_against_reference(id, &single, 1e-3);
             check_fast_against_reference(id, &wide, 1e-3);
         }
-        for chain in PARTIAL_CHAINS {
-            check_region_slice(chain, &single, &origin, &extent);
-            check_region_slice(chain, &wide, &origin, &extent);
+        for chain in REGION_CHAINS {
+            for (origin, extent) in &boxes {
+                check_region_slice(chain, &single, origin, extent);
+                check_region_slice(chain, &wide, origin, extent);
+            }
         }
     }
 }
 
+/// Axis lengths the region proptest draws from, per rank: unit axes,
+/// and lengths on both sides of every codec's block edge (SZ2's 256,
+/// 16, 8 and 6 per rank, ZFP's 4 — every residue mod 4 in each row —
+/// SZx's 128 flat, the interpolation levels' powers of two).
+const DIMS: [[usize; 8]; 4] = [
+    [1, 7, 128, 129, 255, 257, 302, 513],
+    [1, 4, 5, 8, 15, 16, 17, 34],
+    [1, 3, 4, 5, 8, 9, 10, 17],
+    [1, 2, 4, 5, 6, 7, 8, 13],
+];
+
 proptest! {
-    // 4 chains × 2 precisions × 2 ranks: enough cases to reach each.
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    // 8 chains × 2 precisions × 4 ranks × 5 box kinds × 2 length
+    // sources: enough cases to reach each.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Partial-region decode equals the same slice of a whole decode,
-    /// bit for bit, for any in-bounds region — including 1-sample
-    /// regions and regions pinned to block-edge remainders — in both
-    /// precisions, in 2-D and 3-D, with and without byte stages to
-    /// unwind in front of the array stage.
+    /// bit for bit, for any in-bounds region — random boxes, one-sample
+    /// boxes, whole-minus-one boxes from either end, the whole array —
+    /// in both precisions, at ranks 1–4 with unit axes and lengths off
+    /// every block edge (from `DIMS`, or at ranks 2–3 any length below
+    /// 48, 10 on the third axis), with and without byte stages to unwind
+    /// in front of the array stage.
     #[test]
     fn region_decode_matches_whole_decode_slice(
-        dims in (1usize..48, 1usize..48, 1usize..10),
-        rank3 in any::<bool>(),
-        o_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
-        e_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
-        chain_pick in 0usize..PARTIAL_CHAINS.len(),
+        rank in 1usize..5,
+        picks in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+        free in (1usize..48, 1usize..48, 1usize..10),
+        from_menu in any::<bool>(),
+        box_kind in 0usize..5,
+        o_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        e_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        chain_pick in 0usize..REGION_CHAINS.len(),
         double in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let rank = if rank3 { 3 } else { 2 };
-        let dims = [dims.0, dims.1, dims.2];
-        let o_frac = [o_frac.0, o_frac.1, o_frac.2];
-        let e_frac = [e_frac.0, e_frac.1, e_frac.2];
-        let mut origin = [0usize; 3];
-        let mut extent = [0usize; 3];
-        for d in 0..rank {
-            origin[d] = ((dims[d] as f64 * o_frac[d]) as usize).min(dims[d] - 1);
-            let room = dims[d] - origin[d];
-            extent[d] = ((room as f64 * e_frac[d]) as usize).clamp(1, room);
-        }
-        let chain = PARTIAL_CHAINS[chain_pick];
-        let (origin, extent) = (&origin[..rank], &extent[..rank]);
-        let single = adversarial_field(Shape::new(&dims[..rank]), seed);
-        if double {
-            check_region_slice(chain, &widen(&single), origin, extent);
+        let picks = [picks.0, picks.1, picks.2, picks.3];
+        let o_frac = [o_frac.0, o_frac.1, o_frac.2, o_frac.3];
+        let e_frac = [e_frac.0, e_frac.1, e_frac.2, e_frac.3];
+        let dims: Vec<usize> = if from_menu || !(2..=3).contains(&rank) {
+            (0..rank).map(|d| DIMS[rank - 1][picks[d]]).collect()
         } else {
-            check_region_slice(chain, &single, origin, extent);
+            [free.0, free.1, free.2][..rank].to_vec()
+        };
+        let mut origin = vec![0usize; rank];
+        let mut extent = dims.clone();
+        for d in 0..rank {
+            let spare = usize::from(dims[d] > 1);
+            match box_kind {
+                0 => {
+                    origin[d] = ((dims[d] as f64 * o_frac[d]) as usize).min(dims[d] - 1);
+                    let room = dims[d] - origin[d];
+                    extent[d] = ((room as f64 * e_frac[d]) as usize).clamp(1, room);
+                }
+                1 => {
+                    origin[d] = ((dims[d] as f64 * o_frac[d]) as usize).min(dims[d] - 1);
+                    extent[d] = 1;
+                }
+                2 => extent[d] -= spare,
+                3 => {
+                    origin[d] = spare;
+                    extent[d] -= spare;
+                }
+                _ => {}
+            }
+        }
+        let chain = REGION_CHAINS[chain_pick];
+        let single = adversarial_field(Shape::new(&dims), seed);
+        if double {
+            check_region_slice(chain, &widen(&single), &origin, &extent);
+        } else {
+            check_region_slice(chain, &single, &origin, &extent);
         }
     }
 }
 
-/// Chains whose array stage decodes regions: the two presets, SZx
-/// behind one byte stage, ZFP behind two.
-const PARTIAL_CHAINS: [&str; 4] = ["szx", "zfp", "szx+lz", "zfp+shuffle4+lz"];
+/// Chains whose array stage decodes regions: the five presets, and
+/// three of them behind byte stages that must be unwound first.
+const REGION_CHAINS: [&str; 8] =
+    ["sz2", "sz3", "qoz", "zfp", "szx", "szx+lz", "zfp+shuffle4+lz", "sz3+shuffle4+lz"];
 
 fn check_region_slice<T: Element>(
     chain: &str,
@@ -199,7 +244,7 @@ fn check_region_slice<T: Element>(
     let full: NdArray<T> = decompress(&codec, &stream).unwrap();
     let part = decompress_region::<T>(&codec, &stream, origin, extent)
         .unwrap()
-        .expect("SZx/ZFP support partial decode");
+        .expect("every preset decodes regions");
     assert_eq!(part.shape(), Shape::new(extent));
     let mut at = vec![0usize; extent.len()];
     for (i, got) in part.as_slice().iter().enumerate() {
@@ -211,9 +256,67 @@ fn check_region_slice<T: Element>(
         assert_eq!(
             got.to_bits(),
             full.get(&at).to_bits(),
-            "{chain} {} region mismatch at {at:?}",
-            T::NAME
+            "{chain} {} {} region {origin:?}+{extent:?} mismatch at {at:?}",
+            T::NAME,
+            data.shape()
         );
+    }
+}
+
+/// Array-stage payloads past the checksum: cut at every byte, or with
+/// one bit flipped, a region decode returns a typed error and never
+/// panics. A cut that leaves everything the box needs — ZFP and SZx
+/// read their block streams only up to the box's last block — may
+/// instead decode, and then to the intact bits.
+#[test]
+fn damaged_payloads_give_region_decodes_a_typed_error() {
+    let shape = Shape::new(&[2, 9, 10, 7]);
+    let (origin, extent) = ([1usize, 2, 3, 1], [1usize, 5, 6, 4]);
+    let single = adversarial_field(shape, 31);
+    let stages: [Box<dyn ArrayStage>; 5] = [
+        Box::new(Sz2::default()),
+        Box::new(Sz3::default()),
+        Box::new(Qoz::default()),
+        Box::new(Zfp::default()),
+        Box::new(Szx),
+    ];
+    for stage in &stages {
+        check_damage(stage.as_ref(), &single, &origin, &extent);
+        check_damage(stage.as_ref(), &widen(&single), &origin, &extent);
+    }
+}
+
+fn check_damage<T: Element>(
+    stage: &dyn ArrayStage,
+    data: &NdArray<T>,
+    origin: &[usize],
+    extent: &[usize],
+) {
+    let abs = 1e-3 * data.value_range();
+    let (payload, abs) = encode_array(stage, data.view(), abs).unwrap();
+    let shape = data.shape();
+    let region = |bytes: &[u8]| decode_array_region::<T>(stage, bytes, shape, abs, origin, extent);
+    let intact = region(&payload).unwrap().unwrap();
+    let name = stage.id().name();
+    for cut in 0..payload.len() {
+        if let Ok(part) = region(&payload[..cut]) {
+            let part = part.unwrap();
+            assert!(
+                part.as_slice()
+                    .iter()
+                    .zip(intact.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{name} {}: cut at {cut} of {} decoded different bits",
+                T::NAME,
+                payload.len()
+            );
+        }
+    }
+    let mut flipped = payload.clone();
+    for bit in (0..payload.len() * 8).step_by(7) {
+        flipped[bit / 8] ^= 0x80 >> (bit % 8);
+        let _ = region(&flipped);
+        flipped[bit / 8] ^= 0x80 >> (bit % 8);
     }
 }
 
@@ -263,14 +366,15 @@ fn region_decode_rejects_out_of_bounds_and_rank_mismatch() {
     }
 }
 
-/// Codecs without partial support answer `None`, never garbage.
+/// Stages without a partial path — the frozen reference decoders —
+/// answer `None`, never garbage, so callers fall back to a whole decode.
 #[test]
 fn non_partial_codecs_return_none_for_regions() {
     let data = adversarial_field(Shape::d2(16, 16), 3);
     for id in [CompressorId::Sz2, CompressorId::Sz3, CompressorId::Qoz] {
-        let codec = id.instance();
-        let stream = compress(codec.as_ref(), &data, ErrorBound::Relative(1e-3)).unwrap();
-        let r = decompress_region::<f32>(codec.as_ref(), &stream, &[2, 2], &[4, 4]).unwrap();
+        let codec = reference_chain(id).unwrap();
+        let stream = compress(&codec, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let r = decompress_region::<f32>(&codec, &stream, &[2, 2], &[4, 4]).unwrap();
         assert!(r.is_none(), "{}", id.name());
     }
 }

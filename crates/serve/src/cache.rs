@@ -130,6 +130,11 @@ impl<T: Element> DecodedChunkCache<T> {
         }
     }
 
+    /// Whether inserts are kept at all (`false` for a zero budget).
+    pub(crate) fn keeps_entries(&self) -> bool {
+        self.capacity_per_way.is_some()
+    }
+
     /// The hit/miss/eviction counter handles, for registration in the
     /// owner's [`eblcio_obs::MetricsRegistry`].
     pub(crate) fn counter_handles(&self) -> (Arc<Counter>, Arc<Counter>, Arc<Counter>) {

@@ -81,8 +81,9 @@ pub struct ReaderStats {
     /// in-flight decode count a miss but never decode.
     pub decodes: u64,
     /// Cache misses served by a sub-chunk (partial) decode instead of
-    /// a whole-chunk decode: the request's intersection was a small
-    /// fraction of the chunk and the chunk's chain supports it.
+    /// a whole-chunk decode: the request covered the chunk only in part,
+    /// and either the cache keeps nothing or the part was at most
+    /// `1/PARTIAL_DECODE_DENOM` (8) of the chunk.
     pub partial_decodes: u64,
     /// Raw bytes produced by whole and partial decodes together.
     pub decoded_bytes: u64,
@@ -132,8 +133,9 @@ pub struct RequestStats {
     /// Chunks the prefetcher warmed alongside this request.
     pub chunks_prefetched: usize,
     /// Cache-missing chunks this request served by decoding only its
-    /// intersection with the chunk (never cached — see
-    /// [`ArrayReader::read_region_with_stats`]).
+    /// intersection with the chunk (never cached): every partly covered
+    /// miss when the cache keeps nothing, otherwise those covered at
+    /// most `1/PARTIAL_DECODE_DENOM` (8).
     pub partial_decodes: usize,
 }
 
@@ -165,6 +167,19 @@ enum Fetched<T: Element> {
     Whole(Arc<NdArray<T>>),
     Partial(NdArray<T>, Region),
 }
+
+/// With a live cache, a miss decodes only its overlap with the request
+/// when that overlap is at most `1/PARTIAL_DECODE_DENOM` of the chunk;
+/// larger overlaps decode the whole chunk, which the cache then keeps
+/// for later requests. Measured on `cold_region_read` while only SZx
+/// and ZFP had region decoders (23 of 88 touches qualify at 8): a
+/// denominator of 2 read 201–228 MB/s against 184–214 at 8 over four
+/// alternating 10-second pairs, medians 206 and 198 — inside the
+/// run-to-run spread, so unresolved, and 8 stayed. That workload's
+/// reader has no cache, where the rule does not apply: a disabled cache
+/// drops every insert, so a whole decode buys nothing and every partly
+/// covered chunk decodes its overlap.
+const PARTIAL_DECODE_DENOM: usize = 8;
 
 std::thread_local! {
     /// Reused intersecting-chunk id buffer for the warm read path
@@ -577,13 +592,13 @@ impl<T: Element> ArrayReader<T> {
     }
 
     /// Fetches what a region request needs of chunk `i`. With a
-    /// `region`, a sub-chunk decode is attempted first (the store
-    /// decides eligibility: small intersection + chain support); the
-    /// result is private to the request — not cached and not
-    /// single-flighted, since it is keyed by region, not chunk, and
-    /// costs a fraction of a whole decode. Everything else (including
-    /// prefetches, which exist to warm the cache) goes through the
-    /// cached single-flight whole-chunk path.
+    /// `region`, a sub-chunk decode is attempted first when
+    /// [`Self::prefers_part`] says so (the store then decides what its
+    /// chain can do, [`ChunkedStore::decode_chunk_region`]); the result
+    /// is private to the request — not cached and not single-flighted,
+    /// since it is keyed by region, not chunk. Everything else
+    /// (including prefetches, which exist to warm the cache) goes
+    /// through the cached single-flight whole-chunk path.
     fn fetch_part(
         &self,
         state: &ReadState,
@@ -594,7 +609,7 @@ impl<T: Element> ArrayReader<T> {
         if let Some(region) = region {
             // A leader may have cached the whole chunk since this
             // request's probe; sharing it beats decoding again.
-            if self.cache.peek(state.keys[i]).is_none() {
+            if self.cache.peek(state.keys[i]).is_none() && self.prefers_part(state, i, region) {
                 let codec = state.decoders[state.store.chunk_chain_index(i)].as_ref();
                 let _span = obs::span_on(self.metrics.span_decode, rid);
                 let sw = Stopwatch::start();
@@ -608,6 +623,19 @@ impl<T: Element> ArrayReader<T> {
             }
         }
         self.fetch_chunk_after_miss(state, i, rid).map(Fetched::Whole)
+    }
+
+    /// Whether a miss on chunk `i` should decode only its overlap with
+    /// `region`: always when the cache keeps nothing, otherwise only for
+    /// an overlap of at most `1/PARTIAL_DECODE_DENOM` of the chunk.
+    fn prefers_part(&self, state: &ReadState, i: usize, region: &Region) -> bool {
+        if !self.cache.keeps_entries() {
+            return true;
+        }
+        let chunk = state.store.grid().chunk_region(i);
+        chunk
+            .intersect(region)
+            .is_some_and(|inter| inter.len() * PARTIAL_DECODE_DENOM <= chunk.len())
     }
 
     /// Raster-order chunk ids the prefetch policy adds after `last`.

@@ -1,6 +1,8 @@
 //! Serve-path accounting regressions: the cache hit/miss counters must
 //! charge **exactly one** probe per intersecting chunk per request, on
-//! every entry point — and a corrupt dtype tag must be reported as
+//! every entry point; the miss path decodes sub-chunk regions by one
+//! rule (no cache: every chunk covered in part; a live cache: overlaps
+//! of at most an eighth); and a corrupt dtype tag must be reported as
 //! corruption, not as a mismatch against a dtype nobody stored.
 //!
 //! The double-count this pins down: `read_region_into`'s warm pass used
@@ -13,7 +15,7 @@
 use eblcio_codec::util::crc32;
 use eblcio_codec::{CodecError, CompressorId, ErrorBound};
 use eblcio_data::{NdArray, Shape};
-use eblcio_serve::{ArrayReader, ReaderConfig};
+use eblcio_serve::{ArrayReader, CacheConfig, ReaderConfig};
 use eblcio_store::{ChunkedStore, Manifest, Region};
 
 /// A 32×32 f32 field stored as four 16×16 chunks.
@@ -81,6 +83,84 @@ fn with_stats_entry_point_shares_the_engine_accounting() {
     let s = reader.stats();
     assert_eq!((s.cache_hits, s.cache_misses), (4, 4));
     assert_eq!(warm.as_slice(), cold.as_slice());
+}
+
+/// A box over all four chunks, covering each in part: overlaps of
+/// 13 × 14, 13 × 2, 3 × 14 and 3 × 2 samples of a 256-sample chunk
+/// (71 %, 10 %, 16 % and 2 %).
+fn straddling_box() -> Region {
+    Region::new(&[3, 2], &[16, 16])
+}
+
+/// Without a cache nothing a decode produces is kept, so a read pays for
+/// exactly what it delivers: every chunk it covers in part is a
+/// sub-chunk decode, however large the overlap, and the decoded bytes
+/// equal the delivered ones. A chunk covered whole decodes whole — and,
+/// kept nowhere, again on the next read.
+#[test]
+fn an_uncached_reader_decodes_only_the_delivered_samples() {
+    let stream = four_chunk_stream();
+    let config = ReaderConfig {
+        cache: CacheConfig { capacity_bytes: 0, ..CacheConfig::default() },
+        ..ReaderConfig::default()
+    };
+    let reader = ArrayReader::<f32>::open(&stream, config).unwrap();
+    let region = straddling_box();
+    let mut out = NdArray::<f32>::zeros(region.shape());
+    let req = reader.read_region_into(&region, &mut out).unwrap();
+    assert_eq!((req.chunks_touched, req.partial_decodes), (4, 4));
+    let s = reader.stats();
+    assert_eq!((s.cache_hits, s.cache_misses), (0, 4));
+    assert_eq!((s.decodes, s.partial_decodes), (0, 4));
+    assert_eq!(s.decoded_bytes, region.len() as u64 * 4, "decoded = delivered");
+
+    let chunk0 = Region::new(&[0, 0], &[16, 16]);
+    for _ in 0..2 {
+        let req = reader.read_region_with_stats(&chunk0).unwrap().1;
+        assert_eq!((req.chunks_from_cache, req.partial_decodes), (0, 0));
+    }
+    let s = reader.stats();
+    assert_eq!((s.cache_hits, s.cache_misses), (0, 6));
+    assert_eq!((s.decodes, s.partial_decodes), (2, 4));
+    assert_eq!(s.decoded_bytes, (region.len() + 2 * chunk0.len()) as u64 * 4);
+}
+
+/// With a live cache the 1/8 rule decides, for every chain: an overlap
+/// of at most an eighth of the chunk decodes as a sub-chunk region and is
+/// not kept; a larger one decodes the whole chunk into the cache, where
+/// the next read finds it. The warm and update paths rest on these
+/// exact counts.
+#[test]
+fn a_caching_reader_decodes_whole_chunks_above_an_eighth() {
+    let stream = four_chunk_stream();
+    let reader = ArrayReader::<f32>::open(&stream, ReaderConfig::default()).unwrap();
+    let region = straddling_box();
+    // 13 × 2 and 3 × 2 are at most 32 of 256 samples; 13 × 14 and
+    // 3 × 14 are not.
+    let req = reader.read_region_with_stats(&region).unwrap().1;
+    assert_eq!((req.chunks_from_cache, req.partial_decodes), (0, 2));
+    let s = reader.stats();
+    assert_eq!((s.cache_hits, s.cache_misses), (0, 4));
+    assert_eq!((s.decodes, s.partial_decodes), (2, 2));
+    assert_eq!(s.decoded_bytes, (2 * 256 + 13 * 2 + 3 * 2) * 4);
+
+    // Again: the two whole chunks hit, the two small overlaps decode
+    // their parts again.
+    let req = reader.read_region_with_stats(&region).unwrap().1;
+    assert_eq!((req.chunks_from_cache, req.partial_decodes), (2, 2));
+    let s = reader.stats();
+    assert_eq!((s.cache_hits, s.cache_misses), (2, 6));
+    assert_eq!((s.decodes, s.partial_decodes), (2, 4));
+
+    // Covered whole, the other two decode whole and stay.
+    let full = Region::new(&[0, 0], &[32, 32]);
+    let req = reader.read_region_with_stats(&full).unwrap().1;
+    assert_eq!((req.chunks_from_cache, req.partial_decodes), (2, 0));
+    let req = reader.read_region_with_stats(&full).unwrap().1;
+    assert_eq!(req.chunks_from_cache, 4);
+    let s = reader.stats();
+    assert_eq!((s.cache_hits, s.cache_misses), (8, 8));
+    assert_eq!((s.decodes, s.partial_decodes), (4, 4));
 }
 
 /// A dtype byte that names a real dtype — just not `T`'s — stays a

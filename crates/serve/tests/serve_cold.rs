@@ -58,7 +58,9 @@ fn corrupt_chunk(stream: &[u8], i: usize) -> Vec<u8> {
 #[test]
 fn cold_reads_equal_the_store_at_every_width_on_every_preset() {
     // Aligned to no chunk edge: all eight chunks of every time slice,
-    // whole decodes and (SZx, ZFP) sub-chunk decodes side by side.
+    // each covered in part, so an uncached reader decodes every one of
+    // them as a sub-chunk region — on every preset — and so does the
+    // store.
     let region = Region::new(&[0, 5, 3, 9], &[3, 13, 25, 17]);
     for id in CompressorId::ALL {
         let stream = sharded_stream(id);
@@ -66,8 +68,8 @@ fn cold_reads_equal_the_store_at_every_width_on_every_preset() {
             .unwrap()
             .read_region_with_stats::<f64>(&region)
             .unwrap();
-        let partial_chain = matches!(id, CompressorId::Szx | CompressorId::Zfp);
-        assert_eq!(direct_stats.partial_decodes > 0, partial_chain, "{}", id.name());
+        assert_eq!(direct_stats.partial_decodes, 24, "{}", id.name());
+        assert_eq!(direct_stats.samples_decoded, region.len() as u64, "{}", id.name());
         let mut direct_le = vec![0u8; direct.nbytes()];
         f64::write_le_slice(direct.as_slice(), &mut direct_le);
         for threads in WIDTHS {

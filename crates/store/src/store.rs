@@ -49,19 +49,6 @@ pub struct RegionReadStats {
 const ADAPTIVE_SAMPLE_SLABS: usize = 3;
 const ADAPTIVE_SAMPLE_ROWS: usize = 2;
 
-/// A region read attempts a sub-chunk decode only when the
-/// chunk∩region intersection is at most `1/PARTIAL_DECODE_DENOM` of
-/// the chunk's samples: partial decode still pays block-granular
-/// stream parsing, so near-whole-chunk requests decode the whole
-/// chunk (one pass, no gather overhead) instead. Measured for PR 23 on
-/// `cold_region_read` (23 of 88 touches qualify at 8): a denominator of
-/// 2 read 201–228 MB/s against 184–214 at 8 over four alternating
-/// 10-second pairs, medians 206 and 198 — inside the run-to-run spread,
-/// so unresolved, and the issue's own prototype read 129–153 against
-/// 134–171. A region decode still parses every block up to the box, so
-/// widening eligibility buys little until that is cheaper; 8 stays.
-const PARTIAL_DECODE_DENOM: usize = 8;
-
 /// A reader over a chunked compressed array stream, plus the
 /// associated write entry points that produce such streams.
 ///
@@ -694,13 +681,15 @@ impl ChunkedStore {
 
     /// Attempts a sub-chunk decode of what `region` needs from chunk
     /// `i`: `Some((part, covered))` — the decoded chunk∩`region`
-    /// intersection and the array region it covers — when that
-    /// intersection is at most `1/8` of the chunk and the chunk's
-    /// chain supports partial decode (SZx, ZFP), `None` otherwise
-    /// (including when the chunk misses the region entirely). Callers
-    /// fall back to [`ChunkedStore::decode_chunk`] on `None`; the
-    /// store's own region reads and `eblcio_serve`'s miss path both
-    /// route through here so the eligibility rule has one definition.
+    /// intersection and the array region it covers — when the chunk is
+    /// not wholly inside `region` and its chain supports partial decode
+    /// (every builtin chain does), `None` otherwise (including when the
+    /// chunk misses the region entirely). Callers fall back to
+    /// [`ChunkedStore::decode_chunk`] on `None`. The store's own region
+    /// reads and `eblcio_serve`'s miss path both route through here, so
+    /// a read that keeps nothing decodes exactly the samples it
+    /// delivers; a reader whose cache would keep the whole chunk decides
+    /// before calling (`eblcio_serve::ArrayReader`).
     pub fn decode_chunk_region<T: Element>(
         &self,
         codec: &dyn Compressor,
@@ -711,7 +700,7 @@ impl ChunkedStore {
         let Some(inter) = chunk_region.intersect(region) else {
             return Ok(None);
         };
-        if inter.len() * PARTIAL_DECODE_DENOM > chunk_region.len() {
+        if inter.len() == chunk_region.len() {
             return Ok(None);
         }
         let rank = inter.rank();
@@ -784,9 +773,8 @@ impl ChunkedStore {
 
     /// Decompresses exactly the chunks intersecting `region` and
     /// assembles the requested box, reporting how much work that took.
-    /// When a chunk's chain supports partial decode (SZx, ZFP) and the
-    /// intersection is a small fraction of the chunk, only that
-    /// sub-region is reconstructed — see
+    /// A chunk the region covers only in part reconstructs just that
+    /// part ([`ChunkedStore::decode_chunk_region`]) — see
     /// [`RegionReadStats::partial_decodes`] and
     /// [`RegionReadStats::samples_decoded`].
     ///

@@ -147,22 +147,19 @@ fn region_read_decodes_only_intersecting_chunks() {
     }
 }
 
-/// A small region over chains with partial-decode support (SZx, ZFP)
-/// reconstructs only the intersections — measurably fewer samples than
-/// whole-chunk assembly — and stays bit-identical to it. A chain
-/// without support (SZ3) takes the whole-chunk path and reports zero
-/// partial decodes.
+/// A region covering chunks in part reconstructs only the
+/// intersections — measurably fewer samples than whole-chunk assembly —
+/// on every preset, and stays bit-identical to it. A chunk the region
+/// covers whole takes the whole-chunk path.
 #[test]
 fn small_region_uses_partial_decode_and_matches_whole_chunk_path() {
     let data = field::<f64>(Shape::d2(64, 64));
-    // 2×2 grid of 32×32 chunks; the region straddles two chunks with
-    // intersections of 70 and 30 samples — both ≤ 1/8 of 1024.
-    let region = Region::new(&[20, 25], &[10, 10]);
-    for (id, expect_partial) in [
-        (CompressorId::Szx, true),
-        (CompressorId::Zfp, true),
-        (CompressorId::Sz3, false),
-    ] {
+    // 2×2 grid of 32×32 chunks; the small region straddles two chunks
+    // with intersections of 70 and 30 samples, the large one covers
+    // chunk 1 whole and chunk 3 in part (32 × 8).
+    let small = Region::new(&[20, 25], &[10, 10]);
+    let large = Region::new(&[0, 32], &[40, 32]);
+    for id in CompressorId::ALL {
         let codec = id.instance();
         let stream = ChunkedStore::write(
             codec.as_ref(),
@@ -173,24 +170,25 @@ fn small_region_uses_partial_decode_and_matches_whole_chunk_path() {
         )
         .unwrap();
         let store = ChunkedStore::open(&stream).unwrap();
-        let (got, stats) = store.read_region_with_stats::<f64>(&region).unwrap();
-        assert_eq!(stats.chunks_decoded, 2, "{}", id.name());
-        assert_eq!(stats.partial_decodes > 0, expect_partial, "{}", id.name());
-        let expect_samples = if expect_partial { 100 } else { 2048 };
-        assert_eq!(stats.samples_decoded, expect_samples, "{}", id.name());
+        for (region, partial, samples) in [(small, 2, 100), (large, 1, 1024 + 256)] {
+            let (got, stats) = store.read_region_with_stats::<f64>(&region).unwrap();
+            assert_eq!(stats.chunks_decoded, 2, "{}", id.name());
+            assert_eq!(stats.partial_decodes, partial, "{}", id.name());
+            assert_eq!(stats.samples_decoded, samples, "{}", id.name());
 
-        // Bit-identical to serial whole-chunk assembly.
-        let mut whole = NdArray::<f64>::zeros(region.shape());
-        for i in 0..store.n_chunks() {
-            let chunk_region = store.grid().chunk_region(i);
-            if chunk_region.intersect(&region).is_none() {
-                continue;
+            // Bit-identical to serial whole-chunk assembly.
+            let mut whole = NdArray::<f64>::zeros(region.shape());
+            for i in 0..store.n_chunks() {
+                let chunk_region = store.grid().chunk_region(i);
+                if chunk_region.intersect(&region).is_none() {
+                    continue;
+                }
+                let part = store.read_chunk::<f64>(i).unwrap();
+                eblcio_store::scatter_chunk(&part, &chunk_region, &region, &mut whole);
             }
-            let part = store.read_chunk::<f64>(i).unwrap();
-            eblcio_store::scatter_chunk(&part, &chunk_region, &region, &mut whole);
-        }
-        for (a, b) in got.as_slice().iter().zip(whole.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{}", id.name());
+            for (a, b) in got.as_slice().iter().zip(whole.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{}", id.name());
+            }
         }
     }
 }
