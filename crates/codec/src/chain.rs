@@ -23,23 +23,25 @@
 //! `QoZ = qoz+lz`, `ZFP = zfp`, `SZx = szx` — byte-compatible with the
 //! monolithic pipelines they replaced. Custom chains (`sz3+shuffle4+lz`,
 //! `szx+fpc4`, …) open the scenario space the ROADMAP asks for: swap the
-//! lossless backend, stack filters, or register different stage
-//! constructors in a [`CodecRegistry`].
+//! lossless backend or stack filters. A parameterized array stage
+//! (`Sz3::linear_only()`) joins its preset byte stages through
+//! [`CodecChain::around`].
 //!
 //! A [`ChainSpec`] is the serializable description: it travels in the
 //! v2 `EBLC` stream header and in `EBCS` store manifests (which may hold
 //! a different chain per chunk), and parses from the CLI grammar
 //! `array[+byte…]` via [`ChainSpec::parse`].
 
+use crate::codecs::{qoz::Qoz, sz2::Sz2, sz3::Sz3, szx::Szx, zfp::Zfp};
 use crate::error::{CodecError, Result};
 use crate::header::{check_dtype, read_stream, write_stream, Header, BAD_DTYPE};
 use crate::stage::{build_byte_stage, validate_region, ArrayStage, ByteStage, ByteStageSpec};
 use crate::traits::{Compressor, CompressorId, ErrorBound};
+use eblcio_data::shape::MAX_RANK;
 use eblcio_data::{dispatch_dtype, Dataset, DatasetView};
 use eblcio_obs::{Histogram, Stopwatch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Upper bound on byte stages per chain (wire format sanity cap).
 pub const MAX_BYTE_STAGES: usize = 8;
@@ -135,7 +137,7 @@ impl ChainSpec {
     /// # Panics
     /// Panics if the spec holds more than [`MAX_BYTE_STAGES`] byte
     /// stages — such a spec cannot be decoded and must be rejected
-    /// where it is built ([`CodecRegistry::build`], [`CodecChain::new`]),
+    /// where it is built ([`ChainSpec::build`], [`CodecChain::new`]),
     /// not silently truncated onto the wire.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.array as u8);
@@ -167,12 +169,26 @@ impl ChainSpec {
         Ok(Self { array, bytes })
     }
 
-    /// Builds the chain through the global registry.
+    /// Builds the chain this spec describes, its array stage at its
+    /// defaults.
     pub fn build(&self) -> Result<CodecChain> {
-        CodecRegistry::global().build(self)
+        if self.bytes.len() > MAX_BYTE_STAGES {
+            return Err(CodecError::InvalidChain {
+                reason: "more byte stages than the wire format can carry",
+            });
+        }
+        let array: Box<dyn ArrayStage> = match self.array {
+            CompressorId::Sz2 => Box::new(Sz2::default()),
+            CompressorId::Sz3 => Box::new(Sz3::default()),
+            CompressorId::Zfp => Box::new(Zfp::default()),
+            CompressorId::Qoz => Box::new(Qoz::default()),
+            CompressorId::Szx => Box::new(Szx),
+        };
+        let bytes = self.bytes.iter().map(|&b| build_byte_stage(b)).collect();
+        Ok(CodecChain::new(array, bytes))
     }
 
-    /// Builds a boxed [`Compressor`] through the global registry.
+    /// Builds the chain as a boxed [`Compressor`].
     pub fn build_boxed(&self) -> Result<Box<dyn Compressor>> {
         Ok(Box::new(self.build()?))
     }
@@ -272,17 +288,19 @@ impl CodecChain {
         &self.spec
     }
 
-    /// Parses the stream envelope (chain + dtype checks) and hands the
-    /// unwound array-stage payload to `f`. Byte stages are inverted
-    /// through the thread's reusable scratch buffer, which is taken
-    /// *out* of the arena (not held borrowed) because the array stage
-    /// inside `f` wants the arena too.
-    fn with_decoded_payload<R>(
+    /// The one decode behind both [`Compressor`] decode methods: parses
+    /// the stream envelope (chain + dtype checks), validates the box
+    /// (`None` is the whole array), unwinds the byte stages and has the
+    /// array stage reconstruct the box. Byte stages are inverted through
+    /// the thread's reusable scratch buffer, which is taken *out* of the
+    /// arena (not held borrowed) because the array stage wants the arena
+    /// too.
+    fn decode(
         &self,
         stream: &[u8],
         dtype: u8,
-        f: impl FnOnce(&[u8], &Header) -> Result<R>,
-    ) -> Result<R> {
+        region: Option<(&[usize], &[usize])>,
+    ) -> Result<Dataset> {
         let (h, payload) = read_stream(stream)?;
         if h.chain != self.spec {
             return Err(CodecError::ChainMismatch {
@@ -291,8 +309,19 @@ impl CodecChain {
             });
         }
         dispatch_dtype!(E = dtype => check_dtype::<E>(h.dtype)).unwrap_or(Err(BAD_DTYPE))?;
+        let (origin, extent) = region.unwrap_or((&[0; MAX_RANK][..h.shape.rank()], h.shape.dims()));
+        validate_region(h.shape, origin, extent)?;
+        let array_decode = |bytes: &[u8]| {
+            let sw = Stopwatch::start();
+            let out = self.array.decode(bytes, h.dtype, h.shape, h.abs_bound, origin, extent);
+            self.metrics.array.decode_ns.record(sw.elapsed_ns());
+            if let Ok(arr) = &out {
+                self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
+            }
+            out
+        };
         if self.bytes.is_empty() {
-            return f(payload, &h);
+            return array_decode(payload);
         }
         let mut cur = crate::scratch::take_bytes();
         let mut next = Vec::new();
@@ -316,7 +345,7 @@ impl CodecChain {
             }
             m.decode_bytes.record(cur.len() as u64);
         }
-        let out = f(&cur, &h);
+        let out = array_decode(&cur);
         crate::scratch::put_bytes(cur);
         out
     }
@@ -363,15 +392,7 @@ impl Compressor for CodecChain {
     }
 
     fn decompress(&self, stream: &[u8], dtype: u8) -> Result<Dataset> {
-        self.with_decoded_payload(stream, dtype, |bytes, h| {
-            let sw = Stopwatch::start();
-            let out = self.array.decode(bytes, h.dtype, h.shape, h.abs_bound);
-            self.metrics.array.decode_ns.record(sw.elapsed_ns());
-            if let Ok(arr) = &out {
-                self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
-            }
-            out
-        })
+        self.decode(stream, dtype, None)
     }
 
     fn decompress_region(
@@ -380,88 +401,8 @@ impl Compressor for CodecChain {
         dtype: u8,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<Dataset>> {
-        if !self.array.supports_partial_decode() {
-            return Ok(None);
-        }
-        self.with_decoded_payload(stream, dtype, |bytes, h| {
-            validate_region(h.shape, origin, extent)?;
-            let sw = Stopwatch::start();
-            let out =
-                self.array.decode_region(bytes, h.dtype, h.shape, h.abs_bound, origin, extent);
-            self.metrics.array.decode_ns.record(sw.elapsed_ns());
-            if let Ok(Some(arr)) = &out {
-                self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
-            }
-            out
-        })
-    }
-}
-
-/// Constructor for an array stage.
-pub type ArrayStageFactory = Box<dyn Fn() -> Box<dyn ArrayStage> + Send + Sync>;
-
-/// Maps chain specs to stage constructors — the data-driven replacement
-/// for the hardcoded `CompressorId::instance()` match.
-///
-/// The global registry ([`CodecRegistry::global`]) holds the builtin
-/// default constructors; a local registry can override any of them
-/// (e.g. build every SZ3 stage linear-only, or an SZ2 stage with custom
-/// block dims) and hand out chains with the exact same wire specs.
-pub struct CodecRegistry {
-    arrays: HashMap<u8, ArrayStageFactory>,
-}
-
-impl CodecRegistry {
-    /// A registry with the five builtin array stages at their defaults.
-    pub fn builtin() -> Self {
-        let mut r = Self { arrays: HashMap::new() };
-        r.register_array(CompressorId::Sz2, || {
-            Box::new(crate::codecs::sz2::Sz2::default())
-        });
-        r.register_array(CompressorId::Sz3, || {
-            Box::new(crate::codecs::sz3::Sz3::default())
-        });
-        r.register_array(CompressorId::Zfp, || {
-            Box::new(crate::codecs::zfp::Zfp::default())
-        });
-        r.register_array(CompressorId::Qoz, || {
-            Box::new(crate::codecs::qoz::Qoz::default())
-        });
-        r.register_array(CompressorId::Szx, || Box::new(crate::codecs::szx::Szx));
-        r
-    }
-
-    /// Registers (or overrides) the constructor for an array stage id.
-    pub fn register_array(
-        &mut self,
-        id: CompressorId,
-        factory: impl Fn() -> Box<dyn ArrayStage> + Send + Sync + 'static,
-    ) {
-        self.arrays.insert(id as u8, Box::new(factory));
-    }
-
-    /// Builds the chain a spec describes.
-    pub fn build(&self, spec: &ChainSpec) -> Result<CodecChain> {
-        if spec.bytes.len() > MAX_BYTE_STAGES {
-            return Err(CodecError::InvalidChain {
-                reason: "more byte stages than the wire format can carry",
-            });
-        }
-        let factory = self
-            .arrays
-            .get(&(spec.array as u8))
-            .ok_or(CodecError::UnknownCodec(spec.array as u8))?;
-        let bytes = spec.bytes.iter().map(|&b| build_byte_stage(b)).collect();
-        let chain = CodecChain::new(factory(), bytes);
-        debug_assert_eq!(&chain.spec, spec);
-        Ok(chain)
-    }
-
-    /// The process-wide registry with the builtin stages.
-    pub fn global() -> &'static CodecRegistry {
-        static GLOBAL: OnceLock<CodecRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(CodecRegistry::builtin)
+    ) -> Result<Dataset> {
+        self.decode(stream, dtype, Some((origin, extent)))
     }
 }
 
@@ -581,16 +522,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_override_changes_construction_not_spec() {
-        let mut reg = CodecRegistry::builtin();
-        reg.register_array(CompressorId::Sz3, || {
-            Box::new(crate::codecs::sz3::Sz3::linear_only())
-        });
+    fn parameterized_stage_keeps_the_preset_spec() {
         let spec = ChainSpec::preset(CompressorId::Sz3);
-        let linear = reg.build(&spec).unwrap();
+        let linear = CodecChain::around(Box::new(Sz3::linear_only()));
         assert_eq!(linear.spec(), &spec);
-        // Streams from the override decode through the default build:
-        // the stage parameterization is self-describing.
+        // Streams from the parameterized stage decode through the
+        // default build: the stage parameterization is self-describing.
         let data = field();
         let stream = compress(&linear, &data, ErrorBound::Relative(1e-3)).unwrap();
         let back = decompress::<f32>(&spec.build().unwrap(), &stream).unwrap();
@@ -598,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_decode_through_byte_stages_and_fallback() {
+    fn partial_decode_through_byte_stages() {
         let data = field();
         // SZx behind an LZ stage: the byte stage is fully inverted, then
         // the array stage decodes only the requested region.
@@ -606,7 +543,7 @@ mod tests {
         let stream = compress(&chain, &data, ErrorBound::Relative(1e-3)).unwrap();
         let full = decompress::<f32>(&chain, &stream).unwrap();
         let part = decompress_region::<f32>(&chain, &stream, &[10, 5], &[7, 11]).unwrap()
-            .expect("szx+lz supports partial decode");
+            .expect("every chain decodes a box");
         for i in 0..7 {
             for j in 0..11 {
                 assert_eq!(
@@ -615,12 +552,6 @@ mod tests {
                 );
             }
         }
-        // A stage without a partial path (the frozen reference decoder)
-        // answers None, and callers fall back to the whole-chunk decode.
-        let sz3 = CodecChain::around(Box::new(crate::codecs::sz3::Sz3::reference_decoder()));
-        let stream = compress(&sz3, &data, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(decompress_region::<f32>(&sz3, &stream, &[10, 5], &[7, 11]).unwrap()
-            .is_none());
     }
 
     /// Every stage of a chain reports encode *and* decode time into

@@ -31,9 +31,6 @@ pub struct Qoz {
     /// Optional PSNR target: the encoder searches for the loosest bound
     /// meeting it (adds analysis passes — visible as extra energy).
     pub target_psnr: Option<f64>,
-    /// Decode through the frozen pre-optimization path (per-symbol
-    /// Huffman, fresh allocations). Wire-identical; only speed differs.
-    reference: bool,
 }
 
 impl Default for Qoz {
@@ -42,7 +39,6 @@ impl Default for Qoz {
             alpha: DEFAULT_ALPHA,
             beta: DEFAULT_BETA,
             target_psnr: None,
-            reference: false,
         }
     }
 }
@@ -54,12 +50,6 @@ impl Qoz {
             target_psnr: Some(psnr_db),
             ..Self::default()
         }
-    }
-
-    /// A decoder pinned to the frozen reference path — the baseline arm
-    /// of the decode-bandwidth gate and the fast-path equivalence tests.
-    pub fn reference_decoder() -> Self {
-        Self { reference: true, ..Self::default() }
     }
 
     /// The absolute bound applied at interpolation level `level` when the
@@ -146,61 +136,44 @@ impl Qoz {
         Ok((alpha, beta))
     }
 
-    /// Array-stage decode: mirror of [`Self::encode_impl`]. The default
-    /// path borrows the thread's [`CodecScratch`];
-    /// [`Qoz::reference_decoder`] takes the frozen slow path.
+    /// Array-stage decode of the box `origin .. origin + extent`, mirror
+    /// of [`Self::encode_impl`] on the thread's [`CodecScratch`], cut to
+    /// the box as [`Sz3::decode_impl`](super::sz3::Sz3::decode_impl)
+    /// does it.
     pub fn decode_impl<T: Element>(
-        &self,
-        bytes: &[u8],
-        shape: Shape,
-        abs: f64,
-    ) -> Result<NdArray<T>> {
-        if self.reference {
-            let p = SzPayload::decode_inner_reference(bytes)?;
-            let (alpha, beta) = Self::parse_extra(&p.extra)?;
-            return interp_decode_reference(shape, &p.codes, &p.outliers, abs / beta, |l| {
-                Self::level_bound(alpha, beta, abs, l)
-            }, true);
-        }
-        self.decode_box(bytes, shape, abs, &OutBox::whole(shape))
-    }
-
-    /// Partial decode of `origin .. origin + extent`, as
-    /// [`Sz3::decode_region_impl`](super::sz3::Sz3::decode_region_impl)
-    /// does it. The reference decoder has no partial path.
-    pub fn decode_region_impl<T: Element>(
         &self,
         bytes: &[u8],
         shape: Shape,
         abs: f64,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<T>>> {
-        if self.reference {
-            return Ok(None);
-        }
-        self.decode_box(bytes, shape, abs, &OutBox::new(origin, extent)).map(Some)
-    }
-
-    fn decode_box<T: Element>(
-        &self,
-        bytes: &[u8],
-        shape: Shape,
-        abs: f64,
-        boxed: &OutBox,
     ) -> Result<NdArray<T>> {
+        let boxed = OutBox::new(origin, extent);
         with_scratch(|s| {
             let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
             let (alpha, beta) = Self::parse_extra(extra)?;
-            interp_decode_with(shape, boxed, codes, outliers, abs / beta, |l| {
+            interp_decode_with(shape, &boxed, codes, outliers, abs / beta, |l| {
                 Self::level_bound(alpha, beta, abs, l)
             }, true, recon)
         })
     }
 }
 
-impl_stage_codec!(Qoz, CompressorId::Qoz, region);
+/// The frozen reference decode of a QoZ payload, for the test oracle
+/// [`decompress_reference`](super::decompress_reference).
+pub(crate) fn decode_reference<T: Element>(
+    p: &SzPayload,
+    shape: Shape,
+    abs: f64,
+) -> Result<NdArray<T>> {
+    let (alpha, beta) = Qoz::parse_extra(&p.extra)?;
+    interp_decode_reference(shape, &p.codes, &p.outliers, abs / beta, |l| {
+        Qoz::level_bound(alpha, beta, abs, l)
+    }, true)
+}
+
+impl_stage_codec!(Qoz, CompressorId::Qoz);
 
 #[cfg(test)]
 mod tests {

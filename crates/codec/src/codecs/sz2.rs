@@ -24,22 +24,16 @@ use eblcio_data::{ArrayView, DatasetView, Element, NdArray, Shape};
 /// Quantization code radius (SZ default: 2^15 bins each side).
 const RADIUS: u32 = 32768;
 
-/// The SZ2 compressor.
+/// The SZ2 compressor. Non-exhaustive: other crates start from
+/// `Sz2::default()` and set the fields they need.
 #[derive(Clone, Debug, Default)]
+#[non_exhaustive]
 pub struct Sz2 {
     /// Per-rank block edge override; `None` uses SZ2's defaults.
     pub block_dims: Option<[usize; 4]>,
-    /// Decode through the reference path (per-symbol Huffman, fresh
-    /// allocations). Wire-identical; only speed differs.
-    reference: bool,
 }
 
 impl Sz2 {
-    /// A decoder pinned to the reference path — the baseline arm of the
-    /// decode-bandwidth bench and the fast-path equivalence tests.
-    pub fn reference_decoder() -> Self {
-        Self { reference: true, ..Self::default() }
-    }
     /// Array-stage encode: hybrid block prediction at an already
     /// resolved absolute bound, emitting the inner SZ payload (the
     /// chain's LZ byte stage supplies the backend pass).
@@ -155,65 +149,35 @@ impl Sz2 {
         encode_inner(&extra, outliers, codes, huff_enc)
     }
 
-    /// Array-stage decode: mirror of [`Self::encode_impl`]. The default
-    /// path borrows the thread's [`CodecScratch`] and walks blocks row
-    /// by row, predicting through the precomputed [`LorenzoStencil`];
-    /// [`Sz2::reference_decoder`] decodes with the per-symbol Huffman
-    /// walk, sample by sample through the generic predictor. Both
-    /// produce identical bits.
-    pub fn decode_impl<T: Element>(
-        &self,
-        bytes: &[u8],
-        shape: Shape,
-        abs: f64,
-    ) -> Result<NdArray<T>> {
-        if self.reference {
-            let p = SzPayload::decode_inner_reference(bytes)?;
-            return self.decode_reference(&p.codes, &p.outliers, &p.extra, shape, abs);
-        }
-        self.decode_box(bytes, shape, abs, &OutBox::whole(shape))
-    }
-
-    /// Partial decode of `origin .. origin + extent`. Every code is
-    /// still Huffman-decoded, but only the blocks the box touches are
+    /// Array-stage decode of the box `origin .. origin + extent`, mirror
+    /// of [`Self::encode_impl`], on the thread's [`CodecScratch`]. Every
+    /// code is Huffman-decoded, but only the blocks the box touches are
     /// reconstructed, plus the blocks their Lorenzo predictions read
     /// (regression blocks read none; a Lorenzo block reads its lower
     /// neighbours, and so on down). Every other block is stepped over:
     /// its codes and their outliers skipped, its regression coefficients
-    /// consumed. The reference decoder has no partial path.
-    pub fn decode_region_impl<T: Element>(
+    /// consumed.
+    pub fn decode_impl<T: Element>(
         &self,
         bytes: &[u8],
         shape: Shape,
         abs: f64,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<T>>> {
-        if self.reference {
-            return Ok(None);
-        }
-        self.decode_box(bytes, shape, abs, &OutBox::new(origin, extent)).map(Some)
-    }
-
-    fn decode_box<T: Element>(
-        &self,
-        bytes: &[u8],
-        shape: Shape,
-        abs: f64,
-        boxed: &OutBox,
     ) -> Result<NdArray<T>> {
+        let boxed = OutBox::new(origin, extent);
         with_scratch(|s| {
             let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
             if boxed.len() == shape.len() {
-                self.decode_blocks::<T, true>(codes, outliers, extra, shape, abs, boxed, recon)
+                self.decode_blocks::<T, true>(codes, outliers, extra, shape, abs, &boxed, recon)
             } else {
-                self.decode_blocks::<T, false>(codes, outliers, extra, shape, abs, boxed, recon)
+                self.decode_blocks::<T, false>(codes, outliers, extra, shape, abs, &boxed, recon)
             }
         })
     }
 
-    /// The block decode behind [`Self::decode_box`]: walks each needed
+    /// The block decode behind [`Self::decode_impl`]: walks each needed
     /// block row by row through [`BlockRows`] exactly as
     /// [`Self::encode_with`] does — the regression plane's outer terms
     /// summed once per row, the stencil's faces decided per row — and
@@ -221,7 +185,7 @@ impl Sz2 {
     /// offsets, when `WHOLE` (the box is the array: no block selection
     /// and no per-sample box test, which takes ≈ 11 % off a whole-chunk
     /// decode; see EXPERIMENTS.md, "Cold reads, part 2"). Bit-identical
-    /// to the same slice of the reference arm's (pinned by
+    /// to the same slice of [`decode_reference`]'s (pinned by
     /// `decode_fastpath.rs` and the
     /// `stencil_matches_lorenzo_at_interior_points` test).
     #[allow(clippy::too_many_arguments)]
@@ -326,78 +290,77 @@ impl Sz2 {
         }
         Ok(NdArray::from_vec(boxed.shape(rank), out))
     }
+}
 
-    /// The reference arm: every sample through its coordinates and the
-    /// generic [`lorenzo`] predictor, fresh allocations throughout.
-    fn decode_reference<T: Element>(
-        &self,
-        codes: &[u32],
-        outlier_bytes: &[u8],
-        extra: &[u8],
-        shape: Shape,
-        abs: f64,
-    ) -> Result<NdArray<T>> {
-        let rank = shape.rank();
-        let block_dims = self.block_dims.unwrap_or_else(|| sz_block_dims(rank));
-        let modes = Modes::parse(extra)?;
-        let n = shape.len();
-        if codes.len() != n {
-            return Err(CodecError::Corrupt { context: "sz2 code count" });
+/// The frozen reference decode of a default-block SZ2 payload: every
+/// sample through its coordinates and the generic [`lorenzo`]
+/// predictor, fresh allocations throughout. Reached only through the
+/// test oracle [`decompress_reference`](super::decompress_reference).
+pub(crate) fn decode_reference<T: Element>(
+    p: &SzPayload,
+    shape: Shape,
+    abs: f64,
+) -> Result<NdArray<T>> {
+    let rank = shape.rank();
+    let block_dims = sz_block_dims(rank);
+    let modes = Modes::parse(&p.extra)?;
+    let n = shape.len();
+    if p.codes.len() != n {
+        return Err(CodecError::Corrupt { context: "sz2 code count" });
+    }
+    let mut recon = vec![0.0; n];
+    let mut sink = SampleSink {
+        quant: LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS),
+        codes: &p.codes,
+        code_i: 0,
+        outliers: OutlierReader::new(&p.outliers),
+        recon: &mut recon,
+    };
+    let mut out = vec![T::default(); n];
+    let mut block_i = 0usize;
+    let mut coef_pos = 0usize;
+    let mut failure: Option<CodecError> = None;
+
+    for_each_block(shape, &block_dims[..rank], |base, dims| {
+        if failure.is_some() {
+            return;
         }
-        let mut recon = vec![0.0; n];
-        let mut sink = SampleSink {
-            quant: LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS),
-            codes,
-            code_i: 0,
-            outliers: OutlierReader::new(outlier_bytes),
-            recon: &mut recon,
+        if block_i >= modes.n_blocks {
+            failure = Some(CodecError::Corrupt { context: "sz2 block modes" });
+            return;
+        }
+        let coef = match modes.coef(block_i, rank, &mut coef_pos) {
+            Ok(c) => c,
+            Err(e) => {
+                failure = Some(e);
+                return;
+            }
         };
-        let mut out = vec![T::default(); n];
-        let mut block_i = 0usize;
-        let mut coef_pos = 0usize;
-        let mut failure: Option<CodecError> = None;
-
-        for_each_block(shape, &block_dims[..rank], |base, dims| {
+        block_i += 1;
+        for_each_in_block(shape, base, dims, |idx, off| {
             if failure.is_some() {
                 return;
             }
-            if block_i >= modes.n_blocks {
-                failure = Some(CodecError::Corrupt { context: "sz2 block modes" });
-                return;
-            }
-            let coef = match modes.coef(block_i, rank, &mut coef_pos) {
-                Ok(c) => c,
-                Err(e) => {
-                    failure = Some(e);
-                    return;
-                }
-            };
-            block_i += 1;
-            for_each_in_block(shape, base, dims, |idx, off| {
-                if failure.is_some() {
-                    return;
-                }
-                let pred = match &coef {
-                    Some(coef) => {
-                        let mut local = [0usize; 4];
-                        for d in 0..rank {
-                            local[d] = idx[d] - base[d];
-                        }
-                        coef.eval(&local[..rank])
+            let pred = match &coef {
+                Some(coef) => {
+                    let mut local = [0usize; 4];
+                    for d in 0..rank {
+                        local[d] = idx[d] - base[d];
                     }
-                    None => lorenzo(sink.recon, shape, idx),
-                };
-                match sink.put::<T>(pred, off) {
-                    Ok(t) => out[off] = t,
-                    Err(e) => failure = Some(e),
+                    coef.eval(&local[..rank])
                 }
-            });
+                None => lorenzo(sink.recon, shape, idx),
+            };
+            match sink.put::<T>(pred, off) {
+                Ok(t) => out[off] = t,
+                Err(e) => failure = Some(e),
+            }
         });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        Ok(NdArray::from_vec(shape, out))
+    });
+    if let Some(e) = failure {
+        return Err(e);
     }
+    Ok(NdArray::from_vec(shape, out))
 }
 
 /// The side channel: block count, one mode bit per block (MSB-first),
@@ -582,7 +545,7 @@ impl SampleSink<'_> {
     }
 }
 
-impl_stage_codec!(Sz2, CompressorId::Sz2, region);
+impl_stage_codec!(Sz2, CompressorId::Sz2);
 
 #[cfg(test)]
 mod tests {

@@ -28,27 +28,18 @@ pub struct Sz3 {
     /// "dynamic spline"); `false` degrades every stencil to linear —
     /// the `ablation_predictors` bench quantifies what cubic buys.
     pub cubic: bool,
-    /// Decode through the frozen pre-optimization path (per-symbol
-    /// Huffman, fresh allocations). Wire-identical; only speed differs.
-    reference: bool,
 }
 
 impl Default for Sz3 {
     fn default() -> Self {
-        Self { cubic: true, reference: false }
+        Self { cubic: true }
     }
 }
 
 impl Sz3 {
     /// Linear-interpolation-only variant (ablation).
     pub fn linear_only() -> Self {
-        Self { cubic: false, ..Self::default() }
-    }
-
-    /// A decoder pinned to the frozen reference path — the baseline arm
-    /// of the decode-bandwidth gate and the fast-path equivalence tests.
-    pub fn reference_decoder() -> Self {
-        Self { reference: true, ..Self::default() }
+        Self { cubic: false }
     }
 }
 
@@ -552,9 +543,10 @@ fn interp_pass<C: SampleCoder>(
 /// Frozen pre-optimization mirror of [`interp_encode_with`] — fresh
 /// allocations, no arena, and the pre-optimization
 /// [`walk_reference`] schedule that recomputes each target offset as a
-/// coordinate dot product. The baseline arm of the decode-bandwidth
-/// gate; kept verbatim so "reference" keeps meaning the shipped PR-7
-/// decoder.
+/// coordinate dot product. The oracle the `decode_fastpath.rs` tests
+/// pin the fused pass to (through
+/// [`decompress_reference`](super::decompress_reference)); kept verbatim
+/// so "reference" keeps meaning the first shipped decoder.
 pub(crate) fn interp_decode_reference<T: Element>(
     shape: Shape,
     codes: &[u32],
@@ -655,56 +647,28 @@ impl Sz3 {
         })
     }
 
-    /// Array-stage decode: mirror of [`Self::encode_impl`]. The default
-    /// path borrows the thread's [`CodecScratch`] (codes, Huffman
-    /// tables, reconstruction plane) and allocates only the output
-    /// array; [`Sz3::reference_decoder`] takes the frozen slow path.
+    /// Array-stage decode of the box `origin .. origin + extent`, mirror
+    /// of [`Self::encode_impl`]. It borrows the thread's [`CodecScratch`]
+    /// (codes, Huffman tables, reconstruction plane) and allocates only
+    /// the output array. Every code is Huffman-decoded, but each level
+    /// reconstructs only the box widened by the stencil reach of the
+    /// finer levels (`3·h` per level), so the finest levels — most of
+    /// the samples — stay near the box and the small coarse ones run
+    /// whole.
     pub fn decode_impl<T: Element>(
-        &self,
-        bytes: &[u8],
-        shape: Shape,
-        abs: f64,
-    ) -> Result<NdArray<T>> {
-        if self.reference {
-            let p = SzPayload::decode_inner_reference(bytes)?;
-            let cubic = Self::parse_extra(&p.extra)?;
-            return interp_decode_reference(shape, &p.codes, &p.outliers, abs, |_| abs, cubic);
-        }
-        self.decode_box(bytes, shape, abs, &OutBox::whole(shape))
-    }
-
-    /// Partial decode of `origin .. origin + extent`: every code is
-    /// Huffman-decoded, but each level reconstructs only the box widened
-    /// by the stencil reach of the finer levels (`3·h` per level), so
-    /// the finest levels — most of the samples — stay near the box and
-    /// the small coarse ones run whole. The reference decoder has no
-    /// partial path.
-    pub fn decode_region_impl<T: Element>(
         &self,
         bytes: &[u8],
         shape: Shape,
         abs: f64,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<T>>> {
-        if self.reference {
-            return Ok(None);
-        }
-        self.decode_box(bytes, shape, abs, &OutBox::new(origin, extent)).map(Some)
-    }
-
-    fn decode_box<T: Element>(
-        &self,
-        bytes: &[u8],
-        shape: Shape,
-        abs: f64,
-        boxed: &OutBox,
     ) -> Result<NdArray<T>> {
+        let boxed = OutBox::new(origin, extent);
         with_scratch(|s| {
             let CodecScratch { codes, recon, huff, .. } = s;
             let (extra, outliers) = SzPayload::decode_inner_into(bytes, codes, huff)?;
             let cubic = Self::parse_extra(extra)?;
-            interp_decode_with(shape, boxed, codes, outliers, abs, |_| abs, cubic, recon)
+            interp_decode_with(shape, &boxed, codes, outliers, abs, |_| abs, cubic, recon)
         })
     }
 
@@ -717,7 +681,18 @@ impl Sz3 {
     }
 }
 
-impl_stage_codec!(Sz3, CompressorId::Sz3, region);
+/// The frozen reference decode of an SZ3 payload, for the test oracle
+/// [`decompress_reference`](super::decompress_reference).
+pub(crate) fn decode_reference<T: Element>(
+    p: &SzPayload,
+    shape: Shape,
+    abs: f64,
+) -> Result<NdArray<T>> {
+    let cubic = Sz3::parse_extra(&p.extra)?;
+    interp_decode_reference(shape, &p.codes, &p.outliers, abs, |_| abs, cubic)
+}
+
+impl_stage_codec!(Sz3, CompressorId::Sz3);
 
 #[cfg(test)]
 mod tests {

@@ -112,51 +112,26 @@ impl Szx {
         Ok((out, abs))
     }
 
-    /// Array-stage decode: mirror of [`Self::encode_impl`].
+    /// Array-stage decode of the box `origin .. origin + extent`, mirror
+    /// of [`Self::encode_impl`]. SZx blocks are flat 128-sample spans of
+    /// the row-major array, so only blocks overlapping the box's flat
+    /// index span are decoded: everything before is skipped by header
+    /// arithmetic, everything after is never read. A whole decode
+    /// returns the decoded span itself; for a small corner box of a
+    /// large chunk the decode touches a fraction of the coded samples.
     pub fn decode_impl<T: Element>(
-        &self,
-        payload: &[u8],
-        shape: Shape,
-        abs: f64,
-    ) -> Result<NdArray<T>> {
-        let n = shape.len();
-        let step = 2.0 * abs;
-        let mut r = ByteReader::new(payload);
-        let n_blocks = r.varint("szx block count")? as usize;
-        if n_blocks != n.div_ceil(BLOCK) {
-            return Err(CodecError::Corrupt { context: "szx block count" });
-        }
-
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        with_scratch(|s| -> Result<()> {
-            for b in 0..n_blocks {
-                let block_len = BLOCK.min(n - b * BLOCK);
-                decode_block(&mut r, block_len, step, &mut s.codes, &mut out)?;
-            }
-            Ok(())
-        })?;
-        Ok(NdArray::from_vec(shape, out))
-    }
-
-    /// Partial decode of an axis-aligned region. SZx blocks are flat
-    /// 128-sample spans of the row-major array, so only blocks
-    /// overlapping the region's flat index span are decoded: everything
-    /// before is skipped by header arithmetic, everything after is
-    /// never read. For a small corner region of a large chunk this
-    /// touches a fraction of the coded samples.
-    pub fn decode_region_impl<T: Element>(
         &self,
         payload: &[u8],
         shape: Shape,
         abs: f64,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<T>>> {
+    ) -> Result<NdArray<T>> {
         let rank = shape.rank();
         let strides = shape.strides();
         let n = shape.len();
         let step = 2.0 * abs;
-        // The region's flat offsets all lie in [lo, hi].
+        // The box's flat offsets all lie in [lo, hi].
         let lo: usize = (0..rank).map(|d| origin[d] * strides[d]).sum();
         let hi: usize = (0..rank)
             .map(|d| (origin[d] + extent[d] - 1) * strides[d])
@@ -167,10 +142,13 @@ impl Szx {
 
         let mut r = ByteReader::new(payload);
         let n_blocks = r.varint("szx block count")? as usize;
-        if n_blocks != n.div_ceil(BLOCK) {
+        // Every block is at least a mode byte and one sample, so a count
+        // the payload cannot hold is corrupt — caught before the span is
+        // sized from a header shape the payload CRC does not cover.
+        if n_blocks != n.div_ceil(BLOCK) || n_blocks.saturating_mul(1 + T::BYTES) > r.remaining() {
             return Err(CodecError::Corrupt { context: "szx block count" });
         }
-        let mut span: Vec<T> = Vec::with_capacity((last_block + 1) * BLOCK - span_base);
+        let mut span: Vec<T> = Vec::with_capacity(((last_block + 1) * BLOCK).min(n) - span_base);
         with_scratch(|s| -> Result<()> {
             for b in 0..=last_block {
                 let block_len = BLOCK.min(n - b * BLOCK);
@@ -182,12 +160,15 @@ impl Szx {
             }
             Ok(())
         })?;
+        let out_shape = Shape::new(extent);
+        if out_shape == shape {
+            return Ok(NdArray::from_vec(shape, span));
+        }
 
-        // Gather the region out of the decoded span, one contiguous
+        // Gather the box out of the decoded span, one contiguous
         // last-axis row at a time — the row is a flat slice of the
         // span, so the copy is memcpy-shaped instead of a per-sample
         // coordinate dot product.
-        let out_shape = Shape::new(extent);
         let total = out_shape.len();
         let mut out: Vec<T> = Vec::with_capacity(total);
         let row = extent[rank - 1];
@@ -204,12 +185,12 @@ impl Szx {
                 idx[d] = 0;
             }
         }
-        Ok(Some(NdArray::from_vec(out_shape, out)))
+        Ok(NdArray::from_vec(out_shape, out))
     }
 }
 
 /// Decodes one block (mode byte onward) and appends its samples to
-/// `out`. Shared by the whole-payload and partial-region decoders.
+/// `out`.
 fn decode_block<T: Element>(
     r: &mut ByteReader<'_>,
     block_len: usize,
@@ -258,7 +239,7 @@ fn decode_block<T: Element>(
 }
 
 /// Advances past one block (mode byte onward) without decoding any
-/// sample — pure header arithmetic, the partial decoder's skip path.
+/// sample — pure header arithmetic, for the blocks before the box.
 fn skip_block<T: Element>(r: &mut ByteReader<'_>, block_len: usize) -> Result<()> {
     match r.u8("szx block mode")? {
         MODE_CONSTANT => {
@@ -280,7 +261,7 @@ fn skip_block<T: Element>(r: &mut ByteReader<'_>, block_len: usize) -> Result<()
     Ok(())
 }
 
-impl_stage_codec!(Szx, CompressorId::Szx, region);
+impl_stage_codec!(Szx, CompressorId::Szx);
 
 #[cfg(test)]
 mod tests {

@@ -146,35 +146,19 @@ impl Zfp {
         Ok((bw.finish(), recorded))
     }
 
-    /// Array-stage decode: mirror of [`Self::encode_impl`]. The block
-    /// stream is self-describing (per-block exponents and plane counts),
-    /// so the recorded bound is not needed to reconstruct.
+    /// Array-stage decode of the box `origin .. origin + extent`, mirror
+    /// of [`Self::encode_impl`]. The block stream is self-describing
+    /// (per-block exponents and plane counts), so the recorded bound is
+    /// not needed to reconstruct.
     pub fn decode_impl<T: Element>(
-        &self,
-        payload: &[u8],
-        shape: eblcio_data::Shape,
-        _abs: f64,
-    ) -> Result<NdArray<T>> {
-        let rank = shape.rank();
-        decode_box(payload, shape, &[0; 4][..rank], shape.dims())
-    }
-
-    /// Partial decode of an axis-aligned region. The block stream is
-    /// sequential (plane coding consumes a data-dependent bit count), so
-    /// every block up to the last intersecting one is still *parsed* —
-    /// but the expensive work per block (inverse transform, negabinary
-    /// demapping, scatter; raw-byte reads skip via [`BitReader::skip_bits`])
-    /// happens only for blocks that overlap the region, and parsing
-    /// stops at the last intersecting block.
-    pub fn decode_region_impl<T: Element>(
         &self,
         payload: &[u8],
         shape: eblcio_data::Shape,
         _abs: f64,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<NdArray<T>>> {
-        decode_box(payload, shape, origin, extent).map(Some)
+    ) -> Result<NdArray<T>> {
+        decode_box(payload, shape, origin, extent)
     }
 }
 
@@ -419,10 +403,15 @@ impl BlockHit {
 }
 
 /// Decodes the box `origin .. origin + extent` of a ZFP block stream
-/// over `shape` — the whole array when the box is the array. Blocks are
-/// reconstructed on their live extent ([`LiveBlock`]) and written row by
-/// row: an interior block is `4^(rank−1)` four-sample row copies out of
-/// the reconstructed block.
+/// over `shape` — the whole array when the box is the array. The stream
+/// is sequential (plane coding consumes a data-dependent bit count), so
+/// every block up to the last one the box meets is still *parsed* — but
+/// the expensive work per block (inverse transform, negabinary
+/// demapping, scatter; raw-byte reads skip via [`BitReader::skip_bits`])
+/// happens only for blocks that overlap the box, and parsing stops after
+/// the last of them. Blocks are reconstructed on their live extent
+/// ([`LiveBlock`]) and written row by row: an interior block is
+/// `4^(rank−1)` four-sample row copies out of the reconstructed block.
 fn decode_box<T: Element>(
     payload: &[u8],
     shape: eblcio_data::Shape,
@@ -432,6 +421,13 @@ fn decode_box<T: Element>(
     let rank = shape.rank();
     let pad = 4 - rank;
     let n_block = BLOCK_EDGE.pow(rank as u32);
+    // Every block codes at least its 2-bit mode, so a payload too short
+    // for the shape's blocks is corrupt — caught before the output is
+    // sized from a header shape the payload CRC does not cover.
+    let blocks: u64 = shape.dims().iter().map(|&d| d.div_ceil(BLOCK_EDGE) as u64).product();
+    if (payload.len() as u64).saturating_mul(8) < 2 * blocks {
+        return Err(CodecError::Corrupt { context: "zfp block count" });
+    }
     let mut br = BitReader::new(payload);
     let out_shape = eblcio_data::Shape::new(extent);
     let mut out: Vec<T> = vec![T::default(); out_shape.len()];
@@ -584,7 +580,7 @@ fn block_samples(
     ControlFlow::Continue(())
 }
 
-impl_stage_codec!(Zfp, CompressorId::Zfp, region);
+impl_stage_codec!(Zfp, CompressorId::Zfp);
 
 #[cfg(test)]
 mod tests {

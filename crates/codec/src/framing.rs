@@ -9,8 +9,9 @@ use crate::util::{crc32, put_varint, ByteReader};
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::Shape;
 
-/// Largest accepted per-axis extent (2^40 samples ≈ 4 TiB of f32 on one
-/// axis); anything larger in a header is treated as corruption.
+/// Largest accepted per-axis extent, and sample count over all axes
+/// (2^40 samples ≈ 4 TiB of f32); anything larger in a header is
+/// treated as corruption.
 pub const MAX_DIM: u64 = 1 << 40;
 
 /// Checks a 4-byte container magic.
@@ -30,19 +31,26 @@ pub fn put_shape(out: &mut Vec<u8>, shape: Shape) {
     }
 }
 
-/// Reads a shape written by [`put_shape`], validating rank and extents.
+/// Reads a shape written by [`put_shape`], validating rank, extents and
+/// the sample count: more than [`MAX_DIM`] samples in all is corruption
+/// too, so no decoder sizes a buffer from a product that overflows.
 pub fn read_shape(r: &mut ByteReader<'_>) -> Result<Shape> {
     let rank = r.u8("rank")? as usize;
     if rank == 0 || rank > MAX_RANK {
         return Err(CodecError::Corrupt { context: "rank" });
     }
     let mut dims = [0usize; MAX_RANK];
+    let mut samples = 1u64;
     for d in dims.iter_mut().take(rank) {
         let v = r.varint("dimension")?;
         if v == 0 || v > MAX_DIM {
             return Err(CodecError::Corrupt { context: "dimension" });
         }
+        samples = samples.saturating_mul(v);
         *d = v as usize;
+    }
+    if samples > MAX_DIM {
+        return Err(CodecError::Corrupt { context: "sample count" });
     }
     Ok(Shape::new(&dims[..rank]))
 }

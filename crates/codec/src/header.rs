@@ -71,7 +71,7 @@ pub fn check_dtype<T: Element>(tag: u8) -> Result<()> {
 
 /// Un-erases what an object-safe decode returned into the `NdArray<T>`
 /// the generic caller asked for (a move, never a copy).
-pub(crate) fn typed<T: Element>(data: Dataset) -> Result<NdArray<T>> {
+pub fn typed<T: Element>(data: Dataset) -> Result<NdArray<T>> {
     fn name<E: Element>(_: &NdArray<E>) -> &'static str {
         E::NAME
     }
@@ -251,5 +251,46 @@ mod tests {
         let stream = write_stream(&sample_header(), b"");
         let (_, p) = read_stream(&stream).unwrap();
         assert!(p.is_empty());
+    }
+
+    /// A 256-sample preset stream of `id`, re-framed under `shape` with
+    /// its payload passed through `edit`. The payload CRC does not cover
+    /// the header, and the re-framing re-seals it, so the forged stream
+    /// verifies.
+    fn forged(id: CompressorId, shape: Shape, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        use crate::traits::{compress, ErrorBound};
+        let data = NdArray::from_fn(Shape::d1(256), |i| (i[0] as f32 * 0.1).sin());
+        let stream = compress(id.instance().as_ref(), &data, ErrorBound::Relative(1e-3)).unwrap();
+        let (h, payload) = read_stream(&stream).unwrap();
+        write_stream(&Header { shape, ..h }, &edit(payload))
+    }
+
+    fn assert_corrupt(stream: &[u8]) {
+        let r = crate::traits::decompress_any(stream);
+        assert!(matches!(r, Err(CodecError::Corrupt { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn zfp_stream_with_a_forged_shape_is_corrupt() {
+        assert_corrupt(&forged(CompressorId::Zfp, Shape::d1(1 << 40), <[u8]>::to_vec));
+    }
+
+    #[test]
+    fn szx_stream_with_a_forged_shape_and_block_count_is_corrupt() {
+        let stream = forged(CompressorId::Szx, Shape::d1(1 << 40), |payload| {
+            let mut r = ByteReader::new(payload);
+            r.varint("szx block count").unwrap();
+            let mut out = Vec::new();
+            put_varint(&mut out, (1u64 << 40) / 128);
+            out.extend_from_slice(&payload[r.position()..]);
+            out
+        });
+        assert_corrupt(&stream);
+    }
+
+    #[test]
+    fn shape_with_an_overflowing_sample_count_is_corrupt() {
+        let shape = Shape::d2(1 << 40, 1 << 40);
+        assert_corrupt(&forged(CompressorId::Sz3, shape, <[u8]>::to_vec));
     }
 }

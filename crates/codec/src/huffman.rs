@@ -343,8 +343,8 @@ pub fn decode_block_into(buf: &[u8], out: &mut Vec<u32>, lut: &mut HuffLookup) -
 }
 
 /// The original bit-at-a-time canonical decode, kept verbatim as the
-/// oracle the fast path is proptested against (and as the baseline leg
-/// of the decode-bandwidth benchmark).
+/// oracle the fast path is proptested against (here and, through
+/// `decompress_reference`, in the `decode_fastpath.rs` tests).
 pub fn decode_block_reference(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
     let mut r = ByteReader::new(buf);
     let Some(table) = parse_table(&mut r)? else {

@@ -16,9 +16,9 @@
 //!   bitplane coder,
 //! * [`codecs`] — the five EBLC pipelines as chain array stages,
 //! * [`stage`] / [`chain`] — the composable codec-chain architecture:
-//!   array stages + byte stages, serializable [`ChainSpec`]s, and the
-//!   [`CodecRegistry`] that builds them (the five paper codecs are the
-//!   preset chains, behind one [`Compressor`] trait),
+//!   array stages + byte stages and serializable [`ChainSpec`]s that
+//!   build them (the five paper codecs are the preset chains, behind one
+//!   [`Compressor`] trait),
 //! * [`framing`] — shared container framing (shape/dtype/bound fields,
 //!   CRC trailers) used by `EBLC`, `EBLP`, and the store's `EBCS`,
 //! * [`lossless`] — the shuffle, fpzip and FPC byte stages that, with
@@ -51,7 +51,7 @@ pub mod traits;
 pub mod transform;
 pub mod util;
 
-pub use chain::{ChainSpec, CodecChain, CodecRegistry};
+pub use chain::{ChainSpec, CodecChain};
 pub use codecs::{qoz::Qoz, sz2::Sz2, sz3::Sz3, szx::Szx, zfp::Zfp};
 pub use error::{CodecError, Result};
 pub use header::check_dtype;

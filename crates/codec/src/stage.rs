@@ -21,6 +21,7 @@ use crate::header::typed;
 use crate::lossless::{Fpc, FpzipLike};
 use crate::lz;
 use crate::traits::CompressorId;
+use eblcio_data::shape::MAX_RANK;
 use eblcio_data::{ArrayView, Dataset, DatasetView, Element, NdArray, Shape};
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// but quality-targeting modes (QoZ PSNR search, ZFP fixed precision)
 /// record the bound they actually achieved. `decode` receives the
 /// recorded bound, the original shape and the dtype tag back from the
-/// header.
+/// header, plus the box to reconstruct.
 ///
 /// Object-safe: samples cross it dtype-erased. Generic callers use
 /// [`encode_array`] / [`decode_array`] / [`decode_array_region`].
@@ -42,28 +43,14 @@ pub trait ArrayStage: Send + Sync {
 
     /// Encodes a view; returns `(payload, recorded_abs)`.
     fn encode(&self, data: DatasetView<'_>, abs: f64) -> Result<(Vec<u8>, f64)>;
-    /// Decodes a payload of the element type `dtype` names.
-    fn decode(&self, bytes: &[u8], dtype: u8, shape: Shape, abs: f64) -> Result<Dataset>;
 
-    /// Whether this stage implements the [`Self::decode_region`] partial
-    /// path — every builtin stage does, for any box. Callers use this as
-    /// a cheap gate to skip work (byte-stage unwinding) that would only
-    /// feed an `Ok(None)` fallback; which boxes are worth a partial
-    /// decode is the caller's call (see `eblcio_store`'s
-    /// `decode_chunk_region`).
-    fn supports_partial_decode(&self) -> bool {
-        false
-    }
-
-    /// Partially decodes the axis-aligned sub-region `origin..origin+extent`
-    /// of a payload, returning an `extent`-shaped array.
-    ///
-    /// `Ok(None)` means this stage has no partial-decode path (the
-    /// default) and the caller must fall back to [`Self::decode`].
-    /// Implementations must be bit-identical to slicing the whole-array
-    /// decode; the region is pre-validated against `shape` by
-    /// [`validate_region`].
-    fn decode_region(
+    /// Decodes the axis-aligned box `origin..origin+extent` of a payload
+    /// of the element type `dtype` names, returning an `extent`-shaped
+    /// array; the whole array is the box that covers it. Every stage
+    /// reconstructs only what the box depends on, bit-identical to
+    /// slicing the whole-array decode. The box is pre-validated against
+    /// `shape` by [`validate_region`].
+    fn decode(
         &self,
         bytes: &[u8],
         dtype: u8,
@@ -71,10 +58,7 @@ pub trait ArrayStage: Send + Sync {
         abs: f64,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<Dataset>> {
-        let _ = (bytes, dtype, shape, abs, origin, extent);
-        Ok(None)
-    }
+    ) -> Result<Dataset>;
 }
 
 /// Validates a sub-region request against the array shape: matching
@@ -104,19 +88,18 @@ pub fn encode_array<T: Element>(
     stage.encode(T::erase(data), abs)
 }
 
-/// Generic [`ArrayStage`] decode: asks for `T`'s dtype and un-erases.
+/// Generic [`ArrayStage`] decode of the whole array: asks for `T`'s
+/// dtype and un-erases.
 pub fn decode_array<T: Element>(
     stage: &dyn ArrayStage,
     bytes: &[u8],
     shape: Shape,
     abs: f64,
 ) -> Result<NdArray<T>> {
-    typed(stage.decode(bytes, T::DTYPE, shape, abs)?)
+    typed(stage.decode(bytes, T::DTYPE, shape, abs, &[0; MAX_RANK][..shape.rank()], shape.dims())?)
 }
 
-/// Generic [`ArrayStage`] partial decode. Validates the region, then
-/// asks the stage; `Ok(None)` means "no partial path, fall back to
-/// [`decode_array`]".
+/// Generic [`ArrayStage`] box decode: validates the box, then decodes it.
 pub fn decode_array_region<T: Element>(
     stage: &dyn ArrayStage,
     bytes: &[u8],
@@ -124,9 +107,9 @@ pub fn decode_array_region<T: Element>(
     abs: f64,
     origin: &[usize],
     extent: &[usize],
-) -> Result<Option<NdArray<T>>> {
+) -> Result<NdArray<T>> {
     validate_region(shape, origin, extent)?;
-    stage.decode_region(bytes, T::DTYPE, shape, abs, origin, extent)?.map(typed).transpose()
+    typed(stage.decode(bytes, T::DTYPE, shape, abs, origin, extent)?)
 }
 
 /// A lossless byte→byte chain stage.

@@ -68,9 +68,7 @@ impl CompressorId {
         }
     }
 
-    /// Instantiates this codec's preset chain through the global
-    /// [`CodecRegistry`](crate::chain::CodecRegistry) — the data-driven
-    /// replacement for the old hardcoded constructor match.
+    /// Instantiates this codec's preset chain ([`ChainSpec::build`]).
     pub fn instance(self) -> Box<dyn Compressor> {
         ChainSpec::preset(self)
             .build_boxed()
@@ -151,20 +149,18 @@ pub trait Compressor: Send + Sync {
     /// unwound.
     fn decompress(&self, stream: &[u8], dtype: u8) -> Result<Dataset>;
 
-    /// Partially decompresses the sub-region `origin..origin+extent`
-    /// when the chain's array stage supports partial decode (all five
-    /// builtin stages do: SZx and ZFP parse blocks only up to the box,
-    /// SZ2 and SZ3/QoZ reconstruct only what the box depends on).
-    /// `Ok(None)` means "no partial path" — callers fall back to
-    /// [`Self::decompress`]. Results are bit-identical to slicing the
-    /// full decode.
+    /// Decompresses the box `origin..origin+extent`. Every array stage
+    /// decodes a box: SZx and ZFP parse blocks only up to it, SZ2 and
+    /// SZ3/QoZ reconstruct only what it depends on. Results are
+    /// bit-identical to slicing the full decode; a box that does not fit
+    /// the array is a [`CodecError::BadRegion`].
     fn decompress_region(
         &self,
         stream: &[u8],
         dtype: u8,
         origin: &[usize],
         extent: &[usize],
-    ) -> Result<Option<Dataset>>;
+    ) -> Result<Dataset>;
 }
 
 /// Generic compression entry point.
@@ -193,16 +189,17 @@ pub fn decompress<T: Element>(c: &dyn Compressor, stream: &[u8]) -> Result<NdArr
     typed(c.decompress(stream, T::DTYPE)?)
 }
 
-/// Generic partial decompression entry point. `Ok(None)` means the
-/// chain has no partial-decode path and the caller should
-/// [`decompress`] the whole stream instead.
+/// Generic box decompression entry point
+/// ([`Compressor::decompress_region`]). Always `Some` — every chain
+/// decodes a box; the `Option` stays for callers written when some
+/// chains could not.
 pub fn decompress_region<T: Element>(
     c: &dyn Compressor,
     stream: &[u8],
     origin: &[usize],
     extent: &[usize],
 ) -> Result<Option<NdArray<T>>> {
-    c.decompress_region(stream, T::DTYPE, origin, extent)?.map(typed).transpose()
+    typed(c.decompress_region(stream, T::DTYPE, origin, extent)?).map(Some)
 }
 
 /// Compresses either precision of a [`Dataset`].

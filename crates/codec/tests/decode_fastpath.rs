@@ -1,6 +1,7 @@
-//! Bit-equality pins for the decode hot path: every fast decoder must
-//! reproduce the frozen reference decoder's output *exactly* (to the
-//! bit, not within ε), and every partial-region decode must equal the
+//! Bit-equality pins for the decode hot path: every fast SZ-family
+//! decoder must reproduce the frozen reference decoders' output
+//! ([`decompress_reference`]) *exactly* (to the bit, not within ε), and
+//! every partial-region decode must equal the
 //! corresponding slice of a whole-array decode — on every preset. Fields mix smooth and
 //! adversarial content — huge spikes that force raw-outlier encodings,
 //! denormal-scale values, and shapes chosen to leave block/chunk-edge
@@ -10,10 +11,11 @@
 //! codec runs, so NaN/Inf coverage lives at the payload level: spike
 //! values near `f32::MAX` exercise the same raw-escape paths.)
 
+use eblcio_codec::codecs::decompress_reference;
 use eblcio_codec::stage::{decode_array_region, encode_array};
 use eblcio_codec::{
-    compress, decompress, decompress_region, ArrayStage, ChainSpec, CodecChain, CodecError,
-    CompressorId, ErrorBound, Qoz, Sz2, Sz3, Szx, Zfp,
+    compress, decompress, decompress_region, ArrayStage, ChainSpec, CodecError, CompressorId,
+    ErrorBound, Qoz, Sz2, Sz3, Szx, Zfp,
 };
 use eblcio_data::{Element, NdArray, Shape};
 use proptest::prelude::*;
@@ -63,13 +65,9 @@ fn widen(single: &NdArray<f32>) -> NdArray<f64> {
     NdArray::from_vec(single.shape(), wide)
 }
 
-fn reference_chain(id: CompressorId) -> Option<CodecChain> {
-    match id {
-        CompressorId::Sz2 => Some(CodecChain::around(Box::new(Sz2::reference_decoder()))),
-        CompressorId::Sz3 => Some(CodecChain::around(Box::new(Sz3::reference_decoder()))),
-        CompressorId::Qoz => Some(CodecChain::around(Box::new(Qoz::reference_decoder()))),
-        _ => None,
-    }
+/// The codecs [`decompress_reference`] has a frozen decoder for.
+fn has_reference(id: CompressorId) -> bool {
+    matches!(id, CompressorId::Sz2 | CompressorId::Sz3 | CompressorId::Qoz)
 }
 
 proptest! {
@@ -103,8 +101,8 @@ fn check_fast_against_reference<T: Element>(id: CompressorId, data: &NdArray<T>,
     let codec = id.instance();
     let stream = compress(codec.as_ref(), data, ErrorBound::Relative(eps)).unwrap();
     let fast: NdArray<T> = decompress(codec.as_ref(), &stream).unwrap();
-    if let Some(reference) = reference_chain(id) {
-        let slow: NdArray<T> = decompress(&reference, &stream).unwrap();
+    if has_reference(id) {
+        let slow: NdArray<T> = decompress_reference(&stream).unwrap();
         for (i, (a, b)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -296,11 +294,10 @@ fn check_damage<T: Element>(
     let (payload, abs) = encode_array(stage, data.view(), abs).unwrap();
     let shape = data.shape();
     let region = |bytes: &[u8]| decode_array_region::<T>(stage, bytes, shape, abs, origin, extent);
-    let intact = region(&payload).unwrap().unwrap();
+    let intact = region(&payload).unwrap();
     let name = stage.id().name();
     for cut in 0..payload.len() {
         if let Ok(part) = region(&payload[..cut]) {
-            let part = part.unwrap();
             assert!(
                 part.as_slice()
                     .iter()
@@ -337,8 +334,7 @@ fn fast_decode_matches_reference_in_3d_and_4d() {
             let codec = id.instance();
             let stream = compress(codec.as_ref(), &data, ErrorBound::Relative(1e-4)).unwrap();
             let fast: NdArray<f32> = decompress(codec.as_ref(), &stream).unwrap();
-            let reference = reference_chain(id).unwrap();
-            let slow: NdArray<f32> = decompress(&reference, &stream).unwrap();
+            let slow: NdArray<f32> = decompress_reference(&stream).unwrap();
             for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{} {dims:?} fast != reference", id.name());
             }
@@ -363,18 +359,5 @@ fn region_decode_rejects_out_of_bounds_and_rank_mismatch() {
             matches!(r, Err(CodecError::BadRegion { .. })),
             "origin {origin:?} extent {extent:?} must be rejected"
         );
-    }
-}
-
-/// Stages without a partial path — the frozen reference decoders —
-/// answer `None`, never garbage, so callers fall back to a whole decode.
-#[test]
-fn non_partial_codecs_return_none_for_regions() {
-    let data = adversarial_field(Shape::d2(16, 16), 3);
-    for id in [CompressorId::Sz2, CompressorId::Sz3, CompressorId::Qoz] {
-        let codec = reference_chain(id).unwrap();
-        let stream = compress(&codec, &data, ErrorBound::Relative(1e-3)).unwrap();
-        let r = decompress_region::<f32>(&codec, &stream, &[2, 2], &[4, 4]).unwrap();
-        assert!(r.is_none(), "{}", id.name());
     }
 }

@@ -13,9 +13,9 @@
 //! scatters little-endian bytes straight into the caller's buffer —
 //! for the daemon, the tail of the reply frame it is about to send — so
 //! no typed array and no second copy exist in between.
-//! [`AnyReader::read_region_data`] / [`AnyReader::read_chunk_data`] are
-//! the public, allocating conveniences over the same calls: one `Vec`
-//! of the exact size, filled in place.
+//! [`AnyReader::read_region_data`] is the public, allocating convenience
+//! over the region call: one `Vec` of the exact size, filled in place.
+//! It is kept for the benchmark's oracle and the tests.
 
 use crate::protocol::ArrayData;
 use eblcio_codec::{CodecError, Result};
@@ -123,24 +123,11 @@ impl AnyReader {
     pub fn read_region_data(&self, region: &Region) -> Result<ArrayData> {
         let mut bytes = vec![0u8; region.len() * self.sample_bytes()];
         self.read_region_le_into(region, &mut bytes)?;
-        Ok(self.array_data(region.shape(), bytes))
-    }
-
-    /// Serves one whole chunk as wire-ready [`ArrayData`]. The caller
-    /// must have validated `i` against [`AnyReader::n_chunks`].
-    pub fn read_chunk_data(&self, i: usize) -> Result<ArrayData> {
-        let shape = self.chunk_shape(i);
-        let mut bytes = vec![0u8; shape.len() * self.sample_bytes()];
-        self.read_chunk_le_into(i, &mut bytes)?;
-        Ok(self.array_data(shape, bytes))
-    }
-
-    fn array_data(&self, shape: Shape, bytes: Vec<u8>) -> ArrayData {
-        ArrayData {
+        Ok(ArrayData {
             dtype: self.dtype(),
-            dims: shape.dims().iter().map(|&d| d as u64).collect(),
+            dims: region.extent().iter().map(|&d| d as u64).collect(),
             bytes,
-        }
+        })
     }
 
     /// Warms the cache for `region` (validated by the caller); decode

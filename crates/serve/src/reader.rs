@@ -592,13 +592,14 @@ impl<T: Element> ArrayReader<T> {
     }
 
     /// Fetches what a region request needs of chunk `i`. With a
-    /// `region`, a sub-chunk decode is attempted first when
-    /// [`Self::prefers_part`] says so (the store then decides what its
-    /// chain can do, [`ChunkedStore::decode_chunk_region`]); the result
-    /// is private to the request — not cached and not single-flighted,
-    /// since it is keyed by region, not chunk. Everything else
-    /// (including prefetches, which exist to warm the cache) goes
-    /// through the cached single-flight whole-chunk path.
+    /// `region`, the miss box-decodes its overlap when
+    /// [`Self::prefers_part`] says so and the region covers the chunk
+    /// only in part ([`ChunkedStore::decode_chunk_region`]; both are
+    /// geometry alone); the result is private to the request — not
+    /// cached and not single-flighted, since it is keyed by region, not
+    /// chunk. Everything else (including prefetches, which exist to warm
+    /// the cache, and chunks the region covers whole) goes through the
+    /// cached single-flight whole-chunk path.
     fn fetch_part(
         &self,
         state: &ReadState,

@@ -12,12 +12,12 @@ use crate::storage::Storage;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use eblcio_codec::estimate::estimate_cr;
-use eblcio_codec::header::check_dtype;
+use eblcio_codec::header::{check_dtype, typed};
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::util::crc32;
 use eblcio_codec::{
-    compress, compress_view, decompress, decompress_region, ChainSpec, CodecError, Compressor,
-    CompressorId, ErrorBound, Result,
+    compress, compress_view, decompress, ChainSpec, CodecError, Compressor, CompressorId,
+    ErrorBound, Result,
 };
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::{Element, NdArray, QualityReport, Shape};
@@ -679,17 +679,16 @@ impl ChunkedStore {
         Ok(arr)
     }
 
-    /// Attempts a sub-chunk decode of what `region` needs from chunk
-    /// `i`: `Some((part, covered))` — the decoded chunk∩`region`
-    /// intersection and the array region it covers — when the chunk is
-    /// not wholly inside `region` and its chain supports partial decode
-    /// (every builtin chain does), `None` otherwise (including when the
-    /// chunk misses the region entirely). Callers fall back to
-    /// [`ChunkedStore::decode_chunk`] on `None`. The store's own region
-    /// reads and `eblcio_serve`'s miss path both route through here, so
-    /// a read that keeps nothing decodes exactly the samples it
-    /// delivers; a reader whose cache would keep the whole chunk decides
-    /// before calling (`eblcio_serve::ArrayReader`).
+    /// Box-decodes what `region` needs from chunk `i`:
+    /// `Some((part, covered))` — the decoded chunk∩`region` intersection
+    /// and the array region it covers — when `region` covers the chunk
+    /// in part. `None` is geometry alone: the chunk lies wholly inside
+    /// `region` (decode it whole, [`ChunkedStore::decode_chunk`]) or
+    /// wholly outside it. The store's own region reads and
+    /// `eblcio_serve`'s miss path both route through here, so a read
+    /// that keeps nothing decodes exactly the samples it delivers; a
+    /// reader whose cache would keep the whole chunk decides before
+    /// calling (`eblcio_serve::ArrayReader`).
     pub fn decode_chunk_region<T: Element>(
         &self,
         codec: &dyn Compressor,
@@ -708,35 +707,13 @@ impl ChunkedStore {
         for (d, o) in origin.iter_mut().enumerate().take(rank) {
             *o = inter.origin()[d] - chunk_region.origin()[d];
         }
-        let Some(part) = decompress_region::<T>(
-            codec,
-            self.chunk_payload(i)?,
-            &origin[..rank],
-            inter.extent(),
-        )?
-        else {
-            return Ok(None);
-        };
+        let payload = self.chunk_payload(i)?;
+        let part: NdArray<T> =
+            typed(codec.decompress_region(payload, T::DTYPE, &origin[..rank], inter.extent())?)?;
         if part.shape() != inter.shape() {
             return Err(CodecError::Corrupt { context: "store chunk region shape" });
         }
         Ok(Some((part, inter)))
-    }
-
-    /// Decodes the part of chunk `i` that a region read needs: a
-    /// sub-chunk decode when [`ChunkedStore::decode_chunk_region`]
-    /// applies, otherwise the whole chunk. Returns the decoded part,
-    /// the array region it covers, and whether the decode was partial.
-    fn decode_chunk_for_region<T: Element>(
-        &self,
-        codec: &dyn Compressor,
-        i: usize,
-        region: &Region,
-    ) -> Result<(NdArray<T>, Region, bool)> {
-        if let Some((part, covered)) = self.decode_chunk_region(codec, i, region)? {
-            return Ok((part, covered, true));
-        }
-        Ok((self.decode_chunk(codec, i)?, self.grid.chunk_region(i), false))
     }
 
     /// Decompresses the whole array on `threads` workers of the shared
@@ -807,7 +784,11 @@ impl ChunkedStore {
         let assembled = Mutex::new((NdArray::<T>::zeros(region.shape()), stats));
         hits.par_iter().try_for_each(|&i| {
             let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
-            let (part, part_region, partial) = self.decode_chunk_for_region::<T>(codec, i, region)?;
+            let (part, part_region, partial) =
+                match self.decode_chunk_region::<T>(codec, i, region)? {
+                    Some((part, covered)) => (part, covered, true),
+                    None => (self.decode_chunk(codec, i)?, self.grid.chunk_region(i), false),
+                };
             let mut guard = assembled.lock();
             let (out, stats) = &mut *guard;
             stats.compressed_bytes_read += self.manifest.chunks[i].len;

@@ -365,6 +365,44 @@ impl<'a> Args<'a> {
     fn has(&self, name: &str) -> bool {
         self.find(name, false).is_some()
     }
+
+    /// The count value flag `name` parses to, or `default` when absent.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        self.flag(name)
+            .map(|s| s.parse().map_err(|e| format!("bad {name}: {e}")))
+            .transpose()
+            .map(|v| v.unwrap_or(default))
+    }
+}
+
+/// The `--origin` / `--extent` box of `query` and `update`.
+fn box_flags(args: &Args) -> Result<(Vec<usize>, Vec<usize>), String> {
+    let origin = parse_coords(args.flag("--origin").ok_or("missing --origin")?, "--origin")?;
+    let extent = parse_coords(args.flag("--extent").ok_or("missing --extent")?, "--extent")?;
+    if extent.contains(&0) {
+        return Err("--extent components must be positive".into());
+    }
+    if origin.len() != extent.len() {
+        return Err("--origin and --extent must have the same rank".into());
+    }
+    Ok((origin, extent))
+}
+
+/// The reader `query` and `serve` open: `--cache-mb`, `--threads` and
+/// `--prefetch`.
+fn reader_config(args: &Args) -> Result<ReaderConfig, String> {
+    let cache_mb = args.count("--cache-mb", 256)?;
+    let threads = args.count("--threads", 0)?;
+    let prefetch = args.count("--prefetch", 0)?;
+    Ok(ReaderConfig {
+        cache: CacheConfig::with_capacity_mib(cache_mb),
+        threads,
+        prefetch: if prefetch == 0 {
+            PrefetchPolicy::None
+        } else {
+            PrefetchPolicy::Sequential { depth: prefetch }
+        },
+    })
 }
 
 /// Resolves `--chain` (stage grammar) or `--codec` (preset name) to a
@@ -676,25 +714,10 @@ fn cmd_query(args: &Args) -> CliResult {
     let [input] = args.positional.as_slice() else {
         return Err("expected <in.ebcs>".into());
     };
-    let origin = parse_coords(args.flag("--origin").ok_or("missing --origin")?, "--origin")?;
-    let extent = parse_coords(args.flag("--extent").ok_or("missing --extent")?, "--extent")?;
-    if extent.contains(&0) {
-        return Err("--extent components must be positive".into());
-    }
-    if origin.len() != extent.len() {
-        return Err("--origin and --extent must have the same rank".into());
-    }
-    let parse_opt = |name: &str, default: usize| -> Result<usize, String> {
-        args.flag(name)
-            .map(|s| s.parse().map_err(|e| format!("bad {name}: {e}")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let repeat = parse_opt("--repeat", 4)?.max(1);
-    let clients = parse_opt("--clients", 1)?.max(1);
-    let threads = parse_opt("--threads", 0)?;
-    let cache_mb = parse_opt("--cache-mb", 256)?;
-    let prefetch = parse_opt("--prefetch", 0)?;
+    let (origin, extent) = box_flags(args)?;
+    let repeat = args.count("--repeat", 4)?.max(1);
+    let clients = args.count("--clients", 1)?.max(1);
+    let config = reader_config(args)?;
 
     let backend = cli_backend(args, input)?;
     let stream: std::sync::Arc<[u8]> = match &backend {
@@ -713,15 +736,6 @@ fn cmd_query(args: &Args) -> CliResult {
             store.shape()
         ));
     }
-    let config = ReaderConfig {
-        cache: CacheConfig::with_capacity_mib(cache_mb),
-        threads,
-        prefetch: if prefetch == 0 {
-            PrefetchPolicy::None
-        } else {
-            PrefetchPolicy::Sequential { depth: prefetch }
-        },
-    };
     println!(
         "query: {input}, shape {}, {} chunks{}{}, region {origin:?}+{extent:?}",
         store.shape(),
@@ -756,28 +770,12 @@ fn cmd_serve(args: &Args) -> CliResult {
         return Err("expected <in.ebcs|in.ebms>".into());
     };
     let addr = args.flag("--addr").unwrap_or("127.0.0.1:7979");
-    let parse_opt = |name: &str, default: usize| -> Result<usize, String> {
-        args.flag(name)
-            .map(|s| s.parse().map_err(|e| format!("bad {name}: {e}")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let workers = parse_opt("--workers", 0)?;
-    let queue_depth = parse_opt("--queue-depth", 64)?.max(1);
-    let max_conns = parse_opt("--max-conns", 1024)?.max(1);
-    let cache_mb = parse_opt("--cache-mb", 256)?;
-    let threads = parse_opt("--threads", 0)?;
-    let prefetch = parse_opt("--prefetch", 0)?;
+    let workers = args.count("--workers", 0)?;
+    let queue_depth = args.count("--queue-depth", 64)?.max(1);
+    let max_conns = args.count("--max-conns", 1024)?.max(1);
+    let reader_config = reader_config(args)?;
+    let cache_mb = reader_config.cache.capacity_bytes >> 20;
 
-    let reader_config = ReaderConfig {
-        cache: CacheConfig::with_capacity_mib(cache_mb),
-        threads,
-        prefetch: if prefetch == 0 {
-            PrefetchPolicy::None
-        } else {
-            PrefetchPolicy::Sequential { depth: prefetch }
-        },
-    };
     let backend = cli_backend(args, input)?;
     let store = match &backend {
         Some(b) => {
@@ -959,14 +957,7 @@ fn cmd_update(args: &Args) -> CliResult {
     let [input, data_path] = args.positional.as_slice() else {
         return Err("expected <store.ebms> <region.raw>".into());
     };
-    let origin = parse_coords(args.flag("--origin").ok_or("missing --origin")?, "--origin")?;
-    let extent = parse_coords(args.flag("--extent").ok_or("missing --extent")?, "--extent")?;
-    if extent.contains(&0) {
-        return Err("--extent components must be positive".into());
-    }
-    if origin.len() != extent.len() {
-        return Err("--origin and --extent must have the same rank".into());
-    }
+    let (origin, extent) = box_flags(args)?;
     let out = args.flag("--out").unwrap_or(input);
 
     let backend = cli_backend(args, input)?;

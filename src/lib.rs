@@ -9,7 +9,7 @@
 //!
 //! * [`codec`] — the five error-bounded lossy compressors (SZ2, SZ3,
 //!   ZFP, QoZ, SZx) as composable codec chains (array stage + byte
-//!   stages, serializable [`ChainSpec`](codec::ChainSpec)s, a registry)
+//!   stages, serializable [`ChainSpec`](codec::ChainSpec)s)
 //!   plus the Figure 1 lossless baselines,
 //! * [`data`] — SDRBench-analog data sets and quality metrics,
 //! * [`energy`] — RAPL-style energy measurement and CPU power models,
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use eblcio_codec::{
         compress, compress_dataset, compress_parallel, compress_view, decompress, decompress_any,
         decompress_parallel, decompress_region, parallel_stream_info, ByteStageSpec, ChainSpec,
-        CodecChain, CodecRegistry, Compressor, CompressorId, ErrorBound,
+        CodecChain, Compressor, CompressorId, ErrorBound,
     };
     pub use eblcio_data::{
         compression_ratio, dispatch_dtype, max_rel_error, psnr, ArrayView, Dataset, DatasetKind,
