@@ -74,8 +74,9 @@ impl SzPayload {
 
     /// Frozen pre-optimization decode (per-symbol Huffman walk, fresh
     /// allocations throughout). Wire-compatible with
-    /// [`Self::decode_inner`]; kept as the reference arm of the decode
-    /// bandwidth gate and the fast-path equivalence tests.
+    /// [`Self::decode_inner`]; kept only for the oracle the
+    /// `decode_fastpath.rs` tests pin the fast decoders to
+    /// (`codecs::decompress_reference`).
     pub fn decode_inner_reference(inner: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(inner);
         let extra_len = r.varint("sz extra length")? as usize;

@@ -24,6 +24,22 @@
 //! `4^k` positions of the block's `k` live axes; only the plane coder
 //! sees the full `4^rank` coefficient array, and the stream is the one
 //! full-rank coding writes, bit for bit.
+//!
+//! **Payload layout.** Blocks are coded in raster order of the block
+//! grid. A *block row* is the blocks along the last axis that share
+//! their outer block coordinates. A payload may start with a row index:
+//! a tag byte `0xC0 | s` (top two bits `11`, the one block mode no block
+//! uses), then one LEB128 varint per run of `2^s` consecutive rows
+//! giving that run's length in bits, then the block bitstream. A box
+//! decode jumps straight to the runs the box touches instead of parsing
+//! every block before it. The encoder writes the finest index (`s = 0`,
+//! one entry per row) that costs at most 1 % of the bitstream and a
+//! coarser one where that is too dear, so no compression ratio drops by
+//! more than 1 %; a one-row grid (every 1-D array) or a bitstream too
+//! small for any index is bare, as is every payload written before the
+//! index existed, and those decode sequentially. Rows rather than
+//! blocks keep the index small: a benchmark `[1, 32, 32, 32]` chunk has
+//! 64 rows against 512 blocks, so a per-row index is at most 129 bytes.
 
 use super::common::{for_each_block, BlockRows};
 use super::impl_stage_codec;
@@ -32,8 +48,9 @@ use crate::error::{CodecError, Result};
 use crate::traits::CompressorId;
 use crate::transform::{
     decode_planes, embed_coeffs, encode_planes, fwd_transform, inv_transform, live_coeffs,
-    live_order, BLOCK_EDGE, FIXED_PREC, MAX_BLOCK,
+    live_order, skip_planes, BLOCK_EDGE, FIXED_PREC, MAX_BLOCK,
 };
+use crate::util::{put_varint, ByteReader};
 use eblcio_data::{ArrayView, Element, NdArray};
 use std::ops::ControlFlow;
 
@@ -43,6 +60,13 @@ const TOTAL_BITS: u32 = (FIXED_PREC + 4) as u32;
 const MODE_CODED: u64 = 0;
 const MODE_ZERO: u64 = 1;
 const MODE_RAW: u64 = 2;
+/// The one 2-bit mode no block uses: the top bits of an indexed
+/// payload's tag byte, so an unindexed bitstream never starts the way an
+/// indexed payload does.
+const MODE_INDEX: u64 = 3;
+/// An index costs at most this fraction's inverse of the bitstream
+/// (1 %), so no stream's compression ratio drops by more than that.
+const INDEX_COST_DIVISOR: usize = 100;
 
 /// ZFP operating modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,11 +77,11 @@ pub enum ZfpMode {
     FixedAccuracy,
     /// ZFP's fixed-precision mode: a constant number of bitplanes per
     /// block. No error-bound guarantee — the achieved maximum error is
-    /// recorded in the stream header instead. No preset chain, figure
-    /// or benchmark workload selects it (the bench that did went with
-    /// PR 12); it is kept because its streams are a pinned format —
-    /// the `zfp-prec20` row of `encode_golden.rs` and this module's
-    /// tests are its only callers.
+    /// recorded in the stream header instead. Its payloads have the
+    /// same layout, row index and all, as fixed accuracy's. No preset
+    /// chain, figure or benchmark workload selects it; it is kept
+    /// because its streams are a pinned format (the `zfp-prec20` rows of
+    /// `encode_golden.rs` and `decode_golden.rs`).
     FixedPrecision(u32),
 }
 
@@ -81,7 +105,8 @@ impl Zfp {
     /// *achieved* maximum error for the header instead of the bound.
     ///
     /// All per-block state lives in fixed-size stack buffers reused
-    /// across blocks and verification retries.
+    /// across blocks and verification retries. The bitstream gets the
+    /// row index it can afford (see the module docs).
     pub fn encode_impl<T: Element>(
         &self,
         data: ArrayView<'_, T>,
@@ -100,8 +125,13 @@ impl Zfp {
         // fixed-precision streams (no a-priori bound there).
         let mut achieved_err = 0.0f64;
         let mut enc = BlockEncoder::new(data);
+        // Where each block row starts in the bitstream.
+        let mut row_starts = Vec::new();
 
         for_each_block(shape, &block_dims[..rank], |base, dims| {
+            if base[rank - 1] == 0 {
+                row_starts.push(bw.bit_len());
+            }
             let max_abs = enc.load(base, dims);
             let zero_ok = if fixed_planes.is_some() {
                 max_abs == 0.0
@@ -143,7 +173,9 @@ impl Zfp {
 
         // Fixed-precision streams record the error actually achieved.
         let recorded = if fixed_planes.is_some() { achieved_err } else { abs };
-        Ok((bw.finish(), recorded))
+        row_starts.push(bw.bit_len());
+        let bits = bw.finish();
+        Ok((with_row_index(&row_starts, bits), recorded))
     }
 
     /// Array-stage decode of the box `origin .. origin + extent`, mirror
@@ -402,16 +434,75 @@ impl BlockHit {
     }
 }
 
-/// Decodes the box `origin .. origin + extent` of a ZFP block stream
-/// over `shape` — the whole array when the box is the array. The stream
-/// is sequential (plane coding consumes a data-dependent bit count), so
-/// every block up to the last one the box meets is still *parsed* — but
-/// the expensive work per block (inverse transform, negabinary
-/// demapping, scatter; raw-byte reads skip via [`BitReader::skip_bits`])
-/// happens only for blocks that overlap the box, and parsing stops after
-/// the last of them. Blocks are reconstructed on their live extent
-/// ([`LiveBlock`]) and written row by row: an interior block is
+/// The payload for a block bitstream whose block rows start at
+/// `row_starts` (the last entry is its end): the finest row index that
+/// costs at most 1/[`INDEX_COST_DIVISOR`] of the bitstream, then the
+/// bitstream — or the bare bitstream when no index of two or more
+/// entries is that cheap (a one-row grid has none). An entry covers
+/// `2^s` consecutive rows, one unless the bitstream is small, and `s` is
+/// the tag byte's low six bits.
+fn with_row_index(row_starts: &[u64], bits: Vec<u8>) -> Vec<u8> {
+    let rows = row_starts.len() - 1;
+    let mut index = Vec::new();
+    for s in (0..usize::BITS).take_while(|&s| 1 << s < rows) {
+        let per = 1 << s;
+        index.clear();
+        for first in (0..rows).step_by(per) {
+            put_varint(&mut index, row_starts[(first + per).min(rows)] - row_starts[first]);
+        }
+        if (1 + index.len()) * INDEX_COST_DIVISOR <= bits.len() {
+            let mut payload = Vec::with_capacity(1 + index.len() + bits.len());
+            payload.push((MODE_INDEX << 6) as u8 | s as u8);
+            payload.extend_from_slice(&index);
+            payload.extend_from_slice(&bits);
+            return payload;
+        }
+    }
+    bits
+}
+
+/// Splits a payload over a grid of `rows` block rows into its segments
+/// — runs of consecutive rows, each found on its own — and its block
+/// bitstream: `(rows per segment, segment lengths, bitstream)`. An
+/// indexed payload has one varint bit length per segment (read in
+/// order by the decode), which must account for the bitstream's bytes
+/// exactly. Any other first byte starts a bare bitstream (its top bits
+/// are the first block's mode): one segment of every row, no lengths.
+fn split_index(payload: &[u8], rows: usize) -> Result<(usize, Option<ByteReader<'_>>, &[u8])> {
+    let Some((&tag, rest)) = payload.split_first() else {
+        return Ok((rows, None, payload));
+    };
+    if u64::from(tag >> 6) != MODE_INDEX {
+        return Ok((rows, None, payload));
+    }
+    let per = 1usize.checked_shl(u32::from(tag & 0x3f)).unwrap_or(usize::MAX).min(rows);
+    let mut lengths = ByteReader::new(rest);
+    let mut bits = 0u64;
+    for _ in 0..rows.div_ceil(per) {
+        bits = bits
+            .checked_add(lengths.varint("zfp row length")?)
+            .ok_or(CodecError::Corrupt { context: "zfp row index" })?;
+    }
+    let (index, data) = rest.split_at(lengths.position());
+    if bits.div_ceil(8) != data.len() as u64 {
+        return Err(CodecError::Corrupt { context: "zfp row index" });
+    }
+    Ok((per, Some(ByteReader::new(index)), data))
+}
+
+/// Decodes the box `origin .. origin + extent` of a ZFP payload over
+/// `shape` — the whole array when the box is the array — one segment of
+/// block rows at a time (see [`split_index`]). Plane coding consumes a
+/// data-dependent bit count, so a segment is parsed from its start up
+/// to the box's last block in it; with an index the decode jumps to
+/// each segment the box touches and parses nothing of the others, a
+/// bare bitstream is one segment. Blocks outside the box are only
+/// stepped over ([`skip_planes`], [`BitReader::skip_bits`] for raw
+/// samples); blocks that overlap it are reconstructed on their live
+/// extent ([`LiveBlock`]) and written row by row: an interior block is
 /// `4^(rank−1)` four-sample row copies out of the reconstructed block.
+/// A segment parsed to its end must end at its indexed length, so a
+/// whole decode rejects any index that disagrees with its blocks.
 fn decode_box<T: Element>(
     payload: &[u8],
     shape: eblcio_data::Shape,
@@ -420,138 +511,206 @@ fn decode_box<T: Element>(
 ) -> Result<NdArray<T>> {
     let rank = shape.rank();
     let pad = 4 - rank;
-    let n_block = BLOCK_EDGE.pow(rank as u32);
+    // Blocks per axis, and the box's first and last block, left-padded
+    // to four axes.
+    let (mut counts, mut lo, mut hi) = ([1usize; 4], [0usize; 4], [0usize; 4]);
+    for d in 0..rank {
+        counts[pad + d] = shape.dim(d).div_ceil(BLOCK_EDGE);
+        lo[pad + d] = origin[d] / BLOCK_EDGE;
+        hi[pad + d] = (origin[d] + extent[d] - 1) / BLOCK_EDGE;
+    }
     // Every block codes at least its 2-bit mode, so a payload too short
     // for the shape's blocks is corrupt — caught before the output is
-    // sized from a header shape the payload CRC does not cover.
-    let blocks: u64 = shape.dims().iter().map(|&d| d.div_ceil(BLOCK_EDGE) as u64).product();
+    // sized from a header shape the payload CRC does not cover, and
+    // before the index, whose entry count it bounds, is parsed.
+    let blocks: u64 = counts.iter().map(|&c| c as u64).product();
     if (payload.len() as u64).saturating_mul(8) < 2 * blocks {
         return Err(CodecError::Corrupt { context: "zfp block count" });
     }
-    let mut br = BitReader::new(payload);
-    let out_shape = eblcio_data::Shape::new(extent);
-    let mut out: Vec<T> = vec![T::default(); out_shape.len()];
-    let block_dims = [BLOCK_EDGE; 4];
-    let sample_bits = (T::BYTES * 8) as u32;
-    let mut failure: Option<CodecError> = None;
-    let mut nega = [0u64; MAX_BLOCK];
-    let mut recon = [0i64; MAX_BLOCK];
-    // Number of blocks intersecting the box, per dim — once all are
-    // decoded the remaining stream need not be parsed at all.
-    let mut remaining: usize = (0..rank)
-        .map(|d| (origin[d] + extent[d] - 1) / BLOCK_EDGE - origin[d] / BLOCK_EDGE + 1)
-        .product();
-
-    for_each_block(shape, &block_dims[..rank], |base, dims| {
-        if failure.is_some() || remaining == 0 {
-            return;
+    let rows = counts[..3].iter().product();
+    let (per, mut lengths, data) = split_index(payload, rows)?;
+    // A row's outer block coordinates, and whether the box meets it.
+    let row_at = |row: usize| {
+        [row / (counts[1] * counts[2]), row / counts[2] % counts[1], row % counts[2]]
+    };
+    let touched = |at: [usize; 3]| (0..3).all(|a| lo[a] <= at[a] && at[a] <= hi[a]);
+    let last_row = (hi[0] * counts[1] + hi[1]) * counts[2] + hi[2];
+    let mut dec = BoxDecoder::<T>::new(shape, origin, extent);
+    let mut br = BitReader::new(data);
+    let mut end = 0u64;
+    for first in (0..=last_row).step_by(per) {
+        let start = end;
+        if let Some(lengths) = &mut lengths {
+            // Cannot overflow: `split_index` summed the same lengths.
+            end += lengths.varint("zfp row length")?;
         }
-        // Intersection of this block with the box, if any.
+        let last = (first + per).min(rows) - 1;
+        // The segment is parsed up to the last row in it the box meets.
+        let Some(stop) = (first..=last.min(last_row)).rev().find(|&r| touched(row_at(r))) else {
+            continue;
+        };
+        if lengths.is_some() {
+            br = BitReader::new(data);
+            br.skip_bits(start, "zfp row start")?;
+        }
+        for row in first..=stop {
+            let at = row_at(row);
+            let in_box = touched(at);
+            let last_block = if row == stop { hi[3] } else { counts[3] - 1 };
+            for b in 0..=last_block {
+                let hit = in_box && lo[3] <= b && b <= hi[3];
+                dec.block(&mut br, [at[0], at[1], at[2], b], hit)?;
+            }
+        }
+        let to_end = stop == last && hi[3] == counts[3] - 1;
+        if lengths.is_some() && to_end && br.bit_position() != end {
+            return Err(CodecError::Corrupt { context: "zfp row length" });
+        }
+    }
+    Ok(NdArray::from_vec(dec.out_shape, dec.out))
+}
+
+/// A box decode's output and the per-block buffers it reuses.
+struct BoxDecoder<T: Element> {
+    shape: eblcio_data::Shape,
+    origin: [usize; 4],
+    extent: [usize; 4],
+    out_shape: eblcio_data::Shape,
+    out: Vec<T>,
+    nega: [u64; MAX_BLOCK],
+    recon: [i64; MAX_BLOCK],
+}
+
+impl<T: Element> BoxDecoder<T> {
+    fn new(shape: eblcio_data::Shape, origin: &[usize], extent: &[usize]) -> Self {
+        let out_shape = eblcio_data::Shape::new(extent);
+        let (mut o, mut e) = ([0usize; 4], [0usize; 4]);
+        o[..origin.len()].copy_from_slice(origin);
+        e[..extent.len()].copy_from_slice(extent);
+        Self {
+            shape,
+            origin: o,
+            extent: e,
+            out_shape,
+            out: vec![T::default(); out_shape.len()],
+            nega: [0; MAX_BLOCK],
+            recon: [0; MAX_BLOCK],
+        }
+    }
+
+    /// Where the block `base .. base + dims` meets the box, if it does.
+    fn hit(&self, base: &[usize], dims: &[usize]) -> Option<BlockHit> {
+        let rank = base.len();
+        let pad = 4 - rank;
+        let (origin, extent) = (&self.origin, &self.extent);
         let mut ibase = [0usize; 4];
         let mut idims = [0usize; 4];
         for d in 0..rank {
             ibase[d] = base[d].max(origin[d]);
             idims[d] = (base[d] + dims[d]).min(origin[d] + extent[d]).saturating_sub(ibase[d]);
         }
-        let hit = idims[..rank].iter().all(|&m| m > 0).then(|| {
+        idims[..rank].iter().all(|&m| m > 0).then(|| {
+            let mut at = ibase;
+            for d in 0..rank {
+                at[d] -= origin[d];
+            }
             let mut h = BlockHit {
                 dims: [1; 4],
                 skip: [0; 4],
-                rows: {
-                    let mut at = ibase;
-                    for d in 0..rank {
-                        at[d] -= origin[d];
-                    }
-                    BlockRows::new(out_shape, &at[..rank], &idims[..rank])
-                },
+                rows: BlockRows::new(self.out_shape, &at[..rank], &idims[..rank]),
             };
             for d in 0..rank {
                 h.dims[pad + d] = dims[d];
                 h.skip[pad + d] = ibase[d] - base[d];
             }
             h
-        });
-        let res = (|| -> Result<()> {
-            match br.get_bits(2, "zfp block mode")? {
-                MODE_ZERO => {
-                    if let Some(h) = &hit {
-                        let row_len = h.rows.dims[3];
-                        h.rows.for_each_row(|_, off| {
-                            out[off..off + row_len].fill(T::from_f64(0.0));
-                        });
-                    }
+        })
+    }
+
+    /// Parses the block at block coordinates `at` (left-padded to four
+    /// axes) and, when it may meet the box, writes its samples there.
+    fn block(&mut self, br: &mut BitReader<'_>, at: [usize; 4], in_box: bool) -> Result<()> {
+        let rank = self.shape.rank();
+        let pad = 4 - rank;
+        let (mut base, mut dims) = ([0usize; 4], [0usize; 4]);
+        for d in 0..rank {
+            base[d] = at[pad + d] * BLOCK_EDGE;
+            dims[d] = BLOCK_EDGE.min(self.shape.dim(d) - base[d]);
+        }
+        let (base, dims) = (&base[..rank], &dims[..rank]);
+        let hit = if in_box { self.hit(base, dims) } else { None };
+        let out = &mut self.out;
+        match br.get_bits(2, "zfp block mode")? {
+            MODE_ZERO => {
+                if let Some(h) = &hit {
+                    let row_len = h.rows.dims[3];
+                    h.rows.for_each_row(|_, off| {
+                        out[off..off + row_len].fill(T::from_f64(0.0));
+                    });
                 }
-                MODE_RAW => {
-                    // Every sample of the block is in the stream, in
-                    // raster order; the ones outside the box are
-                    // stepped over.
-                    let skip_samples = |br: &mut BitReader<'_>, count: usize| {
-                        br.skip_bits(count as u64 * u64::from(sample_bits), "zfp raw byte")
-                    };
-                    let Some(h) = &hit else {
-                        return skip_samples(&mut br, dims.iter().product());
-                    };
-                    let (d, s, inner) = (&h.dims, &h.skip, &h.rows.dims);
-                    for b0 in 0..d[0] {
-                        for b1 in 0..d[1] {
-                            for b2 in 0..d[2] {
-                                let b = [b0, b1, b2];
-                                if (0..3).any(|a| b[a] < s[a] || b[a] >= s[a] + inner[a]) {
-                                    skip_samples(&mut br, d[3])?;
-                                    continue;
-                                }
-                                let off = h.rows.row_offset([b0 - s[0], b1 - s[1], b2 - s[2]]);
-                                skip_samples(&mut br, s[3])?;
-                                for o in &mut out[off..off + inner[3]] {
-                                    // The sample's little-endian bytes,
-                                    // first byte in the top bits read.
-                                    let bytes =
-                                        br.get_bits(sample_bits, "zfp raw byte")?.to_be_bytes();
-                                    *o = T::read_le(&bytes[8 - T::BYTES..])
-                                        .ok_or(CodecError::Corrupt { context: "zfp raw sample" })?;
-                                }
-                                skip_samples(&mut br, d[3] - s[3] - inner[3])?;
+            }
+            MODE_RAW => {
+                // Every sample of the block is in the stream, in raster
+                // order; the ones outside the box are stepped over.
+                let sample_bits = (T::BYTES * 8) as u32;
+                let skip_samples = |br: &mut BitReader<'_>, count: usize| {
+                    br.skip_bits(count as u64 * u64::from(sample_bits), "zfp raw byte")
+                };
+                let Some(h) = &hit else {
+                    return skip_samples(br, dims.iter().product());
+                };
+                let (d, s, inner) = (&h.dims, &h.skip, &h.rows.dims);
+                for b0 in 0..d[0] {
+                    for b1 in 0..d[1] {
+                        for b2 in 0..d[2] {
+                            let b = [b0, b1, b2];
+                            if (0..3).any(|a| b[a] < s[a] || b[a] >= s[a] + inner[a]) {
+                                skip_samples(br, d[3])?;
+                                continue;
                             }
+                            let off = h.rows.row_offset([b0 - s[0], b1 - s[1], b2 - s[2]]);
+                            skip_samples(br, s[3])?;
+                            for o in &mut out[off..off + inner[3]] {
+                                // The sample's little-endian bytes, first
+                                // byte in the top bits read.
+                                let bytes = br.get_bits(sample_bits, "zfp raw byte")?.to_be_bytes();
+                                *o = T::read_le(&bytes[8 - T::BYTES..])
+                                    .ok_or(CodecError::Corrupt { context: "zfp raw sample" })?;
+                            }
+                            skip_samples(br, d[3] - s[3] - inner[3])?;
                         }
                     }
                 }
-                MODE_CODED => {
-                    let emax = br.get_bits(12, "zfp emax")? as i32 - 2048;
-                    let planes = br.get_bits(7, "zfp planes")? as u32;
-                    if planes == 0 || planes > TOTAL_BITS {
-                        return Err(CodecError::Corrupt { context: "zfp plane count" });
-                    }
-                    let nega = &mut nega[..n_block];
-                    decode_planes(&mut br, nega, TOTAL_BITS, planes)?;
-                    if let Some(h) = &hit {
-                        let s_exp = FIXED_PREC - 3 - emax;
-                        let inv_scale = (-s_exp as f64).exp2();
-                        let live = LiveBlock::new(dims);
-                        let recon = &mut recon[..live.len()];
-                        live.reconstruct(nega, TOTAL_BITS, recon);
-                        let row_len = h.rows.dims[3];
-                        h.for_each_row(&live.edge, |poff, off| {
-                            let row = &recon[poff..poff + row_len];
-                            for (o, &q) in out[off..off + row_len].iter_mut().zip(row) {
-                                *o = T::from_f64(q as f64 * inv_scale);
-                            }
-                        });
-                    }
-                }
-                _ => return Err(CodecError::Corrupt { context: "zfp block mode" }),
             }
-            Ok(())
-        })();
-        if let Err(e) = res {
-            failure = Some(e);
-        } else if hit.is_some() {
-            remaining -= 1;
+            MODE_CODED => {
+                let emax = br.get_bits(12, "zfp emax")? as i32 - 2048;
+                let planes = br.get_bits(7, "zfp planes")? as u32;
+                if planes == 0 || planes > TOTAL_BITS {
+                    return Err(CodecError::Corrupt { context: "zfp plane count" });
+                }
+                let n_block = BLOCK_EDGE.pow(rank as u32);
+                let Some(h) = &hit else {
+                    return skip_planes(br, n_block, TOTAL_BITS, planes);
+                };
+                let nega = &mut self.nega[..n_block];
+                decode_planes(br, nega, TOTAL_BITS, planes)?;
+                let s_exp = FIXED_PREC - 3 - emax;
+                let inv_scale = (-s_exp as f64).exp2();
+                let live = LiveBlock::new(dims);
+                let recon = &mut self.recon[..live.len()];
+                live.reconstruct(nega, TOTAL_BITS, recon);
+                let row_len = h.rows.dims[3];
+                h.for_each_row(&live.edge, |poff, off| {
+                    let row = &recon[poff..poff + row_len];
+                    for (o, &q) in out[off..off + row_len].iter_mut().zip(row) {
+                        *o = T::from_f64(q as f64 * inv_scale);
+                    }
+                });
+            }
+            _ => return Err(CodecError::Corrupt { context: "zfp block mode" }),
         }
-    });
-    if let Some(e) = failure {
-        return Err(e);
+        Ok(())
     }
-    Ok(NdArray::from_vec(out_shape, out))
 }
 
 /// Visits a block's own (unpadded) samples in raster order until `f`

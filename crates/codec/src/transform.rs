@@ -376,10 +376,30 @@ pub fn decode_planes(
     total_bits: u32,
     planes: u32,
 ) -> Result<()> {
-    let n = coeffs.len();
+    coeffs.fill(0);
+    walk_planes::<true>(r, coeffs, coeffs.len(), total_bits, planes)
+}
+
+/// Steps over the bitplanes of `n` coefficients exactly as
+/// [`decode_planes`] reads them — same bits consumed, same errors — but
+/// keeps only which coefficients are significant: the raw bits of the
+/// significant ones are skipped a plane word at a time instead of dealt
+/// out. How a region decode passes a block outside its box.
+pub(crate) fn skip_planes(r: &mut BitReader<'_>, n: usize, total_bits: u32, planes: u32) -> Result<()> {
+    walk_planes::<false>(r, &mut [], n, total_bits, planes)
+}
+
+/// The one plane walk under [`decode_planes`] (`DEAL`: bits land in
+/// `coeffs`) and [`skip_planes`] (`coeffs` unused).
+fn walk_planes<const DEAL: bool>(
+    r: &mut BitReader<'_>,
+    coeffs: &mut [u64],
+    n: usize,
+    total_bits: u32,
+    planes: u32,
+) -> Result<()> {
     assert!(n <= MAX_BLOCK, "plane coder takes at most {MAX_BLOCK} coefficients");
     assert!(total_bits <= 64);
-    coeffs.fill(0);
     let words = n.div_ceil(64);
     // Coefficients that exist (the last word may be partial).
     let mut valid = [0u64; PLANE_WORDS];
@@ -397,6 +417,10 @@ pub fn decode_planes(
                 continue;
             }
             let len = left.count_ones();
+            if !DEAL {
+                r.skip_bits(u64::from(len), "zfp plane bits")?;
+                continue;
+            }
             // Next raw bit at the MSB.
             let mut run = r.get_bits(len, "zfp plane bits")? << (64 - len);
             while run != 0 {
@@ -459,7 +483,9 @@ pub fn decode_planes(
             }
             let lead = word.leading_zeros();
             let bit = 1u64 << (63 - lead);
-            coeffs[wi * 64 + lead as usize] |= 1u64 << bitpos;
+            if DEAL {
+                coeffs[wi * 64 + lead as usize] |= 1u64 << bitpos;
+            }
             significant[wi] |= bit;
             // Everything up to and including the hit is dealt with.
             pending[wi] &= bit - 1;
@@ -658,7 +684,8 @@ mod tests {
     }
 
     /// Both decoders from bit `lead` of `bytes`: the coefficients and
-    /// the bit position each stopped at, or the error.
+    /// the bit position each stopped at, or the error; [`skip_planes`]
+    /// must stop where the fast decoder does.
     type Decoded = Result<(Vec<u64>, u64)>;
     fn both_decoders(bytes: &[u8], lead: u32, n: usize, planes: u32) -> (Decoded, Decoded) {
         let mut fast = BitReader::new(bytes);
@@ -670,6 +697,11 @@ mod tests {
         slow.get_bits(lead, "lead").unwrap();
         let want = decode_planes_reference(&mut slow, n, 52, planes)
             .map(|c| (c, slow.bit_position()));
+        // Skipping consumes what decoding reads and fails where it fails.
+        let mut skip = BitReader::new(bytes);
+        skip.get_bits(lead, "lead").unwrap();
+        let skipped = skip_planes(&mut skip, n, 52, planes).map(|()| skip.bit_position());
+        assert_eq!(skipped, got.as_ref().map(|(_, end)| *end).map_err(Clone::clone));
         (got, want)
     }
 

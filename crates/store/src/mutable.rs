@@ -700,13 +700,14 @@ impl StoreWriter<'_> {
         self.staged.len()
     }
 
-    /// Stages a region write: every chunk intersecting `region` is
+    /// Stages a region write: every chunk `region` covers in part is
     /// decoded (from its staged version if this transaction already
     /// rewrote it, so staged writes to one chunk accumulate), overlaid
     /// with the matching box of `data`, and re-compressed with the
     /// chunk's own codec chain at the store's absolute bound, in
-    /// parallel on the shared rayon pool. Returns how many chunks were
-    /// (re-)staged.
+    /// parallel on the shared rayon pool. A chunk `region` covers whole
+    /// is not decoded — every sample is overwritten — but its slot's CRC
+    /// is still checked. Returns how many chunks were (re-)staged.
     pub fn stage_region<T: Element>(
         &mut self,
         region: &Region,
@@ -732,20 +733,30 @@ impl StoreWriter<'_> {
                 .map(|&i| {
                     let codec = decoders[store.chunk_chain_index(i)].as_ref();
                     let chunk_region = store.grid().chunk_region(i);
-                    let mut chunk = match staged.get(&i) {
-                        Some(stream) => {
-                            let arr = decompress::<T>(codec, stream)?;
-                            if arr.shape() != chunk_region.shape() {
-                                return Err(CodecError::Corrupt { context: "store chunk shape" });
-                            }
-                            arr
-                        }
-                        None => store.decode_chunk::<T>(codec, i)?,
-                    };
                     // `hits` came from chunks_intersecting(region), so
                     // the intersection exists; a miss is a workspace bug.
                     let Some(inter) = chunk_region.intersect(region) else {
                         return Err(CodecError::Internal { context: "intersecting chunk does not intersect" });
+                    };
+                    let mut chunk = if inter.len() == chunk_region.len() {
+                        // The update overwrites every sample: nothing to
+                        // decode, but a corrupt slot still fails.
+                        if !staged.contains_key(&i) {
+                            store.chunk_payload(i)?;
+                        }
+                        NdArray::<T>::zeros(chunk_region.shape())
+                    } else {
+                        match staged.get(&i) {
+                            Some(stream) => {
+                                let arr = decompress::<T>(codec, stream)?;
+                                if arr.shape() != chunk_region.shape() {
+                                    let context = "store chunk shape";
+                                    return Err(CodecError::Corrupt { context });
+                                }
+                                arr
+                            }
+                            None => store.decode_chunk::<T>(codec, i)?,
+                        }
                     };
                     let rank = inter.rank();
                     let mut src_origin = [0usize; MAX_RANK];
@@ -939,6 +950,21 @@ mod tests {
         }
         assert_eq!(after.chunk_born_gen(0), 2);
         assert_ne!(after.chunk_fingerprint(0), before.chunk_fingerprint(0));
+    }
+
+    #[test]
+    fn staging_over_a_corrupt_slot_fails_even_when_the_update_covers_it() {
+        let store = small_store();
+        let snap = store.current().unwrap();
+        let slot = snap.chunk_payload(0).unwrap();
+        let at = store.as_bytes().windows(slot.len()).position(|w| w == slot).unwrap();
+        let mut bytes = store.as_bytes().to_vec();
+        bytes[at + slot.len() / 2] ^= 0x40;
+        let corrupt = MutableStore::open(bytes).unwrap();
+        let patch = NdArray::<f32>::from_fn(Shape::d2(8, 8), |_| 1.0);
+        let mut w = corrupt.writer().unwrap();
+        let staged = w.stage_region(&Region::new(&[0, 0], &[8, 8]), &patch, 1);
+        assert!(matches!(staged, Err(CodecError::ChecksumMismatch)), "{staged:?}");
     }
 
     #[test]
