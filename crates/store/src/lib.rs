@@ -68,6 +68,6 @@ pub use pfs_io::{read_region_io, write_store};
 pub use shard::{build_shard, ShardIndex, SlotEntry};
 pub use storage::{
     named_backend, ByteRange, FaultPlan, FaultyStorage, FilesystemStorage, MemoryStorage,
-    MeteredStorage, ObjectCostModel, ObjectStoreStats, SimulatedObjectStorage, Storage,
+    MeteredStorage, NamedBackend, ObjectCostModel, ObjectStoreStats, SimulatedObjectStorage, Storage,
 };
 pub use store::{ChunkedStore, RegionReadStats};

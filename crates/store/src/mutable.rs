@@ -415,11 +415,6 @@ impl MutableStore {
         Self::create(codec, data, bound, chunk_shape, threads)?.persist_on(storage, key)
     }
 
-    /// [`MutableStore::import`], persisted to `storage` under `key`.
-    pub fn import_on(storage: Arc<dyn Storage>, key: &str, stream: &[u8]) -> Result<Self> {
-        Self::import(stream)?.persist_on(storage, key)
-    }
-
     /// Writes the current file image to `storage` under `key` and
     /// attaches the backend, so later publishes write through.
     pub fn persist_on(mut self, storage: Arc<dyn Storage>, key: &str) -> Result<Self> {

@@ -186,8 +186,28 @@ pub fn validate_key(key: &str) -> Result<()> {
     }
 }
 
-/// Builds a backend by name — the shared vocabulary of the CLI
-/// `--backend` flag, the bench knobs, and the CI backend matrix:
+/// A backend [`named_backend`] built: the storage to read and write
+/// through, plus the simulator's typed handle when the name was one of
+/// the simulated object stores.
+#[derive(Clone, Debug)]
+pub struct NamedBackend {
+    /// Where objects are read and written.
+    pub storage: Arc<dyn Storage>,
+    /// The simulator inside `storage`, whose
+    /// [`SimulatedObjectStorage::stats`] is the bill.
+    pub sim: Option<Arc<SimulatedObjectStorage>>,
+}
+
+impl NamedBackend {
+    /// The backend actually holding the bytes, below any simulator:
+    /// what is done through it is never billed.
+    pub fn unbilled(&self) -> &Arc<dyn Storage> {
+        self.sim.as_ref().map_or(&self.storage, |sim| sim.inner())
+    }
+}
+
+/// Builds a backend by name — the one vocabulary of the CLI
+/// `--backend` flag and the CI backend matrix:
 ///
 /// * `"fs"` — [`FilesystemStorage`] rooted at `root`,
 /// * `"memory"` (or `"mem"`) — a fresh [`MemoryStorage`],
@@ -195,19 +215,19 @@ pub fn validate_key(key: &str) -> Result<()> {
 ///   PfsSim-derived cost model over a fresh memory backend,
 /// * `"object-fs"` — the same cost model over a filesystem backend at
 ///   `root` (real files, simulated bill).
-pub fn named_backend(name: &str, root: &Path) -> Result<Arc<dyn Storage>> {
+pub fn named_backend(name: &str, root: &Path) -> Result<NamedBackend> {
+    let simulated = |inner: Arc<dyn Storage>| {
+        let sim = Arc::new(SimulatedObjectStorage::over(inner, ObjectCostModel::default()));
+        NamedBackend { storage: sim.clone(), sim: Some(sim) }
+    };
+    let plain = |storage: Arc<dyn Storage>| NamedBackend { storage, sim: None };
     match name {
-        "fs" => Ok(Arc::new(FilesystemStorage::create(root)?)),
-        "memory" | "mem" => Ok(Arc::new(MemoryStorage::new())),
-        "object" => Ok(Arc::new(SimulatedObjectStorage::in_memory(
-            ObjectCostModel::default(),
-        ))),
-        "object-fs" => Ok(Arc::new(SimulatedObjectStorage::over(
-            Arc::new(FilesystemStorage::create(root)?),
-            ObjectCostModel::default(),
-        ))),
+        "fs" => Ok(plain(Arc::new(FilesystemStorage::create(root)?))),
+        "memory" | "mem" => Ok(plain(Arc::new(MemoryStorage::new()))),
+        "object" => Ok(simulated(Arc::new(MemoryStorage::new()))),
+        "object-fs" => Ok(simulated(Arc::new(FilesystemStorage::create(root)?))),
         other => Err(CodecError::StorageIo {
-            op: "backend",
+            op: "open",
             detail: format!("unknown backend '{other}' (expected fs|memory|object|object-fs)"),
         }),
     }
@@ -247,11 +267,25 @@ mod tests {
     #[test]
     fn named_backend_resolution() {
         let dir = std::env::temp_dir().join(format!("eblcio-nb-{}", std::process::id()));
-        assert_eq!(named_backend("memory", &dir).unwrap().kind(), "memory");
-        assert_eq!(named_backend("mem", &dir).unwrap().kind(), "memory");
-        assert_eq!(named_backend("object", &dir).unwrap().kind(), "object-sim");
-        assert_eq!(named_backend("fs", &dir).unwrap().kind(), "fs");
-        assert_eq!(named_backend("object-fs", &dir).unwrap().kind(), "object-sim");
+        for (name, kind, holder, billed) in [
+            ("memory", "memory", "memory", false),
+            ("mem", "memory", "memory", false),
+            ("object", "object-sim", "memory", true),
+            ("fs", "fs", "fs", false),
+            ("object-fs", "object-sim", "fs", true),
+        ] {
+            let backend = named_backend(name, &dir).unwrap();
+            assert_eq!(backend.storage.kind(), kind, "{name}");
+            assert_eq!(backend.unbilled().kind(), holder, "{name}");
+            assert_eq!(backend.sim.is_some(), billed, "{name}");
+        }
+        // The simulator handle is the one inside `storage`: what goes
+        // through `storage` is billed, what goes below it is not.
+        let object = named_backend("object", &dir).unwrap();
+        object.unbilled().set("k", b"seed").unwrap();
+        object.storage.get("k").unwrap();
+        let bill = object.sim.as_ref().unwrap().stats();
+        assert_eq!((bill.put_requests, bill.get_requests, bill.bytes_downloaded), (0, 1, 4));
         assert!(named_backend("tape", &dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -90,7 +90,7 @@ fn env_fixture() -> Fixture {
         std::env::var("EBLCIO_TEST_BACKEND").unwrap_or_else(|_| "memory".to_string());
     let dir = TempDir::new("env");
     Fixture {
-        storage: named_backend(&name, &dir.0).unwrap(),
+        storage: named_backend(&name, &dir.0).unwrap().storage,
         _guard: Some(dir),
     }
 }

@@ -34,37 +34,46 @@
 //! new generation is published, old generations stay readable) and
 //! `compact` reclaims the dead bytes updates strand.
 //!
-//! Each subcommand accepts exactly the flags in its [`COMMANDS`] entry;
-//! any other `--flag` is a usage error (exit 2) that names it.
+//! Each subcommand accepts exactly the flags in its [`COMMANDS`] entry,
+//! which is also what the usage text is printed from (required flags
+//! bare, the rest in brackets); any other `--flag` is a usage error
+//! (exit 2) that names it.
 //!
-//! `compress`, `inspect`, `query`, `serve`, and `update` additionally
-//! accept `--backend <fs|memory|object|object-fs>`: store objects are then
-//! read and written through the named `Storage` backend (file name as
-//! the object key, file directory as the backend root). The `object*`
-//! backends simulate an object store — requests, transferred bytes,
-//! simulated latency, and a dollar bill are reported after the command.
-//! In-place `update` through a backend publishes via the backing write
-//! path (append + root flip), the same protocol the fault-injection
-//! suites cut byte-by-byte.
+//! Every subcommand but `demo` reaches its store file — the compressed
+//! stream or store it reads, writes or updates — through a `Storage`
+//! backend, and only through one: `--backend <fs|memory|object|object-fs>`,
+//! `fs` when the flag is absent and for `decompress` and `compact`, which
+//! take no `--backend` ([`StoreFile`]). The file name is the object key
+//! and the file's directory the backend root; an output file is opened
+//! only once its bytes are ready, so a failed run creates nothing. The
+//! `object*` backends simulate an object store — requests, transferred
+//! bytes, simulated latency, and a dollar bill are reported after the
+//! command.
+//! An in-place `update` publishes through the backend's append + root
+//! flip, the same protocol the fault-injection suites cut byte by byte,
+//! and an in-place `compact` replaces the object with one atomic `set`.
+//! Raw sample files (`in.raw`, `out.raw`, `region.raw`) are plain files.
 //!
 //! `query --metrics` (or `EBLCIO_METRICS=1`) turns the telemetry layer
 //! on: per-pass p50/p99 request latency columns, the full
 //! `eblcio_obs` percentile report for the reader and the process-wide
 //! registry, and a Prometheus text exposition. With telemetry on,
-//! `--backend` storage is additionally wrapped in [`MeteredStorage`]
+//! the backend is additionally wrapped in [`MeteredStorage`]
 //! so per-op latency/byte histograms ride along, and
 //! `EBLCIO_OBS_DUMP=<path>` writes the flight recorder's recent span
 //! events as JSON lines. `inspect --json` appends a `metrics` block to
 //! its document when telemetry is enabled.
 
 use eblcio::prelude::*;
+use eblcio::store::NamedBackend;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first().and_then(|name| COMMANDS.iter().find(|c| c.name == name))
     else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::from(2);
     };
     let args = match Args::parse(command, &argv[1..]) {
@@ -83,54 +92,60 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:\n  eblcio compress --codec <sz2|sz3|zfp|qoz|szx> | --chain <spec> \
-     --eps <rel> --dtype <f32|f64> --dims <AxBxC> \
-     [--chunk <AxBxC> [--shard <chunks> | --mutable]] <in.raw> <out.eblc|out.ebcs|out.ebms>\n  \
-     eblcio decompress <in.eblc> <out.raw>\n  \
-     eblcio inspect [--json] <in.eblc|in.eblp|in.ebcs|in.ebms>\n  \
-     eblcio query <in.ebcs|in.ebms> --origin <AxBxC> --extent <AxBxC> \
-     [--repeat <n>] [--clients <n>] [--threads <n>] [--cache-mb <n>] \
-     [--prefetch <chunks>] [--metrics]\n  \
-     eblcio serve <in.ebcs|in.ebms> [--addr <host:port>] [--workers <n>] \
-     [--queue-depth <n>] [--max-conns <n>] [--cache-mb <n>] [--threads <n>] \
-     [--prefetch <chunks>] [--test-ops]\n  \
-     eblcio update <store.ebms> --origin <AxBxC> --extent <AxBxC> \
-     <region.raw> [--out <path>]\n  \
-     eblcio compact <store.ebms> [--out <path>]\n  \
-     eblcio demo [cesm|hacc|nyx|s3d]\n\n\
-     compress/inspect/query/serve/update accept --backend \
-     <fs|memory|object|object-fs> to route store I/O through a \
-     storage backend (object backends print a simulated bill)\n\
+/// The usage text: one line per [`COMMANDS`] entry — its synopsis, its
+/// other flags in brackets, its positionals — then the notes.
+fn usage() -> String {
+    let mut text = String::from("usage:");
+    for command in COMMANDS {
+        text += &format!("\n  eblcio {}", command.name);
+        if !command.synopsis.is_empty() {
+            text += &format!(" {}", command.synopsis);
+        }
+        let in_synopsis = |flag: &str| command.synopsis.split([' ', '[', ']']).any(|w| w == flag);
+        for (flag, value) in command.flags.iter().filter(|(flag, _)| !in_synopsis(flag)) {
+            match value {
+                Some(value) => text += &format!(" [{flag} {value}]"),
+                None => text += &format!(" [{flag}]"),
+            }
+        }
+        text += &format!(" {}", command.args);
+    }
+    text + "\n\n\
+     a store file is read and written through --backend (fs when \
+     absent, and for decompress and compact); object backends print \
+     a simulated bill\n\
      query --metrics (or EBLCIO_METRICS=1) prints percentile \
      tables and a Prometheus exposition from the telemetry layer\n\
      serve runs at most --workers requests at once (0 = one per \
      core) with --queue-depth more waiting; beyond that a request \
      is answered with a typed Overloaded error\n\
      chain spec grammar: array[+byte...], e.g. sz3, sz3+raw, \
-     szx+fpc4, sz2+shuffle4+lz";
+     szx+fpc4, sz2+shuffle4+lz"
+}
 
 type CliResult = Result<(), String>;
 
-/// A `--backend` selection: the [`Storage`] the command reads and
-/// writes store objects through. The object key is the file name; the
-/// backend root is the file's directory. Volatile backends (`memory`,
-/// `object`) are seeded from the on-disk file before reads and flushed
-/// back after writes, so every command stays functional on them — the
-/// point is exercising (and, for simulated object stores, *billing*)
-/// the backend I/O path, not losing data.
-struct CliBackend {
-    storage: std::sync::Arc<dyn Storage>,
-    /// Typed handle for the cost report when the backend simulates an
-    /// object store.
-    sim: Option<std::sync::Arc<SimulatedObjectStorage>>,
-    /// Whether the backend's objects die with the process.
-    volatile: bool,
+/// The store file a command reads or writes, reached as one object of
+/// a [`named_backend`] (`--backend`; `fs` when the flag is absent, and
+/// for `decompress` and `compact`, which take none): the backend is
+/// rooted at the file's directory and the file name is the key.
+///
+/// `memory` and `object` lose their objects with the process, so they
+/// sit in front of the file: [`StoreFile::input`] seeds the object from
+/// it (below the simulator, so seeding is never billed) and
+/// [`StoreFile::flush`] writes results back. The point of them is
+/// exercising — and, for the simulated object stores, billing — the
+/// backend path, not losing data.
+struct StoreFile {
+    backend: NamedBackend,
+    /// The file behind a volatile backend.
+    disk: Option<FilesystemStorage>,
     key: String,
     path: String,
 }
 
-/// Splits a CLI file path into (backend root directory, object key).
-fn backend_root_key(path: &str) -> Result<(std::path::PathBuf, String), String> {
+/// Splits a store file path into (backend root directory, object key).
+fn root_and_key(path: &str) -> Result<(&std::path::Path, String), String> {
     let p = std::path::Path::new(path);
     let key = p
         .file_name()
@@ -138,95 +153,104 @@ fn backend_root_key(path: &str) -> Result<(std::path::PathBuf, String), String> 
         .to_string_lossy()
         .into_owned();
     let root = match p.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
     };
     Ok((root, key))
 }
 
-/// Resolves `--backend <fs|memory|object|object-fs>` for the store at
-/// `path`; `None` when the flag is absent (commands then use plain
-/// `std::fs`, exactly as before the storage layer existed).
-fn cli_backend(args: &Args, path: &str) -> Result<Option<CliBackend>, String> {
-    let Some(name) = args.flag("--backend") else {
-        return Ok(None);
-    };
-    use std::sync::Arc;
-    let (root, key) = backend_root_key(path)?;
-    let err = |e: CodecError| e.to_string();
-    let (storage, sim, volatile): (
-        Arc<dyn Storage>,
-        Option<Arc<SimulatedObjectStorage>>,
-        bool,
-    ) = match name {
-        "fs" => (Arc::new(FilesystemStorage::create(&root).map_err(err)?), None, false),
-        "memory" | "mem" => (Arc::new(MemoryStorage::new()), None, true),
-        "object" => {
-            let sim = Arc::new(SimulatedObjectStorage::in_memory(ObjectCostModel::default()));
-            (sim.clone(), Some(sim), true)
-        }
-        "object-fs" => {
-            let sim = Arc::new(SimulatedObjectStorage::over(
-                Arc::new(FilesystemStorage::create(&root).map_err(err)?),
-                ObjectCostModel::default(),
-            ));
-            (sim.clone(), Some(sim), false)
-        }
-        other => {
-            return Err(format!(
-                "unknown --backend '{other}' (expected fs|memory|object|object-fs)"
-            ))
-        }
-    };
-    // With telemetry on, every backend gains per-op latency and byte
-    // histograms (`eblcio_storage_*` in the process registry) on top of
-    // whatever it already reports — the simulated bill keeps flowing
-    // from the `sim` handle underneath the decorator.
-    let storage: Arc<dyn Storage> = if eblcio::obs::enabled() {
-        Arc::new(MeteredStorage::over(storage))
-    } else {
-        storage
-    };
-    Ok(Some(CliBackend { storage, sim, volatile, key, path: path.to_string() }))
-}
-
-impl CliBackend {
-    /// Makes the object readable: volatile backends are seeded from the
-    /// on-disk file (below the simulator, so seeding is never billed).
-    fn seed(&self) -> Result<(), String> {
-        if !self.volatile {
-            return Ok(());
-        }
-        let bytes = std::fs::read(&self.path).map_err(|e| format!("{}: {e}", self.path))?;
-        let target = match &self.sim {
-            Some(sim) => sim.inner().clone(),
-            None => self.storage.clone(),
+impl StoreFile {
+    /// The store file at `path` on the backend `name`; the file's
+    /// directory is created if missing.
+    fn open(name: &str, path: &str) -> Result<Self, String> {
+        let (root, key) = root_and_key(path)?;
+        let mut backend = named_backend(name, root).map_err(|e| e.to_string())?;
+        let disk = match backend.unbilled().kind() {
+            "memory" => Some(FilesystemStorage::create(root).map_err(|e| e.to_string())?),
+            _ => None,
         };
-        target.set(&self.key, &bytes).map_err(|e| e.to_string())
-    }
-
-    /// Reads the whole object through the backend (one billed GET on a
-    /// simulated object store).
-    fn read(&self) -> Result<std::sync::Arc<[u8]>, String> {
-        self.seed()?;
-        self.storage.get(&self.key).map_err(|e| e.to_string())
-    }
-
-    /// Writes an object under `path`'s file name through the backend;
-    /// volatile backends additionally flush to the real file so the
-    /// output survives the process.
-    fn write(&self, path: &str, bytes: &[u8]) -> Result<(), String> {
-        let (_, key) = backend_root_key(path)?;
-        self.storage.set(&key, bytes).map_err(|e| e.to_string())?;
-        if self.volatile {
-            write_replace(path, bytes)?;
+        // With telemetry on, every backend gains per-op latency and byte
+        // histograms (`eblcio_storage_*` in the process registry) on top
+        // of whatever it already reports — the simulated bill keeps
+        // flowing from the `sim` handle underneath the decorator.
+        if eblcio::obs::enabled() {
+            backend.storage = Arc::new(MeteredStorage::over(backend.storage));
         }
-        Ok(())
+        Ok(Self { backend, disk, key, path: path.to_string() })
+    }
+
+    /// The store file at `path`, to be written. Commands open it only
+    /// once the bytes are ready, so a failed run creates nothing.
+    fn output(name: &str, path: &str) -> Result<Self, String> {
+        // A store file is replaced by renaming a sibling over it, which
+        // would swap a device or a pipe (`/dev/stdout`) for a plain file.
+        if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+            return Err(format!("{path}: not a regular file; store files are replaced whole"));
+        }
+        Self::open(name, path)
+    }
+
+    /// The store file at `path`, to be read (a volatile backend is
+    /// seeded from it).
+    fn input(name: &str, path: &str) -> Result<Self, String> {
+        // A missing directory holds no object; opening a backend there
+        // would create it, and a read must leave nothing behind.
+        let (root, key) = root_and_key(path)?;
+        if !root.is_dir() {
+            return Err(format!("{path}: {}", CodecError::NoSuchKey { key }));
+        }
+        let file = Self::open(name, path)?;
+        if let Some(disk) = &file.disk {
+            let bytes = disk.get(&file.key).map_err(|e| file.err(e))?;
+            file.backend.unbilled().set(&file.key, &bytes).map_err(|e| file.err(e))?;
+        }
+        Ok(file)
+    }
+
+    fn err(&self, e: CodecError) -> String {
+        format!("{}: {e}", self.path)
+    }
+
+    fn storage(&self) -> &Arc<dyn Storage> {
+        &self.backend.storage
+    }
+
+    /// Reads the whole object (one billed GET on a simulated object
+    /// store).
+    fn get(&self) -> Result<Arc<[u8]>, String> {
+        self.storage().get(&self.key).map_err(|e| self.err(e))
+    }
+
+    /// Replaces the object with `bytes` — atomically, on `fs` — and
+    /// flushes it.
+    fn put(&self, bytes: &[u8]) -> CliResult {
+        self.storage().set(&self.key, bytes).map_err(|e| self.err(e))?;
+        self.flush(bytes)
+    }
+
+    /// Writes `bytes` to the file behind a volatile backend; a no-op
+    /// where the backend is the file itself.
+    fn flush(&self, bytes: &[u8]) -> CliResult {
+        match &self.disk {
+            Some(disk) => disk.set(&self.key, bytes).map_err(|e| self.err(e)),
+            None => Ok(()),
+        }
+    }
+
+    /// Opens the mutable store in the file. `attached` keeps the
+    /// backend, so a publish or a compaction writes through to it;
+    /// otherwise the store is a detached copy.
+    fn mutable(&self, attached: bool) -> Result<MutableStore, String> {
+        match attached {
+            true => MutableStore::open_on(self.storage().clone(), &self.key),
+            false => self.storage().get(&self.key).and_then(MutableStore::open_arc),
+        }
+        .map_err(|e| self.err(e))
     }
 
     /// Prints the simulated object-store bill, when there is one.
     fn finish(&self) {
-        if let Some(sim) = &self.sim {
+        if let Some(sim) = &self.backend.sim {
             let s = sim.stats();
             println!(
                 "\nobject store: {} GET, {} PUT, {} DELETE, {} LIST — \
@@ -244,15 +268,28 @@ impl CliBackend {
     }
 }
 
-/// One flag a subcommand accepts: its spelling, and whether it takes a
-/// value (the next argument) or is a bare switch.
-type FlagSpec = (&'static str, bool);
+/// One flag a subcommand accepts: its spelling, and the placeholder of
+/// its value (the next argument) — `None` for a bare switch.
+type FlagSpec = (&'static str, Option<&'static str>);
 
-const BACKEND: FlagSpec = ("--backend", true);
+const BACKEND: FlagSpec = ("--backend", Some("<fs|memory|object|object-fs>"));
+const ORIGIN: FlagSpec = ("--origin", Some("<AxBxC>"));
+const EXTENT: FlagSpec = ("--extent", Some("<AxBxC>"));
+const OUT: FlagSpec = ("--out", Some("<path>"));
+const CACHE_MB: FlagSpec = ("--cache-mb", Some("<n>"));
+const THREADS: FlagSpec = ("--threads", Some("<n>"));
+const PREFETCH: FlagSpec = ("--prefetch", Some("<chunks>"));
 
-/// A subcommand: its name, the only flags it accepts, and its body.
+/// A subcommand: its name, the flags its usage line spells out, its
+/// positional arguments as the usage text shows them, the only flags it
+/// accepts, and its body.
 struct Command {
     name: &'static str,
+    /// The required flags, and the optional ones that only go together
+    /// (`--shard` and `--mutable` need `--chunk`); the usage text shows
+    /// every other flag of `flags` in brackets after it.
+    synopsis: &'static str,
+    args: &'static str,
     flags: &'static [FlagSpec],
     run: fn(&Args) -> CliResult,
 }
@@ -260,63 +297,96 @@ struct Command {
 const COMMANDS: &[Command] = &[
     Command {
         name: "compress",
+        synopsis: "--codec <sz2|sz3|zfp|qoz|szx> | --chain <spec> --eps <rel> --dims <AxBxC> \
+                   [--chunk <AxBxC> [--shard <chunks> | --mutable]]",
+        args: "<in.raw> <out.eblc|out.ebcs|out.ebms>",
         flags: &[
-            ("--codec", true),
-            ("--chain", true),
-            ("--eps", true),
-            ("--dtype", true),
-            ("--dims", true),
-            ("--chunk", true),
-            ("--shard", true),
-            ("--mutable", false),
+            ("--codec", Some("<sz2|sz3|zfp|qoz|szx>")),
+            ("--chain", Some("<spec>")),
+            ("--eps", Some("<rel>")),
+            ("--dtype", Some("<f32|f64>")),
+            ("--dims", Some("<AxBxC>")),
+            ("--chunk", Some("<AxBxC>")),
+            ("--shard", Some("<chunks>")),
+            ("--mutable", None),
             BACKEND,
         ],
         run: cmd_compress,
     },
-    Command { name: "decompress", flags: &[], run: cmd_decompress },
-    Command { name: "inspect", flags: &[("--json", false), BACKEND], run: cmd_inspect },
+    Command {
+        name: "decompress",
+        synopsis: "",
+        args: "<in.eblc> <out.raw>",
+        flags: &[],
+        run: cmd_decompress,
+    },
+    Command {
+        name: "inspect",
+        synopsis: "",
+        args: "<in.eblc|in.eblp|in.ebcs|in.ebms>",
+        flags: &[("--json", None), BACKEND],
+        run: cmd_inspect,
+    },
     Command {
         name: "query",
+        synopsis: "--origin <AxBxC> --extent <AxBxC>",
+        args: "<in.ebcs|in.ebms>",
         flags: &[
-            ("--origin", true),
-            ("--extent", true),
-            ("--repeat", true),
-            ("--clients", true),
-            ("--threads", true),
-            ("--cache-mb", true),
-            ("--prefetch", true),
-            ("--metrics", false),
+            ORIGIN,
+            EXTENT,
+            ("--repeat", Some("<n>")),
+            ("--clients", Some("<n>")),
+            THREADS,
+            CACHE_MB,
+            PREFETCH,
+            ("--metrics", None),
             BACKEND,
         ],
         run: cmd_query,
     },
     Command {
         name: "serve",
+        synopsis: "",
+        args: "<in.ebcs|in.ebms>",
         flags: &[
-            ("--addr", true),
-            ("--workers", true),
-            ("--queue-depth", true),
-            ("--max-conns", true),
-            ("--cache-mb", true),
-            ("--threads", true),
-            ("--prefetch", true),
-            ("--test-ops", false),
+            ("--addr", Some("<host:port>")),
+            ("--workers", Some("<n>")),
+            ("--queue-depth", Some("<n>")),
+            ("--max-conns", Some("<n>")),
+            CACHE_MB,
+            THREADS,
+            PREFETCH,
+            ("--test-ops", None),
             BACKEND,
         ],
         run: cmd_serve,
     },
     Command {
         name: "update",
-        flags: &[("--origin", true), ("--extent", true), ("--out", true), BACKEND],
+        synopsis: "--origin <AxBxC> --extent <AxBxC>",
+        args: "<store.ebms|store.ebcs> <region.raw>",
+        flags: &[ORIGIN, EXTENT, OUT, BACKEND],
         run: cmd_update,
     },
-    Command { name: "compact", flags: &[("--out", true)], run: cmd_compact },
-    Command { name: "demo", flags: &[], run: cmd_demo },
+    Command {
+        name: "compact",
+        synopsis: "",
+        args: "<store.ebms>",
+        flags: &[OUT],
+        run: cmd_compact,
+    },
+    Command {
+        name: "demo",
+        synopsis: "",
+        args: "[cesm|hacc|nyx|s3d]",
+        flags: &[],
+        run: cmd_demo,
+    },
 ];
 
 /// A subcommand's arguments, split by the flags it accepts.
 struct Args<'a> {
-    accepted: &'static [FlagSpec],
+    command: &'static Command,
     flags: Vec<(&'a str, Option<&'a str>)>,
     positional: Vec<&'a str>,
 }
@@ -325,15 +395,15 @@ impl<'a> Args<'a> {
     /// Splits `argv` into flags (with their values) and positionals;
     /// `Err` names the first `--x` the command does not accept, or the
     /// value flag that ends the line.
-    fn parse(command: &Command, argv: &'a [String]) -> Result<Self, String> {
-        let mut args = Args { accepted: command.flags, flags: Vec::new(), positional: Vec::new() };
+    fn parse(command: &'static Command, argv: &'a [String]) -> Result<Self, String> {
+        let mut args = Args { command, flags: Vec::new(), positional: Vec::new() };
         let mut argv = argv.iter().map(String::as_str);
         while let Some(arg) = argv.next() {
             if !arg.starts_with("--") {
                 args.positional.push(arg);
                 continue;
             }
-            let Some((_, takes_value)) = command.flags.iter().find(|(name, _)| *name == arg) else {
+            let Some((_, value)) = command.flags.iter().find(|(name, _)| *name == arg) else {
                 let accepted: Vec<&str> = command.flags.iter().map(|(name, _)| *name).collect();
                 let accepted =
                     if accepted.is_empty() { "none".into() } else { accepted.join(", ") };
@@ -342,17 +412,29 @@ impl<'a> Args<'a> {
                     command.name
                 ));
             };
-            let value = match takes_value {
-                true => Some(argv.next().ok_or_else(|| format!("flag {arg} needs a value"))?),
-                false => None,
+            let value = match value {
+                Some(_) => Some(argv.next().ok_or_else(|| format!("flag {arg} needs a value"))?),
+                None => None,
             };
             args.flags.push((arg, value));
         }
         Ok(args)
     }
 
+    /// The positional arguments, when there are exactly `N`.
+    fn positional<const N: usize>(&self) -> Result<[&'a str; N], String> {
+        self.positional
+            .as_slice()
+            .try_into()
+            .map_err(|_| format!("expected {}", self.command.args))
+    }
+
     fn find(&self, name: &str, takes_value: bool) -> Option<Option<&'a str>> {
-        debug_assert!(self.accepted.contains(&(name, takes_value)), "{name}: not in the flag list");
+        debug_assert!(
+            self.command.flags.iter().any(|(flag, value)| *flag == name
+                && value.is_some() == takes_value),
+            "{name}: not in the flag list"
+        );
         self.flags.iter().find(|(flag, _)| *flag == name).map(|(_, value)| *value)
     }
 
@@ -364,6 +446,11 @@ impl<'a> Args<'a> {
     /// Whether the bare switch `name` was given.
     fn has(&self, name: &str) -> bool {
         self.find(name, false).is_some()
+    }
+
+    /// The backend `--backend` names, `fs` when absent.
+    fn backend(&self) -> &'a str {
+        self.flag("--backend").unwrap_or("fs")
     }
 
     /// The count value flag `name` parses to, or `default` when absent.
@@ -492,9 +579,7 @@ fn cmd_compress(args: &Args) -> CliResult {
     if mutable && shard.is_some() {
         return Err("--mutable stores address chunks individually; drop --shard".into());
     }
-    let [input, output] = args.positional.as_slice() else {
-        return Err("expected <in.raw> <out.eblc>".into());
-    };
+    let [input, output] = args.positional()?;
 
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let t0 = std::time::Instant::now();
@@ -516,13 +601,8 @@ fn cmd_compress(args: &Args) -> CliResult {
         stream
     };
     let dt = t0.elapsed().as_secs_f64();
-    match cli_backend(args, output)? {
-        Some(backend) => {
-            backend.write(output, &stream)?;
-            backend.finish();
-        }
-        None => std::fs::write(output, &stream).map_err(|e| format!("{output}: {e}"))?,
-    }
+    let file = StoreFile::output(args.backend(), output)?;
+    file.put(&stream)?;
     let layout = match (chunk, shard) {
         _ if mutable => format!("mutable store, {} chunks, generation 1", chunk.unwrap()),
         (None, _) => "stream".to_string(),
@@ -537,15 +617,14 @@ fn cmd_compress(args: &Args) -> CliResult {
         bytes.len() as f64 / stream.len() as f64,
         bytes.len() as f64 / 1e6 / dt
     );
+    file.finish();
     Ok(())
 }
 
 fn cmd_decompress(args: &Args) -> CliResult {
-    let [input, output] = args.positional.as_slice() else {
-        return Err("expected <in.eblc> <out.raw>".into());
-    };
-    let stream = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let data = decompress_any(&stream).map_err(|e| e.to_string())?;
+    let [input, output] = args.positional()?;
+    let file = StoreFile::input("fs", input)?;
+    let data = decompress_any(&file.get()?).map_err(|e| file.err(e))?;
     let raw = data.to_le_bytes();
     std::fs::write(output, &raw).map_err(|e| format!("{output}: {e}"))?;
     println!(
@@ -554,19 +633,15 @@ fn cmd_decompress(args: &Args) -> CliResult {
         data.len(),
         raw.len()
     );
+    file.finish();
     Ok(())
 }
 
 fn cmd_inspect(args: &Args) -> CliResult {
     let json = args.has("--json");
-    let [input] = args.positional.as_slice() else {
-        return Err("expected <in.eblc|in.eblp|in.ebcs|in.ebms>".into());
-    };
-    let backend = cli_backend(args, input)?;
-    let stream: Vec<u8> = match &backend {
-        Some(b) => b.read()?.to_vec(),
-        None => std::fs::read(input).map_err(|e| format!("{input}: {e}"))?,
-    };
+    let [input] = args.positional()?;
+    let file = StoreFile::input(args.backend(), input)?;
+    let stream = file.get()?;
     let result = if json {
         let doc = eblcio::inspect::inspect_json(&stream)?;
         let text = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
@@ -581,9 +656,7 @@ fn cmd_inspect(args: &Args) -> CliResult {
             Container::Eblc => inspect_stream(input, &stream),
         }
     };
-    if let Some(b) = &backend {
-        b.finish();
-    }
+    file.finish();
     result
 }
 
@@ -622,9 +695,8 @@ fn inspect_parallel(input: &str, stream: &[u8]) -> CliResult {
 
 /// Prints an `EBMS` mutable store file: generation history first, then
 /// the current generation rendered like any store.
-fn inspect_mutable(input: &str, stream: &[u8]) -> CliResult {
-    let store =
-        MutableStore::open_arc(std::sync::Arc::from(stream)).map_err(|e| e.to_string())?;
+fn inspect_mutable(input: &str, stream: &Arc<[u8]>) -> CliResult {
+    let store = MutableStore::open_arc(stream.clone()).map_err(|e| e.to_string())?;
     println!("file:       {input}");
     println!("container:  EBMS v{} (mutable store)", stream[4]);
     println!("file bytes: {}", stream.len());
@@ -711,24 +783,16 @@ fn cmd_query(args: &Args) -> CliResult {
         eblcio::obs::set_enabled(true);
     }
     let metrics = eblcio::obs::enabled();
-    let [input] = args.positional.as_slice() else {
-        return Err("expected <in.ebcs>".into());
-    };
+    let [input] = args.positional()?;
     let (origin, extent) = box_flags(args)?;
     let repeat = args.count("--repeat", 4)?.max(1);
     let clients = args.count("--clients", 1)?.max(1);
     let config = reader_config(args)?;
 
-    let backend = cli_backend(args, input)?;
-    let stream: std::sync::Arc<[u8]> = match &backend {
-        Some(b) => b.read()?,
-        None => std::fs::read(input)
-            .map_err(|e| format!("{input}: {e}"))?
-            .into(),
-    };
+    let file = StoreFile::input(args.backend(), input)?;
     // `query` serves static EBCS streams and the current generation of
     // EBMS mutable files identically.
-    let store = ChunkedStore::open_arc(stream).map_err(|e| e.to_string())?;
+    let store = ChunkedStore::open_arc(file.get()?).map_err(|e| file.err(e))?;
     let region = Region::new(&origin, &extent);
     if !region.fits_in(store.shape()) {
         return Err(format!(
@@ -754,9 +818,7 @@ fn cmd_query(args: &Args) -> CliResult {
     let result = dispatch_dtype!(E = store_dtype =>
         run_query::<E>(store, &region, repeat, clients, config, metrics))
     .unwrap_or_else(|| Err(unknown_dtype(store_dtype)));
-    if let Some(b) = &backend {
-        b.finish();
-    }
+    file.finish();
     result
 }
 
@@ -766,9 +828,7 @@ fn cmd_query(args: &Args) -> CliResult {
 /// an ephemeral port.
 fn cmd_serve(args: &Args) -> CliResult {
     let test_ops = args.has("--test-ops");
-    let [input] = args.positional.as_slice() else {
-        return Err("expected <in.ebcs|in.ebms>".into());
-    };
+    let [input] = args.positional()?;
     let addr = args.flag("--addr").unwrap_or("127.0.0.1:7979");
     let workers = args.count("--workers", 0)?;
     let queue_depth = args.count("--queue-depth", 64)?.max(1);
@@ -776,20 +836,8 @@ fn cmd_serve(args: &Args) -> CliResult {
     let reader_config = reader_config(args)?;
     let cache_mb = reader_config.cache.capacity_bytes >> 20;
 
-    let backend = cli_backend(args, input)?;
-    let store = match &backend {
-        Some(b) => {
-            b.seed()?;
-            ChunkedStore::open_from(b.storage.as_ref(), &b.key)
-        }
-        None => {
-            let bytes: std::sync::Arc<[u8]> = std::fs::read(input)
-                .map_err(|e| format!("{input}: {e}"))?
-                .into();
-            ChunkedStore::open_arc(bytes)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let file = StoreFile::input(args.backend(), input)?;
+    let store = ChunkedStore::open_arc(file.get()?).map_err(|e| file.err(e))?;
     let reader =
         eblcio::daemon::AnyReader::over(store, reader_config).map_err(|e| e.to_string())?;
 
@@ -938,14 +986,11 @@ fn dump_flight_recorder() -> CliResult {
     Ok(())
 }
 
-/// Replaces `path` atomically: write a sibling temp file, then rename
-/// it over the target. A crash or full disk mid-write must never
-/// destroy an existing store file — that would defeat the store's own
-/// crash-consistent publish protocol at the filesystem layer.
-fn write_replace(path: &str, bytes: &[u8]) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("{tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{path}: {e}"))
+/// The path `update` and `compact` write: `--out` when it names another
+/// file (the input is then only read), else `None` — the command works
+/// in place.
+fn out_path<'a>(args: &Args<'a>, input: &str) -> Option<&'a str> {
+    args.flag("--out").filter(|out| *out != input)
 }
 
 /// `update <store.ebms> --origin <AxB> --extent <AxB> <region.raw>`:
@@ -954,58 +999,29 @@ fn write_replace(path: &str, bytes: &[u8]) -> Result<(), String> {
 /// stay readable until `compact`). A plain `EBCS` input is imported
 /// into a mutable store first.
 fn cmd_update(args: &Args) -> CliResult {
-    let [input, data_path] = args.positional.as_slice() else {
-        return Err("expected <store.ebms> <region.raw>".into());
-    };
+    let [input, data_path] = args.positional()?;
     let (origin, extent) = box_flags(args)?;
-    let out = args.flag("--out").unwrap_or(input);
+    let file = StoreFile::input(args.backend(), input)?;
+    let out_path = out_path(args, input);
 
-    let backend = cli_backend(args, input)?;
-    if backend.is_some() && out != *input && backend_root_key(out)?.0 != backend_root_key(input)?.0
-    {
-        return Err("--backend with --out requires the output in the store's directory".into());
-    }
-    let mut store = match &backend {
-        Some(b) => {
-            // In-place updates attach the backend as backing storage,
-            // so the publish itself goes through the crash-safe
-            // append + root-flip write path (billed as read-modify-
-            // write on simulated object stores). `--out` elsewhere
-            // updates a detached copy and writes the result once.
-            let in_place = out == *input;
-            b.seed()?;
-            // Sniff the container via a ranged GET; the full object is
-            // fetched exactly once, by whichever open follows.
-            let head = b
-                .storage
-                .get_range(&b.key, ByteRange::Bounded { offset: 0, len: 4 })
-                .map_err(|e| format!("{input}: {e}"))?;
-            if head == eblcio::store::manifest::MAGIC[..] {
-                println!("{input}: EBCS stream — importing as mutable store generation 1");
-                let bytes = b.storage.get(&b.key).map_err(|e| e.to_string())?;
-                if in_place {
-                    MutableStore::import_on(b.storage.clone(), &b.key, &bytes)
-                } else {
-                    MutableStore::import(&bytes)
-                }
-            } else if in_place {
-                MutableStore::open_on(b.storage.clone(), &b.key)
-            } else {
-                b.storage
-                    .get(&b.key)
-                    .and_then(MutableStore::open_arc)
-            }
-            .map_err(|e| e.to_string())?
-        }
-        None => {
-            let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-            if bytes.get(..4) == Some(&eblcio::store::manifest::MAGIC[..]) {
-                println!("{input}: EBCS stream — importing as mutable store generation 1");
-                MutableStore::import(&bytes).map_err(|e| e.to_string())?
-            } else {
-                MutableStore::open(bytes).map_err(|e| e.to_string())?
-            }
-        }
+    // Sniff the container via a ranged GET; the whole object is fetched
+    // exactly once, by whichever open follows.
+    let head = file
+        .storage()
+        .get_range(&file.key, ByteRange::Bounded { offset: 0, len: 4 })
+        .map_err(|e| file.err(e))?;
+    let import = head == eblcio::store::manifest::MAGIC[..];
+    // An in-place update of a mutable store attaches the backend, so the
+    // publish goes through the crash-safe append + root-flip write path
+    // (billed as read-modify-write on simulated object stores). Anything
+    // else — an import, or `--out` elsewhere — updates a detached copy
+    // and writes the result with one atomic `set`.
+    let attached = out_path.is_none() && !import;
+    let mut store = if import {
+        println!("{input}: EBCS stream — importing as mutable store generation 1");
+        MutableStore::import(&file.get()?).map_err(|e| file.err(e))?
+    } else {
+        file.mutable(attached)?
     };
     let current = store.current().map_err(|e| e.to_string())?;
     let region = Region::new(&origin, &extent);
@@ -1022,24 +1038,16 @@ fn cmd_update(args: &Args) -> CliResult {
         .ok_or_else(|| format!("{data_path}: size does not match {} {dtype}", region.shape()))?;
     let stats = dispatch_dtype!(Dataset(arr) = &patch => store.update_region(&region, arr, threads))
         .map_err(|e| e.to_string())?;
-    match &backend {
-        Some(b) => {
-            if out != *input {
-                // Detached output: one whole-object write.
-                b.write(out, store.as_bytes())?;
-            } else if b.volatile {
-                // The backing already holds the publish; make it
-                // durable on disk too.
-                write_replace(out, store.as_bytes())?;
-            }
-            // In-place on a persistent backend: the publish was
-            // written through chunk-for-chunk already.
-        }
-        None => write_replace(out, store.as_bytes())?,
+    let out = out_path.map(|path| StoreFile::output(args.backend(), path)).transpose()?;
+    let target = out.as_ref().unwrap_or(&file);
+    match attached {
+        true => file.flush(store.as_bytes())?,
+        false => target.put(store.as_bytes())?,
     }
     println!(
-        "{out}: published generation {} — {}/{} chunks rewritten, {} B objects + {} B manifest \
+        "{}: published generation {} — {}/{} chunks rewritten, {} B objects + {} B manifest \
          appended, {} B now dead (file {} B)",
+        target.path,
         stats.generation,
         stats.chunks_written,
         stats.chunks_total,
@@ -1048,27 +1056,29 @@ fn cmd_update(args: &Args) -> CliResult {
         stats.replaced_bytes,
         stats.file_bytes,
     );
-    if let Some(b) = &backend {
-        b.finish();
-    }
+    file.finish();
+    out.iter().for_each(StoreFile::finish);
     Ok(())
 }
 
 /// `compact <store.ebms>`: rewrites the file down to the current
 /// generation's live set, reclaiming dead bytes (and severing
-/// time-travel history).
+/// time-travel history). In place, the store is attached to its `fs`
+/// backend and the compaction replaces the file with one atomic `set`.
 fn cmd_compact(args: &Args) -> CliResult {
-    let [input] = args.positional.as_slice() else {
-        return Err("expected <store.ebms>".into());
-    };
-    let out = args.flag("--out").unwrap_or(input);
-    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let mut store = MutableStore::open(bytes).map_err(|e| e.to_string())?;
-    let stats = store.compact().map_err(|e| e.to_string())?;
-    write_replace(out, store.as_bytes())?;
+    let [input] = args.positional()?;
+    let file = StoreFile::input("fs", input)?;
+    let out_path = out_path(args, input);
+    let mut store = file.mutable(out_path.is_none())?;
+    let stats = store.compact().map_err(|e| file.err(e))?;
+    let out = out_path.map(|path| StoreFile::output("fs", path)).transpose()?;
+    if let Some(out) = &out {
+        out.put(store.as_bytes())?;
+    }
+    let target = out.as_ref().unwrap_or(&file);
     println!(
-        "{out}: compacted to generation {} — {} B -> {} B ({} B reclaimed)",
-        stats.generation, stats.before_bytes, stats.after_bytes, stats.reclaimed_bytes,
+        "{}: compacted to generation {} — {} B -> {} B ({} B reclaimed)",
+        target.path, stats.generation, stats.before_bytes, stats.after_bytes, stats.reclaimed_bytes,
     );
     Ok(())
 }

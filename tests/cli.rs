@@ -80,9 +80,27 @@ fn compress_inspect_decompress_roundtrip() {
 
 #[test]
 fn bad_usage_reports_errors() {
-    // No args.
+    // No args: the usage text shows required flags bare, the rest in
+    // brackets, and what only goes with `--chunk` nested inside it.
     let st = Command::new(bin()).output().unwrap();
-    assert!(!st.status.success());
+    assert_eq!(st.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&st.stderr);
+    let line = |name: &str| {
+        let prefix = format!("eblcio {name} ");
+        usage.lines().find(|l| l.trim_start().starts_with(&prefix)).unwrap().to_string()
+    };
+    assert!(
+        line("query").contains(" --origin <AxBxC> --extent <AxBxC> [--repeat <n>]"),
+        "{usage}"
+    );
+    assert!(line("update").contains(" --origin <AxBxC> --extent <AxBxC> [--out <path>]"));
+    let compress = line("compress");
+    assert!(
+        compress.contains(" --eps <rel> --dims <AxBxC> [--chunk <AxBxC> [--shard <chunks> | --mutable]]"),
+        "{compress}"
+    );
+    assert_eq!(compress.matches("--shard").count(), 1, "{compress}");
+    assert!(!line("compact").contains("--backend") && !line("decompress").contains("--backend"));
 
     // Wrong dims for the file size.
     let input = tmp("short.raw");
@@ -536,6 +554,9 @@ fn unknown_flags_are_usage_errors() {
         .output()
         .unwrap();
     rejected(compact, "--backend", "compact");
+    // `demo` synthesizes its data and has no store file to reach.
+    let demo = Command::new(bin()).args(["demo", "--backend", "object"]).output().unwrap();
+    rejected(demo, "--backend", "demo");
     let inspect = Command::new(bin()).args(["inspect", "--metrics"]).arg(&store).output().unwrap();
     rejected(inspect, "--metrics", "inspect");
 
@@ -548,6 +569,205 @@ fn unknown_flags_are_usage_errors() {
         .unwrap();
     assert_eq!(st.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&st.stderr).contains("--repeat needs a value"));
+}
+
+/// Runs `cmd`, asserts it succeeded, and returns its stdout.
+fn run_ok(cmd: &mut Command) -> String {
+    let st = cmd.output().unwrap();
+    assert!(st.status.success(), "{cmd:?}: {}", String::from_utf8_lossy(&st.stderr));
+    String::from_utf8_lossy(&st.stdout).into_owned()
+}
+
+const COMPRESS_SZX: [&str; 7] = ["compress", "--codec", "szx", "--eps", "1e-3", "--dims", "64x64"];
+
+/// Writes the 16x16 patch of 5.0 samples `update` writes in these tests.
+fn write_patch(path: &PathBuf) {
+    std::fs::write(path, (0..256).flat_map(|_| 5.0f32.to_le_bytes()).collect::<Vec<u8>>())
+        .unwrap();
+}
+
+/// Every subcommand but `demo` reaches its store file through one
+/// `Storage`, `fs` when `--backend` is absent: the same command lines on
+/// every backend leave byte-identical files, and the simulated object
+/// stores bill every command that takes `--backend`.
+#[test]
+fn every_store_command_goes_through_the_named_backend() {
+    let input = tmp("through_in.raw");
+    let patch = tmp("through_patch.raw");
+    write_ramp_f32(&input, 4096);
+    write_patch(&patch);
+    // `decompress` and `compact` take no `--backend`; they use `fs`.
+    let takes_backend = |name: &str| !matches!(name, "decompress" | "compact");
+    let lifecycle = |backend: Option<&str>| {
+        let dir = tmp(&format!("through_{}", backend.unwrap_or("default")));
+        let (stream, raw, store) = (dir.join("s.eblc"), dir.join("s.raw"), dir.join("m.ebms"));
+        let flags: Vec<&str> = backend.map(|b| vec!["--backend", b]).unwrap_or_default();
+        let eblcio = |name: &str| {
+            let mut cmd = Command::new(bin());
+            cmd.arg(name);
+            if takes_backend(name) {
+                cmd.args(&flags);
+            }
+            cmd
+        };
+        let boxed = ["--origin", "8x8", "--extent", "16x16"];
+        let outs = [
+            (
+                "compress",
+                run_ok(eblcio(COMPRESS_SZX[0]).args(&COMPRESS_SZX[1..]).arg(&input).arg(&stream)),
+            ),
+            ("decompress", run_ok(eblcio("decompress").arg(&stream).arg(&raw))),
+            ("inspect", run_ok(eblcio("inspect").arg(&stream))),
+            (
+                "compress",
+                run_ok(
+                    eblcio(COMPRESS_SZX[0])
+                        .args(&COMPRESS_SZX[1..])
+                        .args(["--chunk", "16x16", "--mutable"])
+                        .arg(&input)
+                        .arg(&store),
+                ),
+            ),
+            ("update", run_ok(eblcio("update").arg(&store).args(boxed).arg(&patch))),
+            ("query", run_ok(eblcio("query").arg(&store).args(boxed))),
+            ("compact", run_ok(eblcio("compact").arg(&store))),
+            ("inspect", run_ok(eblcio("inspect").arg("--json").arg(&store))),
+        ];
+        let files: Vec<Vec<u8>> =
+            [&stream, &raw, &store].iter().map(|p| std::fs::read(p).unwrap()).collect();
+        (files, outs)
+    };
+
+    let (expected, _) = lifecycle(None);
+    for backend in ["fs", "memory", "object", "object-fs"] {
+        let (files, outs) = lifecycle(Some(backend));
+        assert!(files == expected, "--backend {backend} wrote different bytes");
+        for (name, out) in &outs {
+            let billed = backend.starts_with("object") && takes_backend(name);
+            assert_eq!(out.contains("object store:"), billed, "{name} --backend {backend}:\n{out}");
+        }
+    }
+}
+
+/// `update` (on any backend) and `compact` write `--out` anywhere: an
+/// in-place run (written through the backend) and an `--out` run (a
+/// detached copy, written once) leave the same bytes, and the `--out`
+/// run leaves its input as it was.
+#[test]
+fn out_files_land_anywhere_with_the_bytes_of_an_in_place_run() {
+    let input = tmp("out_in.raw");
+    let patch = tmp("out_patch.raw");
+    let original = tmp("out_store.ebms");
+    write_ramp_f32(&input, 4096);
+    write_patch(&patch);
+    run_ok(
+        Command::new(bin())
+            .args(COMPRESS_SZX)
+            .args(["--chunk", "16x16", "--mutable"])
+            .arg(&input)
+            .arg(&original),
+    );
+    let before = std::fs::read(&original).unwrap();
+
+    for backend in ["fs", "object"] {
+        let in_place = tmp(&format!("out_in_place_{backend}.ebms"));
+        std::fs::write(&in_place, &before).unwrap();
+        let elsewhere = tmp(&format!("out_elsewhere_{backend}")).join("nested").join("u.ebms");
+        let compacted = elsewhere.with_file_name("c.ebms");
+        let update = |store: &PathBuf| {
+            let mut cmd = Command::new(bin());
+            cmd.args(["update", "--backend", backend, "--origin", "0x0", "--extent", "16x16"])
+                .arg(store)
+                .arg(&patch);
+            cmd
+        };
+        run_ok(&mut update(&in_place));
+        run_ok(update(&original).arg("--out").arg(&elsewhere));
+        assert_eq!(std::fs::read(&original).unwrap(), before, "{backend}: --out touched the input");
+        assert_eq!(std::fs::read(&elsewhere).unwrap(), std::fs::read(&in_place).unwrap());
+
+        run_ok(Command::new(bin()).arg("compact").arg(&in_place));
+        run_ok(Command::new(bin()).arg("compact").arg(&elsewhere).arg("--out").arg(&compacted));
+        assert_eq!(std::fs::read(&compacted).unwrap(), std::fs::read(&in_place).unwrap());
+    }
+}
+
+/// A failed run leaves no directory behind where its store file was to
+/// be: a `compress` or `update --out` that fails before it has bytes to
+/// write, or a read of a file in a directory that does not exist.
+#[test]
+fn a_failed_run_in_a_missing_directory_creates_nothing() {
+    let input = tmp("nowrite_in.raw");
+    let store = tmp("nowrite.ebms");
+    write_ramp_f32(&input, 4096);
+    run_ok(
+        Command::new(bin())
+            .args(COMPRESS_SZX)
+            .args(["--chunk", "16x16", "--mutable"])
+            .arg(&input)
+            .arg(&store),
+    );
+    let missing = tmp("nowrite_missing");
+    for backend in ["fs", "memory", "object", "object-fs"] {
+        // The input holds 64x64 samples, not 64x65.
+        let compress = Command::new(bin())
+            .args(["compress", "--codec", "szx", "--eps", "1e-3", "--dims", "64x65"])
+            .args(["--backend", backend])
+            .arg(&input)
+            .arg(missing.join("s.eblc"))
+            .output()
+            .unwrap();
+        assert_eq!(compress.status.code(), Some(1), "{backend}");
+        assert!(String::from_utf8_lossy(&compress.stderr).contains("size does not match"));
+        // The region does not fit in the 64x64 store.
+        let update = Command::new(bin())
+            .args(["update", "--backend", backend, "--origin", "60x60", "--extent", "16x16"])
+            .arg(&store)
+            .arg(&input)
+            .arg("--out")
+            .arg(missing.join("u.ebms"))
+            .output()
+            .unwrap();
+        assert_eq!(update.status.code(), Some(1), "{backend}");
+        assert!(String::from_utf8_lossy(&update.stderr).contains("does not fit"), "{backend}");
+        // There is no store file to read.
+        let inspect = Command::new(bin())
+            .args(["inspect", "--backend", backend])
+            .arg(missing.join("x.eblc"))
+            .output()
+            .unwrap();
+        assert_eq!(inspect.status.code(), Some(1), "{backend}");
+        assert!(String::from_utf8_lossy(&inspect.stderr).contains("no object stored"));
+        assert!(!missing.exists(), "{backend}: a failed run created {missing:?}");
+    }
+}
+
+/// A failed in-place `update` of a plain `EBCS` store leaves the file as
+/// it was: the import is written only together with the update.
+#[test]
+fn a_failed_update_does_not_import_the_store() {
+    let input = tmp("noimport_in.raw");
+    let patch = tmp("noimport_patch.raw");
+    let store = tmp("noimport.ebcs");
+    write_ramp_f32(&input, 4096);
+    write_patch(&patch);
+    run_ok(
+        Command::new(bin()).args(COMPRESS_SZX).args(["--chunk", "16x16"]).arg(&input).arg(&store),
+    );
+    let before = std::fs::read(&store).unwrap();
+    for backend in [None, Some("fs"), Some("object-fs")] {
+        let st = Command::new(bin())
+            .arg("update")
+            .arg(&store)
+            .args(["--origin", "60x60", "--extent", "16x16"])
+            .arg(&patch)
+            .args(backend.map(|b| ["--backend", b]).into_iter().flatten())
+            .output()
+            .unwrap();
+        assert_eq!(st.status.code(), Some(1), "{backend:?}");
+        assert!(String::from_utf8_lossy(&st.stderr).contains("does not fit"), "{backend:?}");
+        assert_eq!(std::fs::read(&store).unwrap(), before, "{backend:?}: the file changed");
+    }
 }
 
 /// Kills the spawned `eblcio serve` child when the test ends, pass or
