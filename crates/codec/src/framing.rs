@@ -1,8 +1,7 @@
 //! Shared container framing: the shape/dtype/bound fields and CRC
 //! trailer plumbing that every self-describing container in the
-//! workspace uses — the `EBLC` stream header, the `EBLP` parallel
-//! container, and `eblcio_store`'s `EBCS` manifest all speak through
-//! these helpers instead of re-parsing the byte grammar by hand.
+//! workspace uses — the `EBLC` stream header and `eblcio_store`'s
+//! `EBCS` manifest both speak through these helpers instead of re-parsing the byte grammar by hand.
 
 use crate::error::{CodecError, Result};
 use crate::util::{crc32, put_varint, ByteReader};

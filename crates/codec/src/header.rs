@@ -56,7 +56,7 @@ impl Header {
 pub(crate) const BAD_DTYPE: CodecError = CodecError::Corrupt { context: "dtype tag" };
 
 /// The one check of a container's dtype tag against the element type a
-/// caller asked for — `EBLC`/`EBLP` streams, stores, store writers and
+/// caller asked for — `EBLC` streams, stores, store writers and
 /// readers all come here. A tag naming a known type other than `T` is a
 /// [`CodecError::DtypeMismatch`]; a tag naming no type at all is
 /// container corruption, reported as such rather than as a mismatch

@@ -20,11 +20,12 @@
 //!   build them (the five paper codecs are the preset chains, behind one
 //!   [`Compressor`] trait),
 //! * [`framing`] — shared container framing (shape/dtype/bound fields,
-//!   CRC trailers) used by `EBLC`, `EBLP`, and the store's `EBCS`,
+//!   CRC trailers) used by `EBLC` and the store's `EBCS`,
 //! * [`lossless`] — the shuffle, fpzip and FPC byte stages that, with
 //!   [`lz`], make up Figure 1's lossless baselines,
-//! * [`parallel`] — the "OpenMP mode": thread-chunked compression used
-//!   for the paper's strong-scaling study (Fig. 10).
+//! * [`parallel`] — the shared per-width rayon pools the chunked store
+//!   runs on; the paper's "OpenMP mode" (Fig. 10) is such a store with
+//!   one dimension-0 slab per thread.
 //!
 //! Every codec guarantees the paper's Eq. 1 value-range relative error
 //! bound, enforced by construction and verified by property tests.
@@ -55,10 +56,6 @@ pub use chain::{ChainSpec, CodecChain};
 pub use codecs::{qoz::Qoz, sz2::Sz2, sz3::Sz3, szx::Szx, zfp::Zfp};
 pub use error::{CodecError, Result};
 pub use header::check_dtype;
-pub use parallel::{
-    compress_parallel, decompress_parallel, decompress_parallel_any, parallel_stream_info,
-    ParallelStreamInfo,
-};
 pub use scratch::{with_scratch, CodecScratch};
 pub use stage::{ArrayStage, ByteStage, ByteStageSpec};
 pub use traits::{

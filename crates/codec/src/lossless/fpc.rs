@@ -139,8 +139,17 @@ impl ByteStage for Fpc {
         let bits = lz::decompress(&stream[r.position()..])?;
         let mut br = BitReader::new(&bits);
 
+        // `n` is untrusted: every sample costs at least a selector bit
+        // and three leading-zero-byte bits of the decoded bit stream.
+        if n > bits.len().saturating_mul(2) {
+            return Err(CodecError::Corrupt { context: "fpc count" });
+        }
+        let raw_len = n
+            .checked_mul(esize)
+            .and_then(|b| b.checked_add(tail.len()))
+            .ok_or(CodecError::Corrupt { context: "fpc count" })?;
         let mut pred = Predictors::new();
-        let mut out = Vec::with_capacity(n * esize + tail.len());
+        let mut out = Vec::with_capacity(raw_len);
         for _ in 0..n {
             let sel = br.get_bit("fpc selector")?;
             let lzb = br.get_bits(3, "fpc lzb")? as u32;
@@ -154,7 +163,7 @@ impl ByteStage for Fpc {
             }
         }
         out.extend_from_slice(&tail);
-        if out.len() != n * esize + tail.len() {
+        if out.len() != raw_len {
             return Err(CodecError::Corrupt { context: "fpc output length" });
         }
         Ok(out)
@@ -164,6 +173,21 @@ impl ByteStage for Fpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn forged_count_is_corrupt_before_allocating() {
+        for n in [u64::MAX / 4, 1 << 40] {
+            let mut stream = vec![8];
+            put_varint(&mut stream, n);
+            put_varint(&mut stream, 0);
+            stream.extend_from_slice(&lz::compress(&[0; 16]));
+            assert_eq!(
+                Fpc::new(8).inverse(&stream),
+                Err(CodecError::Corrupt { context: "fpc count" }),
+                "n = {n}"
+            );
+        }
+    }
 
     #[test]
     fn roundtrip_f64() {

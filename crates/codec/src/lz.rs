@@ -23,6 +23,9 @@ pub const WINDOW: usize = 1 << 16;
 pub const MIN_MATCH: usize = 4;
 /// Nibble value meaning "length continues in a varint".
 const NIBBLE_EXT: u64 = 15;
+/// Output bytes [`decompress_into`] reserves per input byte before
+/// decoding; a stream that expands further grows its output as it goes.
+const RESERVE_PER_INPUT_BYTE: usize = 16;
 
 const HASH_BITS: u32 = 16;
 
@@ -132,17 +135,21 @@ pub fn decompress_into(buf: &[u8], out: &mut Vec<u8>) -> Result<()> {
         return Err(CodecError::Corrupt { context: "lz raw length" });
     }
     out.clear();
-    out.reserve(raw_len);
+    // `raw_len` is untrusted: reserve no more than a small multiple of
+    // the input up front; longer (RLE) outputs grow as they are pushed.
+    out.reserve(raw_len.min(buf.len().saturating_mul(RESERVE_PER_INPUT_BYTE)));
     while out.len() < raw_len {
         let tok = r.u8("lz token")?;
         let lit_nib = u64::from(tok >> 4);
         let m_nib = u64::from(tok & 0x0f);
         let lit_n = if lit_nib == NIBBLE_EXT {
-            lit_nib + r.varint("lz literal length")?
+            lit_nib
+                .checked_add(r.varint("lz literal length")?)
+                .ok_or(CodecError::Corrupt { context: "lz literal length" })?
         } else {
             lit_nib
         } as usize;
-        if out.len() + lit_n > raw_len {
+        if lit_n > raw_len - out.len() {
             return Err(CodecError::Corrupt { context: "lz literal overrun" });
         }
         out.extend_from_slice(r.take(lit_n, "lz literals")?);
@@ -161,11 +168,14 @@ pub fn decompress_into(buf: &[u8], out: &mut Vec<u8>) -> Result<()> {
             } else {
                 0
             };
-            let match_len = (m_nib + m_extra - 1) as usize + MIN_MATCH;
+            let match_len = m_extra
+                .checked_add(m_nib - 1 + MIN_MATCH as u64)
+                .ok_or(CodecError::Corrupt { context: "lz match length" })?
+                as usize;
             if offset == 0 || offset > out.len() {
                 return Err(CodecError::Corrupt { context: "lz offset" });
             }
-            if out.len() + match_len > raw_len {
+            if match_len > raw_len - out.len() {
                 return Err(CodecError::Corrupt { context: "lz match overrun" });
             }
             // Byte-at-a-time copy: supports overlapping matches (RLE).
@@ -285,6 +295,47 @@ mod tests {
             }
             c[i] = orig;
         }
+    }
+
+    /// A forged stream: `raw_len`, then `tail` as its body.
+    fn forged(raw_len: u64, tail: &[u8]) -> Vec<u8> {
+        let mut s = Vec::new();
+        put_varint(&mut s, raw_len);
+        s.extend_from_slice(tail);
+        s
+    }
+
+    fn is_corrupt(stream: &[u8], context: &str) -> bool {
+        matches!(decompress(stream), Err(CodecError::Corrupt { context: c }) if c == context)
+    }
+
+    #[test]
+    fn forged_raw_length_is_not_reserved_up_front() {
+        // 2^40 bytes promised, one lit-only empty token delivered.
+        assert!(is_corrupt(&forged(1 << 40, &[0x00]), "lz empty match"));
+        assert!(decompress(&forged(1 << 40, &[])).is_err());
+    }
+
+    #[test]
+    fn forged_literal_length_is_corrupt() {
+        let mut tail = vec![0xF0];
+        put_varint(&mut tail, u64::MAX);
+        assert!(is_corrupt(&forged(100, &tail), "lz literal length"));
+        let mut tail = vec![0xF0];
+        put_varint(&mut tail, u64::MAX - NIBBLE_EXT);
+        assert!(is_corrupt(&forged(100, &tail), "lz literal overrun"));
+    }
+
+    #[test]
+    fn forged_match_length_is_corrupt() {
+        // One literal, then a match at offset 1 whose length varint
+        // is near `u64::MAX`.
+        let mut tail = vec![0x1F, b'a', 1];
+        put_varint(&mut tail, u64::MAX);
+        assert!(is_corrupt(&forged(100, &tail), "lz match length"));
+        let mut tail = vec![0x1F, b'a', 1];
+        put_varint(&mut tail, u64::MAX - 32);
+        assert!(is_corrupt(&forged(100, &tail), "lz match overrun"));
     }
 
     #[test]

@@ -8,11 +8,12 @@
 
 use eblcio_codec::{compress_dataset, decompress_any, CodecError, Compressor, ErrorBound};
 use eblcio_data::{
-    dispatch_dtype, metrics::QualityReport, stats::repeat_until_ci, Dataset, RunningStats,
+    dispatch_dtype, metrics::QualityReport, stats::repeat_until_ci, Dataset, RunningStats, Shape,
 };
 use eblcio_energy::{measure::energy_for_wall, Activity, CpuGeneration, Joules, Seconds};
 use eblcio_pfs::format::DataObject;
 use eblcio_pfs::{tool::write_objects, IoToolKind, PfsSim};
+use eblcio_store::ChunkedStore;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -76,12 +77,12 @@ impl CampaignRunner {
     ) -> Result<WallCell, CodecError> {
         let threads_exec = effective_threads(threads);
         let stream = run_compress(data, codec, bound, threads_exec)?;
-        let recon = run_decompress(codec, &stream, threads_exec)?;
+        let recon = run_decompress(&stream, threads_exec)?;
         let quality = quality_of(data, &recon, stream.len())?;
         let compress_wall = self
             .repeat_timed(|| run_compress(data, codec, bound, threads_exec).map(|s| s.len()))?;
         let decompress_wall =
-            self.repeat_timed(|| run_decompress(codec, &stream, threads_exec).map(|r| r.len()))?;
+            self.repeat_timed(|| run_decompress(&stream, threads_exec).map(|r| r.len()))?;
         Ok(WallCell {
             codec: codec.name().to_string(),
             threads,
@@ -154,6 +155,11 @@ pub fn effective_threads(threads: u32) -> u32 {
     threads.clamp(1, host)
 }
 
+/// One cell's compressed stream. Serial mode is a bare `EBLC` stream;
+/// the threaded "OpenMP mode" (§IV-C, Fig. 10) is an `EBCS` chunked
+/// store with one dimension-0 slab of `ceil(d0 / threads)` rows per
+/// thread, compressed on the shared pool of that width with ε resolved
+/// once against the global value range.
 fn run_compress(
     data: &Dataset,
     codec: &dyn Compressor,
@@ -161,23 +167,25 @@ fn run_compress(
     threads: u32,
 ) -> Result<Vec<u8>, CodecError> {
     if threads <= 1 {
-        compress_dataset(codec, data, bound)
-    } else {
-        dispatch_dtype!(Dataset(a) = data =>
-            eblcio_codec::compress_parallel(codec, a, bound, threads as usize))
+        return compress_dataset(codec, data, bound);
     }
+    let threads = threads as usize;
+    dispatch_dtype!(Dataset(a) = data => {
+        let mut slab = a.shape().dims().to_vec();
+        slab[0] = slab[0].div_ceil(threads);
+        ChunkedStore::write(codec, a, bound, Shape::new(&slab), threads)
+    })
 }
 
-fn run_decompress(
-    codec: &dyn Compressor,
-    stream: &[u8],
-    threads: u32,
-) -> Result<Dataset, CodecError> {
+/// Decodes a [`run_compress`] stream into the precision it records,
+/// each slab once on `threads` workers.
+fn run_decompress(stream: &[u8], threads: u32) -> Result<Dataset, CodecError> {
     if threads <= 1 {
-        decompress_any(stream)
-    } else {
-        eblcio_codec::decompress_parallel_any(codec, stream, threads as usize)
+        return decompress_any(stream);
     }
+    let store = ChunkedStore::open(stream)?;
+    dispatch_dtype!(E = store.dtype() => store.read_full::<E>(threads as usize).map(Dataset::from))
+        .unwrap_or(Err(CodecError::Corrupt { context: "dtype tag" }))
 }
 
 fn quality_of(
@@ -322,7 +330,7 @@ mod tests {
     use super::*;
     use eblcio_codec::CompressorId;
     use eblcio_data::generators::Scale;
-    use eblcio_data::{DatasetKind, DatasetSpec};
+    use eblcio_data::{DatasetKind, DatasetSpec, NdArray};
 
     fn tiny_nyx() -> Dataset {
         DatasetSpec::new(DatasetKind::Nyx, Scale::Tiny).generate()
@@ -385,7 +393,7 @@ mod tests {
         assert!(cell.quality.within_bound(1e-3));
     }
 
-    /// The parallel path reads the precision off the `EBLP` header:
+    /// The threaded path reads the precision off the store manifest:
     /// an f64 stream comes back as `Dataset::F64` after one decode per
     /// slab, not after a failed f32 pass. `fpzip2` appears in no other
     /// test of this binary, so its decode clock counts only this one.
@@ -394,14 +402,54 @@ mod tests {
         let data = DatasetSpec::new(DatasetKind::S3d, Scale::Tiny).generate();
         let codec = eblcio_codec::ChainSpec::parse("szx+fpzip2").unwrap().build().unwrap();
         let stream = run_compress(&data, &codec, ErrorBound::Relative(1e-3), 3).unwrap();
-        let info = eblcio_codec::parallel_stream_info(&stream).unwrap();
-        assert_eq!((info.dtype, info.n_chunks), (data.dtype(), 3));
+        let store = ChunkedStore::open(&stream).unwrap();
+        // Three threads over 4 rows: slabs of ceil(4 / 3) = 2 rows.
+        assert_eq!(data.shape().dim(0), 4);
+        assert_eq!((store.dtype(), store.n_chunks()), (data.dtype(), 2));
         let clock = eblcio_obs::global().histogram("eblcio_codec_fpzip2_decode_ns");
         let before = clock.count();
-        let back = run_decompress(&codec, &stream, 3).unwrap();
-        assert_eq!(clock.count() - before, 3);
+        let back = run_decompress(&stream, 3).unwrap();
+        assert_eq!(clock.count() - before, 2);
         assert!(matches!(back, Dataset::F64(_)));
         assert!(quality_of(&data, &back, stream.len()).unwrap().within_bound(1e-3));
+    }
+
+    /// More threads than rows: one single-row slab per row, and the
+    /// surplus threads find nothing to claim.
+    #[test]
+    fn more_threads_than_rows_gives_one_slab_per_row() {
+        let data = Dataset::from(NdArray::<f32>::from_fn(Shape::d2(3, 100), |i| {
+            (i[0] * 100 + i[1]) as f32
+        }));
+        let codec = CompressorId::Szx.instance();
+        let stream = run_compress(&data, codec.as_ref(), ErrorBound::Relative(1e-2), 16).unwrap();
+        let store = ChunkedStore::open(&stream).unwrap();
+        assert_eq!((store.n_chunks(), store.chunk_shape()), (3, Shape::d2(1, 100)));
+        let back = run_decompress(&stream, 16).unwrap();
+        assert!(quality_of(&data, &back, stream.len()).unwrap().within_bound(1e-2));
+    }
+
+    /// ε is resolved once on the global range: slabs whose local ranges
+    /// are far narrower than the field's keep the whole-array bound, at
+    /// every thread count.
+    #[test]
+    fn slabs_share_the_global_bound() {
+        let field = NdArray::<f32>::from_fn(Shape::d3(32, 16, 16), |i| {
+            (i[0] as f32).powi(2) + ((i[1] + i[2]) as f32 * 0.3).sin()
+        });
+        let codec = CompressorId::Sz3.instance();
+        let bound = ErrorBound::Relative(1e-3);
+        let abs = bound.to_absolute(field.value_range()).unwrap();
+        let data = Dataset::from(field);
+        for threads in [1, 2, 4, 8] {
+            let stream = run_compress(&data, codec.as_ref(), bound, threads).unwrap();
+            if threads > 1 {
+                let store = ChunkedStore::open(&stream).unwrap();
+                assert_eq!((store.abs_bound(), store.n_chunks()), (abs, threads as usize));
+            }
+            let back = run_decompress(&stream, threads).unwrap();
+            assert!(quality_of(&data, &back, stream.len()).unwrap().within_bound(1e-3), "{threads}");
+        }
     }
 
     /// Measure once, project thrice: between any two platforms the

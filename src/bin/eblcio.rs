@@ -6,7 +6,7 @@
 //! eblcio compress   --codec szx --eps 1e-3 --dims 64x64 --chunk 16x16 --shard 4 in.raw out.ebcs
 //! eblcio compress   --codec szx --eps 1e-3 --dims 64x64 --chunk 16x16 --mutable in.raw out.ebms
 //! eblcio decompress in.eblc out.raw
-//! eblcio inspect    [--json] in.eblc    # EBLC/EBLP streams, EBCS stores, EBMS mutable files
+//! eblcio inspect    [--json] <in.eblc|in.ebcs|in.ebms>
 //! eblcio query      out.ebcs --origin 0x0 --extent 16x16 --repeat 8 --clients 4
 //! eblcio serve      out.ebcs --addr 127.0.0.1:7979 --workers 8 --queue-depth 64
 //! eblcio update     out.ebms --origin 0x0 --extent 16x16 region.raw
@@ -323,7 +323,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "inspect",
         synopsis: "",
-        args: "<in.eblc|in.eblp|in.ebcs|in.ebms>",
+        args: "<in.eblc|in.ebcs|in.ebms>",
         flags: &[("--json", None), BACKEND],
         run: cmd_inspect,
     },
@@ -652,7 +652,6 @@ fn cmd_inspect(args: &Args) -> CliResult {
         match eblcio::inspect::sniff(&stream) {
             Container::Ebcs => inspect_store(input, &stream),
             Container::Ebms => inspect_mutable(input, &stream),
-            Container::Eblp => inspect_parallel(input, &stream),
             Container::Eblc => inspect_stream(input, &stream),
         }
     };
@@ -672,23 +671,6 @@ fn inspect_stream(input: &str, stream: &[u8]) -> CliResult {
     println!("abs bound: {:e}", h.abs_bound);
     println!("payload:   {} B (stream {} B)", payload.len(), stream.len());
     let raw = h.shape.len() * sample_bytes;
-    println!("ratio:     {:.2}x vs raw", raw as f64 / stream.len() as f64);
-    Ok(())
-}
-
-/// Prints an `EBLP` parallel container from its header alone.
-fn inspect_parallel(input: &str, stream: &[u8]) -> CliResult {
-    let info = eblcio::codec::parallel_stream_info(stream).map_err(|e| e.to_string())?;
-    println!("file:      {input}");
-    println!("container: EBLP (parallel slabs)");
-    println!("chain:     {}", info.chain.label());
-    let (dtype, sample_bytes) = dtype_info(info.dtype)?;
-    println!("dtype:     {dtype}");
-    println!("shape:     {}", info.shape);
-    println!("abs bound: {:e}", info.abs_bound);
-    println!("chunks:    {}", info.n_chunks);
-    println!("stream:    {} B", stream.len());
-    let raw = info.shape.len() * sample_bytes;
     println!("ratio:     {:.2}x vs raw", raw as f64 / stream.len() as f64);
     Ok(())
 }

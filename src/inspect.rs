@@ -1,8 +1,7 @@
 //! Machine-readable inspection of every container the workspace
-//! writes: `EBLC` streams, `EBLP` parallel containers, `EBCS`
-//! chunked stores (unsharded and sharded), and `EBMS` mutable store
-//! files (generation history plus the current generation's store
-//! document).
+//! writes: `EBLC` streams, `EBCS` chunked stores (unsharded and
+//! sharded), and `EBMS` mutable store files (generation history plus
+//! the current generation's store document).
 //!
 //! [`inspect_json`] builds a [`serde::Value`] document that
 //! `serde_json` renders to text — the backing for `eblcio inspect
@@ -10,7 +9,6 @@
 //! answers instead of scraping the human tables.
 
 use eblcio_codec::header;
-use eblcio_codec::parallel::{parallel_stream_info, PAR_MAGIC};
 use eblcio_data::{dispatch_dtype, Element};
 use eblcio_obs::{MetricValue, MetricsRegistry};
 use eblcio_store::ChunkedStore;
@@ -21,8 +19,6 @@ use serde::Value;
 pub enum Container {
     /// A single compressed stream.
     Eblc,
-    /// A `compress_parallel` slab container.
-    Eblp,
     /// An immutable chunked store.
     Ebcs,
     /// A mutable (generational) store file.
@@ -36,7 +32,6 @@ pub fn sniff(stream: &[u8]) -> Container {
     match stream.get(..4) {
         Some(m) if m == eblcio_store::manifest::MAGIC => Container::Ebcs,
         Some(m) if m == eblcio_store::mutable::MUTABLE_MAGIC => Container::Ebms,
-        Some(m) if m == PAR_MAGIC => Container::Eblp,
         _ => Container::Eblc,
     }
 }
@@ -61,8 +56,8 @@ fn dtype_name(tag: u8) -> Value {
 
 /// Inspects any workspace container, returning a JSON-ready document.
 ///
-/// Every document carries `container` (`"EBLC"`, `"EBLP"`, `"EBCS"`,
-/// or `"EBMS"`), `version`, `dtype`, `shape`, `abs_bound`, and
+/// Every document carries `container` (`"EBLC"`, `"EBCS"`, or
+/// `"EBMS"`), `version`, `dtype`, `shape`, `abs_bound`, and
 /// `stream_bytes`; store documents add the grid, chain table, per-chunk
 /// rows, and — when sharded — the shard table. Mutable store files
 /// report the generation history, reclaimable bytes, and the current
@@ -71,7 +66,6 @@ pub fn inspect_json(stream: &[u8]) -> Result<Value, String> {
     let mut doc = match sniff(stream) {
         Container::Ebcs => store_json(stream),
         Container::Ebms => mutable_json(stream),
-        Container::Eblp => parallel_json(stream),
         Container::Eblc => stream_json(stream),
     }?;
     // With telemetry on (`--metrics` / `EBLCIO_METRICS=1`), the
@@ -126,19 +120,6 @@ fn stream_json(stream: &[u8]) -> Result<Value, String> {
         ("payload_bytes", Value::U64(payload.len() as u64)),
         ("stream_bytes", Value::U64(stream.len() as u64)),
         ("ratio_vs_raw", Value::F64(raw as f64 / stream.len() as f64)),
-    ]))
-}
-
-fn parallel_json(stream: &[u8]) -> Result<Value, String> {
-    let info = parallel_stream_info(stream).map_err(|e| e.to_string())?;
-    Ok(map(vec![
-        ("container", Value::Str("EBLP".into())),
-        ("chain", Value::Str(info.chain.label())),
-        ("dtype", dtype_name(info.dtype)),
-        ("shape", usize_seq(info.shape.dims())),
-        ("abs_bound", Value::F64(info.abs_bound)),
-        ("n_chunks", Value::U64(info.n_chunks as u64)),
-        ("stream_bytes", Value::U64(stream.len() as u64)),
     ]))
 }
 
@@ -257,7 +238,7 @@ fn store_doc(store: &ChunkedStore, version: u8, stream_bytes: u64) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eblcio_codec::{compress, compress_parallel, CompressorId, ErrorBound};
+    use eblcio_codec::{compress, CompressorId, ErrorBound};
     use eblcio_data::{NdArray, Shape};
 
     fn data() -> NdArray<f32> {
@@ -283,17 +264,6 @@ mod tests {
         // Preset chains label as their paper codec name.
         assert_eq!(doc.get("chain").unwrap().as_str(), Some("SZ3"));
         assert_eq!(doc.get("shape").unwrap().as_seq().unwrap().len(), 2);
-        roundtrips(&doc);
-    }
-
-    #[test]
-    fn eblp_parallel_document() {
-        let codec = CompressorId::Szx.instance();
-        let stream =
-            compress_parallel(codec.as_ref(), &data(), ErrorBound::Relative(1e-3), 4).unwrap();
-        let doc = inspect_json(&stream).unwrap();
-        assert_eq!(doc.get("container").unwrap().as_str(), Some("EBLP"));
-        assert_eq!(doc.get("n_chunks").unwrap().as_f64(), Some(4.0));
         roundtrips(&doc);
     }
 

@@ -86,9 +86,8 @@ pub mod inspect;
 /// Commonly used items, importable with `use eblcio::prelude::*;`.
 pub mod prelude {
     pub use eblcio_codec::{
-        compress, compress_dataset, compress_parallel, compress_view, decompress, decompress_any,
-        decompress_parallel, decompress_region, parallel_stream_info, ByteStageSpec, ChainSpec,
-        CodecChain, Compressor, CompressorId, ErrorBound,
+        compress, compress_dataset, compress_view, decompress, decompress_any, decompress_region,
+        ByteStageSpec, ChainSpec, CodecChain, Compressor, CompressorId, ErrorBound,
     };
     pub use eblcio_data::{
         compression_ratio, dispatch_dtype, max_rel_error, psnr, ArrayView, Dataset, DatasetKind,

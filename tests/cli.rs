@@ -357,26 +357,31 @@ fn json_inspect_covers_streams_too() {
     assert_eq!(dims, vec![64.0, 64.0]);
 }
 
-/// The CLI cannot write an `EBLP` parallel container, only read one:
-/// both inspect modes route a library-written stream by the same magic
-/// sniff and report the same header.
+/// Fig. 10's OpenMP mode writes an `EBCS` store of one dimension-0
+/// slab per thread, which the CLI never writes itself: both inspect
+/// modes report a library-written one, refuse it cut short or with
+/// trailing bytes, and refuse a file with the magic of the retired
+/// slab container (`EBL` + `P`) with a typed error rather than a panic.
 #[test]
 fn inspect_reads_parallel_containers_in_both_modes() {
-    use eblcio::codec::{compress_parallel, CompressorId, ErrorBound};
+    use eblcio::codec::{CompressorId, ErrorBound};
     use eblcio::data::{NdArray, Shape};
+    use eblcio::store::ChunkedStore;
 
     let data = NdArray::<f32>::from_fn(Shape::d2(64, 48), |i| {
         (i[0] as f32 * 0.1).sin() * 5.0 + i[1] as f32 * 0.02
     });
     let codec = CompressorId::Szx.instance();
-    let stream = compress_parallel(codec.as_ref(), &data, ErrorBound::Relative(1e-3), 4).unwrap();
-    let path = tmp("slabs.eblp");
+    let slabs = Shape::d2(16, 48);
+    let stream =
+        ChunkedStore::write(codec.as_ref(), &data, ErrorBound::Relative(1e-3), slabs, 4).unwrap();
+    let path = tmp("slabs.ebcs");
     std::fs::write(&path, &stream).unwrap();
 
     let st = Command::new(bin()).arg("inspect").arg(&path).output().unwrap();
     assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
     let text = String::from_utf8_lossy(&st.stdout);
-    for want in ["EBLP", "SZx", "f32", "64x48", "chunks:    4"] {
+    for want in ["EBCS", "SZx", "f32", "64x48", "4 chunks of 16x48"] {
         assert!(text.contains(want), "no {want:?} in\n{text}");
     }
 
@@ -384,9 +389,34 @@ fn inspect_reads_parallel_containers_in_both_modes() {
     assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
     let text = String::from_utf8_lossy(&st.stdout);
     let doc: serde::Value = serde_json::from_str(text.trim()).unwrap();
-    assert_eq!(doc.get("container").unwrap().as_str(), Some("EBLP"));
-    assert_eq!(doc.get("chain").unwrap().as_str(), Some("SZx"));
-    assert_eq!(doc.get("n_chunks").unwrap().as_f64(), Some(4.0));
+    assert_eq!(doc.get("container").unwrap().as_str(), Some("EBCS"));
+    assert_eq!(doc.get("chunks").unwrap().as_seq().unwrap().len(), 4);
+
+    let mut padded = stream.clone();
+    padded.extend_from_slice(b"junk");
+    let mut retired = b"EBL".to_vec();
+    retired.push(b'P');
+    retired.extend_from_slice(&stream[4..]);
+    for (name, bytes, why) in [
+        ("cut", &stream[..stream.len() - 1], ""),
+        ("padded", &padded[..], ""),
+        ("retired", &retired[..], "bad magic"),
+    ] {
+        let bad = tmp(&format!("slabs_{name}.ebcs"));
+        std::fs::write(&bad, bytes).unwrap();
+        for json in [false, true] {
+            let mut cmd = Command::new(bin());
+            cmd.arg("inspect");
+            if json {
+                cmd.arg("--json");
+            }
+            let st = cmd.arg(&bad).output().unwrap();
+            let err = String::from_utf8_lossy(&st.stderr);
+            assert_eq!(st.status.code(), Some(1), "{name} json={json}: {err}");
+            assert!(err.starts_with("error: ") && err.contains(why), "{name}: {err}");
+            assert!(!err.contains("panicked"), "{name}: {err}");
+        }
+    }
 }
 
 /// The full mutable-store lifecycle through the CLI:

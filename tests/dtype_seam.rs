@@ -14,7 +14,6 @@ fn wrong_element_type_is_a_typed_mismatch_on_every_container_and_decodes_nothing
     let chain = ChainSpec::parse(&stages.join("+")).unwrap().build().unwrap();
     let bound = ErrorBound::Relative(1e-3);
     let eblc = compress(&chain, &data, bound).unwrap();
-    let eblp = compress_parallel(&chain, &data, bound, 2).unwrap();
     let ebcs = ChunkedStore::write(&chain, &data, bound, Shape::d2(16, 12), 2).unwrap();
     let store = ChunkedStore::open(&ebcs).unwrap();
     let region = Region::new(&[4, 4], &[8, 8]);
@@ -29,7 +28,7 @@ fn wrong_element_type_is_a_typed_mismatch_on_every_container_and_decodes_nothing
     let wrong: [(&str, CodecError); 6] = [
         ("EBLC", decompress::<f64>(&chain, &eblc).unwrap_err()),
         ("EBLC region", decompress_region::<f64>(&chain, &eblc, &[0, 0], &[2, 2]).unwrap_err()),
-        ("EBLP", decompress_parallel::<f64>(&chain, &eblp, 2).unwrap_err()),
+        ("ChunkedStore full", store.read_full::<f64>(2).unwrap_err()),
         ("ChunkedStore chunk", store.read_chunk::<f64>(0).unwrap_err()),
         ("ChunkedStore region", store.read_region::<f64>(&region).unwrap_err()),
         (
@@ -48,9 +47,9 @@ fn wrong_element_type_is_a_typed_mismatch_on_every_container_and_decodes_nothing
     }
     assert_eq!(decodes(), before, "a refused read must not reach a codec stage");
 
-    // The right `T` reads the same four containers.
+    // The right `T` reads the same containers.
     let whole: NdArray<f32> = decompress(&chain, &eblc).unwrap();
-    assert_eq!(decompress_parallel::<f32>(&chain, &eblp, 2).unwrap().shape(), whole.shape());
+    assert_eq!(store.read_full::<f32>(2).unwrap().shape(), whole.shape());
     let reader = ArrayReader::<f32>::over(store, ReaderConfig::default()).unwrap();
     assert_eq!(reader.read_region(&region).unwrap().shape(), region.shape());
     assert!(decodes() > before);

@@ -133,24 +133,35 @@ fn degraded_pfs_slows_but_still_functions() {
     assert!(d.bandwidth_bps > 0.0);
 }
 
+/// The OpenMP-mode container — an `EBCS` store of one dimension-0 slab
+/// per thread — refuses a wrong element type, truncations and trailing
+/// bytes.
 #[test]
 fn parallel_container_rejects_mixed_and_truncated() {
-    use eblcio::codec::{compress_parallel, decompress_parallel};
     let data = DatasetSpec::new(DatasetKind::Cesm, Scale::Tiny).generate();
+    let data = data.as_f32();
+    let mut slab = data.shape().dims().to_vec();
+    slab[0] = slab[0].div_ceil(4);
     let sz3 = CompressorId::Sz3.instance();
-    let szx = CompressorId::Szx.instance();
-    let stream =
-        compress_parallel(sz3.as_ref(), data.as_f32(), ErrorBound::Relative(1e-3), 4).unwrap();
-    // Wrong codec.
-    assert!(decompress_parallel::<f32>(szx.as_ref(), &stream, 4).is_err());
+    let stream = ChunkedStore::write(
+        sz3.as_ref(),
+        data,
+        ErrorBound::Relative(1e-3),
+        Shape::new(&slab),
+        4,
+    )
+    .unwrap();
+    let read = |s: &[u8]| ChunkedStore::open(s).and_then(|st| st.read_full::<f32>(4));
+    assert_eq!(read(&stream).unwrap().shape(), data.shape());
     // Wrong dtype.
-    assert!(decompress_parallel::<f64>(sz3.as_ref(), &stream, 4).is_err());
-    // Truncated at every chunk boundary region.
+    let store = ChunkedStore::open(&stream).unwrap();
+    assert!(matches!(store.read_full::<f64>(4), Err(CodecError::DtypeMismatch { .. })));
+    // Truncated in the manifest, in a slab and before the last byte.
     for cut in [0, 8, stream.len() / 3, stream.len() - 2] {
-        assert!(decompress_parallel::<f32>(sz3.as_ref(), &stream[..cut], 4).is_err());
+        assert!(read(&stream[..cut]).is_err(), "cut {cut}");
     }
     // Trailing garbage.
     let mut padded = stream.clone();
     padded.extend_from_slice(b"junk");
-    assert!(decompress_parallel::<f32>(sz3.as_ref(), &padded, 4).is_err());
+    assert!(ChunkedStore::open(&padded).is_err());
 }
