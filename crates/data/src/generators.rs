@@ -17,6 +17,17 @@
 //! | EXAFEL    | 2-D stack          | f32 | detector images: shot noise + bright Bragg spots (nearly incompressible losslessly) |
 //!
 //! All generators are pure functions of `(kind, scale, seed)`.
+//!
+//! Generation runs on every core the process may use
+//! (`std::thread::available_parallelism`) and stays bit-identical to one
+//! thread. The vendored `StdRng` is SplitMix64, a counter, so a worker
+//! seeks its own copy to its share of the normal draws; a box-blur pass
+//! sweeps whole lines or bounded column tiles, each line in its one
+//! order; the pointwise passes split by sample; and the mean and variance
+//! sums stay in sample order on the calling thread. HACC and EXAFEL draw
+//! a variable number of words per sample, so they run on one thread.
+//! `tests/synthesis_digests.rs` pins the output recorded from the
+//! single-threaded generators.
 
 use crate::array::NdArray;
 use crate::dispatch_dtype;
@@ -205,53 +216,58 @@ impl DatasetSpec {
         self.scale.shape_for(self.kind)
     }
 
-    /// Generates the data set.
+    /// Generates the data set, on every core the process may use; the
+    /// samples do not depend on how many that is.
     pub fn generate(&self) -> Dataset {
-        let shape = self.shape();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let base = match self.kind {
-            DatasetKind::Cesm => Dataset::F32(gen_cesm(shape, &mut rng)),
-            DatasetKind::Hacc => Dataset::F32(gen_hacc(shape, &mut rng)),
-            DatasetKind::Nyx => Dataset::F32(gen_nyx(shape, &mut rng)),
-            DatasetKind::S3d => Dataset::F64(gen_s3d(shape, &mut rng)),
-            DatasetKind::QmcPack => Dataset::F32(gen_qmcpack(shape, &mut rng)),
-            DatasetKind::Isabel => Dataset::F32(gen_isabel(shape, &mut rng)),
-            DatasetKind::ExaFel => Dataset::F32(gen_exafel(shape, &mut rng)),
-        };
-        match self.variable {
-            Variable::Primary => base,
-            Variable::Velocity => apply_variable(base, shape, &mut rng, 1.0, 0.35),
-            Variable::DerivedScalar => apply_variable(base, shape, &mut rng, 0.3, 0.02),
-        }
+        synthesize(self.kind, self.variable, self.shape(), &mut rng, synthesis_workers())
     }
 }
 
-/// Turns the primary field into another variable of the same run:
-/// a rescaled copy plus `turb_amp` multi-scale turbulence and
-/// `noise_amp` white noise (both relative to the base value range).
-fn apply_variable(
-    mut base: Dataset,
+/// `kind`'s `variable` over `shape`, drawing from `rng`, on `workers`
+/// threads. Every worker count gives the same bytes and leaves `rng` in
+/// the same state.
+fn synthesize(
+    kind: DatasetKind,
+    variable: Variable,
     shape: Shape,
     rng: &mut StdRng,
-    turb_amp: f64,
-    noise_amp: f64,
+    workers: usize,
 ) -> Dataset {
+    let base = match kind {
+        DatasetKind::Cesm => Dataset::F32(gen_cesm(shape, rng, workers)),
+        DatasetKind::Hacc => Dataset::F32(gen_hacc(shape, rng)),
+        DatasetKind::Nyx => Dataset::F32(gen_nyx(shape, rng, workers)),
+        DatasetKind::S3d => Dataset::F64(gen_s3d(shape, rng, workers)),
+        DatasetKind::QmcPack => Dataset::F32(gen_qmcpack(shape, rng, workers)),
+        DatasetKind::Isabel => Dataset::F32(gen_isabel(shape, rng, workers)),
+        DatasetKind::ExaFel => Dataset::F32(gen_exafel(shape, rng)),
+    };
+    let amps = match variable {
+        Variable::Primary => return base,
+        Variable::Velocity => (1.0, 0.35),
+        Variable::DerivedScalar => (0.3, 0.02),
+    };
+    // Another variable of the same run: half the primary field plus
+    // `turb_amp` multi-scale turbulence and `noise_amp` white noise (both
+    // relative to the primary's value range).
     fn perturb<T: Element>(
-        a: &mut NdArray<T>,
+        a: &NdArray<T>,
         turb: &[f64],
         rng: &mut StdRng,
-        turb_amp: f64,
-        noise_amp: f64,
-    ) {
+        (turb_amp, noise_amp): (f64, f64),
+        workers: usize,
+    ) -> NdArray<T> {
         let range = a.value_range().max(1e-9);
-        for (v, t) in a.as_mut_slice().iter_mut().zip(turb) {
-            let n = normal(rng);
-            *v = T::from_f64(v.to_f64() * 0.5 + range * (turb_amp * t + noise_amp * n));
-        }
+        let base = a.as_slice();
+        let mut data = vec![T::default(); base.len()];
+        map_normals(&mut data, rng, workers, |i, n| {
+            T::from_f64(base[i].to_f64() * 0.5 + range * (turb_amp * turb[i] + noise_amp * n))
+        });
+        NdArray::from_vec(a.shape(), data)
     }
-    let turb = multiscale_field(shape, 2, shape.dim(shape.rank() - 1).max(8) / 8, rng);
-    dispatch_dtype!(Dataset(a) = &mut base => perturb(a, &turb, rng, turb_amp, noise_amp));
-    base
+    let turb = multiscale_on(shape, 2, shape.dim(shape.rank() - 1).max(8) / 8, rng, workers);
+    dispatch_dtype!(Dataset(a) = &base => Dataset::from(perturb(a, &turb, rng, amps, workers)))
 }
 
 /// An owned array of either precision: what generators produce and what
@@ -373,13 +389,114 @@ impl DatasetView<'_> {
 // Field-construction primitives
 // ---------------------------------------------------------------------------
 
+/// Worker threads for one synthesis: every core the process may use.
+fn synthesis_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A pass gives each worker at least this many samples; smaller fields
+/// stay on the calling thread, where a spawn would cost more than it saves.
+const MIN_WORKER_SAMPLES: usize = 1 << 12;
+
+/// Samples in one worker's blur tile: 1 MiB of `f64`.
+const TILE_SAMPLES: usize = (1 << 20) / 8;
+
+/// How many of `workers` a pass over `samples` samples uses.
+fn pass_workers(samples: usize, workers: usize) -> usize {
+    workers.min(samples / MIN_WORKER_SAMPLES).max(1)
+}
+
+/// Cuts `data` into at most `workers` runs of whole `unit`-item groups and
+/// calls `f(first_item, run)` on each: the first run on the calling
+/// thread, every other on a scoped thread of one scope for the whole
+/// pass. Returns each run's result, in order.
+fn par_runs<T: Send, R: Send>(
+    data: &mut [T],
+    unit: usize,
+    workers: usize,
+    f: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
+    let groups = data.len() / unit.max(1);
+    let workers = workers.min(groups).max(1);
+    if workers == 1 {
+        return vec![f(0, data)];
+    }
+    let run = groups.div_ceil(workers) * unit;
+    let (head, tail) = data.split_at_mut(run);
+    let f = &f;
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..)
+            .zip(tail.chunks_mut(run))
+            .map(|(k, r)| s.spawn(move || f(k * run, r)))
+            .collect();
+        let mut out = vec![f(0, head)];
+        for handle in spawned {
+            match handle.join() {
+                Ok(r) => out.push(r),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+}
+
+/// [`par_runs`] over single samples, each worker taking at least
+/// [`MIN_WORKER_SAMPLES`].
+fn par_samples<T: Send, R: Send>(
+    data: &mut [T],
+    workers: usize,
+    f: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
+    par_runs(data, 1, pass_workers(data.len(), workers), f)
+}
+
+/// One Box–Muller draw: `None` (after one word) when `u1` is rejected.
+fn try_normal(rng: &mut StdRng) -> Option<f64> {
+    let u1: f64 = rng.random();
+    if u1 > 1e-12 {
+        let u2: f64 = rng.random();
+        return Some((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos());
+    }
+    None
+}
+
 /// Standard normal sample via Box–Muller (avoids a rand_distr dependency).
 fn normal(rng: &mut StdRng) -> f64 {
     loop {
-        let u1: f64 = rng.random();
-        if u1 > 1e-12 {
-            let u2: f64 = rng.random();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        if let Some(z) = try_normal(rng) {
+            return z;
+        }
+    }
+}
+
+/// Sets `out[i] = f(i, z_i)`, where `z_0, z_1, …` are what successive
+/// [`normal`] calls on `rng` return, and leaves `rng` where that loop
+/// would. A draw takes two words unless `u1` is rejected, so each worker
+/// seeks its own copy of `rng` to its run's first sample. A rejection
+/// (p = 1e-12 per sample) shifts the rest of the stream: everything from
+/// the first run that met one on is redone by the sequential loop.
+fn map_normals<T: Send>(
+    out: &mut [T],
+    rng: &mut StdRng,
+    workers: usize,
+    f: impl Fn(usize, f64) -> T + Sync,
+) {
+    let origin = rng.clone();
+    let runs = par_samples(out, workers, |start, run| {
+        let mut rng = origin.clone();
+        rng.seek(2 * start as u64);
+        for (i, slot) in run.iter_mut().enumerate() {
+            *slot = f(start + i, try_normal(&mut rng).ok_or(start)?);
+        }
+        Ok(())
+    });
+    match runs.into_iter().find_map(Result::err) {
+        None => rng.seek(2 * out.len() as u64),
+        Some(start) => {
+            rng.seek(2 * start as u64);
+            for (i, slot) in out[start..].iter_mut().enumerate() {
+                *slot = f(start + i, normal(rng));
+            }
         }
     }
 }
@@ -388,46 +505,91 @@ fn normal(rng: &mut StdRng) -> f64 {
 /// sliding-window running sum (O(n) regardless of radius). Three passes
 /// approximate a Gaussian kernel well; this is how the multi-scale GRFs
 /// acquire their correlation length.
-fn box_blur_axis(data: &mut [f64], shape: Shape, axis: usize, r: usize) {
-    if r == 0 {
-        return;
-    }
+///
+/// Every line gets the same adds, subtracts and divides in the same
+/// order whatever the worker count. Contiguous lines (the last axis) go
+/// to workers whole. Along a strided axis the field is `outer` slabs of
+/// `n` rows × `stride` columns; workers sweep bounded column tiles of a
+/// slab, all of a tile's lines at once.
+fn box_blur_axis(data: &mut [f64], shape: Shape, axis: usize, r: usize, workers: usize) {
     let n = shape.dim(axis);
-    if n == 1 {
+    if r == 0 || n == 1 {
         return;
     }
     let stride = shape.strides()[axis];
-    let total = shape.len();
-    let lines = total / n;
-    let mut line = vec![0.0f64; n];
-    // Enumerate the starting offset of every 1-D line along `axis`.
-    for l in 0..lines {
-        // Decompose l into coordinates of the other axes.
-        let mut rem = l;
-        let mut base = 0usize;
-        for d in (0..shape.rank()).rev() {
-            if d == axis {
-                continue;
+    let workers = pass_workers(data.len(), workers);
+    if stride == 1 {
+        par_runs(data, n, workers, |_, lines| {
+            let mut line = vec![0.0f64; n];
+            for out in lines.chunks_exact_mut(n) {
+                line.copy_from_slice(out);
+                blur_line(&line, out, r);
             }
-            let dim = shape.dim(d);
-            let c = rem % dim;
-            rem /= dim;
-            base += c * shape.strides()[d];
+        });
+        return;
+    }
+    let width = (TILE_SAMPLES / n).clamp(1, stride.div_ceil(workers));
+    let per_row = stride.div_ceil(width);
+    let mut tiles: Vec<Vec<&mut [f64]>> = (0..data.len() / stride / n * per_row)
+        .map(|_| Vec::with_capacity(n))
+        .collect();
+    for (row, cells) in data.chunks_mut(stride).enumerate() {
+        let first = row / n * per_row;
+        for (tile, piece) in tiles[first..].iter_mut().zip(cells.chunks_mut(width)) {
+            tile.push(piece);
         }
-        for (i, slot) in line.iter_mut().enumerate() {
-            *slot = data[base + i * stride];
+    }
+    par_runs(&mut tiles, 1, workers, |_, tiles| {
+        let mut src = vec![0.0f64; n * width];
+        let mut acc = vec![0.0f64; width];
+        for rows in tiles {
+            let w = rows[0].len();
+            for (dst, row) in src.chunks_exact_mut(w).zip(rows.iter()) {
+                dst.copy_from_slice(row);
+            }
+            blur_tile(&src[..n * w], w, rows, r, &mut acc[..w]);
         }
-        // Sliding window mean with clamped (replicated) boundaries.
-        let w = 2 * r + 1;
-        let mut acc = 0.0;
-        for k in -(r as isize)..=(r as isize) {
-            acc += line[k.clamp(0, n as isize - 1) as usize];
+    });
+}
+
+/// The sliding window of radius `r` over one line, with clamped
+/// (replicated) boundaries.
+fn blur_line(line: &[f64], out: &mut [f64], r: usize) {
+    let n = line.len() as isize;
+    let at = |i: isize| line[i.clamp(0, n - 1) as usize];
+    let (r, width) = (r as isize, (2 * r + 1) as f64);
+    let mut acc = 0.0;
+    for k in -r..=r {
+        acc += at(k);
+    }
+    for (i, o) in (0..).zip(out.iter_mut()) {
+        *o = acc / width;
+        acc += at(i + r + 1) - at(i - r);
+    }
+}
+
+/// [`blur_line`] down each of the `w` columns of `src` (`rows.len()`
+/// rows, row-major) at once, with the same operations in the same order,
+/// writing row `i` of the result to `rows[i]`.
+fn blur_tile(src: &[f64], w: usize, rows: &mut [&mut [f64]], r: usize, acc: &mut [f64]) {
+    let n = rows.len() as isize;
+    let at = |i: isize| {
+        let i = i.clamp(0, n - 1) as usize;
+        &src[i * w..(i + 1) * w]
+    };
+    let (r, width) = (r as isize, (2 * r + 1) as f64);
+    acc.fill(0.0);
+    for k in -r..=r {
+        for (a, v) in acc.iter_mut().zip(at(k)) {
+            *a += v;
         }
-        for i in 0..n {
-            data[base + i * stride] = acc / w as f64;
-            let out = (i as isize - r as isize).clamp(0, n as isize - 1) as usize;
-            let inn = (i as isize + r as isize + 1).clamp(0, n as isize - 1) as usize;
-            acc += line[inn] - line[out];
+    }
+    for (i, dst) in (0..).zip(rows.iter_mut()) {
+        for (d, a) in dst.iter_mut().zip(&*acc) {
+            *d = a / width;
+        }
+        for ((a, x), o) in acc.iter_mut().zip(at(i + r + 1)).zip(at(i - r)) {
+            *a += x - o;
         }
     }
 }
@@ -438,66 +600,94 @@ fn box_blur_axis(data: &mut [f64], shape: Shape, axis: usize, r: usize) {
 /// approximate a Gaussian kernel. The result is renormalized to unit
 /// standard deviation.
 pub fn gaussian_random_field(shape: Shape, radius: usize, passes: usize, rng: &mut StdRng) -> Vec<f64> {
-    let mut f: Vec<f64> = (0..shape.len()).map(|_| normal(rng)).collect();
+    grf_on(shape, radius, passes, rng, synthesis_workers())
+}
+
+fn grf_on(
+    shape: Shape,
+    radius: usize,
+    passes: usize,
+    rng: &mut StdRng,
+    workers: usize,
+) -> Vec<f64> {
+    let mut f = vec![0.0f64; shape.len()];
+    map_normals(&mut f, rng, workers, |_, z| z);
     for _ in 0..passes {
         for axis in 0..shape.rank() {
-            box_blur_axis(&mut f, shape, axis, radius);
+            box_blur_axis(&mut f, shape, axis, radius, workers);
         }
     }
-    normalize_unit(&mut f);
+    normalize_unit(&mut f, workers);
     f
 }
 
 /// Sum of GRFs at geometrically growing correlation lengths — the
 /// "turbulence" texture used by the CESM/NYX/S3D analogs.
 pub fn multiscale_field(shape: Shape, octaves: usize, base_radius: usize, rng: &mut StdRng) -> Vec<f64> {
+    multiscale_on(shape, octaves, base_radius, rng, synthesis_workers())
+}
+
+fn multiscale_on(
+    shape: Shape,
+    octaves: usize,
+    base_radius: usize,
+    rng: &mut StdRng,
+    workers: usize,
+) -> Vec<f64> {
     let mut out = vec![0.0f64; shape.len()];
     let mut amp = 1.0;
     let mut radius = base_radius;
     for _ in 0..octaves {
-        let f = gaussian_random_field(shape, radius, 2, rng);
-        for (o, v) in out.iter_mut().zip(&f) {
-            *o += amp * v;
-        }
+        let f = grf_on(shape, radius, 2, rng, workers);
+        par_samples(&mut out, workers, |start, run| {
+            for (o, v) in run.iter_mut().zip(&f[start..]) {
+                *o += amp * v;
+            }
+        });
         amp *= 0.5;
         radius = (radius / 2).max(1);
     }
-    normalize_unit(&mut out);
+    normalize_unit(&mut out, workers);
     out
 }
 
-fn normalize_unit(f: &mut [f64]) {
+/// Shifts and scales `f` to zero mean and unit variance. The two sums
+/// run in sample order on the calling thread — another order would
+/// round differently; only the scaling runs on workers.
+fn normalize_unit(f: &mut [f64], workers: usize) {
     let n = f.len() as f64;
     let mean = f.iter().sum::<f64>() / n;
     let var = f.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
     let sd = var.sqrt().max(1e-30);
-    for v in f.iter_mut() {
-        *v = (*v - mean) / sd;
-    }
+    par_samples(f, workers, |_, run| {
+        for v in run {
+            *v = (*v - mean) / sd;
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Per-data-set recipes
 // ---------------------------------------------------------------------------
 
-fn gen_cesm(shape: Shape, rng: &mut StdRng) -> NdArray<f32> {
+fn gen_cesm(shape: Shape, rng: &mut StdRng, workers: usize) -> NdArray<f32> {
     // Temperature-like field: per-level base value, strong smooth
     // latitudinal gradient, multi-scale weather texture, faint noise.
-    let (levels, lat, lon) = (shape.dim(0), shape.dim(1), shape.dim(2));
+    let (lat, lon) = (shape.dim(1), shape.dim(2));
     let plane = Shape::d2(lat, lon);
-    let mut data = Vec::with_capacity(shape.len());
-    for k in 0..levels {
-        let base = 288.0 - 6.5 * k as f64; // lapse-rate profile
-        let texture = multiscale_field(plane, 3, lat.max(8) / 8, rng);
-        for i in 0..lat {
+    let gradient: Vec<f64> = (0..lat)
+        .map(|i| {
             let latf = (i as f64 / (lat - 1).max(1) as f64 - 0.5) * std::f64::consts::PI;
-            let gradient = 30.0 * latf.cos().powi(2);
-            for j in 0..lon {
-                let t = texture[i * lon + j];
-                let v = base + gradient + 4.0 * t + 0.05 * normal(rng);
-                data.push(v as f32);
-            }
-        }
+            30.0 * latf.cos().powi(2)
+        })
+        .collect();
+    let mut data = vec![0.0f32; shape.len()];
+    for (k, level) in data.chunks_exact_mut(plane.len()).enumerate() {
+        let base = 288.0 - 6.5 * k as f64; // lapse-rate profile
+        let texture = multiscale_on(plane, 3, lat.max(8) / 8, rng, workers);
+        map_normals(level, rng, workers, |i, z| {
+            (base + gradient[i / lon] + 4.0 * texture[i] + 0.05 * z) as f32
+        });
     }
     NdArray::from_vec(shape, data)
 }
@@ -526,45 +716,47 @@ fn gen_hacc(shape: Shape, rng: &mut StdRng) -> NdArray<f32> {
     NdArray::from_vec(shape, data)
 }
 
-fn gen_nyx(shape: Shape, rng: &mut StdRng) -> NdArray<f32> {
+fn gen_nyx(shape: Shape, rng: &mut StdRng, workers: usize) -> NdArray<f32> {
     // Log-normal baryon density: exp(a·GRF). Smooth with huge dynamic
     // range, giving the enormous CR at loose bounds seen in Table III.
-    let f = multiscale_field(shape, 3, shape.dim(0).max(8) / 8, rng);
-    let data: Vec<f32> = f.iter().map(|&v| (2.0 * v).exp() as f32).collect();
+    let f = multiscale_on(shape, 3, shape.dim(0).max(8) / 8, rng, workers);
+    let mut data = vec![0.0f32; shape.len()];
+    par_samples(&mut data, workers, |start, run| {
+        for (d, v) in run.iter_mut().zip(&f[start..]) {
+            *d = (2.0 * v).exp() as f32;
+        }
+    });
     NdArray::from_vec(shape, data)
 }
 
-fn gen_s3d(shape: Shape, rng: &mut StdRng) -> NdArray<f64> {
+fn gen_s3d(shape: Shape, rng: &mut StdRng, workers: usize) -> NdArray<f64> {
     // Species mass fractions around a propagating flame front: a tanh
     // transition sheet perturbed by turbulence, one 3-D field per species.
     let (species, nx, ny, nz) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
     let vol = Shape::d3(nx, ny, nz);
-    let mut data = Vec::with_capacity(shape.len());
-    for s in 0..species {
-        let turb = multiscale_field(vol, 3, nx.max(8) / 8, rng);
+    let mut data = vec![0.0f64; shape.len()];
+    for (s, field) in data.chunks_exact_mut(vol.len()).enumerate() {
+        let turb = multiscale_on(vol, 3, nx.max(8) / 8, rng, workers);
         let front = 0.35 + 0.3 * (s as f64 / species.max(1) as f64);
         let sharp = 12.0 + 2.0 * s as f64;
         let amp = 0.02 + 0.2 * ((s * 7919) % 10) as f64 / 10.0;
-        for i in 0..nx {
-            let x = i as f64 / nx as f64;
-            for j in 0..ny {
-                for k in 0..nz {
-                    let t = turb[(i * ny + j) * nz + k];
-                    let phase = sharp * (x - front + 0.08 * t);
-                    let v = amp * 0.5 * (1.0 + phase.tanh()) + 1e-4 * t.abs();
-                    data.push(v);
-                }
+        par_samples(field, workers, |start, run| {
+            for (idx, v) in (start..).zip(run) {
+                let x = (idx / (ny * nz)) as f64 / nx as f64;
+                let t = turb[idx];
+                let phase = sharp * (x - front + 0.08 * t);
+                *v = amp * 0.5 * (1.0 + phase.tanh()) + 1e-4 * t.abs();
             }
-        }
+        });
     }
     NdArray::from_vec(shape, data)
 }
 
-fn gen_qmcpack(shape: Shape, rng: &mut StdRng) -> NdArray<f32> {
+fn gen_qmcpack(shape: Shape, rng: &mut StdRng, workers: usize) -> NdArray<f32> {
     // Orbital-like oscillatory envelope: product of smooth GRF and a
     // radial oscillation. Smooth ⇒ lossy compresses well; oscillation
     // defeats lossless byte-level schemes (Fig. 1).
-    let f = gaussian_random_field(shape, shape.dim(0).max(8) / 8, 2, rng);
+    let f = grf_on(shape, shape.dim(0).max(8) / 8, 2, rng, workers);
     let (nx, ny, nz) = (shape.dim(0), shape.dim(1), shape.dim(2));
     let mut data = Vec::with_capacity(shape.len());
     for i in 0..nx {
@@ -579,10 +771,10 @@ fn gen_qmcpack(shape: Shape, rng: &mut StdRng) -> NdArray<f32> {
     NdArray::from_vec(shape, data)
 }
 
-fn gen_isabel(shape: Shape, rng: &mut StdRng) -> NdArray<f32> {
+fn gen_isabel(shape: Shape, rng: &mut StdRng, workers: usize) -> NdArray<f32> {
     // Hurricane pressure: deep smooth vortex low + weather texture.
     let (nx, ny, nz) = (shape.dim(0), shape.dim(1), shape.dim(2));
-    let texture = multiscale_field(shape, 2, ny.max(8) / 8, rng);
+    let texture = multiscale_on(shape, 2, ny.max(8) / 8, rng, workers);
     let (cy, cz) = (ny as f64 / 2.0, nz as f64 / 2.0);
     let mut data = Vec::with_capacity(shape.len());
     for i in 0..nx {
@@ -759,6 +951,101 @@ mod tests {
         let d = spec.generate();
         assert!(matches!(d, Dataset::F64(_)));
         assert!(d.as_f64().as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+    /// Every kind and variable, at `Tiny` and at shapes large enough that
+    /// each pass splits among all eight workers, gives the same bytes and
+    /// leaves the RNG in the same state whatever the worker count.
+    #[test]
+    fn worker_count_changes_no_bit() {
+        let mut cases: Vec<(DatasetKind, Variable, Shape)> = Vec::new();
+        for kind in [
+            DatasetKind::Cesm,
+            DatasetKind::Hacc,
+            DatasetKind::Nyx,
+            DatasetKind::S3d,
+            DatasetKind::QmcPack,
+            DatasetKind::Isabel,
+            DatasetKind::ExaFel,
+        ] {
+            for variable in Variable::ALL {
+                cases.push((kind, variable, Scale::Tiny.shape_for(kind)));
+            }
+        }
+        cases.push((DatasetKind::Cesm, Variable::Velocity, Shape::d3(2, 90, 400)));
+        cases.push((DatasetKind::S3d, Variable::Primary, Shape::d4(2, 32, 40, 36)));
+        cases.push((DatasetKind::Nyx, Variable::DerivedScalar, Shape::d3(37, 41, 43)));
+        for (kind, variable, shape) in cases {
+            let run = |workers| {
+                let mut rng = StdRng::seed_from_u64(0x5EED ^ kind as u64);
+                let bytes = synthesize(kind, variable, shape, &mut rng, workers).to_le_bytes();
+                (bytes, rng)
+            };
+            let serial = run(1);
+            for &workers in &WORKER_COUNTS[1..] {
+                let parallel = run(workers);
+                assert!(parallel.0 == serial.0, "{kind:?}/{variable:?}/{workers}: bytes");
+                assert_eq!(parallel.1, serial.1, "{kind:?}/{variable:?}/{workers}: rng");
+            }
+        }
+    }
+
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// The multiplicative inverse of odd `c` modulo 2^64 (Newton's
+    /// iteration doubles the correct low bits each step).
+    fn inverse(c: u64) -> u64 {
+        (0..6).fold(c, |x, _| x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x))))
+    }
+
+    /// Undoes `y = x ^ (x >> s)`.
+    fn unshift(y: u64, s: u32) -> u64 {
+        (0..64 / s).fold(y, |x, _| y ^ (x >> s))
+    }
+
+    /// The SplitMix64 state whose finalizer outputs `word`.
+    fn unmix(word: u64) -> u64 {
+        let z = unshift(word, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        let z = unshift(z, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(z, 30)
+    }
+
+    /// A seed whose draw number `d` (from 0) is `word`.
+    fn seed_drawing(word: u64, d: u64) -> u64 {
+        unmix(word).wrapping_sub((d + 1).wrapping_mul(GAMMA))
+    }
+
+    /// A draw of 0 (or of 2^11, which is u1 = 2^-53) forces Box–Muller's
+    /// rejection at a chosen sample: in the caller's run, inside a
+    /// spawned worker's, and at the very last sample. The shifted stream
+    /// must come out exactly as the sequential loop makes it.
+    #[test]
+    fn a_rejected_draw_falls_back_to_the_sequential_stream() {
+        let len = 3 * 8192;
+        for (word, sample) in [(0, 5), (0, 8192 + 100), (1 << 11, 2 * 8192 + 7), (0, len - 1)] {
+            let seed = seed_drawing(word, 2 * sample as u64);
+            let mut probe = StdRng::seed_from_u64(seed);
+            probe.seek(2 * sample as u64);
+            assert_eq!(probe.random::<u64>(), word, "the seed draws {word} at sample {sample}");
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sequential: Vec<f64> = (0..len).map(|_| normal(&mut rng)).collect();
+            let mut unshifted = StdRng::seed_from_u64(seed);
+            unshifted.seek(2 * len as u64);
+            assert_ne!(rng, unshifted, "sample {sample} was rejected once");
+            for workers in WORKER_COUNTS {
+                let mut parallel = StdRng::seed_from_u64(seed);
+                let mut out = vec![0.0f64; len];
+                map_normals(&mut out, &mut parallel, workers, |_, z| z);
+                assert!(
+                    out.iter().map(|v| v.to_bits()).eq(sequential.iter().map(|v| v.to_bits())),
+                    "sample {sample}, {workers} workers: samples"
+                );
+                assert_eq!(parallel, rng, "sample {sample}, {workers} workers: rng");
+            }
+        }
     }
 
     #[test]

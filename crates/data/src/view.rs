@@ -102,7 +102,44 @@ impl<'a, T: Element> From<&'a NdArray<T>> for ArrayView<'a, T> {
 }
 
 /// `(min, max)` over the finite samples of a slice.
+///
+/// Eight independent lanes break the compare chain of an in-order scan,
+/// so the loop vectorizes; non-finite samples stand in as ±∞. The lanes
+/// find the same values in any order, but a zero's sign would be the
+/// first one some lane saw, so a zero result re-scans in order, where
+/// ties keep the first-seen sign.
 pub(crate) fn slice_min_max<T: Element>(data: &[T]) -> Option<(T, T)> {
+    const LANES: usize = 8;
+    let (inf, neg_inf) = (T::from_f64(f64::INFINITY), T::from_f64(f64::NEG_INFINITY));
+    let lower = |a: T, b: T| if b < a { b } else { a };
+    let upper = |a: T, b: T| if b > a { b } else { a };
+    let mut mn = [inf; LANES];
+    let mut mx = [neg_inf; LANES];
+    let mut step = |lanes: &[T]| {
+        for ((lo, hi), &v) in mn.iter_mut().zip(&mut mx).zip(lanes) {
+            let finite = v.is_finite();
+            *lo = lower(*lo, if finite { v } else { inf });
+            *hi = upper(*hi, if finite { v } else { neg_inf });
+        }
+    };
+    let mut chunks = data.chunks_exact(LANES);
+    for lanes in &mut chunks {
+        step(lanes);
+    }
+    step(chunks.remainder());
+    let (lo, hi) = (mn.into_iter().fold(inf, lower), mx.into_iter().fold(neg_inf, upper));
+    if lo == inf {
+        return None;
+    }
+    let zero = T::default();
+    if lo == zero || hi == zero {
+        return slice_min_max_in_order(data);
+    }
+    Some((lo, hi))
+}
+
+/// [`slice_min_max`] as one in-order scan.
+fn slice_min_max_in_order<T: Element>(data: &[T]) -> Option<(T, T)> {
     let mut it = data.iter().copied().filter(|v| v.is_finite());
     let first = it.next()?;
     let mut mn = first;

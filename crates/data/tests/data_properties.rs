@@ -48,6 +48,52 @@ fn slice_kernels_match_per_element<T: Element>(samples: &[T]) {
     }
 }
 
+/// Sample bits for the min/max scan: ordinary values with many ties and
+/// zeros of both signs, mixed with the awkward patterns of [`arb_bits`].
+fn arb_scan_bits() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        arb_bits(),
+        (-4i32..5).prop_map(|v| {
+            let (wide, narrow) = (v as f64 / 2.0, v as f32 / 2.0);
+            wide.to_bits() & !0xFFFF_FFFF | narrow.to_bits() as u64
+        }),
+        (0u64..2).prop_map(|k| [0, 0x8000_0000_8000_0000][k as usize]),
+    ]
+}
+
+/// The in-order scan `min_max` must agree with, bit for bit: the first
+/// finite sample starts both ends, and only a strictly smaller (larger)
+/// sample replaces the min (max), so a zero keeps its first-seen sign.
+fn in_order_min_max<T: Element>(data: &[T]) -> Option<(T::Bits, T::Bits)> {
+    let mut it = data.iter().copied().filter(|v| v.is_finite());
+    let first = it.next()?;
+    let (mut mn, mut mx) = (first, first);
+    for v in it {
+        if v < mn {
+            mn = v;
+        }
+        if v > mx {
+            mx = v;
+        }
+    }
+    Some((mn.to_bits(), mx.to_bits()))
+}
+
+/// Checks `min_max` on `samples` as given (`sign` 0), or with every
+/// non-zero finite sample made positive (1) or negative (2), so that a
+/// zero is the min or the max.
+fn min_max_matches_in_order<T: Element>(mut samples: Vec<T>, sign: u8) {
+    if sign != 0 {
+        for v in samples.iter_mut().filter(|v| v.is_finite() && v.to_f64() != 0.0) {
+            let mag = v.to_f64().abs();
+            *v = T::from_f64(if sign == 1 { mag } else { -mag });
+        }
+    }
+    let want = in_order_min_max(&samples);
+    let a = NdArray::from_vec(Shape::d1(samples.len()), samples);
+    assert_eq!(a.min_max().map(|(lo, hi)| (lo.to_bits(), hi.to_bits())), want);
+}
+
 fn arb_array() -> impl Strategy<Value = NdArray<f64>> {
     (arb_shape(), any::<u64>()).prop_map(|(shape, seed)| {
         let mut x = seed | 1;
@@ -103,6 +149,15 @@ proptest! {
         let narrow: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b as u32)).collect();
         slice_kernels_match_per_element(&wide);
         slice_kernels_match_per_element(&narrow);
+    }
+
+    #[test]
+    fn min_max_is_bit_identical_to_the_in_order_scan(
+        bits in proptest::collection::vec(arb_scan_bits(), 1..150),
+        sign in 0u8..3,
+    ) {
+        min_max_matches_in_order(bits.iter().map(|&b| f64::from_bits(b)).collect(), sign);
+        min_max_matches_in_order(bits.iter().map(|&b| f32::from_bits(b as u32)).collect(), sign);
     }
 
     #[test]
