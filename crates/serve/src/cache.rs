@@ -40,29 +40,24 @@ pub struct CacheConfig {
     /// way can admit at least one entry, however small the budget or
     /// large the chunk (see [`DecodedChunkCache::insert`]).
     pub capacity_bytes: usize,
-    /// Number of independently locked ways the key space is sharded
-    /// over (rounded up to at least 1).
-    pub ways: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self {
-            capacity_bytes: 256 << 20,
-            ways: 8,
-        }
+        Self::with_capacity_mib(256)
     }
 }
 
 impl CacheConfig {
-    /// A cache bounded to `mib` mebibytes with the default way count.
+    /// A cache bounded to `mib` mebibytes.
     pub fn with_capacity_mib(mib: usize) -> Self {
-        Self {
-            capacity_bytes: mib << 20,
-            ..Self::default()
-        }
+        Self { capacity_bytes: mib << 20 }
     }
 }
+
+/// Independently locked ways the key space is sharded over: chunk `i`
+/// lives in way `i % WAYS`, under a `capacity_bytes / WAYS` budget.
+const WAYS: usize = 8;
 
 /// Counters describing cache behaviour since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,9 +88,9 @@ struct Way<T: Element> {
 /// The cache proper. Keys pair a chunk index (raster order of the
 /// store's grid) with the chunk's content fingerprint.
 pub struct DecodedChunkCache<T: Element> {
-    ways: Vec<Mutex<Way<T>>>,
-    /// Per-way byte budget: `capacity_bytes / ways`, clamped to at
-    /// least 1 so a degenerate config (`capacity_bytes < ways`) still
+    ways: [Mutex<Way<T>>; WAYS],
+    /// Per-way byte budget: `capacity_bytes / WAYS`, clamped to at
+    /// least 1 so a degenerate config (`capacity_bytes < WAYS`) still
     /// admits entries instead of silently caching nothing. `None` when
     /// `capacity_bytes == 0`: the cache is explicitly disabled.
     capacity_per_way: Option<usize>,
@@ -111,18 +106,15 @@ pub struct DecodedChunkCache<T: Element> {
 impl<T: Element> DecodedChunkCache<T> {
     /// Creates an empty cache with the given bounds.
     pub fn new(config: CacheConfig) -> Self {
-        let ways = config.ways.max(1);
         Self {
-            ways: (0..ways)
-                .map(|_| {
-                    Mutex::new(Way {
-                        map: HashMap::new(),
-                        bytes: 0,
-                    })
+            ways: std::array::from_fn(|_| {
+                Mutex::new(Way {
+                    map: HashMap::new(),
+                    bytes: 0,
                 })
-                .collect(),
+            }),
             capacity_per_way: (config.capacity_bytes > 0)
-                .then(|| (config.capacity_bytes / ways).max(1)),
+                .then(|| (config.capacity_bytes / WAYS).max(1)),
             tick: AtomicU64::new(0),
             hits: Arc::new(Counter::new()),
             misses: Arc::new(Counter::new()),
@@ -142,7 +134,7 @@ impl<T: Element> DecodedChunkCache<T> {
     }
 
     fn way(&self, key: ChunkKey) -> &Mutex<Way<T>> {
-        &self.ways[key.0 % self.ways.len()]
+        &self.ways[key.0 % WAYS]
     }
 
     /// Looks `key` up without touching the hit/miss counters or the
@@ -192,7 +184,7 @@ impl<T: Element> DecodedChunkCache<T> {
     /// exceeded only when one entry alone exceeds it, and only by that
     /// entry. (The alternative — refusing oversized chunks — silently
     /// degenerates into "cache nothing, decode every request" whenever
-    /// chunks outgrow `capacity_bytes / ways`.) A zero-budget config
+    /// chunks outgrow `capacity_bytes / WAYS`.) A zero-budget config
     /// disables the cache: every insert is dropped.
     pub fn insert(&self, key: ChunkKey, chunk: Arc<NdArray<T>>) {
         let Some(capacity) = self.capacity_per_way else {
@@ -248,10 +240,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_resident_accounting() {
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 4096,
-            ways: 2,
-        });
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: 4096 });
         assert!(c.get((0, 1)).is_none());
         c.insert((0, 1), chunk(1.0, 16));
         assert_eq!(c.get((0, 1)).unwrap().as_slice()[0], 1.0);
@@ -263,20 +252,18 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_capacity() {
-        // One way of 256 bytes = four 16-sample f32 chunks.
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 256,
-            ways: 1,
-        });
+        // Ways of 256 bytes = four 16-sample f32 chunks each; keys that
+        // are multiples of WAYS all land in way 0.
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: WAYS * 256 });
         for k in 0..4 {
-            c.insert((k, 1), chunk(k as f32, 16));
+            c.insert((k * WAYS, 1), chunk(k as f32, 16));
         }
-        // Touch 0 so 1 becomes the LRU victim.
+        // Touch 0 so WAYS becomes the LRU victim.
         assert!(c.get((0, 1)).is_some());
-        c.insert((4, 1), chunk(4.0, 16));
-        assert!(c.get((1, 1)).is_none(), "LRU entry should have been evicted");
+        c.insert((4 * WAYS, 1), chunk(4.0, 16));
+        assert!(c.get((WAYS, 1)).is_none(), "LRU entry should have been evicted");
         assert!(c.get((0, 1)).is_some());
-        assert!(c.get((4, 1)).is_some());
+        assert!(c.get((4 * WAYS, 1)).is_some());
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.resident_bytes <= 256);
@@ -284,41 +271,36 @@ mod tests {
 
     /// Regression: an insert larger than a way's whole budget used to
     /// be refused outright, so stores whose chunks outgrew
-    /// `capacity_bytes / ways` silently cached nothing and re-decoded
+    /// `capacity_bytes / WAYS` silently cached nothing and re-decoded
     /// every request. It now evicts the way and lives there alone.
     #[test]
     fn oversized_chunk_is_admitted_alone() {
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 64,
-            ways: 1,
-        });
+        // 64 bytes per way; keys 0 and WAYS share way 0.
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: WAYS * 64 });
         c.insert((0, 1), chunk(0.5, 4));
-        c.insert((1, 1), chunk(0.0, 1024));
+        c.insert((WAYS, 1), chunk(0.0, 1024));
         assert!(c.get((0, 1)).is_none(), "resident entries make way");
-        assert_eq!(c.get((1, 1)).unwrap().len(), 1024);
+        assert_eq!(c.get((WAYS, 1)).unwrap().len(), 1024);
         let s = c.stats();
         assert_eq!(s.resident_chunks, 1);
         assert_eq!(s.resident_bytes, 4096);
         assert_eq!(s.evictions, 1);
     }
 
-    /// Regression: `capacity_bytes < ways` used to floor the per-way
+    /// Regression: `capacity_bytes < WAYS` used to floor the per-way
     /// budget to 0 bytes, silently disabling the cache. Each way now
     /// admits at least one entry.
     #[test]
     fn degenerate_capacity_still_admits_one_entry_per_way() {
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 3,
-            ways: 8,
-        });
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: 3 });
         c.insert((0, 1), chunk(1.0, 16));
         c.insert((1, 1), chunk(2.0, 16));
         assert_eq!(c.get((0, 1)).unwrap().as_slice()[0], 1.0);
         assert_eq!(c.get((1, 1)).unwrap().as_slice()[0], 2.0);
         // Within one way the 1-entry budget still bounds residency.
-        c.insert((8, 1), chunk(3.0, 16));
+        c.insert((WAYS, 1), chunk(3.0, 16));
         assert!(c.get((0, 1)).is_none(), "same way: old entry evicted");
-        assert_eq!(c.get((8, 1)).unwrap().as_slice()[0], 3.0);
+        assert_eq!(c.get((WAYS, 1)).unwrap().as_slice()[0], 3.0);
         assert_eq!(c.stats().resident_chunks, 2);
     }
 
@@ -327,10 +309,7 @@ mod tests {
     /// not be clamped up to a 1-byte budget.
     #[test]
     fn zero_capacity_disables_the_cache() {
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 0,
-            ways: 4,
-        });
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: 0 });
         c.insert((0, 1), chunk(1.0, 16));
         assert!(c.get((0, 1)).is_none());
         let s = c.stats();
@@ -341,10 +320,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_leaking_bytes() {
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 1024,
-            ways: 1,
-        });
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: WAYS * 1024 });
         c.insert((0, 1), chunk(1.0, 16));
         c.insert((0, 1), chunk(2.0, 32));
         let s = c.stats();
@@ -358,10 +334,7 @@ mod tests {
     /// content can never return generation 1's bytes.
     #[test]
     fn fingerprint_isolates_generations() {
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 4096,
-            ways: 2,
-        });
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: 4096 });
         c.insert((3, 1), chunk(1.0, 16));
         assert!(c.get((3, 2)).is_none(), "new generation must miss");
         c.insert((3, 2), chunk(2.0, 16));
@@ -372,10 +345,7 @@ mod tests {
 
     #[test]
     fn remove_reclaims_bytes_without_counting_eviction() {
-        let c = DecodedChunkCache::<f32>::new(CacheConfig {
-            capacity_bytes: 4096,
-            ways: 1,
-        });
+        let c = DecodedChunkCache::<f32>::new(CacheConfig { capacity_bytes: 4096 });
         c.insert((0, 1), chunk(1.0, 16));
         assert!(c.remove((0, 1)));
         assert!(!c.remove((0, 1)), "second remove is a no-op");

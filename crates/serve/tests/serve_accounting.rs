@@ -101,7 +101,7 @@ fn straddling_box() -> Region {
 fn an_uncached_reader_decodes_only_the_delivered_samples() {
     let stream = four_chunk_stream();
     let config = ReaderConfig {
-        cache: CacheConfig { capacity_bytes: 0, ..CacheConfig::default() },
+        cache: CacheConfig { capacity_bytes: 0 },
         ..ReaderConfig::default()
     };
     let reader = ArrayReader::<f32>::open(&stream, config).unwrap();

@@ -38,7 +38,7 @@ fn sharded_stream(id: CompressorId) -> Vec<u8> {
 
 fn uncached(threads: usize, prefetch: PrefetchPolicy) -> ReaderConfig {
     ReaderConfig {
-        cache: CacheConfig { capacity_bytes: 0, ..CacheConfig::default() },
+        cache: CacheConfig { capacity_bytes: 0 },
         threads,
         prefetch,
     }

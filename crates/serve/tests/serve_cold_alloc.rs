@@ -72,7 +72,7 @@ fn cold_read_holds_one_decoded_chunk_per_worker() {
 
     for threads in [1usize, 2, 4] {
         let config = ReaderConfig {
-            cache: CacheConfig { capacity_bytes: 0, ..CacheConfig::default() },
+            cache: CacheConfig { capacity_bytes: 0 },
             threads,
             ..ReaderConfig::default()
         };

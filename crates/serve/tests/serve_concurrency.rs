@@ -165,14 +165,12 @@ fn tight_cache_still_serves_correct_bytes() {
     let shape = Shape::d2(64, 64);
     let stream = sharded_stream(shape, Shape::d2(16, 16));
     let store = ChunkedStore::open(&stream).unwrap();
-    // Budget: two 16×16 f32 chunks (2 KiB), one way — constant churn.
+    // Budget: one 16×16 f32 chunk (1 KiB) in each of the cache's 8
+    // ways; chunks i and i + 8 share a way — constant churn.
     let reader = ArrayReader::<f32>::open(
         &stream,
         ReaderConfig {
-            cache: CacheConfig {
-                capacity_bytes: 2 * 16 * 16 * 4,
-                ways: 1,
-            },
+            cache: CacheConfig { capacity_bytes: 8 * 16 * 16 * 4 },
             ..Default::default()
         },
     )
@@ -185,9 +183,9 @@ fn tight_cache_still_serves_correct_bytes() {
         assert_eq!(served.as_slice(), direct.as_slice(), "pass {pass}");
     }
     let stats = reader.stats();
-    assert!(stats.evictions > 0, "a 2-chunk budget over 16 chunks must evict");
+    assert!(stats.evictions > 0, "an 8-chunk budget over 16 chunks must evict");
     assert!(
-        reader.cache_stats().resident_bytes <= 2 * 16 * 16 * 4,
+        reader.cache_stats().resident_bytes <= 8 * 16 * 16 * 4,
         "cache exceeded its byte budget"
     );
     // Churn forces re-decodes; correctness held anyway (asserted above).

@@ -11,8 +11,11 @@
 //!
 //! * **partial reads** — [`ChunkedStore::read_region`] decompresses
 //!   only the chunks an axis-aligned region intersects,
-//! * **parallel scaling** — writes and full reads fan chunks out over
-//!   the shared rayon pool,
+//! * **parallel scaling** — one chunk-encode loop writes every store
+//!   (each [`ChunkedStore`] writer and [`MutableStore::create`]) with
+//!   chunks fanned out over the shared rayon pool, and
+//!   [`ChunkedStore::read_full`] is a whole-array region read fanned
+//!   out the same way,
 //! * **placement** — chunks map onto PFS object placement
 //!   ([`pfs_io::write_store`] stripes them round-robin across OSTs), so
 //!   only the touched chunks pay I/O energy on read-back,

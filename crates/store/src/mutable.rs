@@ -58,7 +58,7 @@ use crate::grid::{copy_region, Region};
 use crate::manifest::{GenerationMeta, Manifest};
 use crate::metrics::store_metrics;
 use crate::storage::Storage;
-use crate::store::ChunkedStore;
+use crate::store::{encode_uniform, ChunkedStore};
 use eblcio_codec::header::check_dtype;
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::util::crc32;
@@ -133,10 +133,10 @@ fn slot_offset(which: usize) -> usize {
 /// manifest's offsets, lengths, and CRCs are patched to match), the
 /// encoded manifest, and the root written to slot A. `manifest` must
 /// already carry the target generation's metadata (id, parent link,
-/// born_gens); the shared path of [`MutableStore::import`] and
+/// born_gens); the shared path of [`first_generation`] and
 /// [`MutableStore::compact`].
-fn assemble_file(mut manifest: Manifest, payloads: &[&[u8]]) -> Result<MutableStore> {
-    let payload_bytes: usize = payloads.iter().map(|p| p.len()).sum();
+fn assemble_file(mut manifest: Manifest, payloads: &[impl AsRef<[u8]>]) -> Result<MutableStore> {
+    let payload_bytes: usize = payloads.iter().map(|p| p.as_ref().len()).sum();
     let mut file = Vec::with_capacity(SUPERBLOCK_LEN + payload_bytes + 256);
     file.extend_from_slice(MUTABLE_MAGIC);
     file.push(MUTABLE_VERSION);
@@ -146,10 +146,11 @@ fn assemble_file(mut manifest: Manifest, payloads: &[&[u8]]) -> Result<MutableSt
         let Some(meta) = manifest.generation.as_mut() else {
             return Err(CodecError::Internal { context: "assemble_file without generation metadata" });
         };
-        meta.chunk_crcs = payloads.iter().map(|p| crc32(p)).collect();
+        meta.chunk_crcs = payloads.iter().map(|p| crc32(p.as_ref())).collect();
         generation = meta.generation;
     }
     for (entry, payload) in manifest.chunks.iter_mut().zip(payloads) {
+        let payload = payload.as_ref();
         entry.offset = file.len() as u64;
         entry.len = payload.len() as u64;
         file.extend_from_slice(payload);
@@ -164,6 +165,20 @@ fn assemble_file(mut manifest: Manifest, payloads: &[&[u8]]) -> Result<MutableSt
     };
     file[slot_offset(0)..slot_offset(0) + SLOT_LEN].copy_from_slice(&root.encode());
     MutableStore::open(file)
+}
+
+/// Generation 1 of a fresh `EBMS` file holding `manifest`'s chunks, one
+/// object per payload in raster order. Shard packing is flattened:
+/// mutable stores address chunks individually, so copy-on-write
+/// replaces single chunks, not whole shards.
+fn first_generation(mut manifest: Manifest, payloads: &[impl AsRef<[u8]>]) -> Result<MutableStore> {
+    manifest.sharding = None;
+    manifest.generation = Some(GenerationMeta {
+        generation: 1,
+        born_gens: vec![1; manifest.chunks.len()],
+        ..GenerationMeta::default() // chunk CRCs are filled by assemble_file
+    });
+    assemble_file(manifest, payloads)
 }
 
 /// The two ordered writes of one publish, as data.
@@ -307,9 +322,10 @@ struct Backing {
 }
 
 impl MutableStore {
-    /// Creates a mutable store by compressing `data` exactly as
-    /// [`ChunkedStore::write`] would, then wrapping the result as
-    /// generation 1 of a fresh `EBMS` file.
+    /// Creates a mutable store as generation 1 of a fresh `EBMS` file:
+    /// the chunks are compressed by the same loop as
+    /// [`ChunkedStore::write`] and written straight into the object
+    /// log, one object per chunk.
     pub fn create<T: Element>(
         codec: &dyn Compressor,
         data: &NdArray<T>,
@@ -317,30 +333,20 @@ impl MutableStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Self> {
-        Self::import(&ChunkedStore::write(codec, data, bound, chunk_shape, threads)?)
+        let (manifest, streams) = encode_uniform(codec, data, bound, chunk_shape, threads)?;
+        first_generation(manifest, &streams)
     }
 
     /// Wraps an existing immutable `EBCS` stream (v1–v3, sharded or
     /// not) as generation 1 of a mutable store. Chunk payloads are
     /// copied into the object log one object per chunk; shard packing
-    /// is flattened (mutable stores address chunks individually so
-    /// copy-on-write replaces single chunks, not whole shards).
+    /// is flattened.
     pub fn import(stream: &[u8]) -> Result<Self> {
         let src = ChunkedStore::open(stream)?;
-        let mut manifest = src.manifest().clone();
-        manifest.sharding = None;
-        manifest.generation = Some(GenerationMeta {
-            generation: 1,
-            parent: 0,
-            parent_offset: 0,
-            parent_len: 0,
-            born_gens: vec![1; src.n_chunks()],
-            chunk_crcs: Vec::new(), // filled by assemble_file
-        });
         let payloads: Vec<&[u8]> = (0..src.n_chunks())
             .map(|i| src.chunk_payload(i))
             .collect::<Result<_>>()?;
-        assemble_file(manifest, &payloads)
+        first_generation(src.manifest().clone(), &payloads)
     }
 
     /// Opens (and fully validates) a mutable store file image. Picks

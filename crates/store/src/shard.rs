@@ -117,12 +117,22 @@ impl ShardIndex {
 
 /// Packs slot payloads into one `EBSH` shard object.
 pub fn build_shard(slot_payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = shard_index(slot_payloads);
+    out.reserve(slot_payloads.iter().map(Vec::len).sum());
+    for s in slot_payloads {
+        out.extend_from_slice(s);
+    }
+    out
+}
+
+/// The inner index [`build_shard`] puts ahead of `slot_payloads`: every
+/// shard byte before the first slot's payload.
+pub(crate) fn shard_index(slot_payloads: &[Vec<u8>]) -> Vec<u8> {
     assert!(
         !slot_payloads.is_empty() && slot_payloads.len() <= MAX_SLOTS,
         "a shard holds 1..={MAX_SLOTS} slots"
     );
-    let payload: usize = slot_payloads.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(16 + slot_payloads.len() * 10 + payload);
+    let mut out = Vec::with_capacity(16 + slot_payloads.len() * 14);
     out.extend_from_slice(SHARD_MAGIC);
     out.push(SHARD_VERSION);
     put_varint(&mut out, slot_payloads.len() as u64);
@@ -134,9 +144,6 @@ pub fn build_shard(slot_payloads: &[Vec<u8>]) -> Vec<u8> {
         offset += s.len() as u64;
     }
     framing::put_crc_trailer(&mut out);
-    for s in slot_payloads {
-        out.extend_from_slice(s);
-    }
     out
 }
 

@@ -2,12 +2,20 @@
 //! with one codec chain, an explicit chain per chunk, or adaptive
 //! per-chunk selection — and read back all of it, one chunk, or any
 //! axis-aligned region.
+//!
+//! One loop writes every store: each writer (and
+//! [`MutableStore::create`](crate::mutable::MutableStore::create)) is
+//! input validation plus one pass of the crate's chunk-encode loop,
+//! which differs per writer only in how a chunk picks its chain; one
+//! assembler then lays the streams out as a contiguous (v2) or sharded
+//! (v3) `EBCS` stream. Reads are region reads: a whole-array read is a
+//! [`ChunkedStore::read_region`] of the full shape.
 
-use crate::grid::{copy_region, gather, scatter_chunk, ChunkGrid, Region};
+use crate::grid::{gather, scatter_chunk, ChunkGrid, Region};
 use crate::manifest::{ChunkEntry, ChunkSlot, Manifest, ShardTable, MAX_CHAINS};
 use crate::metrics::store_metrics;
 use crate::mutable;
-use crate::shard::{build_shard, MAX_SLOTS};
+use crate::shard::{shard_index, MAX_SLOTS};
 use crate::storage::Storage;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -20,7 +28,7 @@ use eblcio_codec::{
     ErrorBound, Result,
 };
 use eblcio_data::shape::MAX_RANK;
-use eblcio_data::{Element, NdArray, QualityReport, Shape};
+use eblcio_data::{ArrayView, Element, NdArray, QualityReport, Shape};
 use eblcio_obs::{self as obs, Stopwatch};
 use rayon::prelude::*;
 
@@ -83,136 +91,139 @@ pub struct ChunkedStore {
     payload_start: usize,
 }
 
-/// Assembles the finished stream from per-chunk streams + chain picks.
-fn assemble<T: Element>(
-    chains: Vec<ChainSpec>,
-    picks: &[usize],
-    streams: Vec<Vec<u8>>,
-    shape: Shape,
+/// Compresses every chunk of `data` on the shared rayon pool for
+/// `threads` workers — the one loop behind every store writer. ε is
+/// resolved once against the *global* value range (chunk-local ranges
+/// are narrower, so resolving per chunk would tighten the bound
+/// inconsistently across the grid), and `encode(i, chunk, bound)` turns
+/// chunk `i` into `(index into chains, stream)`. Slab chunks are
+/// borrowed views; interior chunks of multi-axis grids are gathered into
+/// a chunk-sized buffer first (unavoidable for non-contiguous regions of
+/// a row-major array).
+///
+/// Returns the unsharded manifest — holding only the chains some chunk
+/// uses, in first-use order — and the streams in raster order.
+pub(crate) fn encode_chunks<T: Element>(
+    chains: &[ChainSpec],
+    data: &NdArray<T>,
+    bound: ErrorBound,
     chunk_shape: Shape,
-    abs: f64,
-) -> Vec<u8> {
-    // Keep only the chains that chunks actually reference, in first-use
-    // order, so adaptive candidates that never win don't bloat the
-    // manifest.
+    threads: usize,
+    encode: impl Fn(usize, ArrayView<'_, T>, ErrorBound) -> Result<(usize, Vec<u8>)> + Sync,
+) -> Result<(Manifest, Vec<Vec<u8>>)> {
+    assert!(threads >= 1, "thread count must be >= 1");
+    let grid = ChunkGrid::new(data.shape(), chunk_shape);
+    let abs = bound.to_absolute(data.value_range())?;
+    let bound = ErrorBound::Absolute(abs);
+    let ids: Vec<usize> = (0..grid.n_chunks()).collect();
+    let encoded: Vec<Result<(usize, Vec<u8>)>> = pool_for(threads)?.install(|| {
+        ids.par_iter()
+            .map(|&i| {
+                let region = grid.chunk_region(i);
+                if grid.chunk_is_slab(i) {
+                    encode(i, data.slab(region.origin()[0], region.extent()[0]), bound)
+                } else {
+                    encode(i, gather(data, &region).view(), bound)
+                }
+            })
+            .collect()
+    });
     let mut remap = vec![u32::MAX; chains.len()];
-    let mut used: Vec<ChainSpec> = Vec::new();
-    let mut chunks = Vec::with_capacity(streams.len());
+    let mut used = Vec::new();
+    let mut chunks = Vec::with_capacity(ids.len());
+    let mut streams = Vec::with_capacity(ids.len());
     let mut offset = 0u64;
-    for (i, s) in streams.iter().enumerate() {
-        let pick = picks[i];
+    for r in encoded {
+        let (pick, stream) = r?;
         if remap[pick] == u32::MAX {
             remap[pick] = used.len() as u32;
             used.push(chains[pick].clone());
         }
-        chunks.push(ChunkEntry {
-            chain: remap[pick],
-            offset,
-            len: s.len() as u64,
-        });
-        offset += s.len() as u64;
+        chunks.push(ChunkEntry { chain: remap[pick], offset, len: stream.len() as u64 });
+        offset += stream.len() as u64;
+        streams.push(stream);
     }
     let manifest = Manifest {
         dtype: T::DTYPE,
-        shape,
-        chunk_shape,
+        shape: data.shape(),
+        chunk_shape: grid.chunk_shape(),
         abs_bound: abs,
         chains: used,
         chunks,
         sharding: None,
         generation: None,
     };
-    let mut out = manifest.encode();
-    out.reserve(offset as usize);
-    for s in &streams {
-        out.extend_from_slice(s);
-    }
-    out
+    Ok((manifest, streams))
 }
 
-/// Assembles a *sharded* (v3) stream: consecutive raster-order chunks
-/// are packed `chunks_per_shard` at a time into `EBSH` objects, and the
-/// manifest maps each chunk to its (shard, slot).
-fn assemble_sharded<T: Element>(
-    chain: ChainSpec,
-    streams: Vec<Vec<u8>>,
-    shape: Shape,
-    chunk_shape: Shape,
-    abs: f64,
-    chunks_per_shard: usize,
-) -> Vec<u8> {
-    let shards: Vec<Vec<u8>> = streams.chunks(chunks_per_shard).map(build_shard).collect();
-    let chunks: Vec<ChunkEntry> = streams
-        .iter()
-        .map(|_| ChunkEntry { chain: 0, offset: 0, len: 0 })
-        .collect();
-    let chunk_slots: Vec<ChunkSlot> = (0..streams.len())
-        .map(|i| ChunkSlot {
-            shard: (i / chunks_per_shard) as u32,
-            slot: (i % chunks_per_shard) as u32,
-        })
-        .collect();
-    let manifest = Manifest {
-        dtype: T::DTYPE,
-        shape,
-        chunk_shape,
-        abs_bound: abs,
-        chains: vec![chain],
-        chunks,
-        sharding: Some(ShardTable {
-            shard_lens: shards.iter().map(|s| s.len() as u64).collect(),
-            chunk_slots,
-            index_lens: Vec::new(),
-            chunk_crcs: Vec::new(),
-        }),
-        generation: None,
-    };
-    let mut out = manifest.encode();
-    out.reserve(shards.iter().map(Vec::len).sum());
-    for s in &shards {
-        out.extend_from_slice(s);
-    }
-    out
-}
-
-/// Compresses every chunk of `grid` in parallel on the shared rayon
-/// pool for `threads` workers, chunk `i` with `codec_for(i)`: slab
-/// chunks from borrowed views, interior chunks gathered first.
-fn compress_chunks<'c, T: Element>(
-    grid: &ChunkGrid,
+/// [`encode_chunks`] with `codec` for every chunk.
+pub(crate) fn encode_uniform<T: Element>(
+    codec: &dyn Compressor,
     data: &NdArray<T>,
     bound: ErrorBound,
+    chunk_shape: Shape,
     threads: usize,
-    codec_for: impl Fn(usize) -> &'c (dyn Compressor) + Sync,
-) -> Result<Vec<Vec<u8>>> {
-    let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-    let pool = pool_for(threads)?;
-    let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
-        ids.par_iter()
-            .map(|&i| {
-                let codec = codec_for(i);
-                let region = grid.chunk_region(i);
-                if grid.chunk_is_slab(i) {
-                    let view = data.slab(region.origin()[0], region.extent()[0]);
-                    compress_view(codec, view, bound)
-                } else {
-                    let owned = gather(data, &region);
-                    compress_view(codec, owned.view(), bound)
-                }
-            })
-            .collect()
-    });
-    streams.into_iter().collect()
+) -> Result<(Manifest, Vec<Vec<u8>>)> {
+    encode_chunks(&[codec.spec()], data, bound, chunk_shape, threads, |_, chunk, bound| {
+        Ok((0, compress_view(codec, chunk, bound)?))
+    })
+}
+
+/// Assembles the finished `EBCS` stream from an unsharded manifest and
+/// its chunk streams: contiguous after the manifest (v2), or packed
+/// `chunks_per_shard` at a time (raster order) into `EBSH` shard objects
+/// that the manifest maps each chunk into by (shard, slot) (v3). Each
+/// stream is copied once, straight into the output.
+fn assemble(
+    mut manifest: Manifest,
+    streams: &[Vec<u8>],
+    chunks_per_shard: Option<usize>,
+) -> Vec<u8> {
+    // The payload as (shard index, chunk streams) pieces: one
+    // index-less run for v2, one per shard for v3.
+    let pieces: Vec<(Vec<u8>, &[Vec<u8>])> = match chunks_per_shard {
+        None => vec![(Vec::new(), streams)],
+        Some(k) => {
+            let shards: Vec<_> = streams.chunks(k).map(|g| (shard_index(g), g)).collect();
+            let shard_len = |(index, g): &(Vec<u8>, &[Vec<u8>])| {
+                (index.len() + g.iter().map(Vec::len).sum::<usize>()) as u64
+            };
+            manifest.sharding = Some(ShardTable {
+                shard_lens: shards.iter().map(shard_len).collect(),
+                chunk_slots: (0..streams.len())
+                    .map(|i| ChunkSlot { shard: (i / k) as u32, slot: (i % k) as u32 })
+                    .collect(),
+                ..ShardTable::default()
+            });
+            shards
+        }
+    };
+    let mut out = manifest.encode();
+    out.reserve(manifest.payload_len() as usize);
+    for (index, group) in &pieces {
+        out.extend_from_slice(index);
+        for s in *group {
+            out.extend_from_slice(s);
+        }
+    }
+    out
+}
+
+/// Builds one compressor per chain of a mixed or adaptive store.
+fn build_chains(chains: &[ChainSpec]) -> Result<Vec<Box<dyn Compressor>>> {
+    if chains.is_empty() || chains.len() > MAX_CHAINS {
+        return Err(CodecError::InvalidChain {
+            reason: "a store needs between 1 and MAX_CHAINS chains",
+        });
+    }
+    chains.iter().map(|s| s.build_boxed()).collect()
 }
 
 impl ChunkedStore {
-    /// Compresses `data` into a chunked stream with one codec chain.
-    ///
-    /// Chunks are compressed in parallel on the shared rayon pool for
-    /// `threads` workers. Chunks that are contiguous dimension-0 slabs
-    /// are compressed from zero-copy borrowed views; interior chunks of
-    /// multi-axis grids are gathered into a chunk-sized buffer first
-    /// (unavoidable for non-contiguous regions of a row-major array).
+    /// Compresses `data` into a chunked stream with one codec chain,
+    /// chunks in parallel on the shared rayon pool for `threads` workers
+    /// (slab chunks from zero-copy borrowed views, interior chunks
+    /// gathered first).
     pub fn write<T: Element>(
         codec: &dyn Compressor,
         data: &NdArray<T>,
@@ -220,24 +231,8 @@ impl ChunkedStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
-        let grid = ChunkGrid::new(data.shape(), chunk_shape);
-        // Resolve ε once against the global range: chunk-local ranges
-        // are narrower, so resolving per chunk would tighten the bound
-        // inconsistently across the grid.
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let streams = compress_chunks(&grid, data, bound, threads, |_| codec)?;
-        let picks = vec![0usize; streams.len()];
-        Ok(assemble::<T>(
-            vec![codec.spec()],
-            &picks,
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-        ))
+        let (manifest, streams) = encode_uniform(codec, data, bound, chunk_shape, threads)?;
+        Ok(assemble(manifest, &streams, None))
     }
 
     /// Compresses `data` into a *sharded* (v3) stream: chunks are
@@ -258,25 +253,13 @@ impl ChunkedStore {
         chunks_per_shard: usize,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
         if chunks_per_shard == 0 || chunks_per_shard > MAX_SLOTS {
             return Err(CodecError::InvalidChain {
                 reason: "chunks_per_shard must be between 1 and MAX_SLOTS",
             });
         }
-        let grid = ChunkGrid::new(data.shape(), chunk_shape);
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let streams = compress_chunks(&grid, data, bound, threads, |_| codec)?;
-        Ok(assemble_sharded::<T>(
-            codec.spec(),
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-            chunks_per_shard,
-        ))
+        let (manifest, streams) = encode_uniform(codec, data, bound, chunk_shape, threads)?;
+        Ok(assemble(manifest, &streams, Some(chunks_per_shard)))
     }
 
     /// Compresses `data` with an explicit chain per chunk: chunk `i`
@@ -289,14 +272,8 @@ impl ChunkedStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
-        let grid = ChunkGrid::new(data.shape(), chunk_shape);
-        if chains.is_empty() || chains.len() > MAX_CHAINS {
-            return Err(CodecError::InvalidChain {
-                reason: "a store needs between 1 and MAX_CHAINS chains",
-            });
-        }
-        if picks.len() != grid.n_chunks() {
+        let instances = build_chains(chains)?;
+        if picks.len() != ChunkGrid::new(data.shape(), chunk_shape).n_chunks() {
             return Err(CodecError::InvalidChain {
                 reason: "picks must assign exactly one chain per grid chunk",
             });
@@ -306,23 +283,11 @@ impl ChunkedStore {
                 reason: "pick index beyond the chain list",
             });
         }
-        let instances: Vec<Box<dyn Compressor>> = chains
-            .iter()
-            .map(|s| s.build_boxed())
-            .collect::<Result<_>>()?;
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let streams =
-            compress_chunks(&grid, data, bound, threads, |i| instances[picks[i]].as_ref())?;
-        Ok(assemble::<T>(
-            chains.to_vec(),
-            picks,
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-        ))
+        let (manifest, streams) =
+            encode_chunks(chains, data, bound, chunk_shape, threads, |i, chunk, bound| {
+                Ok((picks[i], compress_view(instances[picks[i]].as_ref(), chunk, bound)?))
+            })?;
+        Ok(assemble(manifest, &streams, None))
     }
 
     /// Adaptive mode: for every chunk, prices each candidate chain with
@@ -339,61 +304,26 @@ impl ChunkedStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
-        let grid = ChunkGrid::new(data.shape(), chunk_shape);
-        if candidates.is_empty() || candidates.len() > MAX_CHAINS {
-            return Err(CodecError::InvalidChain {
-                reason: "adaptive selection needs between 1 and MAX_CHAINS candidates",
-            });
-        }
-        let instances: Vec<Box<dyn Compressor>> = candidates
-            .iter()
-            .map(|s| s.build_boxed())
-            .collect::<Result<_>>()?;
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let results: Vec<Result<(usize, Vec<u8>)>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let owned = gather(data, &grid.chunk_region(i));
-                    let mut best = 0usize;
-                    let mut best_cr = f64::NEG_INFINITY;
-                    for (c, inst) in instances.iter().enumerate() {
-                        let est = estimate_cr(
-                            inst.as_ref(),
-                            &owned,
-                            bound,
-                            ADAPTIVE_SAMPLE_SLABS,
-                            ADAPTIVE_SAMPLE_ROWS,
-                        )?;
-                        if est.cr > best_cr {
-                            best_cr = est.cr;
-                            best = c;
-                        }
+        let instances = build_chains(candidates)?;
+        let (manifest, streams) =
+            encode_chunks(candidates, data, bound, chunk_shape, threads, |_, chunk, bound| {
+                let owned = chunk.to_owned();
+                let (mut best, mut best_cr) = (0, f64::NEG_INFINITY);
+                for (c, inst) in instances.iter().enumerate() {
+                    let est = estimate_cr(
+                        inst.as_ref(),
+                        &owned,
+                        bound,
+                        ADAPTIVE_SAMPLE_SLABS,
+                        ADAPTIVE_SAMPLE_ROWS,
+                    )?;
+                    if est.cr > best_cr {
+                        (best, best_cr) = (c, est.cr);
                     }
-                    let stream = compress(instances[best].as_ref(), &owned, bound)?;
-                    Ok((best, stream))
-                })
-                .collect()
-        });
-        let mut picks = Vec::with_capacity(results.len());
-        let mut streams = Vec::with_capacity(results.len());
-        for r in results {
-            let (pick, stream) = r?;
-            picks.push(pick);
-            streams.push(stream);
-        }
-        Ok(assemble::<T>(
-            candidates.to_vec(),
-            &picks,
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-        ))
+                }
+                Ok((best, compress(instances[best].as_ref(), &owned, bound)?))
+            })?;
+        Ok(assemble(manifest, &streams, None))
     }
 
     /// Opens a store container (an `EBMS` image at its current
@@ -717,35 +647,15 @@ impl ChunkedStore {
     }
 
     /// Decompresses the whole array on `threads` workers of the shared
-    /// rayon pool. Workers claim chunks one at a time, and each copies
-    /// its decoded chunk into the output (under a short lock) and drops
-    /// it before claiming the next, so no more than `threads` decoded
-    /// chunks are alive beside the output.
+    /// rayon pool: a [`ChunkedStore::read_region`] of the full shape, so
+    /// it records the same `store.read_region` span and
+    /// `eblcio_store_read_region_ns` sample. Each worker scatters its
+    /// decoded chunk into the output and drops it before claiming the
+    /// next, so no more than `threads` decoded chunks are alive beside
+    /// the output.
     pub fn read_full<T: Element>(&self, threads: usize) -> Result<NdArray<T>> {
         assert!(threads >= 1, "thread count must be >= 1");
-        check_dtype::<T>(self.manifest.dtype)?;
-        let decoders = self.decoders()?;
-        let ids: Vec<usize> = (0..self.n_chunks()).collect();
-        let out = Mutex::new(NdArray::<T>::zeros(self.manifest.shape));
-        pool_for(threads)?.install(|| {
-            ids.par_iter().try_for_each(|&i| {
-                let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
-                let part = self.decode_chunk::<T>(codec, i)?;
-                let region = self.grid.chunk_region(i);
-                let rank = region.rank();
-                copy_region(
-                    part.as_slice(),
-                    part.shape(),
-                    &[0usize; MAX_RANK][..rank],
-                    out.lock().as_mut_slice(),
-                    self.manifest.shape,
-                    region.origin(),
-                    region.extent(),
-                );
-                Ok(())
-            })
-        })?;
-        Ok(out.into_inner())
+        pool_for(threads)?.install(|| self.read_region(&Region::full(self.manifest.shape)))
     }
 
     /// Decompresses exactly the chunks intersecting `region` and
