@@ -102,7 +102,8 @@ pub struct ChunkedStore {
 /// a row-major array).
 ///
 /// Returns the unsharded manifest — holding only the chains some chunk
-/// uses, in first-use order — and the streams in raster order.
+/// uses, in first-use order, so adaptive candidates that never win cost
+/// no manifest bytes — and the streams in raster order.
 pub(crate) fn encode_chunks<T: Element>(
     chains: &[ChainSpec],
     data: &NdArray<T>,
