@@ -9,9 +9,16 @@ use crate::util::{put_varint, ByteReader};
 use crate::{huffman, lz};
 use eblcio_data::{ArrayView, Element, Shape};
 
+/// Samples [`validate_input`] checks between two early exits.
+const VALIDATE_BLOCK: usize = 512;
+
 /// Rejects inputs the error-bound contract cannot cover.
+///
+/// Each block of 512 samples folds its checks with a branch-free `&`,
+/// which vectorizes; only the blocks short-circuit.
 pub fn validate_input<T: Element>(data: ArrayView<'_, T>) -> Result<()> {
-    if data.as_slice().iter().all(|v| v.is_finite()) {
+    let finite = |block: &[T]| block.iter().fold(true, |ok, v| ok & v.is_finite());
+    if data.as_slice().chunks(VALIDATE_BLOCK).all(finite) {
         Ok(())
     } else {
         Err(CodecError::NonFiniteInput)
@@ -473,5 +480,22 @@ mod tests {
         assert!(validate_input(a.view()).is_ok());
         a.as_mut_slice()[2] = f32::NAN;
         assert_eq!(validate_input(a.view()), Err(CodecError::NonFiniteInput));
+    }
+
+    /// One non-finite sample anywhere — first or last of a block, or in
+    /// a short last block — is found.
+    #[test]
+    fn validate_finds_one_bad_sample_at_every_block_edge() {
+        let n = 3 * VALIDATE_BLOCK + 7;
+        let mut a = eblcio_data::NdArray::<f64>::from_fn(Shape::d1(n), |i| i[0] as f64 - 900.0);
+        assert!(validate_input(a.view()).is_ok());
+        for at in [0, VALIDATE_BLOCK - 1, VALIDATE_BLOCK, 2 * VALIDATE_BLOCK + 1, n - 1] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let keep = std::mem::replace(&mut a.as_mut_slice()[at], bad);
+                let got = validate_input(a.view());
+                assert_eq!(got, Err(CodecError::NonFiniteInput), "{bad} at {at}");
+                a.as_mut_slice()[at] = keep;
+            }
+        }
     }
 }

@@ -89,7 +89,9 @@ impl Sz2 {
         // Side channel: block count, one mode bit per block (MSB-first),
         // then the regression coefficients of the blocks that use them.
         let n_blocks: usize = (0..rank).map(|d| shape.dim(d).div_ceil(block_dims[d])).product();
-        let mut extra = Vec::with_capacity(n_blocks / 8 + 16);
+        // Room for every block's coefficients, so the side channel
+        // never regrows mid-encode.
+        let mut extra = Vec::with_capacity(16 + n_blocks.div_ceil(8) + n_blocks * 4 * (rank + 1));
         crate::util::put_varint(&mut extra, n_blocks as u64);
         let modes_at = extra.len();
         extra.resize(modes_at + n_blocks.div_ceil(8), 0);

@@ -13,8 +13,17 @@
 //! deeper (possible with extremely skewed counts), frequencies are
 //! repeatedly halved until the tree fits — the classic pragmatic
 //! length-limiting approach.
+//!
+//! The encoder reads the symbols twice. A min/max scan sizes the census;
+//! the census (four interleaved count tables, so a run of one symbol does
+//! not chain its increments through one counter) fixes the table, the
+//! canonical codes and the payload's exact bit length, so the payload is
+//! written straight into the output through a 64-bit accumulator that
+//! takes up to four codes per step and leaves 32 bits at a time. Its
+//! bytes are those of the per-symbol `BitWriter` encoder it replaced,
+//! which the tests keep as their oracle.
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitReader;
 use crate::error::{CodecError, Result};
 use crate::scratch::{with_scratch, ArenaBuf};
 use crate::util::{put_varint, ByteReader};
@@ -37,20 +46,27 @@ pub fn encode_block(symbols: &[u32]) -> Vec<u8> {
     out
 }
 
+/// Census lanes: the dense census counts symbol `k` of every group of
+/// `LANES` into its own table, so a run of one symbol (the zero bin)
+/// spreads its increments over `LANES` independent cells.
+const LANES: usize = 4;
+
 /// Reusable state of the block encoder: census, tree and code tables.
 /// Held in [`CodecScratch`](crate::scratch::CodecScratch) so a
 /// steady-state encode loop builds its tables in place.
 #[derive(Default)]
 pub(crate) struct HuffEncoder {
-    /// Dense census, indexed by symbol. All zero between calls.
+    /// Dense census: `LANES` interleaved count tables, the count of
+    /// symbol `min + k` in lane `l` at `k * LANES + l`. All zero between
+    /// calls.
     counts: Vec<u64>,
     /// `(symbol, count)` of every symbol present, ascending by symbol —
     /// the order the block's table is written in.
     table: Vec<(u32, u64)>,
     /// Code length per `table` entry.
     lens: Vec<u8>,
-    /// Packed `code << 8 | len`: indexed by symbol on the dense path,
-    /// by `table` position on the sparse one.
+    /// Packed `code << 8 | len`: indexed by `symbol − min` on the dense
+    /// path, by `table` position on the sparse one.
     codes: Vec<u64>,
     /// Tree construction: pending nodes as `(weight, id, node)`.
     heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
@@ -58,23 +74,28 @@ pub(crate) struct HuffEncoder {
     parent: Vec<u32>,
     /// Depth of each tree node.
     depth: Vec<u8>,
-    /// Payload bit buffer, recycled through [`BitWriter::reusing`].
-    bits: Vec<u8>,
     /// Sorted copy of the input (sparse census only).
     sorted: Vec<u32>,
 }
 
 impl HuffEncoder {
     /// Appends the Huffman block for `symbols` to `out`.
+    ///
+    /// Two passes over the symbols: a min/max scan sizes the census,
+    /// and the census fixes the table, the codes and the payload's
+    /// exact bit length, so the payload is emitted straight into `out`.
     pub(crate) fn encode_into(&mut self, symbols: &[u32], out: &mut Vec<u8>) {
-        let Some(max_sym) = symbols.iter().copied().max() else {
+        if symbols.is_empty() {
             put_varint(out, 0); // n_symbols
             put_varint(out, 0); // n_values
             put_varint(out, 0); // payload bits
             return;
-        };
+        }
+        let (min_sym, max_sym) = symbols
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &s| (lo.min(s), hi.max(s)));
         let dense = max_sym < DENSE_LIMIT;
-        self.census(symbols, max_sym, dense);
+        self.census(symbols, min_sym, max_sym, dense);
         self.code_lengths();
 
         // Table: symbols ascending, delta-coded.
@@ -86,36 +107,37 @@ impl HuffEncoder {
             prev = sym;
         }
 
-        self.assign_codes(dense);
+        self.assign_codes(if dense { Some(min_sym) } else { None });
 
         // Payload.
-        let mut bits = BitWriter::reusing(std::mem::take(&mut self.bits));
+        let n_bits: u64 = self
+            .table
+            .iter()
+            .zip(&self.lens)
+            .map(|(&(_, c), &l)| c * u64::from(l))
+            .sum();
+        put_varint(out, symbols.len() as u64);
+        put_varint(out, n_bits);
+        let codes = self.codes.as_slice();
         if dense {
-            let codes = self.codes.as_slice();
-            for &s in symbols {
-                let packed = codes[s as usize];
-                bits.put_bits(packed >> 8, (packed & 0xff) as u32);
-            }
+            emit(out, symbols, n_bits, |s| codes[(s - min_sym) as usize]);
         } else {
-            for &s in symbols {
+            let table = self.table.as_slice();
+            emit(out, symbols, n_bits, |s| {
                 // Every symbol was counted into `table`, so the search
                 // always lands on its entry.
-                let (Ok(i) | Err(i)) = self.table.binary_search_by_key(&s, |&(sym, _)| sym);
-                let packed = self.codes[i];
-                bits.put_bits(packed >> 8, (packed & 0xff) as u32);
-            }
+                let (Ok(i) | Err(i)) = table.binary_search_by_key(&s, |&(sym, _)| sym);
+                codes[i]
+            });
         }
-        put_varint(out, symbols.len() as u64);
-        put_varint(out, bits.bit_len());
-        self.bits = bits.finish();
-        out.extend_from_slice(&self.bits);
     }
 
     /// Assigns canonical codes (shorter codes first, ties by symbol
     /// value) into `codes`: the first code of each length follows from
     /// the counts of the shorter lengths, and `table` is already in
-    /// symbol order.
-    fn assign_codes(&mut self, dense: bool) {
+    /// symbol order. `Some(min)` indexes `codes` by `symbol − min`,
+    /// `None` by `table` position.
+    fn assign_codes(&mut self, dense_from: Option<u32>) {
         let mut per_len = [0u64; MAX_CODE_LEN as usize + 1];
         for &len in &self.lens {
             per_len[len as usize] += 1;
@@ -126,40 +148,44 @@ impl HuffEncoder {
             code = (code + per_len[len - 1]) << 1;
             next[len] = code;
         }
-        if dense {
-            let top = self.table.last().map_or(0, |&(sym, _)| sym as usize + 1);
-            if self.codes.len() < top {
-                self.codes.resize(top, 0);
-            }
-        } else {
-            self.codes.clear();
-            self.codes.resize(self.table.len(), 0);
+        let slots = match (dense_from, self.table.last()) {
+            (Some(min), Some(&(max, _))) => (max - min) as usize + 1,
+            _ => self.table.len(),
+        };
+        if self.codes.len() < slots {
+            self.codes.resize(slots, 0);
         }
         for (i, (&(sym, _), &len)) in self.table.iter().zip(&self.lens).enumerate() {
-            let slot = if dense { sym as usize } else { i };
+            let slot = dense_from.map_or(i, |min| (sym - min) as usize);
             self.codes[slot] = next[len as usize] << 8 | u64::from(len);
             next[len as usize] += 1;
         }
     }
 
-    /// Fills `table` with the frequency census of `symbols`.
-    fn census(&mut self, symbols: &[u32], max_sym: u32, dense: bool) {
+    /// Fills `table` with the frequency census of `symbols`, whose
+    /// smallest and largest values are `min_sym` and `max_sym`.
+    fn census(&mut self, symbols: &[u32], min_sym: u32, max_sym: u32, dense: bool) {
         self.table.clear();
         if dense {
-            let top = max_sym as usize + 1;
-            if self.counts.len() < top {
-                self.counts.resize(top, 0);
+            let cells = ((max_sym - min_sym) as usize + 1) * LANES;
+            if self.counts.len() < cells {
+                self.counts.resize(cells, 0);
             }
-            let counts = &mut self.counts[..top];
-            let mut min_sym = max_sym;
-            for &s in symbols {
-                counts[s as usize] += 1;
-                min_sym = min_sym.min(s);
+            let counts = &mut self.counts[..cells];
+            let mut groups = symbols.chunks_exact(LANES);
+            for g in &mut groups {
+                for (lane, &s) in g.iter().enumerate() {
+                    counts[(s - min_sym) as usize * LANES + lane] += 1;
+                }
             }
-            for s in min_sym..=max_sym {
-                let c = std::mem::take(&mut counts[s as usize]);
+            for &s in groups.remainder() {
+                counts[(s - min_sym) as usize * LANES] += 1;
+            }
+            for (sym, lanes) in (min_sym..=max_sym).zip(counts.chunks_exact_mut(LANES)) {
+                let c: u64 = lanes.iter().sum();
                 if c > 0 {
-                    self.table.push((s, c));
+                    lanes.fill(0);
+                    self.table.push((sym, c));
                 }
             }
         } else {
@@ -245,9 +271,61 @@ impl HuffEncoder {
         f(&mut self.heap);
         f(&mut self.parent);
         f(&mut self.depth);
-        f(&mut self.bits);
         f(&mut self.sorted);
     }
+}
+
+/// Appends the MSB-first payload of `symbols` — `n_bits` bits, zero-padded
+/// to a whole byte — to `out`, each symbol's packed `code << 8 | len`
+/// from `code_of`.
+///
+/// Codes gather in a 64-bit accumulator that holds fewer than 32
+/// pending bits between steps and leaves 32 bits at a time as four
+/// big-endian bytes. A step adds one code (≤ [`MAX_CODE_LEN`] = 32
+/// bits) or, when four consecutive codes total at most 32 bits (the
+/// common case for quantization codes near the zero bin), all four
+/// joined — so the accumulator's serial shift-or chain and the flush
+/// test run once per group instead of once per code.
+fn emit(out: &mut Vec<u8>, symbols: &[u32], n_bits: u64, code_of: impl Fn(u32) -> u64) {
+    let start = out.len();
+    let n_bytes = n_bits.div_ceil(8) as usize;
+    // Whole words are written; the slack holds the last one's padding.
+    out.resize(start + n_bytes + 4, 0);
+    let dst = &mut out[start..];
+    let (mut acc, mut used, mut pos) = (0u64, 0u32, 0usize);
+    let mut put = |code: u64, len: u32| {
+        // Bits above `used` are already out; shifting them off the top
+        // keeps the live `used + len ≤ 63` bits intact.
+        acc = (acc << len) | code;
+        used += len;
+        if used >= 32 {
+            used -= 32;
+            dst[pos..pos + 4].copy_from_slice(&((acc >> used) as u32).to_be_bytes());
+            pos += 4;
+        }
+    };
+    let mut groups = symbols.chunks_exact(4);
+    for g in &mut groups {
+        let p = [code_of(g[0]), code_of(g[1]), code_of(g[2]), code_of(g[3])];
+        let len = p.map(|c| (c & 0xff) as u32);
+        let total = len.iter().sum();
+        if total <= 32 {
+            let joined = p[1..].iter().zip(&len[1..]).fold(p[0] >> 8, |j, (c, &l)| j << l | c >> 8);
+            put(joined, total);
+        } else {
+            for (c, l) in p.into_iter().zip(len) {
+                put(c >> 8, l);
+            }
+        }
+    }
+    for &s in groups.remainder() {
+        let c = code_of(s);
+        put(c >> 8, (c & 0xff) as u32);
+    }
+    if used > 0 {
+        dst[pos..pos + 4].copy_from_slice(&((acc << (32 - used)) as u32).to_be_bytes());
+    }
+    out.truncate(start + n_bytes);
 }
 
 /// Decodes a block produced by [`encode_block`].
@@ -671,12 +749,133 @@ impl<'a> BatchBits<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::BitWriter;
 
     fn roundtrip(symbols: &[u32]) {
         let enc = encode_block(symbols);
         let (dec, used) = decode_block(&enc).unwrap();
         assert_eq!(dec, symbols);
         assert_eq!(used, enc.len());
+    }
+
+    /// The three-pass encoder [`HuffEncoder::encode_into`] replaced: a
+    /// `max()` pass, a census with one counter per symbol, and an emit
+    /// through [`BitWriter::put_bits`]. The oracle the one-pass encoder
+    /// must match byte for byte.
+    fn encode_reference(symbols: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let Some(max_sym) = symbols.iter().copied().max() else {
+            for _ in 0..3 {
+                put_varint(&mut out, 0);
+            }
+            return out;
+        };
+        let mut enc = HuffEncoder::default();
+        if max_sym < DENSE_LIMIT {
+            let mut counts = vec![0u64; max_sym as usize + 1];
+            for &s in symbols {
+                counts[s as usize] += 1;
+            }
+            let present = counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+            enc.table.extend(present.map(|(s, &c)| (s as u32, c)));
+        } else {
+            let mut sorted = symbols.to_vec();
+            sorted.sort_unstable();
+            for s in sorted {
+                match enc.table.last_mut() {
+                    Some((last, c)) if *last == s => *c += 1,
+                    _ => enc.table.push((s, 1)),
+                }
+            }
+        }
+        enc.code_lengths();
+        put_varint(&mut out, enc.table.len() as u64);
+        let mut prev = 0u32;
+        for (&(sym, _), &len) in enc.table.iter().zip(&enc.lens) {
+            put_varint(&mut out, u64::from(sym - prev));
+            out.push(len);
+            prev = sym;
+        }
+        enc.assign_codes(None);
+        let mut bits = BitWriter::new();
+        for &s in symbols {
+            let (Ok(i) | Err(i)) = enc.table.binary_search_by_key(&s, |&(sym, _)| sym);
+            let packed = enc.codes[i];
+            bits.put_bits(packed >> 8, (packed & 0xff) as u32);
+        }
+        put_varint(&mut out, symbols.len() as u64);
+        put_varint(&mut out, bits.bit_len());
+        out.extend_from_slice(&bits.finish());
+        out
+    }
+
+    /// A symbol stream of one of five shapes: one symbol repeated;
+    /// geometric around a zero bin at `base` (so a `base` near
+    /// [`DENSE_LIMIT`] lands the largest symbol on either side of it);
+    /// runs of up to a thousand of one symbol; uniform over a small
+    /// alphabet; or uniform over all of `u32`.
+    fn symbol_stream(kind: usize, n: usize, seed: u64, base: u32) -> Vec<u32> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let geometric = |r: u64| base.wrapping_add(r.trailing_zeros() / 2);
+        match kind {
+            0 => vec![base; n],
+            1 => (0..n).map(|_| geometric(next())).collect(),
+            2 => {
+                let mut s = Vec::with_capacity(n);
+                while s.len() < n {
+                    let (sym, run) = (geometric(next()), 1 + next() % 1000);
+                    s.extend(std::iter::repeat_n(sym, run as usize).take(n - s.len()));
+                }
+                s
+            }
+            3 => (0..n).map(|_| base.wrapping_add((next() % 200) as u32)).collect(),
+            _ => (0..n).map(|_| next() as u32).collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass encoder writes the oracle's bytes: empty and
+        /// one-symbol streams, dense and sparse alphabets either side of
+        /// `DENSE_LIMIT`, long runs. Cases run back to back on one
+        /// thread, so every one also starts from the tables the last left.
+        #[test]
+        fn one_pass_encoder_matches_the_three_pass_oracle(
+            kind in 0usize..5,
+            n in prop_oneof![0usize..4, 4usize..5000],
+            seed in any::<u64>(),
+            base in prop_oneof![0u32..40_000, DENSE_LIMIT - 40..DENSE_LIMIT + 8, any::<u32>()],
+        ) {
+            let symbols = symbol_stream(kind, n, seed, base);
+            prop_assert_eq!(encode_block(&symbols), encode_reference(&symbols));
+        }
+    }
+
+    /// Fibonacci-weighted counts over 34 symbols make the optimal tree
+    /// deeper than `MAX_CODE_LEN`, so the encoder halves frequencies;
+    /// the two encoders must still agree.
+    #[test]
+    fn frequency_halving_matches_the_oracle() {
+        let mut s = Vec::new();
+        let mut unscaled = HuffEncoder::default();
+        let mut f = (1usize, 1usize);
+        for sym in 1000..1034u32 {
+            s.extend(std::iter::repeat_n(sym, f.0));
+            unscaled.table.push((sym, f.0 as u64));
+            f = (f.1, f.0 + f.1);
+        }
+        unscaled.try_code_lengths(0);
+        assert!(unscaled.lens.iter().any(|&l| l > MAX_CODE_LEN), "the census must force halving");
+        let enc = encode_block(&s);
+        assert_eq!(enc, encode_reference(&s));
+        assert_eq!(decode_block(&enc).unwrap().0, s);
     }
 
     #[test]
@@ -736,7 +935,7 @@ mod tests {
             enc.table.push((i as u32, *f));
         }
         enc.code_lengths();
-        enc.assign_codes(false);
+        enc.assign_codes(None);
         let entries: Vec<(u64, u8)> = enc.codes.iter().map(|&p| (p >> 8, (p & 0xff) as u8)).collect();
         assert_eq!(entries.len(), 7);
         for (i, &(c1, l1)) in entries.iter().enumerate() {
@@ -895,7 +1094,7 @@ mod tests {
         lens.push(depth);
         let table = (0..lens.len() as u32).map(|i| (7 + 3 * i, 1)).collect();
         let mut enc = HuffEncoder { table, lens, ..HuffEncoder::default() };
-        enc.assign_codes(false);
+        enc.assign_codes(None);
         let mut bits = BitWriter::new();
         for &p in picks {
             let packed = enc.codes[p];

@@ -13,8 +13,18 @@
 //! A final token may have `match_len = 0` (literals only). Offsets are
 //! limited to [`WINDOW`]; matches shorter than [`MIN_MATCH`] are never
 //! emitted, so decoding is unambiguous.
+//!
+//! The match finder's hash chains (2 × 256 KiB of `u32` positions) live
+//! in the thread's [`CodecScratch`](crate::scratch::CodecScratch) and are
+//! never cleared between calls: each call stores positions past a window
+//! beyond the last call's, so stale entries fail the window test like
+//! empty ones. Match lengths are compared eight bytes at a time. The
+//! candidates, their order and the tokens are those of tables filled
+//! fresh per call, byte for byte; the tests keep that encoder as their
+//! oracle.
 
 use crate::error::{CodecError, Result};
+use crate::scratch::{with_scratch, ArenaBuf};
 use crate::util::{put_varint, ByteReader};
 
 /// Sliding-window size (64 KiB).
@@ -28,6 +38,12 @@ const NIBBLE_EXT: u64 = 15;
 const RESERVE_PER_INPUT_BYTE: usize = 16;
 
 const HASH_BITS: u32 = 16;
+/// Longest candidate chain walked per position.
+const MAX_CHAIN: usize = 32;
+/// Positions are stored relative to a base that moves forward by half
+/// this span whenever a stored position would reach it, so inputs of
+/// any length fit the `u32` tables.
+const REBASE_SPAN: usize = 1 << 31;
 
 #[inline]
 fn hash4(b: &[u8]) -> usize {
@@ -35,39 +51,129 @@ fn hash4(b: &[u8]) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
+/// The match finder's hash chains, kept in
+/// [`CodecScratch`](crate::scratch::CodecScratch) so compressing a
+/// chunk payload neither allocates nor clears 2 × 256 KiB of tables.
+///
+/// Nothing is cleared between calls either. A call stores position `j`
+/// as `origin + j` (less a base that only moves for inputs of 2 GiB and
+/// more), with `origin` at least [`WINDOW`] past every value an earlier
+/// call stored, so the window test turns every earlier entry away
+/// exactly as it would an empty one: candidates, their order and the
+/// tokens are those of tables filled fresh for each call.
+#[derive(Default)]
+pub(crate) struct LzTables {
+    /// Stored position of the most recent position per hash.
+    head: Vec<u32>,
+    /// Stored position of the previous position with the same hash, per
+    /// position modulo [`WINDOW`].
+    prev: Vec<u32>,
+    /// The next call's `origin`; out of range (as while a call runs, so
+    /// one that unwound is never trusted) when the tables need a fresh
+    /// start.
+    next: usize,
+}
+
+impl LzTables {
+    /// Visits every growable buffer (the arena's retention policy).
+    pub(crate) fn for_each_buf(&mut self, f: &mut dyn FnMut(&mut dyn ArenaBuf)) {
+        f(&mut self.head);
+        f(&mut self.prev);
+    }
+}
+
 /// Compresses `input` losslessly.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    with_scratch(|s| compress_with(input, &mut s.lz, REBASE_SPAN))
+}
+
+/// Longest common prefix of `input[a..]` and `input[b..]` (`a < b`),
+/// eight bytes per step: the first differing byte of two little-endian
+/// words is the lowest set byte of their XOR.
+#[inline]
+fn common_len(input: &[u8], a: usize, b: usize) -> usize {
+    let (x, y) = (&input[a..], &input[b..]);
+    let mut l = 0;
+    for (u, v) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let (Ok(u), Ok(v)) = (<[u8; 8]>::try_from(u), <[u8; 8]>::try_from(v)) else {
+            break;
+        };
+        let diff = u64::from_le_bytes(u) ^ u64::from_le_bytes(v);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + x[l..].iter().zip(&y[l..]).take_while(|(u, v)| u == v).count()
+}
+
+/// [`compress`] over caller-held tables; stored positions stay below
+/// `span` ([`REBASE_SPAN`] outside tests).
+fn compress_with(input: &[u8], t: &mut LzTables, span: usize) -> Vec<u8> {
+    // An incompressible input comes out as one literal run: its bytes,
+    // a token and two varints.
+    let mut out = Vec::with_capacity(input.len() + 16);
     put_varint(&mut out, input.len() as u64);
     if input.is_empty() {
         return out;
     }
+    if !(WINDOW..=span / 2).contains(&t.next)
+        || t.head.len() != 1 << HASH_BITS
+        || t.prev.len() != WINDOW
+    {
+        // A fresh start: every entry empty (0), at least WINDOW behind
+        // the first position.
+        t.head.clear();
+        t.head.resize(1 << HASH_BITS, 0);
+        t.prev.clear();
+        t.prev.resize(WINDOW, 0);
+        t.next = WINDOW;
+    }
+    let origin = std::mem::replace(&mut t.next, usize::MAX);
+    let (head, prev) = (t.head.as_mut_slice(), t.prev.as_mut_slice());
+    // Position `j` is stored as `origin + j − base`.
+    let mut base = 0usize;
+    let insert = |head: &mut [u32], prev: &mut [u32], base: &mut usize, h: usize, j: usize| {
+        if origin + j - *base >= span {
+            // Entries the move drops are more than `span / 2 ≥ WINDOW`
+            // behind every later position, so no chain would take them.
+            let shift = span / 2;
+            for v in head.iter_mut().chain(prev.iter_mut()) {
+                *v = v.saturating_sub(shift as u32);
+            }
+            *base += shift;
+        }
+        prev[j % WINDOW] = head[h];
+        head[h] = (origin + j - *base) as u32;
+    };
 
-    // head[h] = most recent position with hash h; prev[i & mask] = chain.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; WINDOW];
     let mut i = 0usize;
     let mut lit_start = 0usize;
     let n = input.len();
-
     while i + MIN_MATCH <= n {
         let h = hash4(&input[i..]);
-        let mut cand = head[h];
+        let here = origin + i - base;
+        let mut entry = head[h];
         let mut best_len = 0usize;
         let mut best_off = 0usize;
-        let mut chain = 0;
-        while cand != usize::MAX && i - cand < WINDOW && chain < 32 {
-            let maxl = n - i;
-            let mut l = 0;
-            while l < maxl && input[cand + l] == input[i + l] {
-                l += 1;
+        let maxl = n - i;
+        for _ in 0..MAX_CHAIN {
+            // Empty and earlier calls' entries are a window or more back.
+            let back = here.wrapping_sub(entry as usize);
+            if back >= WINDOW || best_len == maxl {
+                break;
             }
-            if l > best_len {
-                best_len = l;
-                best_off = i - cand;
+            let cand = i - back;
+            // Only a strictly longer match replaces the best, and one
+            // must agree at `best_len` to be longer.
+            if input[cand + best_len] == input[i + best_len] {
+                let l = common_len(input, cand, i);
+                if l > best_len {
+                    best_len = l;
+                    best_off = back;
+                }
             }
-            cand = prev[cand % WINDOW];
-            chain += 1;
+            entry = prev[cand % WINDOW];
         }
 
         if best_len >= MIN_MATCH {
@@ -78,25 +184,21 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
             let mut j = i;
             while j < end {
-                let hj = hash4(&input[j..]);
-                prev[j % WINDOW] = head[hj];
-                head[hj] = j;
+                insert(head, prev, &mut base, hash4(&input[j..]), j);
                 j += step;
             }
             i += best_len;
             lit_start = i;
         } else {
-            prev[i % WINDOW] = head[h];
-            head[h] = i;
+            insert(head, prev, &mut base, h, i);
             i += 1;
         }
     }
     // Trailing literals.
     if lit_start < n {
         emit_token(&mut out, &input[lit_start..n], 0, 0);
-    } else if lit_start == n && n == 0 {
-        // unreachable: handled above
     }
+    t.next = origin + n - base + WINDOW;
     out
 }
 
@@ -200,6 +302,154 @@ mod tests {
         let c = compress(data);
         let d = decompress(&c).unwrap();
         assert_eq!(d, data);
+    }
+
+    /// The encoder [`compress`] replaced: fresh `usize` tables per call
+    /// and a byte-at-a-time match compare. The oracle the table-reusing
+    /// encoder must match byte for byte.
+    fn compress_reference(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        put_varint(&mut out, input.len() as u64);
+        if input.is_empty() {
+            return out;
+        }
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; WINDOW];
+        let mut i = 0usize;
+        let mut lit_start = 0usize;
+        let n = input.len();
+        while i + MIN_MATCH <= n {
+            let h = hash4(&input[i..]);
+            let mut cand = head[h];
+            let mut best_len = 0usize;
+            let mut best_off = 0usize;
+            let mut chain = 0;
+            while cand != usize::MAX && i - cand < WINDOW && chain < 32 {
+                let maxl = n - i;
+                let mut l = 0;
+                while l < maxl && input[cand + l] == input[i + l] {
+                    l += 1;
+                }
+                if l > best_len {
+                    best_len = l;
+                    best_off = i - cand;
+                }
+                cand = prev[cand % WINDOW];
+                chain += 1;
+            }
+            if best_len >= MIN_MATCH {
+                emit_token(&mut out, &input[lit_start..i], best_off, best_len);
+                let step = if best_len > 64 { 4 } else { 1 };
+                let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
+                let mut j = i;
+                while j < end {
+                    let hj = hash4(&input[j..]);
+                    prev[j % WINDOW] = head[hj];
+                    head[hj] = j;
+                    j += step;
+                }
+                i += best_len;
+                lit_start = i;
+            } else {
+                prev[i % WINDOW] = head[h];
+                head[h] = i;
+                i += 1;
+            }
+        }
+        if lit_start < n {
+            emit_token(&mut out, &input[lit_start..n], 0, 0);
+        }
+        out
+    }
+
+    /// Bytes of one of six shapes: a run of one byte; a short pattern
+    /// repeated; a block repeated after more than [`WINDOW`] bytes of
+    /// noise; noise; a smooth f32 field's little-endian bytes; or noise
+    /// over a small alphabet (short, frequent matches).
+    fn byte_stream(kind: usize, n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        match kind {
+            0 => vec![next() as u8; n],
+            1 => {
+                let pattern: Vec<u8> = (0..1 + next() % 12).map(|_| next() as u8).collect();
+                pattern.iter().copied().cycle().take(n).collect()
+            }
+            2 => {
+                let block: Vec<u8> = (0..64).map(|_| next() as u8).collect();
+                let mut s = block.clone();
+                s.extend((0..WINDOW + (next() % 64) as usize).map(|_| next() as u8));
+                s.extend_from_slice(&block);
+                s.truncate(n.max(block.len()));
+                s
+            }
+            3 => (0..n).map(|_| next() as u8).collect(),
+            4 => {
+                let f = 1e-3 * (1 + next() % 100) as f32;
+                (0..n.div_ceil(4))
+                    .flat_map(|i| (i as f32 * f).sin().to_le_bytes())
+                    .take(n)
+                    .collect()
+            }
+            _ => (0..n).map(|_| b'a' + (next() % 3) as u8).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The table-reusing encoder writes the oracle's tokens: empty
+        /// and 1–3 byte inputs, runs, repeats, a repeat beyond the
+        /// window, noise, f32 bytes, up to 1 MiB. Cases run back to back
+        /// on one thread, so each also starts from the tables the last
+        /// one left.
+        #[test]
+        fn table_reusing_encoder_matches_the_oracle(
+            kind in 0usize..6,
+            n in proptest::prop_oneof![
+                0usize..4,
+                4usize..5000,
+                60_000usize..140_000,
+                1usize << 20..(1 << 20) + 1,
+            ],
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let data = byte_stream(kind, n, seed);
+            proptest::prop_assert_eq!(compress(&data), compress_reference(&data));
+        }
+    }
+
+    /// Moving the position base (every 2 GiB in use) drops only entries
+    /// no chain could take: with a base that moves every 64 KiB, the
+    /// tokens are still the oracle's.
+    #[test]
+    fn moving_the_base_keeps_the_tokens() {
+        let mut tables = LzTables::default();
+        for kind in 0..6 {
+            let data = byte_stream(kind, 1 << 20, kind as u64 + 11);
+            let got = compress_with(&data, &mut tables, 1 << 17);
+            assert_eq!(got, compress_reference(&data), "kind {kind}");
+        }
+    }
+
+    /// A call that unwound mid-way leaves entries the next call could
+    /// not tell from its own, so the next call starts the tables afresh.
+    #[test]
+    fn a_call_that_unwound_is_not_trusted() {
+        let mut tables = LzTables::default();
+        compress_with(&byte_stream(1, 4000, 3), &mut tables, REBASE_SPAN);
+        // Entries that read as "position 5" after a fresh start.
+        tables.head.iter_mut().for_each(|v| *v = WINDOW as u32 + 5);
+        tables.next = usize::MAX;
+        let data = byte_stream(5, 3000, 4);
+        let got = compress_with(&data, &mut tables, REBASE_SPAN);
+        assert_eq!(got, compress_reference(&data));
+        assert_eq!(tables.next, WINDOW + data.len() + WINDOW);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! directions: uncached region reads decode it, dumps and updates
 //! encode it. Without an arena every call pays fresh `Vec` allocations
 //! for the quantization-code buffer, the f64 reconstruction plane, the
-//! Huffman tables and bit buffer, the outlier bytes, and the byte-stage
-//! output. [`CodecScratch`] keeps those buffers alive per thread so a
+//! Huffman tables, the LZ hash chains, the outlier bytes, and the
+//! byte-stage output. [`CodecScratch`] keeps those buffers alive per thread so a
 //! steady-state loop (the store's rayon workers, the serve layer's miss
 //! assembly) reuses capacity instead of round-tripping the allocator.
 //!
@@ -24,6 +24,7 @@
 //! resident.
 
 use crate::huffman::{HuffEncoder, HuffLookup};
+use crate::lz::LzTables;
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 
@@ -55,8 +56,10 @@ pub struct CodecScratch {
     pub(crate) block: Vec<f64>,
     /// Encode: verbatim little-endian outlier samples.
     pub(crate) outliers: Vec<u8>,
-    /// Encode: Huffman census, tree, code table and bit buffer.
+    /// Encode: Huffman census, tree and code tables.
     pub(crate) huff_enc: HuffEncoder,
+    /// Encode: the LZ match finder's hash chains.
+    pub(crate) lz: LzTables,
 }
 
 /// A growable arena buffer, as the retention policy sees it.
@@ -95,6 +98,7 @@ impl CodecScratch {
         f(&mut self.outliers);
         self.huff.for_each_buf(f);
         self.huff_enc.for_each_buf(f);
+        self.lz.for_each_buf(f);
     }
 }
 

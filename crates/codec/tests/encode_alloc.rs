@@ -1,0 +1,81 @@
+//! The SZ-family encode tail allocates no table per chunk: after one
+//! warm-up, compressing a benchmark-sized chunk on one thread takes a
+//! handful of small blocks (the streams a call hands back and their
+//! framing), and nothing the size of a Huffman census or the LZ match
+//! finder's hash chains — those live in the thread's codec scratch.
+//!
+//! The binary runs under an allocator that counts, per thread, the
+//! blocks allocated and the largest one; the file holds exactly one
+//! `#[test]`.
+
+use eblcio_codec::{compress_view, CompressorId, ErrorBound};
+use eblcio_data::{NdArray, Shape};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Blocks allocated on this thread, and the largest one's size.
+    static BLOCKS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+fn note(size: usize) {
+    // `try_with`: an allocation during thread teardown is not counted.
+    let _ = BLOCKS.try_with(|b| {
+        let (n, largest) = b.get();
+        b.set((n + 1, largest.max(size)));
+    });
+}
+
+struct CountBlocks;
+
+unsafe impl GlobalAlloc for CountBlocks {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static A: CountBlocks = CountBlocks;
+
+/// Most blocks one warm chunk encode may allocate.
+const MAX_BLOCKS: usize = 5;
+/// No block of a warm chunk encode may be this large.
+const TABLE_BYTES: usize = 64 << 10;
+
+#[test]
+fn the_sz_family_encode_tail_allocates_no_table_per_chunk() {
+    // One chunk of the benchmark's S3D-like dump: [1, 32, 32, 32] f64.
+    let chunk = NdArray::<f64>::from_fn(Shape::d4(1, 32, 32, 32), |i| {
+        let (x, y, z) = (i[1] as f64, i[2] as f64, i[3] as f64);
+        300.0 + 40.0 * (0.11 * x).sin() * (0.07 * y).cos() + 3.0 * (0.23 * z).sin() + 0.01 * x * z
+    });
+    let bound = ErrorBound::Absolute(1e-3 * chunk.value_range());
+    for id in [CompressorId::Sz2, CompressorId::Sz3, CompressorId::Qoz] {
+        let codec = id.instance();
+        let warm = compress_view(codec.as_ref(), chunk.view(), bound).unwrap();
+        for call in 0..3 {
+            BLOCKS.with(|b| b.set((0, 0)));
+            let stream = compress_view(codec.as_ref(), chunk.view(), bound).unwrap();
+            let (blocks, largest) = BLOCKS.with(Cell::get);
+            let name = id.name();
+            assert_eq!(stream, warm, "{name}: the stream must not depend on the scratch state");
+            assert!(
+                blocks <= MAX_BLOCKS && largest < TABLE_BYTES,
+                "{name} call {call}: {blocks} blocks (at most {MAX_BLOCKS}), \
+                 the largest {largest} B (under {TABLE_BYTES} B)"
+            );
+        }
+    }
+}

@@ -103,11 +103,13 @@ impl<'a, T: Element> From<&'a NdArray<T>> for ArrayView<'a, T> {
 
 /// `(min, max)` over the finite samples of a slice.
 ///
-/// Eight independent lanes break the compare chain of an in-order scan,
-/// so the loop vectorizes; non-finite samples stand in as ±∞. The lanes
-/// find the same values in any order, but a zero's sign would be the
-/// first one some lane saw, so a zero result re-scans in order, where
-/// ties keep the first-seen sign.
+/// Eight independent lanes of plain strict compares break the compare
+/// chain of an in-order scan, so the loop vectorizes. A NaN never wins
+/// a compare, so NaNs drop out by themselves; an infinity can win, and a
+/// zero's sign would be the first one some lane saw. Either result
+/// re-scans in order (which skips non-finite samples and keeps the
+/// first-seen sign of tied zeros); any other result is the in-order
+/// one, since equal non-zero finite values are the same bits.
 pub(crate) fn slice_min_max<T: Element>(data: &[T]) -> Option<(T, T)> {
     const LANES: usize = 8;
     let (inf, neg_inf) = (T::from_f64(f64::INFINITY), T::from_f64(f64::NEG_INFINITY));
@@ -115,24 +117,21 @@ pub(crate) fn slice_min_max<T: Element>(data: &[T]) -> Option<(T, T)> {
     let upper = |a: T, b: T| if b > a { b } else { a };
     let mut mn = [inf; LANES];
     let mut mx = [neg_inf; LANES];
-    let mut step = |lanes: &[T]| {
-        for ((lo, hi), &v) in mn.iter_mut().zip(&mut mx).zip(lanes) {
-            let finite = v.is_finite();
-            *lo = lower(*lo, if finite { v } else { inf });
-            *hi = upper(*hi, if finite { v } else { neg_inf });
-        }
-    };
     let mut chunks = data.chunks_exact(LANES);
     for lanes in &mut chunks {
-        step(lanes);
+        for k in 0..LANES {
+            mn[k] = lower(mn[k], lanes[k]);
+            mx[k] = upper(mx[k], lanes[k]);
+        }
     }
-    step(chunks.remainder());
-    let (lo, hi) = (mn.into_iter().fold(inf, lower), mx.into_iter().fold(neg_inf, upper));
-    if lo == inf {
-        return None;
+    for (k, &v) in chunks.remainder().iter().enumerate() {
+        mn[k] = lower(mn[k], v);
+        mx[k] = upper(mx[k], v);
     }
+    let lo = mn.into_iter().fold(inf, lower);
+    let hi = mx.into_iter().fold(neg_inf, upper);
     let zero = T::default();
-    if lo == zero || hi == zero {
+    if !lo.is_finite() || !hi.is_finite() || lo == zero || hi == zero {
         return slice_min_max_in_order(data);
     }
     Some((lo, hi))

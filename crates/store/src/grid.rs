@@ -389,18 +389,26 @@ pub fn scatter_chunk_le<T: Element>(
 
 /// Extracts `region` of `src` into a new owned array.
 pub fn gather<T: Element>(src: &NdArray<T>, region: &Region) -> NdArray<T> {
+    let mut out = Vec::new();
+    gather_into(src, region, &mut out);
+    NdArray::from_vec(region.shape(), out)
+}
+
+/// [`gather`] into a caller-held buffer, left exactly `region`'s length.
+/// Every sample is overwritten, so a buffer reused at the same length
+/// is neither cleared nor reallocated.
+pub(crate) fn gather_into<T: Element>(src: &NdArray<T>, region: &Region, out: &mut Vec<T>) {
     let shape = region.shape();
-    let mut out = NdArray::zeros(shape);
+    out.resize(shape.len(), T::default());
     copy_region(
         src.as_slice(),
         src.shape(),
         region.origin(),
-        out.as_mut_slice(),
+        out,
         shape,
         &[0usize; MAX_RANK][..shape.rank()],
         region.extent(),
     );
-    out
 }
 
 #[cfg(test)]

@@ -130,11 +130,11 @@ fn slot_offset(which: usize) -> usize {
 
 /// Assembles a complete `EBMS` file image from scratch: superblock,
 /// the chunk payloads packed as a contiguous object log (the
-/// manifest's offsets, lengths, and CRCs are patched to match), the
-/// encoded manifest, and the root written to slot A. `manifest` must
-/// already carry the target generation's metadata (id, parent link,
-/// born_gens); the shared path of [`first_generation`] and
-/// [`MutableStore::compact`].
+/// manifest's offsets and lengths are patched to match), the encoded
+/// manifest, and the root written to slot A. `manifest` must already
+/// carry the target generation's metadata (id, parent link, born_gens,
+/// and the payloads' CRCs); the shared path of [`first_generation`]
+/// and [`MutableStore::compact`].
 fn assemble_file(mut manifest: Manifest, payloads: &[impl AsRef<[u8]>]) -> Result<MutableStore> {
     let payload_bytes: usize = payloads.iter().map(|p| p.as_ref().len()).sum();
     let mut file = Vec::with_capacity(SUPERBLOCK_LEN + payload_bytes + 256);
@@ -143,10 +143,15 @@ fn assemble_file(mut manifest: Manifest, payloads: &[impl AsRef<[u8]>]) -> Resul
     file.resize(SUPERBLOCK_LEN, 0);
     let generation;
     {
-        let Some(meta) = manifest.generation.as_mut() else {
-            return Err(CodecError::Internal { context: "assemble_file without generation metadata" });
+        let Some(meta) = manifest
+            .generation
+            .as_ref()
+            .filter(|m| m.chunk_crcs.len() == payloads.len())
+        else {
+            return Err(CodecError::Internal {
+                context: "assemble_file without generation metadata",
+            });
         };
-        meta.chunk_crcs = payloads.iter().map(|p| crc32(p.as_ref())).collect();
         generation = meta.generation;
     }
     for (entry, payload) in manifest.chunks.iter_mut().zip(payloads) {
@@ -170,13 +175,19 @@ fn assemble_file(mut manifest: Manifest, payloads: &[impl AsRef<[u8]>]) -> Resul
 /// Generation 1 of a fresh `EBMS` file holding `manifest`'s chunks, one
 /// object per payload in raster order. Shard packing is flattened:
 /// mutable stores address chunks individually, so copy-on-write
-/// replaces single chunks, not whole shards.
-fn first_generation(mut manifest: Manifest, payloads: &[impl AsRef<[u8]>]) -> Result<MutableStore> {
+/// replaces single chunks, not whole shards. `chunk_crcs` are the
+/// payloads' CRC-32s.
+fn first_generation(
+    mut manifest: Manifest,
+    payloads: &[impl AsRef<[u8]>],
+    chunk_crcs: Vec<u32>,
+) -> Result<MutableStore> {
     manifest.sharding = None;
     manifest.generation = Some(GenerationMeta {
         generation: 1,
         born_gens: vec![1; manifest.chunks.len()],
-        ..GenerationMeta::default() // chunk CRCs are filled by assemble_file
+        chunk_crcs,
+        ..GenerationMeta::default()
     });
     assemble_file(manifest, payloads)
 }
@@ -333,8 +344,9 @@ impl MutableStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Self> {
-        let (manifest, streams) = encode_uniform(codec, data, bound, chunk_shape, threads)?;
-        first_generation(manifest, &streams)
+        let (manifest, encoded) = encode_uniform(codec, data, bound, chunk_shape, threads)?;
+        let (streams, crcs): (Vec<Vec<u8>>, Vec<u32>) = encoded.into_iter().unzip();
+        first_generation(manifest, &streams, crcs)
     }
 
     /// Wraps an existing immutable `EBCS` stream (v1–v3, sharded or
@@ -346,7 +358,8 @@ impl MutableStore {
         let payloads: Vec<&[u8]> = (0..src.n_chunks())
             .map(|i| src.chunk_payload(i))
             .collect::<Result<_>>()?;
-        first_generation(src.manifest().clone(), &payloads)
+        let crcs = payloads.iter().map(|p| crc32(p)).collect();
+        first_generation(src.manifest().clone(), &payloads, crcs)
     }
 
     /// Opens (and fully validates) a mutable store file image. Picks
@@ -657,9 +670,10 @@ impl MutableStore {
             meta.parent = 0;
             meta.parent_offset = 0;
             meta.parent_len = 0;
-            // born_gens carry over (and assemble_file recomputes CRCs
-            // from the byte-identical payloads), so every chunk keeps
-            // its content fingerprint — warm serving caches survive.
+            // born_gens and CRCs carry over (the payloads are
+            // byte-identical; `chunk_payload` verified each against its
+            // CRC), so every chunk keeps its content fingerprint — warm
+            // serving caches survive.
         }
         let payloads: Vec<&[u8]> = (0..cur.n_chunks())
             .map(|i| cur.chunk_payload(i))

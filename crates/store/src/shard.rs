@@ -117,7 +117,7 @@ impl ShardIndex {
 
 /// Packs slot payloads into one `EBSH` shard object.
 pub fn build_shard(slot_payloads: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = shard_index(slot_payloads);
+    let mut out = shard_index(slot_payloads.iter().map(|s| (s.len(), crc32(s))));
     out.reserve(slot_payloads.iter().map(Vec::len).sum());
     for s in slot_payloads {
         out.extend_from_slice(s);
@@ -125,23 +125,24 @@ pub fn build_shard(slot_payloads: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// The inner index [`build_shard`] puts ahead of `slot_payloads`: every
-/// shard byte before the first slot's payload.
-pub(crate) fn shard_index(slot_payloads: &[Vec<u8>]) -> Vec<u8> {
+/// The inner index [`build_shard`] puts ahead of the slot payloads —
+/// every shard byte before the first slot's payload — from each slot's
+/// `(length, CRC-32)`.
+pub(crate) fn shard_index(slots: impl ExactSizeIterator<Item = (usize, u32)>) -> Vec<u8> {
     assert!(
-        !slot_payloads.is_empty() && slot_payloads.len() <= MAX_SLOTS,
+        slots.len() > 0 && slots.len() <= MAX_SLOTS,
         "a shard holds 1..={MAX_SLOTS} slots"
     );
-    let mut out = Vec::with_capacity(16 + slot_payloads.len() * 14);
+    let mut out = Vec::with_capacity(16 + slots.len() * 14);
     out.extend_from_slice(SHARD_MAGIC);
     out.push(SHARD_VERSION);
-    put_varint(&mut out, slot_payloads.len() as u64);
+    put_varint(&mut out, slots.len() as u64);
     let mut offset = 0u64;
-    for s in slot_payloads {
+    for (len, crc) in slots {
         put_varint(&mut out, offset);
-        put_varint(&mut out, s.len() as u64);
-        out.extend_from_slice(&crc32(s).to_le_bytes());
-        offset += s.len() as u64;
+        put_varint(&mut out, len as u64);
+        out.extend_from_slice(&crc.to_le_bytes());
+        offset += len as u64;
     }
     framing::put_crc_trailer(&mut out);
     out

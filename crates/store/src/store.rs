@@ -11,7 +11,7 @@
 //! (v3) `EBCS` stream. Reads are region reads: a whole-array read is a
 //! [`ChunkedStore::read_region`] of the full shape.
 
-use crate::grid::{gather, scatter_chunk, ChunkGrid, Region};
+use crate::grid::{gather, gather_into, scatter_chunk, ChunkGrid, Region};
 use crate::manifest::{ChunkEntry, ChunkSlot, Manifest, ShardTable, MAX_CHAINS};
 use crate::metrics::store_metrics;
 use crate::mutable;
@@ -91,19 +91,23 @@ pub struct ChunkedStore {
     payload_start: usize,
 }
 
+/// A chunk's encoded stream and its CRC-32.
+pub(crate) type ChunkStream = (Vec<u8>, u32);
+
 /// Compresses every chunk of `data` on the shared rayon pool for
 /// `threads` workers — the one loop behind every store writer. ε is
 /// resolved once against the *global* value range (chunk-local ranges
 /// are narrower, so resolving per chunk would tighten the bound
 /// inconsistently across the grid), and `encode(i, chunk, bound)` turns
 /// chunk `i` into `(index into chains, stream)`. Slab chunks are
-/// borrowed views; interior chunks of multi-axis grids are gathered into
-/// a chunk-sized buffer first (unavoidable for non-contiguous regions of
-/// a row-major array).
+/// borrowed views; interior chunks of multi-axis grids are gathered
+/// first (unavoidable for non-contiguous regions of a row-major array),
+/// each into a buffer a worker keeps for its next gather.
 ///
 /// Returns the unsharded manifest — holding only the chains some chunk
 /// uses, in first-use order, so adaptive candidates that never win cost
-/// no manifest bytes — and the streams in raster order.
+/// no manifest bytes — and the streams in raster order, each with its
+/// CRC-32 (taken on the worker that encoded it).
 pub(crate) fn encode_chunks<T: Element>(
     chains: &[ChainSpec],
     data: &NdArray<T>,
@@ -111,21 +115,32 @@ pub(crate) fn encode_chunks<T: Element>(
     chunk_shape: Shape,
     threads: usize,
     encode: impl Fn(usize, ArrayView<'_, T>, ErrorBound) -> Result<(usize, Vec<u8>)> + Sync,
-) -> Result<(Manifest, Vec<Vec<u8>>)> {
+) -> Result<(Manifest, Vec<ChunkStream>)> {
     assert!(threads >= 1, "thread count must be >= 1");
     let grid = ChunkGrid::new(data.shape(), chunk_shape);
-    let abs = bound.to_absolute(data.value_range())?;
+    let abs = match bound {
+        ErrorBound::Relative(_) => bound.to_absolute(value_range(data, threads)?)?,
+        ErrorBound::Absolute(_) => bound.to_absolute(0.0)?,
+    };
     let bound = ErrorBound::Absolute(abs);
     let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-    let encoded: Vec<Result<(usize, Vec<u8>)>> = pool_for(threads)?.install(|| {
+    // Gather buffers between chunks: at most one per worker.
+    let spare: Mutex<Vec<Vec<T>>> = Mutex::new(Vec::new());
+    let encoded: Vec<Result<(usize, Vec<u8>, u32)>> = pool_for(threads)?.install(|| {
         ids.par_iter()
             .map(|&i| {
                 let region = grid.chunk_region(i);
-                if grid.chunk_is_slab(i) {
-                    encode(i, data.slab(region.origin()[0], region.extent()[0]), bound)
+                let (pick, stream) = if grid.chunk_is_slab(i) {
+                    encode(i, data.slab(region.origin()[0], region.extent()[0]), bound)?
                 } else {
-                    encode(i, gather(data, &region).view(), bound)
-                }
+                    let mut buf = spare.lock().pop().unwrap_or_default();
+                    gather_into(data, &region, &mut buf);
+                    let out = encode(i, ArrayView::new(region.shape(), &buf), bound);
+                    spare.lock().push(buf);
+                    out?
+                };
+                let crc = crc32(&stream);
+                Ok((pick, stream, crc))
             })
             .collect()
     });
@@ -135,14 +150,14 @@ pub(crate) fn encode_chunks<T: Element>(
     let mut streams = Vec::with_capacity(ids.len());
     let mut offset = 0u64;
     for r in encoded {
-        let (pick, stream) = r?;
+        let (pick, stream, crc) = r?;
         if remap[pick] == u32::MAX {
             remap[pick] = used.len() as u32;
             used.push(chains[pick].clone());
         }
         chunks.push(ChunkEntry { chain: remap[pick], offset, len: stream.len() as u64 });
         offset += stream.len() as u64;
-        streams.push(stream);
+        streams.push((stream, crc));
     }
     let manifest = Manifest {
         dtype: T::DTYPE,
@@ -157,6 +172,25 @@ pub(crate) fn encode_chunks<T: Element>(
     Ok((manifest, streams))
 }
 
+/// `data`'s value range for a relative bound, scanned as `threads`
+/// contiguous runs on the pool. The runs' extremes combine in run order
+/// with strict `<` and `>`, keeping the earlier of equal values, so the
+/// range is the one an in-order scan finds (±0 included).
+fn value_range<T: Element>(data: &NdArray<T>, threads: usize) -> Result<f64> {
+    let samples = data.as_slice();
+    let run = samples.len().div_ceil(threads).max(1);
+    let runs: Vec<&[T]> = samples.chunks(run).collect();
+    let extremes: Vec<Option<(T, T)>> = pool_for(threads)?.install(|| {
+        runs.par_iter()
+            .map(|run| ArrayView::new(Shape::d1(run.len()), run).min_max())
+            .collect()
+    });
+    let combined = extremes.into_iter().flatten().reduce(|(mn, mx), (lo, hi)| {
+        (if lo < mn { lo } else { mn }, if hi > mx { hi } else { mx })
+    });
+    Ok(combined.map_or(0.0, |(mn, mx)| mx.to_f64() - mn.to_f64()))
+}
+
 /// [`encode_chunks`] with `codec` for every chunk.
 pub(crate) fn encode_uniform<T: Element>(
     codec: &dyn Compressor,
@@ -164,30 +198,34 @@ pub(crate) fn encode_uniform<T: Element>(
     bound: ErrorBound,
     chunk_shape: Shape,
     threads: usize,
-) -> Result<(Manifest, Vec<Vec<u8>>)> {
+) -> Result<(Manifest, Vec<ChunkStream>)> {
     encode_chunks(&[codec.spec()], data, bound, chunk_shape, threads, |_, chunk, bound| {
         Ok((0, compress_view(codec, chunk, bound)?))
     })
 }
 
 /// Assembles the finished `EBCS` stream from an unsharded manifest and
-/// its chunk streams: contiguous after the manifest (v2), or packed
-/// `chunks_per_shard` at a time (raster order) into `EBSH` shard objects
-/// that the manifest maps each chunk into by (shard, slot) (v3). Each
-/// stream is copied once, straight into the output.
+/// its chunk streams with their CRCs: contiguous after the manifest
+/// (v2), or packed `chunks_per_shard` at a time (raster order) into
+/// `EBSH` shard objects that the manifest maps each chunk into by
+/// (shard, slot) (v3). Each stream is copied once, straight into the
+/// output.
 fn assemble(
     mut manifest: Manifest,
-    streams: &[Vec<u8>],
+    streams: &[ChunkStream],
     chunks_per_shard: Option<usize>,
 ) -> Vec<u8> {
     // The payload as (shard index, chunk streams) pieces: one
     // index-less run for v2, one per shard for v3.
-    let pieces: Vec<(Vec<u8>, &[Vec<u8>])> = match chunks_per_shard {
+    let pieces: Vec<(Vec<u8>, &[ChunkStream])> = match chunks_per_shard {
         None => vec![(Vec::new(), streams)],
         Some(k) => {
-            let shards: Vec<_> = streams.chunks(k).map(|g| (shard_index(g), g)).collect();
-            let shard_len = |(index, g): &(Vec<u8>, &[Vec<u8>])| {
-                (index.len() + g.iter().map(Vec::len).sum::<usize>()) as u64
+            let shards: Vec<_> = streams
+                .chunks(k)
+                .map(|g| (shard_index(g.iter().map(|(s, crc)| (s.len(), *crc))), g))
+                .collect();
+            let shard_len = |(index, g): &(Vec<u8>, &[ChunkStream])| {
+                (index.len() + g.iter().map(|(s, _)| s.len()).sum::<usize>()) as u64
             };
             manifest.sharding = Some(ShardTable {
                 shard_lens: shards.iter().map(shard_len).collect(),
@@ -203,7 +241,7 @@ fn assemble(
     out.reserve(manifest.payload_len() as usize);
     for (index, group) in &pieces {
         out.extend_from_slice(index);
-        for s in *group {
+        for (s, _) in *group {
             out.extend_from_slice(s);
         }
     }
@@ -739,5 +777,34 @@ impl ChunkedStore {
             ));
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pooled range pass finds exactly what one in-order scan does,
+    /// at every thread count: signed zeros in either order, non-finite
+    /// samples, extremes tied across runs, a run longer than the array.
+    #[test]
+    fn pooled_value_range_is_the_in_order_one() {
+        let fields: Vec<Vec<f64>> = vec![
+            vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+            vec![-0.0, 0.0, -0.0, 0.0, 0.0],
+            vec![f64::NAN, 3.0, f64::INFINITY, -2.0, f64::NEG_INFINITY, 3.0, -2.0],
+            vec![f64::NAN, f64::INFINITY],
+            vec![5.0],
+            (0..1000).map(|i| ((i % 17) as f64 - 8.0) * 0.5).collect(),
+            (0..999).map(|i| if i % 2 == 0 { -0.0 } else { 1e-3 * i as f64 }).collect(),
+        ];
+        for samples in fields {
+            let a = NdArray::from_vec(Shape::d1(samples.len()), samples);
+            for threads in 1..=7 {
+                let got = value_range(&a, threads).unwrap();
+                let (want, head) = (a.value_range(), &a.as_slice()[..a.len().min(8)]);
+                assert_eq!(got.to_bits(), want.to_bits(), "{threads} threads over {head:?}");
+            }
+        }
     }
 }
