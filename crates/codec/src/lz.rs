@@ -51,16 +51,11 @@ fn hash4(b: &[u8]) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-/// The match finder's hash chains, kept in
-/// [`CodecScratch`](crate::scratch::CodecScratch) so compressing a
-/// chunk payload neither allocates nor clears 2 × 256 KiB of tables.
-///
-/// Nothing is cleared between calls either. A call stores position `j`
-/// as `origin + j` (less a base that only moves for inputs of 2 GiB and
-/// more), with `origin` at least [`WINDOW`] past every value an earlier
-/// call stored, so the window test turns every earlier entry away
-/// exactly as it would an empty one: candidates, their order and the
-/// tokens are those of tables filled fresh for each call.
+/// The match finder's hash chains (see the module docs). A call stores
+/// position `j` as `origin + j` (less a base that only moves for inputs
+/// of 2 GiB and more), with `origin` at least [`WINDOW`] past every
+/// value an earlier call stored, so the window test turns every earlier
+/// entry away exactly as it would an empty one.
 #[derive(Default)]
 pub(crate) struct LzTables {
     /// Stored position of the most recent position per hash.

@@ -6,9 +6,10 @@
 //! encode it. Without an arena every call pays fresh `Vec` allocations
 //! for the quantization-code buffer, the f64 reconstruction plane, the
 //! Huffman tables, the LZ hash chains, the outlier bytes, and the
-//! byte-stage output. [`CodecScratch`] keeps those buffers alive per thread so a
-//! steady-state loop (the store's rayon workers, the serve layer's miss
-//! assembly) reuses capacity instead of round-tripping the allocator.
+//! byte-stage output. [`CodecScratch`] keeps those buffers alive per
+//! thread so a steady-state loop (the store's rayon workers, the serve
+//! layer's miss assembly) reuses capacity instead of round-tripping the
+//! allocator.
 //!
 //! Access goes through [`with_scratch`], which hands out the calling
 //! thread's arena. Re-entrant use (an outer borrow still live when an
