@@ -21,6 +21,9 @@
 //!
 //! Knob: `EBLCIO_SCALE` = tiny|small|paper.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use eblcio_bench::scale_from_env;
 use eblcio_codec::{CompressorId, ErrorBound};
 use eblcio_data::{DatasetKind, DatasetSpec, NdArray, Shape};

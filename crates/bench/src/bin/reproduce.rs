@@ -9,6 +9,9 @@
 //! 2 on a usage error. `EBLCIO_SCALE` and `EBLCIO_RUNS` select the data
 //! size and the repetition protocol.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use eblcio_bench::figures::{Basis, Figure, FIGURES};
 use eblcio_bench::{results_from_env, runner_from_env, scale_from_env};
 use eblcio_core::Sweep;

@@ -25,6 +25,7 @@
 //! * `EBLCIO_RESULTS` — CSV output directory (default `bench_results`).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod figures;
 

@@ -13,6 +13,7 @@
 //! path, while the uncompressed baseline blows up at high core counts.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod report;
 pub mod topology;

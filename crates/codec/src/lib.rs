@@ -31,6 +31,7 @@
 //! bound, enforced by construction and verified by property tests.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod bitstream;
 pub mod chain;

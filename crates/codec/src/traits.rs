@@ -69,10 +69,14 @@ impl CompressorId {
     }
 
     /// Instantiates this codec's preset chain ([`ChainSpec::build`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "preset chains are static data exercised by the codec_matrix suite; keeping this \
+                  constructor infallible is what its ~100 call sites rely on"
+    )]
     pub fn instance(self) -> Box<dyn Compressor> {
         ChainSpec::preset(self)
             .build_boxed()
-            // eblcio-allow(panic-freedom): preset chains are static data exercised by the codec_matrix suite; keeping this constructor infallible is what its ~100 call sites rely on
             .expect("builtin preset chains always build")
     }
 }

@@ -5,59 +5,19 @@
 //! at every byte — give a typed error or a decode, never a panic, a hang
 //! or an allocation beyond the output.
 //!
-//! The binary runs under an allocator that records, per thread, the
-//! largest single allocation, so a decode's largest buffer can be held
-//! to the samples it delivers while other tests run beside it.
+//! The binary runs under `largest_allocation`, so a decode's largest
+//! buffer can be held to the samples it delivers.
+
+mod largest_allocation;
 
 use eblcio_codec::header::read_stream;
 use eblcio_codec::stage::{decode_array, decode_array_region, encode_array};
 use eblcio_codec::util::{put_varint, ByteReader};
 use eblcio_codec::{decompress, decompress_region, ArrayStage, CodecError, CompressorId, Zfp};
 use eblcio_data::{Element, NdArray, Shape};
+use largest_allocation::largest_allocation;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // `try_with`: an allocation during thread teardown is not measured.
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-}
-
-struct LargestAllocation;
-
-unsafe impl GlobalAlloc for LargestAllocation {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: LargestAllocation = LargestAllocation;
-
-/// `f`'s result and the largest single allocation it made on this
-/// thread.
-fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    LARGEST.with(|l| l.set(0));
-    let r = f();
-    (r, LARGEST.with(Cell::get))
-}
 
 /// Block rows of a shape's ZFP block grid: the blocks along the last
 /// axis that share their outer block coordinates.

@@ -15,6 +15,7 @@
 //!   of the reproduction reads its cells from.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod advisor;
 pub mod campaign;

@@ -336,19 +336,27 @@ impl Dataset {
     }
 
     /// Borrows the single-precision array, panicking for f64 sets.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking test/bench convenience accessor; every call site is a \
+                  test, bench, or example asserting the precision it just generated"
+    )]
     pub fn as_f32(&self) -> &NdArray<f32> {
         match self {
             Dataset::F32(a) => a,
-            // eblcio-allow(panic-freedom): documented panicking test/bench convenience accessor; every call site is a test, bench, or example asserting the precision it just generated
             Dataset::F64(_) => panic!("dataset is f64, not f32"),
         }
     }
 
     /// Borrows the double-precision array, panicking for f32 sets.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking test/bench convenience accessor; every call site is a \
+                  test, bench, or example asserting the precision it just generated"
+    )]
     pub fn as_f64(&self) -> &NdArray<f64> {
         match self {
             Dataset::F64(a) => a,
-            // eblcio-allow(panic-freedom): documented panicking test/bench convenience accessor; every call site is a test, bench, or example asserting the precision it just generated
             Dataset::F32(_) => panic!("dataset is f32, not f64"),
         }
     }

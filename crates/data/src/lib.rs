@@ -17,6 +17,7 @@
 //!   measurement campaigns (§IV-C: "25 runs or until 95 % CI").
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod array;
 pub mod element;

@@ -20,6 +20,7 @@
 //! priced") for the substitution argument.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod measure;
 pub mod profile;

@@ -5,6 +5,12 @@
 //! PAPI: per-package `energy_uj`, summed over both zones (Eq. 6), with
 //! wraparound correction via `max_energy_range_uj`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "reads /sys/class/powercap RAPL energy counters: hardware measurement files, not \
+              data-path storage"
+)]
+
 use crate::units::Joules;
 use std::fs;
 use std::path::PathBuf;

@@ -2,10 +2,11 @@
 //! the human [`report`] table.
 //!
 //! Everything here renders to a `String` — this crate never touches
-//! the filesystem. Persisting an exposition goes through the sanctioned
-//! sinks (`eblcio_core::dump` or a [`Storage`] backend), which is what
-//! keeps the `eblcio-analyze` `storage-boundary` rule clean with the
-//! telemetry layer in the tree.
+//! the filesystem. Persisting an exposition goes through a [`Storage`]
+//! backend (the figure CSVs, for one, are written by
+//! `eblcio_bench::TextTable::write_csv` on a `FilesystemStorage`), which
+//! keeps the storage-boundary lints clean with the telemetry layer in
+//! the tree.
 
 use crate::hist::HistogramSnapshot;
 use crate::metrics::{MetricSnapshot, MetricValue, MetricsRegistry};

@@ -19,8 +19,8 @@
 //! * **Flight recorder** ([`FlightRecorder`]) — a fixed-capacity
 //!   lock-free ring of recent span events, dumpable on demand.
 //! * **Exporters** ([`prometheus`], [`events_jsonl`], [`report`]) —
-//!   all render to `String`; persistence goes through the sanctioned
-//!   `core::dump`/`Storage` sinks, never through this crate.
+//!   all render to `String`; persistence goes through a `Storage`
+//!   backend, never through this crate.
 //!
 //! Span/recorder capture is **off** unless [`enabled`] says otherwise
 //! (env `EBLCIO_METRICS=1` or a programmatic [`set_enabled`]); metric
@@ -34,6 +34,7 @@
 //! README's Observability section for the full scheme.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 mod export;
 mod hist;

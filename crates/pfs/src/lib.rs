@@ -19,6 +19,7 @@
 //!   (§III's `I = {I₁ … I_q}`) programs against.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod format;
 pub mod ost;

@@ -64,6 +64,9 @@
 //! events as JSON lines. `inspect --json` appends a `metrics` block to
 //! its document when telemetry is enabled.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use eblcio::prelude::*;
 use eblcio::store::NamedBackend;
 use std::process::ExitCode;

@@ -1,8 +1,12 @@
-// Fixture: everything below LOOKS like a violation but is inert —
-// inside strings, raw strings, byte strings, comments, or is a
-// lifetime rather than a char literal. Expected findings: none.
+// Everything below looks like a violation but is inert: it sits in a
+// string, a char literal, a comment or a doc comment, or is an
+// invariant check or a non-poisoning `std::sync` type. Expected
+// findings: none.
 
-pub fn tricky<'a>(s: &'a str) -> &'a str {
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+pub fn tricky(s: &str) -> &str {
     let _c: char = 'x';
     let _esc: char = '\'';
     let _newline: char = '\n';
@@ -19,6 +23,13 @@ pub fn tricky<'a>(s: &'a str) -> &'a str {
 }
 
 /// Doc comment naming `std::fs` and `.expect(…)` and `Box<dyn Error>`.
-pub fn documented<'b>(r: &'b [u8]) -> &'b [u8] {
+pub fn documented(r: &[u8]) -> &[u8] {
     r
+}
+
+pub fn checked(n: &Arc<AtomicU64>) -> u64 {
+    let v = n.load(Ordering::Relaxed);
+    assert!(v < u64::MAX, "an invariant check is not a panic site");
+    debug_assert_ne!(v, 13);
+    v
 }
