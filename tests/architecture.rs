@@ -10,16 +10,15 @@
 //! Error hygiene has no clippy lint, so this file scans for it.
 //!
 //! The tests here run clippy over the workspace, check that every root
-//! carries its deny line, that every exemption names a reason, that no
-//! code erases an error type, and that `tests/lint_probe/` (one seeded
-//! violation per list entry) reports exactly the findings it marks.
+//! carries its deny line, that every exemption names a reason, and that
+//! no code erases an error type. `tests/fixture_suite.rs` checks that the
+//! same lints and scan catch every seeded violation in
+//! `tests/lint_probe/`.
 
-use serde::Value;
-use std::collections::BTreeSet;
+mod lint_gate;
+
+use lint_gate::{cargo_clippy, erased_errors, relative, rust_files, squashed_code, ROOT};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
-
-const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 
 /// The lints every library root denies outside `cfg(test)`.
 const ROOT_LINTS: [&str; 8] = [
@@ -45,21 +44,6 @@ const BIN_LINTS: [(&str, &[&str]); 2] = [
     ("src/bin/eblcio.rs", &["disallowed_types"]),
 ];
 
-/// Waiver hygiene: an `#[expect]` nothing fulfils, or a misspelled lint
-/// name, is an error rather than a warning.
-const WAIVER_FLAGS: [&str; 4] = ["-D", "unfulfilled_lint_expectations", "-D", "unknown_lints"];
-
-fn cargo_clippy(args: &[&str]) -> Output {
-    Command::new(env!("CARGO"))
-        .args(["clippy", "--offline"])
-        .args(args)
-        .arg("--")
-        .args(WAIVER_FLAGS)
-        .current_dir(ROOT)
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn cargo clippy: {e}"))
-}
-
 #[test]
 fn workspace_passes_the_architecture_lints() {
     let out = cargo_clippy(&["--workspace", "--lib", "--bins"]);
@@ -69,21 +53,6 @@ fn workspace_passes_the_architecture_lints() {
          #[allow(clippy::<lint>, reason = \"…\")]):\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-}
-
-/// Every `.rs` file below `dir`, sorted.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else { return out };
-    for entry in entries.map(|e| e.unwrap().path()) {
-        if entry.is_dir() {
-            out.extend(rust_files(&entry));
-        } else if entry.extension().is_some_and(|x| x == "rs") {
-            out.push(entry);
-        }
-    }
-    out.sort();
-    out
 }
 
 /// Every `src/` tree the rules govern: the root package's and each
@@ -99,21 +68,6 @@ fn source_trees() -> Vec<PathBuf> {
     crates.sort();
     trees.extend(crates);
     trees
-}
-
-/// `path` below `base`, `/`-separated.
-fn relative(base: &Path, path: &Path) -> String {
-    path.strip_prefix(base).unwrap().to_string_lossy().replace('\\', "/")
-}
-
-/// The file with `//` comments cut and all whitespace removed, so that
-/// attributes compare the same however rustfmt wraps them.
-fn squashed_code(src: &str) -> String {
-    src.lines()
-        .map(|l| l.split("//").next().unwrap_or(""))
-        .flat_map(str::chars)
-        .filter(|c| !c.is_whitespace())
-        .collect()
 }
 
 fn deny_line(lints: &[&str]) -> String {
@@ -174,34 +128,6 @@ fn every_exemption_names_a_reason() {
     assert!(bad.is_empty(), "architecture exemptions without a reason:\n{}", bad.join("\n"));
 }
 
-/// Error hygiene: the lines of `src` whose code (comments cut) boxes a
-/// `dyn …Error…` trait object, which erases the typed error a caller
-/// matches on. Items under `#[cfg(test)]` are skipped, as the lints
-/// skip them: from the attribute to the line that closes the item's
-/// braces or ends it with `;`.
-fn erased_errors(src: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut test_item: Option<usize> = None;
-    for (i, line) in src.lines().enumerate() {
-        let code = squashed_code(line);
-        if test_item.is_none() && code.starts_with("#[cfg(test)]") {
-            test_item = Some(0);
-        }
-        if let Some(depth) = test_item {
-            let opened = depth + code.matches('{').count();
-            let depth = opened.saturating_sub(code.matches('}').count());
-            let ended = depth == 0 && (code.contains('}') || code.ends_with(';'));
-            test_item = (!ended).then_some(depth);
-        } else if code.match_indices("Box<dyn").any(|(at, _)| {
-            let object = &code[at + "Box<dyn".len()..];
-            object[..object.find('>').unwrap_or(object.len())].contains("Error")
-        }) {
-            out.push(i + 1);
-        }
-    }
-    out
-}
-
 #[test]
 fn no_code_erases_its_error_type() {
     let mut bad = Vec::new();
@@ -215,82 +141,5 @@ fn no_code_erases_its_error_type() {
         "Box<dyn Error> erases the typed error (return CodecError or the crate's own error \
          enum):\n{}",
         bad.join("\n")
-    );
-}
-
-/// One finding: (file relative to the probe, 1-based line, lint name
-/// without its `clippy::` prefix).
-type Finding = (String, usize, String);
-
-/// The `//~ lint` markers of every probe source file.
-fn probe_markers(probe: &Path) -> BTreeSet<Finding> {
-    let mut out = BTreeSet::new();
-    for file in rust_files(&probe.join("src")) {
-        let rel = relative(probe, &file);
-        for (i, line) in std::fs::read_to_string(&file).unwrap().lines().enumerate() {
-            for marker in line.split("//~ ").skip(1) {
-                let lint = marker.split_whitespace().next().unwrap_or("");
-                assert!(!lint.is_empty(), "{rel}:{}: bare //~ marker", i + 1);
-                out.insert((rel.clone(), i + 1, lint.to_string()));
-            }
-        }
-    }
-    out
-}
-
-/// The error-level diagnostics of one `--message-format=json` run.
-fn json_errors(stdout: &[u8]) -> BTreeSet<Finding> {
-    let mut out = BTreeSet::new();
-    for line in String::from_utf8_lossy(stdout).lines() {
-        let Ok(msg) = serde_json::from_str::<Value>(line) else { continue };
-        let Some(msg) = msg.get("message") else { continue };
-        let code = msg.get("code").and_then(|c| c.get("code")).and_then(Value::as_str);
-        let (Some(code), Some("error")) = (code, msg.get("level").and_then(Value::as_str)) else {
-            continue;
-        };
-        let spans = msg.get("spans").and_then(Value::as_seq).unwrap_or(&[]);
-        let primary = |s: &&Value| matches!(s.get("is_primary"), Some(Value::Bool(true)));
-        for span in spans.iter().filter(primary) {
-            let file = span.get("file_name").and_then(Value::as_str).unwrap_or("?");
-            let line = span.get("line_start").and_then(Value::as_f64).unwrap_or(0.0) as usize;
-            let lint = code.strip_prefix("clippy::").unwrap_or(code);
-            out.insert((file.to_string(), line, lint.to_string()));
-        }
-    }
-    out
-}
-
-#[test]
-fn lint_probe_findings_match_its_markers() {
-    let probe = Path::new(ROOT).join("tests/lint_probe");
-    let target = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_probe");
-    let manifest = probe.join("Cargo.toml");
-    // `--all-targets` also builds the probe's `cfg(test)` code, where
-    // only `unsafe_code` may fire; `--keep-going` builds it although
-    // the library fails.
-    let out = cargo_clippy(&[
-        "--manifest-path",
-        manifest.to_str().unwrap(),
-        "--target-dir",
-        target.to_str().unwrap(),
-        "--all-targets",
-        "--keep-going",
-        "--message-format=json",
-    ]);
-    let mut found = json_errors(&out.stdout);
-    for file in rust_files(&probe.join("src")) {
-        let (rel, src) = (relative(&probe, &file), std::fs::read_to_string(&file).unwrap());
-        let hygiene = erased_errors(&src).into_iter();
-        found.extend(hygiene.map(|n| (rel.clone(), n, "error_hygiene".to_string())));
-    }
-    let expected = probe_markers(&probe);
-    assert!(expected.len() > 20, "the probe lost its markers: {expected:?}");
-    let missed: Vec<_> = expected.difference(&found).collect();
-    let extra: Vec<_> = found.difference(&expected).collect();
-    assert!(
-        missed.is_empty() && extra.is_empty(),
-        "lint probe: marked but not reported {missed:#?}\nreported but not marked {extra:#?}\n\
-         --- cargo stderr ---\n{}",
-        String::from_utf8_lossy(&out.stderr)
     );
 }

@@ -1,5 +1,5 @@
 // Erased error types. Every `Box<dyn …Error…>` outside `cfg(test)`
-// code is a finding, public or not; `tests/architecture.rs` scans for
+// code is a finding, public or not; the architecture tests scan for
 // it, as no clippy lint does.
 
 use std::error::Error;
