@@ -332,6 +332,11 @@ impl OutBox {
         &self.extent[4 - rank..]
     }
 
+    /// The box-shaped output's row-major strides at the array's rank.
+    pub(crate) fn strides(&self, rank: usize) -> &[usize] {
+        &self.strides[4 - rank..]
+    }
+
     /// Samples in the box.
     pub(crate) fn len(&self) -> usize {
         self.extent.iter().product()

@@ -158,7 +158,9 @@ impl Sz2 {
     /// (regression blocks read none; a Lorenzo block reads its lower
     /// neighbours, and so on down). Every other block is stepped over:
     /// its codes and their outliers skipped, its regression coefficients
-    /// consumed.
+    /// consumed. The plane is not zeroed first: a Lorenzo prediction
+    /// reads only samples of its own block or of a needed lower
+    /// neighbour, all reconstructed earlier in the same pass.
     pub fn decode_impl<T: Element>(
         &self,
         bytes: &[u8],
@@ -220,7 +222,10 @@ impl Sz2 {
             .as_ref()
             .map_or(grid.len(), |v| v.iter().rposition(|&b| b).map_or(0, |i| i + 1));
         let stencil = LorenzoStencil::new(shape);
-        recon.clear();
+        // No zeroing: a Lorenzo prediction reads only samples this pass
+        // has already written — earlier in its block, or in a lower
+        // neighbour block, which `needed` keeps — so what an earlier
+        // decode left in the plane is never read.
         recon.resize(n, 0.0);
         let mut sink = SampleSink {
             quant: LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS),

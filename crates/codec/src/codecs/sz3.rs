@@ -53,25 +53,36 @@ pub(crate) fn effective_stencil(pred: Interp, cubic: bool) -> Interp {
     }
 }
 
+/// One lattice the pass visits — the anchors, or the targets of one
+/// level/axis step: along axis `d` its samples sit at
+/// `base[d] + i·step[d]`, `i < count[d]` (rank-length; later slots
+/// unused).
+#[derive(Clone, Copy)]
+struct Lattice {
+    base: [usize; 4],
+    step: [usize; 4],
+    count: [usize; 4],
+}
+
 /// What the fused interpolation pass does with one sample once its
 /// prediction is known: the encoder quantizes the raw value, the
 /// decoder reconstructs from the next code. Either way `recon[off]`
 /// ends up holding the value the decoder sees.
 trait SampleCoder {
-    /// Announces a run of samples along the last axis (an anchor row or
-    /// one lattice run): its sample `k` has code index `code + k` and
-    /// last-axis coordinate `at[rank − 1] + k·step` (the outer
-    /// coordinates are `at`'s), and the pass codes it from `k_first` on.
-    /// Codes before that are ones the pass steps over.
+    /// Announces the lattice the runs until the next call belong to.
     #[inline(always)]
-    fn begin_run(
-        &mut self,
-        code: usize,
-        k_first: usize,
-        at: [usize; 4],
-        step: usize,
-    ) -> Result<()> {
-        let _ = (code, k_first, at, step);
+    fn begin_lattice(&mut self, lattice: &Lattice) {
+        let _ = lattice;
+    }
+
+    /// Announces a run of the current lattice along the last axis (an
+    /// anchor row or one lattice run) at outer lattice indices `idx`
+    /// (axes `0..rank − 1`): its sample `k` has code index `code + k`,
+    /// and the pass codes it from `k_first` on. Codes before that are
+    /// ones the pass steps over.
+    #[inline(always)]
+    fn begin_run(&mut self, code: usize, k_first: usize, idx: &[usize; 4]) -> Result<()> {
+        let _ = (code, k_first, idx);
         Ok(())
     }
 
@@ -107,6 +118,59 @@ impl<T: Element> SampleCoder for EncodeSamples<'_, T> {
     }
 }
 
+/// Where the runs of one [`Lattice`] land in the box-shaped output,
+/// worked out once per lattice: a run then costs a compare and a
+/// multiply-add per outer axis, and no division.
+#[derive(Clone, Copy, Default)]
+struct BoxRuns {
+    /// Per outer axis (`0..rank − 1`), `(lo, len, row_step)`: the
+    /// lattice indices `lo .. lo + len` are inside the box, and one index
+    /// moves the output by `row_step`.
+    outer: [(usize, usize, usize); 3],
+    /// Along the last axis: the samples `k_lo .. k_lo + k_len` of every
+    /// run are inside.
+    k_lo: usize,
+    k_len: usize,
+    /// Output index of sample `k_lo` of the run at each outer axis's
+    /// `lo` (wrapped arithmetic; meaningful only where a run is inside).
+    at: usize,
+    /// Output step between consecutive samples of a run.
+    step: usize,
+}
+
+impl BoxRuns {
+    fn new(boxed: &OutBox, rank: usize, l: &Lattice) -> Self {
+        let (origin, extent, strides) = (boxed.origin(rank), boxed.extent(rank), boxed.strides(rank));
+        let span = |d: usize| {
+            lattice_span(l.base[d], l.step[d], l.count[d], origin[d], origin[d] + extent[d])
+        };
+        let last = rank - 1;
+        let (k_lo, k_hi) = span(last);
+        let mut r = Self { k_lo, k_len: k_hi - k_lo, step: l.step[last], ..Self::default() };
+        r.at = (l.base[last] + k_lo * l.step[last]).wrapping_sub(origin[last]);
+        for d in 0..last {
+            let (lo, hi) = span(d);
+            r.outer[d] = (lo, hi - lo, l.step[d] * strides[d]);
+            let rel = (l.base[d] + lo * l.step[d]).wrapping_sub(origin[d]);
+            r.at = r.at.wrapping_add(rel.wrapping_mul(strides[d]));
+        }
+        r
+    }
+
+    /// The run at outer lattice indices `idx`: `(k_lo, samples inside,
+    /// output index of sample k_lo)`, none inside when it misses the box.
+    #[inline(always)]
+    fn run(&self, last: usize, idx: &[usize; 4]) -> (usize, usize, usize) {
+        let (mut inside, mut at) = (true, self.at);
+        for (&i, &(lo, len, row_step)) in idx[..last].iter().zip(&self.outer) {
+            let rel = i.wrapping_sub(lo);
+            inside &= rel < len;
+            at = at.wrapping_add(rel.wrapping_mul(row_step));
+        }
+        (self.k_lo, if inside { self.k_len } else { 0 }, at)
+    }
+}
+
 /// Decode side of [`interp_pass`]: codes and outlier bytes in, the
 /// samples of the box `origin .. origin + extent` out. Samples outside
 /// the box that the pass still reconstructs — stencil sources — stay in
@@ -122,12 +186,13 @@ struct DecodeSamples<'a, T, const WHOLE: bool> {
     rank: usize,
     boxed: OutBox,
     out: &'a mut [T],
+    /// The current lattice's runs in the box.
+    runs: BoxRuns,
     /// The current run's codes `emit_from .. emit_from + emit_len` land
-    /// at `out[emit_at + j·emit_step]`, `j` counted from `emit_from`.
+    /// at `out[emit_at + j·runs.step]`, `j` counted from `emit_from`.
     emit_from: usize,
     emit_len: usize,
     emit_at: usize,
-    emit_step: usize,
 }
 
 impl<'a, T: Element, const WHOLE: bool> DecodeSamples<'a, T, WHOLE> {
@@ -145,23 +210,24 @@ impl<'a, T: Element, const WHOLE: bool> DecodeSamples<'a, T, WHOLE> {
             rank,
             boxed,
             out,
+            runs: BoxRuns::default(),
             emit_from: 0,
             emit_len: 0,
             emit_at: 0,
-            emit_step: 0,
         }
     }
 }
 
 impl<T: Element, const WHOLE: bool> SampleCoder for DecodeSamples<'_, T, WHOLE> {
     #[inline(always)]
-    fn begin_run(
-        &mut self,
-        code: usize,
-        k_first: usize,
-        at: [usize; 4],
-        step: usize,
-    ) -> Result<()> {
+    fn begin_lattice(&mut self, lattice: &Lattice) {
+        if !WHOLE {
+            self.runs = BoxRuns::new(&self.boxed, self.rank, lattice);
+        }
+    }
+
+    #[inline(always)]
+    fn begin_run(&mut self, code: usize, k_first: usize, idx: &[usize; 4]) -> Result<()> {
         if WHOLE {
             return Ok(());
         }
@@ -170,13 +236,10 @@ impl<T: Element, const WHOLE: bool> SampleCoder for DecodeSamples<'_, T, WHOLE> 
             self.outliers.skip_codes::<T>(&self.codes[self.code_i..first])?;
             self.code_i = first;
         }
-        let mut padded = [0usize; 4];
-        padded[4 - self.rank..].copy_from_slice(&at[..self.rank]);
-        let (lo, hi, at) = self.boxed.span(padded, step);
+        let (lo, len, at) = self.runs.run(self.rank - 1, idx);
         self.emit_from = code + lo;
-        self.emit_len = hi - lo;
+        self.emit_len = len;
         self.emit_at = at;
-        self.emit_step = step;
         Ok(())
     }
 
@@ -203,7 +266,7 @@ impl<T: Element, const WHOLE: bool> SampleCoder for DecodeSamples<'_, T, WHOLE> 
         }
         let j = i.wrapping_sub(self.emit_from);
         if j < self.emit_len {
-            self.out[self.emit_at + j * self.emit_step] = t;
+            self.out[self.emit_at + j * self.runs.step] = t;
         }
         Ok(())
     }
@@ -272,7 +335,10 @@ pub(crate) fn interp_decode_with<T: Element>(
     if codes.len() != n {
         return Err(CodecError::Corrupt { context: "sz3 code count" });
     }
-    recon_buf.clear();
+    // No zeroing: every sample a stencil reads was written earlier in
+    // the same pass (coarser levels come first, and `widened` keeps the
+    // sources of every step a box needs), so what an earlier decode
+    // left in the plane is never read.
     recon_buf.resize(n, 0.0);
     let rank = shape.rank();
     let mut out = vec![T::default(); boxed.len()];
@@ -349,17 +415,16 @@ fn interp_pass<C: SampleCoder>(
     for (d, count) in counts.iter_mut().enumerate().take(rank) {
         *count = shape.dim(d).div_ceil(stride);
     }
+    coder.begin_lattice(&Lattice { base: [0; 4], step: [stride; 4], count: counts });
     let mut prev = 0.0f64;
     let mut code = 0usize;
     let mut idx = [0usize; 4];
     for _ in 0..counts[..last].iter().product::<usize>() {
-        let mut at = [0usize; 4];
         let mut off = 0usize;
         for d in 0..last {
-            at[d] = idx[d] * stride;
-            off += at[d] * strides[d];
+            off += idx[d] * stride * strides[d];
         }
-        coder.begin_run(code, 0, at, stride)?;
+        coder.begin_run(code, 0, &idx)?;
         for _ in 0..counts[last] {
             coder.code(&anchor_quant, prev, off, recon)?;
             prev = recon[off];
@@ -420,11 +485,31 @@ fn interp_pass<C: SampleCoder>(
                     run_codes *= counts[d];
                 }
             }
+            coder.begin_lattice(&Lattice { base, step, count: counts });
             let axis_stride = strides[axis];
             let d1 = h * axis_stride;
             let d3 = 3 * h * axis_stride;
             let inner_step = offs[last];
             let (k_lo, k_hi) = (first[last], end[last]);
+            // Along the last axis (axis == last), the run varies the
+            // target-axis coordinate t = h + k·s: a linear-or-copy head
+            // sample, a cubic interior, then a linear and a copy tail
+            // (every predicate is monotone in k, so the segments are
+            // contiguous, and their ends are the same for every run).
+            // Cubic needs t ≥ 3h (k ≥ 1) and t + 3h < dim_a
+            // (k·s ≤ dim_a − 4h − 1); without cubic stencils the
+            // interior degrades to linear and merges with the linear
+            // tail. Linear needs t + h < dim_a (k·s ≤ dim_a − 2h − 1).
+            let cubic_end = if cubic && dim_a > 4 * h {
+                ((dim_a - 4 * h - 1) / s + 1).min(k_hi)
+            } else {
+                0
+            };
+            let linear_end = if dim_a > 2 * h {
+                ((dim_a - 2 * h - 1) / s + 1).min(k_hi)
+            } else {
+                0
+            };
             let mut idx = first;
             let mut off0 = h * axis_stride;
             let mut code0 = code;
@@ -434,19 +519,10 @@ fn interp_pass<C: SampleCoder>(
             }
             let outer_total: usize = (0..last).map(|d| end[d] - first[d]).product();
             for _ in 0..outer_total {
-                let mut at = base;
-                for d in 0..last {
-                    at[d] += idx[d] * step[d];
-                }
-                coder.begin_run(code0, k_lo, at, s)?;
+                coder.begin_run(code0, k_lo, &idx)?;
                 let mut k = k_lo;
                 let mut o = off0 + k * inner_step;
                 if axis == last {
-                    // The run varies the target-axis coordinate
-                    // t = h + k·s: a linear-or-copy head sample, a cubic
-                    // interior, then a linear and a copy tail (every
-                    // predicate is monotone in k, so the segments are
-                    // contiguous).
                     if k == 0 && k < k_hi {
                         let pred = if s < dim_a {
                             0.5 * (recon[o - d1] + recon[o + d1])
@@ -457,15 +533,6 @@ fn interp_pass<C: SampleCoder>(
                         o += inner_step;
                         k += 1;
                     }
-                    // Cubic needs t ≥ 3h (k ≥ 1) and t + 3h < dim_a
-                    // (k·s ≤ dim_a − 4h − 1); without cubic stencils the
-                    // interior degrades to linear and merges with the
-                    // linear tail below.
-                    let cubic_end = if cubic && dim_a > 4 * h {
-                        ((dim_a - 4 * h - 1) / s + 1).min(k_hi)
-                    } else {
-                        0
-                    };
                     while k < cubic_end {
                         let pred = (-recon[o - d3] + 9.0 * recon[o - d1] + 9.0 * recon[o + d1]
                             - recon[o + d3])
@@ -474,12 +541,6 @@ fn interp_pass<C: SampleCoder>(
                         o += inner_step;
                         k += 1;
                     }
-                    // Linear while t + h < dim_a (k·s ≤ dim_a − 2h − 1).
-                    let linear_end = if dim_a > 2 * h {
-                        ((dim_a - 2 * h - 1) / s + 1).min(k_hi)
-                    } else {
-                        0
-                    };
                     while k < linear_end {
                         let pred = 0.5 * (recon[o - d1] + recon[o + d1]);
                         coder.code(&quant, pred, o, recon)?;
@@ -495,7 +556,7 @@ fn interp_pass<C: SampleCoder>(
                 } else {
                     // The target-axis coordinate is fixed for the whole
                     // run, so the stencil kind is too.
-                    let t = at[axis];
+                    let t = base[axis] + idx[axis] * step[axis];
                     if cubic && t >= 3 * h && t + 3 * h < dim_a {
                         for _ in k_lo..k_hi {
                             let pred = (-recon[o - d3] + 9.0 * recon[o - d1]
@@ -654,7 +715,10 @@ impl Sz3 {
     /// reconstructs only the box widened by the stencil reach of the
     /// finer levels (`3·h` per level), so the finest levels — most of
     /// the samples — stay near the box and the small coarse ones run
-    /// whole.
+    /// whole. Each level/axis step works out once where its runs land
+    /// in the box, so a run costs a compare per outer axis. The plane is
+    /// not zeroed first: every sample a stencil reads was reconstructed
+    /// earlier in the same pass.
     pub fn decode_impl<T: Element>(
         &self,
         bytes: &[u8],

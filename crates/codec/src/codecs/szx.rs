@@ -114,11 +114,13 @@ impl Szx {
 
     /// Array-stage decode of the box `origin .. origin + extent`, mirror
     /// of [`Self::encode_impl`]. SZx blocks are flat 128-sample spans of
-    /// the row-major array, so only blocks overlapping the box's flat
-    /// index span are decoded: everything before is skipped by header
-    /// arithmetic, everything after is never read. A whole decode
-    /// returns the decoded span itself; for a small corner box of a
-    /// large chunk the decode touches a fraction of the coded samples.
+    /// the row-major array, so a block that no row of the box touches
+    /// is stepped over by header arithmetic, and the stream is read no
+    /// further than the box's last row. Each block a row touches is
+    /// decoded into one reused block buffer, and the rows' parts in it
+    /// are appended to the output — rows come in flat order, so the
+    /// output fills front to back and nothing outside the box is held.
+    /// A whole decode appends every block to the output directly.
     pub fn decode_impl<T: Element>(
         &self,
         payload: &[u8],
@@ -131,60 +133,76 @@ impl Szx {
         let strides = shape.strides();
         let n = shape.len();
         let step = 2.0 * abs;
-        // The box's flat offsets all lie in [lo, hi].
-        let lo: usize = (0..rank).map(|d| origin[d] * strides[d]).sum();
-        let hi: usize = (0..rank)
-            .map(|d| (origin[d] + extent[d] - 1) * strides[d])
-            .sum();
-        let first_block = lo / BLOCK;
-        let last_block = hi / BLOCK;
-        let span_base = first_block * BLOCK;
-
         let mut r = ByteReader::new(payload);
         let n_blocks = r.varint("szx block count")? as usize;
         // Every block is at least a mode byte and one sample, so a count
-        // the payload cannot hold is corrupt — caught before the span is
-        // sized from a header shape the payload CRC does not cover.
+        // the payload cannot hold is corrupt — caught before the output
+        // is sized from a header shape the payload CRC does not cover.
         if n_blocks != n.div_ceil(BLOCK) || n_blocks.saturating_mul(1 + T::BYTES) > r.remaining() {
             return Err(CodecError::Corrupt { context: "szx block count" });
         }
-        let mut span: Vec<T> = Vec::with_capacity(((last_block + 1) * BLOCK).min(n) - span_base);
-        with_scratch(|s| -> Result<()> {
-            for b in 0..=last_block {
-                let block_len = BLOCK.min(n - b * BLOCK);
-                if b < first_block {
-                    skip_block::<T>(&mut r, block_len)?;
-                } else {
-                    decode_block(&mut r, block_len, step, &mut s.codes, &mut span)?;
-                }
-            }
-            Ok(())
-        })?;
         let out_shape = Shape::new(extent);
-        if out_shape == shape {
-            return Ok(NdArray::from_vec(shape, span));
-        }
-
-        // Gather the box out of the decoded span, one contiguous
-        // last-axis row at a time — the row is a flat slice of the
-        // span, so the copy is memcpy-shaped instead of a per-sample
-        // coordinate dot product.
         let total = out_shape.len();
         let mut out: Vec<T> = Vec::with_capacity(total);
-        let row = extent[rank - 1];
-        let mut idx = [0usize; 4];
-        for _ in 0..total / row {
-            let off: usize = (0..rank).map(|d| (origin[d] + idx[d]) * strides[d]).sum();
-            let start = off - span_base;
-            out.extend_from_slice(&span[start..start + row]);
-            for d in (0..rank - 1).rev() {
+        if total == n {
+            with_scratch(|s| -> Result<()> {
+                for b in 0..n_blocks {
+                    decode_block(&mut r, BLOCK.min(n - b * BLOCK), step, &mut s.codes, &mut out)?;
+                }
+                Ok(())
+            })?;
+            return Ok(NdArray::from_vec(shape, out));
+        }
+
+        // The box's last-axis rows as flat ranges, in order.
+        let last = rank - 1;
+        let row_len = extent[last];
+        let (mut idx, mut rows_left) = ([0usize; 4], total / row_len);
+        let mut next_row = || {
+            rows_left = rows_left.checked_sub(1)?;
+            let lo: usize = (0..rank).map(|d| (origin[d] + idx[d]) * strides[d]).sum();
+            for d in (0..last).rev() {
                 idx[d] += 1;
                 if idx[d] < extent[d] {
                     break;
                 }
                 idx[d] = 0;
             }
-        }
+            Some((lo, lo + row_len))
+        };
+        with_scratch(|s| -> Result<()> {
+            let mut block = Vec::with_capacity(BLOCK);
+            let Some((mut lo, mut hi)) = next_row() else {
+                return Ok(());
+            };
+            for b in 0..n_blocks {
+                let start = b * BLOCK;
+                let end = n.min(start + BLOCK);
+                if lo >= end {
+                    skip_block::<T>(&mut r, end - start)?;
+                    continue;
+                }
+                block.clear();
+                decode_block(&mut r, end - start, step, &mut s.codes, &mut block)?;
+                // Every row part in this block: a row that runs on past
+                // the block resumes at the next one's first sample.
+                loop {
+                    out.extend_from_slice(&block[lo - start..hi.min(end) - start]);
+                    if hi > end {
+                        lo = end;
+                        break;
+                    }
+                    let Some(row) = next_row() else {
+                        return Ok(());
+                    };
+                    (lo, hi) = row;
+                    if lo >= end {
+                        break;
+                    }
+                }
+            }
+            Ok(())
+        })?;
         Ok(NdArray::from_vec(out_shape, out))
     }
 }
@@ -239,7 +257,8 @@ fn decode_block<T: Element>(
 }
 
 /// Advances past one block (mode byte onward) without decoding any
-/// sample — pure header arithmetic, for the blocks before the box.
+/// sample — pure header arithmetic, for the blocks no row of the box
+/// touches.
 fn skip_block<T: Element>(r: &mut ByteReader<'_>, block_len: usize) -> Result<()> {
     match r.u8("szx block mode")? {
         MODE_CONSTANT => {

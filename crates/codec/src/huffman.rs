@@ -404,7 +404,8 @@ fn parse_payload<'a>(r: &mut ByteReader<'a>) -> Result<(usize, &'a [u8])> {
 ///
 /// Symbols decode through the multi-symbol window
 /// (`HuffLookup::decode_multi`): one lookup and one buffer shift per
-/// window instead of per symbol.
+/// window of up to eight symbols instead of per symbol, and one refill
+/// per five windows.
 pub fn decode_block_into(buf: &[u8], out: &mut Vec<u32>, lut: &mut HuffLookup) -> Result<usize> {
     let mut r = ByteReader::new(buf);
     let Some(table) = parse_table(&mut r)? else {
@@ -495,13 +496,22 @@ const PRIMARY_BITS: u32 = 12;
 /// code among the next `MULTI_BITS` payload bits. Quantization codes
 /// average under two bits, so a window typically yields several.
 const MULTI_BITS: u32 = 10;
-/// Most symbols one multi-symbol window entry holds.
-const MULTI_MAX: usize = 4;
+/// Most symbols one multi-symbol window entry holds. A window of
+/// one-bit zero-bin codes holds ten; eight keep an entry at 32 bytes.
+const MULTI_MAX: usize = 8;
+/// Windows decoded after one refill. A refill leaves at least 57 real
+/// bits while eight payload bytes remain, and a window consumes at most
+/// `MULTI_BITS`, so a whole group reads real bits only.
+const GROUP_WINDOWS: usize = 5;
+/// Real bits a group needs in the buffer before it starts.
+const GROUP_BITS: u32 = GROUP_WINDOWS as u32 * MULTI_BITS;
 
 /// Reusable state of the table-driven canonical decoder: the per-length
 /// range tables of the tree decoder, a `PRIMARY_BITS`-wide direct-lookup
-/// window and the `MULTI_BITS`-wide multi-symbol window. Held in [`CodecScratch`](crate::scratch::CodecScratch) so
-/// repeated block decodes on one thread reuse the allocations.
+/// window and the `MULTI_BITS`-wide multi-symbol window, which returns
+/// up to `MULTI_MAX` (8) symbols per lookup. Held in
+/// [`CodecScratch`](crate::scratch::CodecScratch) so repeated block
+/// decodes on one thread reuse the allocations.
 #[derive(Default)]
 pub struct HuffLookup {
     /// Symbols sorted by (length, symbol).
@@ -515,11 +525,14 @@ pub struct HuffLookup {
     len: Vec<u8>,
     /// Actual window width: `min(PRIMARY_BITS, longest code)`.
     bits: u32,
-    /// The whole codes at the front of each multi-symbol window, in
-    /// order (the first `multi_len >> 4` are valid).
+    /// The whole codes at the front of each window, in order (the first
+    /// `multi_len >> 4` are valid). Windows of every width `r` up to
+    /// `MULTI_BITS` are kept, the `r`-bit window `v` at `1 << r | v`:
+    /// the build fills each from a narrower one, and the decoder reads
+    /// the widest, the upper half.
     multi_sym: Vec<[u32; MULTI_MAX]>,
-    /// Per multi-symbol window: `count << 4 | total bits`; 0 when the
-    /// window's first code is longer than the window.
+    /// Per window, laid out as `multi_sym`: `count << 4 | total bits`;
+    /// 0 when the window's first code is longer than the window.
     multi_len: Vec<u8>,
 }
 
@@ -579,7 +592,8 @@ impl HuffLookup {
         let size = 1usize << self.bits;
         self.len.clear();
         self.len.resize(size, 0);
-        self.sym.clear();
+        // `sym` is read only where `len` is set, so it keeps what the
+        // last block left elsewhere.
         self.sym.resize(size, 0);
         for len in 1..=self.bits {
             let (first, fidx, count) = self.per_len[len as usize];
@@ -594,32 +608,65 @@ impl HuffLookup {
         Ok(())
     }
 
-    /// Fills the multi-symbol window from the primary one (after
-    /// [`Self::prepare`]): for every `MULTI_BITS`-bit window, the run of
-    /// whole codes it starts with, up to `MULTI_MAX`. A code counts only
-    /// if all its bits lie inside the window, so an entry never depends
-    /// on the bits that follow it.
+    /// Fills the multi-symbol windows (after [`Self::prepare`]): for
+    /// every window of `r ≤ MULTI_BITS` bits, the run of whole codes it
+    /// starts with, up to `MULTI_MAX`. A code counts only if all its bits
+    /// lie inside the window, so an entry never depends on the bits that
+    /// follow it.
+    ///
+    /// Widths go up from one bit. The `r`-bit windows that start with
+    /// the code `c` of `len ≤ r` bits are `c << (r − len) | t` for every
+    /// `t` of `r − len` bits, and past `c` each holds what the window `t`
+    /// of that narrower width holds, already built. So the entries come
+    /// from contiguous runs of narrower ones, `c`'s symbol put in front;
+    /// only an entry whose tail is already full walks its codes one by
+    /// one. Windows whose first code is longer stay empty.
     fn prepare_multi(&mut self) {
-        let size = 1usize << MULTI_BITS;
-        self.multi_sym.clear();
+        // Only the first `count` symbols of an entry are ever read, so
+        // the symbol table keeps what the last block left; the counts
+        // start empty.
+        let size = 2usize << MULTI_BITS;
         self.multi_sym.resize(size, [0; MULTI_MAX]);
         self.multi_len.clear();
         self.multi_len.resize(size, 0);
         let shift = 64 - self.bits;
-        for (w, (syms, packed)) in self.multi_sym.iter_mut().zip(&mut self.multi_len).enumerate() {
-            let window = (w as u64) << (64 - MULTI_BITS);
-            let (mut used, mut n) = (0u32, 0usize);
-            while n < MULTI_MAX {
-                let idx = ((window << used) >> shift) as usize;
-                let len = u32::from(self.len[idx]);
-                if len == 0 || used + len > MULTI_BITS {
-                    break;
+        let (len_of, sym_of) = (self.len.as_slice(), self.sym.as_slice());
+        let (multi_sym, multi_len) = (self.multi_sym.as_mut_slice(), self.multi_len.as_mut_slice());
+        for r in 1..=MULTI_BITS {
+            for len in 1..=r {
+                let (first, fidx, count) = self.per_len[len as usize];
+                let tail_bits = r - len;
+                let tails = 1usize << tail_bits;
+                for (c, &sym) in (first as usize..).zip(&self.symbols[fidx..fidx + count]) {
+                    let at0 = 1 << r | c << tail_bits;
+                    for t in 0..tails {
+                        let (tail, at) = (tails | t, at0 | t);
+                        let packed = multi_len[tail];
+                        let (n, used) = (usize::from(packed >> 4), u32::from(packed & 0xf));
+                        if n < MULTI_MAX {
+                            let mut syms = [sym; MULTI_MAX];
+                            syms[1..].copy_from_slice(&multi_sym[tail][..MULTI_MAX - 1]);
+                            multi_sym[at] = syms;
+                            multi_len[at] = ((n + 1) << 4) as u8 | (len + used) as u8;
+                            continue;
+                        }
+                        // A full tail: walk the window's codes one by one.
+                        let window = ((at ^ 1 << r) as u64) << (64 - r);
+                        let (mut used, mut n) = (0u32, 0usize);
+                        while n < MULTI_MAX {
+                            let idx = ((window << used) >> shift) as usize;
+                            let l = u32::from(len_of[idx]);
+                            if l == 0 || used + l > r {
+                                break;
+                            }
+                            multi_sym[at][n] = sym_of[idx];
+                            n += 1;
+                            used += l;
+                        }
+                        multi_len[at] = (n as u8) << 4 | used as u8;
+                    }
                 }
-                syms[n] = self.sym[idx];
-                n += 1;
-                used += len;
             }
-            *packed = (n as u8) << 4 | used as u8;
         }
     }
 
@@ -628,6 +675,13 @@ impl HuffLookup {
     /// or whose codes would run past the payload's real bits, falls back
     /// to [`Self::decode_one`] — so every symbol and every error is the
     /// one the symbol-at-a-time walk produces.
+    ///
+    /// Windows go in groups of `GROUP_WINDOWS` after one refill. A group
+    /// starts only with `GROUP_BITS` real bits buffered and room for
+    /// `GROUP_WINDOWS · MULTI_MAX` more symbols before `n`, so none of
+    /// its windows tests the bit count or the symbol count: every code
+    /// it takes lies in real bits and is one of the first `n`. The last
+    /// few windows of the payload go one at a time, with both tests.
     fn decode_multi(&self, bits: &mut BatchBits<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
         // Every slot below `n` is written before the end, so the old
         // contents need no clearing. Each entry's symbols are stored as
@@ -637,20 +691,40 @@ impl HuffLookup {
         if out.len() < n + MULTI_MAX {
             out.resize(n + MULTI_MAX, 0);
         }
+        let widest = &self.multi_sym[1 << MULTI_BITS..];
+        let widest_len = &self.multi_len[1 << MULTI_BITS..];
         let mut k = 0usize;
+        'groups: while k + GROUP_WINDOWS * MULTI_MAX <= n {
+            bits.refill();
+            if bits.bitcount < GROUP_BITS {
+                break;
+            }
+            for _ in 0..GROUP_WINDOWS {
+                let w = (bits.bitbuf >> (64 - MULTI_BITS)) as usize;
+                let packed = widest_len[w];
+                if packed == 0 {
+                    out[k] = self.decode_one(bits)?;
+                    k += 1;
+                    continue 'groups;
+                }
+                out[k..k + MULTI_MAX].copy_from_slice(&widest[w]);
+                bits.consume(u32::from(packed & 0xf));
+                k += usize::from(packed >> 4);
+            }
+        }
         while k + MULTI_MAX <= n {
             if bits.bitcount < 32 {
                 bits.refill();
             }
             let w = (bits.bitbuf >> (64 - MULTI_BITS)) as usize;
-            let packed = self.multi_len[w];
+            let packed = widest_len[w];
             let (count, used) = (usize::from(packed >> 4), u32::from(packed & 0xf));
             if count == 0 || used > bits.bitcount {
                 out[k] = self.decode_one(bits)?;
                 k += 1;
                 continue;
             }
-            out[k..k + MULTI_MAX].copy_from_slice(&self.multi_sym[w]);
+            out[k..k + MULTI_MAX].copy_from_slice(&widest[w]);
             bits.consume(used);
             k += count;
         }
@@ -1144,18 +1218,70 @@ mod tests {
         }
     }
 
-    /// Block sizes around the window's `MULTI_MAX`-symbol groups decode
-    /// the same symbols as the reference, including codes longer than
-    /// the window.
+    /// Block sizes around a window entry's `MULTI_MAX` symbols and a
+    /// group's `GROUP_WINDOWS · MULTI_MAX` decode the same symbols as the
+    /// reference: skewed codes that fill a window with a few symbols,
+    /// tables deep enough for codes longer than the window, and streams
+    /// of mostly one-bit codes whose windows hold the full eight.
     #[test]
     fn multi_symbol_window_matches_reference_at_every_tail_length() {
-        for n in [1, MULTI_MAX - 1, MULTI_MAX, MULTI_MAX + 1, 1023, 1024, 1027] {
+        let group = GROUP_WINDOWS * MULTI_MAX;
+        let mut sizes = vec![1, 1023, 1024, 1027];
+        for edge in [MULTI_MAX, group, 2 * group] {
+            sizes.extend([edge - 1, edge, edge + 1]);
+        }
+        for n in sizes {
             let s: Vec<u32> = (0..n as u64)
                 .map(|i| 32768 + (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58).trailing_zeros())
                 .collect();
             roundtrip(&s);
             let picks: Vec<usize> = (0..n).map(|i| (i * 7) % 32).collect();
             fast_equals_reference(&deep_block(32, &picks), "deep");
+            let ones: Vec<usize> = (0..n).map(|i| usize::from(i % 11 == 10)).collect();
+            fast_equals_reference(&deep_block(32, &ones), "one-bit");
+        }
+    }
+
+    /// A 32-bit code at every slot of a group of one-bit codes — each
+    /// symbol position of each window of a group, and the windows
+    /// after — decodes as the reference does.
+    #[test]
+    fn a_long_code_at_every_slot_of_a_group_matches_the_reference() {
+        let group = GROUP_WINDOWS * MULTI_MAX;
+        for at in 0..2 * group + MULTI_BITS as usize {
+            let picks: Vec<usize> = (0..3 * group).map(|i| if i == at { 32 } else { 0 }).collect();
+            let block = deep_block(32, &picks);
+            fast_equals_reference(&block, &format!("long code at {at}"));
+            assert_eq!(decode_block(&block).map(|(s, _)| s[at]), Ok(7 + 3 * 32), "at {at}");
+        }
+    }
+
+    /// Payloads whose last bit falls at every bit of a group: valid
+    /// blocks of one- and two-bit codes growing a bit at a time, and one
+    /// block's bit length cut at every bit of its last groups (both
+    /// decoders then report the same truncation).
+    #[test]
+    fn payloads_ending_at_every_bit_of_a_group_match_the_reference() {
+        let group_bits = GROUP_BITS as usize + MULTI_BITS as usize;
+        for extra in 0..=group_bits {
+            // `extra` more bits after a run of 64 one-bit codes: as
+            // many two-bit codes as fit, and a one-bit code for an odd
+            // remainder.
+            let mut picks = vec![0; 64];
+            picks.extend(std::iter::repeat_n(1, extra / 2));
+            picks.extend(std::iter::repeat_n(0, extra % 2));
+            let block = deep_block(32, &picks);
+            assert_eq!(Parts::of(&block).n_bits, 64 + extra as u64);
+            fast_equals_reference(&block, &format!("{extra} bits past 64"));
+        }
+        let picks: Vec<usize> = (0..200).map(|i| usize::from(i % 5 == 4)).collect();
+        let valid = Parts::of(&deep_block(32, &picks));
+        for cut in valid.n_bits.saturating_sub(3 * group_bits as u64)..=valid.n_bits {
+            let mut p = valid.clone();
+            p.n_bits = cut;
+            p.n_values = p.n_values.min(cut);
+            p.payload.truncate(cut.div_ceil(8) as usize);
+            fast_equals_reference(&p.bytes(), &format!("cut at bit {cut}"));
         }
     }
 

@@ -275,11 +275,16 @@ pub fn decompress_into(buf: &[u8], out: &mut Vec<u8>) -> Result<()> {
             if match_len > raw_len - out.len() {
                 return Err(CodecError::Corrupt { context: "lz match overrun" });
             }
-            // Byte-at-a-time copy: supports overlapping matches (RLE).
+            // The match repeats the `offset` bytes before it. Copy by
+            // range from `start`: each copy takes every byte decoded
+            // from `start` on, a whole number of periods, so an
+            // overlapping match (RLE) doubles its run per copy.
             let start = out.len() - offset;
-            for k in 0..match_len {
-                let b = out[start + k];
-                out.push(b);
+            let mut left = match_len;
+            while left > 0 {
+                let n = left.min(out.len() - start);
+                out.extend_from_within(start..start + n);
+                left -= n;
             }
         }
     }

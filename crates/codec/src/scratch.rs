@@ -36,15 +36,19 @@ use std::collections::BinaryHeap;
 pub(crate) const RETAIN_CAP_BYTES: usize = 4 << 20;
 
 /// Reusable buffers for both coding directions. All fields are ordinary
-/// growable containers: a call `clear()`s and refills them, so capacity
-/// persists across calls while contents never leak between streams.
+/// growable containers: a call refills them, so capacity persists across
+/// calls while contents never leak between streams. Where a call keeps
+/// the old contents instead of clearing them (the decoders'
+/// reconstruction plane, the Huffman symbol tables), it reads only what
+/// it wrote itself.
 #[derive(Default)]
 pub struct CodecScratch {
     /// Quantization codes of an SZ-family payload: Huffman-decoded on
     /// decode, awaiting Huffman on encode.
     pub codes: Vec<u32>,
     /// f64 reconstruction plane — what the decoder will see, which is
-    /// what both directions predict from.
+    /// what both directions predict from. A decode does not zero it:
+    /// every sample it reads was written earlier in the same pass.
     pub recon: Vec<f64>,
     /// Byte-stage inverse output (the chain's LZ decompression target).
     pub bytes: Vec<u8>,

@@ -14,8 +14,8 @@
 use eblcio_codec::codecs::decompress_reference;
 use eblcio_codec::stage::{decode_array_region, encode_array};
 use eblcio_codec::{
-    compress, decompress, decompress_region, ArrayStage, ChainSpec, CodecError, CompressorId,
-    ErrorBound, Qoz, Sz2, Sz3, Szx, Zfp,
+    compress, decompress, decompress_region, with_scratch, ArrayStage, ChainSpec, CodecError,
+    CompressorId, ErrorBound, Qoz, Sz2, Sz3, Szx, Zfp,
 };
 use eblcio_data::{Element, NdArray, Shape};
 use proptest::prelude::*;
@@ -226,11 +226,59 @@ proptest! {
     }
 }
 
+/// Fills the thread's reconstruction plane with `n` NaNs. SZ2, SZ3 and
+/// QoZ decode over that plane without zeroing it first, so a region
+/// decode that read a sample its own pass had not written would carry a
+/// NaN, or a value of the last decode, into its output.
+fn poison_plane(n: usize) {
+    with_scratch(|s| {
+        s.recon.clear();
+        s.recon.resize(n, f64::NAN);
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A region decode over a plane full of NaN — a widening that
+    /// stopped a sample short would read one — still equals the slice
+    /// of the whole decode, bit for bit: any box of the benchmark's
+    /// `[1, 32, 32, 32]` chunk, through SZ2, SZ3 and QoZ, in both
+    /// precisions, on adversarial and on mostly smooth content.
+    #[test]
+    fn region_decodes_read_nothing_an_earlier_decode_left(
+        origin in (0usize..32, 0usize..32, 0usize..32),
+        e_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        codec_pick in 0usize..3,
+        double in any::<bool>(),
+        smooth in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let origin = [0, origin.0, origin.1, origin.2];
+        let mut extent = [1usize; 4];
+        for (d, f) in [(1, e_frac.0), (2, e_frac.1), (3, e_frac.2)] {
+            let room = 32 - origin[d];
+            extent[d] = ((room as f64 * f) as usize).clamp(1, room);
+        }
+        let shape = Shape::new(&[1, 32, 32, 32]);
+        let single = if smooth { smooth_field(shape, seed) } else { adversarial_field(shape, seed) };
+        let chain = ["sz2", "sz3", "qoz"][codec_pick];
+        if double {
+            check_region_slice(chain, &widen(&single), &origin, &extent);
+        } else {
+            check_region_slice(chain, &single, &origin, &extent);
+        }
+    }
+}
+
 /// Chains whose array stage decodes regions: the five presets, and
 /// three of them behind byte stages that must be unwound first.
 const REGION_CHAINS: [&str; 8] =
     ["sz2", "sz3", "qoz", "zfp", "szx", "szx+lz", "zfp+shuffle4+lz", "sz3+shuffle4+lz"];
 
+/// Compresses `data` through `chain` and checks a decode of the box,
+/// over a poisoned plane ([`poison_plane`]), against the same slice of
+/// the whole decode, bit for bit.
 fn check_region_slice<T: Element>(
     chain: &str,
     data: &NdArray<T>,
@@ -240,6 +288,7 @@ fn check_region_slice<T: Element>(
     let codec = ChainSpec::parse(chain).unwrap().build().unwrap();
     let stream = compress(&codec, data, ErrorBound::Relative(1e-3)).unwrap();
     let full: NdArray<T> = decompress(&codec, &stream).unwrap();
+    poison_plane(data.len());
     let part = decompress_region::<T>(&codec, &stream, origin, extent)
         .unwrap()
         .expect("every preset decodes regions");

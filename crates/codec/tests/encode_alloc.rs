@@ -4,50 +4,14 @@
 //! framing), and nothing the size of a Huffman census or the LZ match
 //! finder's hash chains — those live in the thread's codec scratch.
 //!
-//! The binary runs under an allocator that counts, per thread, the
-//! blocks allocated and the largest one; the file holds exactly one
-//! `#[test]`.
+//! The binary runs under `largest_allocation`, which counts, per
+//! thread, the blocks allocated and the largest one.
+
+mod largest_allocation;
 
 use eblcio_codec::{compress_view, CompressorId, ErrorBound};
 use eblcio_data::{NdArray, Shape};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Blocks allocated on this thread, and the largest one's size.
-    static BLOCKS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn note(size: usize) {
-    // `try_with`: an allocation during thread teardown is not counted.
-    let _ = BLOCKS.try_with(|b| {
-        let (n, largest) = b.get();
-        b.set((n + 1, largest.max(size)));
-    });
-}
-
-struct CountBlocks;
-
-unsafe impl GlobalAlloc for CountBlocks {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static A: CountBlocks = CountBlocks;
+use largest_allocation::allocations;
 
 /// Most blocks one warm chunk encode may allocate.
 const MAX_BLOCKS: usize = 5;
@@ -66,9 +30,8 @@ fn the_sz_family_encode_tail_allocates_no_table_per_chunk() {
         let codec = id.instance();
         let warm = compress_view(codec.as_ref(), chunk.view(), bound).unwrap();
         for call in 0..3 {
-            BLOCKS.with(|b| b.set((0, 0)));
-            let stream = compress_view(codec.as_ref(), chunk.view(), bound).unwrap();
-            let (blocks, largest) = BLOCKS.with(Cell::get);
+            let (stream, blocks, largest) =
+                allocations(|| compress_view(codec.as_ref(), chunk.view(), bound).unwrap());
             let name = id.name();
             assert_eq!(stream, warm, "{name}: the stream must not depend on the scratch state");
             assert!(
