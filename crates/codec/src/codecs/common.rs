@@ -3,7 +3,7 @@
 
 use crate::error::{CodecError, Result};
 use crate::huffman::HuffEncoder;
-use crate::quantizer::{LinearQuantizer, Quantized};
+use crate::quantizer::LinearQuantizer;
 use crate::scratch::with_scratch;
 use crate::util::{put_varint, ByteReader};
 use crate::{huffman, lz};
@@ -131,35 +131,62 @@ pub(crate) fn encode_inner(
     inner
 }
 
+/// Where an SZ-family encode pass records its samples: each sample's code
+/// in its own slot (a pass codes every sample exactly once, in visit
+/// order) and the verbatim bytes of the outliers.
+pub(crate) struct CodeSink<'a> {
+    codes: &'a mut [u32],
+    next: usize,
+    outliers: &'a mut Vec<u8>,
+}
+
+impl<'a> CodeSink<'a> {
+    /// A sink for `n` samples over the arena's buffers: `codes` sized to
+    /// `n` (every slot is overwritten, so nothing is cleared) and an
+    /// empty outlier stream.
+    pub(crate) fn new(n: usize, codes: &'a mut Vec<u32>, outliers: &'a mut Vec<u8>) -> Self {
+        codes.resize(n, 0);
+        outliers.clear();
+        Self { codes, next: 0, outliers }
+    }
+
+    /// Samples coded so far.
+    pub(crate) fn coded(&self) -> usize {
+        self.next
+    }
+}
+
 /// Quantizes sample `v` against `pred` and records the outcome the way
-/// every SZ-family encoder does: the code (or the outlier marker 0 plus
-/// the verbatim sample) is appended, and `recon[off]` becomes the value
-/// the decoder will reconstruct.
+/// every SZ-family encoder does: the sample's code, or the outlier marker
+/// 0 with the verbatim sample, goes to `sink`, and the value the decoder
+/// will reconstruct is returned. The in-range step is
+/// [`LinearQuantizer::quantize`], which also holds the bound after the
+/// decoder's rounding into `T`; anything it rejects is an outlier.
 #[inline(always)]
 pub(crate) fn quantize_sample<T: Element>(
     quant: &LinearQuantizer,
     v: f64,
     pred: f64,
-    off: usize,
-    recon: &mut [f64],
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<u8>,
-) {
-    if let (Quantized::Code(c), r) = quant.quantize(v, pred) {
-        // The decoder will round the f64 reconstruction to T, so the
-        // bound must hold *after* that rounding; otherwise fall through
-        // to the outlier path.
-        let rt = T::from_f64(r).to_f64();
-        if (rt - v).abs() <= quant.abs_bound() {
-            codes.push(c);
-            recon[off] = rt;
-            return;
-        }
-    }
-    codes.push(0);
+    sink: &mut CodeSink<'_>,
+) -> f64 {
+    let (code, value) = match quant.quantize::<T>(v, pred) {
+        Some(coded) => coded,
+        None => (0, outlier::<T>(v, sink.outliers)),
+    };
+    sink.codes[sink.next] = code;
+    sink.next += 1;
+    value
+}
+
+/// The outlier half of [`quantize_sample`]: stores `v` verbatim as a `T`
+/// and returns it widened. Out of line, so the in-range loop stays small
+/// (smooth fields have few outliers).
+#[cold]
+#[inline(never)]
+fn outlier<T: Element>(v: f64, outliers: &mut Vec<u8>) -> f64 {
     let t = T::from_f64(v);
     t.write_le(outliers);
-    recon[off] = t.to_f64();
+    t.to_f64()
 }
 
 /// Sequential reader over the outlier byte stream.

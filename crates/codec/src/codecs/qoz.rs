@@ -64,8 +64,7 @@ impl Qoz {
     fn encode_once<T: Element>(&self, data: ArrayView<'_, T>, abs: f64, s: &mut CodecScratch) {
         let (alpha, beta) = (self.alpha, self.beta);
         let level_abs = |level| Self::level_bound(alpha, beta, abs, level);
-        let CodecScratch { codes, recon, outliers, .. } = s;
-        interp_encode_with(data, abs / beta, level_abs, true, recon, codes, outliers);
+        interp_encode_with(data, abs / beta, level_abs, true, s);
     }
 
     /// Array-stage encode: level-adaptive bounds (and optional PSNR

@@ -10,7 +10,7 @@
 
 use super::common::{
     encode_inner, for_each_block, for_each_in_block, quantize_sample, sz_block_dims, BlockRows,
-    OutBox, OutlierReader, SzPayload,
+    CodeSink, OutBox, OutlierReader, SzPayload,
 };
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
@@ -79,12 +79,12 @@ impl Sz2 {
                 raw
             }
         };
-        recon.clear();
+        // No zeroing, as in the decode: a Lorenzo prediction reads only
+        // samples of its own block or of a lower neighbour, all written
+        // earlier in the same pass.
         recon.resize(n, 0.0);
         let recon = recon.as_mut_slice();
-        codes.clear();
-        codes.reserve(n);
-        outliers.clear();
+        let mut sink = CodeSink::new(n, codes, outliers);
 
         // Side channel: block count, one mode bit per block (MSB-first),
         // then the regression coefficients of the blocks that use them.
@@ -142,12 +142,13 @@ impl Sz2 {
                     } else {
                         stencil.eval(recon, off + j, if j == 0 { first } else { rest })
                     };
-                    quantize_sample::<T>(&quant, v, pred, off + j, recon, codes, outliers);
+                    recon[off + j] = quantize_sample::<T>(&quant, v, pred, &mut sink);
                 }
                 k += row_len;
             });
         });
 
+        debug_assert_eq!(sink.coded(), n, "every sample is coded once");
         encode_inner(&extra, outliers, codes, huff_enc)
     }
 

@@ -9,7 +9,7 @@
 //! regression coefficients, which is where its compression-ratio
 //! advantage at loose bounds comes from.
 
-use super::common::{encode_inner, quantize_sample, OutBox, OutlierReader, SzPayload};
+use super::common::{encode_inner, quantize_sample, CodeSink, OutBox, OutlierReader, SzPayload};
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
 use crate::interp::{anchor_offsets, max_level, walk_reference, Interp};
@@ -99,8 +99,7 @@ trait SampleCoder {
 /// bytes out.
 struct EncodeSamples<'a, T> {
     samples: &'a [T],
-    codes: &'a mut Vec<u32>,
-    outliers: &'a mut Vec<u8>,
+    sink: CodeSink<'a>,
 }
 
 impl<T: Element> SampleCoder for EncodeSamples<'_, T> {
@@ -113,7 +112,7 @@ impl<T: Element> SampleCoder for EncodeSamples<'_, T> {
         recon: &mut [f64],
     ) -> Result<()> {
         let v = self.samples[off].to_f64();
-        quantize_sample::<T>(quant, v, pred, off, recon, self.codes, self.outliers);
+        recon[off] = quantize_sample::<T>(quant, v, pred, &mut self.sink);
         Ok(())
     }
 }
@@ -272,30 +271,29 @@ impl<T: Element, const WHOLE: bool> SampleCoder for DecodeSamples<'_, T, WHOLE> 
     }
 }
 
-/// Encodes samples with the fused interpolation pass, appending codes
-/// and outlier bytes to the caller's (arena) buffers. `level_abs` maps
-/// an interpolation level to its absolute bound (constant for SZ3,
-/// tightened per level by QoZ); anchors use `anchor_abs`.
+/// Encodes samples with the fused interpolation pass into the thread's
+/// arena (codes and outlier bytes). `level_abs` maps an interpolation
+/// level to its absolute bound (constant for SZ3, tightened per level
+/// by QoZ); anchors use `anchor_abs`.
 pub(crate) fn interp_encode_with<T: Element>(
     data: ArrayView<'_, T>,
     anchor_abs: f64,
     level_abs: impl Fn(u32) -> f64,
     cubic: bool,
-    recon: &mut Vec<f64>,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<u8>,
+    scratch: &mut CodecScratch,
 ) {
+    let CodecScratch { codes, recon, outliers, .. } = scratch;
     let shape = data.shape();
     let n = shape.len();
-    recon.clear();
+    // No zeroing, as in the decode: every sample a stencil reads was
+    // written earlier in the same pass.
     recon.resize(n, 0.0);
-    codes.clear();
-    codes.reserve(n);
-    outliers.clear();
-    let mut coder = EncodeSamples { samples: data.as_slice(), codes, outliers };
+    let sink = CodeSink::new(n, codes, outliers);
+    let mut coder = EncodeSamples { samples: data.as_slice(), sink };
     let whole = OutBox::whole(shape);
     // The encode side of the pass cannot fail.
     let _ = interp_pass(shape, &whole, anchor_abs, level_abs, cubic, recon, &mut coder);
+    debug_assert_eq!(coder.sink.coded(), n, "the pass codes every sample once");
 }
 
 /// Mirror of [`interp_encode_with`] on the thread's arena plane (a
@@ -701,8 +699,8 @@ impl Sz3 {
         abs: f64,
     ) -> Result<(Vec<u8>, f64)> {
         with_scratch(|s| {
-            let CodecScratch { codes, recon, outliers, huff_enc, .. } = s;
-            interp_encode_with(data, abs, |_| abs, self.cubic, recon, codes, outliers);
+            interp_encode_with(data, abs, |_| abs, self.cubic, s);
+            let CodecScratch { codes, outliers, huff_enc, .. } = s;
             let payload = encode_inner(&[u8::from(self.cubic)], outliers, codes, huff_enc);
             Ok((payload, abs))
         })

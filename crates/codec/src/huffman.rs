@@ -69,7 +69,7 @@ pub(crate) struct HuffEncoder {
     /// path, by `table` position on the sparse one.
     codes: Vec<u64>,
     /// Tree construction: pending nodes as `(weight, id, node)`.
-    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    heap: BinaryHeap<Reverse<u128>>,
     /// Parent of each tree node (leaves first, in `table` order).
     parent: Vec<u32>,
     /// Depth of each tree node.
@@ -233,7 +233,7 @@ impl HuffEncoder {
                 .iter()
                 .enumerate()
                 // Tie-break on id (the symbol for leaves) for determinism.
-                .map(|(i, &(s, f))| Reverse(((f >> scale).max(1), s, i as u32))),
+                .map(|(i, &(s, f))| Reverse(node_key((f >> scale).max(1), s, i as u32))),
         );
         self.parent.clear();
         self.parent.resize(m, 0);
@@ -245,12 +245,13 @@ impl HuffEncoder {
             let (Some(Reverse(a)), Some(Reverse(b))) = (self.heap.pop(), self.heap.pop()) else {
                 break;
             };
+            let (a, b) = (node_parts(a), node_parts(b));
             next_id -= 1;
             let node = self.parent.len() as u32;
             self.parent[a.2 as usize] = node;
             self.parent[b.2 as usize] = node;
             self.parent.push(node); // the root stays its own parent
-            self.heap.push(Reverse((a.0 + b.0, next_id, node)));
+            self.heap.push(Reverse(node_key(a.0 + b.0, next_id, node)));
         }
         let total = self.parent.len();
         self.depth.clear();
@@ -273,6 +274,19 @@ impl HuffEncoder {
         f(&mut self.depth);
         f(&mut self.sorted);
     }
+}
+
+/// A tree node's heap key: `(weight, id, node)` packed so that one `u128`
+/// compare orders keys exactly as the tuple's lexicographic compare.
+#[inline]
+fn node_key(weight: u64, id: u32, node: u32) -> u128 {
+    u128::from(weight) << 64 | u128::from(id) << 32 | u128::from(node)
+}
+
+/// Inverse of [`node_key`].
+#[inline]
+fn node_parts(key: u128) -> (u64, u32, u32) {
+    ((key >> 64) as u64, (key >> 32) as u32, key as u32)
 }
 
 /// Appends the MSB-first payload of `symbols` — `n_bits` bits, zero-padded

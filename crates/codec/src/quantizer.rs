@@ -10,16 +10,9 @@
 
 use eblcio_data::Element;
 
-/// Code emitted for one sample: a bin index or an outlier marker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Quantized {
-    /// In-range residual: the unsigned code (0 is reserved for outliers;
-    /// in-range codes are `1..=2·radius`; `radius` means zero residual
-    /// after the +1 shift... see [`LinearQuantizer::quantize`]).
-    Code(u32),
-    /// Residual too large for the code range — store the value verbatim.
-    Outlier,
-}
+/// The largest double below ½: adding it before a truncation rounds half
+/// away from zero (see [`LinearQuantizer::quantize`]).
+const HALF_BELOW: f64 = 0.5 - 1.0 / (1u64 << 54) as f64;
 
 /// Linear quantizer with a fixed absolute bound and code radius.
 #[derive(Clone, Copy, Debug)]
@@ -28,6 +21,9 @@ pub struct LinearQuantizer {
     inv_step: f64,
     step: f64,
     radius: i64,
+    /// `radius + ½`: the residual, in steps, must be strictly smaller in
+    /// magnitude to round to an in-range code.
+    limit: f64,
 }
 
 impl LinearQuantizer {
@@ -50,6 +46,7 @@ impl LinearQuantizer {
             step,
             inv_step: 1.0 / step,
             radius: i64::from(radius),
+            limit: f64::from(radius) + 0.5,
         }
     }
 
@@ -72,25 +69,40 @@ impl LinearQuantizer {
         (self.radius + 1) as u32
     }
 
-    /// Quantizes sample `v` against prediction `p`.
+    /// Quantizes sample `v` against prediction `p` for a decoder that
+    /// rounds its reconstruction into `T` — the one in-range step of
+    /// every SZ-family encoder.
     ///
-    /// Returns the code and, via `recon`, the value the decoder will see
-    /// (callers must continue predicting from `recon`, not `v`).
-    #[inline]
-    pub fn quantize(&self, v: f64, p: f64) -> (Quantized, f64) {
-        let diff = v - p;
-        let q = (diff * self.inv_step).round();
-        if !q.is_finite() || q.abs() > self.radius as f64 {
-            return (Quantized::Outlier, v);
+    /// Returns the code (`1..=2·radius + 1`, `radius + 1` for a zero
+    /// residual) and the value the decoder will see, which callers must
+    /// keep predicting from instead of `v`; or `None` when `v` has to be
+    /// stored verbatim as an outlier (code 0). The step is fused:
+    ///
+    /// * the residual in steps, `y = (v − p)/(2e)`, is in range iff
+    ///   `|y| < radius + ½`, a test NaN and ±inf fail too;
+    /// * `y` is rounded half away from zero with no libm call, by
+    ///   truncating `y ± (½ − 2⁻⁵⁴)`: below 2⁵² in magnitude that sum
+    ///   rounds into `[k, k + 1)` for `k = ⌊|y| + ½⌋`, ties included;
+    /// * one check holds both the reconstruction `p + 2e·q` and its
+    ///   `T`-rounded value to the bound: floating point can break the
+    ///   algebraic guarantee, and so can the narrowing to `T`.
+    ///
+    /// Code and decision are those of `round`-based quantization followed
+    /// by the `T` check, and the value equals its reconstruction under
+    /// `==` (the test module keeps that body as the oracle).
+    #[inline(always)]
+    pub fn quantize<T: Element>(&self, v: f64, p: f64) -> Option<(u32, f64)> {
+        let y = (v - p) * self.inv_step;
+        // False for NaN as well as for a residual out of range.
+        let in_range = y.abs() < self.limit;
+        if !in_range {
+            return None;
         }
-        let qi = q as i64;
-        let recon = p + q * self.step;
-        // Guard against catastrophic cancellation: verify the bound holds
-        // in floating point, not just algebraically.
-        if (recon - v).abs() > self.abs_bound {
-            return (Quantized::Outlier, v);
-        }
-        (Quantized::Code((qi + self.radius + 1) as u32), recon)
+        let q = (y + HALF_BELOW.copysign(y)) as i64;
+        let r = p + q as f64 * self.step;
+        let rt = T::from_f64(r).to_f64();
+        let within = ((r - v).abs() <= self.abs_bound) & ((rt - v).abs() <= self.abs_bound);
+        within.then_some(((q + self.radius + 1) as u32, rt))
     }
 
     /// Reconstructs a sample from its code and the decoder's prediction.
@@ -130,6 +142,7 @@ pub fn dequant_affine_into<T: Element>(codes: &[u32], base: f64, step: f64, out:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dequant_kernel_matches_scalar_loop() {
@@ -149,12 +162,195 @@ mod tests {
         assert_eq!(tail[0], 1.0);
     }
 
+    /// The quantizer body the fused [`LinearQuantizer::quantize`]
+    /// replaced, kept verbatim as its oracle: `f64::round`, a finiteness
+    /// and range test on the rounded value, the bound on the
+    /// reconstruction, then — as the encoders did — the bound on its
+    /// `T`-rounded value.
+    fn quantize_reference<T: Element>(q: &LinearQuantizer, v: f64, p: f64) -> Option<(u32, f64)> {
+        let diff = v - p;
+        let qf = (diff * q.inv_step).round();
+        if !qf.is_finite() || qf.abs() > q.radius as f64 {
+            return None;
+        }
+        let qi = qf as i64;
+        let recon = p + qf * q.step;
+        if (recon - v).abs() > q.abs_bound {
+            return None;
+        }
+        let rt = T::from_f64(recon).to_f64();
+        if (rt - v).abs() <= q.abs_bound {
+            Some(((qi + q.radius + 1) as u32, rt))
+        } else {
+            None
+        }
+    }
+
+    /// Same code and outlier decision as the oracle, and a reconstruction
+    /// equal under `==` (a zero may differ in sign), in both precisions.
+    fn assert_matches_oracle(q: &LinearQuantizer, v: f64, p: f64) {
+        fn one<T: Element>(q: &LinearQuantizer, v: f64, p: f64) {
+            let (got, want) = (q.quantize::<T>(v, p), quantize_reference::<T>(q, v, p));
+            let same = match (got, want) {
+                (Some((c, r)), Some((c_ref, r_ref))) => c == c_ref && r == r_ref,
+                (None, None) => true,
+                _ => false,
+            };
+            let (name, e, radius) = (T::NAME, q.abs_bound, q.radius);
+            assert!(same, "{name}: v={v:e} p={p:e} e={e:e} radius={radius}: {got:?} vs {want:?}");
+        }
+        one::<f64>(q, v, p);
+        one::<f32>(q, v, p);
+    }
+
+    /// `x` moved by `k` units in the last place (k in −2..=2), through
+    /// zero and into the subnormals.
+    fn ulps(x: f64, k: i64) -> f64 {
+        let bits = x.to_bits() as i64;
+        if x >= 0.0 {
+            let b = bits + k;
+            if b < 0 { -f64::from_bits((-b) as u64) } else { f64::from_bits(b as u64) }
+        } else {
+            -ulps(-x, -k)
+        }
+    }
+
+    /// One oracle case per `kind`, from the raw draws `a`, `b`, `c`.
+    fn oracle_case(kind: usize, a: u64, b: u64, c: u64) -> (LinearQuantizer, f64, f64) {
+        let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+        let radius = [1u32, 2, 8, 255, 32768, u32::MAX][(a % 6) as usize];
+        let k = (b % 5) as i64 - 2;
+        match kind {
+            // Ties at ±(j + ½)·step, exact: p = 0 and a power-of-two step.
+            0 => {
+                let e = 2f64.powi((c % 40) as i32 - 20);
+                let q = LinearQuantizer::new(e, radius);
+                let j = (b >> 8) % (u64::from(radius) + 2);
+                let sign = if b & 0x80 == 0 { 1.0 } else { -1.0 };
+                (q, ulps(sign * (j as f64 + 0.5) * 2.0 * e, k), 0.0)
+            }
+            // y within one ulp of radius + ½ (exact), or a tie near it
+            // from a non-zero prediction.
+            1 => {
+                let e = 2f64.powi((c % 40) as i32 - 20);
+                let q = LinearQuantizer::new(e, radius);
+                let edge = (f64::from(radius) + 0.5) * 2.0 * e;
+                let sign = if b & 0x80 == 0 { 1.0 } else { -1.0 };
+                if c & 0x100 == 0 {
+                    (q, ulps(sign * edge, k), 0.0)
+                } else {
+                    let p = (unit(a) - 0.5) * 1e3;
+                    (q, p + sign * ulps(edge, k), p)
+                }
+            }
+            // NaN and ±inf in the sample or the prediction.
+            2 => {
+                let q = LinearQuantizer::new(1e-3 + unit(c), radius);
+                let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
+                let x = odd[(b % 4) as usize];
+                let y = [0.0, 1.5, -7.25, f64::MAX, x][((b >> 4) % 5) as usize];
+                if c & 1 == 0 { (q, x, y) } else { (q, y, x) }
+            }
+            // ±0 samples and predictions, subnormal values, and bounds
+            // from the subnormals up to the first normals.
+            3 => {
+                let e = match c % 3 {
+                    0 => f64::from_bits(1 + (c >> 8) % (1 << 52)),
+                    1 => f64::MIN_POSITIVE * (1.0 + unit(c)),
+                    _ => 1e-300 * (1.0 + unit(c)),
+                };
+                let q = LinearQuantizer::new(e, radius);
+                let tiny = |x: u64| {
+                    let m = f64::from_bits(x % (1 << 54));
+                    [0.0, -0.0, m, -m][(x >> 60) as usize % 4]
+                };
+                (q, tiny(a), tiny(b))
+            }
+            // f32 values near a bound of about one f32 ulp, so that the
+            // narrowing of the reconstruction decides the outcome.
+            4 => {
+                let v = f64::from((unit(a) - 0.5) as f32 * 2e4);
+                let v = if b & 1 == 0 { v } else { v + v.abs() * 1e-9 * (unit(c) - 0.5) };
+                let f32_ulp = (v.abs().max(1e-30) as f32).to_bits();
+                let ulp =
+                    f64::from(f32::from_bits(f32_ulp + 1)) - f64::from(f32::from_bits(f32_ulp));
+                let e = ulp * (0.2 + 2.0 * unit(b));
+                let q = LinearQuantizer::new(e, radius);
+                let p = v + (unit(c) - 0.5) * e * 40.0;
+                (q, v, p)
+            }
+            // f32 values with a bound of about one f64 ulp, so that the
+            // reconstruction's own rounding decides (and its narrowing
+            // may land back on the sample).
+            5 => {
+                let v = f64::from((unit(a) - 0.5) as f32 * 2e4);
+                let ulp = ulps(v.abs(), 1) - v.abs();
+                let e = ulp * (0.25 + 4.0 * unit(b));
+                let q = LinearQuantizer::new(e, radius);
+                (q, v, v + (unit(c) - 0.5) * e * 6.0)
+            }
+            // Anything: wide values, wide bounds, residuals in and out of
+            // range.
+            _ => {
+                let e = 10f64.powf(unit(c) * 24.0 - 12.0);
+                let q = LinearQuantizer::new(e, radius);
+                let v = (unit(a) - 0.5) * 10f64.powf(unit(b) * 12.0 - 4.0);
+                let reach = e * f64::from(radius.min(1 << 20)) * 3.0;
+                let p = v + (unit(b.rotate_left(17)) - 0.5) * reach;
+                (q, v, p)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The fused step decides, codes and reconstructs exactly as the
+        /// `round`-based body plus the `T` check it replaced: ties, the
+        /// edge of the range, NaN and ±inf, signed zeros and subnormal
+        /// bounds, and f32 roundings that flip the bound.
+        #[test]
+        fn fused_step_matches_the_round_based_oracle(
+            kind in 0usize..7,
+            a in any::<u64>(),
+            b in any::<u64>(),
+            c in any::<u64>(),
+        ) {
+            let (q, v, p) = oracle_case(kind, a, b, c);
+            assert_matches_oracle(&q, v, p);
+        }
+    }
+
+    /// The edges the proptest draws from, each checked outright.
+    #[test]
+    fn fused_step_matches_the_oracle_at_every_edge() {
+        for radius in [1u32, 8, 32768] {
+            for e in [0.5, 1e-3, 2f64.powi(-10), f64::MIN_POSITIVE, 1e-310] {
+                let q = LinearQuantizer::new(e, radius);
+                let edge = (f64::from(radius) + 0.5) * 2.0 * e;
+                let mut vs =
+                    vec![0.0, -0.0, 1e-310, -1e-310, f64::NAN, f64::INFINITY, -f64::INFINITY];
+                for j in [0.5, 1.5, 2.5, f64::from(radius) - 0.5] {
+                    for k in -2..=2 {
+                        vs.extend([ulps(j * 2.0 * e, k), ulps(-j * 2.0 * e, k)]);
+                    }
+                }
+                for k in -2..=2 {
+                    vs.extend([ulps(edge, k), ulps(-edge, k)]);
+                }
+                for &v in &vs {
+                    for p in [0.0, -0.0, f64::NAN, f64::INFINITY, -f64::INFINITY, 1e-310] {
+                        assert_matches_oracle(&q, v, p);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_residual_gets_zero_code() {
         let q = LinearQuantizer::new(0.1, 8);
-        let (code, recon) = q.quantize(5.0, 5.0);
-        assert_eq!(code, Quantized::Code(q.zero_code()));
-        assert_eq!(recon, 5.0);
+        assert_eq!(q.quantize::<f64>(5.0, 5.0), Some((q.zero_code(), 5.0)));
     }
 
     #[test]
@@ -163,12 +359,9 @@ mod tests {
         for i in 0..10_000 {
             let v = (i as f64) * 0.013 - 60.0;
             let p = v + ((i * 7) % 100) as f64 * 0.02 - 1.0;
-            match q.quantize(v, p) {
-                (Quantized::Code(c), recon) => {
-                    assert!((recon - v).abs() <= 0.05 + 1e-12, "v={v} p={p}");
-                    assert_eq!(q.reconstruct(c, p), recon);
-                }
-                (Quantized::Outlier, recon) => assert_eq!(recon, v),
+            if let Some((c, recon)) = q.quantize::<f64>(v, p) {
+                assert!((recon - v).abs() <= 0.05, "v={v} p={p}");
+                assert_eq!(q.reconstruct(c, p), recon);
             }
         }
     }
@@ -177,14 +370,14 @@ mod tests {
     fn far_residuals_are_outliers() {
         let q = LinearQuantizer::new(0.01, 4);
         // |diff| = 1.0, step = 0.02, q = 50 > radius 4.
-        assert_eq!(q.quantize(1.0, 0.0).0, Quantized::Outlier);
+        assert_eq!(q.quantize::<f64>(1.0, 0.0), None);
     }
 
     #[test]
     fn nan_prediction_is_outlier() {
         let q = LinearQuantizer::new(0.01, 8);
-        assert_eq!(q.quantize(1.0, f64::NAN).0, Quantized::Outlier);
-        assert_eq!(q.quantize(1.0, f64::INFINITY).0, Quantized::Outlier);
+        assert_eq!(q.quantize::<f64>(1.0, f64::NAN), None);
+        assert_eq!(q.quantize::<f64>(1.0, f64::INFINITY), None);
     }
 
     #[test]
@@ -192,7 +385,7 @@ mod tests {
         let q = LinearQuantizer::new(0.5, 100);
         let p = 10.0;
         for v in [9.0, 10.0, 11.0, 10.49, 9.51, 60.0, -40.0] {
-            if let (Quantized::Code(c), recon) = q.quantize(v, p) {
+            if let Some((c, recon)) = q.quantize::<f64>(v, p) {
                 assert_eq!(q.reconstruct(c, p), recon);
             }
         }
@@ -203,7 +396,7 @@ mod tests {
         let q = LinearQuantizer::new(0.1, 16);
         for i in -20..=20 {
             let v = i as f64 * 0.2;
-            if let (Quantized::Code(c), _) = q.quantize(v, 0.0) {
+            if let Some((c, _)) = q.quantize::<f64>(v, 0.0) {
                 assert!(c >= 1 && c < q.alphabet() + 1);
             }
         }
@@ -212,15 +405,19 @@ mod tests {
     #[test]
     fn huge_bound_tiny_values() {
         let q = LinearQuantizer::new(1e30, 8);
-        let (code, recon) = q.quantize(1.0, 0.0);
-        assert_eq!(code, Quantized::Code(q.zero_code()));
         // recon = 0, error 1.0 <= 1e30.
-        assert_eq!(recon, 0.0);
+        assert_eq!(q.quantize::<f64>(1.0, 0.0), Some((q.zero_code(), 0.0)));
     }
 
     #[test]
     #[should_panic]
     fn zero_bound_rejected() {
         let _ = LinearQuantizer::new(0.0, 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn negative_zero_bound_rejected() {
+        let _ = LinearQuantizer::new(-0.0, 8);
     }
 }

@@ -38,17 +38,20 @@ pub(crate) const RETAIN_CAP_BYTES: usize = 4 << 20;
 /// Reusable buffers for both coding directions. All fields are ordinary
 /// growable containers: a call refills them, so capacity persists across
 /// calls while contents never leak between streams. Where a call keeps
-/// the old contents instead of clearing them (the decoders'
-/// reconstruction plane, the Huffman symbol tables), it reads only what
-/// it wrote itself.
+/// the old contents instead of clearing them (the reconstruction plane,
+/// an encode's code buffer, the Huffman symbol tables), it reads only
+/// what it wrote itself.
 #[derive(Default)]
 pub struct CodecScratch {
     /// Quantization codes of an SZ-family payload: Huffman-decoded on
-    /// decode, awaiting Huffman on encode.
+    /// decode, awaiting Huffman on encode. An encode sizes it to the
+    /// sample count and overwrites every slot, so it is not cleared.
     pub codes: Vec<u32>,
     /// f64 reconstruction plane — what the decoder will see, which is
-    /// what both directions predict from. A decode does not zero it:
-    /// every sample it reads was written earlier in the same pass.
+    /// what both directions predict from. Neither direction zeroes it:
+    /// every sample an encode or a decode reads was written earlier in
+    /// the same pass (`encode_plane.rs` and `decode_fastpath.rs` fill it
+    /// with NaN first to hold them to that).
     pub recon: Vec<f64>,
     /// Byte-stage inverse output (the chain's LZ decompression target).
     pub bytes: Vec<u8>,
