@@ -24,7 +24,7 @@
 //! oracle.
 
 use crate::error::{CodecError, Result};
-use crate::scratch::{with_scratch, ArenaBuf};
+use crate::scratch::with_scratch;
 use crate::util::{put_varint, ByteReader};
 
 /// Sliding-window size (64 KiB).
@@ -58,23 +58,23 @@ fn hash4(b: &[u8]) -> usize {
 /// entry away exactly as it would an empty one.
 #[derive(Default)]
 pub(crate) struct LzTables {
-    /// Stored position of the most recent position per hash.
-    head: Vec<u32>,
-    /// Stored position of the previous position with the same hash, per
-    /// position modulo [`WINDOW`].
-    prev: Vec<u32>,
+    /// The chains, allocated by the first call that needs them.
+    chains: Option<Box<Chains>>,
     /// The next call's `origin`; out of range (as while a call runs, so
     /// one that unwound is never trusted) when the tables need a fresh
     /// start.
     next: usize,
 }
 
-impl LzTables {
-    /// Visits every growable buffer (the arena's retention policy).
-    pub(crate) fn for_each_buf(&mut self, f: &mut dyn FnMut(&mut dyn ArenaBuf)) {
-        f(&mut self.head);
-        f(&mut self.prev);
-    }
+/// The hash chains at their fixed sizes, so every index the match
+/// finder forms (a 16-bit hash, a position modulo [`WINDOW`]) is in
+/// bounds by its type.
+struct Chains {
+    /// Stored position of the most recent position per hash.
+    head: [u32; 1 << HASH_BITS],
+    /// Stored position of the previous position with the same hash, per
+    /// position modulo [`WINDOW`].
+    prev: [u32; WINDOW],
 }
 
 /// Compresses `input` losslessly.
@@ -112,23 +112,26 @@ fn compress_with(input: &[u8], t: &mut LzTables, span: usize) -> Vec<u8> {
     if input.is_empty() {
         return out;
     }
-    if !(WINDOW..=span / 2).contains(&t.next)
-        || t.head.len() != 1 << HASH_BITS
-        || t.prev.len() != WINDOW
-    {
+    let fresh = t.chains.is_none() || !(WINDOW..=span / 2).contains(&t.next);
+    let chains = t
+        .chains
+        .get_or_insert_with(|| Box::new(Chains { head: [0; 1 << HASH_BITS], prev: [0; WINDOW] }));
+    if fresh {
         // A fresh start: every entry empty (0), at least WINDOW behind
         // the first position.
-        t.head.clear();
-        t.head.resize(1 << HASH_BITS, 0);
-        t.prev.clear();
-        t.prev.resize(WINDOW, 0);
+        chains.head.fill(0);
+        chains.prev.fill(0);
         t.next = WINDOW;
     }
     let origin = std::mem::replace(&mut t.next, usize::MAX);
-    let (head, prev) = (t.head.as_mut_slice(), t.prev.as_mut_slice());
+    let Chains { head, prev } = &mut **chains;
     // Position `j` is stored as `origin + j − base`.
     let mut base = 0usize;
-    let insert = |head: &mut [u32], prev: &mut [u32], base: &mut usize, h: usize, j: usize| {
+    let insert = |head: &mut [u32; 1 << HASH_BITS],
+                  prev: &mut [u32; WINDOW],
+                  base: &mut usize,
+                  h: usize,
+                  j: usize| {
         if origin + j - *base >= span {
             // Entries the move drops are more than `span / 2 ≥ WINDOW`
             // behind every later position, so no chain would take them.
@@ -444,7 +447,9 @@ mod tests {
         let mut tables = LzTables::default();
         compress_with(&byte_stream(1, 4000, 3), &mut tables, REBASE_SPAN);
         // Entries that read as "position 5" after a fresh start.
-        tables.head.iter_mut().for_each(|v| *v = WINDOW as u32 + 5);
+        if let Some(chains) = tables.chains.as_mut() {
+            chains.head.fill(WINDOW as u32 + 5);
+        }
         tables.next = usize::MAX;
         let data = byte_stream(5, 3000, 4);
         let got = compress_with(&data, &mut tables, REBASE_SPAN);

@@ -106,7 +106,6 @@ impl CodecScratch {
         f(&mut self.outliers);
         self.huff.for_each_buf(f);
         self.huff_enc.for_each_buf(f);
-        self.lz.for_each_buf(f);
     }
 }
 
