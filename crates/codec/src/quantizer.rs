@@ -81,8 +81,9 @@ impl LinearQuantizer {
     /// * the residual in steps, `y = (v − p)/(2e)`, is in range iff
     ///   `|y| < radius + ½`, a test NaN and ±inf fail too;
     /// * `y` is rounded half away from zero with no libm call, by
-    ///   truncating `y ± (½ − 2⁻⁵⁴)`: below 2⁵² in magnitude that sum
-    ///   rounds into `[k, k + 1)` for `k = ⌊|y| + ½⌋`, ties included;
+    ///   truncating `y ± (½ − 2⁻⁵⁴)`: for `|y|` below 2⁵² (the range test
+    ///   keeps it below 2³² + ½) the sum's magnitude rounds into
+    ///   `[k, k + 1)` for `k = ⌊|y| + ½⌋`, ties included;
     /// * one check holds both the reconstruction `p + 2e·q` and its
     ///   `T`-rounded value to the bound: floating point can break the
     ///   algebraic guarantee, and so can the narrowing to `T`.
