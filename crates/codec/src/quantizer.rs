@@ -11,7 +11,8 @@
 use eblcio_data::Element;
 
 /// The largest double below ½: adding it before a truncation rounds half
-/// away from zero (see [`LinearQuantizer::quantize`]).
+/// away from zero (see [`LinearQuantizer::quantize`] and
+/// [`round_half_away`]).
 const HALF_BELOW: f64 = 0.5 - 1.0 / (1u64 << 54) as f64;
 
 /// Linear quantizer with a fixed absolute bound and code radius.
@@ -138,6 +139,64 @@ pub fn dequant_affine_into<T: Element>(codes: &[u32], base: f64, step: f64, out:
     for (dd, &q) in dst_chunks.into_remainder().iter_mut().zip(code_chunks.remainder()) {
         *dd = T::from_f64(base + f64::from(q) * step);
     }
+}
+
+/// 2⁵²: for `0 ≤ s < 2⁵²`, `s + 2⁵²` is `s` rounded to an integer (ties
+/// to even) and holds that integer in its low mantissa bits.
+const TWO_52: f64 = (1u64 << 52) as f64;
+
+/// `⌊s⌋` for `0 ≤ s < 2⁵²`, as a double and as the low 32 bits of the
+/// integer, with no libm call: round to the nearest integer through
+/// 2⁵², then step down if that went up.
+#[inline(always)]
+fn floor_nonneg(s: f64) -> (f64, u32) {
+    let shifted = s + TWO_52;
+    let nearest = shifted - TWO_52;
+    let over = nearest > s;
+    let floor = nearest - if over { 1.0 } else { 0.0 };
+    (floor, (shifted.to_bits() as u32).wrapping_sub(u32::from(over)))
+}
+
+/// Rounds `y` half away from zero with no libm call: `f64::round` for
+/// every input, ±0, NaN and ±inf included. It is the truncation of
+/// `|y| + (½ − 2⁻⁵⁴)` that [`LinearQuantizer::quantize`] uses, taken by
+/// `floor_nonneg` below 2⁵²; from there up every double is an integer
+/// and the sum rounds back to `|y|`.
+#[inline(always)]
+pub fn round_half_away(y: f64) -> f64 {
+    let s = y.abs() + HALF_BELOW;
+    let rounded = if s < TWO_52 { floor_nonneg(s).0 } else { s };
+    rounded.copysign(y)
+}
+
+/// The fixed-point codes of a block, the encode-side mirror of
+/// [`dequant_affine_into`]: `codes[i] = round((v − base)/step)` for every
+/// sample `v`. Returns whether every reconstruction `base + code·step`,
+/// rounded into `T`, lies within `abs` of its sample; a NaN sample or
+/// bound fails.
+///
+/// The caller must have checked that every quotient rounds into
+/// `0..2³²` (SZx checks its block's extremes: the quotient is monotone
+/// in `v`). Then each code is [`round_half_away`]'s, and the reconstruction
+/// equals its one under `==`: one division, the truncation of
+/// `y + (½ − 2⁻⁵⁴)` with no libm call, and no branch, so the compiler
+/// vectorizes the pass.
+pub fn quant_affine_into<T: Element>(
+    samples: &[T],
+    base: f64,
+    step: f64,
+    abs: f64,
+    codes: &mut [u32],
+) -> bool {
+    let mut within = true;
+    for (code, v) in codes.iter_mut().zip(samples) {
+        let v = v.to_f64();
+        let (q, q_int) = floor_nonneg((v - base) / step + HALF_BELOW);
+        let r = T::from_f64(base + q * step).to_f64();
+        within &= (r - v).abs() <= abs;
+        *code = q_int;
+    }
+    within
 }
 
 #[cfg(test)]
@@ -420,5 +479,102 @@ mod tests {
     #[should_panic]
     fn negative_zero_bound_rejected() {
         let _ = LinearQuantizer::new(-0.0, 8);
+    }
+
+    /// `round_half_away` is `f64::round` bit for bit (any NaN for NaN).
+    fn assert_rounds_like_libm(y: f64) {
+        let (got, want) = (round_half_away(y), y.round());
+        let same = got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan());
+        assert!(same, "y = {y:e} ({:#x}): {got:e} vs {want:e}", y.to_bits());
+    }
+
+    /// The per-sample, `round`-based codes and test that
+    /// [`quant_affine_into`] replaced in the SZx encoder.
+    fn quant_affine_reference<T: Element>(
+        samples: &[T],
+        base: f64,
+        step: f64,
+        abs: f64,
+        codes: &mut [u32],
+    ) -> bool {
+        let mut within = true;
+        for (code, v) in codes.iter_mut().zip(samples) {
+            let q = ((v.to_f64() - base) / step).round();
+            let r = T::from_f64(base + q * step);
+            within &= (r.to_f64() - v.to_f64()).abs() <= abs;
+            *code = q as u32;
+        }
+        within
+    }
+
+    /// A block of `T` samples from `base` up, every quotient rounding
+    /// into `0..2³²`, with ties, quotients near 2³² and bounds near one
+    /// ulp of the samples; the kernel and the reference agree.
+    fn assert_kernel_matches<T: Element>(a: u64, b: u64, c: u64) {
+        let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+        let base = T::from_f64((unit(a) - 0.5) * 10f64.powf(unit(b) * 12.0 - 6.0)).to_f64();
+        let step = match c % 3 {
+            0 => 2f64.powi((b % 40) as i32 - 20),
+            1 => base.abs().max(1e-30) * 10f64.powf(-1.0 - 8.0 * unit(c)),
+            _ => 1e-3 * (1.0 + unit(c)),
+        };
+        let top = [1.0, 255.0, 65535.0, 4294967294.0][(a % 4) as usize];
+        let mut state = a ^ c.rotate_left(17);
+        let samples: Vec<T> = (0..128)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let q = (unit(state) * top).floor();
+                // Exact ties on power-of-two steps, jitter otherwise.
+                let frac = if state & 1 == 0 { 0.5 } else { unit(state.rotate_left(29)) };
+                T::from_f64(base + (q + frac) * step)
+            })
+            .filter(|v| v.to_f64() >= base && ((v.to_f64() - base) / step).round() < 4294967295.0)
+            .collect();
+        for abs in [step / 2.0, step * 0.5000001, step * 0.4999999, step] {
+            let mut got = vec![0u32; samples.len()];
+            let mut want = vec![0u32; samples.len()];
+            let ok = quant_affine_into(&samples, base, step, abs, &mut got);
+            let ok_ref = quant_affine_reference(&samples, base, step, abs, &mut want);
+            let name = T::NAME;
+            assert_eq!((ok, &got), (ok_ref, &want), "{name}: base {base:e} step {step:e} abs {abs:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Ties, their neighbours, values past 2⁵² and 2⁶³, and anything.
+        #[test]
+        fn round_half_away_matches_libm(k in 0usize..4, a in any::<u64>(), b in any::<u64>()) {
+            let sign = if b & 1 == 0 { 1.0 } else { -1.0 };
+            let y = match k {
+                0 => ulps(sign * ((a % (1 << 53)) as f64 + 0.5), (b % 5) as i64 - 2),
+                1 => sign * 2f64.powi((a % 70) as i32) * (1.0 + (b >> 12) as f64 / (1u64 << 52) as f64),
+                2 => sign * ulps((a % 4) as f64 * 0.5, (b % 5) as i64 - 2),
+                _ => f64::from_bits(a),
+            };
+            assert_rounds_like_libm(y);
+        }
+
+        /// The SZx fixed-point kernel codes and decides as the per-sample
+        /// `round`-based loop it replaced.
+        #[test]
+        fn quant_affine_matches_the_round_based_loop(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
+            assert_kernel_matches::<f32>(a, b, c);
+            assert_kernel_matches::<f64>(a, b, c);
+        }
+    }
+
+    #[test]
+    fn round_half_away_matches_libm_at_every_edge() {
+        let mut ys = vec![0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, 5e-324];
+        for p in [0.5, 1.5, 2.5, 2f64.powi(52) - 0.5, 2f64.powi(52), 2f64.powi(53), 2f64.powi(63), 2f64.powi(64)] {
+            for k in -3..=3 {
+                ys.extend([ulps(p, k), ulps(-p, k)]);
+            }
+        }
+        for y in ys {
+            assert_rounds_like_libm(y);
+        }
     }
 }

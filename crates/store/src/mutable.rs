@@ -54,7 +54,7 @@
 //! that rewrite whole chunks ([`StoreWriter::stage_chunk`]) avoid the
 //! drift entirely.
 
-use crate::grid::{copy_region, Region};
+use crate::grid::{copy_region, gather_into, Region};
 use crate::manifest::{GenerationMeta, Manifest};
 use crate::metrics::store_metrics;
 use crate::storage::Storage;
@@ -66,8 +66,9 @@ use eblcio_codec::{
     compress_view, decompress, CodecError, Compressor, ErrorBound, Result,
 };
 use eblcio_data::shape::MAX_RANK;
-use eblcio_data::{Element, NdArray, Shape};
+use eblcio_data::{ArrayView, Element, NdArray, Shape};
 use eblcio_obs::{self as obs, Timed};
+use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -722,7 +723,9 @@ impl StoreWriter<'_> {
     /// chunk's own codec chain at the store's absolute bound, in
     /// parallel on the shared rayon pool. A chunk `region` covers whole
     /// is not decoded — every sample is overwritten — but its slot's CRC
-    /// is still checked. Returns how many chunks were (re-)staged.
+    /// is still checked; its samples are gathered from `data` into a
+    /// buffer each worker reuses, never zero-filled first. Returns how
+    /// many chunks were (re-)staged.
     pub fn stage_region<T: Element>(
         &mut self,
         region: &Region,
@@ -743,6 +746,8 @@ impl StoreWriter<'_> {
         let store = &self.store;
         let staged = &self.staged;
         let pool = pool_for(threads)?;
+        // Gather buffers for wholly covered chunks: at most one per worker.
+        let spare: Mutex<Vec<Vec<T>>> = Mutex::new(Vec::new());
         let results: Vec<Result<(usize, Vec<u8>)>> = pool.install(|| {
             hits.par_iter()
                 .map(|&i| {
@@ -753,26 +758,6 @@ impl StoreWriter<'_> {
                     let Some(inter) = chunk_region.intersect(region) else {
                         return Err(CodecError::Internal { context: "intersecting chunk does not intersect" });
                     };
-                    let mut chunk = if inter.len() == chunk_region.len() {
-                        // The update overwrites every sample: nothing to
-                        // decode, but a corrupt slot still fails.
-                        if !staged.contains_key(&i) {
-                            store.chunk_payload(i)?;
-                        }
-                        NdArray::<T>::zeros(chunk_region.shape())
-                    } else {
-                        match staged.get(&i) {
-                            Some(stream) => {
-                                let arr = decompress::<T>(codec, stream)?;
-                                if arr.shape() != chunk_region.shape() {
-                                    let context = "store chunk shape";
-                                    return Err(CodecError::Corrupt { context });
-                                }
-                                arr
-                            }
-                            None => store.decode_chunk::<T>(codec, i)?,
-                        }
-                    };
                     let rank = inter.rank();
                     let mut src_origin = [0usize; MAX_RANK];
                     let mut dst_origin = [0usize; MAX_RANK];
@@ -780,6 +765,31 @@ impl StoreWriter<'_> {
                         src_origin[d] = inter.origin()[d] - region.origin()[d];
                         dst_origin[d] = inter.origin()[d] - chunk_region.origin()[d];
                     }
+                    if inter.len() == chunk_region.len() {
+                        // The update overwrites every sample: nothing to
+                        // decode (but a corrupt slot still fails), and
+                        // the chunk is gathered from `data` straight
+                        // into a buffer a worker keeps for its next one.
+                        if !staged.contains_key(&i) {
+                            store.chunk_payload(i)?;
+                        }
+                        let mut buf = spare.lock().pop().unwrap_or_default();
+                        gather_into(data, &Region::new(&src_origin[..rank], inter.extent()), &mut buf);
+                        let stream = compress_view(codec, ArrayView::new(chunk_region.shape(), &buf), bound);
+                        spare.lock().push(buf);
+                        return Ok((i, stream?));
+                    }
+                    let mut chunk = match staged.get(&i) {
+                        Some(stream) => {
+                            let arr = decompress::<T>(codec, stream)?;
+                            if arr.shape() != chunk_region.shape() {
+                                let context = "store chunk shape";
+                                return Err(CodecError::Corrupt { context });
+                            }
+                            arr
+                        }
+                        None => store.decode_chunk::<T>(codec, i)?,
+                    };
                     copy_region(
                         data.as_slice(),
                         data.shape(),
