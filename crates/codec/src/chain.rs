@@ -39,7 +39,7 @@ use crate::stage::{build_byte_stage, validate_region, ArrayStage, ByteStage, Byt
 use crate::traits::{Compressor, CompressorId, ErrorBound};
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::{dispatch_dtype, Dataset, DatasetView};
-use eblcio_obs::{Histogram, Stopwatch};
+use eblcio_obs::{Histogram, Phase};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -202,14 +202,14 @@ impl std::fmt::Display for ChainSpec {
 
 /// Per-stage telemetry handles, resolved from the process-global
 /// [`eblcio_obs`] registry once at chain construction so the
-/// per-chunk cost is a stopwatch read and a relaxed histogram add.
+/// per-chunk cost is a clock read pair and a relaxed histogram add.
 /// Names follow `eblcio_codec_<stage>_{encode,decode}_{ns,bytes}`,
 /// where `<stage>` is the stage's grammar label (`sz3`, `lz`,
 /// `shuffle4`, …) — so one store mixing chains still separates its
 /// stage costs.
 struct StageMetrics {
-    encode_ns: Arc<Histogram>,
-    decode_ns: Arc<Histogram>,
+    encode_ns: Phase,
+    decode_ns: Phase,
     /// Stage *output* sizes on encode (post-transform payload bytes).
     encode_bytes: Arc<Histogram>,
     /// Stage *output* sizes on decode (recovered payload/array bytes).
@@ -220,8 +220,8 @@ impl StageMetrics {
     fn for_stage(label: &str) -> Self {
         let g = eblcio_obs::global();
         Self {
-            encode_ns: g.histogram(&format!("eblcio_codec_{label}_encode_ns")),
-            decode_ns: g.histogram(&format!("eblcio_codec_{label}_decode_ns")),
+            encode_ns: Phase::new(g.histogram(&format!("eblcio_codec_{label}_encode_ns"))),
+            decode_ns: Phase::new(g.histogram(&format!("eblcio_codec_{label}_decode_ns"))),
             encode_bytes: g.histogram(&format!("eblcio_codec_{label}_encode_bytes")),
             decode_bytes: g.histogram(&format!("eblcio_codec_{label}_decode_bytes")),
         }
@@ -312,9 +312,9 @@ impl CodecChain {
         let (origin, extent) = region.unwrap_or((&[0; MAX_RANK][..h.shape.rank()], h.shape.dims()));
         validate_region(h.shape, origin, extent)?;
         let array_decode = |bytes: &[u8]| {
-            let sw = Stopwatch::start();
+            let t = self.metrics.array.decode_ns.start();
             let out = self.array.decode(bytes, h.dtype, h.shape, h.abs_bound, origin, extent);
-            self.metrics.array.decode_ns.record(sw.elapsed_ns());
+            t.finish();
             if let Ok(arr) = &out {
                 self.metrics.array.decode_bytes.record(arr.nbytes() as u64);
             }
@@ -327,7 +327,7 @@ impl CodecChain {
         let mut next = Vec::new();
         let mut first = true;
         for (s, m) in self.bytes.iter().zip(&self.metrics.bytes).rev() {
-            let sw = Stopwatch::start();
+            let t = m.decode_ns.start();
             let step = if first {
                 s.inverse_into(payload, &mut cur)
             } else {
@@ -337,7 +337,7 @@ impl CodecChain {
                 }
                 r
             };
-            m.decode_ns.record(sw.elapsed_ns());
+            t.finish();
             first = false;
             if let Err(e) = step {
                 crate::scratch::put_bytes(cur);
@@ -372,14 +372,14 @@ impl Compressor for CodecChain {
             ErrorBound::Absolute(_) => 0.0,
         };
         let abs = bound.to_absolute(range)?;
-        let sw = Stopwatch::start();
+        let t = self.metrics.array.encode_ns.start();
         let (mut payload, abs_recorded) = self.array.encode(data, abs)?;
-        self.metrics.array.encode_ns.record(sw.elapsed_ns());
+        t.finish();
         self.metrics.array.encode_bytes.record(payload.len() as u64);
         for (s, m) in self.bytes.iter().zip(&self.metrics.bytes) {
-            let sw = Stopwatch::start();
+            let t = m.encode_ns.start();
             payload = s.forward(&payload);
-            m.encode_ns.record(sw.elapsed_ns());
+            t.finish();
             m.encode_bytes.record(payload.len() as u64);
         }
         let header = Header {

@@ -38,16 +38,17 @@ impl Szx {
     /// for its codes, which go straight into the output:
     ///
     /// * the extremes come from a lane-parallel fold, rescanned in order
-    ///   when one of them is ±0 or the block holds a non-finite sample
-    ///   (`extremes`);
-    /// * the constant test is decided by the two extremes (`near_all`);
+    ///   when one of them is ±0 or the fold's running sum is not finite
+    ///   (`extremes`); a NaN or ±inf sample the rescan meets is a
+    ///   [`CodecError::NonFiniteInput`];
+    /// * the constant test is decided by the two extremes;
     /// * the code range is decided by the two extremes too, and the codes
     ///   and the reconstruction test by [`quant_affine_into`] with no
     ///   libm call (`code_block`); so is the code width (`code_width`).
     ///
-    /// Every decision and every byte is that of the per-sample,
-    /// `round`-based encoder this replaced; the test module keeps it as
-    /// the oracle.
+    /// On finite input every decision and every byte is that of the
+    /// per-sample, `round`-based encoder this replaced; the test module
+    /// keeps it as the oracle.
     pub fn encode_impl<T: Element>(
         &self,
         data: ArrayView<'_, T>,
@@ -61,14 +62,15 @@ impl Szx {
         let mut codes = [0u32; BLOCK];
 
         for block in samples.chunks(BLOCK) {
-            let (mn, mx, finite) = extremes(block);
+            let (mn, mx) = extremes(block)?;
             let range = mx - mn;
 
             if range <= step {
                 // Constant block: the midpoint, rounded into T, must be
                 // within ε of every sample.
                 let mid = T::from_f64(mn + range * 0.5);
-                if near_all(mid.to_f64(), block, (mn, mx, finite), abs) {
+                let m = mid.to_f64();
+                if (m - mn).abs() <= abs && (m - mx).abs() <= abs {
                     out.push(MODE_CONSTANT);
                     mid.write_le(&mut out);
                     continue;
@@ -79,7 +81,7 @@ impl Szx {
             if let Some(bits) = code_width(range / step) {
                 let base = T::from_f64(mn);
                 let codes = &mut codes[..block.len()];
-                if code_block(block, base.to_f64(), (mn, mx, finite), step, abs, bits, codes) {
+                if code_block(block, base.to_f64(), (mn, mx), step, abs, bits, codes) {
                     out.push(MODE_PACKED);
                     base.write_le(&mut out);
                     out.push(bits as u8);
@@ -193,24 +195,23 @@ impl Szx {
     }
 }
 
-/// A block's least and greatest samples, as widened doubles, and whether
-/// it is safe to reason about them alone (every sample finite).
-type Extremes = (f64, f64, bool);
-
 /// Lanes of the extremes fold.
 const LANES: usize = 4;
 
-/// The block's extremes as the in-order scan with strict `<` and `>`
-/// finds them — the first of equal values, so a ±0 keeps its sign — and
-/// whether every sample is finite.
+/// The block's least and greatest samples, as widened doubles, as the
+/// in-order scan with strict `<` and `>` finds them — the first of
+/// equal values, so a ±0 keeps its sign — or
+/// [`CodecError::NonFiniteInput`] if a sample is NaN or ±inf.
 ///
-/// [`LANES`] folds run side by side, and a running sum flags a NaN or
-/// ±inf (an overflowing f64 sum flags too, which only costs the slow
-/// paths). The lanes pick among equal values out of order, which only a
-/// ±0 extreme can show, and a NaN first sample would have stuck in the
-/// in-order scan; so a block with a ±0 extreme or a flag is scanned
-/// again in order.
-fn extremes<T: Element>(block: &[T]) -> Extremes {
+/// [`LANES`] folds run side by side beside a running sum, which is
+/// finite whenever every sample is. The lanes pick among equal values
+/// out of order, which only a ±0 extreme can show; so a block with a ±0
+/// extreme or a sum that is not finite (a NaN, a ±inf, or finite samples
+/// whose sum overflows) is scanned again in order, and that scan is what
+/// rejects a non-finite sample. With every sample finite, the
+/// constant test (`|fl(m − v)|` is monotone in `v`) and the code range
+/// test are decided by the two extremes alone.
+fn extremes<T: Element>(block: &[T]) -> Result<(f64, f64)> {
     #[inline(always)]
     fn fold(lo: &mut f64, hi: &mut f64, sum: &mut f64, x: f64) {
         *lo = if x < *lo { x } else { *lo };
@@ -239,14 +240,16 @@ fn extremes<T: Element>(block: &[T]) -> Extremes {
         }
         total += sum[l];
     }
-    let finite = total.is_finite();
-    if finite && mn != 0.0 && mx != 0.0 {
-        return (mn, mx, true);
+    if total.is_finite() && mn != 0.0 && mx != 0.0 {
+        return Ok((mn, mx));
     }
     let mut mn = block[0].to_f64();
     let mut mx = mn;
     for v in block {
         let f = v.to_f64();
+        if !f.is_finite() {
+            return Err(CodecError::NonFiniteInput);
+        }
         if f < mn {
             mn = f;
         }
@@ -254,19 +257,7 @@ fn extremes<T: Element>(block: &[T]) -> Extremes {
             mx = f;
         }
     }
-    (mn, mx, finite)
-}
-
-/// Whether `m` is within `abs` of every sample of the block. `fl(m − v)`
-/// is monotone in `v`, so `|fl(m − v)|` peaks at an extreme and, on a
-/// block of finite samples, the two extremes decide the test exactly. A
-/// NaN sample fails it, and only the per-sample test sees one.
-fn near_all<T: Element>(m: f64, block: &[T], (mn, mx, finite): Extremes, abs: f64) -> bool {
-    if finite {
-        (m - mn).abs() <= abs && (m - mx).abs() <= abs
-    } else {
-        block.iter().all(|v| (m - v.to_f64()).abs() <= abs)
-    }
+    Ok((mn, mx))
 }
 
 /// Bits per code for a block `steps` quantization steps wide — the
@@ -295,17 +286,16 @@ const MAX_STEPS: f64 = u32::MAX as f64;
 /// `bits` wide; returns whether it packs: every code in `0..2^bits` and
 /// every reconstruction, rounded into `T`, within `abs` of its sample.
 ///
-/// The quotient `(v − base)/step` is monotone in `v`, so on a block of
-/// finite samples the extremes' codes bound every code, and the range
-/// test is decided there; [`quant_affine_into`] then takes the codes and
-/// the reconstruction test in one flat pass. A block with a NaN or ±inf
-/// sample, or a step that makes an extreme's quotient NaN, takes the
-/// per-sample test as it was written (a NaN code passes its range test
-/// and packs as 0).
+/// The quotient `(v − base)/step` is monotone in `v`, so the extremes'
+/// codes bound every code, and the range test is decided there;
+/// [`quant_affine_into`] then takes the codes and the reconstruction
+/// test in one flat pass. A step that makes an extreme's quotient NaN
+/// takes the per-sample test as it was written (a NaN code passes its
+/// range test and packs as 0).
 fn code_block<T: Element>(
     block: &[T],
     base: f64,
-    (mn, mx, finite): Extremes,
+    (mn, mx): (f64, f64),
     step: f64,
     abs: f64,
     bits: u32,
@@ -313,11 +303,9 @@ fn code_block<T: Element>(
 ) -> bool {
     let limit = (1u64 << bits) as f64;
     let fits = |q: f64| q >= 0.0 && q < limit;
-    if finite {
-        let (lo, hi) = (round_half_away((mn - base) / step), round_half_away((mx - base) / step));
-        if !lo.is_nan() && !hi.is_nan() {
-            return fits(lo) && fits(hi) && quant_affine_into(block, base, step, abs, codes);
-        }
+    let (lo, hi) = (round_half_away((mn - base) / step), round_half_away((mx - base) / step));
+    if !lo.is_nan() && !hi.is_nan() {
+        return fits(lo) && fits(hi) && quant_affine_into(block, base, step, abs, codes);
     }
     for (code, v) in codes.iter_mut().zip(block) {
         let v = v.to_f64();
@@ -593,11 +581,17 @@ mod tests {
         }
     }
 
-    /// The encoder's stream equals the oracle's, in `T`.
+    /// The encoder's stream equals the oracle's, in `T`; input with a
+    /// NaN or ±inf sample is a `NonFiniteInput` error instead.
     fn assert_matches_oracle<T: Element>(values: &[f64], abs: f64) {
         let samples: Vec<T> = values.iter().map(|&v| T::from_f64(v)).collect();
         let view = ArrayView::new(Shape::d1(samples.len()), &samples);
-        let (got, _) = Szx.encode_impl(view, abs).unwrap();
+        let out = Szx.encode_impl(view, abs);
+        if values.iter().any(|v| !v.is_finite()) {
+            assert!(matches!(out, Err(CodecError::NonFiniteInput)), "{}: {samples:?}", T::NAME);
+            return;
+        }
+        let (got, _) = out.unwrap();
         let want = oracle::encode_reference(&samples, abs);
         if got != want {
             let at = got.iter().zip(&want).position(|(g, w)| g != w).unwrap_or(got.len().min(want.len()));
@@ -616,8 +610,9 @@ mod tests {
 
         /// The extremes-only encoder writes the old per-sample encoder's
         /// stream byte for byte, f32 and f64: constant blocks at the
-        /// edge, ±0 and subnormals with a NaN or ±inf anywhere, packed
-        /// widths 1 and 32, the raw fallback, degenerate bounds.
+        /// edge, ±0 and subnormals (rejected with a NaN or ±inf
+        /// anywhere), packed widths 1 and 32, the raw fallback,
+        /// degenerate bounds.
         #[test]
         fn encode_matches_the_per_sample_oracle(
             kind in 0usize..6,
@@ -633,7 +628,8 @@ mod tests {
     }
 
     /// A NaN or ±inf at every position of a block, beside ±0 and smooth
-    /// samples; and every tail length after a whole block.
+    /// samples, is rejected; every tail length after a whole block
+    /// matches the oracle.
     #[test]
     fn every_position_and_tail_matches_the_oracle() {
         let odd = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
@@ -656,6 +652,32 @@ mod tests {
                 assert_matches_oracle::<f32>(&v, abs);
                 assert_matches_oracle::<f64>(&v, abs);
             }
+        }
+    }
+
+    /// The public array stage rejects a NaN or ±inf anywhere — the first
+    /// sample of a block included, which once made the block's extremes
+    /// NaN and decoded all of it as NaN.
+    #[test]
+    fn array_stage_rejects_non_finite_samples() {
+        let smooth: Vec<f64> = (0..3 * BLOCK).map(|i| (i as f64 * 0.01).sin() * 0.5 + 0.5).collect();
+        for at in [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 5] {
+            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut v = smooth.clone();
+                v[at] = x;
+                let out = crate::stage::encode_array(&Szx, ArrayView::new(Shape::d1(v.len()), &v), 1e-3);
+                assert!(matches!(out, Err(CodecError::NonFiniteInput)), "{x} at {at}");
+            }
+        }
+    }
+
+    /// Finite samples whose running sum overflows are scanned again and
+    /// encoded, not rejected.
+    #[test]
+    fn an_overflowing_sum_of_finite_samples_still_encodes() {
+        let v: Vec<f64> = (0..BLOCK + 9).map(|i| if i % 3 == 0 { -f64::MAX } else { f64::MAX * 0.75 }).collect();
+        for abs in [1e-3, 1e300, f64::MAX] {
+            assert_matches_oracle::<f64>(&v, abs);
         }
     }
 

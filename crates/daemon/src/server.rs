@@ -52,7 +52,7 @@ use crate::protocol::{
 };
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::Shape;
-use eblcio_obs::{self as obs, Counter, Histogram, Timed};
+use eblcio_obs::{self as obs, Counter, Phase};
 use eblcio_store::Region;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -197,10 +197,10 @@ struct Shared {
     requests_total: Arc<Counter>,
     overloaded_total: Arc<Counter>,
     malformed_total: Arc<Counter>,
-    admission_wait_ns: Arc<Histogram>,
-    service_ns: Arc<Histogram>,
+    admission_wait: Phase,
+    service: Phase,
     /// The one `write_all` per reply, timed after the permit is gone.
-    reply_write_ns: Arc<Histogram>,
+    reply_write: Phase,
     reply_bytes_total: Arc<Counter>,
 }
 
@@ -240,9 +240,9 @@ impl Daemon {
             requests_total: registry.counter("eblcio_daemon_requests_total"),
             overloaded_total: registry.counter("eblcio_daemon_overloaded_total"),
             malformed_total: registry.counter("eblcio_daemon_malformed_total"),
-            admission_wait_ns: registry.histogram("eblcio_daemon_admission_wait_ns"),
-            service_ns: registry.histogram("eblcio_daemon_service_ns"),
-            reply_write_ns: registry.histogram("eblcio_daemon_reply_write_ns"),
+            admission_wait: Phase::new(registry.histogram("eblcio_daemon_admission_wait_ns")),
+            service: Phase::new(registry.histogram("eblcio_daemon_service_ns")),
+            reply_write: Phase::new(registry.histogram("eblcio_daemon_reply_write_ns")),
             reply_bytes_total: registry.counter("eblcio_daemon_reply_bytes_total"),
         });
         let acceptor = {
@@ -401,10 +401,9 @@ fn connection_loop(stream: &mut TcpStream, shared: &Shared) {
             }
         };
         shared.requests_total.inc();
-        let admitted = {
-            let _t = Timed::new(&shared.admission_wait_ns);
-            shared.gate.enter()
-        };
+        let t = shared.admission_wait.start();
+        let admitted = shared.gate.enter();
+        t.finish();
         match admitted {
             // The permit lives for this arm only (reader work, reply
             // assembly): whoever stalls the write below holds no slot.
@@ -412,10 +411,11 @@ fn connection_loop(stream: &mut TcpStream, shared: &Shared) {
                 if permit.waited && peer_hung_up(stream) {
                     return;
                 }
-                let _t = Timed::new(&shared.service_ns);
+                let t = shared.service.start();
                 if let Err(refusal) = execute(shared, request, &mut frame) {
                     set_reply(&mut frame, &refusal);
                 }
+                t.finish();
             }
             Err(Refused::Full) => {
                 shared.overloaded_total.inc();
@@ -442,10 +442,10 @@ fn set_reply(frame: &mut FrameBuf, reply: &Reply) {
 /// then gives the buffer back if it grew past [`RETAIN_FRAME_BYTES`].
 fn send(stream: &mut TcpStream, frame: &mut FrameBuf, shared: &Shared) -> std::io::Result<()> {
     let bytes = frame.finish_frame()?;
-    {
-        let _t = Timed::new(&shared.reply_write_ns);
-        stream.write_all(bytes)?;
-    }
+    let t = shared.reply_write.start();
+    let written = stream.write_all(bytes);
+    t.finish();
+    written?;
     shared.reply_bytes_total.add(bytes.len() as u64);
     recycle(frame);
     Ok(())

@@ -13,9 +13,15 @@
 //!   the hot path pays one relaxed atomic op per event. Histograms are
 //!   HDR-style log-linear buckets: mergeable across threads, ≤ 6.25%
 //!   relative bucket error on p50/p90/p99, exact min/max.
-//! * **Spans** ([`span`], [`root_span`], [`SpanGuard`]) — scope guards
-//!   that stamp events with a per-request id carried thread-ambiently
-//!   from serve through store/codec down to storage.
+//! * **Phases** ([`Phase`]) — the one way to time a block: a latency
+//!   histogram plus, where the flight recorder should show the block, a
+//!   span name. A call is timed from one clock read at start to one at
+//!   the end, and its span event and histogram sample share both. Spans
+//!   carry a per-request id thread-ambiently from serve through
+//!   store/codec down to storage ([`Phase::start_root`] opens a
+//!   request, [`Phase::start`] nests under it, [`Phase::start_on`]
+//!   names it explicitly on a pool thread). A span with no histogram is
+//!   [`span_id`] ([`SpanGuard`]).
 //! * **Flight recorder** ([`FlightRecorder`]) — a fixed-capacity
 //!   lock-free ring of recent span events, dumpable on demand.
 //! * **Exporters** ([`prometheus`], [`events_jsonl`], [`report`]) —
@@ -46,7 +52,7 @@ pub use export::{events_jsonl, prometheus, report};
 pub use hist::{bucket_hi, bucket_index, bucket_lo, Histogram, HistogramSnapshot, BUCKETS, SUBBUCKETS};
 pub use metrics::{Counter, Gauge, Metric, MetricSnapshot, MetricValue, MetricsRegistry};
 pub use recorder::{FlightRecorder, SpanEvent, DEFAULT_CAPACITY};
-pub use span::{current_request_id, intern, name_of, next_request_id, NameId, SpanGuard, Stopwatch, Timed};
+pub use span::{current_request_id, intern, name_of, next_request_id, NameId, Phase, PhaseGuard, SpanGuard};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -97,72 +103,56 @@ pub fn set_enabled(on: bool) {
     OVERRIDE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Opens a child span under the current thread's ambient request id.
-/// Returns `None` (and records nothing, at the cost of one relaxed
-/// load) when telemetry is disabled — bind the result to a `_guard`
-/// either way:
+/// Opens a span with no histogram under the thread's ambient request
+/// id. Returns `None` (and records nothing, at the cost of one relaxed
+/// load) when capture is off — bind the result to a `_guard` either
+/// way. A block that also feeds a latency histogram is a [`Phase`].
 ///
 /// ```
 /// eblcio_obs::set_enabled(true);
+/// let name = eblcio_obs::intern("doc.example");
 /// {
-///     let _guard = eblcio_obs::span("doc.example");
+///     let _guard = eblcio_obs::span_id(name);
 /// }
 /// assert!(eblcio_obs::flight_recorder().recorded() >= 1);
 /// ```
-///
-/// Hot paths should pre-intern with [`intern`] and use [`span_id`].
-pub fn span(name: &str) -> Option<SpanGuard> {
-    enabled().then(|| SpanGuard::enter(intern(name)))
-}
-
-/// Opens a root span: allocates a fresh request id, ambient on this
-/// thread for the guard's scope, under which child [`span`]s nest.
-pub fn root_span(name: &str) -> Option<SpanGuard> {
-    enabled().then(|| SpanGuard::enter_root(intern(name)))
-}
-
-/// [`span`] by pre-interned id — allocation-free.
 #[inline]
 pub fn span_id(name: NameId) -> Option<SpanGuard> {
     enabled().then(|| SpanGuard::enter(name))
-}
-
-/// [`root_span`] by pre-interned id — allocation-free.
-#[inline]
-pub fn root_span_id(name: NameId) -> Option<SpanGuard> {
-    enabled().then(|| SpanGuard::enter_root(name))
-}
-
-/// [`span_id`] anchored to an already-running [`Stopwatch`] — the span
-/// shares the stopwatch's clock read instead of taking its own.
-#[inline]
-pub fn span_id_from(name: NameId, sw: Stopwatch) -> Option<SpanGuard> {
-    enabled().then(|| SpanGuard::enter_at(name, sw.started_at()))
-}
-
-/// [`root_span_id`] anchored to an already-running [`Stopwatch`].
-#[inline]
-pub fn root_span_id_from(name: NameId, sw: Stopwatch) -> Option<SpanGuard> {
-    enabled().then(|| SpanGuard::enter_root_at(name, sw.started_at()))
-}
-
-/// A child span under an explicit request id — for work fanned out to
-/// pool threads where the ambient id does not follow.
-#[inline]
-pub fn span_on(name: NameId, request: u64) -> Option<SpanGuard> {
-    enabled().then(|| SpanGuard::enter_on(name, request))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Serializes the tests that switch capture on or off (the switch
+    /// is process-wide) and leaves it off afterwards.
+    pub(crate) fn capture(on: bool) -> CaptureGuard {
+        static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+        let held = LOCK.lock();
+        set_enabled(on);
+        CaptureGuard { _held: held }
+    }
+
+    pub(crate) struct CaptureGuard {
+        _held: parking_lot::MutexGuard<'static, ()>,
+    }
+
+    impl Drop for CaptureGuard {
+        fn drop(&mut self) {
+            set_enabled(false);
+        }
+    }
+
     #[test]
     fn disabled_spans_record_nothing() {
-        set_enabled(false);
+        let phase = Phase::spanned(std::sync::Arc::new(Histogram::new()), "lib.off.root");
         {
-            let _g = span("lib.off");
-            let _r = root_span("lib.off.root");
+            let _off = capture(false);
+            let _g = span_id(intern("lib.off"));
+            phase.start_root().finish();
+            phase.start().finish();
+            phase.start_on(9).finish();
         }
         // Other tests share the global recorder, so assert on our own
         // names rather than the global event count.
@@ -170,13 +160,11 @@ mod tests {
             .events()
             .iter()
             .all(|e| !e.span.starts_with("lib.off")));
-        set_enabled(true);
+        assert_eq!(phase.histogram().count(), 3);
+        let _on = capture(true);
         let before = flight_recorder().recorded();
-        {
-            let _g = root_span("lib.on");
-        }
+        phase.start_root().finish();
         assert!(flight_recorder().recorded() > before);
-        set_enabled(false);
     }
 
     #[test]

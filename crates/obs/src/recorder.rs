@@ -61,7 +61,7 @@ pub struct SpanEvent {
 
 /// The ring buffer, documented in this file's module comment.
 pub struct FlightRecorder {
-    epoch: Instant,
+    pub(crate) epoch: Instant,
     head: AtomicU64,
     slots: Box<[Slot]>,
 }
@@ -156,8 +156,8 @@ impl FlightRecorder {
     }
 }
 
-/// The process-wide recorder every [`SpanGuard`](crate::SpanGuard)
-/// reports into, sized [`DEFAULT_CAPACITY`].
+/// The process-wide recorder every span ([`crate::Phase`],
+/// [`crate::SpanGuard`]) reports into, sized [`DEFAULT_CAPACITY`].
 pub fn global() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightRecorder::with_capacity(DEFAULT_CAPACITY))

@@ -31,7 +31,7 @@ use eblcio_codec::header::check_dtype;
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::{CodecError, Compressor, Result};
 use eblcio_data::{Element, NdArray};
-use eblcio_obs::{self as obs, Counter, Histogram, MetricsRegistry, NameId, Stopwatch};
+use eblcio_obs::{self as obs, Counter, Histogram, MetricsRegistry, NameId, Phase};
 use eblcio_store::{scatter_chunk, scatter_chunk_le, ChunkedStore, MutableStore, Region, Storage};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rayon::prelude::*;
@@ -201,20 +201,21 @@ struct ReaderMetrics {
     prefetched: Arc<Counter>,
     refreshes: Arc<Counter>,
     invalidations: Arc<Counter>,
-    /// Per-request wall latency (count = requests, sum = wall nanos).
-    request_ns: Arc<Histogram>,
-    /// Whole-chunk decode latency (count = decodes).
-    decode_ns: Arc<Histogram>,
-    /// Sub-chunk decode latency (count = partial decodes).
-    partial_decode_ns: Arc<Histogram>,
+    /// Per-request wall latency (count = requests, sum = wall nanos):
+    /// every in-range `read_chunk` and every successful region read,
+    /// each a root span (`serve.read_chunk`, `serve.read_region`) over
+    /// one histogram.
+    read_chunk: Phase,
+    read_region: Phase,
+    /// Successful whole-chunk decode latency (count = decodes).
+    decode: Phase,
+    /// Sub-chunk decode latency (count = partial decodes); shares the
+    /// `serve.decode` span with `decode`.
+    partial_decode: Phase,
     /// Bytes produced per decode, whole and partial (sum = total).
     decoded_bytes: Arc<Histogram>,
     /// Single-flight follower wait latency (count = waits).
-    flight_wait_ns: Arc<Histogram>,
-    span_read_region: NameId,
-    span_read_chunk: NameId,
-    span_decode: NameId,
-    span_flight_wait: NameId,
+    flight_wait: Phase,
     span_refresh: NameId,
 }
 
@@ -222,6 +223,7 @@ impl ReaderMetrics {
     fn new(cache_counters: (Arc<Counter>, Arc<Counter>, Arc<Counter>)) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let (hits, misses, evictions) = cache_counters;
+        let request_ns = registry.histogram("eblcio_serve_request_ns");
         registry.register_counter("eblcio_serve_cache_hits_total", hits);
         registry.register_counter("eblcio_serve_cache_misses_total", misses);
         registry.register_counter("eblcio_serve_cache_evictions_total", evictions);
@@ -230,15 +232,18 @@ impl ReaderMetrics {
             prefetched: registry.counter("eblcio_serve_prefetched_total"),
             refreshes: registry.counter("eblcio_serve_refreshes_total"),
             invalidations: registry.counter("eblcio_serve_invalidations_total"),
-            request_ns: registry.histogram("eblcio_serve_request_ns"),
-            decode_ns: registry.histogram("eblcio_serve_decode_ns"),
-            partial_decode_ns: registry.histogram("eblcio_serve_partial_decode_ns"),
+            read_chunk: Phase::spanned(request_ns.clone(), "serve.read_chunk"),
+            read_region: Phase::spanned(request_ns, "serve.read_region"),
+            decode: Phase::spanned(registry.histogram("eblcio_serve_decode_ns"), "serve.decode"),
+            partial_decode: Phase::spanned(
+                registry.histogram("eblcio_serve_partial_decode_ns"),
+                "serve.decode",
+            ),
             decoded_bytes: registry.histogram("eblcio_serve_decoded_bytes"),
-            flight_wait_ns: registry.histogram("eblcio_serve_flight_wait_ns"),
-            span_read_region: obs::intern("serve.read_region"),
-            span_read_chunk: obs::intern("serve.read_chunk"),
-            span_decode: obs::intern("serve.decode"),
-            span_flight_wait: obs::intern("serve.flight_wait"),
+            flight_wait: Phase::spanned(
+                registry.histogram("eblcio_serve_flight_wait_ns"),
+                "serve.flight_wait",
+            ),
             span_refresh: obs::intern("serve.refresh"),
             registry,
         }
@@ -487,11 +492,12 @@ impl<T: Element> ArrayReader<T> {
     /// a concurrent reset or recorder into a half-updated pair.
     pub fn stats(&self) -> ReaderStats {
         let c: CacheStats = self.cache.stats();
-        let req = self.metrics.request_ns.snapshot();
-        let dec = self.metrics.decode_ns.snapshot();
-        let part = self.metrics.partial_decode_ns.snapshot();
+        // `read_chunk` and `read_region` share `eblcio_serve_request_ns`.
+        let req = self.metrics.read_region.histogram().snapshot();
+        let dec = self.metrics.decode.histogram().snapshot();
+        let part = self.metrics.partial_decode.histogram().snapshot();
         let bytes = self.metrics.decoded_bytes.snapshot();
-        let waits = self.metrics.flight_wait_ns.snapshot();
+        let waits = self.metrics.flight_wait.histogram().snapshot();
         ReaderStats {
             requests: req.count,
             chunks_requested: self.metrics.chunks_requested.get(),
@@ -567,12 +573,11 @@ impl<T: Element> ArrayReader<T> {
             self.inflight.lock().remove(&key);
             res
         } else {
-            let _span = obs::span_on(self.metrics.span_flight_wait, rid);
-            let sw = Stopwatch::start();
+            let t = self.metrics.flight_wait.start_on(rid);
             let mut slot = flight.result.lock();
             loop {
                 if let Some(res) = slot.as_ref() {
-                    self.metrics.flight_wait_ns.record(sw.elapsed_ns());
+                    t.finish();
                     return res.clone();
                 }
                 flight.done.wait(&mut slot);
@@ -583,10 +588,9 @@ impl<T: Element> ArrayReader<T> {
     /// The actual decompression, charged to this reader's counters.
     fn decode_now(&self, state: &ReadState, i: usize, rid: u64) -> Result<Arc<NdArray<T>>> {
         let codec = state.decoders[state.store.chunk_chain_index(i)].as_ref();
-        let _span = obs::span_on(self.metrics.span_decode, rid);
-        let sw = Stopwatch::start();
+        let t = self.metrics.decode.start_on(rid);
         let arr = state.store.decode_chunk::<T>(codec, i)?;
-        self.metrics.decode_ns.record(sw.elapsed_ns());
+        t.finish();
         self.metrics.decoded_bytes.record(arr.nbytes() as u64);
         Ok(Arc::new(arr))
     }
@@ -612,12 +616,11 @@ impl<T: Element> ArrayReader<T> {
             // request's probe; sharing it beats decoding again.
             if self.cache.peek(state.keys[i]).is_none() && self.prefers_part(state, i, region) {
                 let codec = state.decoders[state.store.chunk_chain_index(i)].as_ref();
-                let _span = obs::span_on(self.metrics.span_decode, rid);
-                let sw = Stopwatch::start();
+                let t = self.metrics.partial_decode.start_on(rid);
                 if let Some((part, covered)) =
                     state.store.decode_chunk_region::<T>(codec, i, region)?
                 {
-                    self.metrics.partial_decode_ns.record(sw.elapsed_ns());
+                    t.finish();
                     self.metrics.decoded_bytes.record(part.nbytes() as u64);
                     return Ok(Fetched::Partial(part, covered));
                 }
@@ -652,16 +655,14 @@ impl<T: Element> ArrayReader<T> {
     /// Serves chunk `i` through the cache. Out-of-range indices are a
     /// typed error.
     pub fn read_chunk(&self, i: usize) -> Result<Arc<NdArray<T>>> {
-        let sw = Stopwatch::start();
-        let span = obs::root_span_id_from(self.metrics.span_read_chunk, sw);
-        let rid = span.as_ref().map_or(0, |s| s.request_id());
+        let t = self.metrics.read_chunk.start_root();
         let state = self.state.read().clone();
         if i >= state.store.n_chunks() {
             return Err(CodecError::Corrupt { context: "store chunk reference" });
         }
         self.metrics.chunks_requested.inc();
-        let res = self.fetch_chunk(&state, i, rid);
-        self.metrics.request_ns.record(sw.elapsed_ns());
+        let res = self.fetch_chunk(&state, i, t.request_id());
+        t.finish();
         res
     }
 
@@ -747,12 +748,10 @@ impl<T: Element> ArrayReader<T> {
         mut scatter: impl FnMut(&NdArray<T>, &Region) + Send,
     ) -> Result<RequestStats> {
         // Telemetry on this path stays allocation-free: the span name
-        // is pre-interned, the guard lives on the stack (sharing the
-        // stopwatch's clock read), and its drop stores into
-        // preallocated flight-recorder slots.
-        let sw = Stopwatch::start();
-        let span = obs::root_span_id_from(self.metrics.span_read_region, sw);
-        let rid = span.as_ref().map_or(0, |s| s.request_id());
+        // is pre-interned, the guard lives on the stack, and its end
+        // stores into preallocated flight-recorder slots.
+        let t = self.metrics.read_region.start_root();
+        let rid = t.request_id();
         let state = self.state.read().clone();
         let (touched, frontier, misses) = WANTED.with(|w| {
             let mut wanted = w.borrow_mut();
@@ -781,7 +780,7 @@ impl<T: Element> ArrayReader<T> {
         let ahead = self.prefetch_ids(&state, frontier);
         self.metrics.prefetched.add(ahead.len() as u64);
         let partial = self.finish_cold(&state, region, &mut scatter, &misses, &ahead, rid)?;
-        self.metrics.request_ns.record(sw.elapsed_ns());
+        t.finish();
         Ok(RequestStats {
             chunks_touched: touched,
             chunks_from_cache: touched - misses.len(),

@@ -116,6 +116,32 @@ fn a_corrupt_chunk_fails_its_request_and_leaves_the_reader_usable() {
     }
 }
 
+/// What a failed request counts: a `read_chunk` whose decode fails is a
+/// request but no decode; a failed region read (whole-chunk or partial
+/// decode) and an out-of-range chunk are neither.
+#[test]
+fn failed_requests_count_only_where_the_stats_say() {
+    let bad = corrupt_chunk(&sharded_stream(CompressorId::Sz3), 11);
+    let reader = ArrayReader::<f64>::open(&bad, uncached(1, PrefetchPolicy::None)).unwrap();
+    let counts = || {
+        let s = reader.stats();
+        (s.requests, s.decodes, s.partial_decodes)
+    };
+    assert_eq!(reader.read_chunk(11).map(drop), Err(CodecError::ChecksumMismatch));
+    assert_eq!(counts(), (1, 0, 0));
+    assert!(reader.read_chunk(1000).is_err());
+    assert_eq!(counts(), (1, 0, 0));
+    // Inside chunk 11 only: an uncached reader decodes just the part.
+    let part = Region::new(&[1, 2, 18, 18], &[1, 4, 4, 4]);
+    assert_eq!(reader.read_region(&part).map(drop), Err(CodecError::ChecksumMismatch));
+    assert_eq!(counts(), (1, 0, 0));
+    let mut out = NdArray::<f64>::zeros(Shape::new(&SHAPE));
+    assert!(reader.read_region_into(&Region::new(&[0, 0, 0, 0], &SHAPE), &mut out).is_err());
+    assert_eq!(counts().0, 1);
+    reader.read_chunk(0).unwrap();
+    assert_eq!(reader.stats().requests, 2);
+}
+
 #[test]
 fn a_corrupt_prefetched_chunk_does_not_fail_the_request_that_triggered_it() {
     let clean = sharded_stream(CompressorId::Szx);

@@ -8,22 +8,22 @@
 //! cached in a `OnceLock`, so the per-call cost on the read path is one
 //! relaxed atomic add into a histogram bucket.
 
-use eblcio_obs::{self as obs, Histogram, NameId};
-use std::sync::{Arc, OnceLock};
+use eblcio_obs::{self as obs, Phase};
+use std::sync::OnceLock;
 
 pub(crate) struct StoreMetrics {
     /// Wall time of [`crate::ChunkedStore::read_region_with_stats`]
-    /// (decode fan-out + scatter), per call.
-    pub read_region_ns: Arc<Histogram>,
+    /// (decode fan-out + scatter), per successful call; span
+    /// `store.read_region`.
+    pub read_region: Phase,
     /// Wall time of [`crate::MutableStore::apply`] — a generation
-    /// publish: append, root flip, re-validate, backend write-through.
-    pub publish_ns: Arc<Histogram>,
+    /// publish: append, root flip, re-validate, backend write-through —
+    /// per call, failed ones included; span `store.publish`.
+    pub publish: Phase,
     /// Wall time of [`crate::MutableStore::compact`] — the whole-file
-    /// rewrite down to the live set.
-    pub compact_ns: Arc<Histogram>,
-    pub span_read_region: NameId,
-    pub span_publish: NameId,
-    pub span_compact: NameId,
+    /// rewrite down to the live set — per call, failed ones included;
+    /// span `store.compact`.
+    pub compact: Phase,
 }
 
 pub(crate) fn store_metrics() -> &'static StoreMetrics {
@@ -31,12 +31,9 @@ pub(crate) fn store_metrics() -> &'static StoreMetrics {
     METRICS.get_or_init(|| {
         let g = obs::global();
         StoreMetrics {
-            read_region_ns: g.histogram("eblcio_store_read_region_ns"),
-            publish_ns: g.histogram("eblcio_store_publish_ns"),
-            compact_ns: g.histogram("eblcio_store_compact_ns"),
-            span_read_region: obs::intern("store.read_region"),
-            span_publish: obs::intern("store.publish"),
-            span_compact: obs::intern("store.compact"),
+            read_region: Phase::spanned(g.histogram("eblcio_store_read_region_ns"), "store.read_region"),
+            publish: Phase::spanned(g.histogram("eblcio_store_publish_ns"), "store.publish"),
+            compact: Phase::spanned(g.histogram("eblcio_store_compact_ns"), "store.compact"),
         }
     })
 }

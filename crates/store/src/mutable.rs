@@ -67,7 +67,6 @@ use eblcio_codec::{
 };
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::{ArrayView, Element, NdArray, Shape};
-use eblcio_obs::{self as obs, Timed};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -579,9 +578,15 @@ impl MutableStore {
     /// file. Fails (leaving the store untouched) if the ops were
     /// prepared against a different file state than the current one.
     pub fn apply(&mut self, ops: PublishOps) -> Result<UpdateStats> {
-        let m = store_metrics();
-        let _span = obs::span_id(m.span_publish);
-        let _t = Timed::new(&m.publish_ns);
+        let t = store_metrics().publish.start();
+        let out = self.publish(ops);
+        t.finish();
+        out
+    }
+
+    /// [`MutableStore::apply`] less its timing, which counts failed
+    /// publishes too.
+    fn publish(&mut self, ops: PublishOps) -> Result<UpdateStats> {
         if ops.base_len != self.bytes.len() || ops.generation != self.root.generation + 1 {
             return Err(CodecError::Corrupt { context: "stale store publish" });
         }
@@ -656,9 +661,15 @@ impl MutableStore {
     /// a fresh rootless manifest is published as the next generation.
     /// Time-travel history before the compaction is severed.
     pub fn compact(&mut self) -> Result<CompactStats> {
-        let m = store_metrics();
-        let _span = obs::span_id(m.span_compact);
-        let _t = Timed::new(&m.compact_ns);
+        let t = store_metrics().compact.start();
+        let out = self.rewrite_live();
+        t.finish();
+        out
+    }
+
+    /// [`MutableStore::compact`] less its timing, which counts failed
+    /// compactions too.
+    fn rewrite_live(&mut self) -> Result<CompactStats> {
         let cur = self.current()?;
         let before_bytes = self.bytes.len() as u64;
         let mut manifest = cur.manifest().clone();

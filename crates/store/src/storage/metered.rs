@@ -3,34 +3,18 @@
 //!
 //! Where [`SimulatedObjectStorage`](super::SimulatedObjectStorage)
 //! charges a *model* (what the operation would cost on a cloud store),
-//! this decorator measures *reality*: every [`Storage`] call is timed
-//! with a [`Stopwatch`] into a per-op latency histogram, moved bytes
-//! land in read/write size histograms, and each call opens a
-//! `storage.<op>` span so backend time shows up in the flight recorder
-//! attributed to the request that caused it. Metric names follow the
-//! workspace scheme: `eblcio_storage_<op>_ns` for latencies,
+//! this decorator measures *reality*: every [`Storage`] call is one
+//! [`Phase`] — a per-op latency histogram sample plus a
+//! `storage.<op>` span, so backend time shows up in the flight recorder
+//! attributed to the request that caused it — and moved bytes land in
+//! read/write size histograms. Metric names follow the workspace
+//! scheme: `eblcio_storage_<op>_ns` for latencies,
 //! `eblcio_storage_{read,write}_bytes` for sizes.
 
 use super::{ByteRange, Storage};
 use eblcio_codec::Result;
-use eblcio_obs::{self as obs, Histogram, MetricsRegistry, NameId, Stopwatch};
+use eblcio_obs::{self as obs, Histogram, MetricsRegistry, Phase};
 use std::sync::Arc;
-
-/// One latency histogram + span name per [`Storage`] operation.
-#[derive(Debug)]
-struct Op {
-    latency_ns: Arc<Histogram>,
-    span: NameId,
-}
-
-impl Op {
-    fn new(registry: &MetricsRegistry, metric: &str, span: &str) -> Self {
-        Self {
-            latency_ns: registry.histogram(metric),
-            span: obs::intern(span),
-        }
-    }
-}
 
 /// The decorator. Wraps an inner backend and records per-op latency
 /// and byte-size histograms into a [`MetricsRegistry`] — the process
@@ -39,20 +23,21 @@ impl Op {
 ///
 /// The telemetry cost per call is one `Instant` read pair plus one
 /// relaxed atomic add per histogram touched; spans are only captured
-/// when [`eblcio_obs::enabled`] says so.
+/// when [`eblcio_obs::enabled`] says so. Every call is timed, failed
+/// ones included; only successful ones are sized.
 #[derive(Debug)]
 pub struct MeteredStorage {
     inner: Arc<dyn Storage>,
     registry: Arc<MetricsRegistry>,
-    get: Op,
-    get_range: Op,
-    set: Op,
-    append: Op,
-    write_at: Op,
-    exists: Op,
-    size: Op,
-    erase: Op,
-    list: Op,
+    get: Phase,
+    get_range: Phase,
+    set: Phase,
+    append: Phase,
+    write_at: Phase,
+    exists: Phase,
+    size: Phase,
+    erase: Phase,
+    list: Phase,
     read_bytes: Arc<Histogram>,
     write_bytes: Arc<Histogram>,
 }
@@ -66,16 +51,19 @@ impl MeteredStorage {
     /// Wraps `inner`, recording into `registry`.
     pub fn with_registry(inner: Arc<dyn Storage>, registry: Arc<MetricsRegistry>) -> Self {
         let r = registry.as_ref();
+        let op = |op: &str| {
+            Phase::spanned(r.histogram(&format!("eblcio_storage_{op}_ns")), &format!("storage.{op}"))
+        };
         Self {
-            get: Op::new(r, "eblcio_storage_get_ns", "storage.get"),
-            get_range: Op::new(r, "eblcio_storage_get_range_ns", "storage.get_range"),
-            set: Op::new(r, "eblcio_storage_set_ns", "storage.set"),
-            append: Op::new(r, "eblcio_storage_append_ns", "storage.append"),
-            write_at: Op::new(r, "eblcio_storage_write_at_ns", "storage.write_at"),
-            exists: Op::new(r, "eblcio_storage_exists_ns", "storage.exists"),
-            size: Op::new(r, "eblcio_storage_size_ns", "storage.size"),
-            erase: Op::new(r, "eblcio_storage_erase_ns", "storage.erase"),
-            list: Op::new(r, "eblcio_storage_list_ns", "storage.list"),
+            get: op("get"),
+            get_range: op("get_range"),
+            set: op("set"),
+            append: op("append"),
+            write_at: op("write_at"),
+            exists: op("exists"),
+            size: op("size"),
+            erase: op("erase"),
+            list: op("list"),
             read_bytes: r.histogram("eblcio_storage_read_bytes"),
             write_bytes: r.histogram("eblcio_storage_write_bytes"),
             inner,
@@ -94,16 +82,21 @@ impl MeteredStorage {
     }
 }
 
+/// Runs one backend call as one call of `phase`.
+fn timed<R>(phase: &Phase, call: impl FnOnce() -> R) -> R {
+    let t = phase.start();
+    let out = call();
+    t.finish();
+    out
+}
+
 impl Storage for MeteredStorage {
     fn kind(&self) -> &'static str {
         "metered"
     }
 
     fn get(&self, key: &str) -> Result<Arc<[u8]>> {
-        let _span = obs::span_id(self.get.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.get(key);
-        self.get.latency_ns.record(sw.elapsed_ns());
+        let out = timed(&self.get, || self.inner.get(key));
         if let Ok(obj) = &out {
             self.read_bytes.record(obj.len() as u64);
         }
@@ -111,10 +104,7 @@ impl Storage for MeteredStorage {
     }
 
     fn get_range(&self, key: &str, range: ByteRange) -> Result<Vec<u8>> {
-        let _span = obs::span_id(self.get_range.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.get_range(key, range);
-        self.get_range.latency_ns.record(sw.elapsed_ns());
+        let out = timed(&self.get_range, || self.inner.get_range(key, range));
         if let Ok(bytes) = &out {
             self.read_bytes.record(bytes.len() as u64);
         }
@@ -122,10 +112,7 @@ impl Storage for MeteredStorage {
     }
 
     fn set(&self, key: &str, bytes: &[u8]) -> Result<()> {
-        let _span = obs::span_id(self.set.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.set(key, bytes);
-        self.set.latency_ns.record(sw.elapsed_ns());
+        let out = timed(&self.set, || self.inner.set(key, bytes));
         if out.is_ok() {
             self.write_bytes.record(bytes.len() as u64);
         }
@@ -133,10 +120,7 @@ impl Storage for MeteredStorage {
     }
 
     fn append(&self, key: &str, bytes: &[u8]) -> Result<u64> {
-        let _span = obs::span_id(self.append.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.append(key, bytes);
-        self.append.latency_ns.record(sw.elapsed_ns());
+        let out = timed(&self.append, || self.inner.append(key, bytes));
         if out.is_ok() {
             self.write_bytes.record(bytes.len() as u64);
         }
@@ -144,10 +128,7 @@ impl Storage for MeteredStorage {
     }
 
     fn write_at(&self, key: &str, offset: u64, bytes: &[u8]) -> Result<()> {
-        let _span = obs::span_id(self.write_at.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.write_at(key, offset, bytes);
-        self.write_at.latency_ns.record(sw.elapsed_ns());
+        let out = timed(&self.write_at, || self.inner.write_at(key, offset, bytes));
         if out.is_ok() {
             self.write_bytes.record(bytes.len() as u64);
         }
@@ -155,35 +136,19 @@ impl Storage for MeteredStorage {
     }
 
     fn exists(&self, key: &str) -> Result<bool> {
-        let _span = obs::span_id(self.exists.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.exists(key);
-        self.exists.latency_ns.record(sw.elapsed_ns());
-        out
+        timed(&self.exists, || self.inner.exists(key))
     }
 
     fn size(&self, key: &str) -> Result<u64> {
-        let _span = obs::span_id(self.size.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.size(key);
-        self.size.latency_ns.record(sw.elapsed_ns());
-        out
+        timed(&self.size, || self.inner.size(key))
     }
 
     fn erase(&self, key: &str) -> Result<()> {
-        let _span = obs::span_id(self.erase.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.erase(key);
-        self.erase.latency_ns.record(sw.elapsed_ns());
-        out
+        timed(&self.erase, || self.inner.erase(key))
     }
 
     fn list(&self) -> Result<Vec<String>> {
-        let _span = obs::span_id(self.list.span);
-        let sw = Stopwatch::start();
-        let out = self.inner.list();
-        self.list.latency_ns.record(sw.elapsed_ns());
-        out
+        timed(&self.list, || self.inner.list())
     }
 }
 

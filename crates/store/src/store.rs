@@ -29,7 +29,6 @@ use eblcio_codec::{
 };
 use eblcio_data::shape::MAX_RANK;
 use eblcio_data::{ArrayView, Element, NdArray, QualityReport, Shape};
-use eblcio_obs::{self as obs, Stopwatch};
 use rayon::prelude::*;
 
 /// Statistics of a partial read — how much work a region read actually
@@ -719,9 +718,7 @@ impl ChunkedStore {
         &self,
         region: &Region,
     ) -> Result<(NdArray<T>, RegionReadStats)> {
-        let m = store_metrics();
-        let sw = Stopwatch::start();
-        let _span = obs::span_id_from(m.span_read_region, sw);
+        let t = store_metrics().read_region.start();
         check_dtype::<T>(self.manifest.dtype)?;
         let decoders = self.decoders()?;
         let hits = self.grid.chunks_intersecting(region);
@@ -746,7 +743,7 @@ impl ChunkedStore {
             scatter_chunk(&part, &part_region, region, out);
             Ok(())
         })?;
-        m.read_region_ns.record(sw.elapsed_ns());
+        t.finish();
         Ok(assembled.into_inner())
     }
 

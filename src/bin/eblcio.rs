@@ -68,6 +68,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use eblcio::prelude::*;
+use eblcio::inspect::dtype_info;
 use eblcio::store::NamedBackend;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -529,14 +530,6 @@ fn parse_coords(s: &str, what: &str) -> Result<Vec<usize>, String> {
 
 /// `(name, bytes per sample)` of the element type a container dtype
 /// tag names.
-fn dtype_info(tag: u8) -> Result<(&'static str, usize), String> {
-    dispatch_dtype!(E = tag => (E::NAME, E::BYTES)).ok_or_else(|| unknown_dtype(tag))
-}
-
-fn unknown_dtype(tag: u8) -> String {
-    format!("unknown dtype tag {tag}")
-}
-
 /// Compresses one typed array to a monolithic stream, a chunked store,
 /// or a sharded store depending on the flags.
 fn build_stream<T: Element>(
@@ -802,7 +795,7 @@ fn cmd_query(args: &Args) -> CliResult {
     let store_dtype = store.dtype();
     let result = dispatch_dtype!(E = store_dtype =>
         run_query::<E>(store, &region, repeat, clients, config, metrics))
-    .unwrap_or_else(|| Err(unknown_dtype(store_dtype)));
+    .unwrap_or_else(|| dtype_info(store_dtype).map(drop));
     file.finish();
     result
 }

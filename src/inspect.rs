@@ -44,14 +44,14 @@ fn usize_seq(v: &[usize]) -> Value {
     Value::Seq(v.iter().map(|&d| Value::U64(d as u64)).collect())
 }
 
-/// `(name, bytes per sample)` of the element type a dtype tag names.
-/// The container parsers reject every other tag before it gets here.
-fn dtype_info(tag: u8) -> (&'static str, usize) {
-    dispatch_dtype!(E = tag => (E::NAME, E::BYTES)).unwrap_or(("unknown", 0))
+/// `(name, bytes per sample)` of the element type a dtype tag names,
+/// or the error naming a tag no element type has.
+pub fn dtype_info(tag: u8) -> Result<(&'static str, usize), String> {
+    dispatch_dtype!(E = tag => (E::NAME, E::BYTES)).ok_or_else(|| format!("unknown dtype tag {tag}"))
 }
 
 fn dtype_name(tag: u8) -> Value {
-    Value::Str(dtype_info(tag).0.to_string())
+    Value::Str(dtype_info(tag).map_or("unknown", |d| d.0).to_string())
 }
 
 /// Inspects any workspace container, returning a JSON-ready document.
@@ -109,7 +109,7 @@ pub fn metrics_json(registry: &MetricsRegistry) -> Value {
 
 fn stream_json(stream: &[u8]) -> Result<Value, String> {
     let (h, payload) = header::read_stream(stream).map_err(|e| e.to_string())?;
-    let raw = h.shape.len() * dtype_info(h.dtype).1;
+    let raw = h.shape.len() * dtype_info(h.dtype).map_or(0, |d| d.1);
     Ok(map(vec![
         ("container", Value::Str("EBLC".into())),
         ("version", Value::U64(u64::from(stream[4]))),
@@ -166,7 +166,7 @@ fn mutable_json(stream: &[u8]) -> Result<Value, String> {
 }
 
 fn store_doc(store: &ChunkedStore, version: u8, stream_bytes: u64) -> Value {
-    let raw = store.shape().len() * dtype_info(store.dtype()).1;
+    let raw = store.shape().len() * dtype_info(store.dtype()).map_or(0, |d| d.1);
     let chains = Value::Seq(
         store
             .chains()

@@ -107,5 +107,5 @@ pub mod prelude {
         MemoryStorage, MeteredStorage, MutableStore, ObjectCostModel, ObjectStoreStats, Region,
         SimulatedObjectStorage, Storage, StoreWriter,
     };
-    pub use eblcio_obs::{MetricsRegistry, Stopwatch};
+    pub use eblcio_obs::MetricsRegistry;
 }

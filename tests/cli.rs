@@ -908,3 +908,48 @@ fn serve_process_answers_region_stats_and_metrics_over_tcp() {
         assert!(count >= 2, "{hist}_count = {count}");
     }
 }
+
+/// Every `eblcio <sub> … --flag` line in README.md's code blocks uses
+/// only flags the binary's usage text lists for `<sub>`, so a renamed
+/// or dropped flag cannot leave a stale example behind.
+#[test]
+fn readme_examples_use_only_flags_the_usage_lists() {
+    let out = Command::new(bin()).output().unwrap();
+    let usage = String::from_utf8(out.stderr).unwrap();
+    // `sub`'s usage line's flags; `None` when the usage has no such line.
+    let flags_of = |sub: &str| -> Option<Vec<&str>> {
+        let line = usage.lines().find(|l| l.split_whitespace().take(2).eq(["eblcio", sub]))?;
+        Some(line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).filter(|w| w.starts_with("--")).collect())
+    };
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    let (mut in_block, mut joined, mut checked) = (false, String::new(), 0);
+    for line in readme.lines() {
+        if line.trim_start().starts_with("```") {
+            in_block = !in_block;
+            continue;
+        }
+        if !in_block {
+            continue;
+        }
+        match line.strip_suffix('\\') {
+            Some(head) => {
+                joined.push_str(head);
+                continue;
+            }
+            None => joined.push_str(line),
+        }
+        // A command line: `eblcio <sub> …`, after any `VAR=value`s.
+        let command = std::mem::take(&mut joined);
+        let mut words = command.split_whitespace().skip_while(|w| w.contains('='));
+        let (Some("eblcio"), Some(sub)) = (words.next(), words.next()) else {
+            continue;
+        };
+        let listed = flags_of(sub).unwrap_or_else(|| panic!("README runs `eblcio {sub}`, which the usage lacks: {command}"));
+        for flag in words.take_while(|&w| w != "#").filter(|w| w.starts_with("--")) {
+            let flag = flag.split('=').next().unwrap_or(flag);
+            assert!(listed.contains(&flag), "README passes `{flag}` to `eblcio {sub}`, which its usage does not list: {command}");
+        }
+        checked += 1;
+    }
+    assert!(checked >= 10, "only {checked} README command lines found");
+}
