@@ -655,9 +655,8 @@ mod tests {
         }
     }
 
-    /// The public array stage rejects a NaN or ±inf anywhere — the first
-    /// sample of a block included, which once made the block's extremes
-    /// NaN and decoded all of it as NaN.
+    /// The public array stage rejects a NaN or ±inf anywhere, the first
+    /// sample of a block included.
     #[test]
     fn array_stage_rejects_non_finite_samples() {
         let smooth: Vec<f64> = (0..3 * BLOCK).map(|i| (i as f64 * 0.01).sin() * 0.5 + 0.5).collect();
