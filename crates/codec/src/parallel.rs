@@ -10,6 +10,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Reuses one rayon pool per thread count across calls — pool spin-up
 /// would otherwise dominate small-problem strong-scaling measurements.
+/// A cached pool is never dropped, so its `threads − 1` parked helper
+/// threads live as long as the process, as real rayon's global pool
+/// does.
 ///
 /// The registry lock is a `parking_lot::Mutex`, which has no poisoning:
 /// a panic inside one compression job (worker panics propagate through

@@ -32,7 +32,9 @@ use eblcio_codec::parallel::pool_for;
 use eblcio_codec::{CodecError, Compressor, Result};
 use eblcio_data::{Element, NdArray};
 use eblcio_obs::{self as obs, Counter, Histogram, MetricsRegistry, NameId, Phase};
-use eblcio_store::{scatter_chunk, scatter_chunk_le, ChunkedStore, MutableStore, Region, Storage};
+use eblcio_store::{
+    scatter_chunk_into, scatter_chunk_le, ChunkedStore, MutableStore, Region, Storage,
+};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -166,6 +168,83 @@ struct Flight<T: Element> {
 enum Fetched<T: Element> {
     Whole(Arc<NdArray<T>>),
     Partial(NdArray<T>, Region),
+}
+
+/// Bands a cold request's output is cut into, per pool worker: enough
+/// that two workers' pieces rarely want the same band at once. On
+/// `update_while_serving`'s overlapping read two per worker read
+/// ≈ 10 % slower than four, and eight read like four (EXPERIMENTS.md,
+/// "Cold misses at copy speed").
+const BANDS_PER_WORKER: usize = 4;
+
+/// A request's row-major output cut along the region's first axis into
+/// contiguous bands, each behind its own lock, so several workers can
+/// store pieces at once. At most 64 bands (one bit each in
+/// [`Bands::scatter`]'s to-do mask), never more than the region has
+/// rows.
+struct Bands<'a, U> {
+    region: Region,
+    bands: Vec<(Region, Mutex<&'a mut [U]>)>,
+}
+
+impl<'a, U> Bands<'a, U> {
+    fn split(region: &Region, mut out: &'a mut [U], count: usize) -> Self {
+        let rows = region.extent()[0];
+        let count = count.clamp(1, rows.min(64));
+        let per_row = out.len() / rows;
+        let mut bands = Vec::with_capacity(count);
+        let mut lo = 0;
+        for k in 1..=count {
+            let hi = k * rows / count;
+            let (band, rest) = std::mem::take(&mut out).split_at_mut((hi - lo) * per_row);
+            out = rest;
+            bands.push((region.rows(lo, hi), Mutex::new(band)));
+            lo = hi;
+        }
+        Self { region: *region, bands }
+    }
+
+    /// Stores `piece`, which covers the array region `covered`, into
+    /// every band it meets: free bands first, in order; a worker waits
+    /// for a band only when every band it still needs is busy.
+    fn scatter<T: Element>(
+        &self,
+        piece: &NdArray<T>,
+        covered: &Region,
+        scatter: &impl Fn(&NdArray<T>, &Region, &Region, &mut [U]),
+    ) {
+        let Some(inter) = covered.intersect(&self.region) else {
+            return;
+        };
+        let (lo, hi) = (inter.origin()[0], inter.origin()[0] + inter.extent()[0]);
+        let mut todo = 0u64;
+        for (k, (band, _)) in self.bands.iter().enumerate() {
+            let start = band.origin()[0];
+            if start < hi && lo < start + band.extent()[0] {
+                todo |= 1 << k;
+            }
+        }
+        while todo != 0 {
+            let before = todo;
+            let mut rest = todo;
+            while rest != 0 {
+                let k = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let (band, dst) = &self.bands[k];
+                if let Some(mut dst) = dst.try_lock() {
+                    scatter(piece, covered, band, &mut dst);
+                    todo &= !(1 << k);
+                }
+            }
+            if todo == before {
+                // Every band still needed is busy: wait for the first.
+                let k = todo.trailing_zeros() as usize;
+                let (band, dst) = &self.bands[k];
+                scatter(piece, covered, band, &mut dst.lock());
+                todo &= !(1 << k);
+            }
+        }
+    }
 }
 
 /// With a live cache, a miss decodes only its overlap with the request
@@ -696,11 +775,11 @@ impl<T: Element> ArrayReader<T> {
     /// misses (plus any uncached prefetch extension) are claimed one at
     /// a time by up to `threads` workers, each of which fetches its
     /// chunk through the non-counting single-flight layer, scatters it
-    /// into `out` under a short lock and drops it before claiming the
-    /// next — so a cold request never holds more decoded chunks than it
-    /// has workers. Hit/miss statistics are therefore exact across a
-    /// warm/cold mix — one charge per chunk per request, never
-    /// re-probed. The whole request runs against one generation
+    /// into `out` beside the other workers (each band of `out` has its
+    /// own lock) and drops it before claiming the next — so a cold
+    /// request never holds more decoded chunks than it has workers.
+    /// Hit/miss statistics are therefore exact across a warm/cold mix —
+    /// one charge per chunk per request, never re-probed. The whole request runs against one generation
     /// snapshot pinned on entry.
     ///
     /// When every intersecting chunk is already cached (the steady
@@ -717,7 +796,7 @@ impl<T: Element> ArrayReader<T> {
         if out.shape() != region.shape() {
             return Err(CodecError::Corrupt { context: "read_region_into buffer shape" });
         }
-        self.assemble_region(region, |part, covered| scatter_chunk(part, covered, region, out))
+        self.assemble_region(region, out.as_mut_slice(), scatter_chunk_into)
     }
 
     /// [`ArrayReader::read_region_into`] in wire order: `out` receives
@@ -733,19 +812,23 @@ impl<T: Element> ArrayReader<T> {
         if out.len() != region.len() * T::BYTES {
             return Err(CodecError::Corrupt { context: "read_region_le_into buffer length" });
         }
-        self.assemble_region(region, |part, covered| scatter_chunk_le(part, covered, region, out))
+        self.assemble_region(region, out, scatter_chunk_le)
     }
 
-    /// The region engine every read path funnels through. `scatter`
-    /// receives each fetched piece with the array region it covers and
-    /// stores its overlap with the request — typed or serialized, the
-    /// engine does not care. Cached pieces arrive on the calling thread
-    /// in raster order, decoded ones from whichever worker fetched them
-    /// (one call at a time), in completion order.
-    fn assemble_region(
+    /// The region engine every read path funnels through. `out` is the
+    /// region's row-major output, `region.len()` samples of whatever
+    /// unit `scatter` writes (a typed sample, or its little-endian
+    /// bytes). `scatter(piece, covered, dst_region, dst)` stores the
+    /// overlap of a fetched piece, which covers the array region
+    /// `covered`, with `dst_region` into `dst`, a buffer shaped as
+    /// `dst_region` — the whole request, or one band of it. Cached
+    /// pieces are stored on the calling thread in raster order, decoded
+    /// ones by the worker that fetched them, in completion order.
+    fn assemble_region<U: Send>(
         &self,
         region: &Region,
-        mut scatter: impl FnMut(&NdArray<T>, &Region) + Send,
+        out: &mut [U],
+        scatter: impl Fn(&NdArray<T>, &Region, &Region, &mut [U]) + Sync,
     ) -> Result<RequestStats> {
         // Telemetry on this path stays allocation-free: the span name
         // is pre-interned, the guard lives on the stack, and its end
@@ -770,7 +853,7 @@ impl<T: Element> ArrayReader<T> {
             let mut misses: Vec<usize> = Vec::new();
             for &i in wanted.iter() {
                 match self.cache.get(state.keys[i]) {
-                    Some(chunk) => scatter(&chunk, &state.store.grid().chunk_region(i)),
+                    Some(chunk) => scatter(&chunk, &state.store.grid().chunk_region(i), region, out),
                     None => misses.push(i),
                 }
             }
@@ -779,41 +862,6 @@ impl<T: Element> ArrayReader<T> {
         self.metrics.chunks_requested.add(touched as u64);
         let ahead = self.prefetch_ids(&state, frontier);
         self.metrics.prefetched.add(ahead.len() as u64);
-        let partial = self.finish_cold(&state, region, &mut scatter, &misses, &ahead, rid)?;
-        t.finish();
-        Ok(RequestStats {
-            chunks_touched: touched,
-            chunks_from_cache: touched - misses.len(),
-            chunks_prefetched: ahead.len(),
-            partial_decodes: partial,
-        })
-    }
-
-    /// The cold half of the region engine: the probed-and-missed chunks
-    /// plus the uncached prefetch extension go to the pool's workers,
-    /// which claim them one at a time. A worker fetches its piece,
-    /// takes the lock around `scatter` for the strided copy (≤ one
-    /// chunk of memcpy against a whole decode), and drops the piece
-    /// before claiming the next, so at most one decoded piece per
-    /// worker is alive beside what the cache retains. The first failing
-    /// miss fails the request and stops further claims; a failing
-    /// prefetch never does — a real read of that chunk will surface the
-    /// error. Cache probes here are non-counting (`peek` and the
-    /// single-flight re-check) — the caller already charged exactly one
-    /// hit or miss per wanted chunk, and charging again is the
-    /// double-count this engine exists to prevent. Returns how many
-    /// misses were served by sub-chunk (partial) decodes. A no-op when
-    /// everything was warm and the prefetch extension is empty or
-    /// cached — the zero-allocation case.
-    fn finish_cold(
-        &self,
-        state: &ReadState,
-        region: &Region,
-        scatter: &mut (impl FnMut(&NdArray<T>, &Region) + Send),
-        misses: &[usize],
-        ahead: &[usize],
-        rid: u64,
-    ) -> Result<usize> {
         let to_fetch: Vec<(usize, bool)> = misses
             .iter()
             .map(|&i| (i, true))
@@ -824,11 +872,47 @@ impl<T: Element> ArrayReader<T> {
                     .map(|&i| (i, false)),
             )
             .collect();
+        let partial = self.finish_cold(&state, region, &to_fetch, out, &scatter, rid)?;
+        t.finish();
+        Ok(RequestStats {
+            chunks_touched: touched,
+            chunks_from_cache: touched - misses.len(),
+            chunks_prefetched: ahead.len(),
+            partial_decodes: partial,
+        })
+    }
+
+    /// The cold half of the region engine: `to_fetch`, the
+    /// probed-and-missed chunks (`true`) plus the uncached prefetch
+    /// extension (`false`), goes to the pool's workers, which claim its
+    /// entries one at a time. The output is cut into [`Bands`], so
+    /// workers copy their pieces side by side: a worker stores its
+    /// piece band by band, taking the bands no one else is filling
+    /// first, waits only when every band its piece still needs is busy,
+    /// and drops the piece before claiming the next — so at most one
+    /// decoded piece per worker is alive beside what the cache retains.
+    /// The first failing miss fails the request and stops further
+    /// claims; a failing prefetch never does — a real read of that
+    /// chunk will surface the error. Cache probes here are non-counting
+    /// (`peek` and the single-flight re-check) — the caller already
+    /// charged exactly one hit or miss per wanted chunk, and charging
+    /// again is the double-count this engine exists to prevent. Returns
+    /// how many misses were served by sub-chunk (partial) decodes. A
+    /// no-op when `to_fetch` is empty — the zero-allocation case.
+    fn finish_cold<U: Send>(
+        &self,
+        state: &ReadState,
+        region: &Region,
+        to_fetch: &[(usize, bool)],
+        out: &mut [U],
+        scatter: &(impl Fn(&NdArray<T>, &Region, &Region, &mut [U]) + Sync),
+        rid: u64,
+    ) -> Result<usize> {
         if to_fetch.is_empty() {
             return Ok(0);
         }
         let partial = AtomicUsize::new(0);
-        let scatter = Mutex::new(scatter);
+        let bands = Bands::split(region, out, BANDS_PER_WORKER * self.pool.current_num_threads());
         self.pool.install(|| {
             to_fetch.par_iter().try_for_each(|&(i, wanted)| {
                 // Only wanted chunks may decode partially: a
@@ -838,11 +922,11 @@ impl<T: Element> ArrayReader<T> {
                     return Ok(());
                 }
                 match part? {
-                    Fetched::Whole(p) => (scatter.lock())(&p, &state.store.grid().chunk_region(i)),
+                    Fetched::Whole(p) => bands.scatter(&p, &state.store.grid().chunk_region(i), scatter),
                     Fetched::Partial(p, covered) => {
                         // A statistic; publishes nothing else.
                         partial.fetch_add(1, Ordering::Relaxed);
-                        (scatter.lock())(&p, &covered);
+                        bands.scatter(&p, &covered, scatter);
                     }
                 }
                 Ok(())

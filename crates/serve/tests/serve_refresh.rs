@@ -273,3 +273,60 @@ fn pinned_snapshot_is_bit_stable_across_publish_and_compact() {
     let still = pinned.read_full::<f32>(1).unwrap();
     assert_eq!(still.as_slice(), want.as_slice());
 }
+
+/// The update-while-serving cycle at every width: publish a
+/// chunk-aligned slab, then read a box holding the slab whole and a
+/// sliver of each neighbouring plane. The read decodes exactly the
+/// invalidated chunks, equals an uncached read of the new generation
+/// bit for bit — so every band of every decoded piece reached the
+/// output, also the bands another worker was filling when the piece
+/// arrived — and leaves the box all hits. Many rounds per width, so the
+/// workers' pieces meet in the output's bands in many orders.
+#[test]
+fn a_slab_publish_redecodes_exactly_its_chunks_at_every_width() {
+    let shape = Shape::d3(64, 64, 64);
+    let chunk = Shape::d3(8, 16, 16);
+    // Chunk plane 3 (rows 24..32) is the slab: 16 chunks.
+    let slab = Region::new(&[24, 0, 0], &[8, 64, 64]);
+    let slab_chunks = 16;
+    let overlap = Region::new(&[22, 0, 0], &[12, 64, 64]);
+    for threads in [1usize, 2, 4] {
+        let mut store = mutable_store(shape, chunk);
+        let reader = ArrayReader::<f32>::serve(
+            &store,
+            ReaderConfig {
+                threads,
+                ..ReaderConfig::default()
+            },
+        )
+        .unwrap();
+        reader.read_region(&Region::full(shape)).unwrap();
+        for round in 0..40u32 {
+            let scale = 1.0 + round as f32 * 0.01;
+            let mut patch = gather(&field(shape), &slab);
+            for v in patch.as_mut_slice() {
+                *v *= scale;
+            }
+            store.update_region(&slab, &patch, threads).unwrap();
+            let r = reader.refresh_from(&store).unwrap();
+            assert_eq!(r.invalidated, slab_chunks, "{threads} threads, round {round}");
+
+            let before = reader.stats();
+            let (got, stats) = reader.read_region_with_stats(&overlap).unwrap();
+            let after = reader.stats();
+            let want = store.current().unwrap().read_region::<f32>(&overlap).unwrap();
+            assert!(
+                got.as_slice() == want.as_slice(),
+                "{threads} threads, round {round}: the box differs from the store's"
+            );
+            assert_eq!(stats.chunks_touched, 3 * slab_chunks);
+            assert_eq!(stats.chunks_touched - stats.chunks_from_cache, slab_chunks);
+            assert_eq!(stats.partial_decodes, 0);
+            assert_eq!(after.decodes - before.decodes, slab_chunks as u64);
+
+            let (again, stats) = reader.read_region_with_stats(&overlap).unwrap();
+            assert_eq!(stats.chunks_from_cache, stats.chunks_touched);
+            assert!(again.as_slice() == want.as_slice());
+        }
+    }
+}

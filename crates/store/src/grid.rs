@@ -107,6 +107,20 @@ impl Region {
             rank: self.rank,
         })
     }
+
+    /// The part of this region whose first index lies in
+    /// `origin[0] + lo .. origin[0] + hi`: a contiguous run of a
+    /// row-major buffer shaped as this region.
+    ///
+    /// # Panics
+    /// Panics unless `lo < hi <= extent[0]`.
+    pub fn rows(&self, lo: usize, hi: usize) -> Region {
+        assert!(lo < hi && hi <= self.extent[0], "row range outside the region");
+        let mut rows = *self;
+        rows.origin[0] += lo;
+        rows.extent[0] = hi - lo;
+        rows
+    }
 }
 
 /// A regular chunk grid over an array shape.
@@ -370,7 +384,18 @@ pub fn scatter_chunk<T: Element>(
     region: &Region,
     out: &mut NdArray<T>,
 ) {
-    scatter_chunk_with(part, chunk_region, region, copy_runs_into(out.as_mut_slice()));
+    scatter_chunk_into(part, chunk_region, region, out.as_mut_slice());
+}
+
+/// [`scatter_chunk`] into a bare row-major buffer shaped as `region`
+/// (`region.len()` samples), such as one band of a larger output.
+pub fn scatter_chunk_into<T: Element>(
+    part: &NdArray<T>,
+    chunk_region: &Region,
+    region: &Region,
+    out: &mut [T],
+) {
+    scatter_chunk_with(part, chunk_region, region, copy_runs_into(out));
 }
 
 /// [`scatter_chunk`] straight into wire order: `out` is the region's

@@ -63,7 +63,9 @@ pub mod shard;
 pub mod storage;
 pub mod store;
 
-pub use grid::{copy_region, gather, scatter_chunk, scatter_chunk_le, ChunkGrid, Region};
+pub use grid::{
+    copy_region, gather, scatter_chunk, scatter_chunk_into, scatter_chunk_le, ChunkGrid, Region,
+};
 pub use manifest::{ChunkEntry, ChunkSlot, GenerationMeta, Manifest, ShardTable};
 pub use mutable::{
     CompactStats, GenerationSummary, MutableStore, PublishOps, StoreWriter, UpdateStats,
