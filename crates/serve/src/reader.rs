@@ -779,8 +779,8 @@ impl<T: Element> ArrayReader<T> {
     /// own lock) and drops it before claiming the next — so a cold
     /// request never holds more decoded chunks than it has workers.
     /// Hit/miss statistics are therefore exact across a warm/cold mix —
-    /// one charge per chunk per request, never re-probed. The whole request runs against one generation
-    /// snapshot pinned on entry.
+    /// one charge per chunk per request, never re-probed. The whole
+    /// request runs against one generation snapshot pinned on entry.
     ///
     /// When every intersecting chunk is already cached (the steady
     /// state of a hot serving loop) the call performs **no heap
