@@ -631,10 +631,6 @@ fn grf_on(
 
 /// Sum of GRFs at geometrically growing correlation lengths — the
 /// "turbulence" texture used by the CESM/NYX/S3D analogs.
-pub fn multiscale_field(shape: Shape, octaves: usize, base_radius: usize, rng: &mut StdRng) -> Vec<f64> {
-    multiscale_on(shape, octaves, base_radius, rng, synthesis_workers())
-}
-
 fn multiscale_on(
     shape: Shape,
     octaves: usize,

@@ -33,7 +33,8 @@ use eblcio_codec::{CodecError, Compressor, Result};
 use eblcio_data::{Element, NdArray};
 use eblcio_obs::{self as obs, Counter, Histogram, MetricsRegistry, NameId, Phase};
 use eblcio_store::{
-    scatter_chunk_into, scatter_chunk_le, ChunkedStore, MutableStore, Region, Storage,
+    scatter_chunk_into, scatter_chunk_le, scatter_region, ChunkedStore, MutableStore, Region,
+    Storage,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
 use rayon::prelude::*;
@@ -160,91 +161,6 @@ pub struct RefreshStats {
 struct Flight<T: Element> {
     result: Mutex<Option<Result<Arc<NdArray<T>>>>>,
     done: Condvar,
-}
-
-/// What a region request got for one chunk: the whole (shared,
-/// cacheable) chunk, or just the request's intersection with it plus
-/// the array region that piece covers.
-enum Fetched<T: Element> {
-    Whole(Arc<NdArray<T>>),
-    Partial(NdArray<T>, Region),
-}
-
-/// Bands a cold request's output is cut into, per pool worker: enough
-/// that two workers' pieces rarely want the same band at once. On
-/// `update_while_serving`'s overlapping read two per worker read
-/// ≈ 10 % slower than four, and eight read like four (EXPERIMENTS.md,
-/// "Cold misses at copy speed").
-const BANDS_PER_WORKER: usize = 4;
-
-/// A request's row-major output cut along the region's first axis into
-/// contiguous bands, each behind its own lock, so several workers can
-/// store pieces at once. At most 64 bands (one bit each in
-/// [`Bands::scatter`]'s to-do mask), never more than the region has
-/// rows.
-struct Bands<'a, U> {
-    region: Region,
-    bands: Vec<(Region, Mutex<&'a mut [U]>)>,
-}
-
-impl<'a, U> Bands<'a, U> {
-    fn split(region: &Region, mut out: &'a mut [U], count: usize) -> Self {
-        let rows = region.extent()[0];
-        let count = count.clamp(1, rows.min(64));
-        let per_row = out.len() / rows;
-        let mut bands = Vec::with_capacity(count);
-        let mut lo = 0;
-        for k in 1..=count {
-            let hi = k * rows / count;
-            let (band, rest) = std::mem::take(&mut out).split_at_mut((hi - lo) * per_row);
-            out = rest;
-            bands.push((region.rows(lo, hi), Mutex::new(band)));
-            lo = hi;
-        }
-        Self { region: *region, bands }
-    }
-
-    /// Stores `piece`, which covers the array region `covered`, into
-    /// every band it meets: free bands first, in order; a worker waits
-    /// for a band only when every band it still needs is busy.
-    fn scatter<T: Element>(
-        &self,
-        piece: &NdArray<T>,
-        covered: &Region,
-        scatter: &impl Fn(&NdArray<T>, &Region, &Region, &mut [U]),
-    ) {
-        let Some(inter) = covered.intersect(&self.region) else {
-            return;
-        };
-        let (lo, hi) = (inter.origin()[0], inter.origin()[0] + inter.extent()[0]);
-        let mut todo = 0u64;
-        for (k, (band, _)) in self.bands.iter().enumerate() {
-            let start = band.origin()[0];
-            if start < hi && lo < start + band.extent()[0] {
-                todo |= 1 << k;
-            }
-        }
-        while todo != 0 {
-            let before = todo;
-            let mut rest = todo;
-            while rest != 0 {
-                let k = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let (band, dst) = &self.bands[k];
-                if let Some(mut dst) = dst.try_lock() {
-                    scatter(piece, covered, band, &mut dst);
-                    todo &= !(1 << k);
-                }
-            }
-            if todo == before {
-                // Every band still needed is busy: wait for the first.
-                let k = todo.trailing_zeros() as usize;
-                let (band, dst) = &self.bands[k];
-                scatter(piece, covered, band, &mut dst.lock());
-                todo &= !(1 << k);
-            }
-        }
-    }
 }
 
 /// With a live cache, a miss decodes only its overlap with the request
@@ -674,40 +590,6 @@ impl<T: Element> ArrayReader<T> {
         Ok(Arc::new(arr))
     }
 
-    /// Fetches what a region request needs of chunk `i`. With a
-    /// `region`, the miss box-decodes its overlap when
-    /// [`Self::prefers_part`] says so and the region covers the chunk
-    /// only in part ([`ChunkedStore::decode_chunk_region`]; both are
-    /// geometry alone); the result is private to the request — not
-    /// cached and not single-flighted, since it is keyed by region, not
-    /// chunk. Everything else (including prefetches, which exist to warm
-    /// the cache, and chunks the region covers whole) goes through the
-    /// cached single-flight whole-chunk path.
-    fn fetch_part(
-        &self,
-        state: &ReadState,
-        i: usize,
-        region: Option<&Region>,
-        rid: u64,
-    ) -> Result<Fetched<T>> {
-        if let Some(region) = region {
-            // A leader may have cached the whole chunk since this
-            // request's probe; sharing it beats decoding again.
-            if self.cache.peek(state.keys[i]).is_none() && self.prefers_part(state, i, region) {
-                let codec = state.decoders[state.store.chunk_chain_index(i)].as_ref();
-                let t = self.metrics.partial_decode.start_on(rid);
-                if let Some((part, covered)) =
-                    state.store.decode_chunk_region::<T>(codec, i, region)?
-                {
-                    t.finish();
-                    self.metrics.decoded_bytes.record(part.nbytes() as u64);
-                    return Ok(Fetched::Partial(part, covered));
-                }
-            }
-        }
-        self.fetch_chunk_after_miss(state, i, rid).map(Fetched::Whole)
-    }
-
     /// Whether a miss on chunk `i` should decode only its overlap with
     /// `region`: always when the cache keeps nothing, otherwise only for
     /// an overlap of at most `1/PARTIAL_DECODE_DENOM` of the chunk.
@@ -818,12 +700,24 @@ impl<T: Element> ArrayReader<T> {
     /// The region engine every read path funnels through. `out` is the
     /// region's row-major output, `region.len()` samples of whatever
     /// unit `scatter` writes (a typed sample, or its little-endian
-    /// bytes). `scatter(piece, covered, dst_region, dst)` stores the
-    /// overlap of a fetched piece, which covers the array region
-    /// `covered`, with `dst_region` into `dst`, a buffer shaped as
-    /// `dst_region` — the whole request, or one band of it. Cached
-    /// pieces are stored on the calling thread in raster order, decoded
-    /// ones by the worker that fetched them, in completion order.
+    /// bytes); `scatter(piece, covered, dst_region, dst)` stores the
+    /// overlap of a piece, which covers the array region `covered`,
+    /// with `dst_region` into `dst`, a buffer shaped as `dst_region`.
+    /// Cached pieces are stored on the calling thread in raster order.
+    ///
+    /// The cold half — the probed-and-missed chunks (`true`) plus the
+    /// uncached prefetch extension (`false`) — goes to the store's
+    /// [`scatter_region`] on the reader's pool. A miss the request
+    /// covers only in part box-decodes its overlap when
+    /// [`Self::prefers_part`] says so
+    /// ([`ChunkedStore::decode_chunk_region`]); that piece is private to
+    /// the request, keyed by region, so neither cached nor
+    /// single-flighted. Other misses and every prefetch (which stores
+    /// nothing) take the cached single-flight whole-chunk path. A
+    /// failing miss fails the request; a failing prefetch never does —
+    /// a real read of that chunk will surface the error. Cache probes
+    /// there are non-counting (`peek` and the single-flight re-check):
+    /// the probe already charged one hit or miss per wanted chunk.
     fn assemble_region<U: Send>(
         &self,
         region: &Region,
@@ -872,67 +766,41 @@ impl<T: Element> ArrayReader<T> {
                     .map(|&i| (i, false)),
             )
             .collect();
-        let partial = self.finish_cold(&state, region, &to_fetch, out, &scatter, rid)?;
+        // A statistic; publishes nothing else.
+        let partial = AtomicUsize::new(0);
+        self.pool.install(|| {
+            scatter_region(region, out, &to_fetch, &scatter, |&(i, wanted), put| {
+                if !wanted {
+                    let _ = self.fetch_chunk_after_miss(&state, i, rid);
+                    return Ok(());
+                }
+                // A leader may have cached the whole chunk since this
+                // request's probe; sharing it beats decoding again.
+                if self.cache.peek(state.keys[i]).is_none() && self.prefers_part(&state, i, region) {
+                    let codec = state.decoders[state.store.chunk_chain_index(i)].as_ref();
+                    let t = self.metrics.partial_decode.start_on(rid);
+                    if let Some((part, covered)) =
+                        state.store.decode_chunk_region::<T>(codec, i, region)?
+                    {
+                        t.finish();
+                        self.metrics.decoded_bytes.record(part.nbytes() as u64);
+                        partial.fetch_add(1, Ordering::Relaxed);
+                        put(&part, &covered);
+                        return Ok(());
+                    }
+                }
+                let chunk = self.fetch_chunk_after_miss(&state, i, rid)?;
+                put(&chunk, &state.store.grid().chunk_region(i));
+                Ok(())
+            })
+        })?;
         t.finish();
         Ok(RequestStats {
             chunks_touched: touched,
             chunks_from_cache: touched - misses.len(),
             chunks_prefetched: ahead.len(),
-            partial_decodes: partial,
+            partial_decodes: partial.into_inner(),
         })
-    }
-
-    /// The cold half of the region engine: `to_fetch`, the
-    /// probed-and-missed chunks (`true`) plus the uncached prefetch
-    /// extension (`false`), goes to the pool's workers, which claim its
-    /// entries one at a time. The output is cut into [`Bands`], so
-    /// workers copy their pieces side by side: a worker stores its
-    /// piece band by band, taking the bands no one else is filling
-    /// first, waits only when every band its piece still needs is busy,
-    /// and drops the piece before claiming the next — so at most one
-    /// decoded piece per worker is alive beside what the cache retains.
-    /// The first failing miss fails the request and stops further
-    /// claims; a failing prefetch never does — a real read of that
-    /// chunk will surface the error. Cache probes here are non-counting
-    /// (`peek` and the single-flight re-check) — the caller already
-    /// charged exactly one hit or miss per wanted chunk, and charging
-    /// again is the double-count this engine exists to prevent. Returns
-    /// how many misses were served by sub-chunk (partial) decodes. A
-    /// no-op when `to_fetch` is empty — the zero-allocation case.
-    fn finish_cold<U: Send>(
-        &self,
-        state: &ReadState,
-        region: &Region,
-        to_fetch: &[(usize, bool)],
-        out: &mut [U],
-        scatter: &(impl Fn(&NdArray<T>, &Region, &Region, &mut [U]) + Sync),
-        rid: u64,
-    ) -> Result<usize> {
-        if to_fetch.is_empty() {
-            return Ok(0);
-        }
-        let partial = AtomicUsize::new(0);
-        let bands = Bands::split(region, out, BANDS_PER_WORKER * self.pool.current_num_threads());
-        self.pool.install(|| {
-            to_fetch.par_iter().try_for_each(|&(i, wanted)| {
-                // Only wanted chunks may decode partially: a
-                // prefetch's entire point is a cached whole chunk.
-                let part = self.fetch_part(state, i, wanted.then_some(region), rid);
-                if !wanted {
-                    return Ok(());
-                }
-                match part? {
-                    Fetched::Whole(p) => bands.scatter(&p, &state.store.grid().chunk_region(i), scatter),
-                    Fetched::Partial(p, covered) => {
-                        // A statistic; publishes nothing else.
-                        partial.fetch_add(1, Ordering::Relaxed);
-                        bands.scatter(&p, &covered, scatter);
-                    }
-                }
-                Ok(())
-            })
-        })?;
-        Ok(partial.into_inner())
     }
 
     /// Warms the cache with every chunk `region` intersects without

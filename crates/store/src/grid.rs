@@ -6,7 +6,8 @@
 //! origin and the last chunk holds the far corner.
 
 use eblcio_data::shape::MAX_RANK;
-use eblcio_data::{Element, NdArray, Shape};
+use eblcio_data::{ArrayView, Element, NdArray, Shape};
+use parking_lot::Mutex;
 
 /// An axis-aligned box inside an array: `origin[d] .. origin[d] + extent[d]`
 /// per dimension.
@@ -376,8 +377,8 @@ fn scatter_chunk_with<T: Element>(
 }
 
 /// Scatters the slice of a decoded chunk that overlaps `region` into
-/// `out` (shaped as `region`) — shared by every region assembler (the
-/// store's read paths and `eblcio_serve`'s region engine).
+/// `out` (shaped as `region`): [`scatter_chunk_into`] for an owned
+/// array.
 pub fn scatter_chunk<T: Element>(
     part: &NdArray<T>,
     chunk_region: &Region,
@@ -422,7 +423,7 @@ pub fn gather<T: Element>(src: &NdArray<T>, region: &Region) -> NdArray<T> {
 /// [`gather`] into a caller-held buffer, left exactly `region`'s length.
 /// Every sample is overwritten, so a buffer reused at the same length
 /// is neither cleared nor reallocated.
-pub(crate) fn gather_into<T: Element>(src: &NdArray<T>, region: &Region, out: &mut Vec<T>) {
+fn gather_into<T: Element>(src: &NdArray<T>, region: &Region, out: &mut Vec<T>) {
     let shape = region.shape();
     out.resize(shape.len(), T::default());
     copy_region(
@@ -434,6 +435,29 @@ pub(crate) fn gather_into<T: Element>(src: &NdArray<T>, region: &Region, out: &m
         &[0usize; MAX_RANK][..shape.rank()],
         region.extent(),
     );
+}
+
+/// Gather buffers shared by the workers of one parallel loop: a gather
+/// takes a spare buffer (or a new one) and returns it when done, so the
+/// loop holds at most one buffer per worker.
+#[derive(Default)]
+pub(crate) struct GatherBuffers<T>(Mutex<Vec<Vec<T>>>);
+
+impl<T: Element> GatherBuffers<T> {
+    /// Gathers `region` of `src` into a spare buffer and runs `f` on it
+    /// as a view shaped as `region`.
+    pub(crate) fn with<R>(
+        &self,
+        src: &NdArray<T>,
+        region: &Region,
+        f: impl FnOnce(ArrayView<'_, T>) -> R,
+    ) -> R {
+        let mut buf = self.0.lock().pop().unwrap_or_default();
+        gather_into(src, region, &mut buf);
+        let out = f(ArrayView::new(region.shape(), &buf));
+        self.0.lock().push(buf);
+        out
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //!   (each [`ChunkedStore`] writer and [`MutableStore::create`]) with
 //!   chunks fanned out over the shared rayon pool, and
 //!   [`ChunkedStore::read_full`] is a whole-array region read fanned
-//!   out the same way,
+//!   out the same way, through the one region engine
+//!   ([`scatter_region`]) that `eblcio_serve`'s cold reads use too,
 //! * **placement** — chunks map onto PFS object placement
 //!   ([`pfs_io::write_store`] stripes them round-robin across OSTs), so
 //!   only the touched chunks pay I/O energy on read-back,
@@ -54,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
+mod engine;
 pub mod grid;
 pub mod manifest;
 mod metrics;
@@ -63,6 +65,7 @@ pub mod shard;
 pub mod storage;
 pub mod store;
 
+pub use engine::scatter_region;
 pub use grid::{
     copy_region, gather, scatter_chunk, scatter_chunk_into, scatter_chunk_le, ChunkGrid, Region,
 };

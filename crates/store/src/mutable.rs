@@ -54,7 +54,7 @@
 //! that rewrite whole chunks ([`StoreWriter::stage_chunk`]) avoid the
 //! drift entirely.
 
-use crate::grid::{copy_region, gather_into, Region};
+use crate::grid::{copy_region, GatherBuffers, Region};
 use crate::manifest::{GenerationMeta, Manifest};
 use crate::metrics::store_metrics;
 use crate::storage::Storage;
@@ -66,8 +66,7 @@ use eblcio_codec::{
     compress_view, decompress, CodecError, Compressor, ErrorBound, Result,
 };
 use eblcio_data::shape::MAX_RANK;
-use eblcio_data::{ArrayView, Element, NdArray, Shape};
-use parking_lot::Mutex;
+use eblcio_data::{Element, NdArray, Shape};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -757,8 +756,7 @@ impl StoreWriter<'_> {
         let store = &self.store;
         let staged = &self.staged;
         let pool = pool_for(threads)?;
-        // Gather buffers for wholly covered chunks: at most one per worker.
-        let spare: Mutex<Vec<Vec<T>>> = Mutex::new(Vec::new());
+        let spare = GatherBuffers::default();
         let results: Vec<Result<(usize, Vec<u8>)>> = pool.install(|| {
             hits.par_iter()
                 .map(|&i| {
@@ -784,10 +782,8 @@ impl StoreWriter<'_> {
                         if !staged.contains_key(&i) {
                             store.chunk_payload(i)?;
                         }
-                        let mut buf = spare.lock().pop().unwrap_or_default();
-                        gather_into(data, &Region::new(&src_origin[..rank], inter.extent()), &mut buf);
-                        let stream = compress_view(codec, ArrayView::new(chunk_region.shape(), &buf), bound);
-                        spare.lock().push(buf);
+                        let src = Region::new(&src_origin[..rank], inter.extent());
+                        let stream = spare.with(data, &src, |chunk| compress_view(codec, chunk, bound));
                         return Ok((i, stream?));
                     }
                     let mut chunk = match staged.get(&i) {

@@ -11,13 +11,14 @@
 //! (v3) `EBCS` stream. Reads are region reads: a whole-array read is a
 //! [`ChunkedStore::read_region`] of the full shape.
 
-use crate::grid::{gather, gather_into, scatter_chunk, ChunkGrid, Region};
+use crate::engine::scatter_region;
+use crate::grid::{gather, scatter_chunk_into, ChunkGrid, GatherBuffers, Region};
 use crate::manifest::{ChunkEntry, ChunkSlot, Manifest, ShardTable, MAX_CHAINS};
 use crate::metrics::store_metrics;
 use crate::mutable;
 use crate::shard::{shard_index, MAX_SLOTS};
 use crate::storage::Storage;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use eblcio_codec::estimate::estimate_cr;
 use eblcio_codec::header::{check_dtype, typed};
@@ -123,8 +124,7 @@ pub(crate) fn encode_chunks<T: Element>(
     };
     let bound = ErrorBound::Absolute(abs);
     let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-    // Gather buffers between chunks: at most one per worker.
-    let spare: Mutex<Vec<Vec<T>>> = Mutex::new(Vec::new());
+    let spare = GatherBuffers::default();
     let encoded: Vec<Result<(usize, Vec<u8>, u32)>> = pool_for(threads)?.install(|| {
         ids.par_iter()
             .map(|&i| {
@@ -132,11 +132,7 @@ pub(crate) fn encode_chunks<T: Element>(
                 let (pick, stream) = if grid.chunk_is_slab(i) {
                     encode(i, data.slab(region.origin()[0], region.extent()[0]), bound)?
                 } else {
-                    let mut buf = spare.lock().pop().unwrap_or_default();
-                    gather_into(data, &region, &mut buf);
-                    let out = encode(i, ArrayView::new(region.shape(), &buf), bound);
-                    spare.lock().push(buf);
-                    out?
+                    spare.with(data, &region, |chunk| encode(i, chunk, bound))?
                 };
                 let crc = crc32(&stream);
                 Ok((pick, stream, crc))
@@ -557,11 +553,6 @@ impl ChunkedStore {
         self.manifest.sharding.as_ref()
     }
 
-    /// True when the payload is packed into `EBSH` shard objects.
-    pub fn is_sharded(&self) -> bool {
-        self.manifest.sharding.is_some()
-    }
-
     /// Byte sizes of the objects a striped writer places across storage
     /// targets: the shard objects of a sharded store, the bare chunk
     /// payloads otherwise.
@@ -687,10 +678,9 @@ impl ChunkedStore {
     /// Decompresses the whole array on `threads` workers of the shared
     /// rayon pool: a [`ChunkedStore::read_region`] of the full shape, so
     /// it records the same `store.read_region` span and
-    /// `eblcio_store_read_region_ns` sample. Each worker scatters its
-    /// decoded chunk into the output and drops it before claiming the
-    /// next, so no more than `threads` decoded chunks are alive beside
-    /// the output.
+    /// `eblcio_store_read_region_ns` sample and assembles through the
+    /// same banded engine — no more than `threads` decoded chunks are
+    /// alive beside the output.
     pub fn read_full<T: Element>(&self, threads: usize) -> Result<NdArray<T>> {
         assert!(threads >= 1, "thread count must be >= 1");
         pool_for(threads)?.install(|| self.read_region(&Region::full(self.manifest.shape)))
@@ -703,14 +693,15 @@ impl ChunkedStore {
     /// [`RegionReadStats::partial_decodes`] and
     /// [`RegionReadStats::samples_decoded`].
     ///
-    /// Intersecting chunks decode in parallel (like
-    /// [`ChunkedStore::read_full`]) across the width installed on the
-    /// shared rayon pool — callers wanting a specific width wrap the
-    /// call in `pool_for(threads)?.install(..)`; outside any pool the
-    /// machine's parallelism applies. Each worker scatters the piece it
-    /// decoded into the output box itself, under a short lock (the copy
-    /// is memcpy-bound and a fraction of decode cost), and drops it
-    /// before claiming the next chunk.
+    /// Intersecting chunks decode in parallel across the width
+    /// installed on the shared rayon pool (callers wanting a specific
+    /// width wrap the call in `pool_for(threads)?.install(..)`, as
+    /// [`ChunkedStore::read_full`] does; outside any pool the machine's
+    /// parallelism applies), and the region engine ([`scatter_region`])
+    /// has each worker store its piece band by band beside the others
+    /// and drop it before claiming the next chunk. One lock around the
+    /// output would serialize the copies, which cost about as much as
+    /// a fast decode (EXPERIMENTS.md, "Cold misses at copy speed").
     ///
     /// # Panics
     /// Panics if the region does not fit inside the array shape.
@@ -722,29 +713,32 @@ impl ChunkedStore {
         check_dtype::<T>(self.manifest.dtype)?;
         let decoders = self.decoders()?;
         let hits = self.grid.chunks_intersecting(region);
-        let stats = RegionReadStats {
-            chunks_decoded: hits.len(),
-            chunks_total: self.n_chunks(),
-            ..RegionReadStats::default()
-        };
-        let assembled = Mutex::new((NdArray::<T>::zeros(region.shape()), stats));
-        hits.par_iter().try_for_each(|&i| {
-            let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
-            let (part, part_region, partial) =
-                match self.decode_chunk_region::<T>(codec, i, region)? {
-                    Some((part, covered)) => (part, covered, true),
-                    None => (self.decode_chunk(codec, i)?, self.grid.chunk_region(i), false),
-                };
-            let mut guard = assembled.lock();
-            let (out, stats) = &mut *guard;
-            stats.compressed_bytes_read += self.manifest.chunks[i].len;
-            stats.partial_decodes += usize::from(partial);
-            stats.samples_decoded += part.len() as u64;
-            scatter_chunk(&part, &part_region, region, out);
+        // Statistics only; they publish nothing else.
+        let partial_decodes = AtomicUsize::new(0);
+        let samples_decoded = AtomicU64::new(0);
+        let mut out = NdArray::<T>::zeros(region.shape());
+        scatter_region(region, out.as_mut_slice(), &hits, &scatter_chunk_into, |&i, put| {
+            let codec = decoders[self.chunk_chain_index(i)].as_ref();
+            let (piece, covered) = match self.decode_chunk_region::<T>(codec, i, region)? {
+                Some(part) => {
+                    partial_decodes.fetch_add(1, Ordering::Relaxed);
+                    part
+                }
+                None => (self.decode_chunk(codec, i)?, self.grid.chunk_region(i)),
+            };
+            samples_decoded.fetch_add(piece.len() as u64, Ordering::Relaxed);
+            put(&piece, &covered);
             Ok(())
         })?;
         t.finish();
-        Ok(assembled.into_inner())
+        let stats = RegionReadStats {
+            chunks_decoded: hits.len(),
+            chunks_total: self.n_chunks(),
+            compressed_bytes_read: hits.iter().map(|&i| self.manifest.chunks[i].len).sum(),
+            partial_decodes: partial_decodes.into_inner(),
+            samples_decoded: samples_decoded.into_inner(),
+        };
+        Ok((out, stats))
     }
 
     /// Decompresses an axis-aligned region, touching only the chunks

@@ -484,8 +484,8 @@ fn sharded_store_roundtrips_bit_identically_with_unsharded() {
 
     let a = ChunkedStore::open(&plain).unwrap();
     let b = ChunkedStore::open(&sharded).unwrap();
-    assert!(!a.is_sharded());
-    assert!(b.is_sharded());
+    assert!(a.sharding().is_none());
+    assert!(b.sharding().is_some());
     assert_eq!(a.n_chunks(), b.n_chunks());
     assert_eq!(b.sharding().unwrap().n_shards(), a.n_chunks().div_ceil(4));
     // Chunk payloads are byte-identical: sharding only changes packing.
@@ -651,5 +651,54 @@ proptest! {
         // And the contract holds end to end.
         let back = store.read_full::<f32>(2).unwrap();
         prop_assert!(max_rel_error(&data, &back) <= eps * SLACK);
+    }
+}
+
+/// The region engine behind every store read: `read_full` at widths 1,
+/// 2 and 4 on a dimension-0 slab grid (the shape of the threaded
+/// "OpenMP mode" decompression that prices Fig. 10), and `read_region`
+/// of a non-aligned box over ragged edge chunks, are bit-identical to a
+/// serial `scatter_chunk_into` assembly of `read_chunk` results, with
+/// the same stats at every width. Repeated, so workers meet on a band.
+#[test]
+fn banded_store_reads_match_serial_assembly_at_every_width() {
+    let serial = |store: &ChunkedStore, region: &Region| {
+        let mut out = NdArray::<f32>::zeros(region.shape());
+        for i in store.grid().chunks_intersecting(region) {
+            let part = store.read_chunk::<f32>(i).unwrap();
+            let chunk_region = store.grid().chunk_region(i);
+            eblcio_store::scatter_chunk_into(&part, &chunk_region, region, out.as_mut_slice());
+        }
+        out
+    };
+    let bits = |a: &NdArray<f32>| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let codec = CompressorId::Szx.instance();
+    let write = |shape, chunk| {
+        let stream = ChunkedStore::write(codec.as_ref(), &field::<f32>(shape), ErrorBound::Relative(EPS), chunk, 2);
+        ChunkedStore::open(&stream.unwrap()).unwrap()
+    };
+
+    let slabs = write(Shape::d3(64, 24, 24), Shape::d3(2, 24, 24));
+    assert!((0..slabs.n_chunks()).all(|i| slabs.grid().chunk_is_slab(i)));
+    let want = bits(&serial(&slabs, &Region::full(slabs.shape())));
+    for threads in [1, 2, 4] {
+        for round in 0..20 {
+            let got = slabs.read_full::<f32>(threads).unwrap();
+            assert!(bits(&got) == want, "read_full at width {threads}, round {round}");
+        }
+    }
+
+    let ragged = write(Shape::d3(61, 23, 19), Shape::d3(8, 6, 5));
+    let region = Region::new(&[3, 1, 2], &[55, 21, 16]);
+    let want = bits(&serial(&ragged, &region));
+    let (_, want_stats) = ragged.read_region_with_stats::<f32>(&region).unwrap();
+    assert!(want_stats.partial_decodes > 0 && want_stats.partial_decodes < want_stats.chunks_decoded);
+    for threads in [1, 2, 4] {
+        let pool = eblcio_codec::parallel::pool_for(threads).unwrap();
+        for round in 0..20 {
+            let (got, stats) = pool.install(|| ragged.read_region_with_stats::<f32>(&region)).unwrap();
+            assert!(bits(&got) == want, "read_region at width {threads}, round {round}");
+            assert_eq!(stats, want_stats, "width {threads}");
+        }
     }
 }
