@@ -79,29 +79,6 @@ impl SzPayload {
         Ok((extra, outliers))
     }
 
-    /// Frozen pre-optimization decode (per-symbol Huffman walk, fresh
-    /// allocations throughout). Wire-compatible with
-    /// [`Self::decode_inner`]; kept only for the oracle the
-    /// `decode_fastpath.rs` tests pin the fast decoders to
-    /// (`codecs::decompress_reference`).
-    pub fn decode_inner_reference(inner: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(inner);
-        let extra_len = r.varint("sz extra length")? as usize;
-        let extra = r.take(extra_len, "sz extra")?.to_vec();
-        let outlier_len = r.varint("sz outlier length")? as usize;
-        let outliers = r.take(outlier_len, "sz outliers")?.to_vec();
-        let (codes, used) = huffman::decode_block_reference(&inner[r.position()..])?;
-        if r.position() + used != inner.len() {
-            return Err(CodecError::Corrupt { context: "sz payload trailer" });
-        }
-        Ok(Self {
-            extra,
-            outliers,
-            codes,
-        })
-    }
-
-    /// Serializes and LZ-compresses the payload (the fused historical
     /// framing; equals the preset chains' `inner → lz` composition).
     pub fn encode(&self) -> Vec<u8> {
         lz::compress(&self.encode_inner())
@@ -399,36 +376,6 @@ impl OutBox {
     }
 }
 
-/// Iterates the samples of one block in raster order, yielding
-/// `(global_index, flat_offset)`.
-pub fn for_each_in_block(
-    shape: Shape,
-    base: &[usize],
-    dims: &[usize],
-    mut f: impl FnMut(&[usize], usize),
-) {
-    let rank = shape.rank();
-    let strides = shape.strides();
-    let total: usize = dims.iter().product();
-    let mut local = [0usize; 4];
-    for _ in 0..total {
-        let mut idx = [0usize; 4];
-        let mut off = 0usize;
-        for d in 0..rank {
-            idx[d] = base[d] + local[d];
-            off += idx[d] * strides[d];
-        }
-        f(&idx[..rank], off);
-        for d in (0..rank).rev() {
-            local[d] += 1;
-            if local[d] < dims[d] {
-                break;
-            }
-            local[d] = 0;
-        }
-    }
-}
-
 /// The default SZ block edge per rank (SZ2's defaults: long 1-D blocks,
 /// 16² planes, 8³ and 6⁴ volumes).
 pub fn sz_block_dims(rank: usize) -> [usize; 4] {
@@ -443,6 +390,7 @@ pub fn sz_block_dims(rank: usize) -> [usize; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codecs::reference::for_each_in_block;
 
     #[test]
     fn payload_roundtrip() {

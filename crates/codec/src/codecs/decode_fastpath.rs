@@ -10,10 +10,14 @@
 //! (Non-finite *inputs* are rejected by `validate_input` before any
 //! codec runs, so NaN/Inf coverage lives at the payload level: spike
 //! values near `f32::MAX` exercise the same raw-escape paths.)
+//!
+//! Unit tests, not an integration test: the reference decoders
+//! (`codecs::reference`) are test-only code. The recorded inputs are
+//! pinned separately, by `tests/decode_golden.rs`.
 
-use eblcio_codec::codecs::decompress_reference;
-use eblcio_codec::stage::{decode_array_region, encode_array};
-use eblcio_codec::{
+use super::reference::decompress_reference;
+use crate::stage::{decode_array_region, encode_array};
+use crate::{
     compress, decompress, decompress_region, with_scratch, ArrayStage, ChainSpec, CodecError,
     CompressorId, ErrorBound, Qoz, Sz2, Sz3, Szx, Zfp,
 };

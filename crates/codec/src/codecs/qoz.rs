@@ -10,7 +10,7 @@
 
 use super::common::{encode_inner, OutBox, SzPayload};
 use super::impl_stage_codec;
-use super::sz3::{interp_decode, interp_decode_reference, interp_decode_with, interp_encode_with};
+use super::sz3::{interp_decode, interp_decode_with, interp_encode_with};
 use crate::error::{CodecError, Result};
 use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
@@ -54,7 +54,7 @@ impl Qoz {
 
     /// The absolute bound applied at interpolation level `level` when the
     /// finest-level bound is `abs`.
-    fn level_bound(alpha: f64, beta: f64, abs: f64, level: u32) -> f64 {
+    pub(super) fn level_bound(alpha: f64, beta: f64, abs: f64, level: u32) -> f64 {
         let tighten = alpha.powi(level.saturating_sub(1) as i32);
         (abs / tighten).max(abs / beta)
     }
@@ -121,7 +121,7 @@ impl Qoz {
     }
 
     /// Validates and unpacks the 16-byte `(alpha, beta)` side info.
-    fn parse_extra(extra: &[u8]) -> Result<(f64, f64)> {
+    pub(super) fn parse_extra(extra: &[u8]) -> Result<(f64, f64)> {
         if extra.len() != 16 {
             return Err(CodecError::Corrupt { context: "qoz parameters" });
         }
@@ -157,19 +157,6 @@ impl Qoz {
             }, true, recon)
         })
     }
-}
-
-/// The frozen reference decode of a QoZ payload, for the test oracle
-/// [`decompress_reference`](super::decompress_reference).
-pub(crate) fn decode_reference<T: Element>(
-    p: &SzPayload,
-    shape: Shape,
-    abs: f64,
-) -> Result<NdArray<T>> {
-    let (alpha, beta) = Qoz::parse_extra(&p.extra)?;
-    interp_decode_reference(shape, &p.codes, &p.outliers, abs / beta, |l| {
-        Qoz::level_bound(alpha, beta, abs, l)
-    }, true)
 }
 
 impl_stage_codec!(Qoz, CompressorId::Qoz);

@@ -9,12 +9,12 @@
 //! and passed through the LZ backend — the SZ2 pipeline of §II-B.
 
 use super::common::{
-    encode_inner, for_each_block, for_each_in_block, quantize_sample, sz_block_dims, BlockRows,
+    encode_inner, for_each_block, quantize_sample, sz_block_dims, BlockRows,
     CodeSink, OutBox, OutlierReader, SzPayload,
 };
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
-use crate::predict::{fit_affine, lorenzo, AffineCoef, LorenzoStencil};
+use crate::predict::{fit_affine, AffineCoef, LorenzoStencil};
 use crate::quantizer::LinearQuantizer;
 use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
@@ -22,7 +22,7 @@ use crate::util::ByteReader;
 use eblcio_data::{ArrayView, DatasetView, Element, NdArray, Shape};
 
 /// Quantization code radius (SZ default: 2^15 bins each side).
-const RADIUS: u32 = 32768;
+pub(super) const RADIUS: u32 = 32768;
 
 /// The SZ2 compressor. Non-exhaustive: other crates start from
 /// `Sz2::default()` and set the fields they need.
@@ -45,7 +45,8 @@ impl Sz2 {
     /// the thread's [`CodecScratch`]. Lorenzo predictions go through
     /// the precomputed [`LorenzoStencil`] — unrolled at interior
     /// samples, masked on the zero-coordinate faces — which agrees with
-    /// [`lorenzo`] bit for bit.
+    /// the generic Lorenzo sum bit for bit (pinned by the `predict`
+    /// unit tests).
     pub fn encode_impl<T: Element>(
         &self,
         data: ArrayView<'_, T>,
@@ -190,9 +191,10 @@ impl Sz2 {
     /// offsets, when `WHOLE` (the box is the array: no block selection
     /// and no per-sample box test, which takes ≈ 11 % off a whole-chunk
     /// decode; see EXPERIMENTS.md, "Cold reads, part 2"). Bit-identical
-    /// to the same slice of [`decode_reference`]'s (pinned by
-    /// `decode_fastpath.rs` and the
-    /// `stencil_matches_lorenzo_at_interior_points` test).
+    /// to the same slice of the frozen reference decoder's output: the
+    /// `codecs::decode_fastpath` unit tests pin it on drawn inputs, the
+    /// `stencil_matches_lorenzo_at_interior_points` test pins the
+    /// stencil, and `decode_golden.rs` pins the recorded inputs.
     #[allow(clippy::too_many_arguments)]
     fn decode_blocks<T: Element, const WHOLE: bool>(
         &self,
@@ -300,88 +302,17 @@ impl Sz2 {
     }
 }
 
-/// The frozen reference decode of a default-block SZ2 payload: every
-/// sample through its coordinates and the generic [`lorenzo`]
-/// predictor, fresh allocations throughout. Reached only through the
-/// test oracle [`decompress_reference`](super::decompress_reference).
-pub(crate) fn decode_reference<T: Element>(
-    p: &SzPayload,
-    shape: Shape,
-    abs: f64,
-) -> Result<NdArray<T>> {
-    let rank = shape.rank();
-    let block_dims = sz_block_dims(rank);
-    let modes = Modes::parse(&p.extra)?;
-    let n = shape.len();
-    if p.codes.len() != n {
-        return Err(CodecError::Corrupt { context: "sz2 code count" });
-    }
-    let mut recon = vec![0.0; n];
-    let mut sink = SampleSink {
-        quant: LinearQuantizer::new(abs.max(f64::MIN_POSITIVE), RADIUS),
-        codes: &p.codes,
-        code_i: 0,
-        outliers: OutlierReader::new(&p.outliers),
-        recon: &mut recon,
-    };
-    let mut out = vec![T::default(); n];
-    let mut block_i = 0usize;
-    let mut coef_pos = 0usize;
-    let mut failure: Option<CodecError> = None;
-
-    for_each_block(shape, &block_dims[..rank], |base, dims| {
-        if failure.is_some() {
-            return;
-        }
-        if block_i >= modes.n_blocks {
-            failure = Some(CodecError::Corrupt { context: "sz2 block modes" });
-            return;
-        }
-        let coef = match modes.coef(block_i, rank, &mut coef_pos) {
-            Ok(c) => c,
-            Err(e) => {
-                failure = Some(e);
-                return;
-            }
-        };
-        block_i += 1;
-        for_each_in_block(shape, base, dims, |idx, off| {
-            if failure.is_some() {
-                return;
-            }
-            let pred = match &coef {
-                Some(coef) => {
-                    let mut local = [0usize; 4];
-                    for d in 0..rank {
-                        local[d] = idx[d] - base[d];
-                    }
-                    coef.eval(&local[..rank])
-                }
-                None => lorenzo(sink.recon, shape, idx),
-            };
-            match sink.put::<T>(pred, off) {
-                Ok(t) => out[off] = t,
-                Err(e) => failure = Some(e),
-            }
-        });
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(NdArray::from_vec(shape, out))
-}
-
 /// The side channel: block count, one mode bit per block (MSB-first),
 /// then the regression coefficients of the blocks that use them, in
 /// block order.
-struct Modes<'a> {
-    n_blocks: usize,
+pub(super) struct Modes<'a> {
+    pub(super) n_blocks: usize,
     bits: &'a [u8],
     coefs: &'a [u8],
 }
 
 impl<'a> Modes<'a> {
-    fn parse(extra: &'a [u8]) -> Result<Self> {
+    pub(super) fn parse(extra: &'a [u8]) -> Result<Self> {
         let mut er = ByteReader::new(extra);
         let n_blocks = er.varint("sz2 block count")? as usize;
         let bits = er.take(n_blocks.div_ceil(8), "sz2 block modes")?;
@@ -395,7 +326,12 @@ impl<'a> Modes<'a> {
 
     /// Block `b`'s regression coefficients, read at `*pos` (which moves
     /// past them); `None` for a Lorenzo block.
-    fn coef(&self, b: usize, rank: usize, pos: &mut usize) -> Result<Option<AffineCoef>> {
+    pub(super) fn coef(
+        &self,
+        b: usize,
+        rank: usize,
+        pos: &mut usize,
+    ) -> Result<Option<AffineCoef>> {
         if !self.regression(b) {
             return Ok(None);
         }
@@ -512,19 +448,19 @@ fn row_faces(stencil: &LorenzoStencil, rows: &BlockRows, i: [usize; 3], pad: usi
 /// Where decoded samples come from: takes the next code (or outlier)
 /// for a prediction and stores the sample, widened, in the
 /// reconstruction plane later predictions read.
-struct SampleSink<'a> {
-    quant: LinearQuantizer,
+pub(super) struct SampleSink<'a> {
+    pub(super) quant: LinearQuantizer,
     /// One code per sample, in visit order.
-    codes: &'a [u32],
-    code_i: usize,
-    outliers: OutlierReader<'a>,
-    recon: &'a mut [f64],
+    pub(super) codes: &'a [u32],
+    pub(super) code_i: usize,
+    pub(super) outliers: OutlierReader<'a>,
+    pub(super) recon: &'a mut [f64],
 }
 
 impl SampleSink<'_> {
     /// Decodes the next sample at flat offset `off` against `pred`.
     #[inline(always)]
-    fn put<T: Element>(&mut self, pred: f64, off: usize) -> Result<T> {
+    pub(super) fn put<T: Element>(&mut self, pred: f64, off: usize) -> Result<T> {
         let code = *self
             .codes
             .get(self.code_i)

@@ -12,7 +12,7 @@
 use super::common::{encode_inner, quantize_sample, CodeSink, OutBox, OutlierReader, SzPayload};
 use super::impl_stage_codec;
 use crate::error::{CodecError, Result};
-use crate::interp::{anchor_offsets, max_level, walk_reference, Interp};
+use crate::interp::max_level;
 use crate::quantizer::LinearQuantizer;
 use crate::scratch::{with_scratch, CodecScratch};
 use crate::traits::CompressorId;
@@ -40,16 +40,6 @@ impl Sz3 {
     /// Linear-interpolation-only variant (ablation).
     pub fn linear_only() -> Self {
         Self { cubic: false }
-    }
-}
-
-/// Degrades a cubic stencil to its central linear pair when cubic
-/// interpolation is disabled (ablation mode).
-#[inline]
-pub(crate) fn effective_stencil(pred: Interp, cubic: bool) -> Interp {
-    match pred {
-        Interp::Cubic([_, b, c, _]) if !cubic => Interp::Linear([b, c]),
-        other => other,
     }
 }
 
@@ -316,8 +306,10 @@ pub(crate) fn interp_decode<T: Element>(
 /// Decodes `boxed` (the whole array, or a region of it) with a
 /// caller-owned reconstruction buffer, so the arena-backed decode path
 /// reuses the f64 plane across chunks. Returns a box-shaped array,
-/// bit-identical to the same slice of [`interp_decode_reference`]'s
-/// (see [`interp_pass`]).
+/// bit-identical to the same slice of the frozen reference decoder's
+/// output (see [`interp_pass`]; the `codecs::decode_fastpath` unit
+/// tests pin it on drawn inputs, `decode_golden.rs` on the recorded
+/// ones).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn interp_decode_with<T: Element>(
     shape: Shape,
@@ -378,12 +370,12 @@ fn lattice_span(base: usize, stride: usize, count: usize, lo: usize, hi: usize) 
 /// sample handed to `coder` with its prediction.
 ///
 /// The walk is *fused* into the loop: the task sequence is exactly
-/// [`walk`](crate::interp::walk)'s (pinned against [`walk_reference`] by
-/// the oracle tests), but the stencil kind is resolved once per run
-/// instead of once per sample, so each inner loop is a fixed-stencil
-/// pass over one flat stride — no `Task` construction, no enum
-/// dispatch, no callback. Each sample performs `Interp::eval`'s
-/// arithmetic in the same order (`* 0.0625` is an exact power-of-two
+/// [`walk`](crate::interp::walk)'s (pinned against the frozen
+/// pre-optimization walk by the `interp` unit tests), but the stencil
+/// kind is resolved once per run instead of once per sample, so each
+/// inner loop is a fixed-stencil pass over one flat stride — no `Task`
+/// construction, no enum dispatch, no callback. Each sample performs
+/// `Interp::eval`'s arithmetic in the same order (`* 0.0625` is an exact power-of-two
 /// scale, the same correctly-rounded result as `/ 16.0`), and samples
 /// are visited in the same sequence.
 ///
@@ -599,95 +591,6 @@ fn interp_pass<C: SampleCoder>(
     Ok(())
 }
 
-/// Frozen pre-optimization mirror of [`interp_encode_with`] — fresh
-/// allocations, no arena, and the pre-optimization
-/// [`walk_reference`] schedule that recomputes each target offset as a
-/// coordinate dot product. The oracle the `decode_fastpath.rs` tests
-/// pin the fused pass to (through
-/// [`decompress_reference`](super::decompress_reference)); kept verbatim
-/// so "reference" keeps meaning the first shipped decoder.
-pub(crate) fn interp_decode_reference<T: Element>(
-    shape: Shape,
-    codes: &[u32],
-    outlier_bytes: &[u8],
-    anchor_abs: f64,
-    level_abs: impl Fn(u32) -> f64,
-    cubic: bool,
-) -> Result<NdArray<T>> {
-    let n = shape.len();
-    if codes.len() != n {
-        return Err(CodecError::Corrupt { context: "sz3 code count" });
-    }
-    let mut outliers = OutlierReader::new(outlier_bytes);
-    let mut recon = vec![0.0f64; n];
-    let mut out = vec![T::default(); n];
-    let mut code_i = 0usize;
-
-    let pull = |pred: f64,
-                    q: &LinearQuantizer,
-                    off: usize,
-                    code_i: &mut usize,
-                    recon: &mut [f64],
-                    out: &mut [T],
-                    outliers: &mut OutlierReader<'_>|
-     -> Result<()> {
-        let code = codes[*code_i];
-        *code_i += 1;
-        let t = if code == 0 {
-            outliers.take::<T>()?
-        } else {
-            T::from_f64(q.reconstruct(code, pred))
-        };
-        recon[off] = t.to_f64();
-        out[off] = t;
-        Ok(())
-    };
-
-    let anchor_quant = LinearQuantizer::new(anchor_abs.max(f64::MIN_POSITIVE), RADIUS);
-    let mut prev = 0.0f64;
-    for off in anchor_offsets(shape) {
-        pull(
-            prev,
-            &anchor_quant,
-            off,
-            &mut code_i,
-            &mut recon,
-            &mut out,
-            &mut outliers,
-        )?;
-        prev = recon[off];
-    }
-
-    let mut cur_level = u32::MAX;
-    let mut quant = anchor_quant;
-    let mut failure: Option<CodecError> = None;
-    walk_reference(shape, |task| {
-        if failure.is_some() {
-            return;
-        }
-        if task.level != cur_level {
-            cur_level = task.level;
-            quant = LinearQuantizer::new(level_abs(cur_level).max(f64::MIN_POSITIVE), RADIUS);
-        }
-        let pred = effective_stencil(task.pred, cubic).eval(&recon);
-        if let Err(e) = pull(
-            pred,
-            &quant,
-            task.target,
-            &mut code_i,
-            &mut recon,
-            &mut out,
-            &mut outliers,
-        ) {
-            failure = Some(e);
-        }
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(NdArray::from_vec(shape, out))
-}
-
 impl Sz3 {
     /// Array-stage encode: multi-level interpolation prediction at an
     /// already resolved absolute bound, emitting the inner SZ payload.
@@ -735,23 +638,12 @@ impl Sz3 {
     }
 
     /// Validates and unpacks the one-byte `cubic` side info.
-    fn parse_extra(extra: &[u8]) -> Result<bool> {
+    pub(super) fn parse_extra(extra: &[u8]) -> Result<bool> {
         match extra {
             [flag @ (0 | 1)] => Ok(*flag == 1),
             _ => Err(CodecError::Corrupt { context: "sz3 parameters" }),
         }
     }
-}
-
-/// The frozen reference decode of an SZ3 payload, for the test oracle
-/// [`decompress_reference`](super::decompress_reference).
-pub(crate) fn decode_reference<T: Element>(
-    p: &SzPayload,
-    shape: Shape,
-    abs: f64,
-) -> Result<NdArray<T>> {
-    let cubic = Sz3::parse_extra(&p.extra)?;
-    interp_decode_reference(shape, &p.codes, &p.outliers, abs, |_| abs, cubic)
 }
 
 impl_stage_codec!(Sz3, CompressorId::Sz3);

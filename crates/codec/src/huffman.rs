@@ -23,6 +23,7 @@
 //! bytes are those of the per-symbol `BitWriter` encoder it replaced,
 //! which the tests keep as their oracle.
 
+#[cfg(test)]
 use crate::bitstream::BitReader;
 use crate::error::{CodecError, Result};
 use crate::scratch::{with_scratch, ArenaBuf};
@@ -345,8 +346,8 @@ fn emit(out: &mut Vec<u8>, symbols: &[u32], n_bits: u64, code_of: impl Fn(u32) -
 /// Decodes a block produced by [`encode_block`].
 ///
 /// Returns the symbols and the number of bytes consumed from `buf`.
-/// This is the table-driven fast path; [`decode_block_reference`] keeps
-/// the original bit-at-a-time walk as the equivalence oracle.
+/// This is the table-driven fast path; this module's unit tests hold
+/// it to the original bit-at-a-time walk, kept as a test-only oracle.
 pub fn decode_block(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
     let mut out = Vec::new();
     let mut lut = HuffLookup::default();
@@ -437,8 +438,9 @@ pub fn decode_block_into(buf: &[u8], out: &mut Vec<u32>, lut: &mut HuffLookup) -
 
 /// The original bit-at-a-time canonical decode, kept verbatim as the
 /// oracle the fast path is proptested against (here and, through
-/// `decompress_reference`, in the `decode_fastpath.rs` tests).
-pub fn decode_block_reference(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
+/// `codecs::reference`, in the `codecs::decode_fastpath` tests).
+#[cfg(test)]
+pub(crate) fn decode_block_reference(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
     let mut r = ByteReader::new(buf);
     let Some(table) = parse_table(&mut r)? else {
         return Ok((Vec::new(), r.position()));
@@ -456,6 +458,7 @@ pub fn decode_block_reference(buf: &[u8]) -> Result<(Vec<u32>, usize)> {
 }
 
 /// Canonical decoder: per-length first-code/first-index tables.
+#[cfg(test)]
 struct Decoder {
     /// Symbols sorted by (length, symbol).
     symbols: Vec<u32>,
@@ -463,6 +466,7 @@ struct Decoder {
     per_len: Vec<(u64, usize, usize)>,
 }
 
+#[cfg(test)]
 impl Decoder {
     fn new(table: &[(u32, u8)]) -> Result<Self> {
         let mut sorted: Vec<(u32, u8)> = table.to_vec();
@@ -1116,6 +1120,49 @@ mod tests {
         let (reference, _) = decode_block_reference(&enc).unwrap();
         assert_eq!(fast, reference);
         assert_eq!(fast, s);
+    }
+
+    /// The fast and the reference decoder must both give `symbols` back.
+    fn huffman_both_decoders(symbols: &[u32]) -> Vec<u8> {
+        let enc = encode_block(symbols);
+        let (fast, used) = decode_block(&enc).expect("decode");
+        assert_eq!(used, enc.len());
+        assert!(fast == symbols, "fast decode mismatch");
+        drop(fast);
+        let (reference, used) = decode_block_reference(&enc).expect("reference decode");
+        assert_eq!(used, enc.len());
+        assert!(reference == symbols, "reference decode mismatch");
+        enc
+    }
+
+    #[test]
+    fn huffman_length_limit_retry_and_single_symbol_agree_with_the_reference() {
+        // Fibonacci counts force one tree level per symbol: 34 symbols want
+        // a 33-bit code, one past MAX_CODE_LEN, so the encoder must halve
+        // the frequencies and rebuild (and the decoders must follow).
+        let mut symbols = Vec::new();
+        let mut f = (1u64, 1u64);
+        for sym in 0..34u32 {
+            symbols.extend(std::iter::repeat_n(1000 + sym, f.0 as usize));
+            f = (f.1, f.0 + f.1);
+        }
+        let enc = huffman_both_decoders(&symbols);
+        // Table: count, then (symbol delta varint, length). Unscaled, the
+        // rarest symbol would sit 33 levels deep; the rebuilt tree fits.
+        assert_eq!(enc[0], 34);
+        let mut pos = 1;
+        let mut longest = 0u8;
+        for i in 0..34 {
+            pos += if i == 0 { 2 } else { 1 }; // 1000 needs a two-byte varint
+            longest = longest.max(enc[pos]);
+            pos += 1;
+        }
+        assert!(longest > 16 && longest <= MAX_CODE_LEN, "longest code {longest}");
+
+        // One-symbol alphabets: a single 1-bit code, dense and sparse.
+        huffman_both_decoders(&[5]);
+        huffman_both_decoders(&vec![65_537; 1000]);
+        huffman_both_decoders(&vec![u32::MAX - 3; 77]);
     }
 
     #[test]

@@ -168,9 +168,10 @@ pub fn walk(shape: Shape, mut visit: impl FnMut(Task)) {
 /// The frozen pre-optimization walk: recomputes every target offset as a
 /// coordinate dot product instead of ticking it incrementally. This is
 /// the walk the shipped decoder used before the hot-path pass, kept
-/// verbatim for the `decode_fastpath.rs` oracle (via
-/// `interp_decode_reference`) and as the oracle for [`walk`] — the two
-/// must emit identical task sequences.
+/// verbatim for the reference SZ3/QoZ decoder (`codecs::reference`) and
+/// as the oracle for [`walk`] — the two must emit identical task
+/// sequences.
+#[cfg(test)]
 pub(crate) fn walk_reference(shape: Shape, mut visit: impl FnMut(Task)) {
     let rank = shape.rank();
     let strides = shape.strides();

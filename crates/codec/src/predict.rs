@@ -15,8 +15,13 @@ use eblcio_data::Shape;
 /// Missing (out-of-bounds) neighbours contribute 0, so the very first
 /// sample is predicted as 0 — its large residual is absorbed by the
 /// outlier path.
+///
+/// This generic form is the oracle [`LorenzoStencil`] is tested against
+/// and the predictor of the frozen reference SZ2 decoder; the codecs
+/// run the stencil.
+#[cfg(test)]
 #[inline]
-pub fn lorenzo(recon: &[f64], shape: Shape, idx: &[usize]) -> f64 {
+pub(crate) fn lorenzo(recon: &[f64], shape: Shape, idx: &[usize]) -> f64 {
     let rank = shape.rank();
     let strides = shape.strides();
     let base: usize = idx
@@ -44,12 +49,12 @@ pub fn lorenzo(recon: &[f64], shape: Shape, idx: &[usize]) -> f64 {
 
 /// Precomputed interior Lorenzo stencil: per non-empty subset of the
 /// axes of extent > 1, the flat back-offset, in the same mask order as
-/// [`lorenzo`]. A unit axis only ever has coordinate 0, so [`lorenzo`]
-/// skips every subset containing one; leaving those subsets out here is
-/// the same sum. At interior points (coordinate > 0 on every non-unit
-/// axis) no neighbour test is needed, so evaluation is a short flat sum
-/// the compiler can keep in registers — the SZ2 hot loop in both
-/// directions.
+/// the generic Lorenzo sum (a test-only oracle). A unit axis only ever
+/// has coordinate 0, so that sum skips every subset containing one;
+/// leaving those subsets out here is the same sum. At interior points
+/// (coordinate > 0 on every non-unit axis) no neighbour test is needed,
+/// so evaluation is a short flat sum the compiler can keep in registers
+/// — the SZ2 hot loop in both directions.
 ///
 /// Dropping the unit axes keeps the surviving subsets in increasing
 /// mask order, so term `t` is subset `t + 1` of the `k` live axes and
@@ -107,9 +112,10 @@ impl LorenzoStencil {
     }
 
     /// Evaluates at flat offset `base`, a point lying on the faces
-    /// `zero` ([`Self::zero_axes`]). Bit-identical to [`lorenzo`]: the
-    /// subsets that would reach across a face are skipped, the rest
-    /// accumulated in the same order.
+    /// `zero` ([`Self::zero_axes`]). Bit-identical to the generic
+    /// Lorenzo sum (pinned by this module's unit tests): the subsets
+    /// that would reach across a face are skipped, the rest accumulated
+    /// in the same order.
     #[inline]
     pub fn eval(&self, recon: &[f64], base: usize, zero: u32) -> f64 {
         if zero == 0 {
@@ -130,9 +136,9 @@ impl LorenzoStencil {
     }
 
     /// Evaluates at flat offset `base`, which must be an interior point
-    /// (no [`Self::zero_axes`]). Bit-identical to [`lorenzo`] there: the
-    /// terms are accumulated in the same subset order, and adding
-    /// `−1.0 · v` is subtracting `v`.
+    /// (no [`Self::zero_axes`]). Bit-identical to the generic Lorenzo
+    /// sum there: the terms are accumulated in the same subset order,
+    /// and adding `−1.0 · v` is subtracting `v`.
     #[inline]
     pub fn eval_interior(&self, recon: &[f64], base: usize) -> f64 {
         #[inline(always)]

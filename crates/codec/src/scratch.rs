@@ -50,8 +50,8 @@ pub struct CodecScratch {
     /// f64 reconstruction plane — what the decoder will see, which is
     /// what both directions predict from. Neither direction zeroes it:
     /// every sample an encode or a decode reads was written earlier in
-    /// the same pass (`encode_plane.rs` and `decode_fastpath.rs` fill it
-    /// with NaN first to hold them to that).
+    /// the same pass (`encode_plane.rs` and the `codecs::decode_fastpath`
+    /// unit tests fill it with NaN first to hold them to that).
     pub recon: Vec<f64>,
     /// Byte-stage inverse output (the chain's LZ decompression target).
     pub bytes: Vec<u8>,

@@ -131,49 +131,6 @@ proptest! {
     }
 }
 
-/// The fast and the reference decoder must both give `symbols` back.
-fn huffman_both_decoders(symbols: &[u32]) -> Vec<u8> {
-    let enc = huffman::encode_block(symbols);
-    let (fast, used) = huffman::decode_block(&enc).expect("decode");
-    assert_eq!(used, enc.len());
-    assert!(fast == symbols, "fast decode mismatch");
-    drop(fast);
-    let (reference, used) = huffman::decode_block_reference(&enc).expect("reference decode");
-    assert_eq!(used, enc.len());
-    assert!(reference == symbols, "reference decode mismatch");
-    enc
-}
-
-#[test]
-fn huffman_length_limit_retry_and_single_symbol_agree_with_the_reference() {
-    // Fibonacci counts force one tree level per symbol: 34 symbols want
-    // a 33-bit code, one past MAX_CODE_LEN, so the encoder must halve
-    // the frequencies and rebuild (and the decoders must follow).
-    let mut symbols = Vec::new();
-    let mut f = (1u64, 1u64);
-    for sym in 0..34u32 {
-        symbols.extend(std::iter::repeat_n(1000 + sym, f.0 as usize));
-        f = (f.1, f.0 + f.1);
-    }
-    let enc = huffman_both_decoders(&symbols);
-    // Table: count, then (symbol delta varint, length). Unscaled, the
-    // rarest symbol would sit 33 levels deep; the rebuilt tree fits.
-    assert_eq!(enc[0], 34);
-    let mut pos = 1;
-    let mut longest = 0u8;
-    for i in 0..34 {
-        pos += if i == 0 { 2 } else { 1 }; // 1000 needs a two-byte varint
-        longest = longest.max(enc[pos]);
-        pos += 1;
-    }
-    assert!(longest > 16 && longest <= huffman::MAX_CODE_LEN, "longest code {longest}");
-
-    // One-symbol alphabets: a single 1-bit code, dense and sparse.
-    huffman_both_decoders(&[5]);
-    huffman_both_decoders(&vec![65_537; 1000]);
-    huffman_both_decoders(&vec![u32::MAX - 3; 77]);
-}
-
 // ---------------------------------------------------------------------------
 // Bitstream
 // ---------------------------------------------------------------------------

@@ -607,9 +607,9 @@ impl<T: Element> ArrayReader<T> {
     fn prefetch_ids(&self, state: &ReadState, last: usize) -> Vec<usize> {
         match self.prefetch {
             PrefetchPolicy::None => Vec::new(),
-            PrefetchPolicy::Sequential { depth } => ((last + 1)
-                ..(last + 1 + depth).min(state.store.n_chunks()))
-                .collect(),
+            PrefetchPolicy::Sequential { depth } => {
+                (last + 1..state.store.n_chunks()).take(depth).collect()
+            }
         }
     }
 

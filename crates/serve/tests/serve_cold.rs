@@ -165,3 +165,23 @@ fn a_corrupt_prefetched_chunk_does_not_fail_the_request_that_triggered_it() {
         assert_eq!(reader.read_chunk(8).map(drop), Err(CodecError::ChecksumMismatch));
     }
 }
+
+/// A sequential prefetch deeper than the store stops at its last chunk
+/// whatever the depth: `usize::MAX` warms every chunk after the frontier
+/// and none past the end.
+#[test]
+fn a_prefetch_of_any_depth_stops_at_the_last_chunk() {
+    let stream = sharded_stream(CompressorId::Szx);
+    let n = ChunkedStore::open(&stream).unwrap().n_chunks();
+    let config = ReaderConfig {
+        cache: CacheConfig::default(),
+        ..uncached(2, PrefetchPolicy::Sequential { depth: usize::MAX })
+    };
+    let reader = ArrayReader::<f64>::open(&stream, config).unwrap();
+    let first = Region::new(&[0, 0, 0, 0], &CHUNK);
+    let (_, stats) = reader.read_region_with_stats(&first).unwrap();
+    assert_eq!(stats.chunks_prefetched, n - 1);
+    let last = Region::new(&[2, 16, 16, 16], &CHUNK);
+    let (_, stats) = reader.read_region_with_stats(&last).unwrap();
+    assert_eq!((stats.chunks_touched, stats.chunks_prefetched), (1, 0));
+}

@@ -360,7 +360,6 @@ const COMMANDS: &[Command] = &[
             CACHE_MB,
             THREADS,
             PREFETCH,
-            ("--test-ops", None),
             BACKEND,
         ],
         run: cmd_serve,
@@ -805,7 +804,6 @@ fn cmd_query(args: &Args) -> CliResult {
 /// `serving ... on <addr>` line so scripts (and the CI job) can target
 /// an ephemeral port.
 fn cmd_serve(args: &Args) -> CliResult {
-    let test_ops = args.has("--test-ops");
     let [input] = args.positional()?;
     let addr = args.flag("--addr").unwrap_or("127.0.0.1:7979");
     let workers = args.count("--workers", 0)?;
@@ -826,7 +824,6 @@ fn cmd_serve(args: &Args) -> CliResult {
         workers,
         queue_depth,
         max_connections: max_conns,
-        test_ops,
         ..eblcio::daemon::DaemonConfig::default()
     };
     let daemon = eblcio::daemon::Daemon::start(reader, daemon_config, addr)
@@ -834,13 +831,12 @@ fn cmd_serve(args: &Args) -> CliResult {
     println!("serving {input} on {}", daemon.local_addr());
     println!(
         "  {dtype} {shape}, {n_chunks} chunks — workers {}, queue {queue_depth}, \
-         max {max_conns} connections, cache {cache_mb} MiB{}",
+         max {max_conns} connections, cache {cache_mb} MiB",
         if workers == 0 {
             "auto".to_string()
         } else {
             workers.to_string()
         },
-        if test_ops { ", test ops ON" } else { "" },
     );
     // Foreground server: runs until the process is killed. (The daemon
     // threads own all the work; this thread just keeps them alive.)
