@@ -23,14 +23,14 @@
 //! `QoZ = qoz+lz`, `ZFP = zfp`, `SZx = szx` — byte-compatible with the
 //! monolithic pipelines they replaced. Custom chains (`sz3+shuffle4+lz`,
 //! `szx+fpc4`, …) open the scenario space the ROADMAP asks for: swap the
-//! lossless backend or stack filters. A parameterized array stage
-//! (`Sz3::linear_only()`) joins its preset byte stages through
-//! [`CodecChain::around`].
+//! lossless backend or stack filters.
 //!
 //! A [`ChainSpec`] is the serializable description: it travels in the
 //! v2 `EBLC` stream header and in `EBCS` store manifests (which may hold
 //! a different chain per chunk), and parses from the CLI grammar
-//! `array[+byte…]` via [`ChainSpec::parse`].
+//! `array[+byte…]` via [`ChainSpec::parse`]. [`ChainSpec::build`] is the
+//! only way to make a [`CodecChain`], and array stages keep no
+//! settings, so the spec a header records names its whole decoder.
 
 use crate::codecs::{qoz::Qoz, sz2::Sz2, sz3::Sz3, szx::Szx, zfp::Zfp};
 use crate::error::{CodecError, Result};
@@ -137,8 +137,8 @@ impl ChainSpec {
     /// # Panics
     /// Panics if the spec holds more than [`MAX_BYTE_STAGES`] byte
     /// stages — such a spec cannot be decoded and must be rejected
-    /// where it is built ([`ChainSpec::build`], [`CodecChain::new`]),
-    /// not silently truncated onto the wire.
+    /// where it is built ([`ChainSpec::build`]), not silently truncated
+    /// onto the wire.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.array as u8);
         assert!(
@@ -169,8 +169,8 @@ impl ChainSpec {
         Ok(Self { array, bytes })
     }
 
-    /// Builds the chain this spec describes, its array stage at its
-    /// defaults.
+    /// Builds the chain this spec describes — the one way to make a
+    /// [`CodecChain`].
     pub fn build(&self) -> Result<CodecChain> {
         if self.bytes.len() > MAX_BYTE_STAGES {
             return Err(CodecError::InvalidChain {
@@ -178,10 +178,10 @@ impl ChainSpec {
             });
         }
         let array: Box<dyn ArrayStage> = match self.array {
-            CompressorId::Sz2 => Box::new(Sz2::default()),
-            CompressorId::Sz3 => Box::new(Sz3::default()),
-            CompressorId::Zfp => Box::new(Zfp::default()),
-            CompressorId::Qoz => Box::new(Qoz::default()),
+            CompressorId::Sz2 => Box::new(Sz2),
+            CompressorId::Sz3 => Box::new(Sz3),
+            CompressorId::Zfp => Box::new(Zfp),
+            CompressorId::Qoz => Box::new(Qoz),
             CompressorId::Szx => Box::new(Szx),
         };
         let bytes = self.bytes.iter().map(|&b| build_byte_stage(b)).collect();
@@ -253,34 +253,15 @@ pub struct CodecChain {
 }
 
 impl CodecChain {
-    /// Assembles a chain from parts; the spec is derived from them.
-    ///
-    /// # Panics
-    /// Panics if more than [`MAX_BYTE_STAGES`] byte stages are given
-    /// (the resulting spec could not travel in a stream header).
-    pub fn new(array: Box<dyn ArrayStage>, bytes: Vec<Box<dyn ByteStage>>) -> Self {
-        assert!(
-            bytes.len() <= MAX_BYTE_STAGES,
-            "a chain holds at most {MAX_BYTE_STAGES} byte stages"
-        );
+    /// Assembles a chain from the parts [`ChainSpec::build`] made; the
+    /// spec is derived from them.
+    fn new(array: Box<dyn ArrayStage>, bytes: Vec<Box<dyn ByteStage>>) -> Self {
         let spec = ChainSpec {
             array: array.id(),
             bytes: bytes.iter().map(|b| b.spec()).collect(),
         };
         let metrics = ChainMetrics::for_spec(&spec);
         Self { spec, array, bytes, metrics }
-    }
-
-    /// Wraps an array stage in its preset byte stages — how the five
-    /// paper codecs reassemble their historical pipelines around a
-    /// (possibly parameterized) stage instance.
-    pub fn around(array: Box<dyn ArrayStage>) -> Self {
-        let bytes = ChainSpec::preset(array.id())
-            .bytes
-            .into_iter()
-            .map(build_byte_stage)
-            .collect();
-        Self::new(array, bytes)
     }
 
     /// The serializable description of this chain.
@@ -519,19 +500,6 @@ mod tests {
             }
             other => panic!("expected ChainMismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn parameterized_stage_keeps_the_preset_spec() {
-        let spec = ChainSpec::preset(CompressorId::Sz3);
-        let linear = CodecChain::around(Box::new(Sz3::linear_only()));
-        assert_eq!(linear.spec(), &spec);
-        // Streams from the parameterized stage decode through the
-        // default build: the stage parameterization is self-describing.
-        let data = field();
-        let stream = compress(&linear, &data, ErrorBound::Relative(1e-3)).unwrap();
-        let back = decompress::<f32>(&spec.build().unwrap(), &stream).unwrap();
-        assert!(max_rel_error(&data, &back) <= 1e-3 * 1.0000001);
     }
 
     #[test]

@@ -207,17 +207,17 @@ impl<'a> OutlierReader<'a> {
 }
 
 /// Iterates a shape in fixed-size blocks (clipped at the upper edges),
-/// invoking `f(base_index, block_dims)` in raster order of the block grid.
+/// invoking `f(base_index, block_extent)` in raster order of the block grid.
 pub fn for_each_block(
     shape: Shape,
-    block_dims: &[usize],
+    edge: &[usize],
     mut f: impl FnMut(&[usize], &[usize]),
 ) {
     let rank = shape.rank();
-    debug_assert_eq!(block_dims.len(), rank);
+    debug_assert_eq!(edge.len(), rank);
     let mut counts = [1usize; 4];
     for d in 0..rank {
-        counts[d] = shape.dim(d).div_ceil(block_dims[d]);
+        counts[d] = shape.dim(d).div_ceil(edge[d]);
     }
     let total: usize = counts[..rank].iter().product();
     let mut bidx = [0usize; 4];
@@ -225,8 +225,8 @@ pub fn for_each_block(
         let mut base = [0usize; 4];
         let mut dims = [0usize; 4];
         for d in 0..rank {
-            base[d] = bidx[d] * block_dims[d];
-            dims[d] = block_dims[d].min(shape.dim(d) - base[d]);
+            base[d] = bidx[d] * edge[d];
+            dims[d] = edge[d].min(shape.dim(d) - base[d]);
         }
         f(&base[..rank], &dims[..rank]);
         for d in (0..rank).rev() {

@@ -15,8 +15,11 @@
 //! (`codecs::reference`) are test-only code. The recorded inputs are
 //! pinned separately, by `tests/decode_golden.rs`.
 
+use super::common::SzPayload;
 use super::reference::decompress_reference;
+use crate::header::{read_stream, write_stream};
 use crate::stage::{decode_array_region, encode_array};
+use crate::util::ByteReader;
 use crate::{
     compress, decompress, decompress_region, with_scratch, ArrayStage, ChainSpec, CodecError,
     CompressorId, ErrorBound, Qoz, Sz2, Sz3, Szx, Zfp,
@@ -325,10 +328,10 @@ fn damaged_payloads_give_region_decodes_a_typed_error() {
     let (origin, extent) = ([1usize, 2, 3, 1], [1usize, 5, 6, 4]);
     let single = adversarial_field(shape, 31);
     let stages: [Box<dyn ArrayStage>; 5] = [
-        Box::new(Sz2::default()),
-        Box::new(Sz3::default()),
-        Box::new(Qoz::default()),
-        Box::new(Zfp::default()),
+        Box::new(Sz2),
+        Box::new(Sz3),
+        Box::new(Qoz),
+        Box::new(Zfp),
         Box::new(Szx),
     ];
     for stage in &stages {
@@ -412,5 +415,128 @@ fn region_decode_rejects_out_of_bounds_and_rank_mismatch() {
             matches!(r, Err(CodecError::BadRegion { .. })),
             "origin {origin:?} extent {extent:?} must be rejected"
         );
+    }
+}
+
+/// `stream`, an SZ2 stream, with the blocks `lorenzo` picks switched to
+/// Lorenzo prediction: their mode bits cleared and their regression
+/// coefficients dropped from the side channel, the LZ stage redone and
+/// the stream re-sealed. The codes stay as the encoder wrote them, so
+/// the decoder takes its Lorenzo path on blocks the encoder scored for
+/// regression.
+fn force_lorenzo(stream: &[u8], rank: usize, mut lorenzo: impl FnMut(usize) -> bool) -> Vec<u8> {
+    let (header, payload) = read_stream(stream).unwrap();
+    let mut p = SzPayload::decode(payload).unwrap();
+    let mut r = ByteReader::new(&p.extra);
+    let n_blocks = r.varint("sz2 block count").unwrap() as usize;
+    let bits_at = r.position();
+    let coefs_at = bits_at + n_blocks.div_ceil(8);
+    let coef_len = 4 * (rank + 1);
+    let mut extra = p.extra[..coefs_at].to_vec();
+    let mut coefs = p.extra[coefs_at..].chunks_exact(coef_len);
+    for b in 0..n_blocks {
+        let bit = 0x80 >> (b % 8);
+        if extra[bits_at + b / 8] & bit == 0 {
+            continue;
+        }
+        let coef = coefs.next().unwrap();
+        if lorenzo(b) {
+            extra[bits_at + b / 8] &= !bit;
+        } else {
+            extra.extend_from_slice(coef);
+        }
+    }
+    assert!(coefs.next().is_none() && coefs.remainder().is_empty());
+    p.extra = extra;
+    write_stream(&header, &p.encode())
+}
+
+/// Decodes a forced-Lorenzo SZ2 stream whole through the fast and the
+/// reference decoder, and the box through the fast region decode over a
+/// poisoned plane: the same bits, or the same typed error. Returns
+/// whether it decoded.
+fn check_forced<T: Element>(stream: &[u8], origin: &[usize], extent: &[usize]) -> bool {
+    let codec = CompressorId::Sz2.instance();
+    let slow = decompress_reference::<T>(stream);
+    let fast = decompress::<T>(codec.as_ref(), stream);
+    let slow = match (slow, fast) {
+        (Ok(slow), Ok(fast)) => {
+            for (i, (a, b)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{} {} fast != reference at {i}", T::NAME, slow.shape());
+            }
+            slow
+        }
+        (Err(slow), Err(fast)) => {
+            assert_eq!(fast, slow);
+            return false;
+        }
+        (slow, fast) => panic!("reference {:?}, fast {:?}", slow.err(), fast.err()),
+    };
+    poison_plane(slow.len());
+    let part = decompress_region::<T>(codec.as_ref(), stream, origin, extent).unwrap().unwrap();
+    let mut at = vec![0usize; extent.len()];
+    for (i, got) in part.as_slice().iter().enumerate() {
+        let mut rest = i;
+        for d in (0..extent.len()).rev() {
+            at[d] = origin[d] + rest % extent[d];
+            rest /= extent[d];
+        }
+        assert_eq!(got.to_bits(), slow.get(&at).to_bits(), "{} box {origin:?}+{extent:?} at {at:?}", T::NAME);
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// SZ2's Lorenzo decode path, forced: the encoder scores each block's
+    /// Lorenzo prediction with the stencil the decoder uses, so a broken
+    /// stencil would only make the encoder pick regression, and the
+    /// drawn-input tests above would never reach it. Here every block
+    /// (or a drawn subset of them) is rewritten to Lorenzo after the
+    /// encode, and the fast decoder must still match the reference
+    /// decoder bit for bit, whole and by box, at ranks 1–4 with lengths
+    /// off every block edge, in both precisions. Streams that force every
+    /// block must decode.
+    #[test]
+    fn forced_lorenzo_blocks_decode_as_the_reference_does(
+        rank in 1usize..5,
+        picks in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+        o_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        e_frac in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        every_block in any::<bool>(),
+        smooth in any::<bool>(),
+        double in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let picks = [picks.0, picks.1, picks.2, picks.3];
+        let o_frac = [o_frac.0, o_frac.1, o_frac.2, o_frac.3];
+        let e_frac = [e_frac.0, e_frac.1, e_frac.2, e_frac.3];
+        let dims: Vec<usize> = (0..rank).map(|d| DIMS[rank - 1][picks[d]]).collect();
+        let mut origin = vec![0usize; rank];
+        let mut extent = dims.clone();
+        for d in 0..rank {
+            origin[d] = ((dims[d] as f64 * o_frac[d]) as usize).min(dims[d] - 1);
+            let room = dims[d] - origin[d];
+            extent[d] = ((room as f64 * e_frac[d]) as usize).clamp(1, room);
+        }
+        let shape = Shape::new(&dims);
+        let single = if smooth { smooth_field(shape, seed) } else { adversarial_field(shape, seed) };
+        let codec = CompressorId::Sz2.instance();
+        let mut x = seed | 1;
+        let mut pick = |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            every_block || x & 1 == 1
+        };
+        let decoded = if double {
+            let stream = compress(codec.as_ref(), &widen(&single), ErrorBound::Relative(1e-3)).unwrap();
+            check_forced::<f64>(&force_lorenzo(&stream, rank, &mut pick), &origin, &extent)
+        } else {
+            let stream = compress(codec.as_ref(), &single, ErrorBound::Relative(1e-3)).unwrap();
+            check_forced::<f32>(&force_lorenzo(&stream, rank, &mut pick), &origin, &extent)
+        };
+        prop_assert!(decoded || !every_block, "an all-Lorenzo stream failed to decode");
     }
 }

@@ -47,13 +47,11 @@ macro_rules! impl_stage_codec {
 }
 pub(crate) use impl_stage_codec;
 
-/// A stage instance inside its preset chain, for unit tests that drive
-/// a (possibly parameterized) stage through the [`Compressor`] surface.
+/// The preset chain of `id`, for unit tests that drive a stage through
+/// the [`Compressor`] surface.
 ///
 /// [`Compressor`]: crate::traits::Compressor
 #[cfg(test)]
-pub(crate) fn chain_around(
-    stage: impl crate::stage::ArrayStage + 'static,
-) -> crate::chain::CodecChain {
-    crate::chain::CodecChain::around(Box::new(stage))
+pub(crate) fn preset(id: crate::traits::CompressorId) -> crate::chain::CodecChain {
+    crate::chain::ChainSpec::preset(id).build().expect("every preset builds")
 }

@@ -24,14 +24,10 @@ use eblcio_data::{ArrayView, DatasetView, Element, NdArray, Shape};
 /// Quantization code radius (SZ default: 2^15 bins each side).
 pub(super) const RADIUS: u32 = 32768;
 
-/// The SZ2 compressor. Non-exhaustive: other crates start from
-/// `Sz2::default()` and set the fields they need.
+/// The SZ2 compressor, on SZ2's per-rank block edges
+/// ([`sz_block_dims`]), which the stream does not record.
 #[derive(Clone, Debug, Default)]
-#[non_exhaustive]
-pub struct Sz2 {
-    /// Per-rank block edge override; `None` uses SZ2's defaults.
-    pub block_dims: Option<[usize; 4]>,
-}
+pub struct Sz2;
 
 impl Sz2 {
     /// Array-stage encode: hybrid block prediction at an already
@@ -65,7 +61,7 @@ impl Sz2 {
         let rank = shape.rank();
         let pad = 4 - rank;
         let quant = LinearQuantizer::new(abs, RADIUS);
-        let block_dims = self.block_dims.unwrap_or_else(|| sz_block_dims(rank));
+        let block_dims = sz_block_dims(rank);
         let n = shape.len();
 
         let CodecScratch { codes, recon, raw, block, outliers, huff_enc, .. } = scratch;
@@ -208,7 +204,7 @@ impl Sz2 {
     ) -> Result<NdArray<T>> {
         let rank = shape.rank();
         let pad = 4 - rank;
-        let block_dims = self.block_dims.unwrap_or_else(|| sz_block_dims(rank));
+        let block_dims = sz_block_dims(rank);
         let modes = Modes::parse(extra)?;
         let n = shape.len();
         if codes.len() != n {
@@ -494,7 +490,7 @@ impl_stage_codec!(Sz2, CompressorId::Sz2);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codecs::chain_around;
+    use crate::codecs::preset;
     use crate::traits::{compress, decompress, ErrorBound};
     use eblcio_data::{max_rel_error, psnr};
 
@@ -509,7 +505,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound_2d() {
         let data = smooth_2d(50, 60);
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         for eps in [1e-1, 1e-2, 1e-3, 1e-4] {
             let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
             let back = decompress::<f32>(&c, &stream).unwrap();
@@ -524,7 +520,7 @@ mod tests {
 
     #[test]
     fn roundtrip_1d_3d_4d() {
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         let d1 = NdArray::<f64>::from_fn(Shape::d1(500), |i| (i[0] as f64 * 0.01).sin());
         let d3 = NdArray::<f32>::from_fn(Shape::d3(17, 19, 23), |i| {
             (i[0] + i[1] * 2 + i[2]) as f32
@@ -543,7 +539,7 @@ mod tests {
     #[test]
     fn smooth_data_compresses_well() {
         let data = smooth_2d(100, 100);
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-2)).unwrap();
         let cr = data.nbytes() as f64 / stream.len() as f64;
         assert!(cr > 4.0, "CR {cr}");
@@ -552,7 +548,7 @@ mod tests {
     #[test]
     fn tighter_bound_larger_stream_higher_psnr() {
         let data = smooth_2d(64, 64);
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         let loose = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
         let tight = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
         assert!(tight.len() > loose.len());
@@ -564,7 +560,7 @@ mod tests {
     #[test]
     fn constant_data_is_tiny_and_exact() {
         let data = NdArray::<f32>::from_vec(Shape::d2(32, 32), vec![3.25; 1024]);
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
@@ -575,7 +571,7 @@ mod tests {
     fn nan_input_rejected() {
         let mut data = NdArray::<f32>::zeros(Shape::d1(10));
         data.as_mut_slice()[5] = f32::NAN;
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         assert_eq!(
             compress(&c, &data, ErrorBound::Relative(1e-3)),
             Err(CodecError::NonFiniteInput)
@@ -585,15 +581,15 @@ mod tests {
     #[test]
     fn wrong_codec_stream_rejected() {
         let data = smooth_2d(8, 8);
-        let sz3 = chain_around(crate::codecs::sz3::Sz3::default());
+        let sz3 = preset(CompressorId::Sz3);
         let stream = compress(&sz3, &data, ErrorBound::Relative(1e-3)).unwrap();
-        assert!(decompress::<f32>(&chain_around(Sz2::default()), &stream).is_err());
+        assert!(decompress::<f32>(&preset(CompressorId::Sz2), &stream).is_err());
     }
 
     #[test]
     fn dtype_mismatch_rejected() {
         let data = smooth_2d(8, 8);
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         assert!(matches!(
             decompress::<f64>(&c, &stream),
@@ -604,7 +600,7 @@ mod tests {
     #[test]
     fn truncated_stream_rejected() {
         let data = smooth_2d(16, 16);
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         for cut in [0, 5, stream.len() / 2, stream.len() - 1] {
             assert!(decompress::<f32>(&c, &stream[..cut]).is_err(), "cut {cut}");
@@ -614,7 +610,7 @@ mod tests {
     #[test]
     fn absolute_bound_honoured() {
         let data = smooth_2d(40, 40);
-        let c = chain_around(Sz2::default());
+        let c = preset(CompressorId::Sz2);
         let stream = compress(&c, &data, ErrorBound::Absolute(0.5)).unwrap();
         let back = decompress::<f32>(&c, &stream).unwrap();
         let max_err = data

@@ -21,27 +21,10 @@ use eblcio_data::{ArrayView, Element, NdArray, Shape};
 /// Quantization code radius (same default as SZ2).
 pub(crate) const RADIUS: u32 = 32768;
 
-/// The SZ3 compressor.
-#[derive(Clone, Debug)]
-pub struct Sz3 {
-    /// Use cubic spline stencils where four neighbours exist (SZ3's
-    /// "dynamic spline"); `false` degrades every stencil to linear —
-    /// the `ablation_predictors` bench quantifies what cubic buys.
-    pub cubic: bool,
-}
-
-impl Default for Sz3 {
-    fn default() -> Self {
-        Self { cubic: true }
-    }
-}
-
-impl Sz3 {
-    /// Linear-interpolation-only variant (ablation).
-    pub fn linear_only() -> Self {
-        Self { cubic: false }
-    }
-}
+/// The SZ3 compressor: cubic spline stencils where four neighbours
+/// exist (SZ3's "dynamic spline"), linear at the boundaries.
+#[derive(Clone, Debug, Default)]
+pub struct Sz3;
 
 /// One lattice the pass visits — the anchors, or the targets of one
 /// level/axis step: along axis `d` its samples sit at
@@ -284,23 +267,6 @@ pub(crate) fn interp_encode_with<T: Element>(
     // The encode side of the pass cannot fail.
     let _ = interp_pass(shape, &whole, anchor_abs, level_abs, cubic, recon, &mut coder);
     debug_assert_eq!(coder.sink.coded(), n, "the pass codes every sample once");
-}
-
-/// Mirror of [`interp_encode_with`] on the thread's arena plane (a
-/// whole decode).
-pub(crate) fn interp_decode<T: Element>(
-    shape: Shape,
-    codes: &[u32],
-    outlier_bytes: &[u8],
-    anchor_abs: f64,
-    level_abs: impl Fn(u32) -> f64,
-    cubic: bool,
-) -> Result<NdArray<T>> {
-    let whole = OutBox::whole(shape);
-    with_scratch(|s| {
-        let recon = &mut s.recon;
-        interp_decode_with(shape, &whole, codes, outlier_bytes, anchor_abs, level_abs, cubic, recon)
-    })
 }
 
 /// Decodes `boxed` (the whole array, or a region of it) with a
@@ -602,10 +568,9 @@ impl Sz3 {
         abs: f64,
     ) -> Result<(Vec<u8>, f64)> {
         with_scratch(|s| {
-            interp_encode_with(data, abs, |_| abs, self.cubic, s);
+            interp_encode_with(data, abs, |_| abs, true, s);
             let CodecScratch { codes, outliers, huff_enc, .. } = s;
-            let payload = encode_inner(&[u8::from(self.cubic)], outliers, codes, huff_enc);
-            Ok((payload, abs))
+            Ok((encode_inner(&[1], outliers, codes, huff_enc), abs))
         })
     }
 
@@ -637,7 +602,9 @@ impl Sz3 {
         })
     }
 
-    /// Validates and unpacks the one-byte `cubic` side info.
+    /// Validates and unpacks the one-byte `cubic` side info: 1 for the
+    /// streams [`Self::encode_impl`] writes, 0 for linear-only streams,
+    /// which an earlier encoder wrote and the decoder still reads.
     pub(super) fn parse_extra(extra: &[u8]) -> Result<bool> {
         match extra {
             [flag @ (0 | 1)] => Ok(*flag == 1),
@@ -651,7 +618,7 @@ impl_stage_codec!(Sz3, CompressorId::Sz3);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codecs::chain_around;
+    use crate::codecs::preset;
     use crate::traits::{compress, decompress, ErrorBound};
     use eblcio_data::{max_rel_error, psnr};
 
@@ -667,7 +634,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = smooth_3d(24);
-        let c = chain_around(Sz3::default());
+        let c = preset(CompressorId::Sz3);
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
             let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
             let back = decompress::<f32>(&c, &stream).unwrap();
@@ -678,7 +645,7 @@ mod tests {
 
     #[test]
     fn roundtrip_awkward_shapes() {
-        let c = chain_around(Sz3::default());
+        let c = preset(CompressorId::Sz3);
         for shape in [
             Shape::d1(1),
             Shape::d1(3),
@@ -705,8 +672,8 @@ mod tests {
         // The paper's Table III behaviour: interpolation wins at loose ε.
         let data = smooth_3d(32);
         let rel = ErrorBound::Relative(1e-2);
-        let sz3 = compress(&chain_around(Sz3::default()), &data, rel).unwrap();
-        let sz2 = compress(&chain_around(crate::codecs::sz2::Sz2::default()), &data, rel).unwrap();
+        let sz3 = compress(&preset(CompressorId::Sz3), &data, rel).unwrap();
+        let sz2 = compress(&preset(CompressorId::Sz2), &data, rel).unwrap();
         assert!(
             sz3.len() < sz2.len(),
             "SZ3 {} bytes vs SZ2 {} bytes",
@@ -718,7 +685,7 @@ mod tests {
     #[test]
     fn psnr_scales_with_bound() {
         let data = smooth_3d(20);
-        let c = chain_around(Sz3::default());
+        let c = preset(CompressorId::Sz3);
         let mut last_psnr = 0.0;
         for eps in [1e-1, 1e-2, 1e-3] {
             let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
@@ -739,7 +706,7 @@ mod tests {
             x ^= x << 17;
             (x % 1000) as f32
         });
-        let c = chain_around(Sz3::default());
+        let c = preset(CompressorId::Sz3);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
         let back = decompress::<f32>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
@@ -748,7 +715,7 @@ mod tests {
     #[test]
     fn single_sample() {
         let data = NdArray::<f32>::from_vec(Shape::d1(1), vec![42.0]);
-        let c = chain_around(Sz3::default());
+        let c = preset(CompressorId::Sz3);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), &[42.0]);
@@ -757,30 +724,35 @@ mod tests {
     #[test]
     fn cubic_beats_linear_on_smooth_data() {
         // The ablation EXPERIMENTS.md ("Substitutions") calls out: cubic
-        // stencils buy CR on smooth fields, and the linear variant still
-        // honours the bound.
+        // stencils buy CR on smooth fields, and the linear schedule still
+        // honours the bound. No chain writes linear streams any more, so
+        // the payloads come from the fused pass itself; the decoder
+        // reads the flag byte either way.
         let data = smooth_3d(24);
-        let cubic = compress(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-3))
-            .unwrap();
-        let linear_codec = chain_around(Sz3::linear_only());
-        let linear = compress(&linear_codec, &data, ErrorBound::Relative(1e-3)).unwrap();
+        let abs = 1e-3 * data.value_range();
+        let payload = |cubic: bool| {
+            let inner = with_scratch(|s| {
+                interp_encode_with(data.view(), abs, |_| abs, cubic, s);
+                encode_inner(&[u8::from(cubic)], &s.outliers, &s.codes, &mut s.huff_enc)
+            });
+            crate::lz::compress(&inner)
+        };
+        let (cubic, linear) = (payload(true), payload(false));
         assert!(
             cubic.len() < linear.len(),
             "cubic {} vs linear {}",
             cubic.len(),
             linear.len()
         );
-        let back = decompress::<f32>(&linear_codec, &linear).unwrap();
+        let inner = crate::lz::decompress(&linear).unwrap();
+        let back = crate::stage::decode_array::<f32>(&Sz3, &inner, data.shape(), abs).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-3 * 1.0000001);
-        // Streams are self-describing: the default decoder handles both.
-        let back2 = decompress::<f32>(&chain_around(Sz3::default()), &linear).unwrap();
-        assert_eq!(back.as_slice(), back2.as_slice());
     }
 
     #[test]
     fn corrupted_payload_detected() {
         let data = smooth_3d(8);
-        let c = chain_around(Sz3::default());
+        let c = preset(CompressorId::Sz3);
         let mut stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let n = stream.len();
         stream[n - 1] ^= 0xff;

@@ -455,7 +455,7 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codecs::chain_around;
+    use crate::codecs::preset;
     use crate::traits::{compress, decompress, decompress_region, ErrorBound};
     use eblcio_data::max_rel_error;
     use proptest::prelude::*;
@@ -730,7 +730,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = wavy(10_000);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
             let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
             let back = decompress::<f32>(&c, &stream).unwrap();
@@ -741,7 +741,7 @@ mod tests {
     #[test]
     fn constant_blocks_collapse() {
         let data = NdArray::<f32>::from_vec(Shape::d1(4096), vec![7.5; 4096]);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         // 32 blocks × (1 + 4) bytes + framing.
         assert!(stream.len() < 300, "{} bytes", stream.len());
@@ -752,7 +752,7 @@ mod tests {
     fn cr_is_moderate_but_nonzero_on_smooth_data() {
         // SZx's signature: modest CR even where SZ3 gets huge ratios.
         let data = wavy(100_000);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let cr = data.nbytes() as f64 / stream.len() as f64;
         assert!(cr > 2.0 && cr < 64.0, "CR {cr}");
@@ -761,7 +761,7 @@ mod tests {
     #[test]
     fn faster_looser_bounds_give_smaller_streams() {
         let data = wavy(50_000);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let loose = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
         let tight = compress(&c, &data, ErrorBound::Relative(1e-5)).unwrap();
         assert!(loose.len() < tight.len());
@@ -770,7 +770,7 @@ mod tests {
     #[test]
     fn partial_final_block() {
         let data = wavy(BLOCK + 17);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.len(), data.len());
@@ -782,7 +782,7 @@ mod tests {
         let data = NdArray::<f64>::from_fn(Shape::d2(100, 100), |i| {
             (i[0] as f64).mul_add(1e-3, (i[1] as f64) * 2e-3).exp()
         });
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
         let back = decompress::<f64>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
@@ -795,7 +795,7 @@ mod tests {
         v[0] = 1e300;
         v[255] = -1e300;
         let data = NdArray::from_vec(Shape::d1(256), v);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Absolute(1e-280)).unwrap();
         let back = decompress::<f64>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
@@ -804,7 +804,7 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let data = wavy(1000);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         for cut in [10, stream.len() / 2, stream.len() - 1] {
             assert!(decompress::<f32>(&c, &stream[..cut]).is_err());
@@ -825,7 +825,7 @@ mod tests {
                 ((flat as f64) * 0.01).sin() * 50.0
             }
         });
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Absolute(1e-3)).unwrap();
         let full = decompress::<f64>(&c, &stream).unwrap();
         for (origin, extent) in [
@@ -851,7 +851,7 @@ mod tests {
     #[test]
     fn region_decode_rejects_bad_regions() {
         let data = wavy(500);
-        let c = chain_around(Szx);
+        let c = preset(CompressorId::Szx);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         assert!(decompress_region::<f32>(&c, &stream, &[0, 0], &[1, 1]).is_err());
         assert!(decompress_region::<f32>(&c, &stream, &[0], &[501]).is_err());

@@ -4,8 +4,9 @@
 //! Each 4^d block is aligned to a per-block common exponent as
 //! fixed-point integers, decorrelated with the lifted ZFP transform,
 //! reordered by total sequency, mapped to negabinary, and bitplane-coded
-//! MSB-first (see [`crate::transform`]). In fixed-accuracy mode the
-//! encoder keeps exactly as many bitplanes as the error bound requires —
+//! MSB-first (see [`crate::transform`]). In ZFP's fixed-accuracy mode,
+//! the one this port writes, the encoder keeps exactly as many
+//! bitplanes as the error bound requires —
 //! and, in this implementation, *verifies* each block against the bound
 //! on the decoder's own integer path, escalating planes (or falling back
 //! to verbatim storage) so the EBLC guarantee is strict. A verification
@@ -68,41 +69,14 @@ const MODE_INDEX: u64 = 3;
 /// (1 %), so no stream's compression ratio drops by more than that.
 const INDEX_COST_DIVISOR: usize = 100;
 
-/// ZFP operating modes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ZfpMode {
-    /// Error-bounded: keep exactly as many bitplanes as the bound
-    /// requires, verified per block (the EBLC mode the paper sweeps).
-    #[default]
-    FixedAccuracy,
-    /// ZFP's fixed-precision mode: a constant number of bitplanes per
-    /// block. No error-bound guarantee — the achieved maximum error is
-    /// recorded in the stream header instead. Its payloads have the
-    /// same layout, row index and all, as fixed accuracy's. No preset
-    /// chain, figure or benchmark workload selects it; it is kept
-    /// because its streams are a pinned format (the `zfp-prec20` rows of
-    /// `encode_golden.rs` and `decode_golden.rs`).
-    FixedPrecision(u32),
-}
-
-/// The ZFP compressor.
+/// The ZFP compressor, in ZFP's fixed-accuracy mode: every block keeps
+/// exactly as many bitplanes as the bound requires, verified per block
+/// (the EBLC mode the paper sweeps).
 #[derive(Clone, Debug, Default)]
-pub struct Zfp {
-    /// Operating mode (default: fixed accuracy).
-    pub mode: ZfpMode,
-}
+pub struct Zfp;
 
 impl Zfp {
-    /// Fixed-precision instance with `planes` bitplanes per block.
-    pub fn with_fixed_precision(planes: u32) -> Self {
-        Self {
-            mode: ZfpMode::FixedPrecision(planes.clamp(1, TOTAL_BITS)),
-        }
-    }
-
-    /// Array-stage encode in the configured mode, at an already
-    /// resolved absolute bound. Fixed-precision streams return the
-    /// *achieved* maximum error for the header instead of the bound.
+    /// Array-stage encode at an already resolved absolute bound.
     ///
     /// All per-block state lives in fixed-size stack buffers reused
     /// across blocks and verification retries. The bitstream gets the
@@ -117,13 +91,6 @@ impl Zfp {
         let n_block = BLOCK_EDGE.pow(rank as u32);
         let mut bw = BitWriter::with_capacity(data.nbytes() / 4);
         let block_dims = [BLOCK_EDGE; 4];
-        let fixed_planes = match self.mode {
-            ZfpMode::FixedAccuracy => None,
-            ZfpMode::FixedPrecision(p) => Some(p.clamp(1, TOTAL_BITS)),
-        };
-        // Achieved maximum error, recorded in the header for
-        // fixed-precision streams (no a-priori bound there).
-        let mut achieved_err = 0.0f64;
         let mut enc = BlockEncoder::new(data);
         // Where each block row starts in the bitstream.
         let mut row_starts = Vec::new();
@@ -133,15 +100,9 @@ impl Zfp {
                 row_starts.push(bw.bit_len());
             }
             let max_abs = enc.load(base, dims);
-            let zero_ok = if fixed_planes.is_some() {
-                max_abs == 0.0
-            } else {
-                max_abs <= abs
-            };
-            if zero_ok {
+            if max_abs <= abs {
                 // Zero block: reconstructing 0 keeps every sample within
                 // the bound (covers exact-zero blocks too).
-                achieved_err = achieved_err.max(max_abs);
                 bw.put_bits(MODE_ZERO, 2);
                 return;
             }
@@ -149,16 +110,7 @@ impl Zfp {
                 enc.put_raw(&mut bw);
                 return;
             };
-            let ok_planes = if let Some(p) = fixed_planes {
-                // Fixed precision: constant plane count, record the
-                // achieved error — the full maximum — instead of
-                // enforcing a bound.
-                achieved_err = achieved_err.max(enc.decoded_err(p, f64::INFINITY));
-                Some(p)
-            } else {
-                accuracy_planes(abs, scale, |p| enc.decoded_err(p, abs) <= abs)
-            };
-            match ok_planes {
+            match accuracy_planes(abs, scale, |p| enc.decoded_err(p, abs) <= abs) {
                 Some(p) => {
                     bw.put_bits(MODE_CODED, 2);
                     bw.put_bits((emax + 2048) as u64, 12);
@@ -171,17 +123,17 @@ impl Zfp {
             }
         });
 
-        // Fixed-precision streams record the error actually achieved.
-        let recorded = if fixed_planes.is_some() { achieved_err } else { abs };
         row_starts.push(bw.bit_len());
         let bits = bw.finish();
-        Ok((with_row_index(&row_starts, bits), recorded))
+        Ok((with_row_index(&row_starts, bits), abs))
     }
 
     /// Array-stage decode of the box `origin .. origin + extent`, mirror
     /// of [`Self::encode_impl`]. The block stream is self-describing
     /// (per-block exponents and plane counts), so the recorded bound is
-    /// not needed to reconstruct.
+    /// not needed to reconstruct — and a stream whose blocks all carry
+    /// one plane count, as ZFP's fixed-precision mode writes them,
+    /// decodes the same way (the `zfp-prec20` fixtures).
     pub fn decode_impl<T: Element>(
         &self,
         payload: &[u8],
@@ -744,7 +696,7 @@ impl_stage_codec!(Zfp, CompressorId::Zfp);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codecs::chain_around;
+    use crate::codecs::preset;
     use crate::traits::{compress, decompress, decompress_region, ErrorBound};
     use eblcio_data::{max_rel_error, Shape};
 
@@ -760,7 +712,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = smooth(16);
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
             let stream = compress(&c, &data, ErrorBound::Relative(eps)).unwrap();
             let back = decompress::<f32>(&c, &stream).unwrap();
@@ -771,7 +723,7 @@ mod tests {
 
     #[test]
     fn roundtrip_odd_shapes_all_ranks() {
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         for shape in [
             Shape::d1(1),
             Shape::d1(5),
@@ -796,7 +748,7 @@ mod tests {
     #[test]
     fn zero_field_is_tiny() {
         let data = NdArray::<f32>::zeros(Shape::d3(16, 16, 16));
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         let back = decompress::<f32>(&c, &stream).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
@@ -807,7 +759,7 @@ mod tests {
     #[test]
     fn compresses_smooth_data() {
         let data = smooth(16);
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-2)).unwrap();
         let cr = data.nbytes() as f64 / stream.len() as f64;
         assert!(cr > 3.0, "CR {cr}");
@@ -816,7 +768,7 @@ mod tests {
     #[test]
     fn cr_grows_with_looser_bounds() {
         let data = smooth(16);
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         let mut last = usize::MAX;
         for eps in [1e-5, 1e-3, 1e-1] {
             let len = compress(&c, &data, ErrorBound::Relative(eps)).unwrap()
@@ -837,7 +789,7 @@ mod tests {
                 1e6 * (i[1] as f64 + 1.0)
             }
         });
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
         let back = decompress::<f64>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
@@ -848,7 +800,7 @@ mod tests {
         let data = NdArray::<f32>::from_fn(Shape::d2(12, 12), |i| {
             -50.0 + (i[0] as f32) * 7.0 - (i[1] as f32) * 3.0
         });
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-4)).unwrap();
         let back = decompress::<f32>(&c, &stream).unwrap();
         assert!(max_rel_error(&data, &back) <= 1e-4 * 1.0000001);
@@ -857,46 +809,11 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let data = smooth(8);
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         let stream = compress(&c, &data, ErrorBound::Relative(1e-3)).unwrap();
         for cut in [6, 12, stream.len() - 1] {
             assert!(decompress::<f32>(&c, &stream[..cut.min(stream.len())]).is_err());
         }
-    }
-
-    #[test]
-    fn fixed_precision_quality_and_size_scale_with_planes() {
-        use eblcio_data::psnr;
-        let data = smooth(12);
-        let mut last_psnr = 0.0;
-        let mut last_len = 0usize;
-        for planes in [8u32, 16, 28, 40] {
-            let c = chain_around(Zfp::with_fixed_precision(planes));
-            // The bound argument is ignored for quality in this mode.
-            let stream = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
-            let back = decompress::<f32>(&c, &stream).unwrap();
-            let p = psnr(&data, &back);
-            assert!(p > last_psnr, "planes {planes}: {p} vs {last_psnr}");
-            assert!(stream.len() > last_len, "planes {planes}");
-            last_psnr = p;
-            last_len = stream.len();
-        }
-    }
-
-    #[test]
-    fn fixed_precision_header_records_achieved_error() {
-        let data = smooth(8);
-        let c = chain_around(Zfp::with_fixed_precision(20));
-        let stream = compress(&c, &data, ErrorBound::Relative(1e-1)).unwrap();
-        let (h, _) = crate::header::read_stream(&stream).unwrap();
-        let back = decompress::<f32>(&c, &stream).unwrap();
-        let actual = data
-            .as_slice()
-            .iter()
-            .zip(back.as_slice())
-            .map(|(a, b)| (a - b).abs() as f64)
-            .fold(0.0, f64::max);
-        assert!(actual <= h.abs_bound * 1.0000001, "{actual} vs {}", h.abs_bound);
     }
 
     #[test]
@@ -912,7 +829,7 @@ mod tests {
                 ((i[0] as f32) * 0.3).sin() + ((i[1] as f32) * 0.2).cos() * (i[2] as f32)
             }
         });
-        let c = chain_around(Zfp::default());
+        let c = preset(CompressorId::Zfp);
         let stream = compress(&c, &data, ErrorBound::Absolute(1e-2)).unwrap();
         let full = decompress::<f32>(&c, &stream).unwrap();
         for (origin, extent) in [
@@ -944,13 +861,24 @@ mod tests {
 
     #[test]
     fn fixed_precision_decoder_is_mode_agnostic() {
-        // Streams decode correctly regardless of the decoder's mode.
-        let data = smooth(8);
-        let enc = chain_around(Zfp::with_fixed_precision(24));
-        let stream = compress(&enc, &data, ErrorBound::Relative(1e-1)).unwrap();
-        let a = decompress::<f32>(&enc, &stream).unwrap();
-        let b = decompress::<f32>(&chain_around(Zfp::default()), &stream).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
+        // A fixed-precision stream (every coded block at 20 planes,
+        // written by an earlier encoder) decodes through the preset
+        // chain, and every box of it is the slice of the whole decode.
+        let c = preset(CompressorId::Zfp);
+        let stream = include_bytes!("../../tests/fixtures/zfp-prec20_f32.eblc");
+        let whole = decompress::<f32>(&c, stream).unwrap();
+        assert_eq!(whole.shape(), Shape::d3(20, 21, 22));
+        for (origin, extent) in [([0, 0, 0], [20, 21, 22]), ([3, 5, 7], [9, 4, 13]), ([19, 20, 21], [1, 1, 1])] {
+            let part = decompress_region::<f32>(&c, stream, &origin, &extent).unwrap().unwrap();
+            for (i, got) in part.as_slice().iter().enumerate() {
+                let at = [
+                    origin[0] + i / (extent[1] * extent[2]),
+                    origin[1] + i / extent[2] % extent[1],
+                    origin[2] + i % extent[2],
+                ];
+                assert_eq!(got.to_bits(), whole.get(&at).to_bits(), "{origin:?}+{extent:?} at {at:?}");
+            }
+        }
     }
 
     /// Shapes whose blocks collapse at each axis position — a `k = 0`
@@ -988,15 +916,11 @@ mod tests {
             let shape = Shape::new(dims);
             let data = collapsing_field::<T>(shape);
             let last: Vec<usize> = dims.iter().map(|&n| n - 1).collect();
-            for (c, bound) in [
-                (chain_around(Zfp::default()), ErrorBound::Absolute(1e-2)),
-                (chain_around(Zfp::default()), ErrorBound::Relative(1e-3)),
-                (chain_around(Zfp::with_fixed_precision(24)), ErrorBound::Relative(1e-1)),
-            ] {
+            let c = preset(CompressorId::Zfp);
+            for bound in [ErrorBound::Absolute(1e-2), ErrorBound::Relative(1e-3)] {
                 let what = format!("{shape} {} {bound:?}", T::NAME);
                 let stream = compress(&c, &data, bound).unwrap();
-                // Within the bound — for fixed precision, the achieved
-                // error the header records.
+                // Within the bound the header records.
                 let (h, _) = crate::header::read_stream(&stream).unwrap();
                 let whole = decompress::<T>(&c, &stream).unwrap();
                 for (a, b) in data.as_slice().iter().zip(whole.as_slice()) {

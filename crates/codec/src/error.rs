@@ -72,6 +72,16 @@ pub enum CodecError {
         /// Backend-specific description of the failure.
         detail: String,
     },
+    /// A thread pool wider than [`parallel::pool_for`] builds was asked
+    /// for.
+    ///
+    /// [`parallel::pool_for`]: crate::parallel::pool_for
+    TooManyThreads {
+        /// The width asked for.
+        threads: usize,
+        /// The widest pool built.
+        max: usize,
+    },
     /// An internal invariant did not hold — a bug in this workspace,
     /// not bad input data. Surfaced as a typed error instead of a
     /// panic so one broken request cannot take down a serve daemon
@@ -111,6 +121,9 @@ impl std::fmt::Display for CodecError {
             }
             CodecError::StorageIo { op, detail } => {
                 write!(f, "storage backend {op} failed: {detail}")
+            }
+            CodecError::TooManyThreads { threads, max } => {
+                write!(f, "{threads} threads asked for; a thread pool holds at most {max}")
             }
             CodecError::Internal { context } => {
                 write!(f, "internal invariant failed ({context}) — this is a bug")

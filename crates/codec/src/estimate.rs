@@ -74,8 +74,8 @@ pub fn estimate_cr<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codecs::chain_around;
-    use crate::codecs::{sz3::Sz3, szx::Szx};
+    use crate::codecs::preset;
+    use crate::traits::CompressorId;
     use crate::traits::compress;
     use eblcio_data::Shape;
 
@@ -91,8 +91,8 @@ mod tests {
     fn estimate_tracks_actual_cr() {
         let data = smooth(32);
         for (codec, tol) in [
-            (&chain_around(Sz3::default()), 0.6),
-            (&chain_around(Szx), 0.4),
+            (&preset(CompressorId::Sz3), 0.6),
+            (&preset(CompressorId::Szx), 0.4),
         ] {
             let actual = {
                 let s = compress(codec, &data, ErrorBound::Relative(1e-3)).unwrap();
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn sampling_is_much_cheaper_than_full() {
         let data = smooth(32);
-        let codec = chain_around(Sz3::default());
+        let codec = preset(CompressorId::Sz3);
         let est = estimate_cr(&codec, &data, ErrorBound::Relative(1e-3), 3, 2).unwrap();
         assert!(est.sampled_bytes < data.nbytes() / 4);
     }
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         let tiny = NdArray::<f32>::from_fn(Shape::d1(3), |i| i[0] as f32);
-        let codec = chain_around(Szx);
+        let codec = preset(CompressorId::Szx);
         let est = estimate_cr(&codec, &tiny, ErrorBound::Relative(1e-2), 10, 10).unwrap();
         assert!(est.cr > 0.0 && est.cr.is_finite());
         assert!(est.sampled_fraction <= 1.0 + 1e-9);
@@ -132,8 +132,8 @@ mod tests {
         // SZ3 should out-compress SZx on smooth data, in estimate as in
         // reality.
         let data = smooth(24);
-        let sz3 = estimate_cr(&chain_around(Sz3::default()), &data, ErrorBound::Relative(1e-2), 4, 3).unwrap();
-        let szx = estimate_cr(&chain_around(Szx), &data, ErrorBound::Relative(1e-2), 4, 3).unwrap();
+        let sz3 = estimate_cr(&preset(CompressorId::Sz3), &data, ErrorBound::Relative(1e-2), 4, 3).unwrap();
+        let szx = estimate_cr(&preset(CompressorId::Szx), &data, ErrorBound::Relative(1e-2), 4, 3).unwrap();
         assert!(sz3.cr > szx.cr, "sz3 {} vs szx {}", sz3.cr, szx.cr);
     }
 }

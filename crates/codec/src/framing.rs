@@ -69,9 +69,11 @@ pub fn put_abs_bound(out: &mut Vec<u8>, abs: f64) {
 }
 
 /// Reads an absolute bound. Encoders only ever record finite
-/// non-negative bounds (zero is legal for modes that report an achieved
-/// error of exactly zero); `require_positive` tightens that for
-/// containers whose writers resolve ε before writing.
+/// non-negative bounds. Zero is legal in `EBLC` headers: ZFP's
+/// fixed-precision streams, which an earlier encoder wrote, record the
+/// error they measured, and that can be exactly zero.
+/// `require_positive` tightens this for containers whose writers
+/// resolve ε before writing.
 pub fn read_abs_bound(r: &mut ByteReader<'_>, require_positive: bool) -> Result<f64> {
     let abs = r.f64("abs bound")?;
     let ok = abs.is_finite() && if require_positive { abs > 0.0 } else { abs >= 0.0 };

@@ -39,8 +39,9 @@ pub struct Header {
     pub dtype: u8,
     /// Original array shape.
     pub shape: Shape,
-    /// Absolute error bound the encoder enforced (or, for achieved-error
-    /// modes like ZFP fixed precision, measured).
+    /// Absolute error bound the encoder enforced. Streams of ZFP's
+    /// fixed-precision mode, which an earlier encoder wrote, record the
+    /// maximum error it measured instead.
     pub abs_bound: f64,
 }
 

@@ -6,15 +6,23 @@
 //! the new points from already-reconstructed neighbours along one axis at
 //! a time — cubic where four neighbours exist, linear at boundaries.
 //!
-//! This module provides the deterministic *walk* shared verbatim by the
-//! encoder and the decoder: the sequence of (target, interpolation
-//! sources) pairs, in a fixed order, such that every source is
-//! reconstructed before it is used and every non-anchor sample is visited
-//! exactly once.
+//! The encoder and the decoder run this schedule as one fused pass in
+//! `codecs::sz3`; this module holds the level count they share. The
+//! schedule as a sequence of (target, interpolation sources) tasks —
+//! every source reconstructed before it is used, every non-anchor sample
+//! visited exactly once — is `walk_reference`, test code that the
+//! frozen reference decoder walks.
 
 use eblcio_data::Shape;
 
+/// Number of interpolation levels for a shape: `⌈log2(max dim)⌉`.
+pub fn max_level(shape: Shape) -> u32 {
+    let m = shape.dims().iter().copied().max().unwrap_or(1);
+    usize::BITS - (m - 1).leading_zeros()
+}
+
 /// How one target sample is predicted from flat reconstruction offsets.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Interp {
     /// 4-point cubic midpoint interpolation: weights (−1, 9, 9, −1)/16.
@@ -25,6 +33,7 @@ pub enum Interp {
     Copy(usize),
 }
 
+#[cfg(test)]
 impl Interp {
     /// Evaluates the prediction against a reconstruction buffer.
     #[inline]
@@ -40,6 +49,7 @@ impl Interp {
 }
 
 /// One prediction task produced by the walk.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug)]
 pub struct Task {
     /// Flat offset of the sample being predicted.
@@ -51,14 +61,9 @@ pub struct Task {
     pub level: u32,
 }
 
-/// Number of interpolation levels for a shape: `⌈log2(max dim)⌉`.
-pub fn max_level(shape: Shape) -> u32 {
-    let m = shape.dims().iter().copied().max().unwrap_or(1);
-    usize::BITS - (m - 1).leading_zeros()
-}
-
 /// Flat offsets of the anchor lattice (all coordinates ≡ 0 mod 2^L), in
 /// raster order.
+#[cfg(test)]
 pub fn anchor_offsets(shape: Shape) -> Vec<usize> {
     let stride = 1usize << max_level(shape);
     let rank = shape.rank();
@@ -84,93 +89,10 @@ pub fn anchor_offsets(shape: Shape) -> Vec<usize> {
     out
 }
 
-/// Drives the full multi-level walk, invoking `visit` once per non-anchor
-/// sample in a deterministic order. See the module docs for the schedule.
-pub fn walk(shape: Shape, mut visit: impl FnMut(Task)) {
-    let rank = shape.rank();
-    let strides = shape.strides();
-    let levels = max_level(shape);
-
-    for level in (1..=levels).rev() {
-        let s = 1usize << level;
-        let h = s / 2;
-        for axis in 0..rank {
-            let dim_a = shape.dim(axis);
-            if h >= dim_a {
-                continue; // no interpolation targets along this axis
-            }
-            // Iterate the lattice of "other" coordinates: axes < axis at
-            // stride h, axes > axis at stride s, and the target axis at
-            // h, h+s, h+2s, …
-            let mut counts = [1usize; 4];
-            for (d, count) in counts.iter_mut().enumerate().take(rank) {
-                if d == axis {
-                    *count = (dim_a - h).div_ceil(s);
-                } else if d < axis {
-                    *count = shape.dim(d).div_ceil(h);
-                } else {
-                    *count = shape.dim(d).div_ceil(s);
-                }
-            }
-            // Flat-offset delta of one odometer tick per dim: the walk
-            // advances `off` by pure integer adds instead of recomputing
-            // a coordinate dot product for every task — the decode inner
-            // loop is then add/compare only, which keeps it pipelined.
-            let mut steps = [0usize; 4];
-            for (d, sp) in steps.iter_mut().enumerate().take(rank) {
-                *sp = if d < axis { h } else { s } * strides[d];
-            }
-            let total: usize = counts[..rank].iter().product();
-            let axis_stride = strides[axis];
-            let mut idx = [0usize; 4];
-            let mut off = h * axis_stride;
-            let mut t = h;
-            for _ in 0..total {
-                let pred = if t >= 3 * h && t + 3 * h < dim_a {
-                    Interp::Cubic([
-                        off - 3 * h * axis_stride,
-                        off - h * axis_stride,
-                        off + h * axis_stride,
-                        off + 3 * h * axis_stride,
-                    ])
-                } else if t + h < dim_a {
-                    Interp::Linear([off - h * axis_stride, off + h * axis_stride])
-                } else {
-                    Interp::Copy(off - h * axis_stride)
-                };
-                visit(Task {
-                    target: off,
-                    pred,
-                    level,
-                });
-                // Incremental odometer: adjust `off` (and the target-axis
-                // coordinate `t`) as digits tick and wrap.
-                for d in (0..rank).rev() {
-                    idx[d] += 1;
-                    if idx[d] < counts[d] {
-                        off += steps[d];
-                        if d == axis {
-                            t += s;
-                        }
-                        break;
-                    }
-                    idx[d] = 0;
-                    off -= steps[d] * (counts[d] - 1);
-                    if d == axis {
-                        t = h;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The frozen pre-optimization walk: recomputes every target offset as a
-/// coordinate dot product instead of ticking it incrementally. This is
-/// the walk the shipped decoder used before the hot-path pass, kept
-/// verbatim for the reference SZ3/QoZ decoder (`codecs::reference`) and
-/// as the oracle for [`walk`] — the two must emit identical task
-/// sequences.
+/// The frozen pre-optimization walk: every target offset recomputed as
+/// a coordinate dot product. This is the schedule the first shipped
+/// decoder ran, kept verbatim for the reference SZ3/QoZ decoder
+/// (`codecs::reference`).
 #[cfg(test)]
 pub(crate) fn walk_reference(shape: Shape, mut visit: impl FnMut(Task)) {
     let rank = shape.rank();
@@ -247,7 +169,7 @@ mod tests {
         }
         let n_anchor = anchor_offsets(shape).len();
         let mut order_ok = true;
-        walk(shape, |task| {
+        walk_reference(shape, |task| {
             // Every source must already be reconstructed.
             let srcs: &[usize] = match &task.pred {
                 Interp::Cubic(s) => s,
@@ -331,31 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_walk_matches_naive_recomputation() {
-        for shape in [
-            Shape::d1(1),
-            Shape::d1(2),
-            Shape::d1(7),
-            Shape::d1(129),
-            Shape::d2(5, 9),
-            Shape::d2(1, 17),
-            Shape::d2(16, 16),
-            Shape::d3(3, 5, 7),
-            Shape::d3(8, 8, 8),
-            Shape::d4(3, 4, 5, 2),
-        ] {
-            let mut want: Vec<(usize, Interp, u32)> = Vec::new();
-            walk_reference(shape, |t| want.push((t.target, t.pred, t.level)));
-            let mut got: Vec<(usize, Interp, u32)> = Vec::new();
-            walk(shape, |t| got.push((t.target, t.pred, t.level)));
-            assert_eq!(got, want, "walk diverged on {shape}");
-        }
-    }
-
-    #[test]
     fn walk_levels_are_descending() {
         let mut last = u32::MAX;
-        walk(Shape::d2(16, 16), |t| {
+        walk_reference(Shape::d2(16, 16), |t| {
             assert!(t.level <= last);
             last = t.level;
         });

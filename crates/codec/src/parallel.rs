@@ -8,6 +8,12 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+/// The widest pool [`pool_for`] builds. Building one starts all its
+/// helper threads at once and keeps them for the life of the process,
+/// so a width that only a typo or a hostile flag asks for is refused
+/// before any thread starts.
+const MAX_THREADS: usize = 1024;
+
 /// Reuses one rayon pool per thread count across calls — pool spin-up
 /// would otherwise dominate small-problem strong-scaling measurements.
 /// A cached pool is never dropped, so its `threads − 1` parked helper
@@ -20,8 +26,13 @@ use std::sync::{Arc, OnceLock};
 /// the way a poisoned `std::sync::Mutex` would.
 ///
 /// Public so other parallel consumers (the chunked store) share the
-/// same pools instead of spinning up competing ones.
+/// same pools instead of spinning up competing ones. A width above
+/// 1024 is a [`CodecError::TooManyThreads`]; `0` is the machine's
+/// parallelism.
 pub fn pool_for(threads: usize) -> Result<Arc<rayon::ThreadPool>> {
+    if threads > MAX_THREADS {
+        return Err(CodecError::TooManyThreads { threads, max: MAX_THREADS });
+    }
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
     let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
     let mut guard = pools.lock();

@@ -13,8 +13,7 @@
 //!
 //! Access goes through [`with_scratch`], which hands out the calling
 //! thread's arena. Re-entrant use (an outer borrow still live when an
-//! inner call wants the arena, e.g. QoZ's PSNR search decoding trial
-//! streams inside an encode) falls back to a fresh arena rather than
+//! inner call wants the arena) falls back to a fresh arena rather than
 //! panicking, so correctness never depends on borrow discipline —
 //! only steady-state speed does.
 //!

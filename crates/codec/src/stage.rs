@@ -10,11 +10,12 @@
 //! decode.
 //!
 //! The five paper codecs implement [`ArrayStage`] (their identity
-//! doubles as [`CompressorId`]) and become compressors by being wrapped
-//! in a chain ([`CodecChain::around`](crate::chain::CodecChain::around));
-//! byte stages are described by
-//! the serializable [`ByteStageSpec`] so a chain can be recorded in a
-//! stream header or a store manifest and rebuilt on the far side.
+//! doubles as [`CompressorId`]) as settings-free unit structs, and
+//! become compressors inside a chain that
+//! [`ChainSpec::build`](crate::chain::ChainSpec::build) makes; byte
+//! stages are described by the serializable [`ByteStageSpec`], so a
+//! chain can be recorded in a stream header or a store manifest and
+//! rebuilt on the far side.
 
 use crate::error::{CodecError, Result};
 use crate::header::typed;
@@ -29,11 +30,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// `encode` receives the absolute error bound already resolved against
 /// the global value range and returns the payload bytes together with
-/// the bound to *record* in the stream header — usually the input bound,
-/// but quality-targeting modes (QoZ PSNR search, ZFP fixed precision)
-/// record the bound they actually achieved. `decode` receives the
-/// recorded bound, the original shape and the dtype tag back from the
-/// header, plus the box to reconstruct.
+/// the bound to record in the stream header, which every stage returns
+/// as it was given. `decode` receives the recorded bound, the original
+/// shape and the dtype tag back from the header, plus the box to
+/// reconstruct.
 ///
 /// Object-safe: samples cross it dtype-erased. Generic callers use
 /// [`encode_array`] / [`decode_array`] / [`decode_array_region`].

@@ -130,8 +130,7 @@ impl ErrorBound {
 /// [`decompress`] / [`decompress_region`], which erase `T` on the way
 /// in and move the array back out on the way back. The only
 /// implementor is [`CodecChain`](crate::chain::CodecChain): build one
-/// with [`CompressorId::instance`], [`ChainSpec::build`] or
-/// [`CodecChain::around`](crate::chain::CodecChain::around).
+/// with [`CompressorId::instance`] or [`ChainSpec::build`].
 pub trait Compressor: Send + Sync {
     /// The serializable chain identity of this compressor — what stream
     /// headers and store manifests record so the far side can rebuild

@@ -11,12 +11,20 @@
 //! payloads gained their block-row index: the index moves no sample.
 //! On a mismatch the test prints the full table the current decoders
 //! produce.
+//!
+//! Three of its inputs are streams no current encoder writes — SZ3 with
+//! linear stencils only, ZFP at a fixed 20 bitplanes, QoZ after its
+//! PSNR search — checked in under `tests/fixtures/` as
+//! `<variant>_<dtype>.eblc` by the encoders that wrote them. Each
+//! decodes through the chain its own header names.
 
 mod golden_inputs;
 
-use eblcio_codec::{compress, decompress, decompress_region, huffman};
-use eblcio_data::{Element, Shape};
-use golden_inputs::{check_table, digest, huffman_inputs, inputs, Input};
+use eblcio_codec::header::read_stream;
+use eblcio_codec::{compress, decompress, decompress_region, huffman, Compressor};
+use eblcio_data::{Element, NdArray, Shape};
+use golden_inputs::{check_table, digest, huffman_inputs, inputs, Field, Input};
+use std::path::PathBuf;
 
 /// The box a multi-row input decodes besides the whole array: from a
 /// third of each axis, half its length (at least one sample).
@@ -26,30 +34,82 @@ fn golden_box(shape: Shape) -> (Vec<usize>, Vec<usize>) {
     (origin, extent)
 }
 
-fn decode_rows<T: Element>(input: &Input, rows: &mut Vec<(String, usize, u32)>) {
-    let label = format!("{}/{}", input.label, T::NAME);
-    let codec = input.codec.as_ref();
-    let data = input.field.generate::<T>(input.shape);
-    let stream = compress(codec, &data, input.bound).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let whole = decompress::<T>(codec, &stream).unwrap_or_else(|e| panic!("{label}: {e}"));
+fn decode_rows<T: Element>(
+    label: &str,
+    codec: &dyn Compressor,
+    stream: &[u8],
+    rows: &mut Vec<(String, usize, u32)>,
+) -> NdArray<T> {
+    let label = format!("{label}/{}", T::NAME);
+    let whole = decompress::<T>(codec, stream).unwrap_or_else(|e| panic!("{label}: {e}"));
     let (len, crc) = digest(&whole.to_le_bytes());
     rows.push((format!("{label}/whole"), len, crc));
-    if input.shape.rank() >= 2 {
-        let (origin, extent) = golden_box(input.shape);
-        let part = decompress_region::<T>(codec, &stream, &origin, &extent)
+    let shape = whole.shape();
+    if shape.rank() >= 2 {
+        let (origin, extent) = golden_box(shape);
+        let part = decompress_region::<T>(codec, stream, &origin, &extent)
             .unwrap_or_else(|e| panic!("{label} box: {e}"))
             .expect("every chain decodes boxes");
         let (len, crc) = digest(&part.to_le_bytes());
         rows.push((format!("{label}/box"), len, crc));
     }
+    whole
+}
+
+/// The rows of one preset input: its field encoded, then decoded.
+fn preset_rows<T: Element>(input: &Input, rows: &mut Vec<(String, usize, u32)>) {
+    let codec = input.codec.as_ref();
+    let data = input.field.generate::<T>(input.shape);
+    let stream = compress(codec, &data, input.bound)
+        .unwrap_or_else(|e| panic!("{}/{}: {e}", input.label, T::NAME));
+    decode_rows::<T>(&input.label, codec, &stream, rows);
+}
+
+/// The variants whose streams are fixtures, in table order.
+const VARIANTS: [&str; 3] = ["sz3-linear", "zfp-prec20", "qoz-psnr70"];
+
+/// The checked-in variant streams: `(label, dtype, stream length,
+/// CRC-32)`, the digests the encoders that wrote them recorded. All
+/// three encode the smooth field over `20x21x22` at ε = 10⁻³.
+const FIXTURES: [(&str, &str, usize, u32); 6] = [
+    ("sz3-linear", "f32", 3167, 0x6ba04dc4),
+    ("sz3-linear", "f64", 3167, 0x921eb1c6),
+    ("zfp-prec20", "f32", 6122, 0x0c6fc821),
+    ("zfp-prec20", "f64", 6122, 0x73a74d64),
+    ("qoz-psnr70", "f32", 1548, 0x526e8e5d),
+    ("qoz-psnr70", "f64", 1548, 0xed90367b),
+];
+
+/// A fixture stream, checked against its recorded digest.
+fn fixture(variant: &str, dtype: &str) -> Vec<u8> {
+    let name = format!("{variant}_{dtype}.eblc");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(&name);
+    let stream = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let want = FIXTURES.iter().find(|f| f.0 == variant && f.1 == dtype).map(|f| (f.2, f.3));
+    assert_eq!(Some(digest(&stream)), want, "{name} is not the recorded stream");
+    stream
+}
+
+/// Decodes one fixture through the chain its header names, returning
+/// the header's recorded bound beside the samples.
+fn decode_fixture<T: Element>(variant: &str, rows: &mut Vec<(String, usize, u32)>) -> (NdArray<T>, f64) {
+    let stream = fixture(variant, T::NAME);
+    let (header, _) = read_stream(&stream).unwrap();
+    let codec = header.chain.build().unwrap();
+    let label = format!("{variant}/smooth/20x21x22/rel1e-3");
+    (decode_rows::<T>(&label, &codec, &stream, rows), header.abs_bound)
 }
 
 #[test]
 fn decoded_samples_match_the_recorded_digests() {
     let mut rows = Vec::new();
     for input in inputs() {
-        decode_rows::<f32>(&input, &mut rows);
-        decode_rows::<f64>(&input, &mut rows);
+        preset_rows::<f32>(&input, &mut rows);
+        preset_rows::<f64>(&input, &mut rows);
+    }
+    for variant in VARIANTS {
+        decode_fixture::<f32>(variant, &mut rows);
+        decode_fixture::<f64>(variant, &mut rows);
     }
     for (label, symbols) in huffman_inputs() {
         let (codes, _) = huffman::decode_block(&huffman::encode_block(&symbols)).unwrap();
@@ -59,6 +119,29 @@ fn decoded_samples_match_the_recorded_digests() {
         rows.push((label.to_string(), len, crc));
     }
     check_table("decoded output", &rows, GOLDEN);
+}
+
+/// Every fixture decodes to within the bound its header records of the
+/// field it encoded: ε's share of the range for SZ3, the loosened bound
+/// QoZ's search settled on, and for fixed-precision ZFP the maximum
+/// error its encoder measured.
+#[test]
+fn fixture_streams_stay_within_their_recorded_bound() {
+    fn check<T: Element>(variant: &str) {
+        let original = Field::Smooth.generate::<T>(Shape::d3(20, 21, 22));
+        let (back, bound) = decode_fixture::<T>(variant, &mut Vec::new());
+        let worst = original
+            .as_slice()
+            .iter()
+            .zip(back.as_slice())
+            .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
+            .fold(0.0, f64::max);
+        assert!(worst <= bound, "{variant} {}: error {worst} over {bound}", T::NAME);
+    }
+    for variant in VARIANTS {
+        check::<f32>(variant);
+        check::<f64>(variant);
+    }
 }
 
 /// `(label, decoded byte length, CRC-32)`, recorded before the ZFP
@@ -336,10 +419,6 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("qoz-psnr70/smooth/20x21x22/rel1e-3/f32/box", 4400, 0xa56f7d1e),
     ("qoz-psnr70/smooth/20x21x22/rel1e-3/f64/whole", 73920, 0xa35fd9a5),
     ("qoz-psnr70/smooth/20x21x22/rel1e-3/f64/box", 8800, 0x1f3c2e01),
-    ("sz2-blocks5x3x4/smooth/20x21x22/rel1e-3/f32/whole", 36960, 0x1bf9c6c9),
-    ("sz2-blocks5x3x4/smooth/20x21x22/rel1e-3/f32/box", 4400, 0x08f41efa),
-    ("sz2-blocks5x3x4/smooth/20x21x22/rel1e-3/f64/whole", 73920, 0xba9c19b7),
-    ("sz2-blocks5x3x4/smooth/20x21x22/rel1e-3/f64/box", 8800, 0x8f732b15),
     ("huffman/fibonacci34", 59721404, 0x5f62e36c),
     ("huffman/sparse613", 24000, 0xb8b27066),
     ("huffman/single-dense", 2000, 0x9e345cc1),

@@ -133,8 +133,6 @@ const ZFP_BLOCK_BITS: &[(&str, usize, u32)] = &[
     ("zfp/spike/20x21x22/abs0.01/f64", 8199, 0xa4d27159),
     ("zfp/constant/20x21x22/rel1e-3/f32", 2745, 0x7612c824),
     ("zfp/constant/20x21x22/rel1e-3/f64", 2745, 0x7612c824),
-    ("zfp-prec20/smooth/20x21x22/rel1e-3/f32", 6065, 0xf8bf9ede),
-    ("zfp-prec20/smooth/20x21x22/rel1e-3/f64", 6065, 0xf8bf9ede),
 ];
 
 /// `(label, stream length, CRC-32)`.
@@ -279,14 +277,6 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("szx/spike/20x21x22/abs0.01/f64", 15728, 0x3711ddca),
     ("szx/constant/20x21x22/rel1e-3/f32", 392, 0x7ad3e073),
     ("szx/constant/20x21x22/rel1e-3/f64", 684, 0xdd569640),
-    ("sz3-linear/smooth/20x21x22/rel1e-3/f32", 3167, 0x6ba04dc4),
-    ("sz3-linear/smooth/20x21x22/rel1e-3/f64", 3167, 0x921eb1c6),
-    ("zfp-prec20/smooth/20x21x22/rel1e-3/f32", 6122, 0x0c6fc821),
-    ("zfp-prec20/smooth/20x21x22/rel1e-3/f64", 6122, 0x73a74d64),
-    ("qoz-psnr70/smooth/20x21x22/rel1e-3/f32", 1548, 0x526e8e5d),
-    ("qoz-psnr70/smooth/20x21x22/rel1e-3/f64", 1548, 0xed90367b),
-    ("sz2-blocks5x3x4/smooth/20x21x22/rel1e-3/f32", 2171, 0xa7a3deea),
-    ("sz2-blocks5x3x4/smooth/20x21x22/rel1e-3/f64", 2173, 0x5c2fbb2c),
     ("huffman/fibonacci34", 4886095, 0x7d214a6c),
     ("huffman/sparse613", 10058, 0xfeb9700e),
     ("huffman/single-dense", 72, 0x6958759f),

@@ -7,9 +7,7 @@
 //! source alone.
 
 use eblcio_codec::util::crc32;
-use eblcio_codec::{
-    ArrayStage, CodecChain, Compressor, CompressorId, ErrorBound, Qoz, Sz2, Sz3, Zfp,
-};
+use eblcio_codec::{Compressor, CompressorId, ErrorBound};
 use eblcio_data::{Element, NdArray, Shape};
 
 /// A byte string's table entry: its length and CRC-32.
@@ -156,27 +154,6 @@ pub fn inputs() -> Vec<Input> {
         ] {
             add(format!("{}/{name}/{shape}/{b}", tag(id)), field, shape, bound);
         }
-    }
-
-    // Non-default stage parameters run encoder branches the presets
-    // never take.
-    let shape = Shape::d3(20, 21, 22);
-    let mut sz2_blocks = Sz2::default();
-    sz2_blocks.block_dims = Some([5, 3, 4, 1]);
-    let variants: [(&str, Box<dyn ArrayStage>); 4] = [
-        ("sz3-linear", Box::new(Sz3::linear_only())),
-        ("zfp-prec20", Box::new(Zfp::with_fixed_precision(20))),
-        ("qoz-psnr70", Box::new(Qoz::with_target_psnr(70.0))),
-        ("sz2-blocks5x3x4", Box::new(sz2_blocks)),
-    ];
-    for (name, stage) in variants {
-        out.push(Input {
-            label: format!("{name}/smooth/{shape}/rel1e-3"),
-            codec: Box::new(CodecChain::around(stage)),
-            field: Field::Smooth,
-            shape,
-            bound: ErrorBound::Relative(1e-3),
-        });
     }
     out
 }

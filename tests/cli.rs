@@ -320,6 +320,19 @@ fn compress_to_sharded_store_query_and_json_inspect() {
         .unwrap();
     assert_eq!(st.status.code(), Some(1), "{}", String::from_utf8_lossy(&st.stderr));
     assert!(String::from_utf8_lossy(&st.stderr).contains("does not fit"));
+
+    // A reader wider than any thread pool is refused before it starts
+    // a thread.
+    for threads in ["1025", "18446744073709551615"] {
+        let st = Command::new(bin())
+            .arg("query")
+            .arg(&store_path)
+            .args(["--origin", "8x8", "--extent", "4x4", "--threads", threads])
+            .output()
+            .unwrap();
+        assert_eq!(st.status.code(), Some(1), "{}", String::from_utf8_lossy(&st.stderr));
+        assert!(String::from_utf8_lossy(&st.stderr).contains("at most 1024"), "{threads}");
+    }
 }
 
 #[test]
