@@ -110,7 +110,6 @@ fn main() {
         ReaderConfig {
             cache: CacheConfig::with_capacity_mib(256),
             threads: 1,
-            ..Default::default()
         },
     )
     .expect("reader");

@@ -82,6 +82,15 @@ pub enum CodecError {
         /// The widest pool built.
         max: usize,
     },
+    /// A helper thread of a [`parallel::pool_for`] pool could not be
+    /// started (the process or the machine is out of threads or
+    /// memory): a resource failure, not bad input.
+    ///
+    /// [`parallel::pool_for`]: crate::parallel::pool_for
+    ThreadStart {
+        /// The width asked for (0 = the machine's parallelism).
+        threads: usize,
+    },
     /// An internal invariant did not hold — a bug in this workspace,
     /// not bad input data. Surfaced as a typed error instead of a
     /// panic so one broken request cannot take down a serve daemon
@@ -125,6 +134,9 @@ impl std::fmt::Display for CodecError {
             CodecError::TooManyThreads { threads, max } => {
                 write!(f, "{threads} threads asked for; a thread pool holds at most {max}")
             }
+            CodecError::ThreadStart { threads } => {
+                write!(f, "a thread of a {threads}-thread pool could not start")
+            }
             CodecError::Internal { context } => {
                 write!(f, "internal invariant failed ({context}) — this is a bug")
             }
@@ -147,6 +159,13 @@ mod tests {
         assert!(e.to_string().contains("huffman table"));
         let e = CodecError::DtypeMismatch { expected: "f32", got: "f64" };
         assert!(e.to_string().contains("f32") && e.to_string().contains("f64"));
+    }
+
+    #[test]
+    fn a_thread_that_did_not_start_is_not_reported_as_a_damaged_stream() {
+        let shown = CodecError::ThreadStart { threads: 12 }.to_string();
+        assert_eq!(shown, "a thread of a 12-thread pool could not start");
+        assert!(!shown.contains("corrupt"));
     }
 
     #[test]

@@ -28,7 +28,8 @@ const MAX_THREADS: usize = 1024;
 /// Public so other parallel consumers (the chunked store) share the
 /// same pools instead of spinning up competing ones. A width above
 /// 1024 is a [`CodecError::TooManyThreads`]; `0` is the machine's
-/// parallelism.
+/// parallelism. A helper thread that cannot start is a
+/// [`CodecError::ThreadStart`].
 pub fn pool_for(threads: usize) -> Result<Arc<rayon::ThreadPool>> {
     if threads > MAX_THREADS {
         return Err(CodecError::TooManyThreads { threads, max: MAX_THREADS });
@@ -42,7 +43,7 @@ pub fn pool_for(threads: usize) -> Result<Arc<rayon::ThreadPool>> {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
-        .map_err(|_| CodecError::Corrupt { context: "thread pool" })?;
+        .map_err(|_| CodecError::ThreadStart { threads })?;
     let pool = Arc::new(pool);
     guard.insert(threads, pool.clone());
     Ok(pool)

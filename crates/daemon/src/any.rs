@@ -9,10 +9,10 @@
 //! one match — no trait objects, no per-request branching beyond it.
 //!
 //! The serve path asks it for samples in wire order (crate-private
-//! `read_region_le_into` / `read_chunk_le_into`): the region engine
-//! scatters little-endian bytes straight into the caller's buffer —
-//! for the daemon, the tail of the reply frame it is about to send — so
-//! no typed array and no second copy exist in between.
+//! `read_region_le_into`; a chunk is read as its region): the region
+//! engine scatters little-endian bytes straight into the caller's
+//! buffer — for the daemon, the tail of the reply frame it is about to
+//! send — so no typed array and no second copy exist in between.
 //! [`AnyReader::read_region_data`] is the public, allocating convenience
 //! over the region call: one `Vec` of the exact size, filled in place.
 //! It is kept for the benchmark's oracle and the tests.
@@ -97,10 +97,11 @@ impl AnyReader {
         dispatch_dtype!(AnyReader(r) = self => r.metrics())
     }
 
-    /// Shape of chunk `i` (edge chunks are clipped). The caller must
-    /// have validated `i` against [`AnyReader::n_chunks`].
-    pub(crate) fn chunk_shape(&self, i: usize) -> Shape {
-        dispatch_dtype!(AnyReader(r) = self => r.store().grid().chunk_region(i).shape())
+    /// The array region chunk `i` covers (edge chunks are clipped).
+    /// The caller must have validated `i` against
+    /// [`AnyReader::n_chunks`].
+    pub(crate) fn chunk_region(&self, i: usize) -> Region {
+        dispatch_dtype!(AnyReader(r) = self => r.store().grid().chunk_region(i))
     }
 
     /// Assembles a region in wire order: `out` receives its samples as
@@ -109,13 +110,6 @@ impl AnyReader {
     /// `region` against [`AnyReader::shape`].
     pub(crate) fn read_region_le_into(&self, region: &Region, out: &mut [u8]) -> Result<()> {
         dispatch_dtype!(AnyReader(r) = self => r.read_region_le_into(region, out).map(drop))
-    }
-
-    /// Writes one whole chunk in wire order: `out` must be exactly
-    /// `chunk_shape(i).len() × sample_bytes()` long. The caller must
-    /// have validated `i` against [`AnyReader::n_chunks`].
-    pub(crate) fn read_chunk_le_into(&self, i: usize, out: &mut [u8]) -> Result<()> {
-        dispatch_dtype!(AnyReader(r) = self => chunk_le_into(r, i, out))
     }
 
     /// Serves a region as wire-ready [`ArrayData`]. The caller must
@@ -135,13 +129,4 @@ impl AnyReader {
     pub fn prefetch_region(&self, region: &Region) {
         dispatch_dtype!(AnyReader(r) = self => r.prefetch_region(region))
     }
-}
-
-fn chunk_le_into<T: Element>(reader: &ArrayReader<T>, i: usize, out: &mut [u8]) -> Result<()> {
-    let chunk = reader.read_chunk(i)?;
-    if out.len() != chunk.nbytes() {
-        return Err(CodecError::Corrupt { context: "read_chunk_le_into buffer length" });
-    }
-    T::write_le_slice(chunk.as_slice(), out);
-    Ok(())
 }

@@ -191,7 +191,9 @@ impl From<&eblcio_store::Region> for RegionSpec {
 pub enum Request {
     /// Assemble and return the region's samples.
     ReadRegion(RegionSpec),
-    /// Return one whole decoded chunk by raster index.
+    /// Return one whole decoded chunk by raster index. The server reads
+    /// it as the region the chunk covers, so it is served, cached and
+    /// counted exactly like a [`Request::ReadRegion`] of that box.
     ReadChunk {
         /// Raster-order chunk index.
         index: u64,

@@ -16,10 +16,11 @@
 //!
 //! Each connection thread owns one `FrameBuf` for as long as the
 //! connection lives, and that buffer *is* every frame the thread
-//! sends. For a `Data`-bearing reply (`ReadRegion`, `ReadChunk`, every
-//! item of a `Batch`) the thread validates the geometry, computes the
-//! frame length from it — refusing, before the reader is touched, a
-//! reply that would exceed [`MAX_REPLY_FRAME`] — writes
+//! sends. For a `Data`-bearing reply (`ReadRegion`, `ReadChunk` — the
+//! region its chunk covers — and every item of a `Batch`) the thread
+//! validates the geometry, computes the frame length from it —
+//! refusing, before the reader is touched, a reply that would exceed
+//! [`MAX_REPLY_FRAME`] — writes
 //! `len | opcode | dtype | rank | dims | nbytes` in front and has the
 //! region engine scatter the samples **as little-endian bytes directly
 //! into the tail**. Nothing is materialised on the way: no typed array,
@@ -522,9 +523,9 @@ fn execute(shared: &Shared, request: Request, frame: &mut FrameBuf) -> Served {
         Request::ReadChunk { index } => {
             let i = usize::try_from(index).ok().filter(|&i| i < reader.n_chunks());
             let i = i.ok_or_else(|| bad_request("chunk index out of range"))?;
-            let shape = reader.chunk_shape(i);
-            begin_data_reply(frame, OP_DATA, data_body_len(reader, shape))?;
-            put_data(reader, frame, shape, |out| reader.read_chunk_le_into(i, out))?;
+            let region = reader.chunk_region(i);
+            begin_data_reply(frame, OP_DATA, data_body_len(reader, region.shape()))?;
+            put_region(reader, frame, &region)?;
         }
         Request::Prefetch(spec) => {
             reader.prefetch_region(&region_of(&spec)?);
@@ -578,22 +579,12 @@ fn data_body_len(reader: &AnyReader, shape: Shape) -> Option<usize> {
     data_header_len(shape.rank()).checked_add(nbytes)
 }
 
-/// Appends one `Data` body: the header for an array of `shape`, then
-/// its samples, which `fill` assembles in place in the frame's tail.
-fn put_data(
-    reader: &AnyReader,
-    frame: &mut FrameBuf,
-    shape: Shape,
-    fill: impl FnOnce(&mut [u8]) -> eblcio_codec::Result<()>,
-) -> Served {
-    let nbytes = shape.len() * reader.sample_bytes();
-    put_data_header(frame, reader.dtype(), shape.dims().iter().map(|&d| d as u64), nbytes);
-    fill(frame.grow(nbytes)).map_err(server_error)
-}
-
-/// [`put_data`] for a region, assembled by the region engine.
+/// Appends one `Data` body: the header for `region`, then its samples,
+/// which the region engine assembles in place in the frame's tail.
 fn put_region(reader: &AnyReader, frame: &mut FrameBuf, region: &Region) -> Served {
-    put_data(reader, frame, region.shape(), |out| reader.read_region_le_into(region, out))
+    let nbytes = region.len() * reader.sample_bytes();
+    put_data_header(frame, reader.dtype(), region.extent().iter().map(|&d| d as u64), nbytes);
+    reader.read_region_le_into(region, frame.grow(nbytes)).map_err(server_error)
 }
 
 fn error(code: ErrorCode, message: impl Into<String>) -> Reply {

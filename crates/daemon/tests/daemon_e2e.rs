@@ -7,11 +7,11 @@
 use eblcio_codec::{CodecError, CompressorId, ErrorBound};
 use eblcio_daemon::protocol::{read_frame, write_frame, FrameRead};
 use eblcio_daemon::{
-    AnyReader, Daemon, DaemonClient, DaemonConfig, DaemonError, ErrorCode, RegionSpec, Reply,
-    Request, MAX_REPLY_FRAME,
+    AnyReader, ArrayData, Daemon, DaemonClient, DaemonConfig, DaemonError, ErrorCode, RegionSpec,
+    Reply, Request, MAX_REPLY_FRAME,
 };
-use eblcio_data::{NdArray, Shape};
-use eblcio_serve::{ArrayReader, ReaderConfig};
+use eblcio_data::{Element, NdArray, Shape};
+use eblcio_serve::{ArrayReader, CacheConfig, ReaderConfig, ReaderStats};
 use eblcio_store::{ChunkedStore, Region};
 use eblcio_obs::MetricsRegistry;
 use std::sync::Arc;
@@ -21,6 +21,17 @@ use std::time::{Duration, Instant};
 fn four_chunk_stream() -> Vec<u8> {
     let data = NdArray::<f32>::from_fn(Shape::d2(32, 32), |i| {
         (i[0] as f32 * 0.23).sin() * 40.0 + (i[1] as f32 * 0.31).cos() * 15.0
+    });
+    let codec = CompressorId::Sz3.instance();
+    ChunkedStore::write(codec.as_ref(), &data, ErrorBound::Relative(1e-3), Shape::d2(16, 16), 2)
+        .unwrap()
+}
+
+/// A 40×40 field of `T` stored as 16×16 chunks: a 3×3 grid whose
+/// chunk 4 is interior and whose last row and column are clipped.
+fn nine_chunk_stream<T: Element>() -> Vec<u8> {
+    let data = NdArray::<T>::from_fn(Shape::d2(40, 40), |i| {
+        T::from_f64((i[0] as f64 * 0.19).sin() * 30.0 + (i[1] as f64 * 0.27).cos() * 11.0)
     });
     let codec = CompressorId::Sz3.instance();
     ChunkedStore::write(codec.as_ref(), &data, ErrorBound::Relative(1e-3), Shape::d2(16, 16), 2)
@@ -77,11 +88,59 @@ fn served_region_reads_are_bit_equal_to_direct_reads() {
 
     // Whole chunks too.
     for i in 0..4u64 {
-        let want = direct.read_chunk(i as usize).unwrap();
+        let want = direct.read_region(&direct.store().grid().chunk_region(i as usize)).unwrap();
         let got = client.read_chunk(i).unwrap();
         assert_eq!(got.as_f32().unwrap(), want.as_slice());
     }
     daemon.shutdown();
+
+    // A chunk read is a region read of the chunk's box: the same reply
+    // bytes and the same work in the stats, on an interior and a
+    // clipped edge chunk, in both dtypes, with and without a cache.
+    // Each chunk is read twice, so a cache's second read is a hit.
+    let work = |s: ReaderStats| {
+        [s.requests, s.chunks_requested, s.cache_hits, s.cache_misses, s.decodes, s.partial_decodes]
+    };
+    // The work one request adds, from the stats before and after it.
+    let delta = |client: &mut DaemonClient, request: &mut dyn FnMut(&mut DaemonClient) -> ArrayData| {
+        let before = work(client.stats().unwrap());
+        let reply = request(client);
+        let after = work(client.stats().unwrap());
+        (reply, std::array::from_fn::<u64, 6, _>(|k| after[k] - before[k]))
+    };
+    for stream in [nine_chunk_stream::<f32>(), nine_chunk_stream::<f64>()] {
+        let store = ChunkedStore::open(&stream).unwrap();
+        for capacity_bytes in [CacheConfig::default().capacity_bytes, 0] {
+            let config = ReaderConfig { cache: CacheConfig { capacity_bytes }, threads: 2 };
+            let serve = || {
+                let reader = AnyReader::open(&stream, config).unwrap();
+                let daemon = Daemon::start(reader, DaemonConfig::default(), "127.0.0.1:0").unwrap();
+                let client = DaemonClient::connect(daemon.local_addr()).unwrap();
+                (daemon, client)
+            };
+            let (by_chunk, mut chunk_client) = serve();
+            let (by_region, mut region_client) = serve();
+            for i in [4usize, 8, 4, 8] {
+                let what = format!("chunk {i}, dtype {}, cache {capacity_bytes}", store.dtype());
+                let region = store.grid().chunk_region(i);
+                let (got, chunk_work) =
+                    delta(&mut chunk_client, &mut |c| c.read_chunk(i as u64).unwrap());
+                let (want, region_work) = delta(&mut region_client, &mut |c| {
+                    c.read_region(&RegionSpec::from(&region)).unwrap()
+                });
+                assert_eq!(got, want, "{what}");
+                let extent: Vec<u64> = region.extent().iter().map(|&e| e as u64).collect();
+                assert_eq!(got.dims, extent, "{what}");
+                assert_eq!(chunk_work, region_work, "{what}");
+                assert_eq!(chunk_work[..2], [1, 1], "{what}");
+                if capacity_bytes == 0 {
+                    assert_eq!(chunk_work[4..], [1, 0], "{what}: a whole chunk decodes whole");
+                }
+            }
+            by_chunk.shutdown();
+            by_region.shutdown();
+        }
+    }
 }
 
 #[test]

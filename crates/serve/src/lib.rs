@@ -12,16 +12,16 @@
 //! not a codec problem:
 //!
 //! * [`ArrayReader`] — one shared handle per store; any number of
-//!   threads call [`ArrayReader::read_region`] /
-//!   [`ArrayReader::read_chunk`] on it concurrently,
+//!   threads call [`ArrayReader::read_region`] on it concurrently (a
+//!   whole chunk is one more region),
 //! * [`DecodedChunkCache`] — sharded, byte-bounded LRU over *decoded*
 //!   chunks, so hot chunks pay decompression once, not per request,
 //! * **single-flight decode** — concurrent misses on one chunk decode
 //!   it exactly once; every waiter shares the same `Arc`'d result,
 //! * **parallel region assembly** — each request fans its chunk fetches
 //!   out on the shared rayon pool,
-//! * [`PrefetchPolicy`] — sequential scans warm the chunks just past
-//!   each request,
+//! * [`ArrayReader::prefetch_region`] — a client that knows its next
+//!   region warms its chunks ahead of the read,
 //! * [`ReaderStats`] — hits, misses, decode counts/bytes, and wall time
 //!   for capacity planning,
 //! * **write-through refresh** — a reader on a mutable store
@@ -34,7 +34,7 @@
 //! ```
 //! use eblcio_codec::{CompressorId, ErrorBound};
 //! use eblcio_data::{NdArray, Shape};
-//! use eblcio_serve::{ArrayReader, PrefetchPolicy, ReaderConfig};
+//! use eblcio_serve::{ArrayReader, ReaderConfig};
 //! use eblcio_store::{ChunkedStore, Region};
 //!
 //! let data = NdArray::<f32>::from_fn(Shape::d2(64, 64), |i| {
@@ -45,10 +45,9 @@
 //!     codec.as_ref(), &data, ErrorBound::Relative(1e-3), Shape::d2(16, 16), 4, 2,
 //! ).unwrap();
 //!
-//! let reader = ArrayReader::<f32>::open(
-//!     &stream,
-//!     ReaderConfig { prefetch: PrefetchPolicy::Sequential { depth: 2 }, ..Default::default() },
-//! ).unwrap();
+//! let reader = ArrayReader::<f32>::open(&stream, ReaderConfig::default()).unwrap();
+//! // Warm the first rows before the clients arrive.
+//! reader.prefetch_region(&Region::new(&[0, 0], &[16, 64]));
 //!
 //! // Clients share the reader; overlapping reads share decoded chunks.
 //! std::thread::scope(|s| {
@@ -72,6 +71,4 @@ pub mod cache;
 pub mod reader;
 
 pub use cache::{CacheConfig, CacheStats, ChunkKey, DecodedChunkCache};
-pub use reader::{
-    ArrayReader, PrefetchPolicy, ReaderConfig, ReaderStats, RefreshStats, RequestStats,
-};
+pub use reader::{ArrayReader, ReaderConfig, ReaderStats, RefreshStats, RequestStats};

@@ -1,26 +1,26 @@
-//! [`ArrayReader`]: a shared, concurrent handle serving region and
-//! chunk reads from one chunked store — including live stores that
-//! publish new generations while the reader is serving.
+//! [`ArrayReader`]: a shared, concurrent handle serving region reads
+//! from one chunked store — including live stores that publish new
+//! generations while the reader is serving.
 //!
 //! The reader is the piece that turns a passive container into a
 //! service. Many client threads hold `&ArrayReader` and issue
 //! overlapping [`ArrayReader::read_region`] calls; each call decodes
 //! only the chunks its region intersects, in parallel on the shared
-//! rayon pool, through three layers:
+//! rayon pool, through two layers:
 //!
 //! 1. the **decoded-chunk cache** ([`crate::cache`]) — repeated and
 //!    overlapping reads of hot chunks skip decompression entirely,
 //! 2. **single-flight decode** — when several requests miss on the same
 //!    chunk at once, exactly one thread decodes it while the rest wait
 //!    for that result (decode work is deduplicated, not just the cached
-//!    bytes),
-//! 3. a **sequential prefetcher** — scan-shaped workloads warm the
-//!    chunks just past each request inside the same parallel batch.
+//!    bytes).
 //!
-//! For mutable stores ([`eblcio_store::mutable`]) the reader adds a
-//! fourth mechanism: **write-through refresh**. Every request pins one
-//! generation snapshot for its whole lifetime (requests can never
-//! observe half of generation N and half of N+1), and
+//! A whole chunk is the region [`ChunkGrid::chunk_region`] names, read
+//! like any other. For mutable stores ([`eblcio_store::mutable`]) the
+//! reader adds a third mechanism: **write-through refresh**. Every
+//! request pins one generation snapshot for its whole lifetime
+//! (requests can never observe half of generation N and half of N+1),
+//! and
 //! [`ArrayReader::refresh`] atomically swaps the snapshot to a newer
 //! generation, invalidating exactly the cached chunks whose content
 //! changed — untouched chunks stay warm because cache keys carry the
@@ -36,26 +36,13 @@ use eblcio_store::{
     scatter_chunk_into, scatter_chunk_le, scatter_region, ChunkedStore, MutableStore, Region,
     Storage,
 };
+#[cfg(doc)]
+use eblcio_store::ChunkGrid;
 use parking_lot::{Condvar, Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// What the reader does with chunks just past the ones a request needs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PrefetchPolicy {
-    /// Decode exactly what each request touches.
-    #[default]
-    None,
-    /// Also decode up to `depth` raster-order chunks after the last
-    /// chunk each request touches — the right shape for sequential
-    /// scans, where request *n + 1* starts where *n* ended.
-    Sequential {
-        /// Chunks to warm past each request.
-        depth: usize,
-    },
-}
 
 /// Construction-time knobs for an [`ArrayReader`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -64,16 +51,14 @@ pub struct ReaderConfig {
     pub cache: CacheConfig,
     /// Worker threads for parallel decode (0 = machine parallelism).
     pub threads: usize,
-    /// Prefetch behaviour.
-    pub prefetch: PrefetchPolicy,
 }
 
 /// Cumulative counters for one reader (all clients combined).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReaderStats {
-    /// `read_region`/`read_chunk` calls served.
+    /// Region reads served (a read that fails is not counted).
     pub requests: u64,
-    /// Chunk lookups those requests performed (excluding prefetch).
+    /// Chunk lookups region reads performed (excluding prefetch).
     pub chunks_requested: u64,
     /// Lookups satisfied by the decoded-chunk cache.
     pub cache_hits: u64,
@@ -93,8 +78,8 @@ pub struct ReaderStats {
     /// Wall-clock seconds spent inside decompression alone (whole and
     /// partial decodes; summed across threads, like `wall_seconds`).
     pub decode_seconds: f64,
-    /// Chunk warm-ups issued by the prefetcher (a warm-up that finds
-    /// the chunk already cached is still counted).
+    /// Chunk warm-ups issued by [`ArrayReader::prefetch_region`] (a
+    /// warm-up that finds the chunk already cached is still counted).
     pub prefetched: u64,
     /// Cache evictions.
     pub evictions: u64,
@@ -133,8 +118,6 @@ pub struct RequestStats {
     /// How many of those were already decoded when the request's cache
     /// probe ran.
     pub chunks_from_cache: usize,
-    /// Chunks the prefetcher warmed alongside this request.
-    pub chunks_prefetched: usize,
     /// Cache-missing chunks this request served by decoding only its
     /// intersection with the chunk (never cached): every partly covered
     /// miss when the cache keeps nothing, otherwise those covered at
@@ -197,10 +180,8 @@ struct ReaderMetrics {
     refreshes: Arc<Counter>,
     invalidations: Arc<Counter>,
     /// Per-request wall latency (count = requests, sum = wall nanos):
-    /// every in-range `read_chunk` and every successful region read,
-    /// each a root span (`serve.read_chunk`, `serve.read_region`) over
-    /// one histogram.
-    read_chunk: Phase,
+    /// every successful region read, each a root `serve.read_region`
+    /// span.
     read_region: Phase,
     /// Successful whole-chunk decode latency (count = decodes).
     decode: Phase,
@@ -218,7 +199,6 @@ impl ReaderMetrics {
     fn new(cache_counters: (Arc<Counter>, Arc<Counter>, Arc<Counter>)) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let (hits, misses, evictions) = cache_counters;
-        let request_ns = registry.histogram("eblcio_serve_request_ns");
         registry.register_counter("eblcio_serve_cache_hits_total", hits);
         registry.register_counter("eblcio_serve_cache_misses_total", misses);
         registry.register_counter("eblcio_serve_cache_evictions_total", evictions);
@@ -227,8 +207,10 @@ impl ReaderMetrics {
             prefetched: registry.counter("eblcio_serve_prefetched_total"),
             refreshes: registry.counter("eblcio_serve_refreshes_total"),
             invalidations: registry.counter("eblcio_serve_invalidations_total"),
-            read_chunk: Phase::spanned(request_ns.clone(), "serve.read_chunk"),
-            read_region: Phase::spanned(request_ns, "serve.read_region"),
+            read_region: Phase::spanned(
+                registry.histogram("eblcio_serve_request_ns"),
+                "serve.read_region",
+            ),
             decode: Phase::spanned(registry.histogram("eblcio_serve_decode_ns"), "serve.decode"),
             partial_decode: Phase::spanned(
                 registry.histogram("eblcio_serve_partial_decode_ns"),
@@ -333,7 +315,6 @@ pub struct ArrayReader<T: Element> {
     cache: DecodedChunkCache<T>,
     inflight: Mutex<HashMap<ChunkKey, Arc<Flight<T>>>>,
     pool: Arc<rayon::ThreadPool>,
-    prefetch: PrefetchPolicy,
     metrics: ReaderMetrics,
 }
 
@@ -380,7 +361,6 @@ impl<T: Element> ArrayReader<T> {
             cache,
             inflight: Mutex::new(HashMap::new()),
             pool: pool_for(threads)?,
-            prefetch: config.prefetch,
             metrics,
         })
     }
@@ -487,7 +467,6 @@ impl<T: Element> ArrayReader<T> {
     /// a concurrent reset or recorder into a half-updated pair.
     pub fn stats(&self) -> ReaderStats {
         let c: CacheStats = self.cache.stats();
-        // `read_chunk` and `read_region` share `eblcio_serve_request_ns`.
         let req = self.metrics.read_region.histogram().snapshot();
         let dec = self.metrics.decode.histogram().snapshot();
         let part = self.metrics.partial_decode.histogram().snapshot();
@@ -516,22 +495,13 @@ impl<T: Element> ArrayReader<T> {
         self.cache.stats()
     }
 
-    /// Decodes chunk `i` through the cache with single-flight
-    /// de-duplication. The returned chunk is shared — clones of one
-    /// `Arc` — across every concurrent caller.
-    fn fetch_chunk(&self, state: &ReadState, i: usize, rid: u64) -> Result<Arc<NdArray<T>>> {
-        if let Some(hit) = self.cache.get(state.keys[i]) {
-            return Ok(hit);
-        }
-        self.fetch_chunk_after_miss(state, i, rid)
-    }
-
     /// The miss path: single-flight decode for a chunk the caller has
-    /// already (and recently) failed to find in the cache. Split out so
-    /// the region engine can probe the whole request cheaply first and
-    /// spin up the parallel pool only when something actually needs
-    /// decoding. Keyed by `(index, fingerprint)`, so decodes of the
-    /// same index for different generations never collide. `rid` is
+    /// already (and recently) failed to find in the cache, so the region
+    /// engine probes the whole request cheaply first and spins up the
+    /// parallel pool only when something actually needs decoding. The
+    /// returned chunk is shared — clones of one `Arc` — across every
+    /// concurrent caller. Keyed by `(index, fingerprint)`, so decodes
+    /// of the same index for different generations never collide. `rid` is
     /// the request id decode/wait spans are charged to (0 = none);
     /// it is passed explicitly because fetches run on pool threads,
     /// where the requesting thread's ambient id does not follow.
@@ -603,34 +573,8 @@ impl<T: Element> ArrayReader<T> {
             .is_some_and(|inter| inter.len() * PARTIAL_DECODE_DENOM <= chunk.len())
     }
 
-    /// Raster-order chunk ids the prefetch policy adds after `last`.
-    fn prefetch_ids(&self, state: &ReadState, last: usize) -> Vec<usize> {
-        match self.prefetch {
-            PrefetchPolicy::None => Vec::new(),
-            PrefetchPolicy::Sequential { depth } => {
-                (last + 1..state.store.n_chunks()).take(depth).collect()
-            }
-        }
-    }
-
-    /// Serves chunk `i` through the cache. Out-of-range indices are a
-    /// typed error.
-    pub fn read_chunk(&self, i: usize) -> Result<Arc<NdArray<T>>> {
-        let t = self.metrics.read_chunk.start_root();
-        let state = self.state.read().clone();
-        if i >= state.store.n_chunks() {
-            return Err(CodecError::Corrupt { context: "store chunk reference" });
-        }
-        self.metrics.chunks_requested.inc();
-        let res = self.fetch_chunk(&state, i, t.request_id());
-        t.finish();
-        res
-    }
-
-    /// Serves an axis-aligned region read.
-    ///
-    /// # Panics
-    /// Panics if the region does not fit inside the array shape.
+    /// Serves an axis-aligned region read. A region outside the array
+    /// is a [`CodecError::BadRegion`], here and at every other entry.
     pub fn read_region(&self, region: &Region) -> Result<NdArray<T>> {
         self.read_region_with_stats(region).map(|(a, _)| a)
     }
@@ -640,10 +584,10 @@ impl<T: Element> ArrayReader<T> {
     /// A freshly allocated output buffer handed to
     /// [`ArrayReader::read_region_into`] — one engine, one accounting
     /// policy, whichever entry point a client uses.
-    ///
-    /// # Panics
-    /// Panics if the region does not fit inside the array shape.
     pub fn read_region_with_stats(&self, region: &Region) -> Result<(NdArray<T>, RequestStats)> {
+        // Before the output exists: a region outside the array may
+        // have any size.
+        fits(region, &self.state.read())?;
         let mut out = NdArray::<T>::zeros(region.shape());
         let stats = self.read_region_into(region, &mut out)?;
         Ok((out, stats))
@@ -654,11 +598,11 @@ impl<T: Element> ArrayReader<T> {
     ///
     /// Each intersecting chunk is probed in the cache **exactly once**,
     /// through the counting lookup: hits scatter straight into `out`;
-    /// misses (plus any uncached prefetch extension) are claimed one at
-    /// a time by up to `threads` workers, each of which fetches its
-    /// chunk through the non-counting single-flight layer, scatters it
-    /// into `out` beside the other workers (each band of `out` has its
-    /// own lock) and drops it before claiming the next — so a cold
+    /// misses are claimed one at a time by up to `threads` workers,
+    /// each of which fetches its chunk through the non-counting
+    /// single-flight layer, scatters it into `out` beside the other
+    /// workers (each band of `out` has its own lock) and drops it
+    /// before claiming the next — so a cold
     /// request never holds more decoded chunks than it has workers.
     /// Hit/miss statistics are therefore exact across a warm/cold mix —
     /// one charge per chunk per request, never re-probed. The whole
@@ -671,9 +615,6 @@ impl<T: Element> ArrayReader<T> {
     /// cache hits hand back shared `Arc`s, and assembly is pure
     /// `memcpy` into `out` (`serve_alloc.rs` proves it with telemetry
     /// enabled).
-    ///
-    /// # Panics
-    /// Panics if the region does not fit inside the array shape.
     pub fn read_region_into(&self, region: &Region, out: &mut NdArray<T>) -> Result<RequestStats> {
         if out.shape() != region.shape() {
             return Err(CodecError::Corrupt { context: "read_region_into buffer shape" });
@@ -687,9 +628,6 @@ impl<T: Element> ArrayReader<T> {
     /// assembled directly in the buffer it is sent from. Same engine —
     /// same probes, counters, spans and zero-allocation warm path — with
     /// only the per-run store differing.
-    ///
-    /// # Panics
-    /// Panics if the region does not fit inside the array shape.
     pub fn read_region_le_into(&self, region: &Region, out: &mut [u8]) -> Result<RequestStats> {
         if out.len() != region.len() * T::BYTES {
             return Err(CodecError::Corrupt { context: "read_region_le_into buffer length" });
@@ -705,19 +643,17 @@ impl<T: Element> ArrayReader<T> {
     /// with `dst_region` into `dst`, a buffer shaped as `dst_region`.
     /// Cached pieces are stored on the calling thread in raster order.
     ///
-    /// The cold half — the probed-and-missed chunks (`true`) plus the
-    /// uncached prefetch extension (`false`) — goes to the store's
-    /// [`scatter_region`] on the reader's pool. A miss the request
-    /// covers only in part box-decodes its overlap when
+    /// The cold half — the probed-and-missed chunks — goes to the
+    /// store's [`scatter_region`] on the reader's pool. A miss the
+    /// request covers only in part box-decodes its overlap when
     /// [`Self::prefers_part`] says so
     /// ([`ChunkedStore::decode_chunk_region`]); that piece is private to
     /// the request, keyed by region, so neither cached nor
-    /// single-flighted. Other misses and every prefetch (which stores
-    /// nothing) take the cached single-flight whole-chunk path. A
-    /// failing miss fails the request; a failing prefetch never does —
-    /// a real read of that chunk will surface the error. Cache probes
-    /// there are non-counting (`peek` and the single-flight re-check):
-    /// the probe already charged one hit or miss per wanted chunk.
+    /// single-flighted. Other misses — a chunk the region covers whole
+    /// among them — take the cached single-flight whole-chunk path. A
+    /// failing miss fails the request. Cache probes there are
+    /// non-counting (`peek` and the single-flight re-check): the probe
+    /// already charged one hit or miss per chunk.
     fn assemble_region<U: Send>(
         &self,
         region: &Region,
@@ -730,20 +666,13 @@ impl<T: Element> ArrayReader<T> {
         let t = self.metrics.read_region.start_root();
         let rid = t.request_id();
         let state = self.state.read().clone();
-        let (touched, frontier, misses) = WANTED.with(|w| {
+        fits(region, &state)?;
+        let (touched, misses) = WANTED.with(|w| {
             let mut wanted = w.borrow_mut();
             state
                 .store
                 .grid()
                 .chunks_intersecting_into(region, &mut wanted);
-            // `chunks_intersecting_into` fills ascending raster order,
-            // so the last entry is the scan frontier the prefetcher
-            // extends. Regions have positive extents, so `wanted` is
-            // never empty for a valid request; a violation is a typed
-            // error, not a panic.
-            let Some(&frontier) = wanted.last() else {
-                return Err(CodecError::Internal { context: "region intersects no chunks" });
-            };
             let mut misses: Vec<usize> = Vec::new();
             for &i in wanted.iter() {
                 match self.cache.get(state.keys[i]) {
@@ -751,29 +680,13 @@ impl<T: Element> ArrayReader<T> {
                     None => misses.push(i),
                 }
             }
-            Ok((wanted.len(), frontier, misses))
-        })?;
+            (wanted.len(), misses)
+        });
         self.metrics.chunks_requested.add(touched as u64);
-        let ahead = self.prefetch_ids(&state, frontier);
-        self.metrics.prefetched.add(ahead.len() as u64);
-        let to_fetch: Vec<(usize, bool)> = misses
-            .iter()
-            .map(|&i| (i, true))
-            .chain(
-                ahead
-                    .iter()
-                    .filter(|&&i| self.cache.peek(state.keys[i]).is_none())
-                    .map(|&i| (i, false)),
-            )
-            .collect();
         // A statistic; publishes nothing else.
         let partial = AtomicUsize::new(0);
         self.pool.install(|| {
-            scatter_region(region, out, &to_fetch, &scatter, |&(i, wanted), put| {
-                if !wanted {
-                    let _ = self.fetch_chunk_after_miss(&state, i, rid);
-                    return Ok(());
-                }
+            scatter_region(region, out, &misses, &scatter, |i, put| {
                 // A leader may have cached the whole chunk since this
                 // request's probe; sharing it beats decoding again.
                 if self.cache.peek(state.keys[i]).is_none() && self.prefers_part(&state, i, region) {
@@ -798,7 +711,6 @@ impl<T: Element> ArrayReader<T> {
         Ok(RequestStats {
             chunks_touched: touched,
             chunks_from_cache: touched - misses.len(),
-            chunks_prefetched: ahead.len(),
             partial_decodes: partial.into_inner(),
         })
     }
@@ -806,9 +718,13 @@ impl<T: Element> ArrayReader<T> {
     /// Warms the cache with every chunk `region` intersects without
     /// assembling anything — an explicit prefetch clients can issue
     /// ahead of a predictable access pattern. Decode errors are
-    /// deferred to the read that actually needs the chunk.
+    /// deferred to the read that actually needs the chunk, and a region
+    /// outside the array warms nothing.
     pub fn prefetch_region(&self, region: &Region) {
         let state = self.state.read().clone();
+        if fits(region, &state).is_err() {
+            return;
+        }
         let rid = obs::current_request_id();
         let ids: Vec<usize> = state
             .store
@@ -828,5 +744,15 @@ impl<T: Element> ArrayReader<T> {
                 .map(|&i| self.fetch_chunk_after_miss(&state, i, rid).is_ok())
                 .collect()
         });
+    }
+}
+
+/// The check every entry makes before it touches the grid: `region`
+/// lies inside the served array.
+fn fits(region: &Region, state: &ReadState) -> Result<()> {
+    if region.fits_in(state.store.shape()) {
+        Ok(())
+    } else {
+        Err(CodecError::BadRegion { context: "outside the array" })
     }
 }

@@ -74,7 +74,6 @@ fn cold_read_holds_one_decoded_chunk_per_worker() {
         let config = ReaderConfig {
             cache: CacheConfig { capacity_bytes: 0 },
             threads,
-            ..ReaderConfig::default()
         };
         let reader = ArrayReader::<f32>::open(&stream, config).unwrap();
         let mut out = NdArray::<f32>::zeros(region.shape());

@@ -1,11 +1,11 @@
 //! Integration tests for the serving layer: correctness of cached and
 //! concurrent reads against the uncached store, single-flight decode
 //! accounting, eviction behaviour under a tight budget, and the
-//! prefetcher.
+//! explicit prefetch.
 
 use eblcio_codec::{CodecError, CompressorId, ErrorBound};
 use eblcio_data::{Element, NdArray, Shape};
-use eblcio_serve::{ArrayReader, CacheConfig, PrefetchPolicy, ReaderConfig};
+use eblcio_serve::{ArrayReader, CacheConfig, ReaderConfig};
 use eblcio_store::{ChunkedStore, Region};
 
 fn field<T: Element>(shape: Shape) -> NdArray<T> {
@@ -193,33 +193,6 @@ fn tight_cache_still_serves_correct_bytes() {
 }
 
 #[test]
-fn sequential_prefetch_warms_the_next_chunks() {
-    let stream = sharded_stream(Shape::d1(128), Shape::d1(16));
-    let reader = ArrayReader::<f32>::open(
-        &stream,
-        ReaderConfig {
-            prefetch: PrefetchPolicy::Sequential { depth: 2 },
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    // Read chunk 0's range; chunks 1 and 2 get warmed alongside.
-    let (_, req) = reader
-        .read_region_with_stats(&Region::new(&[0], &[16]))
-        .unwrap();
-    assert_eq!(req.chunks_touched, 1);
-    assert_eq!(req.chunks_prefetched, 2);
-    let decodes = reader.stats().decodes;
-    assert_eq!(decodes, 3, "request + two prefetched chunks");
-    // The sequential continuation is already decoded.
-    let (_, req) = reader
-        .read_region_with_stats(&Region::new(&[16], &[16]))
-        .unwrap();
-    assert_eq!(req.chunks_from_cache, 1);
-    assert_eq!(reader.stats().decodes, decodes + 1, "only the new frontier decodes");
-}
-
-#[test]
 fn explicit_prefetch_region_fills_the_cache() {
     let stream = sharded_stream(Shape::d2(32, 32), Shape::d2(16, 16));
     let reader = ArrayReader::<f32>::open(&stream, ReaderConfig::default()).unwrap();
@@ -239,8 +212,12 @@ fn dtype_mismatch_and_bad_chunk_are_typed_errors() {
         Err(CodecError::DtypeMismatch { .. })
     ));
     let reader = ArrayReader::<f32>::open(&stream, ReaderConfig::default()).unwrap();
-    assert!(reader.read_chunk(4).is_err());
-    assert!(reader.read_chunk(0).is_ok());
+    // Chunk 4's box would lie past the 2×2 grid's last row of chunks.
+    assert!(matches!(
+        reader.read_region(&Region::new(&[32, 0], &[16, 16])),
+        Err(CodecError::BadRegion { .. })
+    ));
+    assert!(reader.read_region(&reader.store().grid().chunk_region(0)).is_ok());
 }
 
 #[test]

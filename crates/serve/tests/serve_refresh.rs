@@ -181,7 +181,6 @@ fn concurrent_readers_never_observe_mixed_generations() {
         ReaderConfig {
             threads: 2,
             cache: CacheConfig::default(),
-            ..Default::default()
         },
     )
     .unwrap();

@@ -87,25 +87,25 @@ impl<'a, U> Bands<'a, U> {
 
 /// Assembles `region` into `out`, its row-major output of whatever unit
 /// `scatter` writes (see [`scatter_chunk_into`](crate::scatter_chunk_into)),
-/// from pieces fetched in parallel. The installed pool's workers claim
-/// `items` one at a time; `fetch(item, put)` hands each piece it gets
-/// to `put(piece, covered)`, which stores it band by band (`out` is cut
-/// into 4 bands per worker, each with its own lock). A worker claims
-/// again only after `fetch` returns, so at most one piece per worker is
-/// alive. A fetch may put nothing. The first error stops further
-/// claims. No items: no allocation.
-pub fn scatter_region<I: Sync, T: Element, U: Send>(
+/// from pieces of `chunks` fetched in parallel. The installed pool's
+/// workers claim the chunk ids one at a time; `fetch(i, put)` hands the
+/// piece it gets to `put(piece, covered)`, which stores it band by band
+/// (`out` is cut into 4 bands per worker, each with its own lock). A
+/// worker claims again only after `fetch` returns, so at most one piece
+/// per worker is alive. The first error stops further claims. No
+/// chunks: no allocation.
+pub fn scatter_region<T: Element, U: Send>(
     region: &Region,
     out: &mut [U],
-    items: &[I],
+    chunks: &[usize],
     scatter: &(impl Fn(&NdArray<T>, &Region, &Region, &mut [U]) + Sync),
-    fetch: impl Fn(&I, &dyn Fn(&NdArray<T>, &Region)) -> Result<()> + Sync,
+    fetch: impl Fn(usize, &dyn Fn(&NdArray<T>, &Region)) -> Result<()> + Sync,
 ) -> Result<()> {
-    if items.is_empty() {
+    if chunks.is_empty() {
         return Ok(());
     }
     let bands = Bands::split(region, out, BANDS_PER_WORKER * rayon::current_num_threads());
-    items
+    chunks
         .par_iter()
-        .try_for_each(|item| fetch(item, &|piece, covered| bands.scatter(piece, covered, scatter)))
+        .try_for_each(|&i| fetch(i, &|piece, covered| bands.scatter(piece, covered, scatter)))
 }

@@ -609,18 +609,6 @@ impl ChunkedStore {
         self.manifest.chunks[i].chain as usize
     }
 
-    /// Decompresses chunk `i` alone. An out-of-range index is a typed
-    /// error, not a panic — serving layers pass client-supplied chunk
-    /// ids straight through.
-    pub fn read_chunk<T: Element>(&self, i: usize) -> Result<NdArray<T>> {
-        check_dtype::<T>(self.manifest.dtype)?;
-        if i >= self.n_chunks() {
-            return Err(CodecError::Corrupt { context: "store chunk reference" });
-        }
-        let codec = self.chunk_chain(i).build_boxed()?;
-        self.decode_chunk(codec.as_ref(), i)
-    }
-
     /// Decodes one chunk with an already-built decoder (see
     /// [`ChunkedStore::decoders`]), so callers that decode many chunks —
     /// the read paths here and `eblcio_serve`'s cache-miss path — share
@@ -703,21 +691,23 @@ impl ChunkedStore {
     /// output would serialize the copies, which cost about as much as
     /// a fast decode (EXPERIMENTS.md, "Cold misses at copy speed").
     ///
-    /// # Panics
-    /// Panics if the region does not fit inside the array shape.
+    /// A region outside the array is a [`CodecError::BadRegion`].
     pub fn read_region_with_stats<T: Element>(
         &self,
         region: &Region,
     ) -> Result<(NdArray<T>, RegionReadStats)> {
         let t = store_metrics().read_region.start();
         check_dtype::<T>(self.manifest.dtype)?;
+        if !region.fits_in(self.manifest.shape) {
+            return Err(CodecError::BadRegion { context: "outside the array" });
+        }
         let decoders = self.decoders()?;
         let hits = self.grid.chunks_intersecting(region);
         // Statistics only; they publish nothing else.
         let partial_decodes = AtomicUsize::new(0);
         let samples_decoded = AtomicU64::new(0);
         let mut out = NdArray::<T>::zeros(region.shape());
-        scatter_region(region, out.as_mut_slice(), &hits, &scatter_chunk_into, |&i, put| {
+        scatter_region(region, out.as_mut_slice(), &hits, &scatter_chunk_into, |i, put| {
             let codec = decoders[self.chunk_chain_index(i)].as_ref();
             let (piece, covered) = match self.decode_chunk_region::<T>(codec, i, region)? {
                 Some(part) => {
@@ -742,7 +732,7 @@ impl ChunkedStore {
     }
 
     /// Decompresses an axis-aligned region, touching only the chunks
-    /// that intersect it.
+    /// that intersect it ([`ChunkedStore::read_region_with_stats`]).
     pub fn read_region<T: Element>(&self, region: &Region) -> Result<NdArray<T>> {
         self.read_region_with_stats(region).map(|(a, _)| a)
     }

@@ -16,6 +16,12 @@ fn field<T: Element>(shape: Shape) -> NdArray<T> {
     })
 }
 
+/// Chunk `i` decoded whole on its own, outside the region engine.
+fn decode_whole<T: Element>(store: &ChunkedStore, i: usize) -> eblcio_codec::Result<NdArray<T>> {
+    let decoders = store.decoders()?;
+    store.decode_chunk(decoders[store.chunk_chain_index(i)].as_ref(), i)
+}
+
 const EPS: f64 = 1e-3;
 // Value-range ε check with the same hair of float slack the codec
 // test-suite uses.
@@ -86,7 +92,7 @@ fn single_chunk_reads_match_full_read() {
     let full = store.read_full::<f32>(1).unwrap();
     for i in 0..store.n_chunks() {
         let region = store.grid().chunk_region(i);
-        let chunk = store.read_chunk::<f32>(i).unwrap();
+        let chunk = decode_whole::<f32>(&store, i).unwrap();
         assert_eq!(chunk.shape(), region.shape(), "chunk {i}");
         // The chunk must be exactly the corresponding box of read_full.
         for off in 0..chunk.len() {
@@ -183,7 +189,7 @@ fn small_region_uses_partial_decode_and_matches_whole_chunk_path() {
                 if chunk_region.intersect(&region).is_none() {
                     continue;
                 }
-                let part = store.read_chunk::<f64>(i).unwrap();
+                let part = decode_whole::<f64>(&store, i).unwrap();
                 eblcio_store::scatter_chunk(&part, &chunk_region, &region, &mut whole);
             }
             for (a, b) in got.as_slice().iter().zip(whole.as_slice()) {
@@ -208,7 +214,7 @@ fn non_divisible_edge_chunks() {
     .unwrap();
     let store = ChunkedStore::open(&stream).unwrap();
     assert_eq!(store.grid().counts(), &[3, 4]);
-    let last = store.read_chunk::<f32>(store.n_chunks() - 1).unwrap();
+    let last = decode_whole::<f32>(&store, store.n_chunks() - 1).unwrap();
     assert_eq!(last.shape(), Shape::d2(3, 1));
     let back = store.read_full::<f32>(2).unwrap();
     assert!(max_rel_error(&data, &back) <= EPS * SLACK);
@@ -252,7 +258,7 @@ fn corrupt_and_truncated_streams_rejected() {
         let r = ChunkedStore::open(&stream[..cut]);
         let failed = match r {
             Err(_) => true,
-            Ok(s) => (0..s.n_chunks()).any(|i| s.read_chunk::<f32>(i).is_err()),
+            Ok(s) => (0..s.n_chunks()).any(|i| decode_whole::<f32>(&s, i).is_err()),
         };
         assert!(failed, "cut {cut}");
     }
@@ -265,11 +271,11 @@ fn corrupt_and_truncated_streams_rejected() {
     let last = bad.len() - 5;
     bad[last] ^= 0x01;
     let store = ChunkedStore::open(&bad).unwrap();
-    assert!((0..store.n_chunks()).any(|i| store.read_chunk::<f32>(i).is_err()));
+    assert!((0..store.n_chunks()).any(|i| decode_whole::<f32>(&store, i).is_err()));
     // Dtype mismatch is typed, not garbled.
     let store = ChunkedStore::open(&stream).unwrap();
     assert!(store.read_full::<f64>(1).is_err());
-    assert!(store.read_chunk::<f64>(0).is_err());
+    assert!(decode_whole::<f64>(&store, 0).is_err());
 }
 
 #[test]
@@ -549,9 +555,9 @@ fn sharded_corruption_caught_by_slot_crc() {
         store.chunk_payload(last),
         Err(eblcio_codec::CodecError::ChecksumMismatch)
     ));
-    assert!(store.read_chunk::<f32>(last).is_err());
+    assert!(decode_whole::<f32>(&store, last).is_err());
     // Chunks in intact shards still read fine.
-    assert!(store.read_chunk::<f32>(0).is_ok());
+    assert!(decode_whole::<f32>(&store, 0).is_ok());
 }
 
 #[test]
@@ -568,7 +574,8 @@ fn out_of_range_chunk_index_is_typed_error() {
     .unwrap();
     let store = ChunkedStore::open(&stream).unwrap();
     assert!(store.chunk_payload(store.n_chunks()).is_err());
-    assert!(store.read_chunk::<f32>(usize::MAX).is_err());
+    let decoders = store.decoders().unwrap();
+    assert!(store.decode_chunk::<f32>(decoders[0].as_ref(), usize::MAX).is_err());
 }
 
 /// The parallel region read must produce bit-identical output to a
@@ -599,7 +606,7 @@ fn parallel_region_read_matches_serial_assembly() {
             continue;
         }
         decoded += 1;
-        let part = store.read_chunk::<f64>(i).unwrap();
+        let part = decode_whole::<f64>(&store, i).unwrap();
         eblcio_store::scatter_chunk(&part, &chunk_region, &region, &mut serial);
     }
     assert_eq!(stats.chunks_decoded, decoded);
@@ -658,14 +665,14 @@ proptest! {
 /// 2 and 4 on a dimension-0 slab grid (the shape of the threaded
 /// "OpenMP mode" decompression that prices Fig. 10), and `read_region`
 /// of a non-aligned box over ragged edge chunks, are bit-identical to a
-/// serial `scatter_chunk_into` assembly of `read_chunk` results, with
+/// serial `scatter_chunk_into` assembly of whole-chunk decodes, with
 /// the same stats at every width. Repeated, so workers meet on a band.
 #[test]
 fn banded_store_reads_match_serial_assembly_at_every_width() {
     let serial = |store: &ChunkedStore, region: &Region| {
         let mut out = NdArray::<f32>::zeros(region.shape());
         for i in store.grid().chunks_intersecting(region) {
-            let part = store.read_chunk::<f32>(i).unwrap();
+            let part = decode_whole::<f32>(store, i).unwrap();
             let chunk_region = store.grid().chunk_region(i);
             eblcio_store::scatter_chunk_into(&part, &chunk_region, region, out.as_mut_slice());
         }

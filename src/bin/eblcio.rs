@@ -282,7 +282,6 @@ const EXTENT: FlagSpec = ("--extent", Some("<AxBxC>"));
 const OUT: FlagSpec = ("--out", Some("<path>"));
 const CACHE_MB: FlagSpec = ("--cache-mb", Some("<n>"));
 const THREADS: FlagSpec = ("--threads", Some("<n>"));
-const PREFETCH: FlagSpec = ("--prefetch", Some("<chunks>"));
 
 /// A subcommand: its name, the flags its usage line spells out, its
 /// positional arguments as the usage text shows them, the only flags it
@@ -342,7 +341,6 @@ const COMMANDS: &[Command] = &[
             ("--clients", Some("<n>")),
             THREADS,
             CACHE_MB,
-            PREFETCH,
             ("--metrics", None),
             BACKEND,
         ],
@@ -359,7 +357,6 @@ const COMMANDS: &[Command] = &[
             ("--max-conns", Some("<n>")),
             CACHE_MB,
             THREADS,
-            PREFETCH,
             BACKEND,
         ],
         run: cmd_serve,
@@ -478,20 +475,11 @@ fn box_flags(args: &Args) -> Result<(Vec<usize>, Vec<usize>), String> {
     Ok((origin, extent))
 }
 
-/// The reader `query` and `serve` open: `--cache-mb`, `--threads` and
-/// `--prefetch`.
+/// The reader `query` and `serve` open: `--cache-mb` and `--threads`.
 fn reader_config(args: &Args) -> Result<ReaderConfig, String> {
-    let cache_mb = args.count("--cache-mb", 256)?;
-    let threads = args.count("--threads", 0)?;
-    let prefetch = args.count("--prefetch", 0)?;
     Ok(ReaderConfig {
-        cache: CacheConfig::with_capacity_mib(cache_mb),
-        threads,
-        prefetch: if prefetch == 0 {
-            PrefetchPolicy::None
-        } else {
-            PrefetchPolicy::Sequential { depth: prefetch }
-        },
+        cache: CacheConfig::with_capacity_mib(args.count("--cache-mb", 256)?),
+        threads: args.count("--threads", 0)?,
     })
 }
 
@@ -921,13 +909,12 @@ fn run_query<T: Element>(
     let stats = reader.stats();
     println!(
         "\nserved {} requests ({} chunk lookups): {:.1}% hit rate, {} decodes \
-         ({:.2} MB decoded), {} prefetched, {} evictions, {:.1} ms busy",
+         ({:.2} MB decoded), {} evictions, {:.1} ms busy",
         stats.requests,
         stats.chunks_requested,
         stats.hit_rate() * 100.0,
         stats.decodes,
         stats.decoded_bytes as f64 / 1e6,
-        stats.prefetched,
         stats.evictions,
         stats.wall_seconds * 1e3,
     );

@@ -30,12 +30,12 @@
 //! * [`serve`] — the concurrent read-serving subsystem: shared
 //!   [`ArrayReader`](serve::ArrayReader) handles with a decoded-chunk
 //!   LRU cache, single-flight decode, parallel region assembly,
-//!   prefetch, and generation-aware `refresh()` with per-chunk cache
+//!   explicit region prefetch, and generation-aware `refresh()` with per-chunk cache
 //!   invalidation,
 //! * [`daemon`] — the `eblcio serve` network daemon: a length-prefixed
 //!   binary protocol over TCP ([`Daemon`](daemon::Daemon) /
-//!   [`DaemonClient`](daemon::DaemonClient)) serving region and chunk
-//!   reads on each connection's own thread behind one bounded
+//!   [`DaemonClient`](daemon::DaemonClient)) serving region reads (a
+//!   chunk read is its chunk's region) on each connection's own thread behind one bounded
 //!   admission gate (typed `Overloaded` replies under saturation, never
 //!   a hang), with a
 //!   `metrics` frame exposing the Prometheus exposition.
@@ -99,7 +99,7 @@ pub mod prelude {
         AnyReader, Daemon, DaemonClient, DaemonConfig, DaemonError, RegionSpec,
     };
     pub use eblcio_serve::{
-        ArrayReader, CacheConfig, PrefetchPolicy, ReaderConfig, ReaderStats, RefreshStats,
+        ArrayReader, CacheConfig, ReaderConfig, ReaderStats, RefreshStats,
     };
     pub use eblcio_codec::CodecError;
     pub use eblcio_store::{

@@ -291,7 +291,7 @@ fn compress_to_sharded_store_query_and_json_inspect() {
         .arg(&store_path)
         .args([
             "--origin", "8x8", "--extent", "32x32", "--repeat", "3", "--clients", "2",
-            "--cache-mb", "64", "--prefetch", "1",
+            "--cache-mb", "64",
         ])
         .output()
         .unwrap();
@@ -602,6 +602,17 @@ fn unknown_flags_are_usage_errors() {
     rejected(demo, "--backend", "demo");
     let inspect = Command::new(bin()).args(["inspect", "--metrics"]).arg(&store).output().unwrap();
     rejected(inspect, "--metrics", "inspect");
+    // The reader has no sequential prefetcher, so no flag sets one.
+    for (command, extra) in [("query", &["--origin", "0x0", "--extent", "8x8"][..]), ("serve", &[])] {
+        let st = Command::new(bin())
+            .arg(command)
+            .arg(&store)
+            .args(extra)
+            .args(["--prefetch", "1"])
+            .output()
+            .unwrap();
+        rejected(st, "--prefetch", command);
+    }
 
     // A value flag that ends the line is an error too, not a default.
     let st = Command::new(bin())

@@ -29,7 +29,7 @@ fn wrong_element_type_is_a_typed_mismatch_on_every_container_and_decodes_nothing
         ("EBLC", decompress::<f64>(&chain, &eblc).unwrap_err()),
         ("EBLC region", decompress_region::<f64>(&chain, &eblc, &[0, 0], &[2, 2]).unwrap_err()),
         ("ChunkedStore full", store.read_full::<f64>(2).unwrap_err()),
-        ("ChunkedStore chunk", store.read_chunk::<f64>(0).unwrap_err()),
+        ("ChunkedStore chunk", store.decode_chunk::<f64>(&chain, 0).unwrap_err()),
         ("ChunkedStore region", store.read_region::<f64>(&region).unwrap_err()),
         (
             "ArrayReader",
